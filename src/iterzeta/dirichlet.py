@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceDomain, CutoffExceeded, TableCoverage,
-                     TooFewSamples, ValidationError)
-from .eta import GUARD, DEFAULT_QUAD, QuadSpec, eta_tilde_weighted
+from .errors import (BranchObstruction, ConvergenceDomain, CutoffExceeded,
+                     TableCoverage, TooFewSamples, ValidationError)
+from .eta import DEFAULT_QUAD, QuadSpec, eta_tilde_weighted
 from .primes import PrimeTable, sieve_primes
+from .rays import check_guard
 from .zeros import ZeroTable
 
 POLYLOG_RADIUS = 0.95
@@ -174,9 +175,10 @@ def _eta_tilde_grid(m: int, sigma: float, T: float, grid_step: float,
         return _ETA_GRID_CACHE[key]
     ts = np.arange(14.0, T + 1e-9, grid_step)
     vals = np.full(ts.size, np.nan + 0j, dtype=complex)
-    guard_zeros = table.gammas[table.betas >= sigma]
     for i, t in enumerate(ts):
-        if guard_zeros.size and np.min(np.abs(guard_zeros - t)) <= GUARD:
+        try:
+            check_guard(table, sigma, float(t))
+        except BranchObstruction:
             continue
         vals[i] = eta_tilde_weighted(m, sigma, float(t), table, quad).value
     _ETA_GRID_CACHE[key] = (ts, vals)

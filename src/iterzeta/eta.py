@@ -28,15 +28,16 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .errors import (BranchObstruction, QuadratureNonconvergence,
-                     TableCoverage, UnsupportedRange, ValidationError)
+from .errors import (QuadratureNonconvergence, TableCoverage,
+                     UnsupportedRange, ValidationError)
 from .quadrature import gl_nodes, integrate_vec, poly_log_integral
-from .rays import (CUTOFF_OFFSET, RayBranch, log_zeta_real_axis,
+from .rays import (CUTOFF_OFFSET, RayBranch, check_guard, log_zeta_real_axis,
                    vertical_log_zeta)
-from .zetafun import DEFAULT_PARAMS, ComplexPoint, EvalParams, zeta_batch
+from .rays import GUARD  # noqa: F401  (re-exported: callers import it here)
+from .zetafun import (DEFAULT_PARAMS, ComplexPoint, EvalParams, zeta_batch,
+                      zeta_error)
 from .zeros import EMPTY_TABLE, ZeroTable, zeros_in_box
 
-GUARD = 1e-3          # min |t - gamma| for rays passing a zero with beta >= sigma
 SUPPORTED_M = (1, 2, 3)
 
 
@@ -110,16 +111,17 @@ def _validate_order_sigma(m: int, sigma: float) -> None:
         raise ValidationError("sigma must be finite and >= 1/2")
 
 
-def check_guard(table: ZeroTable, sigma: float, t: float) -> None:
-    """Reject heights within GUARD of an ordinate whose zero lies at or
-    right of the ray start; the branch walk degenerates there."""
-    if len(table) == 0:
-        return
-    near = np.abs(table.gammas - abs(t)) <= GUARD
-    if np.any(near & (table.betas >= sigma)):
-        g = table.gammas[near & (table.betas >= sigma)][0]
-        raise BranchObstruction(
-            f"height t={t:g} within {GUARD:g} of zero ordinate {g:.6f}")
+def _zeta_term(m: int, span: float, sigma: float, t: float,
+               eval_params: EvalParams) -> float:
+    """zeta's error carried through a weight of total mass span^m/m!.
+
+    Every point of the path (heights up to t, Re s >= sigma) meets tol
+    in its remainder; the rounding part of zeta_error is largest at the
+    leftmost, tallest point sigma + it, and passes tol only at large t.
+    """
+    err = max(eval_params.tol, float(zeta_error(complex(sigma, t),
+                                                eval_params)))
+    return err * span ** m / factorial(m)
 
 
 def tail_bound(m: int, sigma: float, a_cut: float) -> float:
@@ -196,8 +198,8 @@ def eta_tilde_weighted(m: int, sigma: float, t: float,
                                          quad.max_depth, initial_splits=8)
         nev += branch.nodes_used
 
-    zeta_term = eval_params.tol * (a_cut - sigma) ** m / factorial(m)
-    err = qerr + tail_bound(m, sigma, a_cut) + zeta_term
+    err = qerr + tail_bound(m, sigma, a_cut) \
+        + _zeta_term(m, a_cut - sigma, sigma, t, eval_params)
     return EtaValue(m, ComplexPoint(sigma, t), complex(value), err, nev)
 
 
@@ -386,7 +388,7 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
     span = a_cut - sigma
     err = dev_max * span ** (m - 1) / factorial(m - 1) \
         + 1e-10 * span + tail_bound(m, sigma, a_cut) \
-        + eval_params.tol * span ** m / factorial(m)
+        + _zeta_term(m, span, sigma, t, eval_params)
     return EtaValue(m, ComplexPoint(sigma, t), value, err, nev)
 
 
@@ -518,7 +520,7 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
         cs_err += cj.est_error * t ** (m - j) / factorial(m - j)
         nev += cj.nevals
 
-    err = qerr + cs_err + eval_params.tol * t ** m / factorial(m)
+    err = qerr + cs_err + _zeta_term(m, t, sigma, t, eval_params)
     return EtaValue(m, ComplexPoint(sigma, t), complex(value), err, nev)
 
 

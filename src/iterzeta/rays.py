@@ -29,9 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchObstruction, UnsupportedRange
+from .zeros import ZeroTable
 from .zetafun import DEFAULT_PARAMS, EvalParams, zeta_batch
 
 CUTOFF_OFFSET = 40.0
+GUARD = 1e-3          # min |t - gamma| for rays passing a zero with beta >= sigma
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,18 @@ class WalkParams:
 
 
 DEFAULT_WALK = WalkParams()
+
+
+def check_guard(table: ZeroTable, sigma: float, t: float) -> None:
+    """Reject heights within GUARD of an ordinate whose zero lies at or
+    right of the ray start; the branch walk degenerates there."""
+    if len(table) == 0:
+        return
+    near = (np.abs(table.gammas - abs(t)) <= GUARD) & (table.betas >= sigma)
+    if np.any(near):
+        raise BranchObstruction(
+            f"height t={t:g} within {GUARD:g} of zero ordinate "
+            f"{table.gammas[near][0]:.6f}")
 
 
 def _initial_offsets() -> np.ndarray:
@@ -200,11 +214,8 @@ def log_zeta_horizontal(sigma: float, t: float, table=None,
     from the upper half plane: real log of zeta(s)(s-1) minus
     log|sigma-1|, minus i pi left of the pole.
     """
-    if table is not None and len(table):
-        near = np.abs(table.gammas - abs(t)) <= 1e-3
-        if np.any(near & (table.betas >= sigma)):
-            raise BranchObstruction(
-                f"height t={t:g} within guard distance of a zero ordinate")
+    if table is not None:
+        check_guard(table, sigma, t)
     if t == 0.0:
         if abs(sigma - 1.0) < 1e-12:
             raise BranchObstruction("the ray at t = 0 meets the pole")

@@ -8,21 +8,34 @@ For N >= 1 and K >= 1 Bernoulli corrections,
 
 with the classical remainder bound
 
-    |E_K| <= |T_{K+1}(s, N)| * |s + 2K + 1| / (Re s + 2K + 1),
+    |E_K| <= |T_{K+1}(s, N)| * |s + 2K + 1| / (Re s + 2K + 1)
+          =  C(s) * N^-(Re s + 2K + 1),
 
-T_{K+1} being the first omitted correction term.  With N scaled like 3|t|
-the remainder is far below 1e-12 everywhere in the supported desk range
-Re s >= 0, |t| <= 1e4 (s = 1 excluded).
+T_{K+1} being the first omitted correction term.  Every point gets its
+own N: the bound is solved for the smallest N that meets the tolerance,
+and that N is rounded up to a geometric ladder above em_terms so that
+points of similar height share one direct-sum matrix.  A point's value
+therefore does not depend on the other points of its batch, beyond the
+rounding of the direct-sum path its rung takes.
 
-Everything here is plain float64 numpy; batched evaluation shares the
-direct-sum matrix across points of comparable height, which is what the
-branch-tracking walks and the quadrature loops rely on for speed.
+The direct sum runs per ladder rung.  n^-s = n^-Re s * n^-i Im s, so
+points on a grid of abscissae x heights need only the real matrix
+exp(-Re s (x) log n) and the phases exp(-i log n (x) Im s), contracted
+by one real matrix product on (Re, Im) pairs.  A horizontal ray is a
+grid of one height; a vertical walk's node ladder, repeated at many
+heights, is a grid too.  Scattered points take the complex exp matrix.
+
+zeta_error reports the per-point error: the remainder bound plus a
+rounding estimate for the direct sum, which dominates at large |t|
+because the phase t log n carries a relative rounding error of order
+machine epsilon.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import bernoulli
@@ -31,9 +44,20 @@ from .errors import PoleAtOne, UnsupportedRange, ValidationError
 
 SIGMA_MIN = 0.0
 T_MAX = 1.0e4
+TERM_CAP = 600_000
+# ratio of consecutive direct-sum lengths on the ladder above em_terms
+LADDER_STEP = 2.0 ** 0.25
+# elements of one (points x terms) direct-sum matrix
+_CHUNK_ELEMENTS = 4_000_000
+# points on a grid of abscissae x heights with at most this many grid
+# nodes per point take the real-matrix product; others the complex exp
+_GRID_FILL = 4
+# the rounding estimate's multiple of machine epsilon per term
+_ROUNDING_ULPS = 2.0
 
-# B_2, B_4, ..., B_18; the last one only feeds the remainder bound.
-_B2K = bernoulli(18)[2::2]
+# B_2k/(2k)! for k = 1..9; the last one only feeds the remainder bound.
+_EM_COEF = bernoulli(18)[2::2] / np.array(
+    [math.factorial(2 * k) for k in range(1, 10)], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -55,11 +79,12 @@ class ComplexPoint:
 class EvalParams:
     """Accuracy knobs for zeta evaluation.
 
-    em_terms is the floor on the direct-sum length N; the effective N is
-    max(em_terms, ceil(3|t|)).  em_bernoulli is the number of Bernoulli
-    correction terms K (at most 8; B_18 is reserved for the error bound).
-    tol is the target absolute error; N is doubled (a few times) if the
-    remainder bound does not meet it.
+    tol is the bound each point's Euler-Maclaurin remainder must meet;
+    each point's direct-sum length N is the smallest rung of the ladder
+    em_terms * LADDER_STEP^k that meets it, so em_terms is the floor on
+    N.  em_bernoulli is the number of Bernoulli correction terms K (at
+    most 8; B_18 is reserved for the error bound).  Rounding in the
+    direct sum is not part of tol; zeta_error reports it.
     """
 
     em_terms: int = 50
@@ -78,90 +103,194 @@ class EvalParams:
 DEFAULT_PARAMS = EvalParams()
 
 
-def _em_value(s: np.ndarray, n_terms: int, k_terms: int) -> np.ndarray:
-    """Euler-Maclaurin value for an array of points sharing one N."""
-    n = np.arange(1, n_terms, dtype=np.float64)
-    # n^-s = exp(-s log n); outer product over (points, terms)
-    mat = np.exp(-np.multiply.outer(s, np.log(n)))
-    val = mat.sum(axis=-1)
-    nn = float(n_terms)
-    val += nn ** (1.0 - s) / (s - 1.0)
-    val += 0.5 * nn ** (-s)
-    pref = nn ** (1.0 - s)  # running N^(1-s-2k) * prod(s+j) accumulator
-    poly = np.ones_like(s)
-    j = 0
-    for k in range(1, k_terms + 1):
-        # extend prod_{j=0}^{2k-2}(s+j): two new factors except at k=1
-        if k == 1:
-            poly = poly * s
-        else:
-            poly = poly * (s + (j + 1)) * (s + (j + 2))
-            j += 2
-        pref = pref / (nn * nn)
-        val += _B2K[k - 1] / math.factorial(2 * k) * pref * poly
-    return val
+def _checked_points(s) -> np.ndarray:
+    """The points as a flat complex array, after the desk refusals."""
+    s = np.asarray(s, dtype=np.complex128).ravel()
+    if not np.all(np.isfinite(s)):
+        raise UnsupportedRange("zeta needs finite points")
+    if np.any(s.real < SIGMA_MIN):
+        raise UnsupportedRange("zeta supported for Re s >= 0 only")
+    if np.any(np.abs(s.imag) > T_MAX):
+        raise UnsupportedRange(f"zeta supported for |Im s| <= {T_MAX:g}")
+    if np.any(np.abs(s - 1.0) < 1.0e-14):
+        raise PoleAtOne("zeta has its pole at s = 1")
+    return s
 
 
-def _em_error_bound(s: np.ndarray, n_terms: int, k_terms: int) -> np.ndarray:
-    """Bound on the omitted remainder, per point."""
+def _em_remainder(s: np.ndarray, k_terms: int):
+    """(C, p) per point, with the remainder bound C * N^-p."""
     k1 = k_terms + 1
-    nn = float(n_terms)
     # |T_{K+1}| = |B_{2K+2}/(2K+2)! * N^(1-s-2K-2) * prod_{j=0}^{2K}(s+j)|
-    logmag = (1.0 - s.real - 2 * k1) * math.log(nn)
-    prod = np.ones(s.shape, dtype=np.float64)
-    for j in range(0, 2 * k1 - 1):
-        prod *= np.abs(s + j)
-    t_next = abs(_B2K[k1 - 1]) / math.factorial(2 * k1) * np.exp(logmag) * prod
-    return t_next * np.abs(s + 2 * k1 - 1) / (s.real + 2 * k1 - 1)
+    j = np.arange(2 * k1 - 1, dtype=np.float64)
+    prod = np.hypot(s.real[..., None] + j, s.imag[..., None]).prod(axis=-1)
+    p = s.real + 2 * k1 - 1
+    c = abs(_EM_COEF[k1 - 1]) * prod * np.abs(s + 2 * k1 - 1) / p
+    return c, p
+
+
+@lru_cache(maxsize=None)
+def _ladder(em_terms: int) -> np.ndarray:
+    """Direct-sum lengths em_terms * LADDER_STEP^k, rounded up, capped
+    by TERM_CAP (the last rung)."""
+    rungs = [em_terms]
+    while rungs[-1] < TERM_CAP:
+        rungs.append(min(TERM_CAP, math.ceil(rungs[0] * LADDER_STEP
+                                             ** len(rungs))))
+    return np.unique(np.array(rungs, dtype=np.int64))
+
+
+def _lengths_and_bounds(s: np.ndarray, params: EvalParams):
+    """Per point: the direct-sum length N, the smallest rung of the
+    ladder em_terms * LADDER_STEP^k whose remainder bound meets
+    params.tol, and that bound.  Raises UnsupportedRange where no N up
+    to TERM_CAP meets it."""
+    c, p = _em_remainder(s, params.em_bernoulli)
+    with np.errstate(divide="ignore"):
+        # C N^-p = tol solved for N (C = 0 at s = 0 gives N = 0); the
+        # 1e-12 slack keeps float rounding from landing on the wrong rung
+        need = np.exp((np.log(c) - math.log(params.tol)) / p) * (1.0 + 1e-12)
+    ladder = _ladder(params.em_terms)
+    if need.size and not float(np.max(need)) <= ladder[-1]:
+        raise UnsupportedRange(
+            "cannot meet tol within the Euler-Maclaurin term cap")
+    lengths = ladder[np.searchsorted(ladder, need, side="left")]
+    return lengths, c * lengths.astype(np.float64) ** -p
+
+
+def _groups(lengths: np.ndarray):
+    """(N, indices) per distinct direct-sum length."""
+    order = np.argsort(lengths, kind="stable")
+    values, starts = np.unique(lengths[order], return_index=True)
+    return [(int(n_terms), idx)
+            for n_terms, idx in zip(values, np.split(order, starts[1:]))]
+
+
+def _em_tail(s: np.ndarray, lengths: np.ndarray, k_terms: int) -> np.ndarray:
+    """Everything but the direct sum, per point with its own N:
+
+        N^(1-s) * (1/(s-1) + 1/(2N) + sum_k B_2k/(2k)! N^-2k prod_{j<=2k-2}(s+j)),
+
+    the Bernoulli sum by Horner's rule in the factors (s+2k-1)(s+2k)/N^2.
+    """
+    nn = lengths.astype(np.float64)
+    inv_n2 = 1.0 / (nn * nn)
+    acc = np.full_like(s, _EM_COEF[k_terms - 1])
+    for k in range(k_terms - 1, 0, -1):
+        acc = _EM_COEF[k - 1] + acc * (s + (2 * k - 1)) * (s + 2 * k) * inv_n2
+    return nn ** (1.0 - s) * (1.0 / (s - 1.0) + 0.5 / nn + acc * s * inv_n2)
+
+
+def _chunks(size: int, n_terms: int):
+    """Slices over points so that a (points x terms) matrix holds at most
+    _CHUNK_ELEMENTS elements."""
+    block = max(1, _CHUNK_ELEMENTS // n_terms)
+    return (slice(i, i + block) for i in range(0, size, block))
+
+
+def _grid(s: np.ndarray):
+    """Place points on a grid of abscissae x heights: (abscissae, index
+    per point, heights, index per point), or None when that grid would
+    hold more than _GRID_FILL times as many nodes as there are points."""
+    if np.all(s.imag == s.imag[0]):   # one height: skip the sorting
+        return s.real, np.arange(s.size), s.imag[:1], np.zeros(s.size, int)
+    heights, k = np.unique(s.imag, return_inverse=True)
+    sigmas, j = np.unique(s.real, return_inverse=True)
+    if sigmas.size * heights.size > _GRID_FILL * s.size:
+        return None
+    return sigmas, j, heights, k
+
+
+def _direct_sum(s: np.ndarray, n_terms: int) -> np.ndarray:
+    """sum_{n<N} n^-s for points sharing one N."""
+    logn = np.log(np.arange(1, n_terms, dtype=np.float64))
+    out = np.empty(s.size, dtype=np.complex128)
+    for chunk in _chunks(s.size, n_terms):
+        part = s[chunk]
+        grid = _grid(part)
+        if grid is None:
+            out[chunk] = np.exp(-np.multiply.outer(part, logn)).sum(axis=-1)
+            continue
+        # n^-s = n^-sigma * n^-it: the real matrix n^-sigma (abscissae x
+        # terms) times the (Re, Im) columns of n^-it (terms x heights)
+        sigmas, j, heights, k = grid
+        mag = np.exp(np.multiply.outer(-sigmas, logn))
+        phase = np.exp(-1j * np.multiply.outer(logn, heights))
+        sums = (mag @ phase.view(np.float64)).view(np.complex128)
+        out[chunk] = sums[j, k]
+    return out
 
 
 def zeta_batch(s: np.ndarray, params: EvalParams = DEFAULT_PARAMS) -> np.ndarray:
     """Vectorised zeta over an array of complex points.
 
-    All points share one direct-sum length N chosen from the tallest
-    |Im s| in the batch, so group points of comparable height.
+    Each point gets its own direct-sum length, so a value does not
+    depend on the rest of the batch beyond rounding; points sharing a
+    length share one direct-sum matrix.
 
     Raises
     ------
     UnsupportedRange
-        Any point with Re s < 0 or |Im s| > 1e4.
+        Any point that is not finite, has Re s < 0 or |Im s| > 1e4, or
+        cannot meet tol within TERM_CAP terms.
     PoleAtOne
         Any point equal to 1 (within 1e-14).
     """
-    s = np.asarray(s, dtype=np.complex128)
-    if s.size == 0:
-        return s.copy()
-    if np.any(s.real < SIGMA_MIN):
-        raise UnsupportedRange("zeta supported for Re s >= 0 only")
-    tmax = float(np.max(np.abs(s.imag)))
-    if tmax > T_MAX:
-        raise UnsupportedRange(f"zeta supported for |Im s| <= {T_MAX:g}")
-    if np.any(np.abs(s - 1.0) < 1.0e-14):
-        raise PoleAtOne("zeta has its pole at s = 1")
+    shape = np.shape(s)
+    flat = _checked_points(s)
+    if flat.size == 0:
+        return flat.reshape(shape)
+    lengths, bounds = _lengths_and_bounds(flat, params)
+    if not float(np.max(bounds)) <= params.tol:
+        raise ArithmeticError("an Euler-Maclaurin length misses tol")
+    out = _em_tail(flat, lengths, params.em_bernoulli)
+    for n_terms, idx in _groups(lengths):
+        out[idx] += _direct_sum(flat[idx], n_terms)
+    return out.reshape(shape)
 
-    n_terms = max(params.em_terms, int(math.ceil(3.0 * tmax)))
-    for _ in range(6):
-        bound = _em_error_bound(s, n_terms, params.em_bernoulli)
-        if float(np.max(bound)) <= params.tol:
-            break
-        n_terms *= 2
-        if n_terms > 600_000:
-            raise UnsupportedRange(
-                "cannot meet tol within the Euler-Maclaurin term cap")
-    # chunk over points so the (points x terms) matrix stays modest
-    block = max(1, 4_000_000 // n_terms)
-    if s.size <= block:
-        return _em_value(s, n_terms, params.em_bernoulli)
-    flat = s.ravel()
-    out = np.empty_like(flat)
-    for i in range(0, flat.size, block):
-        out[i:i + block] = _em_value(flat[i:i + block], n_terms,
-                                     params.em_bernoulli)
-    return out.reshape(s.shape)
+
+def zeta_error(s, params: EvalParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Per-point absolute error estimate of zeta_batch.
+
+    The Euler-Maclaurin remainder bound at the point's N plus a rounding
+    estimate of square-root-sum type, in units of _ROUNDING_ULPS * eps:
+
+    * each term n^-s is off by about n^-Re s (1 + |t| log n), since the
+      phase t log n is rounded; independent errors add in quadrature;
+    * accumulating the sum costs about sqrt(N) * sum_{n<N} n^-Re s;
+    * the closed-form tail is off by its magnitude N^(1-Re s)/|s-1| +
+      N^-Re s times (1 + |t| log N).
+
+    The estimate grows with |t| and falls with Re s.
+    """
+    shape = np.shape(s)
+    flat = _checked_points(s)
+    out = np.empty(flat.size, dtype=np.float64)
+    if flat.size == 0:
+        return out.reshape(shape)
+    lengths, bounds = _lengths_and_bounds(flat, params)
+    for n_terms, idx in _groups(lengths):
+        part = flat[idx]
+        sigma, t = part.real, np.abs(part.imag)
+        logn = np.log(np.arange(1, n_terms, dtype=np.float64))
+        terms, sumsq = np.empty(part.size), np.empty(part.size)
+        for chunk in _chunks(part.size, n_terms):
+            mag = np.exp(np.multiply.outer(-sigma[chunk], logn))
+            terms[chunk] = mag.sum(axis=-1)
+            mag *= mag
+            sumsq[chunk] = mag.sum(axis=-1) \
+                + t[chunk] ** 2 * (mag @ logn ** 2)
+        tail = n_terms ** -sigma * (n_terms / np.abs(part - 1.0) + 1.0) \
+            * (1.0 + t * math.log(n_terms))
+        rounding = np.sqrt(sumsq) + math.sqrt(n_terms) * terms + tail
+        out[idx] = bounds[idx] \
+            + _ROUNDING_ULPS * np.finfo(np.float64).eps * rounding
+    return out.reshape(shape)
 
 
 def zeta(s, params: EvalParams = DEFAULT_PARAMS) -> complex:
-    """zeta(s) with absolute error below params.tol.
+    """zeta(s).  zeta_error(s) estimates its absolute error: at most
+    params.tol of truncation, plus rounding that matters only at large
+    |Im s|.
 
     Accepts a complex number or a ComplexPoint.  Supported desk range:
     Re s >= 0, |Im s| <= 1e4, s != 1.

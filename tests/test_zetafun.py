@@ -4,6 +4,7 @@ import pytest
 
 from iterzeta import ComplexPoint, EvalParams, PoleAtOne, UnsupportedRange
 from iterzeta import zeta, zeta_batch
+from iterzeta.zetafun import _em_remainder, _lengths_and_bounds, zeta_error
 
 mp.mp.dps = 30
 
@@ -75,3 +76,79 @@ def test_params_validation():
         EvalParams(em_bernoulli=9)
     with pytest.raises(UnsupportedRange):
         EvalParams(em_terms=3)
+
+
+# ---------------------------------------------- per-point length and error
+
+def _mp_grid():
+    """sigma from 0 to the far end of a ray (sigma + 40), t log-spread
+    over [1e-2, 1e4]; sigma is nudged off 1 so no point meets the pole."""
+    sigmas = [0.0, 0.13, 0.5, 0.77, 1.01, 1.6, 3.5, 9.0, 22.0, 45.0]
+    ts = np.concatenate([[0.0], np.logspace(-2, 4, 19)])
+    return np.array([complex(sg, t) for sg in sigmas for t in ts])
+
+
+def test_differential_against_mpmath_within_reported_error():
+    pts = _mp_grid()
+    want = np.array([complex(mp.zeta(mp.mpc(p.real, p.imag))) for p in pts])
+    got = zeta_batch(pts)
+    err = zeta_error(pts)
+    assert np.all(np.abs(got - want) <= err)
+    # a realistic estimate, not the worst case: at the top of the desk it
+    # stays near eps * t * sqrt(sum_n log^2 n / n)
+    assert float(zeta_error(0.5 + 1e4j)) < 1e-10
+
+
+def test_reported_error_is_tol_below_the_bridge_heights():
+    # the eta budgets of the bridge rows (t <= 231) rest on zeta's tol
+    for sigma in (0.75, 0.8, 0.85, 1.5):
+        for t in (14.0, 21.4, 60.0, 180.5, 231.0):
+            assert zeta_error(complex(sigma, t)) <= 1e-12
+
+
+def test_value_does_not_depend_on_the_batch():
+    alone_pts = np.array([0.5 + 20j, 2.0 + 0j, 0.8 + 55.5j, 1.5 + 999.0j,
+                          7.0 + 3.0j, 0.6 + 5000.0j])
+    # a t ~ 1e4 point, neighbours of equal length at another height (a
+    # grid of abscissae x heights), and a scattered cloud sharing the
+    # first point's length, which takes the complex exp path
+    rng = np.random.default_rng(3)
+    cloud = rng.uniform(0.5, 3.0, 40) + 1j * rng.uniform(10.0, 30.0, 40)
+    batch = np.concatenate([alone_pts, [0.55 + 9999.0j],
+                            alone_pts + 1e-3j, cloud])
+    together = zeta_batch(batch)[:alone_pts.size]
+    lengths, _ = _lengths_and_bounds(alone_pts, EvalParams())
+    for p, v, n in zip(alone_pts, together, lengths):
+        magnitude = np.sum(np.arange(1.0, n) ** -p.real)
+        assert abs(v - zeta(p)) <= 8 * np.finfo(float).eps * magnitude
+
+
+def _old_batch_length(s, params=EvalParams()):
+    """The former batch rule: N = max(em_terms, ceil(3 max|t|)), doubled
+    until the batch's largest remainder bound met tol."""
+    n = max(params.em_terms, int(np.ceil(3.0 * np.max(np.abs(s.imag)))))
+    for _ in range(6):
+        c, p = _em_remainder(s, params.em_bernoulli)
+        if np.max(c * float(n) ** -p) <= params.tol:
+            break
+        n *= 2
+    return n
+
+
+def test_per_point_length_never_exceeds_the_old_batch_rule():
+    pts = _mp_grid()
+    lengths, bounds = _lengths_and_bounds(pts, EvalParams())
+    assert np.all(bounds <= 1e-12)
+    assert np.all(lengths >= EvalParams().em_terms)
+    for s, n in zip(pts, lengths):
+        assert n <= _old_batch_length(np.array([s]))
+    # at the top of the desk the remainder bound asks for about 0.8 |t|
+    top, _ = _lengths_and_bounds(np.array([0.5 + 1e4j]), EvalParams())
+    assert top[0] < 1e4
+
+
+def test_term_cap_and_nonfinite_refusals():
+    with pytest.raises(UnsupportedRange):
+        zeta(0.5 + 1e4j, EvalParams(tol=1e-300))
+    with pytest.raises(UnsupportedRange):
+        zeta(complex(np.nan, 1.0))
