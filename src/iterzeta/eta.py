@@ -118,9 +118,15 @@ def _zeta_term(m: int, span: float, sigma: float, t: float,
     Every point of the path (heights up to t, Re s >= sigma) meets tol
     in its remainder; the rounding part of zeta_error is largest at the
     leftmost, tallest point sigma + it, and passes tol only at large t.
+    At t = 0 and within the unit disc around the pole the charge is tol:
+    the t = 0 route integrates log(zeta(a)(a-1)) and never meets the
+    pole, and log zeta's error is zeta's over |zeta| >= 0.7/|s-1|, so
+    the tail term's growth like 1/|s-1| cancels.
     """
-    err = max(eval_params.tol, float(zeta_error(complex(sigma, t),
-                                                eval_params)))
+    s = complex(sigma, t)
+    err = eval_params.tol
+    if t != 0.0 and abs(s - 1.0) >= 1.0:
+        err = max(err, float(zeta_error(s, eval_params)))
     return err * span ** m / factorial(m)
 
 

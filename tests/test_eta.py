@@ -92,6 +92,24 @@ def test_c_right_of_pole():
     assert abs(c_m(2, 2.0) - (-0.6560847785)) < 1e-8
 
 
+def test_at_the_pole_abscissa():
+    # sigma = 1 and just above it, at t = 0: the route integrates
+    # log(zeta(a)(a-1)) and never evaluates zeta at the pole, and the
+    # error budget stays at tol's share
+    for sigma in (1.0, 1.0 + 1e-6):
+        got = eta_tilde_weighted(1, sigma, 0.0)
+        want = complex(mp.quad(lambda a: mp.log(mp.zeta(a)),
+                               [sigma, 2, 6, 14, sigma + 40]))
+        assert abs(got.value - want) < got.est_error
+        assert got.est_error < 1e-8
+    want2 = -complex(mp.quad(lambda a: (a - 1) * mp.log(mp.zeta(a)),
+                             [1, 2, 6, 14, 41]))
+    assert abs(c_m(2, 1.0) - want2) < 1e-8
+    w = eta_tilde_weighted(2, 1.0, 0.0)
+    r = eta_tilde_recursive(2, 1.0, 0.0)
+    assert abs(w.value - r.value) < w.est_error + r.est_error
+
+
 def test_vertical_limit_is_bridge_at_zero():
     # as t -> 0 the vertical integral tends to i^m eta~(sigma);
     # the O(t) allowance is |log zeta(sigma)| * t
