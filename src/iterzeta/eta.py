@@ -111,23 +111,29 @@ def _validate_order_sigma(m: int, sigma: float) -> None:
         raise ValidationError("sigma must be finite and >= 1/2")
 
 
-def _zeta_term(m: int, span: float, sigma: float, t: float,
-               eval_params: EvalParams) -> float:
-    """zeta's error carried through a weight of total mass span^m/m!.
+def _log_zeta_error(sigma: float, t: float, eval_params: EvalParams) -> float:
+    """Error of log zeta at any point of a path with heights up to t and
+    Re s >= sigma.
 
-    Every point of the path (heights up to t, Re s >= sigma) meets tol
-    in its remainder; the rounding part of zeta_error is largest at the
-    leftmost, tallest point sigma + it, and passes tol only at large t.
-    At t = 0 and within the unit disc around the pole the charge is tol:
-    the t = 0 route integrates log(zeta(a)(a-1)) and never meets the
-    pole, and log zeta's error is zeta's over |zeta| >= 0.7/|s-1|, so
-    the tail term's growth like 1/|s-1| cancels.
+    Every point meets tol in its remainder; the rounding part of
+    zeta_error is largest at the leftmost, tallest point sigma + it, and
+    passes tol only at large t.  At t = 0 and within the unit disc
+    around the pole it is tol: the t = 0 route integrates
+    log(zeta(a)(a-1)) and never meets the pole, and log zeta's error is
+    zeta's over |zeta| >= 0.7/|s-1|, so the tail term's growth like
+    1/|s-1| cancels.
     """
     s = complex(sigma, t)
     err = eval_params.tol
     if t != 0.0 and abs(s - 1.0) >= 1.0:
         err = max(err, float(zeta_error(s, eval_params)))
-    return err * span ** m / factorial(m)
+    return err
+
+
+def _zeta_term(m: int, span: float, sigma: float, t: float,
+               eval_params: EvalParams) -> float:
+    """zeta's error carried through a weight of total mass span^m/m!."""
+    return _log_zeta_error(sigma, t, eval_params) * span ** m / factorial(m)
 
 
 def tail_bound(m: int, sigma: float, a_cut: float) -> float:
@@ -488,6 +494,10 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
         return (t - us) ** (m - 1) * vertical_log_zeta(
             sigma, us, eval_params) / fm
 
+    # f's values are off by up to its weight times log zeta's error; at
+    # large t and m that passes the panels' share of abs_tol, and panels
+    # must not be bisected to resolve it
+    log_err = _log_zeta_error(sigma, t, eval_params)
     value = 0.0 + 0.0j
     qerr = 0.0
     nev = 0
@@ -498,7 +508,8 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
             continue
         v, err, ne = integrate_vec(f, lo, hi,
                                    quad.abs_tol * (hi - lo) / t,
-                                   quad.max_depth)
+                                   quad.max_depth,
+                                   noise=log_err * (t - lo) ** (m - 1) / fm)
         value += v
         qerr += err
         nev += ne
@@ -526,7 +537,7 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
         cs_err += cj.est_error * t ** (m - j) / factorial(m - j)
         nev += cj.nevals
 
-    err = qerr + cs_err + _zeta_term(m, t, sigma, t, eval_params)
+    err = qerr + cs_err + log_err * t ** m / factorial(m)
     return EtaValue(m, ComplexPoint(sigma, t), complex(value), err, nev)
 
 

@@ -43,14 +43,17 @@ def gl_panel(f, a: float, b: float, n: int = 16) -> complex:
 
 def integrate_vec(f, a: float, b: float, abs_tol: float = 1e-9,
                   max_depth: int = 48, initial_splits: int = 1,
-                  order: int = 15):
+                  order: int = 15, noise: float = 0.0):
     """Adaptive Gauss-Legendre integration of a vectorized integrand.
 
     f maps a float array of nodes to a complex array of values.  A panel
     is accepted when its bisected estimate agrees with the whole-panel
-    estimate to the panel's share of abs_tol.  Returns (value, est_error,
-    nevals).  Raises QuadratureNonconvergence when panels bottom out at
-    max_depth and the accumulated error estimate still exceeds budget.
+    estimate to the panel's share of abs_tol, plus noise times its width:
+    noise bounds the absolute error of f's values, below which the two
+    estimates differ by rounding, not by resolution, and bisecting only
+    chases that rounding.  Returns (value, est_error, nevals).  Raises
+    QuadratureNonconvergence when panels bottom out at max_depth and the
+    accumulated error estimate still exceeds budget.
     """
     if not b > a:
         if b == a:
@@ -91,7 +94,7 @@ def integrate_vec(f, a: float, b: float, abs_tol: float = 1e-9,
         for i, (e0, e1, coarse, depth) in enumerate(active):
             fine = lsum[i] + rsum[i]
             err = abs(fine - coarse)
-            budget = abs_tol * (e1 - e0) / total_width
+            budget = abs_tol * (e1 - e0) / total_width + noise * (e1 - e0)
             if err <= budget or depth + 1 >= max_depth:
                 value += fine
                 est_error += err
@@ -101,9 +104,10 @@ def integrate_vec(f, a: float, b: float, abs_tol: float = 1e-9,
                 nxt.append((m, e1, rsum[i], depth + 1))
         active = nxt
 
-    if est_error > 50.0 * abs_tol:
+    allowed = abs_tol + noise * total_width
+    if est_error > 50.0 * allowed:
         raise QuadratureNonconvergence(
-            f"estimated error {est_error:.3e} exceeds budget {abs_tol:.3e} "
+            f"estimated error {est_error:.3e} exceeds budget {allowed:.3e} "
             f"on [{a:g}, {b:g}]")
     return value, est_error, nevals
 

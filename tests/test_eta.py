@@ -162,6 +162,17 @@ def test_bridge_spot_checks():
     assert check_bridge(2, 0.5, 20.0, TAB) < 1e-4
 
 
+def test_bridge_m3_tall():
+    # log zeta's rounding, times the weight (t-u)^2/2, passes the panels'
+    # share of abs_tol here; the quadrature must stop at that noise floor
+    m, sigma, t = 3, 0.8, 200.5
+    ev = eta_vertical(m, sigma, t, TAB)
+    et = eta_tilde_weighted(m, sigma, t, TAB)
+    res = abs(ev.value - (1j ** m * et.value + y_m(m, sigma, t, TAB)))
+    assert res <= ev.est_error + et.est_error
+    assert ev.nevals < 30000
+
+
 def test_growth_check():
     out = growth_check(1, 2.0, [10.0, 20.0], TAB)
     assert len(out) == 2

@@ -37,6 +37,16 @@ def test_integrate_vec_nonconvergence():
         integrate_vec(f, 0.0, 1.0, abs_tol=1e-14, max_depth=6)
 
 
+def test_integrate_vec_noise_floor():
+    # values rounded at 1e-9: bisecting for 1e-14 would chase the
+    # rounding; a declared noise floor stops at the integrand's resolution
+    rng = np.random.default_rng(7)
+    f = lambda x: np.cos(x) + 1e-9 * rng.uniform(-1.0, 1.0, x.size)
+    val, est, nev = integrate_vec(f, 0.0, 10.0, abs_tol=1e-14, noise=2e-9)
+    assert abs(val - np.sin(10.0)) < est + 1e-8
+    assert nev < 2000
+
+
 def _mp_moment(j, v0, v1, c):
     f = lambda v: v ** j * mp.log(mp.mpc(c, float(v)))
     if c < 0.0 and v0 < 0.0 < v1:
