@@ -13,6 +13,11 @@ plus the tail of prime powers exceeding X; li_vs_mangoldt_gap computes
 that tail so the decomposition is checkable to rounding error.
 mean_square_error measures (1/T) int_14^T |eta_tilde - D_X|^2 dt on a
 grid, the desk-scale stand-in for the asymptotic mean-value statement.
+
+Every prime-polylog sum in the package (D_X; torus's S, its reference
+value and harmonic bounds; the hunt's surrogate) is _polylog_sum, which
+feeds polylog_batch bounded chunks; mangoldt_sum and li_vs_mangoldt_gap
+stay apart from it as the decomposition check's reference.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from .rays import check_guard
 from .zeros import ZeroTable
 
 POLYLOG_RADIUS = 0.95
-POLYLOG_TERM_CAP = 10_000
+POLYLOG_CHUNK = 500_000        # points per polylog_batch call in _polylog_sum
+_SERIES_EPS = 1e-16
 _TAIL_EPS = 1e-15
 
 
@@ -39,60 +45,85 @@ def polylog(order: int, z: complex) -> complex:
     Restricted to |z| <= 0.95 where convergence is geometric; every use
     in this package has |z| <= 2^(-1/2).
     """
-    if order < 1 or order != int(order):
-        raise ValidationError("polylog order must be a positive integer")
-    return complex(polylog_batch(int(order), np.array([z]))[0])
+    return complex(polylog_batch(order, np.array([z]))[0])
 
 
 def polylog_batch(order: int, zs: np.ndarray) -> np.ndarray:
+    """Li_order at every point of zs (any shape), |z| <= POLYLOG_RADIUS.
+
+    Each point is summed to its own length, the smallest n >= 1 whose
+    tail bound |z|^(n+1) / (1 - |z|) is below 1e-16, so its value is
+    bitwise the same whichever points share its batch.  Sorted by
+    length, the points still summing are a prefix that shrinks.
+    """
+    if order < 1 or order != int(order):
+        raise ValidationError("polylog order must be a positive integer")
+    order = int(order)
     zs = np.asarray(zs, dtype=complex)
-    r = np.abs(zs)
-    if np.any(r > POLYLOG_RADIUS):
+    flat = zs.ravel()
+    r = np.abs(flat)
+    if not np.all(r <= POLYLOG_RADIUS):
         raise ConvergenceDomain(
             f"polylog series restricted to |z| <= {POLYLOG_RADIUS}")
-    out = np.zeros_like(zs)
-    if zs.size == 0:
-        return out
-    rmax = float(r.max())
-    if rmax == 0.0:
-        return out
-    power = np.ones_like(zs)
-    tail = rmax
-    for n in range(1, POLYLOG_TERM_CAP + 1):
-        power = power * zs
-        out += power / n ** order
-        tail *= rmax
-        # tail bound: rmax^(n+1) / ((n+1)^order (1-rmax))
-        if tail / ((n + 1) ** order * (1.0 - rmax)) < 1e-16:
-            break
-    return out
+    if flat.size == 0:
+        return np.zeros_like(zs)
+    with np.errstate(divide="ignore"):
+        lengths = np.maximum(
+            np.floor(np.log(_SERIES_EPS * (1.0 - r)) / np.log(r)),
+            1.0).astype(np.intp)
+    by_length = np.argsort(-lengths)
+    z = flat[by_length]
+    # live[n]: how many points, a prefix of z, take term n
+    live = np.cumsum(np.bincount(lengths)[::-1])[::-1].tolist()
+    power, spare = z.copy(), np.empty_like(z)
+    acc = z.copy()
+    for n in range(2, len(live)):
+        k = live[n]
+        # into a second buffer: numpy's in-place complex multiply rounds
+        # differently from its vector loop, which would tie a point's
+        # value to its position in the batch
+        np.multiply(power[:k], z[:k], out=spare[:k])
+        power, spare = spare, power
+        acc[:k] += power[:k] / n ** order
+    out = np.empty_like(flat)
+    out[by_length] = acc
+    return out.reshape(zs.shape)
 
 
-def _li_terms(m: int, sigma: float, t: float, ps: np.ndarray,
-              logs: np.ndarray) -> np.ndarray:
-    """Li_{m+1}(p^(-sigma-it)) / (log p)^m per prime, batched."""
-    zs = np.exp(-(sigma + 1j * t) * logs)
-    return polylog_batch(m + 1, zs) / logs ** m
+def _polylog_sum(order: int, logs: np.ndarray, power: int, z_block,
+                 rows: int = 1):
+    """sum_p Li_order(z_p) / (log p)^power, one sum per row.
+
+    z_block(lo, hi) builds the points of the primes logs[lo:hi], shape
+    (hi - lo,) or (rows, hi - lo); at most POLYLOG_CHUNK points are built
+    at a time, so memory stays bounded for any number of primes or rows.
+    """
+    step = max(1, POLYLOG_CHUNK // rows)
+    total = 0.0 + 0.0j
+    for lo in range(0, logs.size, step):
+        hi = min(lo + step, logs.size)
+        total = total + np.sum(polylog_batch(order, z_block(lo, hi))
+                               / logs[lo:hi] ** power, axis=-1)
+    return total
+
+
+def _prime_logs(X: float, primes: PrimeTable) -> np.ndarray:
+    """log p for the primes p <= X of the table."""
+    if X > primes.limit:
+        raise CutoffExceeded(f"X={X:g} beyond sieve limit {primes.limit}")
+    return primes.logs[:int(np.searchsorted(primes.primes, X,
+                                            side="right"))]
 
 
 def dirichlet_li_sum(m: int, sigma: float, t: float, X: float,
                      primes: PrimeTable) -> complex:
     """sum_{p <= X} Li_{m+1}(p^(-sigma-it)) / (log p)^m, exact finite sum."""
-    if X > primes.limit:
-        raise CutoffExceeded(f"X={X:g} beyond sieve limit {primes.limit}")
+    logs = _prime_logs(X, primes)
     if sigma < 0.5:
         raise ValidationError("sigma must be >= 1/2")
-    sel = primes.primes <= X
-    if not np.any(sel):
-        return 0.0 + 0.0j
-    # chunk by size as the convergence rate improves sharply with p
-    ps, logs = primes.primes[sel], primes.logs[sel]
-    total = 0.0 + 0.0j
-    for i in range(0, ps.size, 500_000):
-        total += complex(np.sum(_li_terms(m, sigma, t,
-                                          ps[i:i + 500_000],
-                                          logs[i:i + 500_000])))
-    return total
+    s = sigma + 1j * t
+    return complex(_polylog_sum(m + 1, logs, m,
+                                lambda lo, hi: np.exp(-s * logs[lo:hi])))
 
 
 def mangoldt_sum(m: int, sigma: float, t: float, X: float) -> complex:
@@ -207,6 +238,7 @@ def mean_square_error(m: int, sigma: float, X: float, T: float,
             f"T={T:g} beyond table coverage {table.coverage:g}")
     if primes is None:
         primes = sieve_primes(max(3, int(X)))
+    logs = _prime_logs(X, primes)
 
     ts, eta_vals = _eta_tilde_grid(m, sigma, T, grid_step, table, quad)
     keep = ~np.isnan(eta_vals)
@@ -215,10 +247,11 @@ def mean_square_error(m: int, sigma: float, X: float, T: float,
         raise TooFewSamples(
             f"{skipped:.0%} of the grid fell in guard zones")
 
-    diff2 = np.empty(keep.sum())
-    for i, t in enumerate(ts[keep]):
-        d = dirichlet_li_sum(m, sigma, float(t), X, primes)
-        diff2[i] = abs(eta_vals[keep][i] - d) ** 2
+    # D_X at every kept height in one (height x prime) pass
+    s = sigma + 1j * ts[keep][:, None]
+    d = _polylog_sum(m + 1, logs, m, lambda lo, hi: np.exp(-s * logs[lo:hi]),
+                     rows=s.shape[0])
+    diff2 = np.abs(eta_vals[keep] - d) ** 2
     mse = float(np.trapezoid(diff2, ts[keep]) / T)
     shape = X ** (1.0 - 2.0 * sigma) / np.log(X) ** (2 * m)
     return MeanSquareReport(m, sigma, float(X), float(T), float(grid_step),

@@ -458,6 +458,9 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
     The path is split at every table ordinate below t; within
     singularity_pad of an ordinate the local log(s - rho) model is
     integrated in closed form and only the smooth remainder numerically.
+    The pole's -Log(s - 1) is integrated in closed form too, so the
+    quadrature sees log(zeta(s)(s - 1)), smooth through u = 0 even at
+    sigma = 1.
     """
     _validate_order_sigma(m, sigma)
     if not t > 0.0:
@@ -490,15 +493,18 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
     edges = np.unique(np.asarray(edges))
     pad_spans = {(lo, hi) for lo, hi, *_ in pads}
 
+    def log_w(us):
+        return vertical_log_zeta(sigma, us, eval_params) \
+            + np.log(sigma - 1.0 + 1j * us)
+
     def f(us):
-        return (t - us) ** (m - 1) * vertical_log_zeta(
-            sigma, us, eval_params) / fm
+        return (t - us) ** (m - 1) * log_w(us) / fm
 
     # f's values are off by up to its weight times log zeta's error; at
     # large t and m that passes the panels' share of abs_tol, and panels
     # must not be bisected to resolve it
     log_err = _log_zeta_error(sigma, t, eval_params)
-    value = 0.0 + 0.0j
+    value = -poly_log_integral(m, t, 0.0, t, 0.0, sigma - 1.0)
     qerr = 0.0
     nev = 0
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -521,8 +527,7 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
 
         def rem(us):
             return (t - us) ** (m - 1) / fm * (
-                vertical_log_zeta(sigma, us, eval_params)
-                - k * np.log(c + 1j * (us - g)))
+                log_w(us) - k * np.log(c + 1j * (us - g)))
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         r16 = half * np.sum(w16 * rem(mid + half * x16))
         r24 = half * np.sum(w24 * rem(mid + half * x24))

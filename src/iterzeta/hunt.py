@@ -17,13 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .dirichlet import polylog_batch
 from .errors import (BranchObstruction, BudgetExceeded, TableCoverage,
                      ValidationError)
-from .eta import DEFAULT_QUAD, QuadSpec, eta_tilde_weighted
+from .eta import eta_tilde_weighted
 from .polygon import RadiiSet, polygon_angles
 from .primes import sieve_primes
-from .torus import _validate_order_sigma, first_harmonic_radii
+from .torus import _s_sum_arrays, _validate_torus, first_harmonic_radii
 from .zeros import ZeroTable, bundled_table
 
 _GRID_CAP = 1_000_000_000
@@ -145,14 +144,6 @@ def equidistribution_measure(box, T: float, primes) -> tuple:
     return count / n_pts, expected
 
 
-def _surrogate(ps: np.ndarray, logs: np.ndarray, thetas: np.ndarray,
-               sigma: float, m: int) -> np.ndarray:
-    """S over the given primes for each row of thetas."""
-    zs = np.exp(-sigma * logs)[None, :] * np.exp(-2j * np.pi * thetas)
-    vals = polylog_batch(m + 1, zs.ravel()).reshape(zs.shape)
-    return np.sum(vals / logs[None, :] ** m, axis=1)
-
-
 def _realize_on_primes(m: int, sigma: float, a: complex, ps: np.ndarray,
                        logs: np.ndarray):
     """Angles on the search primes with S(theta) = a when reachable.
@@ -179,15 +170,14 @@ def _realize_on_primes(m: int, sigma: float, a: complex, ps: np.ndarray,
     z = clamp(a)
     assign = polygon_angles(rs, z)
     for _ in range(60):
-        s_val = complex(_surrogate(ps, logs, assign.thetas[None, :],
-                                   sigma, m)[0])
+        s_val = complex(_s_sum_arrays(logs, assign.thetas, sigma, m))
         higher = s_val - assign.achieved
         z_new = clamp(a - higher)
         if abs(z_new - z) < 1e-13:
             break
         z = z_new
         assign = polygon_angles(rs, z)
-    s_val = complex(_surrogate(ps, logs, assign.thetas[None, :], sigma, m)[0])
+    s_val = complex(_s_sum_arrays(logs, assign.thetas, sigma, m))
     return assign.thetas, abs(s_val - a)
 
 
@@ -198,7 +188,7 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
 
     Never raises on a fruitless search; the result carries success=False
     and a diagnostic instead."""
-    _validate_order_sigma(m, sigma)
+    _validate_torus(m, sigma)
     if not np.isfinite(epsilon) or epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
     a = complex(a)
@@ -227,7 +217,7 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
 
     ts = np.asarray(hits)
     coords = np.mod(ts[:, None] * logs[None, :] / (2.0 * np.pi), 1.0)
-    pred = np.abs(_surrogate(ps, logs, coords, sigma, m) - a)
+    pred = np.abs(_s_sum_arrays(logs, coords, sigma, m) - a)
 
     order = np.lexsort((ts, pred))
     chosen = []

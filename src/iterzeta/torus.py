@@ -23,20 +23,20 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .dirichlet import polylog_batch
+from .dirichlet import _polylog_sum, polylog
 from .errors import (LimitExceeded, ValidationError, WindowExhausted)
+from .eta import _validate_order_sigma
 from .polygon import AngleAssignment, RadiiSet, polygon_angles
 from .primes import PrimeTable, sieve_primes
 
 GAMMA_CUT = 1_000_000
 U_CANDIDATES = (10, 100, 1_000, 10_000, 100_000)
-_CHUNK = 500_000
 
 
-def _validate_order_sigma(m: int, sigma: float) -> None:
-    if m not in (1, 2, 3):
-        raise ValidationError(f"order m={m} not supported; use 1, 2 or 3")
-    if not (0.5 <= sigma < 1.0):
+def _validate_torus(m: int, sigma: float) -> None:
+    """eta's order and sigma checks, plus the construction's sigma < 1."""
+    _validate_order_sigma(m, sigma)
+    if sigma >= 1.0:
         raise ValidationError(
             f"sigma={sigma} outside [1/2, 1) for the torus construction")
 
@@ -47,16 +47,14 @@ def _theta0(count: int) -> np.ndarray:
     return th
 
 
-def _s_sum_arrays(primes: np.ndarray, logs: np.ndarray, thetas: np.ndarray,
-                  sigma: float, m: int) -> complex:
-    total = 0.0 + 0.0j
-    for lo in range(0, primes.size, _CHUNK):
-        hi = min(lo + _CHUNK, primes.size)
-        zs = np.exp(-sigma * logs[lo:hi]
-                    - 2j * np.pi * thetas[lo:hi]).astype(np.complex128)
-        total += complex(np.sum(polylog_batch(m + 1, zs)
-                                / logs[lo:hi] ** m))
-    return total
+def _s_sum_arrays(logs: np.ndarray, thetas: np.ndarray, sigma: float,
+                  m: int):
+    """S_{m,sigma} over the primes with these logs at angles thetas; a
+    (rows, primes) array of angles gives one sum per row."""
+    rows = thetas.shape[0] if thetas.ndim == 2 else 1
+    return _polylog_sum(
+        m + 1, logs, m, lambda lo, hi: np.exp(
+            -sigma * logs[lo:hi] - 2j * np.pi * thetas[..., lo:hi]), rows)
 
 
 def gamma_m_sigma(m: int, sigma: float, tail_cut: float,
@@ -65,7 +63,7 @@ def gamma_m_sigma(m: int, sigma: float, tail_cut: float,
 
     The terms alternate in sign with the prime index, so the truncation
     error obeys the Leibniz bound gamma_tail_estimate."""
-    _validate_order_sigma(m, sigma)
+    _validate_torus(m, sigma)
     if tail_cut < 1_000:
         raise ValidationError("tail_cut below 1000 gives a useless estimate")
     if primes is None:
@@ -73,31 +71,27 @@ def gamma_m_sigma(m: int, sigma: float, tail_cut: float,
     if primes.limit < tail_cut:
         raise LimitExceeded(
             f"prime table reaches {primes.limit}, below tail_cut {tail_cut}")
-    n = int(np.searchsorted(primes.primes, tail_cut, side="right"))
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    total = 0.0 + 0.0j
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        zs = (signs[lo:hi]
-              * np.exp(-sigma * primes.logs[lo:hi])).astype(np.complex128)
-        total += complex(np.sum(polylog_batch(m + 1, zs)
-                                / primes.logs[lo:hi] ** m))
-    return total
+    logs = primes.logs[:int(np.searchsorted(primes.primes, tail_cut,
+                                            side="right"))]
+
+    def z_block(lo, hi):
+        signs = np.where(np.arange(lo, hi) % 2 == 0, 1.0, -1.0)
+        return signs * np.exp(-sigma * logs[lo:hi])
+    return complex(_polylog_sum(m + 1, logs, m, z_block))
 
 
 def gamma_tail_estimate(m: int, sigma: float, tail_cut: float) -> float:
     """First omitted term of the alternating reference sum."""
-    _validate_order_sigma(m, sigma)
+    _validate_torus(m, sigma)
     if tail_cut < 1_000:
         raise ValidationError("tail_cut below 1000 gives a useless estimate")
-    x = tail_cut ** (-sigma)
-    return float(abs(polylog_batch(m + 1, np.array([x + 0j]))[0])
-                 / math.log(tail_cut) ** m)
+    return abs(polylog(m + 1, tail_cut ** (-sigma))) \
+        / math.log(tail_cut) ** m
 
 
 def s_sum(assignment: Mapping[int, float], sigma: float, m: int) -> complex:
     """S_{m,sigma} over exactly the primes present in the assignment."""
-    _validate_order_sigma(m, sigma)
+    _validate_torus(m, sigma)
     if len(assignment) == 0:
         return 0.0 + 0.0j
     ps = np.fromiter(assignment.keys(), dtype=np.int64, count=len(assignment))
@@ -108,7 +102,8 @@ def s_sum(assignment: Mapping[int, float], sigma: float, m: int) -> complex:
         raise ValidationError("assignment keys must be distinct primes >= 2")
     if np.any(~np.isfinite(ths)):
         raise ValidationError("assignment angles must be finite")
-    return _s_sum_arrays(ps, np.log(ps.astype(np.float64)), ths, sigma, m)
+    return complex(_s_sum_arrays(np.log(ps.astype(np.float64)), ths, sigma,
+                                 m))
 
 
 def second_moment_s(m: int, sigma: float, M: int, N: int,
@@ -116,25 +111,18 @@ def second_moment_s(m: int, sigma: float, M: int, N: int,
     """Mean of |S restricted to prime indices M < n <= N|^2 over
     independent uniform angles.  Cross terms vanish, leaving
 
-        sum_{M<n<=N} sum_k  1 / (k^{2(m+1)} p_n^{2 sigma k} (log p_n)^{2m}).
+        sum_{M<n<=N} sum_k  1 / (k^{2(m+1)} p_n^{2 sigma k} (log p_n)^{2m}),
+
+    whose k-sum is Li_{2m+2}(p_n^(-2 sigma)).
     """
-    _validate_order_sigma(m, sigma)
+    _validate_torus(m, sigma)
     if not (0 <= M <= N):
         raise ValidationError(f"need 0 <= M <= N, got M={M}, N={N}")
     if M == N:
         return 0.0
-    ps = primes.first(N)[M:N].astype(np.float64)
-    logs = np.log(ps)
-    acc = 0.0
-    k = 1
-    while True:
-        term = float(np.sum(ps ** (-2.0 * sigma * k)
-                            / (k ** (2 * (m + 1)) * logs ** (2 * m))))
-        acc += term
-        if term < 1e-18 * acc or k > 200:
-            break
-        k += 1
-    return acc
+    logs = np.log(primes.first(N)[M:N].astype(np.float64))
+    return float(_polylog_sum(2 * m + 2, logs, 2 * m, lambda lo, hi: np.exp(
+        -2.0 * sigma * logs[lo:hi])).real)
 
 
 def first_harmonic_radii(m: int, sigma: float,
@@ -151,17 +139,11 @@ def _window_harmonic_error(m: int, sigma: float, primes: PrimeTable,
     to the sieve cut plus an integral bound past it."""
     lo = int(np.searchsorted(primes.primes, u_bound, side="right"))
     hi = int(np.searchsorted(primes.primes, cut, side="right"))
-    ps = primes.primes[lo:hi].astype(np.float64)
     logs = primes.logs[lo:hi]
-    acc = 0.0
-    k = 2
-    while True:
-        term = float(np.sum(ps ** (-sigma * k)
-                            / (k ** (m + 1) * logs ** m)))
-        acc += term
-        if term < 1e-18 * max(acc, 1e-300) or k > 200:
-            break
-        k += 1
+    zs = np.exp(-sigma * logs)
+    # sum_{k>=2} z^k / k^(m+1) = Li_{m+1}(z) - z at z = p^-sigma
+    acc = float(_polylog_sum(m + 1, logs, m, lambda a, b: zs[a:b]).real
+                - np.sum(zs / logs ** m))
     logc = math.log(cut)
     if sigma > 0.5:
         integral = cut ** (1.0 - 2.0 * sigma) / ((2.0 * sigma - 1.0)
@@ -212,7 +194,7 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
     smallest power of ten whose two tail bounds both fit in epsilon/4.
     Raises WindowExhausted when the prime table cannot support either the
     choice of U or the radius sum needed to reach the target."""
-    _validate_order_sigma(m, sigma)
+    _validate_torus(m, sigma)
     if not np.isfinite(epsilon) or epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
     a = complex(a)
@@ -270,8 +252,8 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
     theta2 = AngleAssignment(thetas, window.target, window.achieved,
                              window.residual)
 
-    final_sum = _s_sum_arrays(all_p.astype(np.float64),
-                              primes.logs[:i_u + count], thetas, sigma, m)
+    final_sum = complex(_s_sum_arrays(primes.logs[:i_u + count], thetas,
+                                      sigma, m))
     final_error = abs(final_sum - a)
     return ThetaPipelineResult(m=m, sigma=sigma, a=a, epsilon=epsilon,
                                U=u_bound, N=n_bound, gamma_value=gamma,

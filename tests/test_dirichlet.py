@@ -2,9 +2,11 @@ import numpy as np
 import mpmath as mp
 import pytest
 
-from iterzeta.dirichlet import (dirichlet_li_sum, li_vs_mangoldt_gap,
-                                mangoldt_sum, mean_square_error, polylog,
-                                polylog_batch)
+from iterzeta import dirichlet
+from iterzeta.dirichlet import (_eta_tilde_grid, dirichlet_li_sum,
+                                li_vs_mangoldt_gap, mangoldt_sum,
+                                mean_square_error, polylog, polylog_batch)
+from iterzeta.eta import DEFAULT_QUAD
 from iterzeta.errors import (ConvergenceDomain, CutoffExceeded,
                              TableCoverage, ValidationError)
 from iterzeta.primes import sieve_primes
@@ -38,6 +40,22 @@ def test_polylog_conjugate_and_batch():
     assert np.allclose(conj_vals, np.conj(vals), atol=1e-15)
     for z, v in zip(zs, vals):
         assert abs(polylog(2, complex(z)) - v) < 1e-15
+
+
+def test_polylog_batch_independent():
+    # each point is summed to its own length: a small point reads the same
+    # bits alone, next to 2^(-1/2), in any order and in a 2-D batch
+    z = 0.05 * np.exp(0.3j)
+    alone = polylog_batch(2, np.array([z]))[0]
+    big = 2.0 ** -0.5
+    assert polylog_batch(2, np.array([z, big]))[0] == alone
+    assert polylog_batch(2, np.array([big, -0.9, z]))[2] == alone
+    rng = np.random.default_rng(5)
+    cloud = rng.uniform(0.0, 0.95, 300) * np.exp(2j * np.pi
+                                                 * rng.uniform(size=300))
+    vals = polylog_batch(3, cloud.reshape(20, 15)).ravel()
+    for j in rng.integers(0, cloud.size, 20):
+        assert polylog_batch(3, cloud[j:j + 1])[0] == vals[j]
 
 
 def test_polylog_domain():
@@ -99,6 +117,22 @@ def test_mean_square_trend():
     assert r20.mse < r3.mse
     assert r3.skipped_fraction == 0.0
     assert r3.bound_ratio > 0.0
+
+
+def test_mean_square_matches_per_height_sums(monkeypatch):
+    # the (height x prime) pass against one dirichlet_li_sum per height,
+    # at the default chunk and at one that splits the primes in blocks
+    tab = bundled_table()
+    m, sigma, X, T, step = 2, 0.7, 500.0, 20.0, 0.25
+    ts, vals = _eta_tilde_grid(m, sigma, T, step, tab, DEFAULT_QUAD)
+    keep = ~np.isnan(vals)
+    d = np.array([dirichlet_li_sum(m, sigma, float(t), X, PT)
+                  for t in ts[keep]])
+    want = np.trapezoid(np.abs(vals[keep] - d) ** 2, ts[keep]) / T
+    for chunk in (dirichlet.POLYLOG_CHUNK, 1_000):
+        monkeypatch.setattr(dirichlet, "POLYLOG_CHUNK", chunk)
+        got = mean_square_error(m, sigma, X, T, step, tab, primes=PT).mse
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_mean_square_validation():

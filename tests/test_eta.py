@@ -173,6 +173,19 @@ def test_bridge_m3_tall():
     assert ev.nevals < 30000
 
 
+def test_bridge_on_the_pole_line():
+    # at sigma = 1 log zeta(1 + iu) has a log singularity at u = 0; the
+    # pole's -Log(s - 1) is integrated in closed form, so the quadrature
+    # never asks zeta for points at the pole
+    for m in (1, 2, 3):
+        ev = eta_vertical(m, 1.0, 22.4, TAB)
+        et = eta_tilde_weighted(m, 1.0, 22.4, TAB)
+        res = abs(ev.value - (1j ** m * et.value + y_m(m, 1.0, 22.4, TAB)))
+        assert res <= ev.est_error + et.est_error
+    # near t = 0 the value tends to c_1; the O(t log t) integral is small
+    assert abs(eta_vertical(1, 1.0, 1e-6, TAB).value - c_m(1, 1.0)) < 1e-4
+
+
 def test_growth_check():
     out = growth_check(1, 2.0, [10.0, 20.0], TAB)
     assert len(out) == 2

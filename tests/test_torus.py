@@ -2,11 +2,12 @@ import numpy as np
 import mpmath as mp
 import pytest
 
-from iterzeta.errors import (LimitExceeded, ValidationError, WindowExhausted)
+from iterzeta.errors import (LimitExceeded, UnsupportedRange, ValidationError,
+                             WindowExhausted)
 from iterzeta.primes import sieve_primes
-from iterzeta.torus import (construct_theta, gamma_m_sigma,
-                            gamma_tail_estimate, load_theta, s_sum,
-                            save_theta, second_moment_s)
+from iterzeta.torus import (_window_harmonic_error, construct_theta,
+                            gamma_m_sigma, gamma_tail_estimate, load_theta,
+                            s_sum, save_theta, second_moment_s)
 
 mp.mp.dps = 30
 
@@ -40,6 +41,10 @@ def test_gamma_validation():
         gamma_m_sigma(1, 1.2, 1e4, PT)
     with pytest.raises(LimitExceeded):
         gamma_m_sigma(1, 0.8, 1e7, PT)
+    with pytest.raises(UnsupportedRange):
+        gamma_m_sigma(4, 0.8, 1e4, PT)
+    with pytest.raises(ValidationError):
+        gamma_m_sigma(1, float("nan"), 1e4, PT)
 
 
 def test_s_sum_single_primes_by_hand():
@@ -65,6 +70,22 @@ def test_second_moment_explicit():
                for p in ps for k in range(1, 60))
     assert abs(second_moment_s(1, 0.8, 2, 6, PT) - want) < 1e-15
     assert second_moment_s(1, 0.8, 4, 4, PT) == 0.0
+
+
+def test_window_harmonic_error_explicit():
+    # the k >= 2 harmonics of the primes in (u_bound, cut], summed by hand,
+    # plus the integral bound past the cut
+    for m, sigma, u_bound, cut in ((1, 0.8, 10, 1e4), (3, 0.6, 100, 3e4)):
+        ps = PT.primes[(PT.primes > u_bound) & (PT.primes <= cut)]
+        ps = ps.astype(float)
+        exact = sum(np.sum(ps ** (-sigma * k)
+                           / (k ** (m + 1) * np.log(ps) ** m))
+                    for k in range(2, 80))
+        logc = np.log(cut)
+        beyond = (cut ** (1 - 2 * sigma) / ((2 * sigma - 1) * logc ** (m + 1))
+                  / (2 ** (m + 1) * (1 - cut ** -sigma)))
+        got = _window_harmonic_error(m, sigma, PT, u_bound, cut)
+        assert abs(got - (exact + beyond)) <= 1e-12 * exact
 
 
 def test_second_moment_vs_monte_carlo():
