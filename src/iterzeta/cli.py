@@ -17,7 +17,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,30 +201,25 @@ def _write_csv(path: str, header, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _parallel_map(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 _EVAL_HEADER = ("m", "sigma", "t", "re_zeta", "im_zeta", "re_log_zeta",
                 "im_log_zeta", "re_eta_tilde", "im_eta_tilde", "re_eta",
                 "im_eta", "re_y", "im_y", "residual", "est_error")
+_EVAL_KEYS = frozenset({"m", "sigma", "t", "step", "abs_tol", "table", "out"})
 
 
 def cmd_eval(cfg: dict) -> int:
+    unknown = sorted(set(cfg) - _EVAL_KEYS)
+    if unknown:
+        raise ValidationError(f"field {unknown[0]}: not an eval setting")
     m = _as_int(cfg, "m")
     sigma = _as_float(cfg, "sigma")
     out = _as_str(cfg, "out")
-    workers = _as_int(cfg, "workers", 1)
     table = _load_table(cfg, required=True)
     quad = QuadSpec(abs_tol=_as_float(cfg, "abs_tol", 1e-8))
     ts = _t_grid(cfg)
     start = time.monotonic()
-    skipped = [0]
-
-    def row(t: float):
+    rows, skipped = [], 0
+    for t in ts:
         try:
             check_guard(table, sigma, t)
             z = zeta(ComplexPoint(sigma, t))
@@ -234,18 +228,16 @@ def cmd_eval(cfg: dict) -> int:
             ev = eta_vertical(m, sigma, t, table, quad=quad)
             ym = y_m(m, sigma, t, table)
         except BranchObstruction:
-            skipped[0] += 1
-            return None
+            skipped += 1
+            continue
         resid = abs(ev.value - ((1j ** m) * et.value + ym))
         vals = (float(m), sigma, t, z.real, z.imag, lz.real, lz.imag,
                 et.value.real, et.value.imag, ev.value.real, ev.value.imag,
                 ym.real, ym.imag, resid, et.est_error + ev.est_error)
-        return tuple(_fmt(v) for v in vals)
-
-    rows = [r for r in _parallel_map(row, list(ts), workers) if r is not None]
+        rows.append(tuple(_fmt(v) for v in vals))
     _write_csv(out, _EVAL_HEADER, rows)
     RunManifest("eval", cfg, table.source_label, table.coverage,
-                time.monotonic() - start, len(rows), skipped[0]).write(out)
+                time.monotonic() - start, len(rows), skipped).write(out)
     return EXIT_OK
 
 

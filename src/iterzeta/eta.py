@@ -31,8 +31,8 @@ from numpy.polynomial import chebyshev as _cheb
 from .errors import (QuadratureNonconvergence, TableCoverage,
                      UnsupportedRange, ValidationError)
 from .quadrature import gl_nodes, integrate_vec, poly_log_integral
-from .rays import (CUTOFF_OFFSET, RayBranch, check_guard, log_zeta_real_axis,
-                   vertical_log_zeta)
+from .rays import (CUTOFF_OFFSET, LineBranch, RayBranch, check_guard,
+                   log_zeta_real_axis)
 from .rays import GUARD  # noqa: F401  (re-exported: callers import it here)
 from .zetafun import (DEFAULT_PARAMS, ComplexPoint, EvalParams, zeta_batch,
                       zeta_error)
@@ -461,6 +461,13 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
     The pole's -Log(s - 1) is integrated in closed form too, so the
     quadrature sees log(zeta(s)(s - 1)), smooth through u = 0 even at
     sigma = 1.
+
+    The branch of log zeta on the line comes from one rays.LineBranch:
+    a ladder up the line carries the winding between the ordinates of
+    zeros at or right of it, and horizontal walks anchor and check each
+    stretch, so the table decides where the branch may jump but zeta
+    decides by how much.  zeta is evaluated exactly at every node; the
+    ladder and walk nodes count towards nevals.
     """
     _validate_order_sigma(m, sigma)
     if not t > 0.0:
@@ -493,12 +500,11 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
     edges = np.unique(np.asarray(edges))
     pad_spans = {(lo, hi) for lo, hi, *_ in pads}
 
-    def log_w(us):
-        return vertical_log_zeta(sigma, us, eval_params) \
-            + np.log(sigma - 1.0 + 1j * us)
+    # the branch may jump where a zero lies at or right of the line
+    line = LineBranch(sigma, t, gam[bet >= sigma], eval_params)
 
     def f(us):
-        return (t - us) ** (m - 1) * log_w(us) / fm
+        return (t - us) ** (m - 1) * line.log_w(us) / fm
 
     # f's values are off by up to its weight times log zeta's error; at
     # large t and m that passes the panels' share of abs_tol, and panels
@@ -506,7 +512,7 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
     log_err = _log_zeta_error(sigma, t, eval_params)
     value = -poly_log_integral(m, t, 0.0, t, 0.0, sigma - 1.0)
     qerr = 0.0
-    nev = 0
+    nev = line.nodes_used
     for lo, hi in zip(edges[:-1], edges[1:]):
         if (lo, hi) in pad_spans:
             continue
@@ -527,7 +533,7 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
 
         def rem(us):
             return (t - us) ** (m - 1) / fm * (
-                log_w(us) - k * np.log(c + 1j * (us - g)))
+                line.log_w(us) - k * np.log(c + 1j * (us - g)))
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         r16 = half * np.sum(w16 * rem(mid + half * x16))
         r24 = half * np.sum(w24 * rem(mid + half * x24))

@@ -1,4 +1,4 @@
-"""Continued log zeta along horizontal rays.
+"""Continued log zeta along horizontal rays and up vertical lines.
 
 Values of log zeta away from Re(s) > 1 depend on a branch choice.  The
 convention here: continue from the right end of the horizontal ray
@@ -7,19 +7,28 @@ ordinate of a zero lying right of the evaluation point this continuation
 jumps by 2 pi i times the multiplicity, which is exactly the structure
 the zero-sum corrections downstream account for.
 
-The pole at s = 1 is removed before walking: the walk tracks
-W(s) = zeta(s) (s - 1), entire and zero-free on the rays of interest
+The pole at s = 1 is removed first: the branch is tracked for
+W(s) = zeta(s) (s - 1), entire and zero-free on the paths of interest
 except at the zeta zeros themselves, and the principal Log(s - 1) is
 subtracted afterwards (it is continuous along any ray of height t > 0,
 and on the real axis the limit from above gives log|a-1| + i pi for
 a < 1).
 
-Branch resolution walks a node ladder from the anchor at
-Re(s) = sigma + 40 leftwards, halving gaps until the per-gap principal
-phase and log-magnitude increments of W are small.  Queries between
-nodes use the exact zeta value; only the 2 pi winding integer comes from
-interpolating the continuous imaginary part, and the refinement bounds
-make that rounding exact.
+One ladder routine, `_refine`, resolves the branch on both routes.  It
+halves the gaps of a node ladder until the per-gap principal phase and
+log-magnitude increments of W are small.  Queries between nodes use the
+exact zeta value; only the 2 pi winding integer comes from interpolating
+the ladder's continuous imaginary part, and the refinement bounds make
+that rounding exact.
+
+* `RayBranch` runs the ladder over alpha at one height t > 0, leftwards
+  from the anchor at Re(s) = sigma + 40, where log W is principal.
+* `LineBranch` runs it over u on the line sigma + iu.  There log W is
+  continuous in u except at ordinates of zeros with beta >= sigma, where
+  the horizontal convention jumps, so the ladder is not linked across
+  them.  Each linked stretch takes its level (the 2 pi integer) from a
+  horizontal walk, or from the real axis where W > 0, and a second walk
+  checks it: the branch always comes from zeta itself.
 """
 
 from __future__ import annotations
@@ -34,6 +43,15 @@ from .zetafun import DEFAULT_PARAMS, EvalParams, zeta_batch
 
 CUTOFF_OFFSET = 40.0
 GUARD = 1e-3          # min |t - gamma| for rays passing a zero with beta >= sigma
+# initial node spacing of a line ladder: W's phase turns by about
+# log(u / 2 pi) / 2 per unit height, so most gaps pass at once
+LINE_STEP = 0.5
+# line-ladder nodes next to a cut sit this far from it; a query closer
+# to the cut reads the winding of the node on its side
+CUT_MARGIN = 1e-4
+# a stretch's walks keep this far inside its ends, which may lie next
+# to zeros of W
+WALK_CLEARANCE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -41,7 +59,7 @@ class WalkParams:
     phase_tol: float = 1.0      # max |principal arg ratio| per resolved gap
     mag_tol: float = 2.0        # max |log magnitude ratio| per resolved gap
     max_rounds: int = 64
-    min_gap: float = 1e-12      # gaps this small that still fail => obstruction
+    min_gap: float = 1e-12      # gaps this small that still fail hold a zero
 
 
 DEFAULT_WALK = WalkParams()
@@ -70,77 +88,38 @@ def _initial_offsets() -> np.ndarray:
     return np.unique(np.concatenate([low, np.array(high)]))
 
 
-def _resolve_heights(sigma: float, heights: np.ndarray,
-                     eval_params: EvalParams, walk: WalkParams):
-    """Run the refinement walk at each height; all zeta evaluations in a
-    round are batched together.  Returns per-height (offsets, W values,
-    continuous Im of log W at the nodes)."""
-    heights = np.asarray(heights, dtype=float)
-    if np.any(heights <= 0.0):
-        raise UnsupportedRange("walks need height t > 0; the real axis "
-                               "has its own closed-form branch")
-    base = _initial_offsets()
-    pts = (sigma + base)[None, :] + 1j * heights[:, None]
-    svals = pts.ravel()
-    wflat = zeta_batch(svals, eval_params) * (svals - 1.0)
-    offs = [base.copy() for _ in heights]
-    wvals = [wflat[i * base.size:(i + 1) * base.size].copy()
-             for i in range(heights.size)]
+def _refine(w_at, x: np.ndarray, linked: np.ndarray, walk: WalkParams,
+            where: str):
+    """The branch-refinement ladder shared by rays and lines.
 
-    pending = set(range(heights.size))
+    Halves each linked gap of the ascending nodes x until W = w_at(x)
+    changes across it by at most walk.phase_tol in principal phase and
+    walk.mag_tol in log-magnitude; every round evaluates all its
+    midpoints in one w_at call.  A gap that still fails at width
+    walk.min_gap holds a zero of W: it is unlinked and marked stalled.
+    Returns (x, w, linked, stalled), the last two per gap.
+    """
+    w = w_at(x)
+    stalled = np.zeros(linked.size, dtype=bool)
     for _ in range(walk.max_rounds):
-        if not pending:
-            break
-        mid_pts: list[np.ndarray] = []
-        mid_loc: list[tuple[int, np.ndarray]] = []
-        for i in sorted(pending):
-            o, wv = offs[i], wvals[i]
-            if not np.all(np.isfinite(wv)) or np.any(wv == 0.0):
-                raise BranchObstruction(
-                    f"walk hit a zero of zeta near sigma={sigma:g}, "
-                    f"t={heights[i]:g}")
-            ratio = wv[1:] / wv[:-1]
-            bad = (np.abs(np.angle(ratio)) > walk.phase_tol) \
-                | (np.abs(np.log(np.abs(ratio))) > walk.mag_tol)
-            gaps = np.diff(o)
-            if np.any(bad & (gaps <= walk.min_gap)):
-                raise BranchObstruction(
-                    f"branch walk stalled at sigma={sigma:g}, "
-                    f"t={heights[i]:g}: zero too close to the ray")
-            idx = np.nonzero(bad)[0]
-            if idx.size == 0:
-                pending.discard(i)
-                continue
-            mids = 0.5 * (o[idx] + o[idx + 1])
-            mid_loc.append((i, idx))
-            mid_pts.append(sigma + mids + 1j * heights[i])
-        if not mid_pts:
-            break
-        allpts = np.concatenate(mid_pts)
-        allw = zeta_batch(allpts, eval_params) * (allpts - 1.0)
-        pos = 0
-        for i, idx in mid_loc:
-            n = idx.size
-            wmid = allw[pos:pos + n]
-            pos += n
-            mids = 0.5 * (offs[i][idx] + offs[i][idx + 1])
-            offs[i] = np.insert(offs[i], idx + 1, mids)
-            wvals[i] = np.insert(wvals[i], idx + 1, wmid)
-    if pending:
-        i = sorted(pending)[0]
-        raise BranchObstruction(
-            f"branch walk did not settle within {walk.max_rounds} rounds "
-            f"at sigma={sigma:g}, t={heights[i]:g}")
-
-    out = []
-    for i in range(heights.size):
-        wv = wvals[i]
-        dphi = np.angle(wv[1:] / wv[:-1])
-        im = np.empty(wv.size)
-        im[-1] = np.angle(wv[-1])     # principal at the anchor, |arg| < pi/2 + eps
-        im[:-1] = im[-1] - np.cumsum(dphi[::-1])[::-1]
-        out.append((offs[i], wv, im))
-    return out
+        if not np.all(np.isfinite(w)) or np.any(w == 0.0):
+            raise BranchObstruction(f"ladder hit a zero of zeta {where}")
+        ratio = w[1:] / w[:-1]
+        bad = linked & ((np.abs(np.angle(ratio)) > walk.phase_tol)
+                        | (np.abs(np.log(np.abs(ratio))) > walk.mag_tol))
+        stuck = bad & (np.diff(x) <= walk.min_gap)
+        linked = linked & ~stuck
+        stalled |= stuck
+        idx = np.nonzero(bad & ~stuck)[0]
+        if idx.size == 0:
+            return x, w, linked, stalled
+        mids = 0.5 * (x[idx] + x[idx + 1])
+        x = np.insert(x, idx + 1, mids)
+        w = np.insert(w, idx + 1, w_at(mids))
+        linked = np.insert(linked, idx + 1, True)
+        stalled = np.insert(stalled, idx + 1, False)
+    raise BranchObstruction(f"branch ladder did not settle within "
+                            f"{walk.max_rounds} rounds {where}")
 
 
 class RayBranch:
@@ -157,9 +136,28 @@ class RayBranch:
         self.sigma = float(sigma)
         self.t = float(t)
         self.eval_params = eval_params
-        ((self._offs, self._w, self._im),) = _resolve_heights(
-            self.sigma, np.array([self.t]), eval_params, walk)
-        self.nodes_used = int(self._offs.size)
+        if not self.t > 0.0:
+            raise UnsupportedRange("walks need height t > 0; the real axis "
+                                   "has its own closed-form branch")
+        where = f"at sigma={self.sigma:g}, t={self.t:g}"
+
+        def w_at(offs):
+            s = self.sigma + offs + 1j * self.t
+            return zeta_batch(s, eval_params) * (s - 1.0)
+
+        base = _initial_offsets()
+        offs, w, _, stalled = _refine(w_at, base,
+                                      np.ones(base.size - 1, dtype=bool),
+                                      walk, where)
+        if np.any(stalled):
+            raise BranchObstruction(f"branch walk stalled {where}: zero "
+                                    f"too close to the ray")
+        dphi = np.angle(w[1:] / w[:-1])
+        im = np.empty(w.size)
+        im[-1] = np.angle(w[-1])     # principal at the anchor, |arg| < pi/2 + eps
+        im[:-1] = im[-1] - np.cumsum(dphi[::-1])[::-1]
+        self._offs, self._w, self._im = offs, w, im
+        self.nodes_used = int(offs.size)
 
     @property
     def offsets(self) -> np.ndarray:
@@ -185,22 +183,194 @@ class RayBranch:
         return complex(self.log_zeta(np.array([alpha]))[0])
 
 
+def _line_w(sigma: float, us: np.ndarray, eval_params: EvalParams
+            ) -> np.ndarray:
+    """W = zeta(s)(s - 1) at s = sigma + iu; at s = 1 its limit, 1, so
+    zeta is never asked for the pole."""
+    s = sigma + 1j * np.asarray(us, dtype=float)
+    w = np.ones_like(s)
+    off = s != 1.0
+    w[off] = zeta_batch(s[off], eval_params) * (s[off] - 1.0)
+    return w
+
+
+class LineBranch:
+    """Resolved branch of log zeta on the line sigma + iu, 0 <= u <= top.
+
+    One ladder over u carries the continuous Im log W.  It is not linked
+    across `cuts`, ordinates in (0, top) of zeros at or right of the line
+    where the horizontal convention jumps, nor across a gap that stalls
+    on a zero of W on the line; these split it into stretches.  The
+    stretch at u = 0 takes its level, the 2 pi integer, from the real
+    axis, where W > 0; every other stretch from a horizontal walk near
+    its foot.  A second walk near its top must agree, so a zero the cuts
+    miss raises BranchObstruction instead of shifting the branch.
+
+    With `heights` in (0, top] instead of cuts, the branch serves only
+    those heights: the walks go to them, heights farther apart than a
+    walk's length CUTOFF_OFFSET are not linked (one walk costs about as
+    much as a ladder that long), and a change of level between two
+    heights, from a zero right of the line between them, is taken
+    rather than raised.
+    """
+
+    def __init__(self, sigma: float, top: float, cuts=(),
+                 eval_params: EvalParams = DEFAULT_PARAMS,
+                 walk: WalkParams = DEFAULT_WALK, heights=None):
+        self.sigma = float(sigma)
+        self.top = float(top)
+        self.eval_params = eval_params
+        if not self.top > 0.0:
+            raise UnsupportedRange("a line branch needs top > 0")
+        if heights is None:
+            cuts = np.unique(np.asarray(cuts, dtype=float))
+            cuts = cuts[(cuts > 0.0) & (cuts < self.top)]
+            gaps = np.diff(np.concatenate([[0.0], cuts, [self.top]]))
+            margin = np.minimum(CUT_MARGIN,
+                                0.25 * np.minimum(gaps[:-1], gaps[1:]))
+            spans = zip(np.concatenate([[0.0], cuts + margin]),
+                        np.concatenate([cuts - margin, [self.top]]))
+            stops = np.empty(0)
+        else:
+            stops = np.concatenate([[0.0], np.unique(heights)])
+            far = np.nonzero(np.diff(stops) > CUTOFF_OFFSET)[0]
+            cuts = 0.5 * (stops[far] + stops[far + 1])
+            spans = zip(stops[np.concatenate([[0], far + 1])],
+                        stops[np.append(far, stops.size - 1)])
+
+        parts, links = [], []
+        for lo, hi in spans:
+            n = max(2, int(np.ceil((hi - lo) / LINE_STEP)) + 1)
+            xs = np.unique(np.concatenate(
+                [np.linspace(lo, hi, n), stops[(stops >= lo) & (stops <= hi)]]))
+            parts.append(xs)
+            links.append(np.append(np.ones(xs.size - 1, dtype=bool), False))
+        x, w, linked, stalled = _refine(
+            lambda us: _line_w(self.sigma, us, eval_params),
+            np.concatenate(parts), np.concatenate(links)[:-1], walk,
+            f"on the line sigma={self.sigma:g}")
+        if not w[0].real > 0.0:
+            raise BranchObstruction("zeta(s)(s-1) should be positive on "
+                                    "the real axis; evaluation failed")
+        self._x, self._linked = x, linked
+        self._im = np.angle(w[0]) + np.concatenate(
+            [[0.0], np.cumsum(np.angle(w[1:] / w[:-1]))])
+        # the level may change across each unlinked gap: at its given cut,
+        # or mid-gap where the ladder stalled on a zero
+        breaks = np.nonzero(~linked)[0]
+        given = ~stalled[breaks]
+        self._cut_at = np.full(linked.size, np.nan)
+        self._cut_at[breaks[given]] = cuts
+        self._cut_at[breaks[~given]] = 0.5 * (x[breaks[~given]]
+                                              + x[breaks[~given] + 1])
+        self.nodes_used = int(x.size)
+        self._resolve_levels(breaks, walk, None if heights is None
+                             else np.searchsorted(x, stops))
+
+    def _level(self, j: int, walk: WalkParams) -> int:
+        """2 pi turns between the branch at node j and the ladder there."""
+        if self._x[j] == 0.0:
+            return int(np.round(-self._im[j] / (2.0 * np.pi)))
+        ray = RayBranch(self.sigma, self._x[j], self.eval_params, walk)
+        self.nodes_used += ray.nodes_used
+        return int(np.round((ray._im[0] - self._im[j]) / (2.0 * np.pi)))
+
+    def _resolve_levels(self, breaks, walk: WalkParams, stop_idx) -> None:
+        """Level of every stretch from walks at candidate nodes: two near
+        its ends, or the stops (heights) inside it."""
+        x = self._x
+        steps, levels = [], []
+        for p, (a, b) in enumerate(zip(np.concatenate([[0], breaks + 1]),
+                                       np.append(breaks, x.size - 1))):
+            if stop_idx is None:
+                clear = min(WALK_CLEARANCE, 0.25 * (x[b] - x[a]))
+                seg = x[a:b + 1]
+                cand = np.unique([a if x[a] == 0.0 else
+                                  a + np.argmin(np.abs(seg - x[a] - clear)),
+                                  a + np.argmin(np.abs(seg - x[b] + clear))])
+            else:
+                cand = stop_idx[(stop_idx >= a) & (stop_idx <= b)]
+            samples = _stretch_samples(cand, lambda j: self._level(j, walk))
+            if p:
+                steps.append(self._cut_at[breaks[p - 1]])
+            levels.append(samples[0][1] if samples else 0)
+            for (ja, na), (jb, nb) in zip(samples[:-1], samples[1:]):
+                if na == nb:
+                    continue
+                if stop_idx is None:
+                    raise BranchObstruction(
+                        f"branch continued up the line sigma={self.sigma:g} "
+                        f"from u={x[ja]:g} disagrees with the walk at "
+                        f"u={x[jb]:g} by {nb - na} turns: a zero at or right "
+                        f"of the line between them is not among the cuts")
+                steps.append(0.5 * (x[ja] + x[jb]))
+                levels.append(nb)
+        self._steps = np.asarray(steps)
+        self._levels = 2.0 * np.pi * np.asarray(levels)
+
+    def log_w(self, us) -> np.ndarray:
+        """Continued log(zeta(s)(s - 1)) at s = sigma + iu."""
+        us = np.asarray(us, dtype=float)
+        if np.any(us < -1e-12) or np.any(us > self.top + 1e-12):
+            raise UnsupportedRange(f"query outside the resolved line "
+                                   f"segment [0, {self.top:g}]")
+        lq = np.log(_line_w(self.sigma, us, self.eval_params))
+        x = self._x
+        im = np.interp(us, x, self._im)
+        gap = np.clip(np.searchsorted(x, us, side="right") - 1, 0,
+                      x.size - 2)
+        # next to a cut, the winding of the node on the query's side
+        cross = ~self._linked[gap]
+        if np.any(cross):
+            g = gap[cross]
+            im[cross] = np.where(us[cross] < self._cut_at[g],
+                                 self._im[g], self._im[g + 1])
+        im += self._levels[np.searchsorted(self._steps, us, side="right")]
+        k = np.round((im - lq.imag) / (2.0 * np.pi))
+        return lq + 2j * np.pi * k
+
+    def log_zeta(self, us) -> np.ndarray:
+        """Continued log zeta(sigma + iu), u > 0."""
+        s = self.sigma + 1j * np.asarray(us, dtype=float)
+        return self.log_w(us) - np.log(s - 1.0)
+
+
+def _stretch_samples(cand, level) -> list:
+    """(node, level) at the ends of cand and wherever bisection between
+    ends of different level leads; between two samples of equal level
+    every candidate shares it, since zeros only add turns."""
+    if len(cand) == 0:
+        return []
+    lev = {j: level(j) for j in {cand[0], cand[-1]}}
+    stack = [(0, len(cand) - 1)]
+    while stack:
+        i, j = stack.pop()
+        if j - i < 2 or lev[cand[i]] == lev[cand[j]]:
+            continue
+        k = (i + j) // 2
+        lev[cand[k]] = level(cand[k])
+        stack += [(i, k), (k, j)]
+    return sorted(lev.items())
+
+
 def vertical_log_zeta(sigma: float, heights,
                       eval_params: EvalParams = DEFAULT_PARAMS,
                       walk: WalkParams = DEFAULT_WALK) -> np.ndarray:
     """Continued log zeta(sigma + i u) for an array of heights u > 0.
 
-    Each height gets its own horizontal walk (that is what fixes the
-    branch); evaluations are batched across heights round by round.
+    One LineBranch up to the tallest height serves them all: the ladder
+    carries the winding between heights, and walks at the heights fix
+    its level, bisecting where zeros right of the line change it.
     """
     heights = np.asarray(heights, dtype=float)
-    resolved = _resolve_heights(sigma, heights, eval_params, walk)
-    out = np.empty(heights.size, dtype=complex)
-    for i, (offs, wv, im) in enumerate(resolved):
-        s = sigma + 1j * heights[i]
-        out[i] = np.log(wv[0]) + 2j * np.pi * np.round(
-            (im[0] - np.angle(wv[0])) / (2.0 * np.pi)) - np.log(s - 1.0)
-    return out
+    if np.any(heights <= 0.0):
+        raise UnsupportedRange("walks need height t > 0; the real axis "
+                               "has its own closed-form branch")
+    if heights.size == 0:
+        return np.empty(0, dtype=complex)
+    line = LineBranch(sigma, float(np.max(heights)), eval_params=eval_params,
+                      walk=walk, heights=heights)
+    return line.log_zeta(heights)
 
 
 def log_zeta_horizontal(sigma: float, t: float, table=None,

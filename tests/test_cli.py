@@ -2,7 +2,8 @@ import csv
 
 import pytest
 
-from iterzeta.cli import main
+from iterzeta.cli import cmd_eval, main
+from iterzeta.errors import ValidationError
 from iterzeta.torus import load_theta
 
 ZEROS = "src/iterzeta/data/zeros_t250.txt"
@@ -50,6 +51,16 @@ def test_eval_empty_range(tmp_path):
     assert code == 0
     assert out.read_text().count("\n") == 1  # header only
     assert (tmp_path / "empty.csv.manifest").exists()
+
+
+def test_eval_refuses_unknown_keys(tmp_path):
+    # rows run one after another; a workers setting is refused, not
+    # silently ignored
+    out = tmp_path / "w.csv"
+    with pytest.raises(ValidationError, match="workers"):
+        cmd_eval({"m": 1, "sigma": 0.5, "t": "20..21", "workers": 2,
+                  "table": _table_arg(tmp_path), "out": str(out)})
+    assert not out.exists()
 
 
 def test_eval_requires_table(tmp_path):

@@ -186,6 +186,25 @@ def test_bridge_on_the_pole_line():
     assert abs(eta_vertical(1, 1.0, 1e-6, TAB).value - c_m(1, 1.0)) < 1e-4
 
 
+def test_bridge_exposes_a_phantom_zero():
+    # the winding comes from zeta, not from the table: a phantom zero at
+    # 3/4 + 10i splits the line and adds its y_m term, but the walks
+    # that anchor each stretch see no zero there, so the bridge misses
+    # by exactly |y_m| of the phantom (pi/2 at m = 1)
+    phantom = _table([(0.75, 10.0, 1)])
+    merged = ZeroTable(betas=np.concatenate([[0.75], TAB.betas]),
+                       gammas=np.concatenate([[10.0], TAB.gammas]),
+                       mults=np.concatenate([[1], TAB.mults]),
+                       source_label="bundled plus phantom")
+    for m in (1, 2):
+        ev = eta_vertical(m, 0.5, 20.0, merged)
+        et = eta_tilde_weighted(m, 0.5, 20.0, merged)
+        res = abs(ev.value - (1j ** m * et.value + y_m(m, 0.5, 20.0, merged)))
+        want = abs(y_m(m, 0.5, 20.0, phantom))
+        assert abs(res - want) <= ev.est_error + et.est_error
+    assert abs(y_m(1, 0.5, 20.0, phantom) - np.pi / 2) < 1e-12
+
+
 def test_growth_check():
     out = growth_check(1, 2.0, [10.0, 20.0], TAB)
     assert len(out) == 2

@@ -3,11 +3,15 @@ import mpmath as mp
 import pytest
 
 from iterzeta.errors import BranchObstruction, UnsupportedRange
-from iterzeta.rays import (CUTOFF_OFFSET, RayBranch, log_zeta_horizontal,
-                           log_zeta_real_axis)
+from iterzeta.rays import (CUTOFF_OFFSET, LineBranch, RayBranch,
+                           log_zeta_horizontal, log_zeta_real_axis,
+                           vertical_log_zeta)
 from iterzeta.zeros import bundled_table
 
 mp.mp.dps = 25
+
+TAB = bundled_table()
+EPS = np.finfo(np.float64).eps
 
 
 def _mp_continued(sigma, t, n=1600):
@@ -83,3 +87,60 @@ def test_real_axis_route():
     assert abs(np.exp(v_half) - complex(mp.zeta(0.5))) < 1e-12
     with pytest.raises(BranchObstruction):
         log_zeta_horizontal(1.0, 0.0)
+
+
+def _line_heights(sigma):
+    us = np.linspace(0.37, 240.0, 41)
+    if sigma == 0.5:
+        # either side of an ordinate the branch jumps by 2 pi i
+        g = TAB.gammas[TAB.gammas < 240.0][::3]
+        us = np.concatenate([us, g - 2e-3, g + 2e-3])
+    if sigma == 1.0:
+        # next to the pole, whose limit W(1) = 1 anchors the ladder
+        us = np.concatenate([[1e-9, 3e-7, 9.9e-7], us])
+    return us
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.6, 0.8, 1.0, 2.0])
+def test_vertical_matches_walks(sigma):
+    # the line ladder carries the winding between heights; the walk at
+    # each height is the definition
+    us = _line_heights(sigma)
+    got = vertical_log_zeta(sigma, us)
+    want = np.array([log_zeta_horizontal(sigma, u) for u in us])
+    assert np.max(np.abs(got - want)) < 1e-12
+    # a height alone gives its value in the batch, to a few ulp of zeta
+    # (log zeta's rounding is zeta's over |zeta|, large next to zeros)
+    pick = np.arange(0, us.size, 5)
+    alone = np.array([vertical_log_zeta(sigma, [us[i]])[0] for i in pick])
+    scale = np.maximum(1.0, np.abs(got[pick])) \
+        / np.minimum(1.0, np.exp(got[pick].real))
+    assert np.all(np.abs(alone - got[pick]) <= 8.0 * EPS * scale)
+
+
+def test_vertical_right_of_zeros():
+    # sigma < 1/2: every zero lies right of the line, the ladder passes
+    # it smoothly and walks at the heights find where the level steps;
+    # heights far apart get stretches of their own
+    us = np.array([2.0, 14.0, 14.3, 20.9, 21.1, 25.0, 95.0, 96.5, 230.0])
+    got = vertical_log_zeta(0.4, us)
+    want = np.array([log_zeta_horizontal(0.4, u) for u in us])
+    assert np.max(np.abs(got - want)) < 1e-12
+    with pytest.raises(UnsupportedRange):
+        vertical_log_zeta(0.8, np.array([0.0, 3.0]))
+
+
+def test_line_branch_checks_its_cuts():
+    g = TAB.gammas[TAB.gammas < 30.0]
+    # a zero right of the line that the cuts miss: the walk at the top
+    # disagrees with the continuation from the real axis
+    with pytest.raises(BranchObstruction):
+        LineBranch(0.4, 30.0)
+    with pytest.raises(BranchObstruction):
+        LineBranch(0.4, 30.0, cuts=g[1:])
+    line = LineBranch(0.4, 30.0, cuts=g)
+    us = np.concatenate([[0.5, 29.9], g - 5e-5, g + 5e-5, g - 0.3])
+    want = np.array([log_zeta_horizontal(0.4, u) for u in us])
+    assert np.max(np.abs(line.log_zeta(us) - want)) < 1e-12
+    with pytest.raises(UnsupportedRange):
+        line.log_w(np.array([31.0]))
