@@ -31,8 +31,7 @@ from numpy.polynomial import chebyshev as _cheb
 from .errors import (QuadratureNonconvergence, TableCoverage,
                      UnsupportedRange, ValidationError)
 from .quadrature import gl_nodes, integrate_vec, poly_log_integral
-from .rays import (CUTOFF_OFFSET, LineBranch, RayBranch, check_guard,
-                   log_zeta_real_axis)
+from .rays import CUTOFF_OFFSET, LineBranch, RayBranch, check_guard
 from .rays import GUARD  # noqa: F401  (re-exported: callers import it here)
 from .zetafun import (DEFAULT_PARAMS, ComplexPoint, EvalParams, zeta_batch,
                       zeta_error)

@@ -241,8 +241,8 @@ class LineBranch:
         parts, links = [], []
         for lo, hi in spans:
             n = max(2, int(np.ceil((hi - lo) / LINE_STEP)) + 1)
-            xs = np.unique(np.concatenate(
-                [np.linspace(lo, hi, n), stops[(stops >= lo) & (stops <= hi)]]))
+            inside = stops[(stops >= lo) & (stops <= hi)]
+            xs = np.unique(np.concatenate([np.linspace(lo, hi, n), inside]))
             parts.append(xs)
             links.append(np.append(np.ones(xs.size - 1, dtype=bool), False))
         x, w, linked, stalled = _refine(
