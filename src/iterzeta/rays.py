@@ -154,7 +154,8 @@ class RayBranch:
                                     f"too close to the ray")
         dphi = np.angle(w[1:] / w[:-1])
         im = np.empty(w.size)
-        im[-1] = np.angle(w[-1])     # principal at the anchor, |arg| < pi/2 + eps
+        # principal at the anchor, |arg| < pi/2 + eps
+        im[-1] = np.angle(w[-1])
         im[:-1] = im[-1] - np.cumsum(dphi[::-1])[::-1]
         self._offs, self._w, self._im = offs, w, im
         self.nodes_used = int(offs.size)
@@ -205,46 +206,27 @@ class LineBranch:
     axis, where W > 0; every other stretch from a horizontal walk near
     its foot.  A second walk near its top must agree, so a zero the cuts
     miss raises BranchObstruction instead of shifting the branch.
-
-    With `heights` in (0, top] instead of cuts, the branch serves only
-    those heights: the walks go to them, heights farther apart than a
-    walk's length CUTOFF_OFFSET are not linked (one walk costs about as
-    much as a ladder that long), and a change of level between two
-    heights, from a zero right of the line between them, is taken
-    rather than raised.
     """
 
     def __init__(self, sigma: float, top: float, cuts=(),
                  eval_params: EvalParams = DEFAULT_PARAMS,
-                 walk: WalkParams = DEFAULT_WALK, heights=None):
+                 walk: WalkParams = DEFAULT_WALK):
         self.sigma = float(sigma)
         self.top = float(top)
         self.eval_params = eval_params
         if not self.top > 0.0:
             raise UnsupportedRange("a line branch needs top > 0")
-        if heights is None:
-            cuts = np.unique(np.asarray(cuts, dtype=float))
-            cuts = cuts[(cuts > 0.0) & (cuts < self.top)]
-            gaps = np.diff(np.concatenate([[0.0], cuts, [self.top]]))
-            margin = np.minimum(CUT_MARGIN,
-                                0.25 * np.minimum(gaps[:-1], gaps[1:]))
-            spans = zip(np.concatenate([[0.0], cuts + margin]),
-                        np.concatenate([cuts - margin, [self.top]]))
-            stops = np.empty(0)
-        else:
-            stops = np.concatenate([[0.0], np.unique(heights)])
-            far = np.nonzero(np.diff(stops) > CUTOFF_OFFSET)[0]
-            cuts = 0.5 * (stops[far] + stops[far + 1])
-            spans = zip(stops[np.concatenate([[0], far + 1])],
-                        stops[np.append(far, stops.size - 1)])
-
+        cuts = np.unique(np.asarray(cuts, dtype=float))
+        cuts = cuts[(cuts > 0.0) & (cuts < self.top)]
+        gaps = np.diff(np.concatenate([[0.0], cuts, [self.top]]))
+        margin = np.minimum(CUT_MARGIN,
+                            0.25 * np.minimum(gaps[:-1], gaps[1:]))
         parts, links = [], []
-        for lo, hi in spans:
+        for lo, hi in zip(np.concatenate([[0.0], cuts + margin]),
+                          np.concatenate([cuts - margin, [self.top]])):
             n = max(2, int(np.ceil((hi - lo) / LINE_STEP)) + 1)
-            inside = stops[(stops >= lo) & (stops <= hi)]
-            xs = np.unique(np.concatenate([np.linspace(lo, hi, n), inside]))
-            parts.append(xs)
-            links.append(np.append(np.ones(xs.size - 1, dtype=bool), False))
+            parts.append(np.linspace(lo, hi, n))
+            links.append(np.append(np.ones(n - 1, dtype=bool), False))
         x, w, linked, stalled = _refine(
             lambda us: _line_w(self.sigma, us, eval_params),
             np.concatenate(parts), np.concatenate(links)[:-1], walk,
@@ -263,9 +245,12 @@ class LineBranch:
         self._cut_at[breaks[given]] = cuts
         self._cut_at[breaks[~given]] = 0.5 * (x[breaks[~given]]
                                               + x[breaks[~given] + 1])
+        self._steps = self._cut_at[breaks]
         self.nodes_used = int(x.size)
-        self._resolve_levels(breaks, walk, None if heights is None
-                             else np.searchsorted(x, stops))
+        self._levels = 2.0 * np.pi * np.array(
+            [self._stretch_level(a, b, walk) for a, b in
+             zip(np.concatenate([[0], breaks + 1]),
+                 np.append(breaks, x.size - 1))])
 
     def _level(self, j: int, walk: WalkParams) -> int:
         """2 pi turns between the branch at node j and the ladder there."""
@@ -275,38 +260,24 @@ class LineBranch:
         self.nodes_used += ray.nodes_used
         return int(np.round((ray._im[0] - self._im[j]) / (2.0 * np.pi)))
 
-    def _resolve_levels(self, breaks, walk: WalkParams, stop_idx) -> None:
-        """Level of every stretch from walks at candidate nodes: two near
-        its ends, or the stops (heights) inside it."""
+    def _stretch_level(self, a: int, b: int, walk: WalkParams) -> int:
+        """Level of the stretch of nodes a..b from walks (or the real
+        axis) near both its ends, which must agree."""
         x = self._x
-        steps, levels = [], []
-        for p, (a, b) in enumerate(zip(np.concatenate([[0], breaks + 1]),
-                                       np.append(breaks, x.size - 1))):
-            if stop_idx is None:
-                clear = min(WALK_CLEARANCE, 0.25 * (x[b] - x[a]))
-                seg = x[a:b + 1]
-                cand = np.unique([a if x[a] == 0.0 else
-                                  a + np.argmin(np.abs(seg - x[a] - clear)),
-                                  a + np.argmin(np.abs(seg - x[b] + clear))])
-            else:
-                cand = stop_idx[(stop_idx >= a) & (stop_idx <= b)]
-            samples = _stretch_samples(cand, lambda j: self._level(j, walk))
-            if p:
-                steps.append(self._cut_at[breaks[p - 1]])
-            levels.append(samples[0][1] if samples else 0)
-            for (ja, na), (jb, nb) in zip(samples[:-1], samples[1:]):
-                if na == nb:
-                    continue
-                if stop_idx is None:
-                    raise BranchObstruction(
-                        f"branch continued up the line sigma={self.sigma:g} "
-                        f"from u={x[ja]:g} disagrees with the walk at "
-                        f"u={x[jb]:g} by {nb - na} turns: a zero at or right "
-                        f"of the line between them is not among the cuts")
-                steps.append(0.5 * (x[ja] + x[jb]))
-                levels.append(nb)
-        self._steps = np.asarray(steps)
-        self._levels = 2.0 * np.pi * np.asarray(levels)
+        clear = min(WALK_CLEARANCE, 0.25 * (x[b] - x[a]))
+        seg = x[a:b + 1]
+        ja = a if x[a] == 0.0 else a + int(np.argmin(np.abs(seg - x[a]
+                                                            - clear)))
+        jb = a + int(np.argmin(np.abs(seg - x[b] + clear)))
+        na = self._level(ja, walk)
+        nb = na if jb == ja else self._level(jb, walk)
+        if na != nb:
+            raise BranchObstruction(
+                f"branch continued up the line sigma={self.sigma:g} from "
+                f"u={x[ja]:g} disagrees with the walk at u={x[jb]:g} by "
+                f"{nb - na} turns: a zero at or right of the line between "
+                f"them is not among the cuts")
+        return na
 
     def log_w(self, us) -> np.ndarray:
         """Continued log(zeta(s)(s - 1)) at s = sigma + iu."""
@@ -329,48 +300,22 @@ class LineBranch:
         k = np.round((im - lq.imag) / (2.0 * np.pi))
         return lq + 2j * np.pi * k
 
-    def log_zeta(self, us) -> np.ndarray:
-        """Continued log zeta(sigma + iu), u > 0."""
-        s = self.sigma + 1j * np.asarray(us, dtype=float)
-        return self.log_w(us) - np.log(s - 1.0)
-
-
-def _stretch_samples(cand, level) -> list:
-    """(node, level) at the ends of cand and wherever bisection between
-    ends of different level leads; between two samples of equal level
-    every candidate shares it, since zeros only add turns."""
-    if len(cand) == 0:
-        return []
-    lev = {j: level(j) for j in {cand[0], cand[-1]}}
-    stack = [(0, len(cand) - 1)]
-    while stack:
-        i, j = stack.pop()
-        if j - i < 2 or lev[cand[i]] == lev[cand[j]]:
-            continue
-        k = (i + j) // 2
-        lev[cand[k]] = level(cand[k])
-        stack += [(i, k), (k, j)]
-    return sorted(lev.items())
-
 
 def vertical_log_zeta(sigma: float, heights,
                       eval_params: EvalParams = DEFAULT_PARAMS,
                       walk: WalkParams = DEFAULT_WALK) -> np.ndarray:
-    """Continued log zeta(sigma + i u) for an array of heights u > 0.
+    """Continued log zeta(sigma + i u) for an array of heights u > 0,
+    one horizontal walk per height.
 
-    One LineBranch up to the tallest height serves them all: the ladder
-    carries the winding between heights, and walks at the heights fix
-    its level, bisecting where zeros right of the line change it.
+    A handful of scattered heights needs no more; integrals up the line
+    use a LineBranch, whose ladder carries the winding between heights.
     """
     heights = np.asarray(heights, dtype=float)
     if np.any(heights <= 0.0):
         raise UnsupportedRange("walks need height t > 0; the real axis "
                                "has its own closed-form branch")
-    if heights.size == 0:
-        return np.empty(0, dtype=complex)
-    line = LineBranch(sigma, float(np.max(heights)), eval_params=eval_params,
-                      walk=walk, heights=heights)
-    return line.log_zeta(heights)
+    return np.array([RayBranch(sigma, u, eval_params, walk).log_zeta_at(sigma)
+                     for u in heights.ravel()], dtype=complex)
 
 
 def log_zeta_horizontal(sigma: float, t: float, table=None,

@@ -101,31 +101,35 @@ def _line_heights(sigma):
     return us
 
 
+def _line_log_zeta(line, us):
+    return line.log_w(us) - np.log(line.sigma + 1j * us - 1.0)
+
+
 @pytest.mark.parametrize("sigma", [0.5, 0.6, 0.8, 1.0, 2.0])
-def test_vertical_matches_walks(sigma):
-    # the line ladder carries the winding between heights; the walk at
-    # each height is the definition
+def test_line_matches_walks(sigma):
+    # the line ladder carries the winding between heights, cut at the
+    # ordinates of zeros at or right of the line; the walk at each height
+    # is the definition
     us = _line_heights(sigma)
-    got = vertical_log_zeta(sigma, us)
+    cuts = TAB.gammas[TAB.betas >= sigma]
+    got = _line_log_zeta(LineBranch(sigma, us.max(), cuts), us)
     want = np.array([log_zeta_horizontal(sigma, u) for u in us])
     assert np.max(np.abs(got - want)) < 1e-12
-    # a height alone gives its value in the batch, to a few ulp of zeta
-    # (log zeta's rounding is zeta's over |zeta|, large next to zeros)
+    # a height alone, on a ladder that ends there, gives its value in the
+    # batch to a few ulp of zeta (log zeta's rounding is zeta's over
+    # |zeta|, large next to zeros)
     pick = np.arange(0, us.size, 5)
-    alone = np.array([vertical_log_zeta(sigma, [us[i]])[0] for i in pick])
+    alone = np.array([_line_log_zeta(LineBranch(sigma, us[i], cuts),
+                                     us[i:i + 1])[0] for i in pick])
     scale = np.maximum(1.0, np.abs(got[pick])) \
         / np.minimum(1.0, np.exp(got[pick].real))
     assert np.all(np.abs(alone - got[pick]) <= 8.0 * EPS * scale)
 
 
-def test_vertical_right_of_zeros():
-    # sigma < 1/2: every zero lies right of the line, the ladder passes
-    # it smoothly and walks at the heights find where the level steps;
-    # heights far apart get stretches of their own
-    us = np.array([2.0, 14.0, 14.3, 20.9, 21.1, 25.0, 95.0, 96.5, 230.0])
-    got = vertical_log_zeta(0.4, us)
+def test_vertical_log_zeta_is_the_walk():
+    us = np.array([2.0, 14.0, 21.1, 96.5])
     want = np.array([log_zeta_horizontal(0.4, u) for u in us])
-    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.max(np.abs(vertical_log_zeta(0.4, us) - want)) < 1e-13
     with pytest.raises(UnsupportedRange):
         vertical_log_zeta(0.8, np.array([0.0, 3.0]))
 
@@ -141,6 +145,6 @@ def test_line_branch_checks_its_cuts():
     line = LineBranch(0.4, 30.0, cuts=g)
     us = np.concatenate([[0.5, 29.9], g - 5e-5, g + 5e-5, g - 0.3])
     want = np.array([log_zeta_horizontal(0.4, u) for u in us])
-    assert np.max(np.abs(line.log_zeta(us) - want)) < 1e-12
+    assert np.max(np.abs(_line_log_zeta(line, us) - want)) < 1e-12
     with pytest.raises(UnsupportedRange):
         line.log_w(np.array([31.0]))
