@@ -27,7 +27,6 @@ from .zeros import ZeroTable, load_zero_table, bundled_table, zeros_in_box
 from .rays import log_zeta_horizontal, log_zeta_real_axis
 from .eta import (
     EtaValue,
-    QuadSpec,
     ZeroSumTerm,
     c_m,
     check_bridge,

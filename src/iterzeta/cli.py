@@ -23,8 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (BranchObstruction, ComputationError, ValidationError)
-from .eta import (QuadSpec, check_guard, eta_tilde_weighted, eta_vertical,
-                  y_m)
+from .eta import check_guard, eta_tilde_weighted, eta_vertical, y_m
 from .hunt import HuntConfig, hunt_value
 from .dirichlet import mean_square_error
 from .polygon import RadiiSet, polygon_angles
@@ -204,18 +203,14 @@ def _write_csv(path: str, header, rows) -> None:
 _EVAL_HEADER = ("m", "sigma", "t", "re_zeta", "im_zeta", "re_log_zeta",
                 "im_log_zeta", "re_eta_tilde", "im_eta_tilde", "re_eta",
                 "im_eta", "re_y", "im_y", "residual", "est_error")
-_EVAL_KEYS = frozenset({"m", "sigma", "t", "step", "abs_tol", "table", "out"})
 
 
 def cmd_eval(cfg: dict) -> int:
-    unknown = sorted(set(cfg) - _EVAL_KEYS)
-    if unknown:
-        raise ValidationError(f"field {unknown[0]}: not an eval setting")
     m = _as_int(cfg, "m")
     sigma = _as_float(cfg, "sigma")
     out = _as_str(cfg, "out")
     table = _load_table(cfg, required=True)
-    quad = QuadSpec(abs_tol=_as_float(cfg, "abs_tol", 1e-8))
+    abs_tol = _as_float(cfg, "abs_tol", 1e-8)
     ts = _t_grid(cfg)
     start = time.monotonic()
     rows, skipped = [], 0
@@ -224,8 +219,8 @@ def cmd_eval(cfg: dict) -> int:
             check_guard(table, sigma, t)
             z = zeta(ComplexPoint(sigma, t))
             lz = log_zeta_horizontal(sigma, t, table=table)
-            et = eta_tilde_weighted(m, sigma, t, table=table, quad=quad)
-            ev = eta_vertical(m, sigma, t, table, quad=quad)
+            et = eta_tilde_weighted(m, sigma, t, table, abs_tol=abs_tol)
+            ev = eta_vertical(m, sigma, t, table, abs_tol=abs_tol)
             ym = y_m(m, sigma, t, table)
         except BranchObstruction:
             skipped += 1
@@ -356,8 +351,19 @@ def cmd_polygon(cfg: dict) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {"eval": cmd_eval, "meansquare": cmd_meansquare,
-             "hunt": cmd_hunt, "polygon": cmd_polygon}
+# each command with the keys it reads; any other key is refused, so a
+# misspelt setting cannot run silently at its default
+_COMMANDS = {
+    "eval": (cmd_eval, {"m", "sigma", "t", "step", "abs_tol", "table",
+                        "out"}),
+    "meansquare": (cmd_meansquare, {"m", "sigma", "T", "step", "X", "table",
+                                    "out"}),
+    "hunt": (cmd_hunt, {"m", "sigma", "a", "epsilon", "table", "n_search",
+                        "delta", "t_min", "t_max", "step", "eval_budget",
+                        "min_separation", "out"}),
+    "polygon": (cmd_polygon, {"radii", "z", "m", "sigma", "a", "epsilon",
+                              "sieve_limit", "out"}),
+}
 
 
 def main(argv=None) -> int:
@@ -386,7 +392,12 @@ def main(argv=None) -> int:
         if args.config:
             cfg.update(parse_config_file(args.config))
         cfg.update(parse_overrides(args.overrides))
-        return _COMMANDS[args.command](cfg)
+        command, keys = _COMMANDS[args.command]
+        unknown = sorted(set(cfg) - keys)
+        if unknown:
+            raise ValidationError(
+                f"field {unknown[0]}: not a {args.command} setting")
+        return command(cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

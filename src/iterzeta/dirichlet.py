@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (BranchObstruction, ConvergenceDomain, CutoffExceeded,
                      TableCoverage, TooFewSamples, ValidationError)
-from .eta import DEFAULT_QUAD, QuadSpec, eta_tilde_weighted
+from .eta import eta_tilde_weighted
 from .primes import PrimeTable, sieve_primes
 from .rays import check_guard
 from .zeros import ZeroTable
@@ -198,10 +198,10 @@ _ETA_GRID_CACHE: dict = {}
 
 
 def _eta_tilde_grid(m: int, sigma: float, T: float, grid_step: float,
-                    table: ZeroTable, quad: QuadSpec):
+                    table: ZeroTable, abs_tol: float):
     """eta_tilde on the uniform grid, NaN at guard-skipped points.
     Cached so sweeps over X reuse the expensive column."""
-    key = (m, sigma, T, grid_step, table.source_label, quad.abs_tol)
+    key = (m, sigma, T, grid_step, table.source_label, abs_tol)
     if key in _ETA_GRID_CACHE:
         return _ETA_GRID_CACHE[key]
     ts = np.arange(14.0, T + 1e-9, grid_step)
@@ -211,15 +211,16 @@ def _eta_tilde_grid(m: int, sigma: float, T: float, grid_step: float,
             check_guard(table, sigma, float(t))
         except BranchObstruction:
             continue
-        vals[i] = eta_tilde_weighted(m, sigma, float(t), table, quad).value
+        vals[i] = eta_tilde_weighted(m, sigma, float(t), table,
+                                     abs_tol=abs_tol).value
     _ETA_GRID_CACHE[key] = (ts, vals)
     return ts, vals
 
 
 def mean_square_error(m: int, sigma: float, X: float, T: float,
                       grid_step: float, table: ZeroTable,
-                      quad: QuadSpec = DEFAULT_QUAD,
-                      primes: PrimeTable | None = None) -> MeanSquareReport:
+                      primes: PrimeTable | None = None, *,
+                      abs_tol: float = 1e-8) -> MeanSquareReport:
     """Trapezoidal estimate of (1/T) int_14^T |eta_tilde - D_X|^2 dt.
 
     Guard-zone grid points are skipped and reported as a fraction;
@@ -240,7 +241,7 @@ def mean_square_error(m: int, sigma: float, X: float, T: float,
         primes = sieve_primes(max(3, int(X)))
     logs = _prime_logs(X, primes)
 
-    ts, eta_vals = _eta_tilde_grid(m, sigma, T, grid_step, table, quad)
+    ts, eta_vals = _eta_tilde_grid(m, sigma, T, grid_step, table, abs_tol)
     keep = ~np.isnan(eta_vals)
     skipped = 1.0 - keep.sum() / ts.size
     if skipped > 0.20:

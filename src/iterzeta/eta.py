@@ -22,8 +22,7 @@ Y_m correction exactly as stated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, e as _E, factorial, log
-from typing import Optional
+from math import e as _E, factorial, log
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -31,50 +30,15 @@ from numpy.polynomial import chebyshev as _cheb
 from .errors import (QuadratureNonconvergence, TableCoverage,
                      UnsupportedRange, ValidationError)
 from .quadrature import gl_nodes, integrate_vec, poly_log_integral
-from .rays import CUTOFF_OFFSET, LineBranch, RayBranch, check_guard
+from .rays import CUTOFF_OFFSET, LineBranch, RayBranch, _w, check_guard
 from .rays import GUARD  # noqa: F401  (re-exported: callers import it here)
-from .zetafun import (DEFAULT_PARAMS, ComplexPoint, EvalParams, zeta_batch,
-                      zeta_error)
+from .zetafun import DEFAULT_PARAMS, ComplexPoint, zeta_error
 from .zeros import EMPTY_TABLE, ZeroTable, zeros_in_box
 
 SUPPORTED_M = (1, 2, 3)
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Quadrature policy shared by the eta operations.
-
-    horiz_cutoff is the absolute truncation point A of the integrals to
-    infinity; None means sigma + 40.  singularity_pad is the half-width
-    around a zero ordinate treated by the analytic local model.
-    """
-    abs_tol: float = 1e-8
-    max_depth: int = 48
-    horiz_cutoff: Optional[float] = None
-    singularity_pad: float = 1e-2
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise ValidationError("abs_tol must be positive")
-        if self.max_depth < 1:
-            raise ValidationError("max_depth must be at least 1")
-        if not self.singularity_pad > 0.0:
-            raise ValidationError("singularity_pad must be positive")
-
-    def cutoff(self, sigma: float) -> float:
-        a = sigma + CUTOFF_OFFSET if self.horiz_cutoff is None \
-            else float(self.horiz_cutoff)
-        if a < sigma + 10.0:
-            raise ValidationError(
-                f"horiz_cutoff {a:g} below sigma + 10 = {sigma + 10:g}")
-        if a > sigma + CUTOFF_OFFSET + 1e-9:
-            raise UnsupportedRange(
-                f"horiz_cutoff {a:g} beyond the resolved ray "
-                f"sigma + {CUTOFF_OFFSET:g}")
-        return a
-
-
-DEFAULT_QUAD = QuadSpec()
+# half-width around a zero ordinate where eta_vertical integrates the
+# local log(s - rho) model in closed form
+SINGULARITY_PAD = 1e-2
 
 
 @dataclass(frozen=True)
@@ -110,7 +74,12 @@ def _validate_order_sigma(m: int, sigma: float) -> None:
         raise ValidationError("sigma must be finite and >= 1/2")
 
 
-def _log_zeta_error(sigma: float, t: float, eval_params: EvalParams) -> float:
+def _validate_abs_tol(abs_tol: float) -> None:
+    if not abs_tol > 0.0:
+        raise ValidationError("abs_tol must be positive")
+
+
+def _log_zeta_error(sigma: float, t: float) -> float:
     """Error of log zeta at any point of a path with heights up to t and
     Re s >= sigma.
 
@@ -123,16 +92,15 @@ def _log_zeta_error(sigma: float, t: float, eval_params: EvalParams) -> float:
     1/|s-1| cancels.
     """
     s = complex(sigma, t)
-    err = eval_params.tol
+    err = DEFAULT_PARAMS.tol
     if t != 0.0 and abs(s - 1.0) >= 1.0:
-        err = max(err, float(zeta_error(s, eval_params)))
+        err = max(err, float(zeta_error(s)))
     return err
 
 
-def _zeta_term(m: int, span: float, sigma: float, t: float,
-               eval_params: EvalParams) -> float:
+def _zeta_term(m: int, span: float, sigma: float, t: float) -> float:
     """zeta's error carried through a weight of total mass span^m/m!."""
-    return _log_zeta_error(sigma, t, eval_params) * span ** m / factorial(m)
+    return _log_zeta_error(sigma, t) * span ** m / factorial(m)
 
 
 def tail_bound(m: int, sigma: float, a_cut: float) -> float:
@@ -146,71 +114,50 @@ def tail_bound(m: int, sigma: float, a_cut: float) -> float:
     return 2.0 * 2.0 ** (-a_cut) * s / factorial(j)
 
 
-def _pole_weighted_integral(m: int, sigma: float, lo: float, hi: float) -> complex:
-    """int_lo^hi (a-sigma)^(m-1) (log|a-1| + i pi [a<1]) da, exact.
+def _pole_log(m: int, sigma: float, a_cut: float) -> complex:
+    """1/(m-1)! int_sigma^A (a-sigma)^(m-1) Log(a - 1 + i0) da, exact.
 
     This is the non-smooth part of log zeta(a + i0+) = log W(a)
-    - log|a-1| - i pi [a<1]; expanding around v = a-1 gives elementary
-    moments, continuous through v = 0.
+    - Log(a - 1 + i0).  With u = 1 - a, Log(a - 1 + i0) = Log(iu) + i pi/2
+    on both sides of the pole, and Log(iu) is the local model at c = 0.
     """
-    v0, v1 = lo - 1.0, hi - 1.0
-
-    def logmoment(q: int, v: float) -> float:
-        if v == 0.0:
-            return 0.0
-        return v ** (q + 1) * (log(abs(v)) - 1.0 / (q + 1)) / (q + 1)
-
-    acc = 0.0 + 0.0j
-    for q in range(m):
-        coef = comb(m - 1, q) * (1.0 - sigma) ** (m - 1 - q)
-        part = logmoment(q, v1) - logmoment(q, v0)
-        if v0 < 0.0:
-            vneg = min(v1, 0.0)
-            part += 1j * np.pi * (vneg ** (q + 1) - v0 ** (q + 1)) / (q + 1)
-        acc += coef * part
-    return acc
-
-
-def _log_w_real(alphas: np.ndarray, eval_params: EvalParams) -> np.ndarray:
-    """log of zeta(a)(a-1) on the real axis: real, smooth through a = 1."""
-    a = np.where(np.abs(alphas - 1.0) < 1e-13, alphas + 3e-13, alphas)
-    w = np.real(zeta_batch(a.astype(complex), eval_params)) * (a - 1.0)
-    return np.log(w)
+    return poly_log_integral(m, 1.0 - sigma, 1.0 - a_cut, 1.0 - sigma,
+                             0.0, 0.0) \
+        + 0.5j * np.pi * (a_cut - sigma) ** m / factorial(m)
 
 
 def eta_tilde_weighted(m: int, sigma: float, t: float,
-                       table: ZeroTable = EMPTY_TABLE,
-                       quad: QuadSpec = DEFAULT_QUAD,
-                       eval_params: EvalParams = DEFAULT_PARAMS) -> EtaValue:
+                       table: ZeroTable = EMPTY_TABLE, *,
+                       abs_tol: float = 1e-8) -> EtaValue:
     """Horizontal iterated integral via the collapsed weighted form."""
     _validate_order_sigma(m, sigma)
+    _validate_abs_tol(abs_tol)
     if t < 0.0:
-        below = eta_tilde_weighted(m, sigma, -t, table, quad, eval_params)
+        below = eta_tilde_weighted(m, sigma, -t, table, abs_tol=abs_tol)
         return EtaValue(m, ComplexPoint(sigma, t),
                         np.conjugate(below.value), below.est_error,
                         below.nevals)
     check_guard(table, sigma, t)
-    a_cut = quad.cutoff(sigma)
+    a_cut = sigma + CUTOFF_OFFSET
     fm = factorial(m - 1)
 
     if t == 0.0:
         def f(alphas):
-            return (alphas - sigma) ** (m - 1) \
-                * _log_w_real(alphas, eval_params) / fm
-        smooth, qerr, nev = integrate_vec(f, sigma, a_cut, quad.abs_tol,
-                                          quad.max_depth, initial_splits=8)
-        value = smooth - _pole_weighted_integral(m, sigma, sigma, a_cut) / fm
+            return (alphas - sigma) ** (m - 1) * np.log(_w(alphas).real) / fm
+        smooth, qerr, nev = integrate_vec(f, sigma, a_cut, abs_tol,
+                                          initial_splits=8)
+        value = smooth - _pole_log(m, sigma, a_cut)
     else:
-        branch = RayBranch(sigma, t, eval_params)
+        branch = RayBranch(sigma, t)
 
         def f(alphas):
             return (alphas - sigma) ** (m - 1) * branch.log_zeta(alphas) / fm
-        value, qerr, nev = integrate_vec(f, sigma, a_cut, quad.abs_tol,
-                                         quad.max_depth, initial_splits=8)
+        value, qerr, nev = integrate_vec(f, sigma, a_cut, abs_tol,
+                                         initial_splits=8)
         nev += branch.nodes_used
 
     err = qerr + tail_bound(m, sigma, a_cut) \
-        + _zeta_term(m, a_cut - sigma, sigma, t, eval_params)
+        + _zeta_term(m, a_cut - sigma, sigma, t)
     return EtaValue(m, ComplexPoint(sigma, t), complex(value), err, nev)
 
 
@@ -325,9 +272,8 @@ def _build_level_rep(edges, sampler, tol, what):
 
 
 def eta_tilde_recursive(m: int, sigma: float, t: float,
-                        table: ZeroTable = EMPTY_TABLE,
-                        quad: QuadSpec = DEFAULT_QUAD,
-                        eval_params: EvalParams = DEFAULT_PARAMS) -> EtaValue:
+                        table: ZeroTable = EMPTY_TABLE, *,
+                        abs_tol: float = 1e-8) -> EtaValue:
     """Horizontal iterated integral by literal nesting.
 
     Level one is sampled by panel quadrature of log zeta; each further
@@ -337,17 +283,18 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
     to quadrature error and serve as mutual checks.
     """
     _validate_order_sigma(m, sigma)
+    _validate_abs_tol(abs_tol)
     if t < 0.0:
-        below = eta_tilde_recursive(m, sigma, -t, table, quad, eval_params)
+        below = eta_tilde_recursive(m, sigma, -t, table, abs_tol=abs_tol)
         return EtaValue(m, ComplexPoint(sigma, t),
                         np.conjugate(below.value), below.est_error,
                         below.nevals)
     check_guard(table, sigma, t)
-    a_cut = quad.cutoff(sigma)
+    a_cut = sigma + CUTOFF_OFFSET
 
     if m == 1:
         # identical integrand and panels as the weighted form
-        return eta_tilde_weighted(1, sigma, t, table, quad, eval_params)
+        return eta_tilde_weighted(1, sigma, t, table, abs_tol=abs_tol)
 
     nev = 0
     if t == 0.0:
@@ -356,19 +303,16 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
              np.geomspace(min(sigma + 3.0, a_cut), a_cut, 24)]))
 
         def f_vec(xs):
-            return _log_w_real(xs, eval_params).astype(complex)
-        pole_at = lambda x, j: -_pole_weighted_integral(  # noqa: E731
-            j, x, x, a_cut) / factorial(j - 1)
+            return np.log(_w(xs).real).astype(complex)
     else:
-        branch = RayBranch(sigma, t, eval_params)
+        branch = RayBranch(sigma, t)
         nev += branch.nodes_used
         edges = sigma + branch.offsets
         if edges[-1] > a_cut:
             edges = np.unique(np.append(edges[edges < a_cut], a_cut))
         f_vec = branch.log_zeta
-        pole_at = None
 
-    tol_i = max(quad.abs_tol * 1e-2, 1e-11)
+    tol_i = max(abs_tol * 1e-2, 1e-11)
     dev_max = 0.0
     for _ in range(14):
         sampler, suffix, _ = _first_level_samples(f_vec, edges)
@@ -393,35 +337,34 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
 
     full = rep.interval_integrals()
     value = complex(np.sum(full))
-    if pole_at is not None:
-        value += pole_at(sigma, m)
+    if t == 0.0:
+        value -= _pole_log(m, sigma, a_cut)
 
     span = a_cut - sigma
     err = dev_max * span ** (m - 1) / factorial(m - 1) \
         + 1e-10 * span + tail_bound(m, sigma, a_cut) \
-        + _zeta_term(m, span, sigma, t, eval_params)
+        + _zeta_term(m, span, sigma, t)
     return EtaValue(m, ComplexPoint(sigma, t), value, err, nev)
 
 
 _C_CACHE: dict = {}
 
 
-def _c_eta(m: int, sigma: float, quad: QuadSpec,
-           eval_params: EvalParams) -> EtaValue:
-    key = (m, sigma, quad.abs_tol, quad.horiz_cutoff, eval_params.tol)
+def _c_eta(m: int, sigma: float, abs_tol: float) -> EtaValue:
+    key = (m, sigma, abs_tol)
     if key not in _C_CACHE:
         _C_CACHE[key] = eta_tilde_weighted(m, sigma, 0.0, EMPTY_TABLE,
-                                           quad, eval_params)
+                                           abs_tol=abs_tol)
     return _C_CACHE[key]
 
 
-def c_m(m: int, sigma: float, quad: QuadSpec = DEFAULT_QUAD,
-        eval_params: EvalParams = DEFAULT_PARAMS) -> complex:
+def c_m(m: int, sigma: float, *, abs_tol: float = 1e-8) -> complex:
     """Integration constant of the vertical recursion:
     i^m / (m-1)! int_sigma^inf (a-sigma)^(m-1) log zeta(a) da, with the
     real-axis branch taken as the limit from the upper half plane."""
     _validate_order_sigma(m, sigma)
-    return 1j ** m * _c_eta(m, sigma, quad, eval_params).value
+    _validate_abs_tol(abs_tol)
+    return 1j ** m * _c_eta(m, sigma, abs_tol).value
 
 
 def y_m_terms(m: int, sigma: float, t: float,
@@ -445,9 +388,8 @@ def y_m(m: int, sigma: float, t: float, table: ZeroTable) -> complex:
                0.0 + 0.0j)
 
 
-def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
-                 quad: QuadSpec = DEFAULT_QUAD,
-                 eval_params: EvalParams = DEFAULT_PARAMS) -> EtaValue:
+def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable, *,
+                 abs_tol: float = 1e-8) -> EtaValue:
     """Vertical iterated integral, collapsed to a single weighted
     quadrature in the height:
 
@@ -455,7 +397,7 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
                 + sum_j c_j(sigma) t^(m-j)/(m-j)!
 
     The path is split at every table ordinate below t; within
-    singularity_pad of an ordinate the local log(s - rho) model is
+    SINGULARITY_PAD of an ordinate the local log(s - rho) model is
     integrated in closed form and only the smooth remainder numerically.
     The pole's -Log(s - 1) is integrated in closed form too, so the
     quadrature sees log(zeta(s)(s - 1)), smooth through u = 0 even at
@@ -469,6 +411,7 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
     ladder and walk nodes count towards nevals.
     """
     _validate_order_sigma(m, sigma)
+    _validate_abs_tol(abs_tol)
     if not t > 0.0:
         raise ValidationError("eta_vertical needs t > 0; at t = 0 the "
                               "value is c_m(sigma) by definition")
@@ -476,7 +419,7 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
         raise TableCoverage(
             f"height t={t:g} beyond table coverage {table.coverage:g} "
             f"({table.source_label}); zeros there would be invisible")
-    h = quad.singularity_pad
+    h = SINGULARITY_PAD
     fm = factorial(m - 1)
 
     sel = table.gammas < t
@@ -484,8 +427,8 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
     bet = table.betas[sel]
     mlt = table.mults[sel]
     if gam.size and np.min(np.diff(gam), initial=np.inf) <= 2.0 * h:
-        raise UnsupportedRange("table ordinates closer than twice the "
-                               "singularity pad; shrink the pad")
+        raise UnsupportedRange(f"table ordinates closer than twice the "
+                               f"singularity pad {h:g}")
 
     pads = []     # (lo, hi, gamma, c, mult)
     edges = [0.0, t]
@@ -500,7 +443,7 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
     pad_spans = {(lo, hi) for lo, hi, *_ in pads}
 
     # the branch may jump where a zero lies at or right of the line
-    line = LineBranch(sigma, t, gam[bet >= sigma], eval_params)
+    line = LineBranch(sigma, t, gam[bet >= sigma])
 
     def f(us):
         return (t - us) ** (m - 1) * line.log_w(us) / fm
@@ -508,7 +451,7 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
     # f's values are off by up to its weight times log zeta's error; at
     # large t and m that passes the panels' share of abs_tol, and panels
     # must not be bisected to resolve it
-    log_err = _log_zeta_error(sigma, t, eval_params)
+    log_err = _log_zeta_error(sigma, t)
     value = -poly_log_integral(m, t, 0.0, t, 0.0, sigma - 1.0)
     qerr = 0.0
     nev = line.nodes_used
@@ -517,9 +460,7 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
             continue
         if hi - lo < 1e-13:
             continue
-        v, err, ne = integrate_vec(f, lo, hi,
-                                   quad.abs_tol * (hi - lo) / t,
-                                   quad.max_depth,
+        v, err, ne = integrate_vec(f, lo, hi, abs_tol * (hi - lo) / t,
                                    noise=log_err * (t - lo) ** (m - 1) / fm)
         value += v
         qerr += err
@@ -542,7 +483,7 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
 
     cs_err = 0.0
     for j in range(1, m + 1):
-        cj = _c_eta(j, sigma, quad, eval_params)
+        cj = _c_eta(j, sigma, abs_tol)
         value += 1j ** j * cj.value * t ** (m - j) / factorial(m - j)
         cs_err += cj.est_error * t ** (m - j) / factorial(m - j)
         nev += cj.nevals
@@ -551,20 +492,17 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable,
     return EtaValue(m, ComplexPoint(sigma, t), complex(value), err, nev)
 
 
-def check_bridge(m: int, sigma: float, t: float, table: ZeroTable,
-                 quad: QuadSpec = DEFAULT_QUAD,
-                 eval_params: EvalParams = DEFAULT_PARAMS) -> float:
+def check_bridge(m: int, sigma: float, t: float, table: ZeroTable, *,
+                 abs_tol: float = 1e-8) -> float:
     """|eta_vertical - (i^m eta_tilde_weighted + y_m)|; should sit inside
     the combined est_error budget."""
-    ev = eta_vertical(m, sigma, t, table, quad, eval_params)
-    et = eta_tilde_weighted(m, sigma, t, table, quad, eval_params)
+    ev = eta_vertical(m, sigma, t, table, abs_tol=abs_tol)
+    et = eta_tilde_weighted(m, sigma, t, table, abs_tol=abs_tol)
     return abs(ev.value - (1j ** m * et.value + y_m(m, sigma, t, table)))
 
 
-def growth_check(m: int, sigma: float, t_samples, table: ZeroTable,
-                 quad: QuadSpec = DEFAULT_QUAD,
-                 eval_params: EvalParams = DEFAULT_PARAMS
-                 ) -> list[tuple[float, float]]:
+def growth_check(m: int, sigma: float, t_samples, table: ZeroTable, *,
+                 abs_tol: float = 1e-8) -> list[tuple[float, float]]:
     """Normalized residuals |eta_m - Y_m| / log t over the samples; the
     sequence should stay bounded (reported, not asserted to a constant)."""
     out = []
@@ -572,7 +510,7 @@ def growth_check(m: int, sigma: float, t_samples, table: ZeroTable,
         if not t > _E:
             raise ValidationError("growth samples need t > e for the "
                                   "log t normalization")
-        ev = eta_vertical(m, sigma, float(t), table, quad, eval_params)
+        ev = eta_vertical(m, sigma, float(t), table, abs_tol=abs_tol)
         out.append((float(t),
                     abs(ev.value - y_m(m, sigma, float(t), table)) / log(t)))
     return out

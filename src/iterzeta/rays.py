@@ -33,13 +33,11 @@ that rounding exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BranchObstruction, UnsupportedRange
 from .zeros import ZeroTable
-from .zetafun import DEFAULT_PARAMS, EvalParams, zeta_batch
+from .zetafun import POLE_RADIUS, zeta_batch
 
 CUTOFF_OFFSET = 40.0
 GUARD = 1e-3          # min |t - gamma| for rays passing a zero with beta >= sigma
@@ -52,17 +50,24 @@ CUT_MARGIN = 1e-4
 # a stretch's walks keep this far inside its ends, which may lie next
 # to zeros of W
 WALK_CLEARANCE = 1e-2
+# a resolved ladder gap turns W by at most PHASE_TOL in principal phase
+# and MAG_TOL in log-magnitude; a gap still failing at MIN_GAP holds a
+# zero of W
+PHASE_TOL = 1.0
+MAG_TOL = 2.0
+MAX_ROUNDS = 64
+MIN_GAP = 1e-12
 
 
-@dataclass(frozen=True)
-class WalkParams:
-    phase_tol: float = 1.0      # max |principal arg ratio| per resolved gap
-    mag_tol: float = 2.0        # max |log magnitude ratio| per resolved gap
-    max_rounds: int = 64
-    min_gap: float = 1e-12      # gaps this small that still fail hold a zero
-
-
-DEFAULT_WALK = WalkParams()
+def _w(s) -> np.ndarray:
+    """W = zeta(s)(s - 1) at every point of s.  W is entire with
+    W(1) = 1; within zeta's pole guard POLE_RADIUS of s = 1 that is W to
+    rounding, so zeta is never asked for the pole."""
+    s = np.asarray(s, dtype=complex)
+    w = np.ones_like(s)
+    off = np.abs(s - 1.0) >= POLE_RADIUS
+    w[off] = zeta_batch(s[off]) * (s[off] - 1.0)
+    return w
 
 
 def check_guard(table: ZeroTable, sigma: float, t: float) -> None:
@@ -88,26 +93,25 @@ def _initial_offsets() -> np.ndarray:
     return np.unique(np.concatenate([low, np.array(high)]))
 
 
-def _refine(w_at, x: np.ndarray, linked: np.ndarray, walk: WalkParams,
-            where: str):
+def _refine(w_at, x: np.ndarray, linked: np.ndarray, where: str):
     """The branch-refinement ladder shared by rays and lines.
 
     Halves each linked gap of the ascending nodes x until W = w_at(x)
-    changes across it by at most walk.phase_tol in principal phase and
-    walk.mag_tol in log-magnitude; every round evaluates all its
-    midpoints in one w_at call.  A gap that still fails at width
-    walk.min_gap holds a zero of W: it is unlinked and marked stalled.
+    changes across it by at most PHASE_TOL in principal phase and
+    MAG_TOL in log-magnitude; every round evaluates all its midpoints in
+    one w_at call.  A gap that still fails at width MIN_GAP holds a zero
+    of W: it is unlinked and marked stalled.
     Returns (x, w, linked, stalled), the last two per gap.
     """
     w = w_at(x)
     stalled = np.zeros(linked.size, dtype=bool)
-    for _ in range(walk.max_rounds):
+    for _ in range(MAX_ROUNDS):
         if not np.all(np.isfinite(w)) or np.any(w == 0.0):
             raise BranchObstruction(f"ladder hit a zero of zeta {where}")
         ratio = w[1:] / w[:-1]
-        bad = linked & ((np.abs(np.angle(ratio)) > walk.phase_tol)
-                        | (np.abs(np.log(np.abs(ratio))) > walk.mag_tol))
-        stuck = bad & (np.diff(x) <= walk.min_gap)
+        bad = linked & ((np.abs(np.angle(ratio)) > PHASE_TOL)
+                        | (np.abs(np.log(np.abs(ratio))) > MAG_TOL))
+        stuck = bad & (np.diff(x) <= MIN_GAP)
         linked = linked & ~stuck
         stalled |= stuck
         idx = np.nonzero(bad & ~stuck)[0]
@@ -119,7 +123,7 @@ def _refine(w_at, x: np.ndarray, linked: np.ndarray, walk: WalkParams,
         linked = np.insert(linked, idx + 1, True)
         stalled = np.insert(stalled, idx + 1, False)
     raise BranchObstruction(f"branch ladder did not settle within "
-                            f"{walk.max_rounds} rounds {where}")
+                            f"{MAX_ROUNDS} rounds {where}")
 
 
 class RayBranch:
@@ -130,25 +134,17 @@ class RayBranch:
     integer.
     """
 
-    def __init__(self, sigma: float, t: float,
-                 eval_params: EvalParams = DEFAULT_PARAMS,
-                 walk: WalkParams = DEFAULT_WALK):
+    def __init__(self, sigma: float, t: float):
         self.sigma = float(sigma)
         self.t = float(t)
-        self.eval_params = eval_params
         if not self.t > 0.0:
             raise UnsupportedRange("walks need height t > 0; the real axis "
                                    "has its own closed-form branch")
         where = f"at sigma={self.sigma:g}, t={self.t:g}"
-
-        def w_at(offs):
-            s = self.sigma + offs + 1j * self.t
-            return zeta_batch(s, eval_params) * (s - 1.0)
-
         base = _initial_offsets()
-        offs, w, _, stalled = _refine(w_at, base,
-                                      np.ones(base.size - 1, dtype=bool),
-                                      walk, where)
+        offs, w, _, stalled = _refine(
+            lambda x: _w(self.sigma + x + 1j * self.t), base,
+            np.ones(base.size - 1, dtype=bool), where)
         if np.any(stalled):
             raise BranchObstruction(f"branch walk stalled {where}: zero "
                                     f"too close to the ray")
@@ -173,8 +169,7 @@ class RayBranch:
                 f"query outside the resolved ray [{self.sigma:g}, "
                 f"{self.sigma + CUTOFF_OFFSET:g}]")
         s = alphas + 1j * self.t
-        wq = zeta_batch(s, self.eval_params) * (s - 1.0)
-        lq = np.log(wq)
+        lq = np.log(_w(s))
         im_interp = np.interp(np.clip(x, 0.0, CUTOFF_OFFSET),
                               self._offs, self._im)
         k = np.round((im_interp - lq.imag) / (2.0 * np.pi))
@@ -182,17 +177,6 @@ class RayBranch:
 
     def log_zeta_at(self, alpha: float) -> complex:
         return complex(self.log_zeta(np.array([alpha]))[0])
-
-
-def _line_w(sigma: float, us: np.ndarray, eval_params: EvalParams
-            ) -> np.ndarray:
-    """W = zeta(s)(s - 1) at s = sigma + iu; at s = 1 its limit, 1, so
-    zeta is never asked for the pole."""
-    s = sigma + 1j * np.asarray(us, dtype=float)
-    w = np.ones_like(s)
-    off = s != 1.0
-    w[off] = zeta_batch(s[off], eval_params) * (s[off] - 1.0)
-    return w
 
 
 class LineBranch:
@@ -208,12 +192,9 @@ class LineBranch:
     miss raises BranchObstruction instead of shifting the branch.
     """
 
-    def __init__(self, sigma: float, top: float, cuts=(),
-                 eval_params: EvalParams = DEFAULT_PARAMS,
-                 walk: WalkParams = DEFAULT_WALK):
+    def __init__(self, sigma: float, top: float, cuts=()):
         self.sigma = float(sigma)
         self.top = float(top)
-        self.eval_params = eval_params
         if not self.top > 0.0:
             raise UnsupportedRange("a line branch needs top > 0")
         cuts = np.unique(np.asarray(cuts, dtype=float))
@@ -228,8 +209,8 @@ class LineBranch:
             parts.append(np.linspace(lo, hi, n))
             links.append(np.append(np.ones(n - 1, dtype=bool), False))
         x, w, linked, stalled = _refine(
-            lambda us: _line_w(self.sigma, us, eval_params),
-            np.concatenate(parts), np.concatenate(links)[:-1], walk,
+            lambda us: _w(self.sigma + 1j * us),
+            np.concatenate(parts), np.concatenate(links)[:-1],
             f"on the line sigma={self.sigma:g}")
         if not w[0].real > 0.0:
             raise BranchObstruction("zeta(s)(s-1) should be positive on "
@@ -248,19 +229,19 @@ class LineBranch:
         self._steps = self._cut_at[breaks]
         self.nodes_used = int(x.size)
         self._levels = 2.0 * np.pi * np.array(
-            [self._stretch_level(a, b, walk) for a, b in
+            [self._stretch_level(a, b) for a, b in
              zip(np.concatenate([[0], breaks + 1]),
                  np.append(breaks, x.size - 1))])
 
-    def _level(self, j: int, walk: WalkParams) -> int:
+    def _level(self, j: int) -> int:
         """2 pi turns between the branch at node j and the ladder there."""
         if self._x[j] == 0.0:
             return int(np.round(-self._im[j] / (2.0 * np.pi)))
-        ray = RayBranch(self.sigma, self._x[j], self.eval_params, walk)
+        ray = RayBranch(self.sigma, self._x[j])
         self.nodes_used += ray.nodes_used
         return int(np.round((ray._im[0] - self._im[j]) / (2.0 * np.pi)))
 
-    def _stretch_level(self, a: int, b: int, walk: WalkParams) -> int:
+    def _stretch_level(self, a: int, b: int) -> int:
         """Level of the stretch of nodes a..b from walks (or the real
         axis) near both its ends, which must agree."""
         x = self._x
@@ -269,8 +250,8 @@ class LineBranch:
         ja = a if x[a] == 0.0 else a + int(np.argmin(np.abs(seg - x[a]
                                                             - clear)))
         jb = a + int(np.argmin(np.abs(seg - x[b] + clear)))
-        na = self._level(ja, walk)
-        nb = na if jb == ja else self._level(jb, walk)
+        na = self._level(ja)
+        nb = na if jb == ja else self._level(jb)
         if na != nb:
             raise BranchObstruction(
                 f"branch continued up the line sigma={self.sigma:g} from "
@@ -285,7 +266,7 @@ class LineBranch:
         if np.any(us < -1e-12) or np.any(us > self.top + 1e-12):
             raise UnsupportedRange(f"query outside the resolved line "
                                    f"segment [0, {self.top:g}]")
-        lq = np.log(_line_w(self.sigma, us, self.eval_params))
+        lq = np.log(_w(self.sigma + 1j * us))
         x = self._x
         im = np.interp(us, x, self._im)
         gap = np.clip(np.searchsorted(x, us, side="right") - 1, 0,
@@ -301,9 +282,7 @@ class LineBranch:
         return lq + 2j * np.pi * k
 
 
-def vertical_log_zeta(sigma: float, heights,
-                      eval_params: EvalParams = DEFAULT_PARAMS,
-                      walk: WalkParams = DEFAULT_WALK) -> np.ndarray:
+def vertical_log_zeta(sigma: float, heights) -> np.ndarray:
     """Continued log zeta(sigma + i u) for an array of heights u > 0,
     one horizontal walk per height.
 
@@ -314,12 +293,11 @@ def vertical_log_zeta(sigma: float, heights,
     if np.any(heights <= 0.0):
         raise UnsupportedRange("walks need height t > 0; the real axis "
                                "has its own closed-form branch")
-    return np.array([RayBranch(sigma, u, eval_params, walk).log_zeta_at(sigma)
+    return np.array([RayBranch(sigma, u).log_zeta_at(sigma)
                      for u in heights.ravel()], dtype=complex)
 
 
-def log_zeta_horizontal(sigma: float, t: float, table=None,
-                        eval_params: EvalParams = DEFAULT_PARAMS) -> complex:
+def log_zeta_horizontal(sigma: float, t: float, table=None) -> complex:
     """Branch-tracked log zeta(sigma + it): continuous variation from
     alpha = +infinity leftward along the horizontal line.
 
@@ -334,14 +312,13 @@ def log_zeta_horizontal(sigma: float, t: float, table=None,
     if t == 0.0:
         if abs(sigma - 1.0) < 1e-12:
             raise BranchObstruction("the ray at t = 0 meets the pole")
-        return complex(log_zeta_real_axis(np.array([sigma]), eval_params)[0])
+        return complex(log_zeta_real_axis(np.array([sigma]))[0])
     if t < 0.0:
-        return np.conjugate(log_zeta_horizontal(sigma, -t, table, eval_params))
-    return RayBranch(sigma, t, eval_params).log_zeta_at(sigma)
+        return np.conjugate(log_zeta_horizontal(sigma, -t, table))
+    return RayBranch(sigma, t).log_zeta_at(sigma)
 
 
-def log_zeta_real_axis(alphas, eval_params: EvalParams = DEFAULT_PARAMS
-                       ) -> np.ndarray:
+def log_zeta_real_axis(alphas) -> np.ndarray:
     """log zeta(alpha + i 0+) for real alpha in (0, sigma + 40].
 
     W(alpha) = zeta(alpha)(alpha - 1) is real and positive on (0, 40+],
@@ -353,7 +330,7 @@ def log_zeta_real_axis(alphas, eval_params: EvalParams = DEFAULT_PARAMS
         raise UnsupportedRange("real-axis branch needs alpha > 0")
     if np.any(np.abs(alphas - 1.0) < 1e-12):
         raise UnsupportedRange("real-axis branch undefined at the pole")
-    w = np.real(zeta_batch(alphas.astype(complex), eval_params)) * (alphas - 1.0)
+    w = _w(alphas).real
     if np.any(w <= 0.0):
         raise BranchObstruction("zeta(s)(s-1) should be positive on the "
                                 "real segment; evaluation failed")

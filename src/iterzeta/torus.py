@@ -133,17 +133,32 @@ def first_harmonic_radii(m: int, sigma: float,
     return ps ** (-sigma) / logs ** m
 
 
-def _window_harmonic_error(m: int, sigma: float, primes: PrimeTable,
-                           u_bound: float, cut: float) -> float:
-    """Bound on all k >= 2 harmonics of primes beyond u_bound: exact sum
-    to the sieve cut plus an integral bound past it."""
-    lo = int(np.searchsorted(primes.primes, u_bound, side="right"))
-    hi = int(np.searchsorted(primes.primes, cut, side="right"))
-    logs = primes.logs[lo:hi]
-    zs = np.exp(-sigma * logs)
-    # sum_{k>=2} z^k / k^(m+1) = Li_{m+1}(z) - z at z = p^-sigma
-    acc = float(_polylog_sum(m + 1, logs, m, lambda a, b: zs[a:b]).real
-                - np.sum(zs / logs ** m))
+def _window_bounds(m: int, sigma: float, primes: PrimeTable, cands,
+                   cut: float):
+    """The two tail bounds for every window start U in cands (ascending,
+    below cut), as arrays (harmonic, first):
+
+    * harmonic: all k >= 2 harmonics of the primes in (U, cut], summed
+      exactly, plus an integral bound past the cut;
+    * first: |alternating k=1 tail over (U, cut]| plus the Leibniz bound
+      for everything past the cut.
+
+    Each prime is summed once, in the segment between consecutive
+    candidates; a candidate's sums are the suffix sums of the segments
+    from it on.
+    """
+    ends = np.searchsorted(primes.primes, np.append(cands, cut),
+                           side="right")
+    harmonic = np.empty(len(cands))
+    first = np.empty(len(cands))
+    for i, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+        logs = primes.logs[lo:hi]
+        zs = np.exp(-sigma * logs)
+        # sum_{k>=2} z^k / k^(m+1) = Li_{m+1}(z) - z at z = p^-sigma
+        harmonic[i] = (_polylog_sum(m + 1, logs, m, lambda a, b: zs[a:b]).real
+                       - np.sum(zs / logs ** m))
+        signs = np.where(np.arange(lo, hi) % 2 == 0, 1.0, -1.0)
+        first[i] = np.sum(signs * zs / logs ** m)
     logc = math.log(cut)
     if sigma > 0.5:
         integral = cut ** (1.0 - 2.0 * sigma) / ((2.0 * sigma - 1.0)
@@ -151,19 +166,10 @@ def _window_harmonic_error(m: int, sigma: float, primes: PrimeTable,
     else:
         integral = 1.0 / (m * logc ** m)
     beyond = integral / (2 ** (m + 1) * (1.0 - cut ** (-sigma)))
-    return acc + beyond
-
-
-def _tail_first_harmonic_error(m: int, sigma: float, primes: PrimeTable,
-                               u_bound: float, cut: float) -> float:
-    """|alternating k=1 tail over (u_bound, cut]| plus the Leibniz bound
-    for everything past the cut."""
-    lo = int(np.searchsorted(primes.primes, u_bound, side="right"))
-    hi = int(np.searchsorted(primes.primes, cut, side="right"))
-    ps = primes.primes[lo:hi].astype(np.float64)
-    signs = np.where(np.arange(lo, hi) % 2 == 0, 1.0, -1.0)
-    alt = float(np.sum(signs * ps ** (-sigma) / primes.logs[lo:hi] ** m))
-    return abs(alt) + cut ** (-sigma) / math.log(cut) ** m
+    harmonic = np.cumsum(harmonic[::-1])[::-1] + beyond
+    first = np.abs(np.cumsum(first[::-1])[::-1]) \
+        + cut ** (-sigma) / logc ** m
+    return harmonic, first
 
 
 @dataclass(frozen=True)
@@ -210,19 +216,14 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
     z_star = a - gamma
 
     budget = epsilon / 4.0
-    u_bound = None
-    for cand in U_CANDIDATES:
-        if cand >= cut:
-            break
-        e1 = _window_harmonic_error(m, sigma, primes, cand, cut)
-        e2 = _tail_first_harmonic_error(m, sigma, primes, cand, cut)
-        if e1 <= budget and e2 <= budget:
-            u_bound = cand
-            break
-    if u_bound is None:
+    cands = [c for c in U_CANDIDATES if c < cut]
+    e1, e2 = _window_bounds(m, sigma, primes, cands, cut)
+    fits = [c for c, h, f in zip(cands, e1, e2) if h <= budget and f <= budget]
+    if not fits:
         raise WindowExhausted(
             f"no window start U below the sieve cut {cut:.0f} brings both "
             f"tail bounds under epsilon/4 = {budget:.3g}")
+    u_bound = fits[0]
 
     i_u = int(np.searchsorted(primes.primes, u_bound, side="right"))
     win_p = primes.primes[i_u:]

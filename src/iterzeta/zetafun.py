@@ -45,6 +45,8 @@ from .errors import PoleAtOne, UnsupportedRange, ValidationError
 SIGMA_MIN = 0.0
 T_MAX = 1.0e4
 TERM_CAP = 600_000
+# zeta refuses points this close to its pole at s = 1
+POLE_RADIUS = 1.0e-14
 # ratio of consecutive direct-sum lengths on the ladder above em_terms
 LADDER_STEP = 2.0 ** 0.25
 # elements of one (points x terms) direct-sum matrix
@@ -115,7 +117,7 @@ def _checked_points(s) -> np.ndarray:
         raise UnsupportedRange("zeta supported for Re s >= 0 only")
     if np.any(np.abs(s.imag) > T_MAX):
         raise UnsupportedRange(f"zeta supported for |Im s| <= {T_MAX:g}")
-    if np.any(np.abs(s - 1.0) < 1.0e-14):
+    if np.any(np.abs(s - 1.0) < POLE_RADIUS):
         raise PoleAtOne("zeta has its pole at s = 1")
     return s
 

@@ -1,9 +1,6 @@
 import csv
 
-import pytest
-
-from iterzeta.cli import cmd_eval, main
-from iterzeta.errors import ValidationError
+from iterzeta.cli import main
 from iterzeta.torus import load_theta
 
 ZEROS = "src/iterzeta/data/zeros_t250.txt"
@@ -53,14 +50,25 @@ def test_eval_empty_range(tmp_path):
     assert (tmp_path / "empty.csv.manifest").exists()
 
 
-def test_eval_refuses_unknown_keys(tmp_path):
-    # rows run one after another; a workers setting is refused, not
-    # silently ignored
-    out = tmp_path / "w.csv"
-    with pytest.raises(ValidationError, match="workers"):
-        cmd_eval({"m": 1, "sigma": 0.5, "t": "20..21", "workers": 2,
-                  "table": _table_arg(tmp_path), "out": str(out)})
-    assert not out.exists()
+def test_eval_refuses_unknown_keys(tmp_path, capsys):
+    # every command refuses a key it does not read before it computes or
+    # writes anything, so a misspelt setting never runs at its default
+    table = _table_arg(tmp_path)
+    runs = {
+        "eval": (["m=1", "sigma=0.5", "t=20..21", f"table={table}"],
+                 "workers=2"),
+        "meansquare": (["m=1", "sigma=2", "X=10", "T=20", f"table={table}"],
+                       "stpe=0.1"),
+        "hunt": (["m=1", "sigma=0.8", "a=0.1+0.1i", "epsilon=0.1"],
+                 "bogus=1"),
+        "polygon": (["radii=3 4 5", "z=0+0i"], "bogus=1"),
+    }
+    for command, (args, extra) in runs.items():
+        out = tmp_path / f"{command}.csv"
+        assert main([command, *args, extra, f"out={out}"]) == 2
+        assert extra.partition("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / f"{command}.csv.manifest").exists()
 
 
 def test_eval_requires_table(tmp_path):

@@ -6,7 +6,6 @@ from iterzeta import dirichlet
 from iterzeta.dirichlet import (_eta_tilde_grid, dirichlet_li_sum,
                                 li_vs_mangoldt_gap, mangoldt_sum,
                                 mean_square_error, polylog, polylog_batch)
-from iterzeta.eta import DEFAULT_QUAD
 from iterzeta.errors import (ConvergenceDomain, CutoffExceeded,
                              TableCoverage, ValidationError)
 from iterzeta.primes import sieve_primes
@@ -124,7 +123,7 @@ def test_mean_square_matches_per_height_sums(monkeypatch):
     # at the default chunk and at one that splits the primes in blocks
     tab = bundled_table()
     m, sigma, X, T, step = 2, 0.7, 500.0, 20.0, 0.25
-    ts, vals = _eta_tilde_grid(m, sigma, T, step, tab, DEFAULT_QUAD)
+    ts, vals = _eta_tilde_grid(m, sigma, T, step, tab, 1e-8)
     keep = ~np.isnan(vals)
     d = np.array([dirichlet_li_sum(m, sigma, float(t), X, PT)
                   for t in ts[keep]])

@@ -4,7 +4,7 @@ import pytest
 
 from iterzeta.errors import (BranchObstruction, TableCoverage,
                              ValidationError)
-from iterzeta.eta import (QuadSpec, c_m, check_bridge, check_guard,
+from iterzeta.eta import (c_m, check_bridge, check_guard,
                           eta_tilde_recursive, eta_tilde_weighted,
                           eta_vertical, growth_check, tail_bound, y_m,
                           y_m_terms)
@@ -234,10 +234,7 @@ def test_guard_band():
     check_guard(TAB, 0.8, g1 + 5e-4)  # zero left of sigma: clean
 
 
-def test_quadspec_cutoff_window():
-    assert QuadSpec().cutoff(0.5) == 40.5
-    assert QuadSpec(horiz_cutoff=12.0).cutoff(0.5) == 12.0
-    with pytest.raises(ValidationError):
-        QuadSpec(horiz_cutoff=5.0).cutoff(0.5)
-    with pytest.raises(ValidationError):
-        QuadSpec(abs_tol=-1.0)
+def test_abs_tol_must_be_positive():
+    for route in (eta_tilde_weighted, eta_tilde_recursive, eta_vertical):
+        with pytest.raises(ValidationError):
+            route(1, 0.8, 20.0, TAB, abs_tol=-1.0)

@@ -5,7 +5,7 @@ import pytest
 from iterzeta.errors import (LimitExceeded, UnsupportedRange, ValidationError,
                              WindowExhausted)
 from iterzeta.primes import sieve_primes
-from iterzeta.torus import (_window_harmonic_error, construct_theta,
+from iterzeta.torus import (_window_bounds, construct_theta,
                             gamma_m_sigma, gamma_tail_estimate, load_theta,
                             s_sum, save_theta, second_moment_s)
 
@@ -73,19 +73,26 @@ def test_second_moment_explicit():
 
 
 def test_window_harmonic_error_explicit():
-    # the k >= 2 harmonics of the primes in (u_bound, cut], summed by hand,
-    # plus the integral bound past the cut
-    for m, sigma, u_bound, cut in ((1, 0.8, 10, 1e4), (3, 0.6, 100, 3e4)):
-        ps = PT.primes[(PT.primes > u_bound) & (PT.primes <= cut)]
-        ps = ps.astype(float)
-        exact = sum(np.sum(ps ** (-sigma * k)
-                           / (k ** (m + 1) * np.log(ps) ** m))
-                    for k in range(2, 80))
+    # for every window start: the k >= 2 harmonics of the primes in
+    # (u_bound, cut], summed by hand, plus the integral bound past the
+    # cut; and the alternating k = 1 tail plus its Leibniz bound
+    for m, sigma, cut in ((1, 0.8, 1e4), (3, 0.6, 3e4)):
+        cands = [c for c in (10, 100, 1_000, 10_000) if c < cut]
+        harmonic, first = _window_bounds(m, sigma, PT, cands, cut)
         logc = np.log(cut)
         beyond = (cut ** (1 - 2 * sigma) / ((2 * sigma - 1) * logc ** (m + 1))
                   / (2 ** (m + 1) * (1 - cut ** -sigma)))
-        got = _window_harmonic_error(m, sigma, PT, u_bound, cut)
-        assert abs(got - (exact + beyond)) <= 1e-12 * exact
+        for i, u_bound in enumerate(cands):
+            sel = (PT.primes > u_bound) & (PT.primes <= cut)
+            ps = PT.primes[sel].astype(float)
+            exact = sum(np.sum(ps ** (-sigma * k)
+                               / (k ** (m + 1) * np.log(ps) ** m))
+                        for k in range(2, 80))
+            assert abs(harmonic[i] - (exact + beyond)) <= 1e-12 * exact
+            terms = ps ** -sigma / np.log(ps) ** m
+            signs = np.where(np.nonzero(sel)[0] % 2 == 0, 1.0, -1.0)
+            want = abs(np.sum(signs * terms)) + cut ** -sigma / logc ** m
+            assert abs(first[i] - want) <= 1e-12 * np.sum(terms)
 
 
 def test_second_moment_vs_monte_carlo():
