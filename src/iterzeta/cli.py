@@ -316,26 +316,31 @@ def cmd_hunt(cfg: dict) -> int:
 
 
 def cmd_polygon(cfg: dict) -> int:
+    """Radii mode: the angle table closing the given radii onto z."""
     out = _as_str(cfg, "out")
     start = time.monotonic()
-    if "radii" in cfg:
-        raw = str(cfg["radii"])
-        try:
-            radii = np.array([float(tok)
-                              for tok in raw.replace(",", " ").split()])
-        except ValueError:
-            raise ValidationError(
-                f"field radii: expected numbers, got {raw!r}") from None
-        z = _as_complex(cfg, "z") if "z" in cfg else 0.0 + 0.0j
-        assign = polygon_angles(RadiiSet(radii), z)
-        rows = [(format(i + 1, "d"), _fmt(r), _fmt(th))
-                for i, (r, th) in enumerate(zip(radii, assign.thetas))]
-        _write_csv(out, ("index", "radius", "theta"), rows)
-        RunManifest("polygon", cfg, wall_time=time.monotonic() - start,
-                    rows=len(rows)).write(out)
-        print(f"polygon: residual = {assign.residual:.3e}, "
-              f"achieved = {assign.achieved}")
-        return EXIT_OK
+    raw = str(cfg["radii"])
+    try:
+        radii = np.array([float(tok) for tok in raw.replace(",", " ").split()])
+    except ValueError:
+        raise ValidationError(
+            f"field radii: expected numbers, got {raw!r}") from None
+    z = _as_complex(cfg, "z") if "z" in cfg else 0.0 + 0.0j
+    assign = polygon_angles(RadiiSet(radii), z)
+    rows = [(format(i + 1, "d"), _fmt(r), _fmt(th))
+            for i, (r, th) in enumerate(zip(radii, assign.thetas))]
+    _write_csv(out, ("index", "radius", "theta"), rows)
+    RunManifest("polygon", cfg, wall_time=time.monotonic() - start,
+                rows=len(rows)).write(out)
+    print(f"polygon: residual = {assign.residual:.3e}, "
+          f"achieved = {assign.achieved}")
+    return EXIT_OK
+
+
+def cmd_construct(cfg: dict) -> int:
+    """Construct mode of polygon: prime angles realizing a to epsilon."""
+    out = _as_str(cfg, "out")
+    start = time.monotonic()
     m = _as_int(cfg, "m")
     sigma = _as_float(cfg, "sigma")
     a = _as_complex(cfg, "a")
@@ -361,9 +366,11 @@ _COMMANDS = {
     "hunt": (cmd_hunt, {"m", "sigma", "a", "epsilon", "table", "n_search",
                         "delta", "t_min", "t_max", "step", "eval_budget",
                         "min_separation", "out"}),
-    "polygon": (cmd_polygon, {"radii", "z", "m", "sigma", "a", "epsilon",
-                              "sieve_limit", "out"}),
+    "polygon": (cmd_polygon, {"radii", "z", "out"}),
 }
+# polygon without radii runs the construction, with keys of its own
+_CONSTRUCT = (cmd_construct, {"m", "sigma", "a", "epsilon", "sieve_limit",
+                              "out"})
 
 
 def main(argv=None) -> int:
@@ -393,6 +400,8 @@ def main(argv=None) -> int:
             cfg.update(parse_config_file(args.config))
         cfg.update(parse_overrides(args.overrides))
         command, keys = _COMMANDS[args.command]
+        if args.command == "polygon" and "radii" not in cfg:
+            command, keys = _CONSTRUCT
         unknown = sorted(set(cfg) - keys)
         if unknown:
             raise ValidationError(

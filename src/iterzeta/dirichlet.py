@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import (BranchObstruction, ConvergenceDomain, CutoffExceeded,
                      TableCoverage, TooFewSamples, ValidationError)
-from .eta import eta_tilde_weighted
+from .eta import _eta_tilde_rows
+from .lru import LRUDict
 from .primes import PrimeTable, sieve_primes
 from .rays import check_guard
 from .zeros import ZeroTable
@@ -194,27 +195,35 @@ class MeanSquareReport:
             raise ValidationError("mean-square report out of range")
 
 
-_ETA_GRID_CACHE: dict = {}
+# eta~ grid columns by (m, sigma, T, step, table, abs_tol); a sweep over
+# X reads one column
+_ETA_GRID_CACHE_CAP = 8
+_ETA_GRID_CACHE = LRUDict(_ETA_GRID_CACHE_CAP)
 
 
 def _eta_tilde_grid(m: int, sigma: float, T: float, grid_step: float,
                     table: ZeroTable, abs_tol: float):
     """eta_tilde on the uniform grid, NaN at guard-skipped points.
     Cached so sweeps over X reuse the expensive column."""
-    key = (m, sigma, T, grid_step, table.source_label, abs_tol)
-    if key in _ETA_GRID_CACHE:
-        return _ETA_GRID_CACHE[key]
-    ts = np.arange(14.0, T + 1e-9, grid_step)
-    vals = np.full(ts.size, np.nan + 0j, dtype=complex)
-    for i, t in enumerate(ts):
-        try:
-            check_guard(table, sigma, float(t))
-        except BranchObstruction:
-            continue
-        vals[i] = eta_tilde_weighted(m, sigma, float(t), table,
-                                     abs_tol=abs_tol).value
-    _ETA_GRID_CACHE[key] = (ts, vals)
-    return ts, vals
+    def column():
+        ts = np.arange(14.0, T + 1e-9, grid_step)
+        vals = np.full(ts.size, np.nan + 0j, dtype=complex)
+        kept = []
+        for i, t in enumerate(ts):
+            try:
+                check_guard(table, sigma, float(t))
+            except BranchObstruction:
+                continue
+            kept.append(i)
+        for i, ev in zip(kept, _eta_tilde_rows(m, sigma, ts[kept], table,
+                                               abs_tol=abs_tol)):
+            if isinstance(ev, Exception):
+                raise ev
+            vals[i] = ev.value
+        return ts, vals
+
+    return _ETA_GRID_CACHE.get_or_set(
+        (m, sigma, T, grid_step, table.source_label, abs_tol), column)
 
 
 def mean_square_error(m: int, sigma: float, X: float, T: float,

@@ -27,15 +27,21 @@ from math import e as _E, factorial, log
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .errors import (QuadratureNonconvergence, TableCoverage,
-                     UnsupportedRange, ValidationError)
-from .quadrature import gl_nodes, integrate_vec, poly_log_integral
+from .errors import (BranchObstruction, QuadratureNonconvergence,
+                     TableCoverage, UnsupportedRange, ValidationError)
+from .lru import LRUDict
+from .quadrature import (gl_nodes, integrate_rows, integrate_vec,
+                         poly_log_integral)
 from .rays import CUTOFF_OFFSET, LineBranch, RayBranch, _w, check_guard
 from .rays import GUARD  # noqa: F401  (re-exported: callers import it here)
 from .zetafun import DEFAULT_PARAMS, ComplexPoint, zeta_error
 from .zeros import EMPTY_TABLE, ZeroTable, zeros_in_box
 
 SUPPORTED_M = (1, 2, 3)
+# heights in one pass of _eta_tilde_rows.  A pass holds the quadrature
+# nodes of all its heights at once, so this bounds its memory; from
+# about 16 heights on, a pass costs the same per height
+ROWS_PER_PASS = 128
 # half-width around a zero ordinate where eta_vertical integrates the
 # local log(s - rho) model in closed form
 SINGULARITY_PAD = 1e-2
@@ -79,9 +85,9 @@ def _validate_abs_tol(abs_tol: float) -> None:
         raise ValidationError("abs_tol must be positive")
 
 
-def _log_zeta_error(sigma: float, t: float) -> float:
+def _log_zeta_error(sigma: float, t):
     """Error of log zeta at any point of a path with heights up to t and
-    Re s >= sigma.
+    Re s >= sigma, for each height of t (a float or an array).
 
     Every point meets tol in its remainder; the rounding part of
     zeta_error is largest at the leftmost, tallest point sigma + it, and
@@ -91,14 +97,14 @@ def _log_zeta_error(sigma: float, t: float) -> float:
     zeta's over |zeta| >= 0.7/|s-1|, so the tail term's growth like
     1/|s-1| cancels.
     """
-    s = complex(sigma, t)
-    err = DEFAULT_PARAMS.tol
-    if t != 0.0 and abs(s - 1.0) >= 1.0:
-        err = max(err, float(zeta_error(s)))
+    s = sigma + 1j * np.asarray(t, dtype=float)
+    err = np.full(s.shape, DEFAULT_PARAMS.tol)
+    far = (s.imag != 0.0) & (np.abs(s - 1.0) >= 1.0)
+    err[far] = np.maximum(err[far], zeta_error(s[far]))
     return err
 
 
-def _zeta_term(m: int, span: float, sigma: float, t: float) -> float:
+def _zeta_term(m: int, span: float, sigma: float, t):
     """zeta's error carried through a weight of total mass span^m/m!."""
     return _log_zeta_error(sigma, t) * span ** m / factorial(m)
 
@@ -129,7 +135,8 @@ def _pole_log(m: int, sigma: float, a_cut: float) -> complex:
 def eta_tilde_weighted(m: int, sigma: float, t: float,
                        table: ZeroTable = EMPTY_TABLE, *,
                        abs_tol: float = 1e-8) -> EtaValue:
-    """Horizontal iterated integral via the collapsed weighted form."""
+    """Horizontal iterated integral via the collapsed weighted form.
+    At t > 0 this is the one-height call of _eta_tilde_rows."""
     _validate_order_sigma(m, sigma)
     _validate_abs_tol(abs_tol)
     if t < 0.0:
@@ -137,28 +144,81 @@ def eta_tilde_weighted(m: int, sigma: float, t: float,
         return EtaValue(m, ComplexPoint(sigma, t),
                         np.conjugate(below.value), below.est_error,
                         below.nevals)
+    if t > 0.0:
+        out, = _eta_tilde_rows(m, sigma, np.array([t]), table,
+                               abs_tol=abs_tol)
+        if isinstance(out, Exception):
+            raise out
+        return out
     check_guard(table, sigma, t)
     a_cut = sigma + CUTOFF_OFFSET
     fm = factorial(m - 1)
 
-    if t == 0.0:
-        def f(alphas):
-            return (alphas - sigma) ** (m - 1) * np.log(_w(alphas).real) / fm
-        smooth, qerr, nev = integrate_vec(f, sigma, a_cut, abs_tol,
-                                          initial_splits=8)
-        value = smooth - _pole_log(m, sigma, a_cut)
-    else:
-        branch = RayBranch(sigma, t)
-
-        def f(alphas):
-            return (alphas - sigma) ** (m - 1) * branch.log_zeta(alphas) / fm
-        value, qerr, nev = integrate_vec(f, sigma, a_cut, abs_tol,
-                                         initial_splits=8)
-        nev += branch.nodes_used
-
+    def f(alphas):
+        return (alphas - sigma) ** (m - 1) * np.log(_w(alphas).real) / fm
+    smooth, qerr, nev = integrate_vec(f, sigma, a_cut, abs_tol,
+                                      initial_splits=8)
+    value = smooth - _pole_log(m, sigma, a_cut)
     err = qerr + tail_bound(m, sigma, a_cut) \
-        + _zeta_term(m, a_cut - sigma, sigma, t)
+        + float(_zeta_term(m, a_cut - sigma, sigma, t))
     return EtaValue(m, ComplexPoint(sigma, t), complex(value), err, nev)
+
+
+def _eta_tilde_rows(m: int, sigma: float, ts: np.ndarray,
+                    table: ZeroTable, *, abs_tol: float = 1e-8) -> list:
+    """eta~_m(sigma + it) at every height t > 0 of ts, in one pass.
+
+    One RayBranch resolves the ladders of all heights and one
+    integrate_rows call integrates them, so a height costs its share of
+    a few batched zeta calls instead of a call sequence of its own.
+    Each height gets its own panels, and its value differs from its
+    one-height value only by the rounding of the zeta calls it shared.
+    Returns per height its EtaValue, or the BranchObstruction or
+    QuadratureNonconvergence that height raises; a height's refusal
+    leaves the others as they would be without it.  At most
+    ROWS_PER_PASS heights share a pass.
+    """
+    if ts.size > ROWS_PER_PASS:
+        return [ev for lo in range(0, ts.size, ROWS_PER_PASS)
+                for ev in _eta_tilde_rows(m, sigma, ts[lo:lo + ROWS_PER_PASS],
+                                          table, abs_tol=abs_tol)]
+    out = [None] * ts.size
+    live = []
+    for i, t in enumerate(ts):
+        try:
+            check_guard(table, sigma, t)
+        except BranchObstruction as exc:
+            out[i] = exc
+        else:
+            live.append(i)
+    if not live:
+        return out
+    branch = RayBranch(sigma, ts[live])
+    for j in np.nonzero(branch.obstructed)[0]:
+        out[live[j]] = branch.refusal(j)
+    rows = np.nonzero(~branch.obstructed)[0]
+    if not rows.size:
+        return out
+    a_cut = sigma + CUTOFF_OFFSET
+    fm = factorial(m - 1)
+
+    def f(alphas, row):
+        return (alphas - sigma) ** (m - 1) \
+            * branch.log_zeta(alphas, rows[row]) / fm
+    value, qerr, nev, refused = integrate_rows(
+        f, np.full(rows.size, sigma), a_cut, abs_tol, initial_splits=8)
+    ts_ok = branch.heights[rows]
+    err = qerr + tail_bound(m, sigma, a_cut) \
+        + _zeta_term(m, a_cut - sigma, sigma, ts_ok)
+    nev = nev + branch.row_nodes[rows]
+    for j, r in enumerate(rows):
+        if refused[j] is not None:
+            out[live[r]] = refused[j]
+        else:
+            out[live[r]] = EtaValue(m, ComplexPoint(sigma, float(ts_ok[j])),
+                                    complex(value[j]), float(err[j]),
+                                    int(nev[j]))
+    return out
 
 
 class _PiecewiseCheb:
@@ -307,7 +367,7 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
     else:
         branch = RayBranch(sigma, t)
         nev += branch.nodes_used
-        edges = sigma + branch.offsets
+        edges = sigma + branch.offsets()
         if edges[-1] > a_cut:
             edges = np.unique(np.append(edges[edges < a_cut], a_cut))
         f_vec = branch.log_zeta
@@ -343,19 +403,21 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
     span = a_cut - sigma
     err = dev_max * span ** (m - 1) / factorial(m - 1) \
         + 1e-10 * span + tail_bound(m, sigma, a_cut) \
-        + _zeta_term(m, span, sigma, t)
+        + float(_zeta_term(m, span, sigma, t))
     return EtaValue(m, ComplexPoint(sigma, t), value, err, nev)
 
 
-_C_CACHE: dict = {}
+# c_m's eta~ at t = 0 by (m, sigma, abs_tol); an eval grid or a bridge
+# check needs m of them per sigma
+_C_CACHE_CAP = 64
+_C_CACHE = LRUDict(_C_CACHE_CAP)
 
 
 def _c_eta(m: int, sigma: float, abs_tol: float) -> EtaValue:
-    key = (m, sigma, abs_tol)
-    if key not in _C_CACHE:
-        _C_CACHE[key] = eta_tilde_weighted(m, sigma, 0.0, EMPTY_TABLE,
-                                           abs_tol=abs_tol)
-    return _C_CACHE[key]
+    return _C_CACHE.get_or_set(
+        (m, sigma, abs_tol),
+        lambda: eta_tilde_weighted(m, sigma, 0.0, EMPTY_TABLE,
+                                   abs_tol=abs_tol))
 
 
 def c_m(m: int, sigma: float, *, abs_tol: float = 1e-8) -> complex:
@@ -396,7 +458,8 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable, *,
         eta_m = 1/(m-1)! int_0^t (t-u)^(m-1) log zeta(sigma+iu) du
                 + sum_j c_j(sigma) t^(m-j)/(m-j)!
 
-    The path is split at every table ordinate below t; within
+    The path is split at every table ordinate below t, and the spans
+    integrate as the rows of one integrate_rows call; within
     SINGULARITY_PAD of an ordinate the local log(s - rho) model is
     integrated in closed form and only the smooth remainder numerically.
     The pole's -Log(s - 1) is integrated in closed form too, so the
@@ -445,26 +508,29 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable, *,
     # the branch may jump where a zero lies at or right of the line
     line = LineBranch(sigma, t, gam[bet >= sigma])
 
-    def f(us):
+    def f(us, _row):
         return (t - us) ** (m - 1) * line.log_w(us) / fm
 
     # f's values are off by up to its weight times log zeta's error; at
     # large t and m that passes the panels' share of abs_tol, and panels
     # must not be bisected to resolve it
-    log_err = _log_zeta_error(sigma, t)
+    log_err = float(_log_zeta_error(sigma, t))
     value = -poly_log_integral(m, t, 0.0, t, 0.0, sigma - 1.0)
     qerr = 0.0
     nev = line.nodes_used
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if (lo, hi) in pad_spans:
-            continue
-        if hi - lo < 1e-13:
-            continue
-        v, err, ne = integrate_vec(f, lo, hi, abs_tol * (hi - lo) / t,
-                                   noise=log_err * (t - lo) ** (m - 1) / fm)
+    # the spans between edges, but the pads, as rows of one quadrature
+    u0, u1 = np.array([span for span in zip(edges[:-1], edges[1:])
+                       if span not in pad_spans and span[1] - span[0] >= 1e-13]
+                      ).reshape(-1, 2).T
+    vals, errs, nevs, refused = integrate_rows(
+        f, u0, u1, abs_tol * (u1 - u0) / t,
+        noise=log_err * (t - u0) ** (m - 1) / fm)
+    for v, err, ne, exc in zip(vals, errs, nevs, refused):
+        if exc is not None:
+            raise exc
         value += v
         qerr += err
-        nev += ne
+        nev += int(ne)
 
     x16, w16 = gl_nodes(16)
     x24, w24 = gl_nodes(24)

@@ -7,6 +7,12 @@ those coordinates.  So: pick angles on a few primes realizing the target
 through the polygon construction, locate grid heights whose torus orbit
 enters a small box around those angles, rank the candidates by the exact
 surrogate error, and spend the evaluation budget on the best of them.
+
+The chosen candidates are evaluated together, in one pass of
+eta._eta_tilde_rows: one branch ladder resolution and one adaptive
+quadrature over all their heights, each height with its own panels.  A
+candidate on a guarded ordinate, or whose ray stalls on a zero, counts
+as obstructed; the closest of the others is the result.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 
 from .errors import (BranchObstruction, BudgetExceeded, TableCoverage,
                      ValidationError)
-from .eta import eta_tilde_weighted
+from .eta import _eta_tilde_rows
 from .polygon import RadiiSet, polygon_angles
 from .primes import sieve_primes
 from .torus import _s_sum_arrays, _validate_torus, first_harmonic_radii
@@ -230,12 +236,12 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
     best = None
     used = 0
     obstructed = 0
-    for i in chosen:
-        try:
-            ev = eta_tilde_weighted(m, sigma, float(ts[i]), table=table)
-        except BranchObstruction:
+    for i, ev in zip(chosen, _eta_tilde_rows(m, sigma, ts[chosen], table)):
+        if isinstance(ev, BranchObstruction):
             obstructed += 1
             continue
+        if isinstance(ev, Exception):
+            raise ev
         used += 1
         err = abs(ev.value - a)
         if best is None or err < best[0]:

@@ -2,9 +2,12 @@
 
 Two pieces live here:
 
-* `integrate_vec`: adaptive Gauss-Legendre bisection for vectorized
-  integrands.  Every refinement round evaluates all pending panels in a
-  single call, so integrands backed by batched zeta evaluation stay cheap.
+* `integrate_rows`: adaptive Gauss-Legendre bisection for many
+  integrals of a vectorized integrand at once.  Every refinement round
+  evaluates the pending panels of all rows in a single call, so
+  integrands backed by batched zeta evaluation stay cheap; each row's
+  panels are the ones it gets alone.  `integrate_vec` is its one-row
+  call.
 
 * `poly_log_integral`: exact moments of the local zero model,
 
@@ -25,7 +28,7 @@ import numpy as np
 
 from .errors import QuadratureNonconvergence
 
-# Gauss-Legendre nodes per integrate_vec panel
+# Gauss-Legendre nodes per integrate_rows panel
 PANEL_ORDER = 15
 
 
@@ -44,76 +47,112 @@ def gl_panel(f, a: float, b: float, n: int = 16) -> complex:
     return half * np.sum(w * np.asarray(f(mid + half * x)))
 
 
+def integrate_rows(f, a, b, abs_tol, max_depth: int = 48,
+                   initial_splits: int = 1, noise=0.0):
+    """Adaptive Gauss-Legendre integration of many integrals, the rows,
+    at once: row r integrates f over [a[r], b[r]] to abs_tol[r].  a, b,
+    abs_tol and noise broadcast to one value per row.
+
+    f(nodes, row) maps a float array of nodes, and the row of each node,
+    to a complex array of values; every refinement round evaluates the
+    pending panels of all rows in a single f call.  Each panel carries
+    its row and is accepted when its bisected estimate agrees with the
+    whole-panel estimate to its share of its row's abs_tol, plus its
+    row's noise times its width: noise bounds the absolute error of f's
+    values, below which the two estimates differ by rounding, not by
+    resolution, and bisecting only chases that rounding.  A panel is
+    judged by its own row alone, and each row sums its panels in an
+    order of its own, so given the same values of f a row gets the
+    panels and the value it gets integrated alone.
+
+    Returns per-row arrays (value, est_error, nevals) and a list holding
+    per row None, or the QuadratureNonconvergence of a row whose panels
+    bottomed out at max_depth with its error estimate still above
+    budget.
+    """
+    a, b, abs_tol, noise = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(a, dtype=float)), b, abs_tol, noise)
+    rows = a.size
+    if not np.all(b >= a):
+        raise ValueError("integration needs a <= b")
+    value = np.zeros(rows, dtype=complex)
+    est_error = np.zeros(rows)
+    nevals = np.zeros(rows, dtype=np.int64)
+    allowed = abs_tol + noise * (b - a)
+    # an empty interval [a, a] has no panels and integrates to 0
+    live = np.nonzero(b > a)[0]
+    # a panel's budget per unit width: its share of abs_tol plus noise
+    rate = np.zeros(rows)
+    rate[live] = abs_tol[live] / (b - a)[live] + noise[live]
+
+    edges = np.linspace(a[live], b[live], initial_splits + 1, axis=-1)
+    lo = edges[:, :-1].ravel()
+    hi = edges[:, 1:].ravel()
+    row = np.repeat(live, initial_splits)
+    coarse = _panel_sums(f, lo, hi, row)
+    nevals[live] += initial_splits * PANEL_ORDER
+
+    # every active panel has been bisected depth times
+    for depth in range(max_depth):
+        if not row.size:
+            break
+        n = row.size
+        width = hi - lo
+        mid = 0.5 * (lo + hi)
+        # both halves of every active panel, left halves first, one f call
+        lo = np.concatenate([lo, mid])
+        hi = np.concatenate([mid, hi])
+        row = np.concatenate([row, row])
+        halves = _panel_sums(f, lo, hi, row)
+        nevals += PANEL_ORDER * np.bincount(row, minlength=rows)
+        fine = halves[:n] + halves[n:]
+        err = np.abs(fine - coarse)
+        done = (err <= rate[row[:n]] * width) | (depth + 1 >= max_depth)
+        # unbuffered, in panel order: a row's panels keep their order
+        # whatever other rows share the call, so each row sums as alone
+        np.add.at(value, row[:n][done], fine[done])
+        np.add.at(est_error, row[:n][done], err[done])
+        keep = np.tile(~done, 2)
+        lo, hi, row, coarse = lo[keep], hi[keep], row[keep], halves[keep]
+
+    refused = [None if e <= 50.0 * ok else QuadratureNonconvergence(
+        f"estimated error {e:.3e} exceeds budget {ok:.3e} "
+        f"on [{lo_r:g}, {hi_r:g}]")
+        for e, ok, lo_r, hi_r in zip(est_error, allowed, a, b)]
+    return value, est_error, nevals, refused
+
+
+def _panel_sums(f, lo, hi, row) -> np.ndarray:
+    """Gauss-Legendre estimate of each panel [lo, hi] of its row's
+    integrand, all panels in one f call.  The weighted sums run along
+    each panel's own nodes, so a panel's estimate does not depend on
+    the other panels of the call (a matrix-vector product's would)."""
+    if not row.size:
+        return np.zeros(0, dtype=complex)
+    x, w = gl_nodes(PANEL_ORDER)
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * x
+    vals = np.asarray(f(nodes.ravel(), np.repeat(row, PANEL_ORDER)))
+    return half * (vals.reshape(row.size, PANEL_ORDER) * w).sum(axis=1)
+
+
 def integrate_vec(f, a: float, b: float, abs_tol: float = 1e-9,
                   max_depth: int = 48, initial_splits: int = 1,
                   noise: float = 0.0):
-    """Adaptive Gauss-Legendre integration of a vectorized integrand.
+    """Adaptive Gauss-Legendre integration of one vectorized integrand:
+    the one-row case of integrate_rows, with f mapping a float array of
+    nodes to a complex array of values.
 
-    f maps a float array of nodes to a complex array of values.  A panel
-    is accepted when its bisected estimate agrees with the whole-panel
-    estimate to the panel's share of abs_tol, plus noise times its width:
-    noise bounds the absolute error of f's values, below which the two
-    estimates differ by rounding, not by resolution, and bisecting only
-    chases that rounding.  Returns (value, est_error, nevals).  Raises
-    QuadratureNonconvergence when panels bottom out at max_depth and the
-    accumulated error estimate still exceeds budget.
+    Returns (value, est_error, nevals).  Raises QuadratureNonconvergence
+    when panels bottom out at max_depth and the accumulated error
+    estimate still exceeds budget.
     """
-    if not b > a:
-        if b == a:
-            return 0.0 + 0.0j, 0.0, 0
-        raise ValueError("integrate_vec needs a <= b")
-    x, w = gl_nodes(PANEL_ORDER)
-    total_width = b - a
-
-    edges = np.linspace(a, b, initial_splits + 1)
-    nodes = np.concatenate([0.5 * (e0 + e1) + 0.5 * (e1 - e0) * x
-                            for e0, e1 in zip(edges[:-1], edges[1:])])
-    vals = np.asarray(f(nodes))
-    nevals = nodes.size
-    active = []
-    for i, (e0, e1) in enumerate(zip(edges[:-1], edges[1:])):
-        panel = vals[i * PANEL_ORDER:(i + 1) * PANEL_ORDER]
-        coarse = 0.5 * (e1 - e0) * np.sum(w * panel)
-        active.append((e0, e1, coarse, 0))
-
-    value = 0.0 + 0.0j
-    est_error = 0.0
-    while active:
-        lo = np.array([p[0] for p in active])
-        hi = np.array([p[1] for p in active])
-        mid = 0.5 * (lo + hi)
-        # nodes for both halves of every active panel, one f call
-        left = 0.5 * (lo + mid)[:, None] + 0.5 * (mid - lo)[:, None] * x
-        right = 0.5 * (mid + hi)[:, None] + 0.5 * (hi - mid)[:, None] * x
-        allnodes = np.concatenate([left.ravel(), right.ravel()])
-        allvals = np.asarray(f(allnodes))
-        nevals += allnodes.size
-        nhalf = len(active) * PANEL_ORDER
-        lvals = allvals[:nhalf].reshape(len(active), PANEL_ORDER)
-        rvals = allvals[nhalf:].reshape(len(active), PANEL_ORDER)
-        lsum = 0.5 * (mid - lo) * (lvals @ w)
-        rsum = 0.5 * (hi - mid) * (rvals @ w)
-
-        nxt = []
-        for i, (e0, e1, coarse, depth) in enumerate(active):
-            fine = lsum[i] + rsum[i]
-            err = abs(fine - coarse)
-            budget = abs_tol * (e1 - e0) / total_width + noise * (e1 - e0)
-            if err <= budget or depth + 1 >= max_depth:
-                value += fine
-                est_error += err
-            else:
-                m = 0.5 * (e0 + e1)
-                nxt.append((e0, m, lsum[i], depth + 1))
-                nxt.append((m, e1, rsum[i], depth + 1))
-        active = nxt
-
-    allowed = abs_tol + noise * total_width
-    if est_error > 50.0 * allowed:
-        raise QuadratureNonconvergence(
-            f"estimated error {est_error:.3e} exceeds budget {allowed:.3e} "
-            f"on [{a:g}, {b:g}]")
-    return value, est_error, nevals
+    value, est_error, nevals, refused = integrate_rows(
+        lambda nodes, _: f(nodes), a, b, abs_tol, max_depth,
+        initial_splits, noise)
+    if refused[0] is not None:
+        raise refused[0]
+    return complex(value[0]), float(est_error[0]), int(nevals[0])
 
 
 def _log_moment_antideriv(j: int, v: float, c: float) -> complex:

@@ -21,8 +21,11 @@ exact zeta value; only the 2 pi winding integer comes from interpolating
 the ladder's continuous imaginary part, and the refinement bounds make
 that rounding exact.
 
-* `RayBranch` runs the ladder over alpha at one height t > 0, leftwards
-  from the anchor at Re(s) = sigma + 40, where log W is principal.
+* `RayBranch` runs the ladder over alpha at each of many heights
+  t > 0, leftwards from the anchor at Re(s) = sigma + 40, where log W is
+  principal.  The heights' ladders refine together, one _w call per
+  round, and a ladder that stalls on a zero obstructs only its own
+  height.
 * `LineBranch` runs it over u on the line sigma + iu.  There log W is
   continuous in u except at ordinates of zeros with beta >= sigma, where
   the horizontal convention jumps, so the ladder is not linked across
@@ -57,6 +60,11 @@ PHASE_TOL = 1.0
 MAG_TOL = 2.0
 MAX_ROUNDS = 64
 MIN_GAP = 1e-12
+# a RayBranch lays its rows' ladders on one axis, row r at offset
+# x + r * _ROW_SPAN: above CUTOFF_OFFSET, so rows never meet.  Rounding
+# the sum moves a node or query by half an ulp of the key (under 1e-12
+# for 128 rows), which the 2 pi rounding of the winding integer absorbs
+_ROW_SPAN = 64.0
 
 
 def _w(s) -> np.ndarray:
@@ -93,85 +101,128 @@ def _initial_offsets() -> np.ndarray:
     return np.unique(np.concatenate([low, np.array(high)]))
 
 
-def _refine(w_at, x: np.ndarray, linked: np.ndarray, where: str):
+def _refine(s: np.ndarray, linked: np.ndarray):
     """The branch-refinement ladder shared by rays and lines.
 
-    Halves each linked gap of the ascending nodes x until W = w_at(x)
-    changes across it by at most PHASE_TOL in principal phase and
-    MAG_TOL in log-magnitude; every round evaluates all its midpoints in
-    one w_at call.  A gap that still fails at width MIN_GAP holds a zero
-    of W: it is unlinked and marked stalled.
-    Returns (x, w, linked, stalled), the last two per gap.
+    s is a path of nodes in the plane.  Halves each linked gap of the
+    path until W = _w(s) changes across it by at most PHASE_TOL in
+    principal phase and MAG_TOL in log-magnitude; every round evaluates
+    all its midpoints in one _w call.  A gap that still fails at width
+    MIN_GAP, or after MAX_ROUNDS rounds, holds a zero of W, and so may
+    one next to a node where W is zero or not finite: it is unlinked and
+    marked stalled.  Unlinked gaps are never bisected, so ladders laid
+    end to end, with unlinked gaps between them, refine as they would
+    alone.
+    Returns (s, w, linked, stalled), the last two per gap.
     """
-    w = w_at(x)
+    w = _w(s)
     stalled = np.zeros(linked.size, dtype=bool)
-    for _ in range(MAX_ROUNDS):
-        if not np.all(np.isfinite(w)) or np.any(w == 0.0):
-            raise BranchObstruction(f"ladder hit a zero of zeta {where}")
-        ratio = w[1:] / w[:-1]
-        bad = linked & ((np.abs(np.angle(ratio)) > PHASE_TOL)
-                        | (np.abs(np.log(np.abs(ratio))) > MAG_TOL))
-        stuck = bad & (np.diff(x) <= MIN_GAP)
+    for rnd in range(MAX_ROUNDS):
+        fine = np.isfinite(w) & (w != 0.0)
+        broken = linked & ~(fine[1:] & fine[:-1])
+        ratio = np.where(fine[1:], w[1:], 1.0) / np.where(fine[:-1], w[:-1],
+                                                           1.0)
+        bad = linked & ~broken & (
+            (np.abs(np.angle(ratio)) > PHASE_TOL)
+            | (np.abs(np.log(np.abs(ratio))) > MAG_TOL))
+        stuck = broken | (bad & ((np.abs(np.diff(s)) <= MIN_GAP)
+                                 | (rnd == MAX_ROUNDS - 1)))
         linked = linked & ~stuck
         stalled |= stuck
         idx = np.nonzero(bad & ~stuck)[0]
         if idx.size == 0:
-            return x, w, linked, stalled
-        mids = 0.5 * (x[idx] + x[idx + 1])
-        x = np.insert(x, idx + 1, mids)
-        w = np.insert(w, idx + 1, w_at(mids))
+            break
+        mids = 0.5 * (s[idx] + s[idx + 1])
+        s = np.insert(s, idx + 1, mids)
+        w = np.insert(w, idx + 1, _w(mids))
         linked = np.insert(linked, idx + 1, True)
         stalled = np.insert(stalled, idx + 1, False)
-    raise BranchObstruction(f"branch ladder did not settle within "
-                            f"{MAX_ROUNDS} rounds {where}")
+    return s, w, linked, stalled
 
 
 class RayBranch:
-    """Resolved branch of log zeta on [sigma, sigma + 40] at height t > 0.
+    """Resolved branch of log zeta on [sigma, sigma + 40] at each height
+    of t, a float or a 1-D array of heights t > 0 (the rows).
 
-    log_zeta(alphas) returns continued values: the zeta evaluation at
-    each query is exact; the node ladder only supplies the winding
-    integer.
+    One _refine call resolves the ladders of all rows; the gap between
+    two rows is never linked, so each row's ladder is the one it gets
+    alone.  A row whose ladder stalls, or meets a zero or non-finite W,
+    is marked in `obstructed` and its queries raise BranchObstruction;
+    the other rows are unaffected.  log_zeta returns continued values:
+    the zeta evaluation at each query is exact; the node ladder only
+    supplies the winding integer.
     """
 
-    def __init__(self, sigma: float, t: float):
+    def __init__(self, sigma: float, t):
         self.sigma = float(sigma)
-        self.t = float(t)
-        if not self.t > 0.0:
+        self.heights = np.atleast_1d(np.asarray(t, dtype=float))
+        if self.heights.ndim != 1 or not np.all(self.heights > 0.0):
             raise UnsupportedRange("walks need height t > 0; the real axis "
                                    "has its own closed-form branch")
-        where = f"at sigma={self.sigma:g}, t={self.t:g}"
         base = _initial_offsets()
-        offs, w, _, stalled = _refine(
-            lambda x: _w(self.sigma + x + 1j * self.t), base,
-            np.ones(base.size - 1, dtype=bool), where)
-        if np.any(stalled):
-            raise BranchObstruction(f"branch walk stalled {where}: zero "
-                                    f"too close to the ray")
-        dphi = np.angle(w[1:] / w[:-1])
-        im = np.empty(w.size)
-        # principal at the anchor, |arg| < pi/2 + eps
-        im[-1] = np.angle(w[-1])
-        im[:-1] = im[-1] - np.cumsum(dphi[::-1])[::-1]
-        self._offs, self._w, self._im = offs, w, im
-        self.nodes_used = int(offs.size)
+        rows = self.heights.size
+        linked = np.ones((rows, base.size), dtype=bool)
+        linked[:, -1] = False
+        s, w, linked, stalled = _refine(
+            ((self.sigma + base)[None, :]
+             + 1j * self.heights[:, None]).ravel(), linked.ravel()[:-1])
+        # rows end at the unlinked gaps that did not stall
+        row = np.concatenate([[0], np.cumsum(~linked & ~stalled)])
+        self.obstructed = np.bincount(row[:-1][stalled],
+                                      minlength=rows) > 0
+        self.row_nodes = np.bincount(row, minlength=rows)
+        self.nodes_used = int(s.size)
 
-    @property
-    def offsets(self) -> np.ndarray:
-        """Resolved node offsets alpha - sigma, ascending from 0."""
-        return self._offs.copy()
+        keep = ~self.obstructed[row]
+        s, w, row = s[keep], w[keep], row[keep]
+        same = row[1:] == row[:-1]
+        dphi = np.zeros(same.size)
+        dphi[same] = np.angle(w[1:][same] / w[:-1][same])
+        # turns from each node to its row's anchor, the row's last node,
+        # where log W is principal, |arg| < pi/2 + eps
+        after = np.append(np.cumsum(dphi[::-1])[::-1], 0.0)
+        last = np.nonzero(np.append(~same, True))[0]
+        anchor = last[np.searchsorted(last, np.arange(s.size))]
+        self._x = s.real - self.sigma
+        self._row = row
+        self._im = np.angle(w[anchor]) - (after - after[anchor])
+        # every row's ladder on one axis: row r at x + r * _ROW_SPAN
+        self._key = self._x + row * _ROW_SPAN
 
-    def log_zeta(self, alphas) -> np.ndarray:
+    def refusal(self, row: int) -> BranchObstruction:
+        """What a query at an obstructed row raises."""
+        return BranchObstruction(
+            f"branch walk stalled at sigma={self.sigma:g}, "
+            f"t={self.heights[row]:g}: zero too close to the ray")
+
+    def _require(self, rows) -> None:
+        """Raise BranchObstruction if any of the rows is obstructed."""
+        rows = np.atleast_1d(rows)
+        hit = self.obstructed[rows]
+        if np.any(hit):
+            raise self.refusal(rows[hit][0])
+
+    def offsets(self, row: int = 0) -> np.ndarray:
+        """Resolved node offsets alpha - sigma of a row, ascending
+        from 0."""
+        self._require(row)
+        return self._x[self._row == row]
+
+    def log_zeta(self, alphas, rows=0) -> np.ndarray:
+        """Continued log zeta(alpha + it) at each alpha, t the height of
+        its row (rows: one row index per alpha, or one for all)."""
         alphas = np.asarray(alphas, dtype=float)
+        rows = np.broadcast_to(rows, alphas.shape)
         x = alphas - self.sigma
         if np.any(x < -1e-12) or np.any(x > CUTOFF_OFFSET + 1e-12):
             raise UnsupportedRange(
                 f"query outside the resolved ray [{self.sigma:g}, "
                 f"{self.sigma + CUTOFF_OFFSET:g}]")
-        s = alphas + 1j * self.t
+        self._require(rows)
+        s = alphas + 1j * self.heights[rows]
         lq = np.log(_w(s))
-        im_interp = np.interp(np.clip(x, 0.0, CUTOFF_OFFSET),
-                              self._offs, self._im)
+        im_interp = np.interp(np.clip(x, 0.0, CUTOFF_OFFSET)
+                              + rows * _ROW_SPAN, self._key, self._im)
         k = np.round((im_interp - lq.imag) / (2.0 * np.pi))
         return lq + 2j * np.pi * k - np.log(s - 1.0)
 
@@ -208,10 +259,13 @@ class LineBranch:
             n = max(2, int(np.ceil((hi - lo) / LINE_STEP)) + 1)
             parts.append(np.linspace(lo, hi, n))
             links.append(np.append(np.ones(n - 1, dtype=bool), False))
-        x, w, linked, stalled = _refine(
-            lambda us: _w(self.sigma + 1j * us),
-            np.concatenate(parts), np.concatenate(links)[:-1],
-            f"on the line sigma={self.sigma:g}")
+        s, w, linked, stalled = _refine(
+            self.sigma + 1j * np.concatenate(parts),
+            np.concatenate(links)[:-1])
+        if not np.all(np.isfinite(w) & (w != 0.0)):
+            raise BranchObstruction(f"ladder hit a zero of zeta on the line "
+                                    f"sigma={self.sigma:g}")
+        x = s.imag
         if not w[0].real > 0.0:
             raise BranchObstruction("zeta(s)(s-1) should be positive on "
                                     "the real axis; evaluation failed")
@@ -239,6 +293,7 @@ class LineBranch:
             return int(np.round(-self._im[j] / (2.0 * np.pi)))
         ray = RayBranch(self.sigma, self._x[j])
         self.nodes_used += ray.nodes_used
+        ray._require(0)
         return int(np.round((ray._im[0] - self._im[j]) / (2.0 * np.pi)))
 
     def _stretch_level(self, a: int, b: int) -> int:
@@ -284,17 +339,16 @@ class LineBranch:
 
 def vertical_log_zeta(sigma: float, heights) -> np.ndarray:
     """Continued log zeta(sigma + i u) for an array of heights u > 0,
-    one horizontal walk per height.
+    from one RayBranch with a ladder per height.
 
     A handful of scattered heights needs no more; integrals up the line
     use a LineBranch, whose ladder carries the winding between heights.
     """
-    heights = np.asarray(heights, dtype=float)
-    if np.any(heights <= 0.0):
-        raise UnsupportedRange("walks need height t > 0; the real axis "
-                               "has its own closed-form branch")
-    return np.array([RayBranch(sigma, u).log_zeta_at(sigma)
-                     for u in heights.ravel()], dtype=complex)
+    heights = np.asarray(heights, dtype=float).ravel()
+    if heights.size == 0:
+        return np.zeros(0, dtype=complex)
+    return RayBranch(sigma, heights).log_zeta(np.full(heights.size, sigma),
+                                              np.arange(heights.size))
 
 
 def log_zeta_horizontal(sigma: float, t: float, table=None) -> complex:

@@ -52,23 +52,27 @@ def test_eval_empty_range(tmp_path):
 
 def test_eval_refuses_unknown_keys(tmp_path, capsys):
     # every command refuses a key it does not read before it computes or
-    # writes anything, so a misspelt setting never runs at its default
+    # writes anything, so a misspelt setting never runs at its default;
+    # each polygon mode refuses the other mode's keys
     table = _table_arg(tmp_path)
-    runs = {
-        "eval": (["m=1", "sigma=0.5", "t=20..21", f"table={table}"],
-                 "workers=2"),
-        "meansquare": (["m=1", "sigma=2", "X=10", "T=20", f"table={table}"],
-                       "stpe=0.1"),
-        "hunt": (["m=1", "sigma=0.8", "a=0.1+0.1i", "epsilon=0.1"],
-                 "bogus=1"),
-        "polygon": (["radii=3 4 5", "z=0+0i"], "bogus=1"),
-    }
-    for command, (args, extra) in runs.items():
-        out = tmp_path / f"{command}.csv"
+    runs = [
+        ("eval", ["m=1", "sigma=0.5", "t=20..21", f"table={table}"],
+         "workers=2"),
+        ("meansquare", ["m=1", "sigma=2", "X=10", "T=20", f"table={table}"],
+         "stpe=0.1"),
+        ("hunt", ["m=1", "sigma=0.8", "a=0.1+0.1i", "epsilon=0.1"],
+         "bogus=1"),
+        ("polygon", ["radii=3 4 5", "z=0+0i"], "bogus=1"),
+        ("polygon", ["radii=3 4 5", "z=0+0i"], "epsilon=0.01"),
+        ("polygon", ["m=1", "sigma=0.9", "a=0.35+0.1i", "epsilon=0.2",
+                     "sieve_limit=100000"], "z=0+0i"),
+    ]
+    for k, (command, args, extra) in enumerate(runs):
+        out = tmp_path / f"{command}{k}.csv"
         assert main([command, *args, extra, f"out={out}"]) == 2
         assert extra.partition("=")[0] in capsys.readouterr().err
         assert not out.exists()
-        assert not (tmp_path / f"{command}.csv.manifest").exists()
+        assert not (tmp_path / f"{command}{k}.csv.manifest").exists()
 
 
 def test_eval_requires_table(tmp_path):

@@ -134,6 +134,24 @@ def test_mean_square_matches_per_height_sums(monkeypatch):
         assert abs(got - want) <= 1e-12 * want
 
 
+def test_eta_grid_cache_keeps_its_cap(monkeypatch):
+    # past its cap the grid cache drops its least recently used column,
+    # and a dropped column is made again to the same values
+    monkeypatch.setattr(dirichlet, "_ETA_GRID_CACHE",
+                        dirichlet.LRUDict(dirichlet._ETA_GRID_CACHE_CAP))
+    tab = bundled_table()
+    tops = 14.0 + 0.25 * np.arange(dirichlet._ETA_GRID_CACHE_CAP + 1)
+    first = _eta_tilde_grid(1, 2.0, tops[0], 0.25, tab, 1e-8)
+    for T in tops[1:]:
+        _eta_tilde_grid(1, 2.0, T, 0.25, tab, 1e-8)
+    assert len(dirichlet._ETA_GRID_CACHE) == dirichlet._ETA_GRID_CACHE_CAP
+    again = _eta_tilde_grid(1, 2.0, tops[0], 0.25, tab, 1e-8)
+    assert again is not first
+    assert np.array_equal(again[0], first[0])
+    assert np.array_equal(again[1], first[1])
+    assert len(dirichlet._ETA_GRID_CACHE) == dirichlet._ETA_GRID_CACHE_CAP
+
+
 def test_mean_square_validation():
     tab = bundled_table()
     with pytest.raises(ValidationError):

@@ -2,13 +2,14 @@ import numpy as np
 import mpmath as mp
 import pytest
 
+from iterzeta import eta
 from iterzeta.errors import (BranchObstruction, TableCoverage,
                              ValidationError)
-from iterzeta.eta import (c_m, check_bridge, check_guard,
+from iterzeta.eta import (_eta_tilde_rows, c_m, check_bridge, check_guard,
                           eta_tilde_recursive, eta_tilde_weighted,
                           eta_vertical, growth_check, tail_bound, y_m,
                           y_m_terms)
-from iterzeta.zeros import ZeroTable, bundled_table
+from iterzeta.zeros import EMPTY_TABLE, ZeroTable, bundled_table
 
 mp.mp.dps = 25
 
@@ -53,6 +54,41 @@ def test_weighted_conjugate():
     assert abs(dn.value - np.conj(up.value)) < 1e-13
 
 
+def test_rows_match_one_height(monkeypatch):
+    # one pass over 20 heights, and three passes of at most 7: each row
+    # is its one-height value up to the rounding of the zeta calls it
+    # shared; a one-height pass is eta_tilde_weighted itself
+    ts = np.linspace(10.0, 240.0, 20) + 0.123
+    rows = _eta_tilde_rows(2, 0.7, ts, TAB)
+    monkeypatch.setattr(eta, "ROWS_PER_PASS", 7)
+    split = _eta_tilde_rows(2, 0.7, ts, TAB)
+    for t, ev, ev7 in zip(ts, rows, split):
+        one = eta_tilde_weighted(2, 0.7, t, table=TAB)
+        assert ev.point.t == t == ev7.point.t
+        assert abs(ev.value - one.value) < min(ev.est_error, one.est_error)
+        assert abs(ev7.value - one.value) < min(ev7.est_error,
+                                                one.est_error)
+    one_row, = _eta_tilde_rows(2, 0.7, ts[:1], TAB)
+    assert one_row == eta_tilde_weighted(2, 0.7, ts[0], table=TAB)
+
+
+@pytest.mark.parametrize("extra,table", [
+    (TAB.gammas[1] + 5e-4, TAB),         # guard zone of a zero on the line
+    (TAB.gammas[0], EMPTY_TABLE),        # no guard: the ladder stalls
+])
+def test_rows_refusal_is_local(extra, table):
+    # a height that is refused is reported alone, and every other row of
+    # its pass is bitwise what it is without it
+    ts = np.array([20.5, 35.0, 45.0, 60.0])
+    base = _eta_tilde_rows(1, 0.5, ts, table)
+    got = _eta_tilde_rows(1, 0.5, np.insert(ts, 2, extra), table)
+    assert isinstance(got.pop(2), BranchObstruction)
+    for a, b in zip(base, got):
+        assert (a.value, a.est_error) == (b.value, b.est_error)
+    with pytest.raises(BranchObstruction):
+        eta_tilde_weighted(1, 0.5, extra, table)
+
+
 def test_tail_bound_shrinks():
     bounds = [tail_bound(2, 0.5, a) for a in (10.5, 20.5, 40.5)]
     assert all(b > 0 for b in bounds)
@@ -90,6 +126,25 @@ def test_c1_half_frozen():
 def test_c_right_of_pole():
     assert abs(c_m(1, 2.0) - 0.5365269459j) < 1e-8
     assert abs(c_m(2, 2.0) - (-0.6560847785)) < 1e-8
+
+
+def test_c_cache_keeps_its_cap(monkeypatch):
+    # past its cap the cache drops its least recently used constant, and
+    # a dropped constant is made again to the same value
+    monkeypatch.setattr(eta, "_C_CACHE", eta.LRUDict(eta._C_CACHE_CAP))
+    sigmas = 2.0 + 0.01 * np.arange(eta._C_CACHE_CAP + 1)
+    first = c_m(1, sigmas[0])
+    c_m(1, sigmas[1])
+    c_m(1, sigmas[0])                 # a use: sigmas[1] is now the oldest
+    for sigma in sigmas[2:]:
+        c_m(1, sigma)
+    assert len(eta._C_CACHE) == eta._C_CACHE_CAP
+    assert (1, sigmas[1], 1e-8) not in eta._C_CACHE
+    assert c_m(1, sigmas[0]) == first
+    again = c_m(1, sigmas[1])
+    assert (1, sigmas[1], 1e-8) in eta._C_CACHE
+    assert again == eta.eta_tilde_weighted(1, sigmas[1], 0.0).value * 1j
+    assert len(eta._C_CACHE) == eta._C_CACHE_CAP
 
 
 def test_at_the_pole_abscissa():

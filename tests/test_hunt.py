@@ -87,6 +87,10 @@ def test_hunt_self_referential_target():
     assert res.final_error < 0.3
     assert res.budget_used > 0
     assert 10.0 <= res.t_witness <= 240.0
+    # the candidates were evaluated in one pass; the witness holds alone
+    again = eta_tilde_weighted(1, 0.8, res.t_witness, table=TAB)
+    assert abs(again.value - a) < 0.3
+    assert abs(again.value - res.eta_value) < again.est_error
 
 
 def test_hunt_unreachable_target_is_honest():

@@ -3,8 +3,8 @@ import mpmath as mp
 import pytest
 
 from iterzeta.errors import QuadratureNonconvergence
-from iterzeta.quadrature import (gl_panel, integrate_vec, log_kernel_moments,
-                                 poly_log_integral)
+from iterzeta.quadrature import (gl_panel, integrate_rows, integrate_vec,
+                                 log_kernel_moments, poly_log_integral)
 
 mp.mp.dps = 30
 
@@ -28,6 +28,20 @@ def test_integrate_vec_spike():
     val, est, _ = integrate_vec(f, 0.0, 1.0, abs_tol=1e-10)
     want = (np.arctan(0.3 / 1e-2) + np.arctan(0.7 / 1e-2)) / 1e-2
     assert abs(val - want) < 1e-7
+    # spikes at other places, over other intervals and to other
+    # tolerances, as rows of one call: each row gets the value, estimate
+    # and nevals it gets alone, to the bit
+    spikes = np.array([0.7, 0.05, 0.5, 0.93])
+    a, b = np.array([0.0, 0.0, 0.3, -0.5]), np.array([1.0, 1.0, 0.9, 2.0])
+    tols = np.array([1e-10, 1e-6, 1e-10, 1e-12])
+    vals, ests, nevs, refused = integrate_rows(
+        lambda x, row: 1.0 / (1e-4 + (x - spikes[row]) ** 2), a, b, tols)
+    assert refused == [None] * spikes.size
+    for c, lo, hi, tol, v, e, n in zip(spikes, a, b, tols, vals, ests,
+                                       nevs):
+        alone = integrate_vec(lambda x: 1.0 / (1e-4 + (x - c) ** 2),
+                              lo, hi, abs_tol=tol)
+        assert (v, e, n) == alone
 
 
 def test_integrate_vec_nonconvergence():
@@ -35,6 +49,12 @@ def test_integrate_vec_nonconvergence():
     f = lambda x: np.where(x > np.pi / 10, 1.0, 0.0)
     with pytest.raises(QuadratureNonconvergence):
         integrate_vec(f, 0.0, 1.0, abs_tol=1e-14, max_depth=6)
+    # as a row next to a smooth one, only the jump's row is refused
+    _, _, _, refused = integrate_rows(
+        lambda x, row: np.where(row == 0, f(x), np.cos(x)), [0.0, 0.0], 1.0,
+        1e-14, max_depth=6)
+    assert isinstance(refused[0], QuadratureNonconvergence)
+    assert refused[1] is None
 
 
 def test_integrate_vec_noise_floor():

@@ -63,6 +63,16 @@ def test_branch_query_range():
     assert abs(vals[0] - log_zeta_horizontal(0.5, 20.0)) < 1e-13
     with pytest.raises(UnsupportedRange):
         br.log_zeta(np.array([45.0]))
+    # many heights: each query reads its own row's height, and the ray
+    # through a zero stalls its own ladder only
+    rows = RayBranch(0.5, [20.0, TAB.gammas[0], 35.0])
+    assert rows.obstructed.tolist() == [False, True, False]
+    got = rows.log_zeta(np.array([0.5, 1.0, 10.0, 40.5, 0.5]),
+                        [0, 0, 0, 0, 2])
+    assert np.max(np.abs(got[:4] - vals)) < 1e-13
+    assert abs(got[4] - log_zeta_horizontal(0.5, 35.0)) < 1e-13
+    with pytest.raises(BranchObstruction):
+        rows.log_zeta(np.array([0.5, 0.5]), [0, 1])
 
 
 def test_guard_near_ordinate():
