@@ -178,6 +178,8 @@ def _eta_tilde_rows(m: int, sigma: float, ts: np.ndarray,
     leaves the others as they would be without it.  At most
     ROWS_PER_PASS heights share a pass.
     """
+    _validate_order_sigma(m, sigma)
+    _validate_abs_tol(abs_tol)
     if ts.size > ROWS_PER_PASS:
         return [ev for lo in range(0, ts.size, ROWS_PER_PASS)
                 for ev in _eta_tilde_rows(m, sigma, ts[lo:lo + ROWS_PER_PASS],

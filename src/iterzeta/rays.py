@@ -60,11 +60,6 @@ PHASE_TOL = 1.0
 MAG_TOL = 2.0
 MAX_ROUNDS = 64
 MIN_GAP = 1e-12
-# a RayBranch lays its rows' ladders on one axis, row r at offset
-# x + r * _ROW_SPAN: above CUTOFF_OFFSET, so rows never meet.  Rounding
-# the sum moves a node or query by half an ulp of the key (under 1e-12
-# for 128 rows), which the 2 pi rounding of the winding integer absorbs
-_ROW_SPAN = 64.0
 
 
 def _w(s) -> np.ndarray:
@@ -186,8 +181,10 @@ class RayBranch:
         self._x = s.real - self.sigma
         self._row = row
         self._im = np.angle(w[anchor]) - (after - after[anchor])
-        # every row's ladder on one axis: row r at x + r * _ROW_SPAN
-        self._key = self._x + row * _ROW_SPAN
+        # complex numbers sort by real part, then imaginary part: key
+        # row + i x orders the nodes by row, then offset, with no rounding
+        self._key = row + 1j * self._x
+        self._last = np.searchsorted(row, np.arange(rows), side="right") - 1
 
     def refusal(self, row: int) -> BranchObstruction:
         """What a query at an obstructed row raises."""
@@ -221,8 +218,15 @@ class RayBranch:
         self._require(rows)
         s = alphas + 1j * self.heights[rows]
         lq = np.log(_w(s))
-        im_interp = np.interp(np.clip(x, 0.0, CUTOFF_OFFSET)
-                              + rows * _ROW_SPAN, self._key, self._im)
+        # interpolate each query on its own row's ladder; past the row's
+        # last node, read that node
+        xq = np.clip(x, 0.0, CUTOFF_OFFSET)
+        j = np.minimum(np.searchsorted(self._key, rows + 1j * xq,
+                                       side="right") - 1,
+                       self._last[rows] - 1)
+        x0, x1 = self._x[j], self._x[j + 1]
+        frac = np.clip((xq - x0) / (x1 - x0), 0.0, 1.0)
+        im_interp = self._im[j] + frac * (self._im[j + 1] - self._im[j])
         k = np.round((im_interp - lq.imag) / (2.0 * np.pi))
         return lq + 2j * np.pi * k - np.log(s - 1.0)
 

@@ -88,6 +88,10 @@ def test_validation_exit_code(tmp_path):
     code = main(["meansquare", "m=1", "sigma=0.4", "X=10", "T=50",
                  f"out={tmp_path / 'ms.csv'}"])
     assert code == 2
+    code = main(["meansquare", "m=4", "sigma=0.8", "X=10", "T=20",
+                 f"out={tmp_path / 'ms.csv'}"])
+    assert code == 2  # unsupported order
+    assert not (tmp_path / "ms.csv").exists()
 
 
 def test_meansquare_rows(tmp_path):

@@ -7,7 +7,8 @@ from iterzeta.dirichlet import (_eta_tilde_grid, dirichlet_li_sum,
                                 li_vs_mangoldt_gap, mangoldt_sum,
                                 mean_square_error, polylog, polylog_batch)
 from iterzeta.errors import (ConvergenceDomain, CutoffExceeded,
-                             TableCoverage, ValidationError)
+                             TableCoverage, UnsupportedRange,
+                             ValidationError)
 from iterzeta.primes import sieve_primes
 from iterzeta.zeros import bundled_table
 
@@ -162,3 +163,9 @@ def test_mean_square_validation():
         mean_square_error(1, 0.8, 10, 50.0, 0.5, tab)    # grid too coarse
     with pytest.raises(TableCoverage):
         mean_square_error(1, 0.8, 10, 400.0, 0.25, tab)
+    for m in (0, 4):                                     # unsupported order
+        with pytest.raises(UnsupportedRange):
+            mean_square_error(m, 0.8, 10, 20.0, 0.25, tab)
+    for abs_tol in (0.0, -1.0):
+        with pytest.raises(ValidationError):
+            mean_square_error(1, 0.8, 10, 20.0, 0.25, tab, abs_tol=abs_tol)

@@ -73,6 +73,15 @@ def test_branch_query_range():
     assert abs(got[4] - log_zeta_horizontal(0.5, 35.0)) < 1e-13
     with pytest.raises(BranchObstruction):
         rows.log_zeta(np.array([0.5, 0.5]), [0, 1])
+    # a row's values do not depend on how many rows share the branch,
+    # also next to a zero, where its ladder gaps are finest
+    near = TAB.gammas[0] + 1e-7
+    alone = RayBranch(0.4, near)
+    many = RayBranch(0.4, np.append(np.linspace(10.0, 240.0, 199), near))
+    x = alone.offsets()
+    q = 0.4 + np.concatenate([x, 0.5 * (x[1:] + x[:-1])])
+    assert np.array_equal(many.offsets(199), x)
+    assert np.array_equal(many.log_zeta(q, 199), alone.log_zeta(q))
 
 
 def test_guard_near_ordinate():
