@@ -10,13 +10,19 @@ Constructively: the radii together with one closing side of length |z|
 are the sides of a convex polygon inscribed in some circle.  The
 circumradius comes from a scalar root-find on the central-angle sum (the
 reflected variant when the longest side subtends more than half the
-circle); chord directions then give the angles, and rotating the whole
-polygon aligns the closing side with z.  Closure is exact by telescoping,
-so the residual is driven by the root-find alone.
+circle).  Sides short against the longest enter that sum through a few
+power sums of the arcsin series, formed once, so the solve costs a
+fixed handful of passes over the sides, however many steps it takes.
+Each side then points along the mean of its two vertex angles plus
+pi/2, and one added angle turns the closing side onto z, so the angles
+come from real arithmetic alone.  Closure is exact by telescoping, so
+the residual is driven by the root-find alone; it is measured, not
+assumed, by re-summing the radii at the returned angles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,6 +34,10 @@ from .errors import (DominanceViolation, RootFindFailure, TargetOutsideDisk,
 
 ALIGNED_RTOL = 1e-12       # |z| at the boundary of the disk
 FLAT_RTOL = 1e-9           # degenerate polygon: longest side = sum of rest
+# sides at most SERIES_RATIO times the longest enter the angle sum of the
+# root-find through the arcsin series, cut at relative size SERIES_RTOL
+SERIES_RATIO = 0.1
+SERIES_RTOL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -70,52 +80,98 @@ def check_dominance(radii: RadiiSet) -> bool:
     return bool(r.max() <= r.sum() - r.max())
 
 
+def _arcsin_sum(t: np.ndarray):
+    """The functions v -> sum_i arcsin(t_i v) and its derivative in v,
+    for v in (0, 1] and 0 < t_i <= 1.
+
+    Ratios t_i > SERIES_RATIO are summed exactly at every v.  The others
+    enter through the arcsin series sum_k c_k v^(2k+1) T_k with the power
+    sums T_k = sum t_i^(2k+1), formed once and cut where the next term is
+    below SERIES_RTOL of the first; then one evaluation costs a few
+    scalar operations plus the exact part, whatever the number of sides.
+    """
+    small = t <= SERIES_RATIO
+    exact = t[~small]
+    ts = t[small]
+    coefs = []
+    if ts.size:
+        rho2 = float(ts.max()) ** 2
+        t2 = ts * ts
+        power = ts.copy()
+        c, k = 1.0, 0
+        while True:
+            coefs.append(c * float(np.sum(power)))
+            c *= (2 * k + 1) ** 2 / ((2 * k + 2) * (2 * k + 3))
+            k += 1
+            if c * rho2 ** k <= SERIES_RTOL:
+                break
+            power *= t2
+
+    def value(v: float) -> float:
+        series = 0.0
+        for c in reversed(coefs):
+            series = series * v * v + c
+        return float(np.arcsin(np.minimum(exact * v, 1.0)).sum()) \
+            + series * v
+
+    def slope(v: float) -> float:
+        series = 0.0
+        for k in range(len(coefs) - 1, -1, -1):
+            series = series * v * v + (2 * k + 1) * coefs[k]
+        return float((exact / np.sqrt(np.maximum(
+            1.0 - (exact * v) ** 2, 1e-30))).sum()) + series
+    return value, slope
+
+
 def _angle_sum_root(sides: np.ndarray, i_max: int):
     """Circumradius parameter u = 1/(2R) for the cyclic polygon with the
-    given side lengths.  Returns (u, reflected)."""
-    l_max = sides[i_max]
-    others = np.delete(sides, i_max)
+    given side lengths.  Returns (u, reflected).
 
-    s1 = float(np.sum(np.arcsin(np.clip(others / l_max, 0.0, 1.0))))
+    With v = l_max u, the central angle of side s is 2 arcsin(s v/l_max),
+    and v solves sum arcsin = pi (the longest side's arc reflected,
+    2 pi - its angle, when the other sides' angles at v = 1 sum to less
+    than pi).  The angle sum over the sides other than the longest is
+    _arcsin_sum, so the bracketed solve and its Newton polish cost a few
+    scalar steps each, not a pass over every side.
+    """
+    l_max = float(sides[i_max])
+    others = np.delete(sides, i_max) / l_max
+    angle_sum, angle_slope = _arcsin_sum(others)
+
+    s1 = angle_sum(1.0)
     reflected = s1 < np.pi / 2.0
 
     if not reflected:
-        def g(u):
-            return float(np.sum(np.arcsin(np.clip(sides * u, -1.0, 1.0)))) - np.pi
-        lo, hi = 1e-300, 1.0 / l_max
+        def g(v):
+            return angle_sum(v) + math.asin(min(v, 1.0)) - np.pi
+        lo, hi = 1e-300, 1.0
     else:
-        def g(u):
-            return float(np.sum(np.arcsin(np.clip(others * u, -1.0, 1.0)))
-                         - np.arcsin(min(l_max * u, 1.0)))
-        lo, hi = 1e-9 / l_max, 1.0 / l_max
+        def g(v):
+            return angle_sum(v) - math.asin(min(v, 1.0))
+        lo, hi = 1e-9, 1.0
         if g(lo) <= 0.0:
             raise RootFindFailure(
                 "reflected-case bracket failed; sides nearly degenerate")
 
     try:
-        u = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+        v = brentq(g, lo, hi, xtol=1e-15 * l_max, rtol=8.9e-16, maxiter=200)
     except ValueError as exc:
         raise RootFindFailure(
             f"no circumradius bracket for sides in [{sides.min():.3g}, "
             f"{sides.max():.3g}]: {exc}") from None
 
     # a couple of Newton steps; the closure gap is R * (angle residual)
+    sign = -1.0 if reflected else 1.0
     for _ in range(3):
-        if reflected:
-            val = float(np.sum(np.arcsin(others * u)) - np.arcsin(l_max * u))
-            der = float(np.sum(others / np.sqrt(1.0 - (others * u) ** 2))
-                        - l_max / np.sqrt(max(1.0 - (l_max * u) ** 2, 1e-30)))
-        else:
-            val = float(np.sum(np.arcsin(sides * u))) - np.pi
-            der = float(np.sum(sides / np.sqrt(
-                np.maximum(1.0 - (sides * u) ** 2, 1e-30))))
+        val = g(v)
+        der = angle_slope(v) + sign / math.sqrt(max(1.0 - v * v, 1e-30))
         if der == 0.0:
             break
         step = val / der
-        if not np.isfinite(step) or abs(step) > 0.5 * u:
+        if not np.isfinite(step) or abs(step) > 0.5 * v:
             break
-        u -= step
-    return u, reflected
+        v -= step
+    return v / l_max, reflected
 
 
 def _frac_angle(vec: np.ndarray) -> np.ndarray:
@@ -146,13 +202,16 @@ def polygon_angles(radii: RadiiSet, z: complex) -> AngleAssignment:
         achieved = complex(np.sum(r) * z / az)
         return AngleAssignment(th, complex(z), achieved, abs(achieved - z))
 
-    order = np.argsort(-r, kind="stable")
+    # sides longest first; the radii of construct_theta fall with p, and
+    # a stable sort would leave them as they are
+    order = (slice(None) if np.all(r[1:] <= r[:-1])
+             else np.argsort(-r, kind="stable"))
     if az > 0.0:
         sides = np.concatenate([[az], r[order]])
-        radius_slots = np.arange(1, n + 1)
+        radius_slots = slice(1, None)
     else:
         sides = r[order].astype(float)
-        radius_slots = np.arange(n)
+        radius_slots = slice(None)
 
     i_max = int(np.argmax(sides))
     l_max = sides[i_max]
@@ -179,15 +238,15 @@ def polygon_angles(radii: RadiiSet, z: complex) -> AngleAssignment:
     if reflected:
         phis[i_max] = 2.0 * np.pi - phis[i_max]
 
-    psi = np.concatenate([[0.0], np.cumsum(phis)])
-    verts = np.exp(1j * psi) / (2.0 * u)
-    chords = verts[1:] - verts[:-1]
-
-    if az > 0.0:
-        rot = complex(z) / (-chords[0])
-        rot /= abs(rot)
-        chords = chords * rot
-    thetas_sorted = _frac_angle(chords[radius_slots])
+    # the side from vertex angle psi_k to psi_k + phi_k points along
+    # mid_k + pi/2, with mid_k = psi_k + phi_k / 2 their mean.  Turning
+    # every side by arg z - mid_0 - 3 pi/2 lays the closing side, slot 0,
+    # along -z; theta is minus a side's direction over 2 pi, mod 1
+    mid = np.cumsum(phis) - 0.5 * phis
+    offset = (mid[0] + np.pi - np.angle(z)) if az > 0.0 else -0.5 * np.pi
+    turns = (offset - mid[radius_slots]) / (2.0 * np.pi)
+    thetas_sorted = turns - np.floor(turns)
+    thetas_sorted[thetas_sorted >= 1.0] = 0.0
     thetas = np.empty(n)
     thetas[order] = thetas_sorted
     achieved = complex(np.sum(r * np.exp(-2j * np.pi * thetas)))

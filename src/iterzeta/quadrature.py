@@ -30,6 +30,11 @@ from .errors import QuadratureNonconvergence
 
 # Gauss-Legendre nodes per integrate_rows panel
 PANEL_ORDER = 15
+# most panels one row may evaluate in one integrate_rows round; a row
+# whose pending panels double round after round is chasing noise or a
+# singularity it cannot resolve, and is refused before its next round
+# costs more than MAX_ROW_PANELS * PANEL_ORDER integrand values
+MAX_ROW_PANELS = 2 ** 16
 
 
 @lru_cache(maxsize=None)
@@ -68,7 +73,8 @@ def integrate_rows(f, a, b, abs_tol, max_depth: int = 48,
     Returns per-row arrays (value, est_error, nevals) and a list holding
     per row None, or the QuadratureNonconvergence of a row whose panels
     bottomed out at max_depth with its error estimate still above
-    budget.
+    budget, or whose next round would have evaluated more than
+    MAX_ROW_PANELS panels.
     """
     a, b, abs_tol, noise = np.broadcast_arrays(
         np.atleast_1d(np.asarray(a, dtype=float)), b, abs_tol, noise)
@@ -92,8 +98,15 @@ def integrate_rows(f, a, b, abs_tol, max_depth: int = 48,
     coarse = _panel_sums(f, lo, hi, row)
     nevals[live] += initial_splits * PANEL_ORDER
 
+    # depth at which a row outgrew MAX_ROW_PANELS, -1 for none
+    overflow = np.full(rows, -1)
     # every active panel has been bisected depth times
     for depth in range(max_depth):
+        over = 2 * np.bincount(row, minlength=rows) > MAX_ROW_PANELS
+        if over.any():
+            overflow[over] = depth
+            keep = ~over[row]
+            lo, hi, row, coarse = lo[keep], hi[keep], row[keep], coarse[keep]
         if not row.size:
             break
         n = row.size
@@ -115,10 +128,19 @@ def integrate_rows(f, a, b, abs_tol, max_depth: int = 48,
         keep = np.tile(~done, 2)
         lo, hi, row, coarse = lo[keep], hi[keep], row[keep], halves[keep]
 
-    refused = [None if e <= 50.0 * ok else QuadratureNonconvergence(
-        f"estimated error {e:.3e} exceeds budget {ok:.3e} "
-        f"on [{lo_r:g}, {hi_r:g}]")
-        for e, ok, lo_r, hi_r in zip(est_error, allowed, a, b)]
+    refused = []
+    for d, e, ok, lo_r, hi_r in zip(overflow, est_error, allowed, a, b):
+        if d >= 0:
+            refused.append(QuadratureNonconvergence(
+                f"round {d} would evaluate more than {MAX_ROW_PANELS} "
+                f"panels on [{lo_r:g}, {hi_r:g}]; the integrand is not "
+                f"resolved"))
+        elif not e <= 50.0 * ok:
+            refused.append(QuadratureNonconvergence(
+                f"estimated error {e:.3e} exceeds budget {ok:.3e} "
+                f"on [{lo_r:g}, {hi_r:g}]"))
+        else:
+            refused.append(None)
     return value, est_error, nevals, refused
 
 

@@ -31,6 +31,8 @@ from .primes import PrimeTable, sieve_primes
 
 GAMMA_CUT = 1_000_000
 U_CANDIDATES = (10, 100, 1_000, 10_000, 100_000)
+# window primes in the first chunk of construct_theta's radii
+RADII_CHUNK = 4096
 
 
 def _validate_torus(m: int, sigma: float) -> None:
@@ -172,6 +174,30 @@ def _window_bounds(m: int, sigma: float, primes: PrimeTable, cands,
     return harmonic, first
 
 
+def _window_radii(m: int, sigma: float, win_p: np.ndarray, need: float):
+    """First-harmonic radii of the window primes win_p and their running
+    sums, only as far as a construction needs: chunks of RADII_CHUNK
+    primes, doubling, until the sum reaches need and the first radius is
+    at most the rest, or the window ends.  Each chunk's sums start from
+    the sum before it, so they are those of one cumsum over the window,
+    to the bit.  Returns (radii, sums), equal-length prefixes."""
+    # the buffers' pages past the prefix are never touched
+    radii, sums = np.empty(win_p.size), np.empty(win_p.size)
+    done, size = 0, RADII_CHUNK
+    while done < win_p.size:
+        hi = min(done + size, win_p.size)
+        radii[done:hi] = first_harmonic_radii(m, sigma, win_p[done:hi])
+        sums[done:hi] = radii[done:hi]
+        if done:
+            sums[done] += sums[done - 1]
+        np.cumsum(sums[done:hi], out=sums[done:hi])
+        done, size = hi, 2 * size
+        if done >= 3 and sums[done - 1] >= need \
+                and radii[0] <= sums[done - 1] - radii[0]:
+            break
+    return radii[:done], sums[:done]
+
+
 @dataclass(frozen=True)
 class ThetaPipelineResult:
     m: int
@@ -198,8 +224,13 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
 
     Reference pattern outside the window, polygon angles inside; U is the
     smallest power of ten whose two tail bounds both fit in epsilon/4.
-    Raises WindowExhausted when the prime table cannot support either the
-    choice of U or the radius sum needed to reach the target."""
+    Past the fixed cost of gamma and the tail bounds (primes up to
+    GAMMA_CUT), the cost is O(window): radii are formed only as far as
+    the smallest window that reaches the target, and the polygon over
+    them is solved in a fixed handful of passes.  Only a target past
+    the whole table sums every radius.  Raises WindowExhausted when the
+    prime table cannot support either the choice of U or the radius sum
+    needed to reach the target."""
     _validate_torus(m, sigma)
     if not np.isfinite(epsilon) or epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
@@ -227,20 +258,20 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
 
     i_u = int(np.searchsorted(primes.primes, u_bound, side="right"))
     win_p = primes.primes[i_u:]
-    win_r = first_harmonic_radii(m, sigma, win_p)
-    rcum = np.cumsum(win_r)
     need = abs(z_star)
+    win_r, rcum = _window_radii(m, sigma, win_p, need)
     count = int(np.searchsorted(rcum, need)) + 1
     count = max(count, 3)
-    if count > win_p.size:
+    if count > win_r.size:
         raise WindowExhausted(
             f"window radii over ({u_bound}, {primes.limit}] reach only "
             f"{rcum[-1] if rcum.size else 0.0:.6g} of the required "
             f"{need:.6g}; extend the prime table")
-    while count < win_p.size and win_r[0] > rcum[count - 1] - win_r[0]:
-        count += 1
-    if win_r[0] > rcum[count - 1] - win_r[0]:
+    # dominance: the first radius, the largest, at most the rest
+    dominant = np.flatnonzero(win_r[0] <= rcum[count - 1:] - win_r[0])
+    if not dominant.size:
         raise WindowExhausted("window cannot satisfy dominance")
+    count += int(dominant[0])
 
     window = polygon_angles(
         RadiiSet(win_r[:count], labels=win_p[:count]), z_star)

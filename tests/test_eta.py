@@ -1,10 +1,13 @@
+import time
+import tracemalloc
+
 import numpy as np
 import mpmath as mp
 import pytest
 
 from iterzeta import eta
-from iterzeta.errors import (BranchObstruction, TableCoverage,
-                             ValidationError)
+from iterzeta.errors import (BranchObstruction, QuadratureNonconvergence,
+                             TableCoverage, ValidationError)
 from iterzeta.eta import (_eta_tilde_rows, c_m, check_bridge, check_guard,
                           eta_tilde_recursive, eta_tilde_weighted,
                           eta_vertical, growth_check, tail_bound, y_m,
@@ -52,6 +55,26 @@ def test_weighted_conjugate():
     up = eta_tilde_weighted(2, 0.8, 14.0, table=TAB)
     dn = eta_tilde_weighted(2, 0.8, -14.0, table=TAB)
     assert abs(dn.value - np.conj(up.value)) < 1e-13
+
+
+def test_weighted_ray_grazing_a_zero_refuses():
+    # with no table there is no guard, and the ray from 1/2 + 30.4249i
+    # starts about 5e-13 from the zero 1/2 + 30.424876125859513i: too
+    # close for the quadrature to resolve, not close enough for the
+    # ladder to stall.  Its panels used to double until a round asked
+    # zeta for 4.5M points; now the row is refused in bounded time and
+    # memory
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(QuadratureNonconvergence):
+            eta_tilde_weighted(1, 0.5, 30.42487612586)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 20.0
+    assert peak < 512 * 2 ** 20
 
 
 def test_rows_match_one_height(monkeypatch):

@@ -3,8 +3,10 @@ import pytest
 
 from iterzeta.errors import (DominanceViolation, RootFindFailure,
                              TargetOutsideDisk, TooFewRadii, ValidationError)
-from iterzeta.polygon import (AngleAssignment, RadiiSet, check_dominance,
+from iterzeta.polygon import (SERIES_RATIO, AngleAssignment, RadiiSet,
+                              _angle_sum_root, _arcsin_sum, check_dominance,
                               polygon_angles)
+from iterzeta.primes import sieve_primes
 
 
 def test_equilateral_closure():
@@ -96,3 +98,45 @@ def test_input_validation():
         RadiiSet(np.array([1.0, 2.0, 3.0]), labels=np.array([2, 3]))
     with pytest.raises(ValidationError):
         AngleAssignment(np.array([0.5, 1.2]), 0j, 0j, 0.0)
+
+
+def test_arcsin_sum_series_matches_exact():
+    # ratios on both sides of SERIES_RATIO; the series part must agree
+    # with the exact sum to rounding over the whole bracket
+    rng = np.random.default_rng(5)
+    t = np.concatenate([rng.uniform(1e-6, SERIES_RATIO, 5000),
+                        rng.uniform(SERIES_RATIO, 1.0, 7), [1.0]])
+    value, slope = _arcsin_sum(t)
+    for v in (1e-9, 1e-4, 0.02, 0.5, 0.999, 1.0):
+        exact = np.sum(np.arcsin(t * v))
+        assert abs(value(v) - exact) <= 1e-14 * exact
+        if v < 1.0:
+            d_exact = np.sum(t / np.sqrt(1.0 - (t * v) ** 2))
+            assert abs(slope(v) - d_exact) <= 1e-12 * d_exact
+
+
+def test_structural_flat_reflected_polygon():
+    # the shape of every construct_theta window: 1e5 radii p^-sigma/log p
+    # and a closing side, the longest, within 1e-7 of their sum, so the
+    # polygon is reflected and nearly flat
+    ps = sieve_primes(1_500_000).primes[25:100_025].astype(float)
+    r = ps ** -0.8 / np.log(ps)
+    for slack, phi in ((1e-7, 0.3), (2e-9, 2.1), (1e-5, 4.0)):
+        z = (r.sum() - slack * r.sum()) * np.exp(1j * phi)
+        a = polygon_angles(RadiiSet(r), complex(z))
+        assert a.residual < 1e-10
+        assert abs(np.sum(r * np.exp(-2j * np.pi * a.thetas))
+                   - z) == pytest.approx(a.residual, abs=1e-15)
+
+
+def test_reflected_bracket_failure_raises():
+    # when the other sides do not outrun the longest one near u = 0 the
+    # reflected bracket fails; polygon_angles never gets there (its
+    # dominance and flatness checks come first), the root-find still
+    # refuses
+    with pytest.raises(RootFindFailure):
+        _angle_sum_root(np.array([1.0, 0.3, 0.3]), 0)
+    many = np.full(100_001, 1e-5)
+    many[0] = 1.0 + 1e-9
+    with pytest.raises(RootFindFailure):
+        _angle_sum_root(many, 0)

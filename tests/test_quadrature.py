@@ -3,7 +3,8 @@ import mpmath as mp
 import pytest
 
 from iterzeta.errors import QuadratureNonconvergence
-from iterzeta.quadrature import (gl_panel, integrate_rows, integrate_vec,
+from iterzeta.quadrature import (MAX_ROW_PANELS, PANEL_ORDER, gl_panel,
+                                 integrate_rows, integrate_vec,
                                  log_kernel_moments, poly_log_integral)
 
 mp.mp.dps = 30
@@ -55,6 +56,31 @@ def test_integrate_vec_nonconvergence():
         1e-14, max_depth=6)
     assert isinstance(refused[0], QuadratureNonconvergence)
     assert refused[1] is None
+
+
+def _noise(x):
+    """Values in [0, 1) hashed from the bits of x: no panel resolves."""
+    bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+    return ((bits * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(11)) \
+        / 2.0 ** 53
+
+
+def test_rows_refuse_a_runaway_row():
+    # every panel of a noise row fails, so its panels double each round;
+    # it is refused before a round of more than MAX_ROW_PANELS panels,
+    # and the smooth row beside it keeps what it gets alone
+    seen = []
+
+    def f(x, row):
+        seen.append(np.bincount(row, minlength=2))
+        return np.where(row == 0, _noise(x), np.cos(x))
+    vals, ests, nevs, refused = integrate_rows(f, [0.0, 0.0], 1.0, 1e-12)
+    assert isinstance(refused[0], QuadratureNonconvergence)
+    assert str(MAX_ROW_PANELS) in str(refused[0])
+    assert refused[1] is None
+    assert max(c[0] for c in seen) <= MAX_ROW_PANELS * PANEL_ORDER
+    alone = integrate_vec(np.cos, 0.0, 1.0, abs_tol=1e-12)
+    assert (vals[1], ests[1], nevs[1]) == alone
 
 
 def test_integrate_vec_noise_floor():

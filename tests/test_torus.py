@@ -5,7 +5,8 @@ import pytest
 from iterzeta.errors import (LimitExceeded, UnsupportedRange, ValidationError,
                              WindowExhausted)
 from iterzeta.primes import sieve_primes
-from iterzeta.torus import (_window_bounds, construct_theta,
+from iterzeta.torus import (GAMMA_CUT, RADII_CHUNK, _window_bounds,
+                            _window_radii, construct_theta, first_harmonic_radii,
                             gamma_m_sigma, gamma_tail_estimate, load_theta,
                             s_sum, save_theta, second_moment_s)
 
@@ -136,6 +137,64 @@ def test_construct_smoke():
 def test_construct_window_exhaustion():
     with pytest.raises(WindowExhausted):
         construct_theta(1, 0.8, 1 + 1j, 1e-9, PT)
+
+
+def _full_window(m, sigma, eps, primes):
+    """gamma, U, the window primes, their radii and one cumsum over the
+    whole window, the way construct_theta once formed them."""
+    cut = float(min(GAMMA_CUT, primes.limit))
+    gamma = gamma_m_sigma(m, sigma, cut, primes)
+    cands = [c for c in (10, 100, 1_000, 10_000, 100_000) if c < cut]
+    e1, e2 = _window_bounds(m, sigma, primes, cands, cut)
+    u_bound = next(c for c, h, f in zip(cands, e1, e2)
+                   if h <= eps / 4 and f <= eps / 4)
+    i_u = int(np.searchsorted(primes.primes, u_bound, side="right"))
+    win_p = primes.primes[i_u:]
+    win_r = first_harmonic_radii(m, sigma, win_p)
+    return gamma, u_bound, i_u, win_p, win_r, np.cumsum(win_r)
+
+
+@pytest.fixture(scope="module")
+def deep():
+    return sieve_primes(20_000_000)
+
+
+@pytest.mark.parametrize("m, sigma, eps", [(1, 0.8, 0.05), (2, 0.65, 0.02)])
+def test_construct_matches_full_window(deep, m, sigma, eps):
+    # radii go only as far as the window needs; count, U, N and primes
+    # must be those of one cumsum over the whole window, for windows
+    # from a handful of primes (dominance decides) to most of the table
+    gamma, u_bound, i_u, win_p, win_r, rcum = _full_window(m, sigma, eps,
+                                                           deep)
+    sizes = (1, 2, 50, RADII_CHUNK - 1, RADII_CHUNK, RADII_CHUNK + 1,
+             100_000, win_p.size - 10)
+    for k, n in enumerate(sizes):
+        # strictly between the (n-1)- and n-prime radius sums
+        need = float(rcum[n - 1] - 0.5 * win_r[n - 1])
+        a = gamma + need * np.exp(2j * np.pi * (0.1 + 0.23 * k))
+        count = max(int(np.searchsorted(rcum, abs(a - gamma))) + 1, 3)
+        while win_r[0] > rcum[count - 1] - win_r[0]:
+            count += 1
+        radii, sums = _window_radii(m, sigma, win_p, abs(a - gamma))
+        assert count <= sums.size
+        assert np.array_equal(radii, win_r[:radii.size])
+        assert np.array_equal(sums, rcum[:sums.size])
+        res = construct_theta(m, sigma, a, eps, deep)
+        assert res.U == u_bound
+        assert np.array_equal(res.primes, deep.primes[:i_u + count])
+        assert res.N == int(win_p[count - 1])
+        assert res.theta2.residual < 1e-10
+        assert res.final_error < eps
+
+
+def test_construct_target_past_the_window():
+    # the refusal sums every radius of the window and says how far
+    m, sigma, eps = 1, 0.8, 0.05
+    gamma, u_bound, _, _, _, rcum = _full_window(m, sigma, eps, PT)
+    with pytest.raises(WindowExhausted, match="reach only") as exc:
+        construct_theta(m, sigma, gamma + 1.01 * rcum[-1], eps, PT)
+    assert f"({u_bound}, {PT.limit}]" in str(exc.value)
+    assert f"reach only {rcum[-1]:.6g} of" in str(exc.value)
 
 
 def test_construct_validation():
