@@ -143,7 +143,6 @@ def mangoldt_sum(m: int, sigma: float, t: float, X: float) -> complex:
     k = 1
     alive = np.ones(ps.size, dtype=bool)
     while np.any(alive):
-        pk = ps[alive].astype(float) ** k
         total += complex(np.sum(
             np.exp(-s * k * logs[alive]) / (k ** (m + 1) * logs[alive] ** m)))
         k += 1
@@ -195,8 +194,9 @@ class MeanSquareReport:
             raise ValidationError("mean-square report out of range")
 
 
-# eta~ grid columns by (m, sigma, T, step, table, abs_tol); a sweep over
-# X reads one column
+# eta~ grid columns by (m, sigma, T, step, table contents, abs_tol); a
+# sweep over X reads one column.  The key holds the table's zeros, not
+# its label: two tables of one label may differ
 _ETA_GRID_CACHE_CAP = 8
 _ETA_GRID_CACHE = LRUDict(_ETA_GRID_CACHE_CAP)
 
@@ -223,7 +223,8 @@ def _eta_tilde_grid(m: int, sigma: float, T: float, grid_step: float,
         return ts, vals
 
     return _ETA_GRID_CACHE.get_or_set(
-        (m, sigma, T, grid_step, table.source_label, abs_tol), column)
+        (m, sigma, T, grid_step, table.betas.tobytes(),
+         table.gammas.tobytes(), table.mults.tobytes(), abs_tol), column)
 
 
 def mean_square_error(m: int, sigma: float, X: float, T: float,

@@ -5,6 +5,18 @@ Horizontal form (weight collapsed by parts):
     eta_tilde_m(sigma + it) = 1/(m-1)! int_sigma^inf (a - sigma)^(m-1)
                               log zeta(a + it) da
 
+The integral splits at A = sigma + X, X = rays.CUTOFF_OFFSET = 6.
+Quadrature on the resolved ray covers [sigma, A].  From Re s >= 6.5 on,
+log zeta = sum_{n = p^k} n^-s / k converges absolutely, and each term
+integrates against the weight in closed form, so past A
+
+    tail = sum_{n = p^k <= K} n^-(A+it) / k
+           * sum_{i<m} X^i / (i! (log n)^(m-i)),
+
+with K = TAIL_TERMS and tail_bound bounding the prime powers past K.
+The recursive route threads the same series through its levels: level
+j takes the constant sum n^-(A+it) / (k (log n)^j) at A.
+
 Vertical form, defined by recursion in t with base log zeta:
 
     eta_m(sigma + it) = int_0^t eta_(m-1)(sigma + it') dt' + c_m(sigma)
@@ -22,6 +34,7 @@ Y_m correction exactly as stated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import e as _E, factorial, log
 
 import numpy as np
@@ -30,6 +43,7 @@ from numpy.polynomial import chebyshev as _cheb
 from .errors import (BranchObstruction, QuadratureNonconvergence,
                      TableCoverage, UnsupportedRange, ValidationError)
 from .lru import LRUDict
+from .primes import sieve_primes
 from .quadrature import (gl_nodes, integrate_rows, integrate_vec,
                          poly_log_integral)
 from .rays import CUTOFF_OFFSET, LineBranch, RayBranch, _w, check_guard
@@ -45,6 +59,11 @@ ROWS_PER_PASS = 128
 # half-width around a zero ordinate where eta_vertical integrates the
 # local log(s - rho) model in closed form
 SINGULARITY_PAD = 1e-2
+# the closed-form tail past A = sigma + CUTOFF_OFFSET sums log zeta's
+# Dirichlet series over the prime powers up to TAIL_TERMS; tail_bound
+# bounds the rest, about 1.5e-14 at sigma = 1/2, m = 3
+TAIL_TERMS = 300
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -110,14 +129,62 @@ def _zeta_term(m: int, span: float, sigma: float, t):
 
 
 def tail_bound(m: int, sigma: float, a_cut: float) -> float:
-    """Bound for 1/(m-1)! int_A^inf (a-sigma)^(m-1) |log zeta| da using
-    |log zeta(a + it)| <= 2 * 2^-a for a >= 2."""
-    ln2 = log(2.0)
+    """Bound for what the closed-form tail leaves out:
+    1/(m-1)! int_A^inf (a-sigma)^(m-1) |sum_{n > K} n^-(a+it) / k| da,
+    A = a_cut, K = TAIL_TERMS.  sum_{n > K} n^-a <= K^(1-a) / (a-1)
+    <= K^(1-a) / (A-1) for a >= A > 1, and K^-a integrates against the
+    weight as every term does."""
+    if not a_cut > 1.0:
+        raise ValidationError("the Dirichlet series of log zeta needs "
+                              "a cut A > 1")
     x = a_cut - sigma
-    j = m - 1
-    s = sum(factorial(j) // factorial(j - i) * x ** (j - i) / ln2 ** (i + 1)
-            for i in range(j + 1))
-    return 2.0 * 2.0 ** (-a_cut) * s / factorial(j)
+    log_k = log(TAIL_TERMS)
+    return TAIL_TERMS ** (1.0 - a_cut) / (a_cut - 1.0) \
+        * sum(x ** i / (factorial(i) * log_k ** (m - i)) for i in range(m))
+
+
+@lru_cache(maxsize=None)
+def _prime_powers():
+    """log n and 1/k for the prime powers n = p^k <= TAIL_TERMS, made on
+    first use."""
+    logs, inv_k = [], []
+    for p in sieve_primes(TAIL_TERMS).primes.tolist():
+        n, k = p, 1
+        while n <= TAIL_TERMS:
+            logs.append(log(n))
+            inv_k.append(1.0 / k)
+            n, k = n * p, k + 1
+    return np.array(logs), np.array(inv_k)
+
+
+def _cut_series(sigma: float, t):
+    """log zeta's Dirichlet series at the cut A = sigma + CUTOFF_OFFSET:
+    log n and the terms n^-(A+it) / k over the prime powers n <= K, one
+    row per height of t, with each term's rounding relative to its
+    modulus (its phase t log n is rounded to eps, relative).  Every
+    term is formed elementwise, so a row does not depend on the other
+    rows."""
+    logs, inv_k = _prime_powers()
+    phase = np.multiply.outer(np.atleast_1d(np.asarray(t, dtype=float)),
+                              logs)
+    terms = inv_k * np.exp(-(sigma + CUTOFF_OFFSET) * logs) \
+        * np.exp(-1j * phase)
+    return logs, terms, _EPS * (4.0 + phase)
+
+
+def _tail(m: int, sigma: float, t):
+    """1/(m-1)! int_A^inf (a-sigma)^(m-1) log zeta(a + it) da in closed
+    form at each height of t, A = sigma + X, X = CUTOFF_OFFSET, and its
+    error: tail_bound plus rounding.  Each term n^-(a+it) / k integrates
+    against the weight to n^-(A+it) / k sum_{i<m} X^i / (i! (log n)^(m-i)),
+    and each row sums its own terms."""
+    logs, terms, rel = _cut_series(sigma, t)
+    x = CUTOFF_OFFSET
+    weighted = terms * sum(x ** i / factorial(i) / logs ** (m - i)
+                           for i in range(m))
+    err = tail_bound(m, sigma, sigma + x) \
+        + (np.abs(weighted) * rel).sum(axis=-1)
+    return weighted.sum(axis=-1), err
 
 
 def _pole_log(m: int, sigma: float, a_cut: float) -> complex:
@@ -157,10 +224,10 @@ def eta_tilde_weighted(m: int, sigma: float, t: float,
     def f(alphas):
         return (alphas - sigma) ** (m - 1) * np.log(_w(alphas).real) / fm
     smooth, qerr, nev = integrate_vec(f, sigma, a_cut, abs_tol,
-                                      initial_splits=8)
-    value = smooth - _pole_log(m, sigma, a_cut)
-    err = qerr + tail_bound(m, sigma, a_cut) \
-        + float(_zeta_term(m, a_cut - sigma, sigma, t))
+                                      initial_splits=2)
+    (tail,), (tail_err,) = _tail(m, sigma, t)
+    value = smooth - _pole_log(m, sigma, a_cut) + tail
+    err = qerr + tail_err + float(_zeta_term(m, CUTOFF_OFFSET, sigma, t))
     return EtaValue(m, ComplexPoint(sigma, t), complex(value), err, nev)
 
 
@@ -169,8 +236,9 @@ def _eta_tilde_rows(m: int, sigma: float, ts: np.ndarray,
     """eta~_m(sigma + it) at every height t > 0 of ts, in one pass.
 
     One RayBranch resolves the ladders of all heights and one
-    integrate_rows call integrates them, so a height costs its share of
-    a few batched zeta calls instead of a call sequence of its own.
+    integrate_rows call integrates them on [sigma, sigma + CUTOFF_OFFSET],
+    so a height costs its share of a few batched zeta calls instead of a
+    call sequence of its own; the closed-form tail adds the rest.
     Each height gets its own panels, and its value differs from its
     one-height value only by the rounding of the zeta calls it shared.
     Returns per height its EtaValue, or the BranchObstruction or
@@ -208,10 +276,11 @@ def _eta_tilde_rows(m: int, sigma: float, ts: np.ndarray,
         return (alphas - sigma) ** (m - 1) \
             * branch.log_zeta(alphas, rows[row]) / fm
     value, qerr, nev, refused = integrate_rows(
-        f, np.full(rows.size, sigma), a_cut, abs_tol, initial_splits=8)
+        f, np.full(rows.size, sigma), a_cut, abs_tol, initial_splits=2)
     ts_ok = branch.heights[rows]
-    err = qerr + tail_bound(m, sigma, a_cut) \
-        + _zeta_term(m, a_cut - sigma, sigma, ts_ok)
+    tail, tail_err = _tail(m, sigma, ts_ok)
+    value = value + tail
+    err = qerr + tail_err + _zeta_term(m, CUTOFF_OFFSET, sigma, ts_ok)
     nev = nev + branch.row_nodes[rows]
     for j, r in enumerate(rows):
         if refused[j] is not None:
@@ -242,6 +311,12 @@ class _PiecewiseCheb:
             u = (2.0 * xs[sel] - (a + b)) / (b - a)
             out[sel] = _cheb.chebval(u, self.coeffs[i])
         return out
+
+    def plus(self, const: complex) -> "_PiecewiseCheb":
+        """The representation plus a constant."""
+        return _PiecewiseCheb(self.edges,
+                              [np.concatenate([[c[0] + const], c[1:]])
+                               for c in self.coeffs])
 
     def interval_integrals(self) -> np.ndarray:
         vals = np.empty(len(self.coeffs), dtype=complex)
@@ -340,9 +415,11 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
 
     Level one is sampled by panel quadrature of log zeta; each further
     level integrates a piecewise-polynomial fit of the previous one.
-    Truncating every level at the same cutoff A makes the nested region
-    exactly the simplex of the weighted form, so the two routes agree up
-    to quadrature error and serve as mutual checks.
+    Every level j runs to the cut A and adds its value there in closed
+    form, G_j(A) = sum n^-(A+it) / (k (log n)^j), so the levels are the
+    nested integrals to infinity.  The weighted form's tail combines the
+    same terms with the weight, so the two routes agree up to quadrature
+    error and serve as mutual checks.
     """
     _validate_order_sigma(m, sigma)
     _validate_abs_tol(abs_tol)
@@ -360,9 +437,7 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
 
     nev = 0
     if t == 0.0:
-        edges = np.unique(np.concatenate(
-            [np.arange(sigma, min(sigma + 3.0, a_cut), 0.25),
-             np.geomspace(min(sigma + 3.0, a_cut), a_cut, 24)]))
+        edges = np.linspace(sigma, a_cut, 25)
 
         def f_vec(xs):
             return np.log(_w(xs).real).astype(complex)
@@ -370,9 +445,10 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
         branch = RayBranch(sigma, t)
         nev += branch.nodes_used
         edges = sigma + branch.offsets()
-        if edges[-1] > a_cut:
-            edges = np.unique(np.append(edges[edges < a_cut], a_cut))
         f_vec = branch.log_zeta
+    # at_cut[j] = G_j(A), level j's value at the cut
+    logs, terms, _ = _cut_series(sigma, t)
+    at_cut = [complex(np.sum(terms[0] / logs ** j)) for j in range(m + 1)]
 
     tol_i = max(abs_tol * 1e-2, 1e-11)
     dev_max = 0.0
@@ -390,21 +466,26 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
         raise QuadratureNonconvergence(
             f"nested level-1 fit stalled at deviation {dev_max:.2e}")
 
+    rep = rep.plus(at_cut[1])
+
     # higher levels are exact integrals of the previous representation
-    for _level in range(2, m):
+    for level in range(2, m):
         sampler, suffix, _ = _integrate_level(rep)
         rep, dev, bad = _build_level_rep(rep.edges, sampler, tol_i * 10,
                                          "higher level")
+        rep = rep.plus(at_cut[level])
         dev_max = max(dev_max, dev)
 
     full = rep.interval_integrals()
-    value = complex(np.sum(full))
+    value = complex(np.sum(full)) + at_cut[m]
     if t == 0.0:
         value -= _pole_log(m, sigma, a_cut)
 
-    span = a_cut - sigma
+    # the constants' truncation and rounding reach the value through the
+    # weighted tail's combination, so they carry its error
+    span = CUTOFF_OFFSET
     err = dev_max * span ** (m - 1) / factorial(m - 1) \
-        + 1e-10 * span + tail_bound(m, sigma, a_cut) \
+        + 1e-10 * span + float(_tail(m, sigma, t)[1][0]) \
         + float(_zeta_term(m, span, sigma, t))
     return EtaValue(m, ComplexPoint(sigma, t), value, err, nev)
 

@@ -22,8 +22,11 @@ the ladder's continuous imaginary part, and the refinement bounds make
 that rounding exact.
 
 * `RayBranch` runs the ladder over alpha at each of many heights
-  t > 0, leftwards from the anchor at Re(s) = sigma + 40, where log W is
-  principal.  The heights' ladders refine together, one _w call per
+  t > 0, leftwards from the anchor at Re(s) = sigma + CUTOFF_OFFSET,
+  where log W is principal: from sigma = 1/2 on, the anchor has
+  Re s >= 6.5 and |Im log zeta| < 0.012.  Past the anchor eta
+  integrates log zeta's Dirichlet series in closed form, so no ray runs
+  further.  The heights' ladders refine together, one _w call per
   round, and a ladder that stalls on a zero obstructs only its own
   height.
 * `LineBranch` runs it over u on the line sigma + iu.  There log W is
@@ -42,7 +45,9 @@ from .errors import BranchObstruction, UnsupportedRange
 from .zeros import ZeroTable
 from .zetafun import POLE_RADIUS, zeta_batch
 
-CUTOFF_OFFSET = 40.0
+# length of every ray, and the offset X past which eta integrates log
+# zeta's Dirichlet series in closed form
+CUTOFF_OFFSET = 6.0
 GUARD = 1e-3          # min |t - gamma| for rays passing a zero with beta >= sigma
 # initial node spacing of a line ladder: W's phase turns by about
 # log(u / 2 pi) / 2 per unit height, so most gaps pass at once
@@ -86,8 +91,8 @@ def check_guard(table: ZeroTable, sigma: float, t: float) -> None:
 
 
 def _initial_offsets() -> np.ndarray:
-    """Node ladder in alpha - sigma: dense where zeros live, geometric
-    out to the cutoff where log zeta is already negligible."""
+    """Node ladder in alpha - sigma on [0, CUTOFF_OFFSET]: dense where
+    zeros live, geometric out to the anchor at the cutoff."""
     low = np.arange(0.0, 3.0001, 0.05)
     high = [3.0]
     while high[-1] * 1.3 < CUTOFF_OFFSET:
@@ -136,8 +141,8 @@ def _refine(s: np.ndarray, linked: np.ndarray):
 
 
 class RayBranch:
-    """Resolved branch of log zeta on [sigma, sigma + 40] at each height
-    of t, a float or a 1-D array of heights t > 0 (the rows).
+    """Resolved branch of log zeta on [sigma, sigma + CUTOFF_OFFSET] at
+    each height of t, a float or a 1-D array of heights t > 0 (the rows).
 
     One _refine call resolves the ladders of all rows; the gap between
     two rows is never linked, so each row's ladder is the one it gets
@@ -377,9 +382,9 @@ def log_zeta_horizontal(sigma: float, t: float, table=None) -> complex:
 
 
 def log_zeta_real_axis(alphas) -> np.ndarray:
-    """log zeta(alpha + i 0+) for real alpha in (0, sigma + 40].
+    """log zeta(alpha + i 0+) for real alpha > 0, alpha != 1.
 
-    W(alpha) = zeta(alpha)(alpha - 1) is real and positive on (0, 40+],
+    W(alpha) = zeta(alpha)(alpha - 1) is real and positive for alpha > 0,
     so log W is real; the subtracted pole log picks up -i pi left of 1
     (limit from the upper half plane).
     """

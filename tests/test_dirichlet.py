@@ -10,7 +10,7 @@ from iterzeta.errors import (ConvergenceDomain, CutoffExceeded,
                              TableCoverage, UnsupportedRange,
                              ValidationError)
 from iterzeta.primes import sieve_primes
-from iterzeta.zeros import bundled_table
+from iterzeta.zeros import ZeroTable, bundled_table
 
 mp.mp.dps = 30
 
@@ -151,6 +151,28 @@ def test_eta_grid_cache_keeps_its_cap(monkeypatch):
     assert np.array_equal(again[0], first[0])
     assert np.array_equal(again[1], first[1])
     assert len(dirichlet._ETA_GRID_CACHE) == dirichlet._ETA_GRID_CACHE_CAP
+
+
+def test_eta_grid_cache_keys_on_table_contents(monkeypatch):
+    # two tables of one label, the second with one more zero on the line
+    # at t = 20: its grid point t = 20 falls in the guard zone, and the
+    # column cached for the first table must not answer for it
+    monkeypatch.setattr(dirichlet, "_ETA_GRID_CACHE",
+                        dirichlet.LRUDict(dirichlet._ETA_GRID_CACHE_CAP))
+    tab = bundled_table()
+    plain = ZeroTable(tab.betas, tab.gammas, tab.mults)
+    i = int(np.searchsorted(tab.gammas, 20.0))
+    extra = ZeroTable(np.insert(tab.betas, i, 0.5),
+                      np.insert(tab.gammas, i, 20.0),
+                      np.insert(tab.mults, i, 1))
+    assert plain.source_label == extra.source_label
+    first = mean_square_error(1, 0.5, 100, 30.0, 0.25, plain)
+    second = mean_square_error(1, 0.5, 100, 30.0, 0.25, extra)
+    assert first.skipped_fraction == 0.0
+    assert second.skipped_fraction == pytest.approx(1 / 65)
+    monkeypatch.setattr(dirichlet, "_ETA_GRID_CACHE",
+                        dirichlet.LRUDict(dirichlet._ETA_GRID_CACHE_CAP))
+    assert mean_square_error(1, 0.5, 100, 30.0, 0.25, extra) == second
 
 
 def test_mean_square_validation():

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from math import factorial, log
 
 import numpy as np
 import mpmath as mp
@@ -12,6 +13,9 @@ from iterzeta.eta import (_eta_tilde_rows, c_m, check_bridge, check_guard,
                           eta_tilde_recursive, eta_tilde_weighted,
                           eta_vertical, growth_check, tail_bound, y_m,
                           y_m_terms)
+from iterzeta.quadrature import integrate_vec
+from iterzeta.rays import CUTOFF_OFFSET
+from iterzeta.zetafun import zeta_batch
 from iterzeta.zeros import EMPTY_TABLE, ZeroTable, bundled_table
 
 mp.mp.dps = 25
@@ -116,6 +120,62 @@ def test_tail_bound_shrinks():
     bounds = [tail_bound(2, 0.5, a) for a in (10.5, 20.5, 40.5)]
     assert all(b > 0 for b in bounds)
     assert bounds[0] > bounds[1] > bounds[2]
+    # what the closed-form tail leaves out at its own cut
+    assert tail_bound(3, 0.5, 0.5 + CUTOFF_OFFSET) < 2e-14
+
+
+def _bound_past(m, sigma, a_cut):
+    """1/(m-1)! int_A^inf (a-sigma)^(m-1) 2 * 2^-a da, A = a_cut: the
+    weight against |log zeta(a + it)| <= 2 * 2^-a for a >= 2."""
+    x = a_cut - sigma
+    return 2.0 * 2.0 ** -a_cut * sum(
+        x ** i / (factorial(i) * log(2.0) ** (m - i)) for i in range(m))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("sigma", [0.5, 1.3])
+def test_tail_against_quadrature(m, sigma):
+    # the closed form past A = sigma + 6 against quadrature of log zeta
+    # on [A, sigma + 40] plus a bound for the rest
+    ts = np.array([0.0, 0.1, 14.5, 71.0, 1900.0, 9900.0])
+    tails, errs = eta._tail(m, sigma, ts)
+    a0, a1 = sigma + CUTOFF_OFFSET, sigma + 40.0
+    for t, tail, err in zip(ts, tails, errs):
+        log_err = float(eta._log_zeta_error(a0, t))
+
+        def f(a):
+            return (a - sigma) ** (m - 1) / factorial(m - 1) \
+                * np.log(zeta_batch(a + 1j * t))
+        quad, qerr, _ = integrate_vec(
+            f, a0, a1, 1e-13, initial_splits=8,
+            noise=log_err * (a1 - sigma) ** (m - 1) / factorial(m - 1))
+        zeta_err = log_err * ((a1 - sigma) ** m - (a0 - sigma) ** m) \
+            / factorial(m)
+        assert abs(tail - quad) <= err + qerr + _bound_past(m, sigma, a1) \
+            + zeta_err
+        # each row sums its own terms: bitwise its value alone
+        alone, alone_err = eta._tail(m, sigma, t)
+        assert (alone[0], alone_err[0]) == (tail, err)
+
+
+def test_weighted_against_mpmath_principal():
+    # from sigma = 3/2 on, |Im log zeta| <= log zeta(3/2) < pi, so
+    # mpmath's principal log is the branch; past a = 60 log zeta is
+    # below 2^-59
+    m, sigma, t = 3, 1.5, 30.5
+    got = eta_tilde_weighted(m, sigma, t)
+    want = complex(mp.quad(
+        lambda a: (a - sigma) ** (m - 1) / 2
+        * mp.log(mp.zeta(mp.mpc(a, t))),
+        [sigma, 2.5, 4, 7.5, 15, 30, 60]))
+    assert abs(got.value - want) < got.est_error
+    assert got.est_error < 1e-8
+
+
+def test_weighted_evaluation_count():
+    # the ray and its panels stop at sigma + 6: the tail is closed form
+    got = eta_tilde_weighted(1, 0.6, 30.0, TAB)
+    assert got.nevals <= 250
 
 
 # --------------------------------------------------------------- recursive

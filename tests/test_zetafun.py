@@ -81,8 +81,9 @@ def test_params_validation():
 # ---------------------------------------------- per-point length and error
 
 def _mp_grid():
-    """sigma from 0 to the far end of a ray (sigma + 40), t log-spread
-    over [1e-2, 1e4]; sigma is nudged off 1 so no point meets the pole."""
+    """sigma from 0 to far past the anchor of a ray (sigma + 6), t
+    log-spread over [1e-2, 1e4]; sigma is nudged off 1 so no point
+    meets the pole."""
     sigmas = [0.0, 0.13, 0.5, 0.77, 1.01, 1.6, 3.5, 9.0, 22.0, 45.0]
     ts = np.concatenate([[0.0], np.logspace(-2, 4, 19)])
     return np.array([complex(sg, t) for sg in sigmas for t in ts])
