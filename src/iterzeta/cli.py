@@ -131,11 +131,15 @@ def _as_str(cfg: dict, key: str, default=None) -> str:
     return str(cfg[key])
 
 
+# most rows one eval grid may hold; a row costs milliseconds
+MAX_GRID_ROWS = 100_000
+
+
 def _t_grid(cfg: dict) -> np.ndarray:
     spec = str(_need(cfg, "t"))
     step = _as_float(cfg, "step", 0.5)
-    if step <= 0.0:
-        raise ValidationError("field step: must be positive")
+    if not (np.isfinite(step) and step > 0.0):
+        raise ValidationError("field step: must be finite and positive")
     if ".." in spec:
         lo_s, _, hi_s = spec.partition("..")
         try:
@@ -148,11 +152,18 @@ def _t_grid(cfg: dict) -> np.ndarray:
             lo = hi = float(spec)
         except ValueError:
             raise ValidationError(f"field t: malformed value {spec!r}") from None
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValidationError(f"field t: {spec!r} is not finite")
+    if ".." not in spec:
         return np.array([lo])
     if hi <= lo:
         return np.array([])
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    n = np.floor((hi - lo) / step + 1e-9) + 1
+    if not n <= MAX_GRID_ROWS:
+        raise ValidationError(
+            f"field step: t={spec} at step {step:g} holds {n:.3g} rows, "
+            f"more than {MAX_GRID_ROWS}")
+    return lo + step * np.arange(int(n))
 
 
 def _load_table(cfg: dict, required: bool) -> ZeroTable:

@@ -112,8 +112,7 @@ def _prime_logs(X: float, primes: PrimeTable) -> np.ndarray:
     """log p for the primes p <= X of the table."""
     if X > primes.limit:
         raise CutoffExceeded(f"X={X:g} beyond sieve limit {primes.limit}")
-    return primes.logs[:int(np.searchsorted(primes.primes, X,
-                                            side="right"))]
+    return primes.logs[:primes.count_upto(X)]
 
 
 def dirichlet_li_sum(m: int, sigma: float, t: float, X: float,

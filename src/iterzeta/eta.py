@@ -21,6 +21,16 @@ Vertical form, defined by recursion in t with base log zeta:
 
     eta_m(sigma + it) = int_0^t eta_(m-1)(sigma + it') dt' + c_m(sigma)
 
+eta_vertical steps it up the line: between canonical knots (multiples
+of KNOT_STEP, ordinates of zeros right of the line, pad edges) every
+level advances by the exact Taylor shift of iterated integrals, and one
+partial step reaches t.  The knot values of a line are kept in a capped
+cache keyed on (m, sigma, abs_tol, the table's zeros), so a row on a
+line already stepped past its knot integrates only its last step, and
+its value and est_error are bitwise those of a cold run.  A sweep up a
+line costs one pass over it plus, per row, a partial step and the walks
+that anchor the branch there.
+
 The two are linked by eta_m = i^m eta_tilde_m + Y_m where Y_m collects
 contributions of zeros right of the line below height t; check_bridge
 measures the residual of that identity, which is the sharpest end-to-end
@@ -45,7 +55,7 @@ from .errors import (BranchObstruction, QuadratureNonconvergence,
 from .lru import LRUDict
 from .primes import sieve_primes
 from .quadrature import (gl_nodes, integrate_rows, integrate_vec,
-                         poly_log_integral)
+                         poly_log_integral, poly_log_integrals)
 from .rays import CUTOFF_OFFSET, LineBranch, RayBranch, _w, check_guard
 from .rays import GUARD  # noqa: F401  (re-exported: callers import it here)
 from .zetafun import DEFAULT_PARAMS, ComplexPoint, zeta_error
@@ -56,8 +66,15 @@ SUPPORTED_M = (1, 2, 3)
 # nodes of all its heights at once, so this bounds its memory; from
 # about 16 heights on, a pass costs the same per height
 ROWS_PER_PASS = 128
-# half-width around a zero ordinate where eta_vertical integrates the
-# local log(s - rho) model in closed form
+# eta_vertical steps up a line between knots KNOT_STEP apart (and the
+# ordinates of zeros right of the line, and pad edges); the local model
+# of a zero within NEAR_LINE of the line is integrated in closed form
+# over the steps within KNOT_STEP of its ordinate
+KNOT_STEP = 2.0
+NEAR_LINE = 0.5
+# half-width of the pad around the ordinate of a zero this close to the
+# line: the remainder there is integrated by a fixed rule whose nodes
+# keep off the ordinate, where the table's rounding of it would show
 SINGULARITY_PAD = 1e-2
 # the closed-form tail past A = sigma + CUTOFF_OFFSET sums log zeta's
 # Dirichlet series over the prime powers up to TAIL_TERMS; tail_bound
@@ -533,28 +550,139 @@ def y_m(m: int, sigma: float, t: float, table: ZeroTable) -> complex:
                0.0 + 0.0j)
 
 
+# lines whose knot values eta_vertical keeps, by (m, sigma, abs_tol,
+# table zeros); a line holds m complex values and m bounds per knot
+_LINE_CACHE_CAP = 64
+_LINE_CACHE = LRUDict(_LINE_CACHE_CAP)
+
+
+class _Line:
+    """The canonical knots of the line sigma + iu for a zero table, and
+    the values eta_vertical has reached at them.
+
+    The knots are the multiples of KNOT_STEP, the ordinates of the
+    zeros right of the line, where the branch may jump, and the edges of
+    the pads (SINGULARITY_PAD around the ordinate of a zero that close
+    to the line), with the multiples inside a pad dropped: they depend
+    on sigma and the table only.  At knot i, kept[i] = (F, E): F[j-1] is
+    the j-fold integral from 0 of log W, W = zeta(s)(s - 1), for
+    j = 1..m, and E[j-1] its error bound; they are kept from knot 0 up
+    as far as rows have stepped.  The zeros within NEAR_LINE of the
+    line, by ordinate, have their local models taken out of the
+    integrand.
+    """
+
+    def __init__(self, m: int, sigma: float, abs_tol: float,
+                 table: ZeroTable):
+        h = SINGULARITY_PAD
+        on = np.abs(sigma - table.betas) <= h
+        pad_g = table.gammas[on]
+        self.pad_lo = np.maximum(pad_g - h, 0.0)
+        units = np.arange(0.0, table.coverage + KNOT_STEP, KNOT_STEP)
+        inside = np.any(np.abs(units[:, None] - pad_g) < h, axis=1) \
+            & (units > 0.0)
+        self.knots = np.unique(np.concatenate(
+            [units[~inside], table.gammas[~on & (table.betas > sigma)],
+             self.pad_lo, pad_g + h]))
+        # panels meet rate per unit height in every level: at most
+        # abs_tol in all at the top of the table's coverage
+        self.rate = abs_tol * factorial(m) / table.coverage ** m
+        self.noise = _log_zeta_error(sigma, self.knots)
+        near = np.nonzero(np.abs(sigma - table.betas) <= NEAR_LINE)[0]
+        near = near[np.argsort(table.gammas[near], kind="stable")]
+        self.near = (table.gammas[near], sigma - table.betas[near],
+                     table.mults[near].astype(float))
+        # knot index -> (F, E); the keys are always 0..n-1, as rows store
+        # the knots they step past in order, and a knot's value is the
+        # same whichever row stores it
+        self.kept = {0: (np.zeros(m, dtype=complex), np.zeros(m))}
+
+    def models(self, lo: np.ndarray, hi: np.ndarray):
+        """(g, c, k) of the zeros near the line with ordinates within
+        KNOT_STEP of each step [lo, hi], as (steps, slots) arrays in
+        ordinate order, padded by k = 0; and the count per step."""
+        g, c, k = self.near
+        first = np.searchsorted(g, lo - KNOT_STEP)
+        count = np.searchsorted(g, hi + KNOT_STEP, side="right") - first
+        slot = first[:, None] + np.arange(int(count.max(initial=0)))
+        used = slot < (first + count)[:, None]
+        slot = np.minimum(slot, g.size - 1)
+        return (np.where(used, g[slot], 0.0), np.where(used, c[slot], 1.0),
+                np.where(used, k[slot], 0.0), count)
+
+
+def _line(m: int, sigma: float, abs_tol: float, table: ZeroTable) -> _Line:
+    return _LINE_CACHE.get_or_set(
+        (m, sigma, abs_tol, table.betas.tobytes(), table.gammas.tobytes(),
+         table.mults.tobytes()),
+        lambda: _Line(m, sigma, abs_tol, table))
+
+
+def _pad_rule(f, lo, hi, rows):
+    """Gauss-Legendre 24 over each pad [lo, hi] of f's rows, and its
+    distance to Gauss-Legendre 16 as the error, per component: even
+    orders keep the nodes off the pad's centre."""
+    x16, w16 = gl_nodes(16)
+    x24, w24 = gl_nodes(24)
+    half = 0.5 * (hi - lo)[:, None]
+    us = 0.5 * (lo + hi)[:, None] + half * np.concatenate([x16, x24])
+    vals = f(us.ravel(), np.repeat(rows, 40)).reshape(-1, rows.size, 40)
+    r16 = half[:, 0] * (vals[..., :16] * w16).sum(axis=-1)
+    r24 = half[:, 0] * (vals[..., 16:] * w24).sum(axis=-1)
+    return r24.T, np.abs(r24 - r16).T
+
+
+def _shift(F, E, delta: float, S, R):
+    """Knot values one step of length delta up the line: level j takes
+    sum_{i<j} F_{j-i} delta^i / i! plus the step's own integral S_j,
+    and its error bound the same combination of E plus R_j."""
+    m = F.size
+    taylor = np.array([[delta ** (j - i) / factorial(j - i) if i <= j
+                        else 0.0 for i in range(m)] for j in range(m)])
+    return taylor @ F + S, taylor @ E + R
+
+
 def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable, *,
                  abs_tol: float = 1e-8) -> EtaValue:
-    """Vertical iterated integral, collapsed to a single weighted
-    quadrature in the height:
+    """Vertical iterated integral, stepped up the line:
 
         eta_m = 1/(m-1)! int_0^t (t-u)^(m-1) log zeta(sigma+iu) du
                 + sum_j c_j(sigma) t^(m-j)/(m-j)!
 
-    The path is split at every table ordinate below t, and the spans
-    integrate as the rows of one integrate_rows call; within
-    SINGULARITY_PAD of an ordinate the local log(s - rho) model is
-    integrated in closed form and only the smooth remainder numerically.
-    The pole's -Log(s - 1) is integrated in closed form too, so the
-    quadrature sees log(zeta(s)(s - 1)), smooth through u = 0 even at
-    sigma = 1.
+    The pole's -Log(s - 1) in log zeta = log W - Log(s - 1) is
+    integrated over [0, t] in closed form, so the quadrature sees
+    log W, W = zeta(s)(s - 1), smooth through u = 0 even at sigma = 1.
+    The iterated integrals F_j of log W go up the line from knot to knot
+    (_Line: multiples of KNOT_STEP, ordinates of zeros right of the line
+    and pad edges) by the exact Taylor shift
 
-    The branch of log zeta on the line comes from one rays.LineBranch:
-    a ladder up the line carries the winding between the ordinates of
-    zeros at or right of it, and horizontal walks anchor and check each
-    stretch, so the table decides where the branch may jump but zeta
-    decides by how much.  zeta is evaluated exactly at every node; the
-    ladder and walk nodes count towards nevals.
+        F_j(u + d) = sum_{i<j} F_{j-i}(u) d^i / i!
+                     + 1/(j-1)! int_u^{u+d} (u+d-v)^(j-1) log W(sigma+iv) dv,
+
+    and one partial step from the last knot below t reaches t.  The m
+    weights of a step share their log W values: each step is one
+    m-valued row of one integrate_rows call.  A zero rho within
+    NEAR_LINE of the line makes log W singular near its ordinate; every
+    step within KNOT_STEP of it integrates log W - k Log(s - rho), which
+    is smooth there, and adds the model k Log(s - rho) in closed form.
+    Within SINGULARITY_PAD of a zero that close to the line, a pad
+    takes a fixed rule instead of panels.  Errors go up with the values,
+    times the same d^i / i!.
+
+    Knot values are kept per line (_LINE_CACHE, by m, sigma, abs_tol and
+    the table's zeros), so a row below the line's highest kept knot
+    integrates only its partial step, and a taller row the steps above
+    it too.  A step's panels, tolerance and zeta values depend on the
+    step alone, so a row's value and est_error are bitwise those of a
+    cold run, whatever rows came before it.
+
+    The branch of log zeta on the line comes from one rays.LineBranch
+    over the heights the row steps through: a ladder up the line carries
+    the winding between the ordinates of zeros at or right of it, and
+    horizontal walks anchor and check each stretch, so the table decides
+    where the branch may jump but zeta decides by how much.  nevals
+    counts the zeta evaluations this call made: ladder and walk nodes,
+    panels, and the constants c_j it had to compute.
     """
     _validate_order_sigma(m, sigma)
     _validate_abs_tol(abs_tol)
@@ -566,79 +694,85 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable, *,
             f"height t={t:g} beyond table coverage {table.coverage:g} "
             f"({table.source_label}); zeros there would be invisible")
     h = SINGULARITY_PAD
-    fm = factorial(m - 1)
-
-    sel = table.gammas < t
-    gam = table.gammas[sel]
-    bet = table.betas[sel]
-    mlt = table.mults[sel]
+    gam = table.gammas[table.gammas < t]
     if gam.size and np.min(np.diff(gam), initial=np.inf) <= 2.0 * h:
         raise UnsupportedRange(f"table ordinates closer than twice the "
                                f"singularity pad {h:g}")
-
-    pads = []     # (lo, hi, gamma, c, mult)
-    edges = [0.0, t]
-    for g, b, k in zip(gam, bet, mlt):
-        if abs(sigma - b) <= h:
-            lo, hi = max(g - h, 0.0), min(g + h, t)
-            pads.append((lo, hi, g, sigma - b, int(k)))
-            edges += [lo, hi]
-        else:
-            edges.append(g)
-    edges = np.unique(np.asarray(edges))
-    pad_spans = {(lo, hi) for lo, hi, *_ in pads}
-
-    # the branch may jump where a zero lies at or right of the line
-    line = LineBranch(sigma, t, gam[bet >= sigma])
-
-    def f(us, _row):
-        return (t - us) ** (m - 1) * line.log_w(us) / fm
-
-    # f's values are off by up to its weight times log zeta's error; at
-    # large t and m that passes the panels' share of abs_tol, and panels
-    # must not be bisected to resolve it
+    line = _line(m, sigma, abs_tol, table)
+    # the steps from the highest kept knot below t, the last one to t
+    top = int(np.searchsorted(line.knots, t)) - 1
+    start = min(top, len(line.kept) - 1)
+    lo = line.knots[start:top + 1]
+    hi = np.append(line.knots[start + 1:top + 1], t)
+    pad = np.isin(lo, line.pad_lo)
     log_err = float(_log_zeta_error(sigma, t))
-    value = -poly_log_integral(m, t, 0.0, t, 0.0, sigma - 1.0)
-    qerr = 0.0
-    nev = line.nodes_used
-    # the spans between edges, but the pads, as rows of one quadrature
-    u0, u1 = np.array([span for span in zip(edges[:-1], edges[1:])
-                       if span not in pad_spans and span[1] - span[0] >= 1e-13]
-                      ).reshape(-1, 2).T
-    vals, errs, nevs, refused = integrate_rows(
-        f, u0, u1, abs_tol * (u1 - u0) / t,
-        noise=log_err * (t - u0) ** (m - 1) / fm)
-    for v, err, ne, exc in zip(vals, errs, nevs, refused):
-        if exc is not None:
-            raise exc
-        value += v
-        qerr += err
-        nev += int(ne)
 
-    x16, w16 = gl_nodes(16)
-    x24, w24 = gl_nodes(24)
-    for lo, hi, g, c, k in pads:
-        value += k * poly_log_integral(m, t, lo, hi, g, c)
+    # the branch may jump where a zero lies at or right of the line; it
+    # starts at a knot, but not next to a zero inside a pad
+    bottom = line.knots[start - 1] if pad[0] and start else lo[0]
+    branch = LineBranch(sigma, t, table.gammas[table.betas >= sigma],
+                        bottom=bottom)
+    G, C, K, count = line.models(lo, hi)
 
-        def rem(us):
-            return (t - us) ** (m - 1) / fm * (
-                line.log_w(us) - k * np.log(c + 1j * (us - g)))
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        r16 = half * np.sum(w16 * rem(mid + half * x16))
-        r24 = half * np.sum(w24 * rem(mid + half * x24))
-        value += r24
-        qerr += abs(r24 - r16)
-        nev += 40
+    def f(us, row):
+        rem = branch.log_w(us)
+        for z in range(G.shape[1]):
+            rem = rem - K[row, z] * np.log(C[row, z] + 1j * (us - G[row, z]))
+        d = hi[row] - us
+        out, weight = [], np.ones_like(us)
+        for j in range(m):
+            out.append(weight * rem)
+            weight = weight * d / (j + 1)
+        return np.stack(out)
+    S = np.zeros((lo.size, m), dtype=complex)
+    R = np.zeros((lo.size, m))
+    nev = branch.nodes_used
+    steps = np.nonzero(~pad)[0]
+    if steps.size:
+        # log W's rounding is zeta's over |zeta|, and next to a zero rho
+        # of the table |zeta| >= |s - rho| / 2 (|zeta'(rho)| >= 0.79
+        # below t = 250): a step that near a modelled zero declares more
+        noise = np.append(line.noise[start + 1:top + 1], log_err)[steps]
+        a, b = lo[steps], hi[steps]
+        gap = np.maximum(np.maximum(a[:, None] - G[steps], G[steps]
+                                    - b[:, None]), 0.0)
+        near = np.where(K[steps] > 0.0, np.hypot(C[steps], gap), np.inf)
+        noise = noise * np.maximum(1.0, 2.0 / near.min(axis=1,
+                                                      initial=np.inf))
+        S[steps], R[steps], nevs, refused = integrate_rows(
+            lambda us, row: f(us, steps[row]), a, b,
+            line.rate * (b - a), noise=noise)
+        for exc in refused:
+            if exc is not None:
+                raise exc
+        nev += int(nevs.sum())
+    pads = np.nonzero(pad)[0]
+    if pads.size:
+        S[pads], R[pads] = _pad_rule(f, lo[pads], hi[pads], pads)
+        nev += 40 * pads.size
 
+    F, E = line.kept[start]
+    for i in range(lo.size):
+        for z in range(count[i]):
+            S[i] += K[i, z] * poly_log_integrals(m, hi[i], lo[i], hi[i],
+                                                 G[i, z], C[i, z])
+        F, E = _shift(F, E, hi[i] - lo[i], S[i], R[i])
+        if i < lo.size - 1:
+            line.kept[start + i + 1] = F, E
+
+    value = F[m - 1] - poly_log_integral(m, t, 0.0, t, 0.0, sigma - 1.0)
     cs_err = 0.0
     for j in range(1, m + 1):
+        # like knot values, a constant kept from an earlier call costs
+        # this one nothing
+        if (j, sigma, abs_tol) not in _C_CACHE:
+            nev += _c_eta(j, sigma, abs_tol).nevals
         cj = _c_eta(j, sigma, abs_tol)
         value += 1j ** j * cj.value * t ** (m - j) / factorial(m - j)
         cs_err += cj.est_error * t ** (m - j) / factorial(m - j)
-        nev += cj.nevals
 
-    err = qerr + cs_err + log_err * t ** m / factorial(m)
-    return EtaValue(m, ComplexPoint(sigma, t), complex(value), err, nev)
+    err = E[m - 1] + cs_err + log_err * t ** m / factorial(m)
+    return EtaValue(m, ComplexPoint(sigma, t), complex(value), float(err), nev)
 
 
 def check_bridge(m: int, sigma: float, t: float, table: ZeroTable, *,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LimitExceeded
+from .errors import LimitExceeded, ValidationError
 
 SIEVE_MAX = 100_000_000
 
@@ -19,6 +19,19 @@ class PrimeTable:
 
     def __len__(self) -> int:
         return int(self.primes.size)
+
+    def count_upto(self, x):
+        """Number of primes <= x, for a number or an array of numbers.
+
+        The table is searched with the integer keys floor(x): a float key
+        would make numpy cast the whole int64 table to float for every
+        search, about 1 ms on a 4e7 sieve."""
+        x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise ValidationError("prime counts need finite bounds")
+        keys = np.clip(np.floor(x), -1, self.limit).astype(np.int64)
+        counts = np.searchsorted(self.primes, keys, side="right")
+        return int(counts) if counts.ndim == 0 else counts
 
     def first(self, n: int) -> np.ndarray:
         if n > len(self):

@@ -6,8 +6,9 @@ Two pieces live here:
   integrals of a vectorized integrand at once.  Every refinement round
   evaluates the pending panels of all rows in a single call, so
   integrands backed by batched zeta evaluation stay cheap; each row's
-  panels are the ones it gets alone.  `integrate_vec` is its one-row
-  call.
+  panels are the ones it gets alone.  A row may hold several integrands
+  on the same nodes (eta_vertical's m weights of one step).
+  `integrate_vec` is its one-row call.
 
 * `poly_log_integral`: exact moments of the local zero model,
 
@@ -59,30 +60,31 @@ def integrate_rows(f, a, b, abs_tol, max_depth: int = 48,
     abs_tol and noise broadcast to one value per row.
 
     f(nodes, row) maps a float array of nodes, and the row of each node,
-    to a complex array of values; every refinement round evaluates the
-    pending panels of all rows in a single f call.  Each panel carries
-    its row and is accepted when its bisected estimate agrees with the
-    whole-panel estimate to its share of its row's abs_tol, plus its
-    row's noise times its width: noise bounds the absolute error of f's
-    values, below which the two estimates differ by rounding, not by
-    resolution, and bisecting only chases that rounding.  A panel is
-    judged by its own row alone, and each row sums its panels in an
-    order of its own, so given the same values of f a row gets the
-    panels and the value it gets integrated alone.
+    to a complex array of values, of shape (nodes,), or (k, nodes) for k
+    integrands per row that share their nodes; every refinement round
+    evaluates the pending panels of all rows in a single f call.  Each
+    panel carries its row and is accepted when, in every component, its
+    bisected estimate agrees with the whole-panel estimate to its share
+    of its row's abs_tol, plus its row's noise times its width: noise
+    bounds the absolute error of f's values, below which the two
+    estimates differ by rounding, not by resolution, and bisecting only
+    chases that rounding.  A panel is judged by its own row alone, and
+    each row sums its panels in an order of its own, so given the same
+    values of f a row gets the panels and the value it gets integrated
+    alone.
 
-    Returns per-row arrays (value, est_error, nevals) and a list holding
-    per row None, or the QuadratureNonconvergence of a row whose panels
-    bottomed out at max_depth with its error estimate still above
-    budget, or whose next round would have evaluated more than
-    MAX_ROW_PANELS panels.
+    Returns per-row arrays (value, est_error, nevals), value and
+    est_error of shape (rows,) or (rows, k), and a list holding per row
+    None, or the QuadratureNonconvergence of a row whose panels bottomed
+    out at max_depth with its error estimate still above budget, or
+    whose next round would have evaluated more than MAX_ROW_PANELS
+    panels.
     """
     a, b, abs_tol, noise = np.broadcast_arrays(
         np.atleast_1d(np.asarray(a, dtype=float)), b, abs_tol, noise)
     rows = a.size
     if not np.all(b >= a):
         raise ValueError("integration needs a <= b")
-    value = np.zeros(rows, dtype=complex)
-    est_error = np.zeros(rows)
     nevals = np.zeros(rows, dtype=np.int64)
     allowed = abs_tol + noise * (b - a)
     # an empty interval [a, a] has no panels and integrates to 0
@@ -97,6 +99,9 @@ def integrate_rows(f, a, b, abs_tol, max_depth: int = 48,
     row = np.repeat(live, initial_splits)
     coarse = _panel_sums(f, lo, hi, row)
     nevals[live] += initial_splits * PANEL_ORDER
+    # components lead, rows last: a scalar f keeps one-dimensional arrays
+    value = np.zeros(coarse.shape[:-1] + (rows,), dtype=complex)
+    est_error = np.zeros(value.shape)
 
     # depth at which a row outgrew MAX_ROW_PANELS, -1 for none
     overflow = np.full(rows, -1)
@@ -106,7 +111,8 @@ def integrate_rows(f, a, b, abs_tol, max_depth: int = 48,
         if over.any():
             overflow[over] = depth
             keep = ~over[row]
-            lo, hi, row, coarse = lo[keep], hi[keep], row[keep], coarse[keep]
+            lo, hi, row, coarse = lo[keep], hi[keep], row[keep], \
+                coarse[..., keep]
         if not row.size:
             break
         n = row.size
@@ -118,18 +124,25 @@ def integrate_rows(f, a, b, abs_tol, max_depth: int = 48,
         row = np.concatenate([row, row])
         halves = _panel_sums(f, lo, hi, row)
         nevals += PANEL_ORDER * np.bincount(row, minlength=rows)
-        fine = halves[:n] + halves[n:]
+        fine = halves[..., :n] + halves[..., n:]
         err = np.abs(fine - coarse)
-        done = (err <= rate[row[:n]] * width) | (depth + 1 >= max_depth)
+        done = err <= rate[row[:n]] * width
+        if done.ndim > 1:
+            done = done.all(axis=0)
+        done |= depth + 1 >= max_depth
         # unbuffered, in panel order: a row's panels keep their order
         # whatever other rows share the call, so each row sums as alone
-        np.add.at(value, row[:n][done], fine[done])
-        np.add.at(est_error, row[:n][done], err[done])
+        at = row[:n][done]
+        for c in np.ndindex(fine.shape[:-1]):
+            np.add.at(value[c], at, fine[c][done])
+            np.add.at(est_error[c], at, err[c][done])
         keep = np.tile(~done, 2)
-        lo, hi, row, coarse = lo[keep], hi[keep], row[keep], halves[keep]
+        lo, hi, row, coarse = lo[keep], hi[keep], row[keep], \
+            halves[..., keep]
 
     refused = []
-    for d, e, ok, lo_r, hi_r in zip(overflow, est_error, allowed, a, b):
+    worst = est_error.max(axis=tuple(range(est_error.ndim - 1)))
+    for d, e, ok, lo_r, hi_r in zip(overflow, worst, allowed, a, b):
         if d >= 0:
             refused.append(QuadratureNonconvergence(
                 f"round {d} would evaluate more than {MAX_ROW_PANELS} "
@@ -141,21 +154,25 @@ def integrate_rows(f, a, b, abs_tol, max_depth: int = 48,
                 f"on [{lo_r:g}, {hi_r:g}]"))
         else:
             refused.append(None)
-    return value, est_error, nevals, refused
+    return np.moveaxis(value, -1, 0), np.moveaxis(est_error, -1, 0), \
+        nevals, refused
 
 
 def _panel_sums(f, lo, hi, row) -> np.ndarray:
     """Gauss-Legendre estimate of each panel [lo, hi] of its row's
-    integrand, all panels in one f call.  The weighted sums run along
-    each panel's own nodes, so a panel's estimate does not depend on
-    the other panels of the call (a matrix-vector product's would)."""
+    integrand, all panels in one f call: shape (panels,), or (k, panels)
+    for a k-valued f.  The weighted sums run along each panel's own
+    nodes, so a panel's estimate does not depend on the other panels of
+    the call (a matrix-vector product's would)."""
     if not row.size:
         return np.zeros(0, dtype=complex)
     x, w = gl_nodes(PANEL_ORDER)
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * x
     vals = np.asarray(f(nodes.ravel(), np.repeat(row, PANEL_ORDER)))
-    return half * (vals.reshape(row.size, PANEL_ORDER) * w).sum(axis=1)
+    lead = vals.shape[:-1]
+    return half * (vals.reshape(lead + (row.size, PANEL_ORDER))
+                   * w).sum(axis=-1)
 
 
 def integrate_vec(f, a: float, b: float, abs_tol: float = 1e-9,
@@ -226,21 +243,34 @@ def poly_log_integral(m: int, t: float, u0: float, u1: float,
     """int_{u0}^{u1} (t-u)^(m-1)/(m-1)! * Log(c + i(u-gamma)) du, exact.
 
     Substituting v = u - gamma and expanding (t-gamma-v)^(m-1) reduces to
-    the moments above.  This is the analytic part of a pad around an
-    ordinate; the caller integrates the smooth remainder numerically.
+    the moments above.  This is the local model of log zeta next to a
+    zero, and the pole's -Log(s - 1); the caller integrates the smooth
+    remainder numerically.
 
     For c != 0 the by-parts terms w^(j+1) Log(v - w), w = ic, cancel
     when |c| >> |v|, and the result loses about eps |c|^m in absolute
     terms.  Its callers keep c small: c = 0 for the real-axis pole,
-    pad c <= 1e-2, and c = sigma - 1 in eta_vertical (off mpmath by
-    3e-13 at sigma = 20, m = 3, far inside abs_tol).  log zeta's pole at
-    a height t (c = t) is not: at t = 9990, m = 3 it is off by 4e-4.
+    |c| <= eta.NEAR_LINE for a zero's model, and c = sigma - 1 in
+    eta_vertical (off mpmath by 3e-13 at sigma = 20, m = 3, far inside
+    abs_tol).  log zeta's pole at a height t (c = t) is not: at t = 9990,
+    m = 3 it is off by 4e-4.
     """
+    return poly_log_integrals(m, t, u0, u1, gamma, c)[-1]
+
+
+def poly_log_integrals(m: int, t: float, u0: float, u1: float,
+                       gamma: float, c: float) -> np.ndarray:
+    """poly_log_integral for the orders 1..m at once, from one set of
+    moments."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     d = t - gamma
     moments = log_kernel_moments(m - 1, u0 - gamma, u1 - gamma, c)
-    acc = 0.0 + 0.0j
-    for q in range(m):
-        acc += comb(m - 1, q) * d ** (m - 1 - q) * (-1.0) ** q * moments[q]
-    return acc / factorial(m - 1)
+    out = np.empty(m, dtype=complex)
+    for j in range(1, m + 1):
+        acc = 0.0 + 0.0j
+        for q in range(j):
+            acc += comb(j - 1, q) * d ** (j - 1 - q) * (-1.0) ** q \
+                * moments[q]
+        out[j - 1] = acc / factorial(j - 1)
+    return out

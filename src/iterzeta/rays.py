@@ -29,12 +29,15 @@ that rounding exact.
   further.  The heights' ladders refine together, one _w call per
   round, and a ladder that stalls on a zero obstructs only its own
   height.
-* `LineBranch` runs it over u on the line sigma + iu.  There log W is
-  continuous in u except at ordinates of zeros with beta >= sigma, where
-  the horizontal convention jumps, so the ladder is not linked across
-  them.  Each linked stretch takes its level (the 2 pi integer) from a
-  horizontal walk, or from the real axis where W > 0, and a second walk
-  checks it: the branch always comes from zeta itself.
+* `LineBranch` runs it over u on a segment of the line sigma + iu.
+  There log W is continuous in u except at ordinates of zeros with
+  beta >= sigma, where the horizontal convention jumps, so the ladder is
+  not linked across them, and nodes seeded towards each such cut spare
+  the ladder a round per halving.  Each linked stretch takes its level
+  (the 2 pi integer) from a horizontal walk, or from the real axis where
+  W > 0, and a second walk checks it: the branch always comes from zeta
+  itself.  All walks of a segment share one RayBranch, on a sparse
+  starting ladder of their own.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ LINE_STEP = 0.5
 # line-ladder nodes next to a cut sit this far from it; a query closer
 # to the cut reads the winding of the node on its side
 CUT_MARGIN = 1e-4
+# offsets from a cut of the line-ladder nodes seeded towards it, a factor
+# 4 apart: |W| changes by at most that factor between two of them near a
+# simple zero on the line, inside MAG_TOL
+CUT_SEEDS = CUT_MARGIN * 4.0 ** np.arange(1, 8)
 # a stretch's walks keep this far inside its ends, which may lie next
 # to zeros of W
 WALK_CLEARANCE = 1e-2
@@ -99,6 +106,16 @@ def _initial_offsets() -> np.ndarray:
         high.append(high[-1] * 1.3)
     high.append(CUTOFF_OFFSET)
     return np.unique(np.concatenate([low, np.array(high)]))
+
+
+def _walk_offsets() -> np.ndarray:
+    """Starting ladder of a line's walk, which only counts turns: nodes
+    a factor 2 apart from 0.0025 to 0.32 off the line, where a zero on it
+    may lie WALK_CLEARANCE below, then every 0.5 to the anchor; zeros lie
+    left of Re s = 1, and _refine adds nodes wherever W turns faster."""
+    return np.unique(np.concatenate(
+        [[0.0], 0.0025 * 2.0 ** np.arange(8),
+         np.arange(0.5, CUTOFF_OFFSET, 0.5), [CUTOFF_OFFSET]]))
 
 
 def _refine(s: np.ndarray, linked: np.ndarray):
@@ -150,16 +167,18 @@ class RayBranch:
     is marked in `obstructed` and its queries raise BranchObstruction;
     the other rows are unaffected.  log_zeta returns continued values:
     the zeta evaluation at each query is exact; the node ladder only
-    supplies the winding integer.
+    supplies the winding integer.  offsets is the starting ladder in
+    alpha - sigma, from 0 to CUTOFF_OFFSET; by default
+    _initial_offsets().
     """
 
-    def __init__(self, sigma: float, t):
+    def __init__(self, sigma: float, t, offsets=None):
         self.sigma = float(sigma)
         self.heights = np.atleast_1d(np.asarray(t, dtype=float))
         if self.heights.ndim != 1 or not np.all(self.heights > 0.0):
             raise UnsupportedRange("walks need height t > 0; the real axis "
                                    "has its own closed-form branch")
-        base = _initial_offsets()
+        base = _initial_offsets() if offsets is None else offsets
         rows = self.heights.size
         linked = np.ones((rows, base.size), dtype=bool)
         linked[:, -1] = False
@@ -240,34 +259,46 @@ class RayBranch:
 
 
 class LineBranch:
-    """Resolved branch of log zeta on the line sigma + iu, 0 <= u <= top.
+    """Resolved branch of log zeta on the line sigma + iu, bottom <= u
+    <= top.
 
     One ladder over u carries the continuous Im log W.  It is not linked
-    across `cuts`, ordinates in (0, top) of zeros at or right of the line
-    where the horizontal convention jumps, nor across a gap that stalls
-    on a zero of W on the line; these split it into stretches.  The
+    across `cuts`, ordinates in (bottom, top) of zeros at or right of the
+    line where the horizontal convention jumps, nor across a gap that
+    stalls on a zero of W on the line; these split it into stretches.  A
     stretch at u = 0 takes its level, the 2 pi integer, from the real
     axis, where W > 0; every other stretch from a horizontal walk near
     its foot.  A second walk near its top must agree, so a zero the cuts
-    miss raises BranchObstruction instead of shifting the branch.
+    miss raises BranchObstruction instead of shifting the branch.  The
+    walks of all stretches share one RayBranch.
     """
 
-    def __init__(self, sigma: float, top: float, cuts=()):
+    def __init__(self, sigma: float, top: float, cuts=(), bottom: float = 0.0):
         self.sigma = float(sigma)
-        self.top = float(top)
-        if not self.top > 0.0:
-            raise UnsupportedRange("a line branch needs top > 0")
+        self.bottom, self.top = float(bottom), float(top)
+        if not 0.0 <= self.bottom < self.top:
+            raise UnsupportedRange("a line branch needs 0 <= bottom < top")
         cuts = np.unique(np.asarray(cuts, dtype=float))
-        cuts = cuts[(cuts > 0.0) & (cuts < self.top)]
-        gaps = np.diff(np.concatenate([[0.0], cuts, [self.top]]))
+        # |W| falls towards a zero on the line at a cut: nodes in a
+        # geometric ladder towards every cut nearby pass MAG_TOL at once
+        # instead of after a round of _refine per halving
+        seeds = (cuts[:, None] + np.concatenate([-CUT_SEEDS, CUT_SEEDS])
+                 ).ravel()
+        cuts = cuts[(cuts > self.bottom) & (cuts < self.top)]
+        gaps = np.diff(np.concatenate([[self.bottom], cuts, [self.top]]))
         margin = np.minimum(CUT_MARGIN,
                             0.25 * np.minimum(gaps[:-1], gaps[1:]))
         parts, links = [], []
-        for lo, hi in zip(np.concatenate([[0.0], cuts + margin]),
+        for lo, hi in zip(np.concatenate([[self.bottom], cuts + margin]),
                           np.concatenate([cuts - margin, [self.top]])):
             n = max(2, int(np.ceil((hi - lo) / LINE_STEP)) + 1)
-            parts.append(np.linspace(lo, hi, n))
-            links.append(np.append(np.ones(n - 1, dtype=bool), False))
+            # the heights of the stretch's walks are nodes from the start
+            clear = min(WALK_CLEARANCE, 0.25 * (hi - lo))
+            parts.append(np.unique(np.concatenate(
+                [np.linspace(lo, hi, n), [lo + clear, hi - clear],
+                 seeds[(seeds > lo) & (seeds < hi)]])))
+            links.append(np.append(np.ones(parts[-1].size - 1, dtype=bool),
+                                   False))
         s, w, linked, stalled = _refine(
             self.sigma + 1j * np.concatenate(parts),
             np.concatenate(links)[:-1])
@@ -275,7 +306,7 @@ class LineBranch:
             raise BranchObstruction(f"ladder hit a zero of zeta on the line "
                                     f"sigma={self.sigma:g}")
         x = s.imag
-        if not w[0].real > 0.0:
+        if x[0] == 0.0 and not w[0].real > 0.0:
             raise BranchObstruction("zeta(s)(s-1) should be positive on "
                                     "the real axis; evaluation failed")
         self._x, self._linked = x, linked
@@ -291,45 +322,49 @@ class LineBranch:
                                               + x[breaks[~given] + 1])
         self._steps = self._cut_at[breaks]
         self.nodes_used = int(x.size)
-        self._levels = 2.0 * np.pi * np.array(
-            [self._stretch_level(a, b) for a, b in
-             zip(np.concatenate([[0], breaks + 1]),
-                 np.append(breaks, x.size - 1))])
+        self._levels = 2.0 * np.pi * self._stretch_levels(
+            np.concatenate([[0], breaks + 1]), np.append(breaks, x.size - 1))
 
-    def _level(self, j: int) -> int:
-        """2 pi turns between the branch at node j and the ladder there."""
-        if self._x[j] == 0.0:
-            return int(np.round(-self._im[j] / (2.0 * np.pi)))
-        ray = RayBranch(self.sigma, self._x[j])
-        self.nodes_used += ray.nodes_used
-        ray._require(0)
-        return int(np.round((ray._im[0] - self._im[j]) / (2.0 * np.pi)))
-
-    def _stretch_level(self, a: int, b: int) -> int:
-        """Level of the stretch of nodes a..b from walks (or the real
+    def _stretch_levels(self, starts, ends) -> np.ndarray:
+        """Level of each stretch of nodes a..b from walks (or the real
         axis) near both its ends, which must agree."""
         x = self._x
-        clear = min(WALK_CLEARANCE, 0.25 * (x[b] - x[a]))
-        seg = x[a:b + 1]
-        ja = a if x[a] == 0.0 else a + int(np.argmin(np.abs(seg - x[a]
-                                                            - clear)))
-        jb = a + int(np.argmin(np.abs(seg - x[b] + clear)))
-        na = self._level(ja)
-        nb = na if jb == ja else self._level(jb)
-        if na != nb:
-            raise BranchObstruction(
-                f"branch continued up the line sigma={self.sigma:g} from "
-                f"u={x[ja]:g} disagrees with the walk at u={x[jb]:g} by "
-                f"{nb - na} turns: a zero at or right of the line between "
-                f"them is not among the cuts")
-        return na
+        feet, heads = [], []
+        for a, b in zip(starts, ends):
+            clear = min(WALK_CLEARANCE, 0.25 * (x[b] - x[a]))
+            seg = x[a:b + 1]
+            feet.append(a if x[a] == 0.0 else
+                        a + int(np.argmin(np.abs(seg - x[a] - clear))))
+            heads.append(a + int(np.argmin(np.abs(seg - x[b] + clear))))
+        # 2 pi turns between the branch at node j and the ladder there:
+        # from the real axis at u = 0, else from one walk per node
+        nodes = np.array(feet + heads)
+        walked = np.unique(nodes[x[nodes] > 0.0])
+        turns = {j: int(np.round(-self._im[j] / (2.0 * np.pi)))
+                 for j in nodes[x[nodes] == 0.0]}
+        if walked.size:
+            ray = RayBranch(self.sigma, x[walked], _walk_offsets())
+            self.nodes_used += ray.nodes_used
+            ray._require(np.arange(walked.size))
+            first = np.searchsorted(ray._row, np.arange(walked.size))
+            turns.update({int(j): int(np.round((ray._im[f] - self._im[j])
+                                               / (2.0 * np.pi)))
+                          for j, f in zip(walked, first)})
+        for ja, jb in zip(feet, heads):
+            if turns[ja] != turns[jb]:
+                raise BranchObstruction(
+                    f"branch continued up the line sigma={self.sigma:g} from "
+                    f"u={x[ja]:g} disagrees with the walk at u={x[jb]:g} by "
+                    f"{turns[jb] - turns[ja]} turns: a zero at or right of "
+                    f"the line between them is not among the cuts")
+        return np.array([turns[ja] for ja in feet], dtype=float)
 
     def log_w(self, us) -> np.ndarray:
         """Continued log(zeta(s)(s - 1)) at s = sigma + iu."""
         us = np.asarray(us, dtype=float)
-        if np.any(us < -1e-12) or np.any(us > self.top + 1e-12):
-            raise UnsupportedRange(f"query outside the resolved line "
-                                   f"segment [0, {self.top:g}]")
+        if np.any(us < self.bottom - 1e-12) or np.any(us > self.top + 1e-12):
+            raise UnsupportedRange(f"query outside the resolved line segment "
+                                   f"[{self.bottom:g}, {self.top:g}]")
         lq = np.log(_w(self.sigma + 1j * us))
         x = self._x
         im = np.interp(us, x, self._im)

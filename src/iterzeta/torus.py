@@ -73,8 +73,7 @@ def gamma_m_sigma(m: int, sigma: float, tail_cut: float,
     if primes.limit < tail_cut:
         raise LimitExceeded(
             f"prime table reaches {primes.limit}, below tail_cut {tail_cut}")
-    logs = primes.logs[:int(np.searchsorted(primes.primes, tail_cut,
-                                            side="right"))]
+    logs = primes.logs[:primes.count_upto(tail_cut)]
 
     def z_block(lo, hi):
         signs = np.where(np.arange(lo, hi) % 2 == 0, 1.0, -1.0)
@@ -149,8 +148,7 @@ def _window_bounds(m: int, sigma: float, primes: PrimeTable, cands,
     candidates; a candidate's sums are the suffix sums of the segments
     from it on.
     """
-    ends = np.searchsorted(primes.primes, np.append(cands, cut),
-                           side="right")
+    ends = primes.count_upto(np.append(cands, cut))
     harmonic = np.empty(len(cands))
     first = np.empty(len(cands))
     for i, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):

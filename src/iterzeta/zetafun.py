@@ -23,7 +23,10 @@ points on a grid of abscissae x heights need only the real matrix
 exp(-Re s (x) log n) and the phases exp(-i log n (x) Im s), contracted
 by one real matrix product on (Re, Im) pairs.  A horizontal ray is a
 grid of one height; a vertical walk's node ladder, repeated at many
-heights, is a grid too.  Scattered points take the complex exp matrix.
+heights, is a grid too.  Points of one abscissa, a vertical line, take
+a row sum per height instead: it costs what the product does, and a
+point's value is then bitwise the same in any batch, which eta's line
+cache relies on.  Scattered points take the complex exp matrix.
 
 zeta_error reports the per-point error: the remainder bound plus a
 rounding estimate for the direct sum, which dominates at large |t|
@@ -219,6 +222,16 @@ def _direct_sum(s: np.ndarray, n_terms: int) -> np.ndarray:
         # terms) times the (Re, Im) columns of n^-it (terms x heights)
         sigmas, j, heights, k = grid
         mag = np.exp(np.multiply.outer(-sigmas, logn))
+        if sigmas.size == 1:
+            # one abscissa (a vertical line): a row sum per height, which
+            # rounds alike whatever other heights share the call, where
+            # BLAS does not; real cos and sin cost what the product does
+            arg = np.multiply.outer(heights, logn)
+            re, im = np.cos(arg), np.sin(arg)
+            re *= mag[0]
+            im *= mag[0]
+            out[chunk] = (re.sum(axis=-1) - 1j * im.sum(axis=-1))[k]
+            continue
         phase = np.exp(-1j * np.multiply.outer(logn, heights))
         sums = (mag @ phase.view(np.float64)).view(np.complex128)
         out[chunk] = sums[j, k]

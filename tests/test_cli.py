@@ -94,6 +94,20 @@ def test_validation_exit_code(tmp_path):
     assert not (tmp_path / "ms.csv").exists()
 
 
+def test_eval_refuses_bad_grids(tmp_path):
+    # a grid that is not finite, or too long to allocate, is refused
+    # before any row is computed, and nothing is written
+    table = _table_arg(tmp_path)
+    for grid in (["t=20..30", "step=nan"], ["t=20..nan", "step=0.5"],
+                 ["t=20..30", "step=1e-300"], ["t=inf"]):
+        out = tmp_path / "bad.csv"
+        code = main(["eval", "m=1", "sigma=0.8", *grid, f"table={table}",
+                     f"out={out}"])
+        assert code == 2, grid
+        assert not out.exists()
+        assert not (tmp_path / "bad.csv.manifest").exists()
+
+
 def test_meansquare_rows(tmp_path):
     out = tmp_path / "ms.csv"
     code = main(["meansquare", "m=1", "sigma=2", "X=10,50", "T=50",

@@ -85,6 +85,14 @@ def test_li_sum_cutoff_guard():
         dirichlet_li_sum(1, 0.3, 0.0, 100.0, PT)
 
 
+def test_li_sum_cutoff_is_a_prime_count():
+    # X selects the primes up to floor(X) through an integer key
+    assert dirichlet_li_sum(2, 0.7, 14.0, 1000.5, PT) \
+        == dirichlet_li_sum(2, 0.7, 14.0, 1000, PT)
+    assert dirichlet._prime_logs(1000.5, PT).size \
+        == np.count_nonzero(PT.primes <= 1000)
+
+
 def test_mangoldt_hand_sums():
     assert mangoldt_sum(1, 0.8, 0.0, 1.0) == 0.0
     s = 0.8

@@ -311,6 +311,17 @@ def test_bridge_m3_tall():
     assert ev.nevals < 30000
 
 
+def test_bridge_next_to_zeros_near_the_line():
+    # at sigma = 0.51 the zeros lie just outside their pads, where log W
+    # carries zeta's rounding over |zeta| ~ 0.02; panels held to zeta's
+    # own rounding there bisected until they were refused
+    m, sigma, t = 3, 0.51, 207.36745524741482
+    ev = eta_vertical(m, sigma, t, TAB)
+    et = eta_tilde_weighted(m, sigma, t, TAB)
+    res = abs(ev.value - (1j ** m * et.value + y_m(m, sigma, t, TAB)))
+    assert res <= ev.est_error + et.est_error
+
+
 def test_bridge_on_the_pole_line():
     # at sigma = 1 log zeta(1 + iu) has a log singularity at u = 0; the
     # pole's -Log(s - 1) is integrated in closed form, so the quadrature
@@ -341,6 +352,47 @@ def test_bridge_exposes_a_phantom_zero():
         want = abs(y_m(m, 0.5, 20.0, phantom))
         assert abs(res - want) <= ev.est_error + et.est_error
     assert abs(y_m(1, 0.5, 20.0, phantom) - np.pi / 2) < 1e-12
+
+
+def test_critical_line_sweep_through_the_cache(monkeypatch):
+    # on sigma = 1/2 the rows cross ordinates and pads.  Row by row, each
+    # steps up from the knots its predecessors left in the line cache;
+    # then the line is evicted, its top row refills it, and the rows are
+    # read again from the top down.  Every row is bitwise its cold value,
+    # and its bridge residual sits inside est_error; two rows lie inside
+    # the pad of a zero on the line, where the last step is the pad's
+    monkeypatch.setattr(eta, "_LINE_CACHE", eta.LRUDict(1))
+    ts = np.sort(np.concatenate([20.25 + 2.0 * np.arange(21),
+                                 TAB.gammas[1] + np.array([-5e-3, 5e-3])]))
+    for m in (1, 2, 3):
+        eta._LINE_CACHE.clear()
+        up = [eta_vertical(m, 0.5, t, TAB) for t in ts]
+        eta_vertical(m, 0.8, 30.0, TAB)          # evicts the line
+        assert len(eta._LINE_CACHE) == 1
+        down = [eta_vertical(m, 0.5, t, TAB) for t in ts[::-1]][::-1]
+        for t, a, b in zip(ts, up, down):
+            eta._LINE_CACHE.clear()
+            cold = eta_vertical(m, 0.5, t, TAB)
+            for ev in (a, b):
+                assert (ev.value, ev.est_error) \
+                    == (cold.value, cold.est_error)
+            et = eta_tilde_weighted(m, 0.5, t, TAB)
+            res = abs(cold.value - (1j ** m * et.value
+                                    + y_m(m, 0.5, t, TAB)))
+            assert res <= cold.est_error + et.est_error
+        # a row below the line's top integrates only its partial step
+        assert down[-2].nevals < cold.nevals / 5
+
+
+def test_line_cache_keys_on_table_contents():
+    # a table that misses the first zero, under the full table's label,
+    # may not step up from the full table's knots: on its own line the
+    # ladder stalls on the zero it misses, and the walk there refuses
+    short = ZeroTable(betas=TAB.betas[1:], gammas=TAB.gammas[1:],
+                      mults=TAB.mults[1:], source_label=TAB.source_label)
+    eta_vertical(1, 0.5, 20.0, TAB)
+    with pytest.raises(BranchObstruction):
+        eta_vertical(1, 0.5, 20.5, short)
 
 
 def test_growth_check():

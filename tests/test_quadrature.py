@@ -83,6 +83,23 @@ def test_rows_refuse_a_runaway_row():
     assert (vals[1], ests[1], nevs[1]) == alone
 
 
+def test_rows_with_vector_values():
+    # k integrands per row share their nodes; a panel is accepted when
+    # every component passes, so a component that never decides alone
+    # gets the panels, and the value, of the one that does
+    def f(x, row):
+        return np.stack([np.cos(x), 1e-3 * np.sin(x) * (1.0 + row)])
+    vals, ests, nevs, refused = integrate_rows(f, [0.0, 1.0], [10.0, 4.0],
+                                               1e-12)
+    assert vals.shape == ests.shape == (2, 2)
+    assert refused == [None, None]
+    for r, (a, b) in enumerate(((0.0, 10.0), (1.0, 4.0))):
+        alone = integrate_vec(np.cos, a, b, abs_tol=1e-12)
+        assert (vals[r, 0], ests[r, 0], nevs[r]) == alone
+        want = 1e-3 * (1.0 + r) * (np.cos(a) - np.cos(b))
+        assert abs(vals[r, 1] - want) <= ests[r, 1] + 1e-15
+
+
 def test_integrate_vec_noise_floor():
     # values rounded at 1e-9: bisecting for 1e-14 would chase the
     # rounding; a declared noise floor stops at the integrand's resolution

@@ -146,6 +146,22 @@ def test_line_matches_walks(sigma):
     assert np.all(np.abs(alone - got[pick]) <= 8.0 * EPS * scale)
 
 
+def test_line_branch_from_a_bottom():
+    # a branch over [bottom, top] anchors its first stretch by a walk;
+    # it gives the full branch's values bitwise, and checks its cuts
+    g = TAB.gammas[TAB.gammas < 30.0]
+    us = np.linspace(20.5, 29.9, 23)
+    full = LineBranch(0.4, 30.0, cuts=g).log_w(us)
+    part = LineBranch(0.4, 30.0, cuts=g, bottom=20.0)
+    assert np.array_equal(part.log_w(us), full)
+    with pytest.raises(BranchObstruction):
+        LineBranch(0.4, 30.0, cuts=g[:-1], bottom=20.0)
+    with pytest.raises(UnsupportedRange):
+        part.log_w(np.array([19.0]))
+    with pytest.raises(UnsupportedRange):
+        LineBranch(0.4, 20.0, bottom=20.0)
+
+
 def test_vertical_log_zeta_is_the_walk():
     us = np.array([2.0, 14.0, 21.1, 96.5])
     want = np.array([log_zeta_horizontal(0.4, u) for u in us])

@@ -35,6 +35,25 @@ def test_gamma_truncation_obeys_tail_estimate():
         assert abs(full - part) <= 1.1 * est
 
 
+def test_prime_searches_take_integer_keys():
+    # a float cut selects the primes up to its floor, through an integer
+    # key: 1e6 is 1_000_000 bitwise, and 1000.5 stops at 1000
+    assert PT.count_upto(1e6) == PT.count_upto(1_000_000) == len(PT)
+    assert PT.count_upto(1000.5) == np.count_nonzero(PT.primes <= 1000)
+    assert list(PT.count_upto([1.5, 2.0, 996.9, 997.0])) == [0, 1, 167, 168]
+    for m, sigma in ((1, 0.8), (3, 0.6)):
+        assert gamma_m_sigma(m, sigma, 1e6, PT) \
+            == gamma_m_sigma(m, sigma, 1_000_000, PT)
+        assert gamma_m_sigma(m, sigma, 1000.5, PT) \
+            == gamma_m_sigma(m, sigma, 1000, PT)
+        wide = _window_bounds(m, sigma, PT, [10, 100.5], 1e4)
+        narrow = _window_bounds(m, sigma, PT, [10, 100], 10_000)
+        assert np.array_equal(wide[0], narrow[0])
+        assert np.array_equal(wide[1], narrow[1])
+    with pytest.raises(ValidationError):
+        PT.count_upto(float("nan"))
+
+
 def test_gamma_validation():
     with pytest.raises(ValidationError):
         gamma_m_sigma(1, 0.8, 100.0, PT)

@@ -124,6 +124,20 @@ def test_value_does_not_depend_on_the_batch():
         assert abs(v - zeta(p)) <= 8 * np.finfo(float).eps * magnitude
 
 
+def test_line_values_are_bitwise_batch_free():
+    # points of one abscissa take a row sum per height, so on a vertical
+    # line a value is bitwise the same alone and in any batch
+    rng = np.random.default_rng(11)
+    pts = 0.8 + 1j * rng.uniform(0.0, 250.0, 60)
+    alone = np.array([zeta_batch(pts[i:i + 1])[0] for i in range(pts.size)])
+    for size in (1, 7, 300):
+        others = 0.8 + 1j * rng.uniform(0.0, 250.0, size)
+        batch = np.concatenate([others[:size // 2], pts, others[size // 2:]])
+        assert np.array_equal(zeta_batch(batch)[size // 2:][:pts.size],
+                              alone)
+    assert np.array_equal(zeta_batch(pts[::-1])[::-1], alone)
+
+
 def _old_batch_length(s, params=EvalParams()):
     """The former batch rule: N = max(em_terms, ceil(3 max|t|)), doubled
     until the batch's largest remainder bound met tol."""
