@@ -1,17 +1,17 @@
 """Hunting a height t where eta~_m takes a prescribed value.
 
 The right-half-plane expansion writes eta~_m(sigma + it) as a sum over
-primes whose p-th term rotates with angle t log p / 2 pi on the torus.
-Freeze the first few angles at values realizing a target a (a polygon
-closure), then exploit density of the orbit: some real t lines those
-angles up to within delta, and near such t the function itself should
-sit near a.  hunt_value runs that programme end to end: torus scan,
-candidate ranking by the frozen-angle surrogate, then honest evaluation
-of eta~_m at the survivors.
+prime powers whose n-th term rotates with angle t log n / 2 pi; cut at
+n <= X it is the prime Dirichlet polynomial D_X(t), the torus sum read
+along the orbit of t itself.  Where D_X(t) sits near a target a, the
+function itself should sit near a.  hunt_value runs that programme end
+to end: D_X on a fine grid of heights, its closest approaches to a as
+candidates, then honest evaluation of eta~_m at the best few of them.
 
-A target is only ever hit approximately (the unfrozen prime tail still
-moves), so the guarantee is soft and the search reports failure rather
-than inventing a witness; the second half of the script provokes that.
+A target is only ever hit approximately (the prime powers past X still
+move the value), so the guarantee is soft and the search reports
+failure rather than inventing a witness; the second half of the script
+provokes that.
 """
 
 import numpy as np
@@ -47,7 +47,7 @@ def main():
     print()
 
     # |eta~_1| stays modest at this sigma, so a = 4 is out of range of
-    # the short-orbit search; the point is the honest report.
+    # the search over t <= 240; the point is the honest report.
     print("target a = 4 (out of reach):")
     res = hunt_value(m, sigma, 4.0 + 0.0j, 0.1, table=TAB,
                      config=HuntConfig(eval_budget=6))

@@ -296,11 +296,8 @@ def cmd_hunt(cfg: dict) -> int:
     out = _as_str(cfg, "out")
     table = _load_table(cfg, required=False)
     config = HuntConfig(
-        n_search=_as_int(cfg, "n_search", 5),
-        delta=_as_float(cfg, "delta", 0.25),
         t_min=_as_float(cfg, "t_min", 10.0),
         t_max=_as_float(cfg, "t_max", 240.0),
-        step=(_as_float(cfg, "step") if "step" in cfg else None),
         eval_budget=_as_int(cfg, "eval_budget", 48),
         min_separation=_as_float(cfg, "min_separation", 0.5))
     start = time.monotonic()
@@ -374,9 +371,8 @@ _COMMANDS = {
                         "out"}),
     "meansquare": (cmd_meansquare, {"m", "sigma", "T", "step", "X", "table",
                                     "out"}),
-    "hunt": (cmd_hunt, {"m", "sigma", "a", "epsilon", "table", "n_search",
-                        "delta", "t_min", "t_max", "step", "eval_budget",
-                        "min_separation", "out"}),
+    "hunt": (cmd_hunt, {"m", "sigma", "a", "epsilon", "table", "t_min",
+                        "t_max", "eval_budget", "min_separation", "out"}),
     "polygon": (cmd_polygon, {"radii", "z", "out"}),
 }
 # polygon without radii runs the construction, with keys of its own

@@ -15,20 +15,24 @@ mean_square_error measures (1/T) int_14^T |eta_tilde - D_X|^2 dt on a
 grid, the desk-scale stand-in for the asymptotic mean-value statement.
 
 Every prime-polylog sum in the package (D_X; torus's S, its reference
-value and harmonic bounds; the hunt's surrogate) is _polylog_sum, which
-feeds polylog_batch bounded chunks; mangoldt_sum and li_vs_mangoldt_gap
-stay apart from it as the decomposition check's reference.
+value and harmonic bounds) is _polylog_sum, which feeds polylog_batch
+bounded chunks; mangoldt_sum and li_vs_mangoldt_gap stay apart from it
+as the decomposition check's reference.  mangoldt_grid evaluates the von
+Mangoldt sum on a whole grid of heights, over eta's one list of prime
+powers; mangoldt_sum is its one-height call, and the hunt ranks its
+candidate heights by it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ceil, sqrt
 
 import numpy as np
 
 from .errors import (BranchObstruction, ConvergenceDomain, CutoffExceeded,
                      TableCoverage, TooFewSamples, ValidationError)
-from .eta import _eta_tilde_rows
+from .eta import _eta_tilde_rows, _prime_powers
 from .lru import LRUDict
 from .primes import PrimeTable, sieve_primes
 from .rays import check_guard
@@ -126,30 +130,33 @@ def dirichlet_li_sum(m: int, sigma: float, t: float, X: float,
                                 lambda lo, hi: np.exp(-s * logs[lo:hi])))
 
 
-def mangoldt_sum(m: int, sigma: float, t: float, X: float) -> complex:
-    """sum_{2 <= n <= X} Lambda(n) / (n^(sigma+it) (log n)^(m+1)).
+def mangoldt_grid(m: int, sigma: float, t0: float, step: float, count: int,
+                  X: float) -> np.ndarray:
+    """sum_{2 <= n <= X} Lambda(n) / (n^(sigma+it) (log n)^(m+1)) at the
+    count heights t = t0 + step j, j < count.
 
     Lambda(n) = log p for prime powers n = p^k, zero otherwise; the
-    log n = k log p denominator folds into 1/(k^(m+1) (log p)^m)."""
-    if X < 2.0:
-        return 0.0 + 0.0j
-    ps = (np.array([2], dtype=np.int64) if X < 3
-          else sieve_primes(int(X)).primes)
-    ps = ps[ps <= X]
-    logs = np.log(ps.astype(float))
-    s = sigma + 1j * t
-    total = 0.0 + 0.0j
-    k = 1
-    alive = np.ones(ps.size, dtype=bool)
-    while np.any(alive):
-        total += complex(np.sum(
-            np.exp(-s * k * logs[alive]) / (k ** (m + 1) * logs[alive] ** m)))
-        k += 1
-        with np.errstate(over="ignore"):
-            alive_next = alive.copy()
-            alive_next[alive] = ps[alive].astype(float) ** k <= X
-        alive = alive_next
-    return total
+    log n = k log p denominator folds into 1/(k (log n)^m).  Each height
+    splits as t_b + t_r, with Q = ceil(sqrt(count)) offsets t_r = step r
+    and block starts t_b = t0 + step Q b, so the grid is one complex
+    (blocks x prime powers) . (prime powers x offsets) matrix product of
+    n^-(sigma + i t_b) / (k (log n)^m) and n^(-i t_r)."""
+    if count < 1:
+        raise ValidationError("need at least one height")
+    logs, inv_k = _prime_powers(int(X))
+    q = ceil(sqrt(count))
+    blocks = t0 + step * q * np.arange(ceil(count / q))
+    offsets = step * np.arange(q)
+    coef = inv_k * np.exp(-sigma * logs) / logs ** m
+    grid = (coef * np.exp(-1j * np.multiply.outer(blocks, logs))) \
+        @ np.exp(-1j * np.multiply.outer(logs, offsets))
+    return grid.ravel()[:count]
+
+
+def mangoldt_sum(m: int, sigma: float, t: float, X: float) -> complex:
+    """sum_{2 <= n <= X} Lambda(n) / (n^(sigma+it) (log n)^(m+1)), the
+    one-height call of mangoldt_grid."""
+    return complex(mangoldt_grid(m, sigma, t, 1.0, 1, X)[0])
 
 
 def li_vs_mangoldt_gap(m: int, sigma: float, t: float, X: float,

@@ -160,18 +160,23 @@ def tail_bound(m: int, sigma: float, a_cut: float) -> float:
         * sum(x ** i / (factorial(i) * log_k ** (m - i)) for i in range(m))
 
 
-@lru_cache(maxsize=None)
-def _prime_powers():
-    """log n and 1/k for the prime powers n = p^k <= TAIL_TERMS, made on
-    first use."""
+@lru_cache(maxsize=8)
+def _prime_powers(limit: int):
+    """log n and 1/k for the prime powers n = p^k <= limit, read-only,
+    made on first use.  The one enumeration of prime powers: the tail
+    reads it at TAIL_TERMS, dirichlet's von Mangoldt sums at their X."""
     logs, inv_k = [], []
-    for p in sieve_primes(TAIL_TERMS).primes.tolist():
-        n, k = p, 1
-        while n <= TAIL_TERMS:
-            logs.append(log(n))
-            inv_k.append(1.0 / k)
-            n, k = n * p, k + 1
-    return np.array(logs), np.array(inv_k)
+    if limit >= 2:
+        for p in sieve_primes(max(limit, 3)).primes.tolist():
+            n, k = p, 1
+            while n <= limit:
+                logs.append(log(n))
+                inv_k.append(1.0 / k)
+                n, k = n * p, k + 1
+    out = np.array(logs, dtype=float), np.array(inv_k, dtype=float)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _cut_series(sigma: float, t):
@@ -181,7 +186,7 @@ def _cut_series(sigma: float, t):
     modulus (its phase t log n is rounded to eps, relative).  Every
     term is formed elementwise, so a row does not depend on the other
     rows."""
-    logs, inv_k = _prime_powers()
+    logs, inv_k = _prime_powers(TAIL_TERMS)
     phase = np.multiply.outer(np.atleast_1d(np.asarray(t, dtype=float)),
                               logs)
     terms = inv_k * np.exp(-(sigma + CUTOFF_OFFSET) * logs) \

@@ -1,18 +1,27 @@
 """Finding heights where the weighted integral hits a prescribed value.
 
-The map t -> (t log p / 2 pi mod 1)_p over the first few primes fills its
-torus densely (the log p are rationally independent), and the weighted
-integral is, up to a small-noise remainder, the torus sum S evaluated at
-those coordinates.  So: pick angles on a few primes realizing the target
-through the polygon construction, locate grid heights whose torus orbit
-enters a small box around those angles, rank the candidates by the exact
-surrogate error, and spend the evaluation budget on the best of them.
+Near the heights where the prime Dirichlet polynomial
 
-The chosen candidates are evaluated together, in one pass of
-eta._eta_tilde_rows: one branch ladder resolution and one adaptive
-quadrature over all their heights, each height with its own panels.  A
+    D_X(t) = sum_{2 <= n <= X} Lambda(n) / (n^(sigma+it) (log n)^(m+1))
+
+takes a value, eta~_m(sigma + it) takes it too, up to the mean-square
+remainder past X; D_X(t) is the torus sum S read at the orbit point
+theta_p = t log p / 2 pi itself.  So the hunt reads D_X, with X =
+eta.TAIL_TERMS (the prime powers the closed-form tail reads), on the
+grid t_min + GRID_STEP j <= t_max in one dirichlet.mangoldt_grid call,
+takes the local minima of |D_X - a| in order of that distance, keeps
+them at least min_separation apart up to the evaluation budget, and
+evaluates them.
+
+Candidates are evaluated in two passes of eta._eta_tilde_rows, the first
+FIRST_PASS of them and then, only if none of those is within epsilon,
+the rest; each pass is one branch ladder resolution and one adaptive
+quadrature over all its heights, each height with its own panels.  A
 candidate on a guarded ordinate, or whose ray stalls on a zero, counts
 as obstructed; the closest of the others is the result.
+
+kronecker_search and equidistribution_measure scan the orbit itself:
+the heights whose orbit enters a box, and how often it visits one.
 """
 
 from __future__ import annotations
@@ -23,14 +32,18 @@ from typing import Optional
 
 import numpy as np
 
+from .dirichlet import mangoldt_grid
 from .errors import (BranchObstruction, BudgetExceeded, TableCoverage,
-                     ValidationError)
-from .eta import _eta_tilde_rows
-from .polygon import RadiiSet, polygon_angles
-from .primes import sieve_primes
-from .torus import _s_sum_arrays, _validate_torus, first_harmonic_radii
+                     UnsupportedRange, ValidationError)
+from .eta import TAIL_TERMS, _eta_tilde_rows
+from .torus import _validate_torus
 from .zeros import ZeroTable, bundled_table
+from .zetafun import T_MAX
 
+# D_X's fastest harmonic, n = 299, turns once per 2 pi / log 299 = 1.1
+# in t, so a step of 0.02 puts about 55 heights on each of its periods
+GRID_STEP = 0.02
+FIRST_PASS = 4
 _GRID_CAP = 1_000_000_000
 _EQUI_STEP = 0.01
 _EQUI_CHUNK = 2_000_000
@@ -59,23 +72,14 @@ class TorusTarget:
 
 @dataclass(frozen=True)
 class HuntConfig:
-    n_search: int = 5
-    delta: float = 0.25
     t_min: float = 10.0
     t_max: float = 240.0
-    step: Optional[float] = None
     eval_budget: int = 48
     min_separation: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.n_search < 3:
-            raise ValidationError("need at least three search primes")
-        if not (0.0 < self.delta < 0.5):
-            raise ValidationError("delta must lie in (0, 1/2)")
         if not (0.0 < self.t_min < self.t_max):
             raise ValidationError("need 0 < t_min < t_max")
-        if self.step is not None and self.step <= 0.0:
-            raise ValidationError("step must be positive")
         if self.eval_budget < 1:
             raise ValidationError("eval_budget must be positive")
         if self.min_separation < 0.0:
@@ -150,50 +154,14 @@ def equidistribution_measure(box, T: float, primes) -> tuple:
     return count / n_pts, expected
 
 
-def _realize_on_primes(m: int, sigma: float, a: complex, ps: np.ndarray,
-                       logs: np.ndarray):
-    """Angles on the search primes with S(theta) = a when reachable.
-
-    Polygon on the first harmonics, then a fixed-point correction feeding
-    the higher harmonics back into the polygon target.  Targets outside
-    the reachable annulus are clamped to its boundary, so an impossible
-    request converges to the nearest boundary point and fails honestly
-    downstream."""
-    radii = first_harmonic_radii(m, sigma, ps)
-    total = float(radii.sum())
-    lo_r = max(2.0 * radii.max() - total, 0.0)
-    hi_r = total * (1.0 - 1e-9)
-
-    def clamp(z: complex) -> complex:
-        az = abs(z)
-        if az > hi_r:
-            return z * (hi_r / az)
-        if az < lo_r:
-            return complex(lo_r) if az == 0.0 else z * (lo_r * (1.0 + 1e-9) / az)
-        return z
-
-    rs = RadiiSet(radii, labels=ps)
-    z = clamp(a)
-    assign = polygon_angles(rs, z)
-    for _ in range(60):
-        s_val = complex(_s_sum_arrays(logs, assign.thetas, sigma, m))
-        higher = s_val - assign.achieved
-        z_new = clamp(a - higher)
-        if abs(z_new - z) < 1e-13:
-            break
-        z = z_new
-        assign = polygon_angles(rs, z)
-    s_val = complex(_s_sum_arrays(logs, assign.thetas, sigma, m))
-    return assign.thetas, abs(s_val - a)
-
-
 def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
                config: Optional[HuntConfig] = None,
                table: Optional[ZeroTable] = None) -> HuntResult:
     """Search for t with eta~_m(sigma + it) within epsilon of a.
 
     Never raises on a fruitless search; the result carries success=False
-    and a diagnostic instead."""
+    and a diagnostic instead.  torus_error is |D_X(t) - a| at the
+    returned height."""
     _validate_torus(m, sigma)
     if not np.isfinite(epsilon) or epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
@@ -202,58 +170,55 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
         config = HuntConfig()
     if table is None:
         table = bundled_table()
+    if config.t_max > T_MAX:
+        raise UnsupportedRange(
+            f"search reaches t={config.t_max:g} beyond zeta's limit "
+            f"{T_MAX:g}")
     if config.t_max > table.coverage:
         raise TableCoverage(
             f"search reaches t={config.t_max} but the zero table only "
             f"covers {table.coverage:.3f}")
 
-    pt = sieve_primes(200)
-    ps = pt.first(config.n_search)
-    logs = np.log(ps.astype(np.float64))
-    thetas, realize_err = _realize_on_primes(m, sigma, a, ps, logs)
-    target = TorusTarget(ps, thetas, config.delta)
-
-    step = config.step
-    if step is None:
-        step = config.delta / math.log(float(ps[-1])) / 1.05
-    hits = kronecker_search(target, config.t_min, config.t_max, step)
-    if not hits:
-        return HuntResult(None, realize_err, None, a, math.inf, 0, False,
-                          "no torus-box hits on the search grid")
-
-    ts = np.asarray(hits)
-    coords = np.mod(ts[:, None] * logs[None, :] / (2.0 * np.pi), 1.0)
-    pred = np.abs(_s_sum_arrays(logs, coords, sigma, m) - a)
-
-    order = np.lexsort((ts, pred))
+    count = int(math.floor((config.t_max - config.t_min) / GRID_STEP
+                           + 1e-9)) + 1
+    ts = config.t_min + GRID_STEP * np.arange(count)
+    dist = np.abs(mangoldt_grid(m, sigma, config.t_min, GRID_STEP, count,
+                                TAIL_TERMS) - a)
+    # local minima: the first height of a flat bottom, ends included
+    padded = np.concatenate(([np.inf], dist, [np.inf]))
+    minima = np.nonzero((dist < padded[:-2]) & (dist <= padded[2:]))[0]
     chosen = []
-    for i in order:
+    for i in minima[np.argsort(dist[minima], kind="stable")]:
         if all(abs(ts[i] - ts[j]) >= config.min_separation for j in chosen):
             chosen.append(int(i))
-        if len(chosen) >= config.eval_budget:
-            break
+            if len(chosen) >= config.eval_budget:
+                break
 
     best = None
     used = 0
     obstructed = 0
-    for i, ev in zip(chosen, _eta_tilde_rows(m, sigma, ts[chosen], table)):
-        if isinstance(ev, BranchObstruction):
-            obstructed += 1
-            continue
-        if isinstance(ev, Exception):
-            raise ev
-        used += 1
-        err = abs(ev.value - a)
-        if best is None or err < best[0]:
-            best = (err, float(ts[i]), complex(ev.value), float(pred[i]))
+    for batch in (chosen[:FIRST_PASS], chosen[FIRST_PASS:]):
+        if not batch or (best is not None and best[0] < epsilon):
+            break
+        for i, ev in zip(batch, _eta_tilde_rows(m, sigma, ts[batch], table)):
+            if isinstance(ev, BranchObstruction):
+                obstructed += 1
+                continue
+            if isinstance(ev, Exception):
+                raise ev
+            used += 1
+            err = abs(ev.value - a)
+            if best is None or err < best[0]:
+                best = (err, float(ts[i]), complex(ev.value), float(dist[i]))
 
+    note = (f"{minima.size} local minima of |D_X - a| on {count} heights, "
+            f"{used} evaluated, {obstructed} obstructed")
     if best is None:
-        return HuntResult(None, realize_err, None, a, math.inf, used, False,
+        return HuntResult(None, float(dist[chosen[0]]), None, a, math.inf,
+                          used, False,
                           f"all {obstructed} candidates sat on guarded "
-                          "ordinates")
+                          "ordinates; " + note)
     err, t_wit, val, torus_err = best
     ok = err < epsilon
-    note = (f"{len(hits)} box hits, {used} evaluated, "
-            f"{obstructed} obstructed; realization error {realize_err:.3g}")
     return HuntResult(t_wit, torus_err, val, a, err, used, ok,
                       note if ok else "closest candidate misses: " + note)

@@ -62,6 +62,8 @@ def test_eval_refuses_unknown_keys(tmp_path, capsys):
          "stpe=0.1"),
         ("hunt", ["m=1", "sigma=0.8", "a=0.1+0.1i", "epsilon=0.1"],
          "bogus=1"),
+        ("hunt", ["m=1", "sigma=0.8", "a=0.1+0.1i", "epsilon=0.1"],
+         "delta=0.25"),
         ("polygon", ["radii=3 4 5", "z=0+0i"], "bogus=1"),
         ("polygon", ["radii=3 4 5", "z=0+0i"], "epsilon=0.01"),
         ("polygon", ["m=1", "sigma=0.9", "a=0.35+0.1i", "epsilon=0.2",

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from iterzeta.errors import (BudgetExceeded, TableCoverage, ValidationError)
+from iterzeta import hunt
+from iterzeta.dirichlet import mangoldt_grid, mangoldt_sum
+from iterzeta.errors import (BudgetExceeded, TableCoverage, UnsupportedRange,
+                             ValidationError)
 from iterzeta.eta import eta_tilde_weighted
 from iterzeta.hunt import (HuntConfig, TorusTarget, equidistribution_measure,
                            hunt_value, kronecker_search)
-from iterzeta.zeros import bundled_table
+from iterzeta.zeros import ZeroTable, bundled_table
 
 TAB = bundled_table()
 
@@ -107,10 +110,73 @@ def test_hunt_coverage_precondition():
                    config=HuntConfig(t_max=300.0), table=TAB)
 
 
+def test_hunt_refuses_heights_past_zeta_limit(monkeypatch):
+    # a table reaching past zeta's limit does not let the grid form first
+    tall = ZeroTable(np.append(TAB.betas, 0.5), np.append(TAB.gammas, 2e4),
+                     np.append(TAB.mults, 1))
+
+    def no_grid(*args):
+        raise AssertionError("grid formed")
+    monkeypatch.setattr(hunt, "mangoldt_grid", no_grid)
+    with pytest.raises(UnsupportedRange):
+        hunt_value(1, 0.8, 0.5 + 0j, 0.1,
+                   config=HuntConfig(t_min=9990.0, t_max=1.2e4), table=tall)
+
+
 def test_hunt_validation():
     with pytest.raises(ValidationError):
         hunt_value(1, 1.2, 0.5 + 0j, 0.1, table=TAB)
     with pytest.raises(ValidationError):
-        HuntConfig(delta=0.7)
-    with pytest.raises(ValidationError):
         HuntConfig(t_min=50.0, t_max=20.0)
+    with pytest.raises(ValidationError):
+        HuntConfig(t_min=0.0)
+    with pytest.raises(ValidationError):
+        HuntConfig(eval_budget=0)
+    with pytest.raises(ValidationError):
+        HuntConfig(min_separation=-0.1)
+    cfg = HuntConfig()
+    assert (cfg.t_min, cfg.t_max, cfg.eval_budget, cfg.min_separation) \
+        == (10.0, 240.0, 48, 0.5)
+
+
+# (m, sigma, t0) of self-referential targets a = eta~_m(sigma + i t0),
+# spread over the default window
+SELF_TARGETS = ((1, 0.6, 30.0), (2, 0.7, 70.0), (3, 0.8, 110.0),
+                (1, 0.9, 150.0), (2, 0.65, 190.0), (3, 0.85, 230.0))
+
+
+@pytest.mark.parametrize("m, sigma, t0", SELF_TARGETS)
+def test_hunt_finds_self_referential_targets_first(m, sigma, t0):
+    # D_X ranks a witness among the first pass
+    a = eta_tilde_weighted(m, sigma, t0, table=TAB).value
+    res = hunt_value(m, sigma, a, 0.1, table=TAB)
+    assert res.success, res.diagnostic
+    assert 1 <= res.budget_used <= 4
+    assert abs(eta_tilde_weighted(m, sigma, res.t_witness,
+                                  table=TAB).value - a) < 0.1
+
+
+def test_hunt_refuses_targets_out_of_reach():
+    rng = np.random.default_rng(10)
+    cfg = HuntConfig()
+    for m in (1, 2, 3, 1, 3):
+        sigma = float(rng.uniform(0.6, 0.95))
+        a = complex(rng.uniform(6.0, 8.0)
+                    * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+        res = hunt_value(m, sigma, a, 0.1, config=cfg, table=TAB)
+        assert not res.success
+        assert res.budget_used <= cfg.eval_budget
+        assert res.final_error > 4.0
+
+
+@pytest.mark.parametrize("m, sigma", [(1, 0.8), (2, 0.55), (3, 0.95)])
+def test_hunt_grid_matches_mangoldt_sum(m, sigma):
+    # the hunt's grid over the default window, against one-height sums
+    cfg = HuntConfig()
+    count = int(round((cfg.t_max - cfg.t_min) / hunt.GRID_STEP)) + 1
+    grid = mangoldt_grid(m, sigma, cfg.t_min, hunt.GRID_STEP, count,
+                         hunt.TAIL_TERMS)
+    assert hunt.TAIL_TERMS == 300 and count == 11501
+    for j in (0, count // 2, count - 1):
+        t = cfg.t_min + hunt.GRID_STEP * j
+        assert abs(grid[j] - mangoldt_sum(m, sigma, t, 300)) < 1e-13
