@@ -168,6 +168,9 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
     a = complex(a)
     if config is None:
         config = HuntConfig()
+    if not isinstance(config, HuntConfig):
+        raise ValidationError(
+            f"config must be a HuntConfig, not {type(config).__name__}")
     if table is None:
         table = bundled_table()
     if config.t_max > T_MAX:

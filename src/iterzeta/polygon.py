@@ -180,9 +180,31 @@ def _frac_angle(vec: np.ndarray) -> np.ndarray:
     return np.where(th >= 1.0, 0.0, th)
 
 
+def _unit(thetas: np.ndarray) -> np.ndarray:
+    """w = exp(-2 pi i theta), made in place in one complex buffer."""
+    w = -2j * np.pi * thetas
+    return np.exp(w, out=w)
+
+
+def _aligned(r: np.ndarray, z: complex, th: float):
+    """Every radius along one angle: the target on the disk's boundary,
+    or a flat polygon whose longest side is the closing side."""
+    thetas = np.full(r.size, th)
+    achieved = complex(np.sum(r) * z / abs(z))
+    return (AngleAssignment(thetas, complex(z), achieved,
+                            abs(achieved - z)), _unit(thetas))
+
+
 def polygon_angles(radii: RadiiSet, z: complex) -> AngleAssignment:
     """Angles theta with sum r_n exp(-2 pi i theta_n) = z, residual below
     1e-10 for well-conditioned inputs (see module docstring)."""
+    return _polygon(radii, z)[0]
+
+
+def _polygon(radii: RadiiSet, z: complex):
+    """polygon_angles' assignment, and the unit vectors
+    w = exp(-2 pi i theta) at its angles, from which its achieved sum
+    np.sum(r * w) is formed; a caller may reuse w in place."""
     r = radii.radii
     n = r.size
     total = float(r.sum())
@@ -198,9 +220,7 @@ def polygon_angles(radii: RadiiSet, z: complex) -> AngleAssignment:
 
     if total - az <= ALIGNED_RTOL * total:
         # boundary of the disk: every side aligned with z
-        th = np.full(n, _frac_angle(np.array([complex(z)]))[0])
-        achieved = complex(np.sum(r) * z / az)
-        return AngleAssignment(th, complex(z), achieved, abs(achieved - z))
+        return _aligned(r, z, _frac_angle(np.array([complex(z)]))[0])
 
     # sides longest first; the radii of construct_theta fall with p, and
     # a stable sort would leave them as they are
@@ -219,9 +239,7 @@ def polygon_angles(radii: RadiiSet, z: complex) -> AngleAssignment:
     if rest - l_max <= FLAT_RTOL * sides.sum():
         # degenerate: the polygon collapses onto a line
         if az > 0.0 and i_max == 0:
-            th = np.full(n, _frac_angle(np.array([complex(z)]))[0])
-            achieved = complex(np.sum(r) * z / az)
-            return AngleAssignment(th, complex(z), achieved, abs(achieved - z))
+            return _aligned(r, z, _frac_angle(np.array([complex(z)]))[0])
         direction = complex(z) if az > 0.0 else 1.0 + 0.0j
         th_fwd = _frac_angle(np.array([direction]))[0]
         th_bwd = _frac_angle(np.array([-direction]))[0]
@@ -229,26 +247,42 @@ def polygon_angles(radii: RadiiSet, z: complex) -> AngleAssignment:
         th_sorted[i_max] = th_fwd
         thetas = np.empty(n)
         thetas[order] = th_sorted[radius_slots]
-        achieved = complex(np.sum(r * np.exp(-2j * np.pi * thetas)))
-        return AngleAssignment(thetas, complex(z), achieved,
-                               abs(achieved - complex(z)))
+    else:
+        u, reflected = _angle_sum_root(sides, i_max)
+        # every step below works in the buffer of the one before, and
+        # each buffer is freed when done, so a window of a million radii
+        # keeps at most two arrays of its length alive before the exp
+        phis = sides
+        del sides
+        np.multiply(phis, u, out=phis)
+        np.clip(phis, 0.0, 1.0, out=phis)
+        np.arcsin(phis, out=phis)
+        phis *= 2.0
+        if reflected:
+            phis[i_max] = 2.0 * np.pi - phis[i_max]
 
-    u, reflected = _angle_sum_root(sides, i_max)
-    phis = 2.0 * np.arcsin(np.clip(sides * u, 0.0, 1.0))
-    if reflected:
-        phis[i_max] = 2.0 * np.pi - phis[i_max]
-
-    # the side from vertex angle psi_k to psi_k + phi_k points along
-    # mid_k + pi/2, with mid_k = psi_k + phi_k / 2 their mean.  Turning
-    # every side by arg z - mid_0 - 3 pi/2 lays the closing side, slot 0,
-    # along -z; theta is minus a side's direction over 2 pi, mod 1
-    mid = np.cumsum(phis) - 0.5 * phis
-    offset = (mid[0] + np.pi - np.angle(z)) if az > 0.0 else -0.5 * np.pi
-    turns = (offset - mid[radius_slots]) / (2.0 * np.pi)
-    thetas_sorted = turns - np.floor(turns)
-    thetas_sorted[thetas_sorted >= 1.0] = 0.0
-    thetas = np.empty(n)
-    thetas[order] = thetas_sorted
-    achieved = complex(np.sum(r * np.exp(-2j * np.pi * thetas)))
-    return AngleAssignment(thetas, complex(z), achieved,
-                           abs(achieved - complex(z)))
+        # the side from vertex angle psi_k to psi_k + phi_k points along
+        # mid_k + pi/2, with mid_k = psi_k + phi_k / 2 their mean.  Turning
+        # every side by arg z - mid_0 - 3 pi/2 lays the closing side, slot
+        # 0, along -z; theta is minus a side's direction over 2 pi, mod 1
+        mid = np.cumsum(phis)
+        phis *= 0.5
+        mid -= phis
+        del phis
+        offset = (mid[0] + np.pi - np.angle(z)) if az > 0.0 \
+            else -0.5 * np.pi
+        turns = mid[radius_slots]
+        np.subtract(offset, turns, out=turns)
+        turns /= 2.0 * np.pi
+        turns -= np.floor(turns)
+        turns[turns >= 1.0] = 0.0
+        if isinstance(order, slice):
+            thetas = turns
+        else:
+            thetas = np.empty(n)
+            thetas[order] = turns
+        del mid, turns
+    w = _unit(thetas)
+    achieved = complex(np.sum(r * w))
+    return (AngleAssignment(thetas, complex(z), achieved,
+                            abs(achieved - complex(z))), w)

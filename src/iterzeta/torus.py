@@ -13,6 +13,14 @@ a window of primes (U, N], and choose the window angles by the polygon
 construction so their first harmonics sum to a minus the reference value
 gamma_{m,sigma}.  Higher harmonics in the window and the perturbed tail
 are controlled by explicit bounds, each budgeted at epsilon/4.
+
+Every sum here runs over the primes in ascending order, where the modulus
+p^-sigma of each term falls, through dirichlet's _polylog_sum.  The
+window's radii p^-sigma / (log p)^m come from the prime table's logs.
+The polygon's unit vectors exp(-2 pi i theta_p), one complex exp per
+window prime, serve both its achieved sum and the window's points in
+final_sum.  A target beyond an upper Riemann sum of the radii over
+(U, limit] is refused before any radius is formed.
 """
 
 from __future__ import annotations
@@ -23,16 +31,20 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .dirichlet import _polylog_sum, polylog
+from .dirichlet import _polylog_sum, _reals, polylog
 from .errors import (LimitExceeded, ValidationError, WindowExhausted)
 from .eta import _validate_order_sigma
-from .polygon import AngleAssignment, RadiiSet, polygon_angles
+from .polygon import AngleAssignment, RadiiSet, _polygon
 from .primes import PrimeTable, sieve_primes
 
 GAMMA_CUT = 1_000_000
 U_CANDIDATES = (10, 100, 1_000, 10_000, 100_000)
 # window primes in the first chunk of construct_theta's radii
 RADII_CHUNK = 4096
+# log-spaced cuts of the window in the bound on its radius sum that
+# refuses a target past the window; the bound exceeds the sum by 2-13%
+# on sieves of 1e6 to 4e7 (m = 1..3, sigma in [0.55, 0.95])
+REFUSAL_CUTS = 64
 
 
 def _validate_torus(m: int, sigma: float) -> None:
@@ -51,12 +63,10 @@ def _theta0(count: int) -> np.ndarray:
 
 def _s_sum_arrays(logs: np.ndarray, thetas: np.ndarray, sigma: float,
                   m: int):
-    """S_{m,sigma} over the primes with these logs at angles thetas; a
-    (rows, primes) array of angles gives one sum per row."""
-    rows = thetas.shape[0] if thetas.ndim == 2 else 1
-    return _polylog_sum(
-        m + 1, logs, m, lambda lo, hi: np.exp(
-            -sigma * logs[lo:hi] - 2j * np.pi * thetas[..., lo:hi]), rows)
+    """S_{m,sigma} over the primes with these ascending logs at angles
+    thetas."""
+    return _polylog_sum(m + 1, logs, m, sigma, lambda lo, hi: np.exp(
+        -sigma * logs[lo:hi] - 2j * np.pi * thetas[lo:hi]))
 
 
 def gamma_m_sigma(m: int, sigma: float, tail_cut: float,
@@ -78,7 +88,7 @@ def gamma_m_sigma(m: int, sigma: float, tail_cut: float,
     def z_block(lo, hi):
         signs = np.where(np.arange(lo, hi) % 2 == 0, 1.0, -1.0)
         return signs * np.exp(-sigma * logs[lo:hi])
-    return complex(_polylog_sum(m + 1, logs, m, z_block))
+    return complex(_polylog_sum(m + 1, logs, m, sigma, z_block))
 
 
 def gamma_tail_estimate(m: int, sigma: float, tail_cut: float) -> float:
@@ -122,16 +132,20 @@ def second_moment_s(m: int, sigma: float, M: int, N: int,
     if M == N:
         return 0.0
     logs = np.log(primes.first(N)[M:N].astype(np.float64))
-    return float(_polylog_sum(2 * m + 2, logs, 2 * m, lambda lo, hi: np.exp(
-        -2.0 * sigma * logs[lo:hi])).real)
+    return float(_polylog_sum(2 * m + 2, logs, 2 * m, 2.0 * sigma,
+                              lambda lo, hi: np.exp(
+                                  -2.0 * sigma * logs[lo:hi])).real)
 
 
 def first_harmonic_radii(m: int, sigma: float,
                          ps: np.ndarray) -> np.ndarray:
     """|k=1 coefficient| p^-sigma / (log p)^m for each prime."""
-    ps = np.asarray(ps, dtype=np.float64)
-    logs = np.log(ps)
-    return ps ** (-sigma) / logs ** m
+    return _radii(m, sigma, np.log(np.asarray(ps, dtype=np.float64)))
+
+
+def _radii(m: int, sigma: float, logs: np.ndarray) -> np.ndarray:
+    """First-harmonic radii p^-sigma / (log p)^m from the primes' logs."""
+    return np.exp(-sigma * logs) / logs ** m
 
 
 def _window_bounds(m: int, sigma: float, primes: PrimeTable, cands,
@@ -155,7 +169,8 @@ def _window_bounds(m: int, sigma: float, primes: PrimeTable, cands,
         logs = primes.logs[lo:hi]
         zs = np.exp(-sigma * logs)
         # sum_{k>=2} z^k / k^(m+1) = Li_{m+1}(z) - z at z = p^-sigma
-        harmonic[i] = (_polylog_sum(m + 1, logs, m, lambda a, b: zs[a:b]).real
+        harmonic[i] = (_polylog_sum(m + 1, logs, m, sigma,
+                                    lambda a, b: zs[a:b]).real
                        - np.sum(zs / logs ** m))
         signs = np.where(np.arange(lo, hi) % 2 == 0, 1.0, -1.0)
         first[i] = np.sum(signs * zs / logs ** m)
@@ -172,24 +187,42 @@ def _window_bounds(m: int, sigma: float, primes: PrimeTable, cands,
     return harmonic, first
 
 
-def _window_radii(m: int, sigma: float, win_p: np.ndarray, need: float):
-    """First-harmonic radii of the window primes win_p and their running
-    sums, only as far as a construction needs: chunks of RADII_CHUNK
-    primes, doubling, until the sum reaches need and the first radius is
-    at most the rest, or the window ends.  Each chunk's sums start from
-    the sum before it, so they are those of one cumsum over the window,
-    to the bit.  Returns (radii, sums), equal-length prefixes."""
+def _radius_bound(m: int, sigma: float, primes: PrimeTable,
+                  u_bound: int) -> float:
+    """An upper bound on the sum of the first-harmonic radii of the
+    primes in (u_bound, limit], from REFUSAL_CUTS log-spaced cuts: the
+    radius p^-sigma / (log p)^m falls with p, so a segment's primes count
+    at most the radius of its first prime each.  Costs a prime count and
+    a radius per cut, not a radius per prime."""
+    cuts = u_bound * (primes.limit / u_bound) ** (
+        np.arange(REFUSAL_CUTS + 1) / REFUSAL_CUTS)
+    cuts[-1] = primes.limit
+    ends = primes.count_upto(cuts)
+    first = np.minimum(ends[:-1], len(primes) - 1)
+    return float(np.sum(np.diff(ends) * _radii(m, sigma, primes.logs[first])))
+
+
+def _window_radii(m: int, sigma: float, win_logs: np.ndarray, need: float):
+    """First-harmonic radii of the window primes, whose logs are win_logs,
+    and their running sums, only as far as a construction needs: chunks
+    of RADII_CHUNK primes, and from 16,384 primes on of a quarter of the
+    primes done, until the sum reaches need and the first radius is at
+    most the rest, or the window ends.  So past the first chunks at most
+    a quarter more radii are formed than needed.  Each chunk's sums start
+    from the sum before it, so they are those of one cumsum over the
+    window, to the bit.  Returns (radii, sums), equal-length prefixes."""
     # the buffers' pages past the prefix are never touched
-    radii, sums = np.empty(win_p.size), np.empty(win_p.size)
+    radii, sums = np.empty(win_logs.size), np.empty(win_logs.size)
     done, size = 0, RADII_CHUNK
-    while done < win_p.size:
-        hi = min(done + size, win_p.size)
-        radii[done:hi] = first_harmonic_radii(m, sigma, win_p[done:hi])
+    while done < win_logs.size:
+        hi = min(done + size, win_logs.size)
+        radii[done:hi] = _radii(m, sigma, win_logs[done:hi])
         sums[done:hi] = radii[done:hi]
         if done:
             sums[done] += sums[done - 1]
         np.cumsum(sums[done:hi], out=sums[done:hi])
-        done, size = hi, 2 * size
+        done = hi
+        size = max(RADII_CHUNK, done // 4)
         if done >= 3 and sums[done - 1] >= need \
                 and radii[0] <= sums[done - 1] - radii[0]:
             break
@@ -225,10 +258,14 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
     Past the fixed cost of gamma and the tail bounds (primes up to
     GAMMA_CUT), the cost is O(window): radii are formed only as far as
     the smallest window that reaches the target, and the polygon over
-    them is solved in a fixed handful of passes.  Only a target past
-    the whole table sums every radius.  Raises WindowExhausted when the
-    prime table cannot support either the choice of U or the radius sum
-    needed to reach the target."""
+    them is solved in a fixed handful of passes, whose unit vectors
+    exp(-2 pi i theta) also give the window's part of final_sum.  A
+    target past an upper bound on the whole window's radius sum, taken
+    over REFUSAL_CUTS segments, is refused before any radius is formed;
+    only a target between that bound and the exact sum sums every
+    radius.  Raises WindowExhausted when the prime table cannot support
+    either the choice of U or the radius sum needed to reach the
+    target."""
     _validate_torus(m, sigma)
     if not np.isfinite(epsilon) or epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
@@ -255,9 +292,16 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
     u_bound = fits[0]
 
     i_u = int(np.searchsorted(primes.primes, u_bound, side="right"))
-    win_p = primes.primes[i_u:]
     need = abs(z_star)
-    win_r, rcum = _window_radii(m, sigma, win_p, need)
+    # a target past the window is refused before any radius is formed
+    reach = _radius_bound(m, sigma, primes, u_bound)
+    if need > reach * (1.0 + 1e-9):
+        raise WindowExhausted(
+            f"window radii over ({u_bound}, {primes.limit}] reach at most "
+            f"{reach:.6g} of the required {need:.6g}; extend the prime "
+            f"table")
+    win_p, win_logs = primes.primes[i_u:], primes.logs[i_u:]
+    win_r, rcum = _window_radii(m, sigma, win_logs, need)
     count = int(np.searchsorted(rcum, need)) + 1
     count = max(count, 3)
     if count > win_r.size:
@@ -271,8 +315,11 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
         raise WindowExhausted("window cannot satisfy dominance")
     count += int(dominant[0])
 
-    window = polygon_angles(
-        RadiiSet(win_r[:count], labels=win_p[:count]), z_star)
+    window, w = _polygon(RadiiSet(win_r[:count], labels=win_p[:count]),
+                         z_star)
+    # each buffer of the window's length is dropped once spent, which
+    # keeps the peak resident size down
+    del win_r, rcum
 
     n_bound = int(win_p[count - 1])
     all_p = primes.primes[:i_u + count]
@@ -281,9 +328,15 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
     thetas[i_u:] = window.thetas
     theta2 = AngleAssignment(thetas, window.target, window.achieved,
                              window.residual)
+    del window
 
-    final_sum = complex(_s_sum_arrays(primes.logs[:i_u + count], thetas,
-                                      sigma, m))
+    # the window's points z_p = p^-sigma w_p, made in the buffer of w
+    _reals(w)[...] *= np.exp(-sigma * win_logs[:count])[:, None]
+    final_sum = complex(
+        _s_sum_arrays(primes.logs[:i_u], thetas[:i_u], sigma, m)
+        + _polylog_sum(m + 1, win_logs[:count], m, sigma,
+                       lambda lo, hi: w[lo:hi]))
+    del w
     final_error = abs(final_sum - a)
     return ThetaPipelineResult(m=m, sigma=sigma, a=a, epsilon=epsilon,
                                U=u_bound, N=n_bound, gamma_value=gamma,

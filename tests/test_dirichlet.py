@@ -3,9 +3,10 @@ import mpmath as mp
 import pytest
 
 from iterzeta import dirichlet
-from iterzeta.dirichlet import (_eta_tilde_grid, dirichlet_li_sum,
-                                li_vs_mangoldt_gap, mangoldt_sum,
-                                mean_square_error, polylog, polylog_batch)
+from iterzeta.dirichlet import (_eta_tilde_grid, _li_grid, _polylog_sum,
+                                dirichlet_li_sum, li_vs_mangoldt_gap,
+                                mangoldt_sum, mean_square_error, polylog,
+                                polylog_batch)
 from iterzeta.errors import (ConvergenceDomain, CutoffExceeded,
                              TableCoverage, UnsupportedRange,
                              ValidationError)
@@ -63,6 +64,65 @@ def test_polylog_domain():
         polylog(2, 0.97)
     with pytest.raises(ValidationError):
         polylog(0, 0.5)
+
+
+def _window_points(sigma, lo, hi, seed):
+    """logs and points p^-sigma e^(-2 pi i theta_p) of the primes
+    PT[lo:hi] at seeded angles."""
+    logs = PT.logs[lo:hi]
+    th = np.random.default_rng(seed).uniform(size=logs.size)
+    return logs, np.exp(-sigma * logs - 2j * np.pi * th)
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+@pytest.mark.parametrize("sigma", (0.5, 0.8, 0.95))
+def test_prime_polylog_sum_against_mpmath(m, sigma):
+    # the first 30 primes, 2 among them (the longest series), and 10
+    # past 1000, summed by mpmath's polylog
+    idx = np.r_[0:30, 168:178]
+    logs, z = _window_points(sigma, 0, 178, m)
+    logs, z = logs[idx], z[idx]
+    got = _polylog_sum(m + 1, logs, m, sigma, lambda lo, hi: z[lo:hi])
+    want = sum(complex(mp.polylog(m + 1, mp.mpc(zp))) / lp ** m
+               for zp, lp in zip(z, logs))
+    assert abs(got - want) < 1e-14
+
+
+@pytest.mark.parametrize("m, sigma", [(1, 0.5), (2, 0.8), (3, 0.95)])
+def test_prime_polylog_sum_matches_the_sorted_path(m, sigma):
+    # the prime-ordered sum against polylog_batch, which finds each
+    # point's length from |z| and sorts the points by it: 9,592 primes
+    logs, z = _window_points(sigma, 0, len(PT), 10 + m)
+    got = _polylog_sum(m + 1, logs, m, sigma, lambda lo, hi: z[lo:hi])
+    want = np.sum(polylog_batch(m + 1, z) / logs ** m)
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_sweep_rows_match_per_height_sums():
+    # rows of the block x offset grid against dirichlet_li_sum, which
+    # forms p^(-sigma-it) in one exp, at the first, a middle and the
+    # last of 65 heights
+    m, sigma, X = 2, 0.65, 1e5
+    logs = PT.logs[:PT.count_upto(X)]
+    cols = np.array([0, 31, 64])
+    rows = _li_grid(m, sigma, logs, 14.0, 0.25, 65, cols)
+    for j, d in zip(cols, rows):
+        want = dirichlet_li_sum(m, sigma, 14.0 + 0.25 * j, X, PT)
+        assert abs(d - want) <= 1e-13 * abs(want)
+
+
+def test_sweep_row_does_not_depend_on_its_neighbours(monkeypatch):
+    # a height's D_X is the same bits whichever other heights of the grid
+    # are kept: all of them, every other one, it alone; and when the
+    # primes are cut in several chunks
+    logs = PT.logs[:PT.count_upto(3000)]
+    for chunk in (dirichlet.POLYLOG_CHUNK, 2_000):
+        monkeypatch.setattr(dirichlet, "POLYLOG_CHUNK", chunk)
+        full = _li_grid(1, 0.8, logs, 14.0, 0.25, 65, np.arange(65))
+        for cols in (np.arange(0, 65, 2), np.array([40]),
+                     np.array([3, 40, 41])):
+            part = _li_grid(1, 0.8, logs, 14.0, 0.25, 65, cols)
+            assert np.array_equal(part, full[cols])
 
 
 def test_li_sum_small_oracle():

@@ -139,6 +139,17 @@ def test_hunt_validation():
         == (10.0, 240.0, 48, 0.5)
 
 
+def test_hunt_refuses_a_config_of_another_type(monkeypatch):
+    # the table passed where the config goes, positionally: refused
+    # before any grid forms
+    def no_grid(*args):
+        raise AssertionError("grid formed")
+    monkeypatch.setattr(hunt, "mangoldt_grid", no_grid)
+    for config in (TAB, {"t_min": 10.0}, 240.0):
+        with pytest.raises(ValidationError, match="HuntConfig"):
+            hunt_value(1, 0.8, 0.3, 0.1, config)
+
+
 # (m, sigma, t0) of self-referential targets a = eta~_m(sigma + i t0),
 # spread over the default window
 SELF_TARGETS = ((1, 0.6, 30.0), (2, 0.7, 70.0), (3, 0.8, 110.0),

@@ -4,8 +4,8 @@ import pytest
 from iterzeta.errors import (DominanceViolation, RootFindFailure,
                              TargetOutsideDisk, TooFewRadii, ValidationError)
 from iterzeta.polygon import (SERIES_RATIO, AngleAssignment, RadiiSet,
-                              _angle_sum_root, _arcsin_sum, check_dominance,
-                              polygon_angles)
+                              _angle_sum_root, _arcsin_sum, _polygon,
+                              check_dominance, polygon_angles)
 from iterzeta.primes import sieve_primes
 
 
@@ -89,6 +89,20 @@ def test_degenerate_flat_sides():
     assert a.residual < 1e-9
     b = polygon_angles(RadiiSet(np.array([2.0, 1.0, 1.0])), 0j)
     assert b.residual < 1e-9
+
+
+def test_unit_vectors_are_those_of_the_angles():
+    # on every path (the disk's boundary, a flat polygon, a cyclic one
+    # with and without sorting) the unit vectors handed back are
+    # exp(-2 pi i theta) at the returned angles, which are polygon_angles'
+    for r, z in (([1.0, 1.0, 1.0], 3.0 + 0j), ([2.0, 1.0, 1.0], 0j),
+                 ([3.0, 4.0, 5.0], 0j), ([1.2, 0.9, 0.4, 0.3], 0.5 - 1j)):
+        r = np.array(r)
+        a, w = _polygon(RadiiSet(r), z)
+        assert np.array_equal(w, np.exp(-2j * np.pi * a.thetas))
+        b = polygon_angles(RadiiSet(r), z)
+        assert np.array_equal(a.thetas, b.thetas)
+        assert (a.achieved, a.residual) == (b.achieved, b.residual)
 
 
 def test_input_validation():

@@ -5,10 +5,12 @@ import pytest
 from iterzeta.errors import (LimitExceeded, UnsupportedRange, ValidationError,
                              WindowExhausted)
 from iterzeta.primes import sieve_primes
-from iterzeta.torus import (GAMMA_CUT, RADII_CHUNK, _window_bounds,
-                            _window_radii, construct_theta, first_harmonic_radii,
-                            gamma_m_sigma, gamma_tail_estimate, load_theta,
-                            s_sum, save_theta, second_moment_s)
+from iterzeta import torus
+from iterzeta.torus import (GAMMA_CUT, RADII_CHUNK, _radius_bound,
+                            _window_bounds, _window_radii, construct_theta,
+                            first_harmonic_radii, gamma_m_sigma,
+                            gamma_tail_estimate, load_theta, s_sum,
+                            save_theta, second_moment_s)
 
 mp.mp.dps = 30
 
@@ -194,7 +196,8 @@ def test_construct_matches_full_window(deep, m, sigma, eps):
         count = max(int(np.searchsorted(rcum, abs(a - gamma))) + 1, 3)
         while win_r[0] > rcum[count - 1] - win_r[0]:
             count += 1
-        radii, sums = _window_radii(m, sigma, win_p, abs(a - gamma))
+        radii, sums = _window_radii(m, sigma, deep.logs[i_u:],
+                                    abs(a - gamma))
         assert count <= sums.size
         assert np.array_equal(radii, win_r[:radii.size])
         assert np.array_equal(sums, rcum[:sums.size])
@@ -207,6 +210,7 @@ def test_construct_matches_full_window(deep, m, sigma, eps):
 
 
 def test_construct_target_past_the_window():
+    # a target just past the window, under the bound on its radius sum:
     # the refusal sums every radius of the window and says how far
     m, sigma, eps = 1, 0.8, 0.05
     gamma, u_bound, _, _, _, rcum = _full_window(m, sigma, eps, PT)
@@ -214,6 +218,34 @@ def test_construct_target_past_the_window():
         construct_theta(m, sigma, gamma + 1.01 * rcum[-1], eps, PT)
     assert f"({u_bound}, {PT.limit}]" in str(exc.value)
     assert f"reach only {rcum[-1]:.6g} of" in str(exc.value)
+
+
+@pytest.mark.parametrize("m, sigma, u_bound", [
+    (1, 0.8, 10), (1, 0.55, 100_000), (2, 0.65, 100), (3, 0.95, 100),
+    (3, 0.6, 1_000)])
+def test_radius_bound_holds_the_window_sum(deep, m, sigma, u_bound):
+    # the bound is at least the sum of every radius past U, and above it
+    # by more than 1% (a 1.01 target still sums exactly) and at most 15%
+    win_p = deep.primes[deep.count_upto(u_bound):]
+    exact = np.cumsum(first_harmonic_radii(m, sigma, win_p))[-1]
+    bound = _radius_bound(m, sigma, deep, u_bound)
+    assert 1.01 * exact < bound <= 1.15 * exact
+
+
+def test_construct_refuses_far_targets_by_the_bound(deep, monkeypatch):
+    # a target well past the window is refused by the bound alone: no
+    # radius is formed
+    m, sigma, eps = 2, 0.65, 0.02
+    gamma, u_bound, _, _, _, rcum = _full_window(m, sigma, eps, deep)
+
+    def no_radii(*args):
+        raise AssertionError("radii formed")
+    monkeypatch.setattr(torus, "_window_radii", no_radii)
+    with pytest.raises(WindowExhausted, match="reach at most") as exc:
+        construct_theta(m, sigma, gamma - 1.5j * rcum[-1], eps, deep)
+    reach = _radius_bound(m, sigma, deep, u_bound)
+    assert f"({u_bound}, {deep.limit}] reach at most {reach:.6g} of" \
+        in str(exc.value)
 
 
 def test_construct_validation():
