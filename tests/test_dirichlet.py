@@ -164,6 +164,28 @@ def test_mangoldt_hand_sums():
     assert abs(mangoldt_sum(1, s, 0.0, 8.0) - want8) < 1e-14
 
 
+def test_gap_matches_a_loop_over_each_prime():
+    # the tail summed prime by prime, each from its smallest k with
+    # p^k > X, against the pass per power; at X = 3^5 and 17^3 the float
+    # log X / log p falls just below the exponent, so these check where
+    # a prime's tail starts
+    for m, sigma, t, X in ((1, 0.5, 14.0, 8.0), (2, 0.7, 3.0, 243.0),
+                           (3, 0.9, 40.0, 4913.0), (1, 1.6, 7.5, 2500.5)):
+        want = 0.0 + 0.0j
+        for p in PT.primes[:PT.count_upto(X)].tolist():
+            k = 1
+            while p ** k <= X:
+                k += 1
+            lp, r = np.log(p), p ** -sigma
+            while True:
+                want += p ** (-k * (sigma + 1j * t)) / (k ** (m + 1) * lp ** m)
+                if r ** k / (k ** (m + 1) * lp ** m) * r / (1 - r) < 1e-15:
+                    break
+                k += 1
+        got = li_vs_mangoldt_gap(m, sigma, t, X, PT)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_decomposition_identity_random():
     # the prime-power tail reconciles the polylog and von Mangoldt forms
     rng = np.random.default_rng(7)
