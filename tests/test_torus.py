@@ -2,10 +2,10 @@ import numpy as np
 import mpmath as mp
 import pytest
 
+from iterzeta import torus
 from iterzeta.errors import (LimitExceeded, UnsupportedRange, ValidationError,
                              WindowExhausted)
 from iterzeta.primes import sieve_primes
-from iterzeta import torus
 from iterzeta.torus import (GAMMA_CUT, RADII_CHUNK, _radius_bound,
                             _window_bounds, _window_radii, construct_theta,
                             first_harmonic_radii, gamma_m_sigma,
