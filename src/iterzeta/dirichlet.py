@@ -128,7 +128,9 @@ def _live_counts(logs: np.ndarray, c: float) -> np.ndarray:
     is for r at least the fixed point r_n of r = (1e-16 (1 - r))^(1/n),
     so the primes taking it are those up to log p = -log(r_n) / c.  The
     iteration contracts by r / (n (1 - r)) < 1/36 at r = r_n, since
-    r |log r| / (1 - r) < 1 and n |log r_n| > -log 1e-16 there.
+    r |log r| / (1 - r) < 1 and n |log r_n| > -log 1e-16 there; eight
+    steps from r = 1e-16^(1/n) give log r_n to 1e-14 relative, which
+    moves a cut only across a prime whose tail bound is 1e-16 anyway.
     """
     r0 = exp(-c * logs[0])
     if r0 > POLYLOG_RADIUS:
