@@ -15,10 +15,22 @@ evaluates them.
 
 Candidates are evaluated in two passes of eta._eta_tilde_rows, the first
 FIRST_PASS of them and then, only if none of those is within epsilon,
-the rest; each pass is one branch ladder resolution and one adaptive
-quadrature over all its heights, each height with its own panels.  A
-candidate on a guarded ordinate, or whose ray stalls on a zero, counts
-as obstructed; the closest of the others is the result.
+the rest that the first pass leaves in reach; each pass is one branch
+ladder resolution and one adaptive quadrature over all its heights, each
+height with its own panels.  A candidate on a guarded ordinate, or whose
+ray stalls on a zero, counts as obstructed; the closest of the others is
+the result.
+
+The cut rule: let g be the largest |eta~ - D_X| over the first-pass
+candidates that gave a value.  The second pass evaluates only the
+candidates with |D_X - a| <= epsilon + GAP_FACTOR max(g, GAP_FLOOR); one
+further off could hit a only if eta~ strayed from D_X there GAP_FACTOR
+times further than at any height measured.  When every first-pass
+candidate was obstructed there is no g, and the second pass takes all
+the rest.  So a refusal means "not found in the window", never
+"unreachable": g is measured at a few heights, not bounded over the
+window, and a certified refusal would need an explicit bound on log zeta
+near the zeros, which this module does not have.
 
 kronecker_search and equidistribution_measure scan the orbit itself:
 the heights whose orbit enters a box, and how often it visits one.
@@ -44,6 +56,12 @@ from .zetafun import T_MAX
 # in t, so a step of 0.02 puts about 55 heights on each of its periods
 GRID_STEP = 0.02
 FIRST_PASS = 4
+# the cut rule's factor and floor on the first pass's gap g: at 40 random
+# points with sigma in [0.55, 0.95] and t in [10, 240], |eta~_m - D_300|
+# had median 0.001 and maximum 0.032, so the floor alone keeps every
+# candidate within epsilon + 0.4 of a
+GAP_FACTOR = 4.0
+GAP_FLOOR = 0.1
 _GRID_CAP = 1_000_000_000
 _EQUI_STEP = 0.01
 _EQUI_CHUNK = 2_000_000
@@ -161,7 +179,13 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
 
     Never raises on a fruitless search; the result carries success=False
     and a diagnostic instead.  torus_error is |D_X(t) - a| at the
-    returned height."""
+    returned height.
+
+    After a first pass of FIRST_PASS candidates, the rest are evaluated
+    only where |D_X - a| <= epsilon + GAP_FACTOR max(g, GAP_FLOOR), g the
+    largest |eta~ - D_X| that pass measured (all of them if it measured
+    none); the diagnostic names g and the nearest skipped |D_X - a|.  A
+    failure means "not found in the window", never "unreachable"."""
     _validate_torus(m, sigma)
     if not np.isfinite(epsilon) or epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
@@ -185,8 +209,9 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
     count = int(math.floor((config.t_max - config.t_min) / GRID_STEP
                            + 1e-9)) + 1
     ts = config.t_min + GRID_STEP * np.arange(count)
-    dist = np.abs(mangoldt_grid(m, sigma, config.t_min, GRID_STEP, count,
-                                TAIL_TERMS) - a)
+    grid = mangoldt_grid(m, sigma, config.t_min, GRID_STEP, count,
+                         TAIL_TERMS)
+    dist = np.abs(grid - a)
     # local minima: the first height of a flat bottom, ends included
     padded = np.concatenate(([np.inf], dist, [np.inf]))
     minima = np.nonzero((dist < padded[:-2]) & (dist <= padded[2:]))[0]
@@ -200,9 +225,12 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
     best = None
     used = 0
     obstructed = 0
-    for batch in (chosen[:FIRST_PASS], chosen[FIRST_PASS:]):
-        if not batch or (best is not None and best[0] < epsilon):
-            break
+
+    def evaluate(batch):
+        """eta~ at the batch's heights; keeps the closest to a in best and
+        returns |eta~ - D_X| at the heights that gave a value."""
+        nonlocal best, used, obstructed
+        gaps = []
         for i, ev in zip(batch, _eta_tilde_rows(m, sigma, ts[batch], table)):
             if isinstance(ev, BranchObstruction):
                 obstructed += 1
@@ -210,12 +238,32 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
             if isinstance(ev, Exception):
                 raise ev
             used += 1
+            gaps.append(abs(ev.value - grid[i]))
             err = abs(ev.value - a)
             if best is None or err < best[0]:
                 best = (err, float(ts[i]), complex(ev.value), float(dist[i]))
+        return gaps
+
+    gaps = evaluate(chosen[:FIRST_PASS])
+    rest = chosen[FIRST_PASS:]
+    cut_note = ""
+    if best is not None and best[0] < epsilon:
+        rest = []
+    elif gaps:
+        gap = max(gaps)
+        reach = epsilon + GAP_FACTOR * max(gap, GAP_FLOOR)
+        # chosen ascends in |D_X - a|: the kept candidates are a prefix
+        kept = int(np.searchsorted(dist[rest], reach, side="right"))
+        cut_note = f", first-pass gap g = max |eta~ - D_X| = {gap:.3g}"
+        if kept < len(rest):
+            cut_note += (f", {len(rest) - kept} skipped with nearest "
+                         f"|D_X - a| = {dist[rest[kept]]:.3g} > {reach:.3g}")
+        rest = rest[:kept]
+    if rest:
+        evaluate(rest)
 
     note = (f"{minima.size} local minima of |D_X - a| on {count} heights, "
-            f"{used} evaluated, {obstructed} obstructed")
+            f"{used} evaluated, {obstructed} obstructed{cut_note}")
     if best is None:
         return HuntResult(None, float(dist[chosen[0]]), None, a, math.inf,
                           used, False,

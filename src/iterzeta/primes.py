@@ -13,6 +13,8 @@ SIEVE_MAX = 100_000_000
 
 @dataclass(frozen=True)
 class PrimeTable:
+    """Every prime up to limit, ascending, with its natural log."""
+
     limit: int
     primes: np.ndarray
     logs: np.ndarray

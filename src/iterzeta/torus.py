@@ -34,6 +34,7 @@ import numpy as np
 from .dirichlet import _polylog_sum, _reals, polylog
 from .errors import (LimitExceeded, ValidationError, WindowExhausted)
 from .eta import _validate_order_sigma
+from .lru import LRUDict
 from .polygon import AngleAssignment, RadiiSet, _polygon
 from .primes import PrimeTable, sieve_primes
 
@@ -45,6 +46,11 @@ RADII_CHUNK = 4096
 # refuses a target past the window; the bound exceeds the sum by 2-13%
 # on sieves of 1e6 to 4e7 (m = 1..3, sigma in [0.55, 0.95])
 REFUSAL_CUTS = 64
+# gamma and the window starts' tail bounds of construct_theta by (m,
+# sigma, cut): they read only the primes up to the cut, which every prime
+# table reaching it holds alike
+_FIXED_CACHE_CAP = 32
+_FIXED_CACHE = LRUDict(_FIXED_CACHE_CAP)
 
 
 def _validate_torus(m: int, sigma: float) -> None:
@@ -256,7 +262,8 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
     Reference pattern outside the window, polygon angles inside; U is the
     smallest power of ten whose two tail bounds both fit in epsilon/4.
     Past the fixed cost of gamma and the tail bounds (primes up to
-    GAMMA_CUT), the cost is O(window): radii are formed only as far as
+    GAMMA_CUT), paid once per (m, sigma, cut) and then read from a capped
+    cache, the cost is O(window): radii are formed only as far as
     the smallest window that reaches the target, and the polygon over
     them is solved in a fixed handful of passes, whose unit vectors
     exp(-2 pi i theta) also give the window's part of final_sum.  A
@@ -278,12 +285,14 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
     if cut < 1_000:
         raise LimitExceeded("prime table too small; need limit >= 1000")
 
-    gamma = gamma_m_sigma(m, sigma, cut, primes)
+    cands = [c for c in U_CANDIDATES if c < cut]
+    gamma, e1, e2 = _FIXED_CACHE.get_or_set(
+        (m, sigma, cut),
+        lambda: (gamma_m_sigma(m, sigma, cut, primes),
+                 *_window_bounds(m, sigma, primes, cands, cut)))
     z_star = a - gamma
 
     budget = epsilon / 4.0
-    cands = [c for c in U_CANDIDATES if c < cut]
-    e1, e2 = _window_bounds(m, sigma, primes, cands, cut)
     fits = [c for c, h, f in zip(cands, e1, e2) if h <= budget and f <= budget]
     if not fits:
         raise WindowExhausted(

@@ -5,8 +5,8 @@ import pytest
 
 from iterzeta import hunt
 from iterzeta.dirichlet import mangoldt_grid, mangoldt_sum
-from iterzeta.errors import (BudgetExceeded, TableCoverage, UnsupportedRange,
-                             ValidationError)
+from iterzeta.errors import (BranchObstruction, BudgetExceeded, TableCoverage,
+                             UnsupportedRange, ValidationError)
 from iterzeta.eta import eta_tilde_weighted
 from iterzeta.hunt import (HuntConfig, TorusTarget, equidistribution_measure,
                            hunt_value, kronecker_search)
@@ -176,8 +176,91 @@ def test_hunt_refuses_targets_out_of_reach():
                     * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
         res = hunt_value(m, sigma, a, 0.1, config=cfg, table=TAB)
         assert not res.success
-        assert res.budget_used <= cfg.eval_budget
+        # the first pass measures eta~ near D_X; no later candidate of D_X
+        # comes near enough to a to be evaluated
+        assert res.budget_used <= hunt.FIRST_PASS
         assert res.final_error > 4.0
+
+
+def _spy_rows(monkeypatch, obstruct_first=False):
+    """Record the heights of each eta~ pass the hunt makes, with what it
+    returned; with obstruct_first, every height of the first pass is
+    returned obstructed."""
+    passes = []
+    real = hunt._eta_tilde_rows
+
+    def rows(m, sigma, ts, table):
+        out = ([BranchObstruction("test obstruction")] * ts.size
+               if obstruct_first and not passes
+               else real(m, sigma, ts, table))
+        passes.append((ts.copy(), out))
+        return out
+    monkeypatch.setattr(hunt, "_eta_tilde_rows", rows)
+    return passes
+
+
+def _reachable_sample(count):
+    rng = np.random.default_rng(2026)
+    for _ in range(count):
+        m = int(rng.integers(1, 4))
+        sigma = float(rng.uniform(0.55, 0.95))
+        a = complex(rng.uniform(0.3, 1.2)
+                    * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+        yield m, sigma, a
+
+
+def test_hunt_gap_cut_keeps_the_full_second_pass_results(monkeypatch):
+    # the cut skips only candidates that the full second pass, today's
+    # GAP_FACTOR = inf, would not have turned into a witness
+    cut = [hunt_value(m, sigma, a, 0.1, table=TAB)
+           for m, sigma, a in _reachable_sample(30)]
+    monkeypatch.setattr(hunt, "GAP_FACTOR", math.inf)
+    full = [hunt_value(m, sigma, a, 0.1, table=TAB)
+            for m, sigma, a in _reachable_sample(30)]
+    found = [r.success for r in full]
+    assert 5 <= sum(found) <= 25
+    assert [r.success for r in cut] == found
+    assert [r.t_witness for r in cut if r.success] \
+        == [r.t_witness for r in full if r.success]
+    assert all(c.budget_used <= f.budget_used for c, f in zip(cut, full))
+    assert sum(c.budget_used for c in cut) < sum(f.budget_used for f in full)
+
+
+def test_hunt_without_a_measured_gap_runs_the_whole_second_pass(monkeypatch):
+    # every first-pass candidate obstructed: no g, so no cut
+    a = 7.0 + 0.0j
+    full = hunt_value(1, 0.8, a, 0.1, table=TAB,
+                      config=HuntConfig(eval_budget=12))
+    assert full.budget_used == hunt.FIRST_PASS
+    passes = _spy_rows(monkeypatch, obstruct_first=True)
+    res = hunt_value(1, 0.8, a, 0.1, table=TAB,
+                     config=HuntConfig(eval_budget=12))
+    assert [ts.size for ts, _ in passes] == [hunt.FIRST_PASS, 8]
+    assert res.budget_used == 8
+    assert not res.success
+    assert f"{hunt.FIRST_PASS} obstructed" in res.diagnostic
+    assert "first-pass gap" not in res.diagnostic
+
+
+def test_hunt_refusal_names_the_gap_and_the_nearest_skipped(monkeypatch):
+    m, sigma, a = 2, 0.75, -5.0 + 4.0j
+    passes = _spy_rows(monkeypatch)
+    res = hunt_value(m, sigma, a, 0.1, table=TAB)
+    assert not res.success and len(passes) == 1
+    ts, evs = passes[0]
+    gap = max(abs(ev.value - mangoldt_sum(m, sigma, t, 300))
+              for t, ev in zip(ts, evs))
+    reach = 0.1 + hunt.GAP_FACTOR * max(gap, hunt.GAP_FLOOR)
+    assert f"g = max |eta~ - D_X| = {gap:.3g}" in res.diagnostic
+    # the nearest skipped candidate is the first the full pass evaluates
+    passes.clear()
+    monkeypatch.setattr(hunt, "GAP_FACTOR", math.inf)
+    hunt_value(m, sigma, a, 0.1, table=TAB)
+    nearest = min(abs(mangoldt_sum(m, sigma, t, 300) - a)
+                  for t in passes[1][0])
+    assert nearest > reach
+    assert (f"skipped with nearest |D_X - a| = {nearest:.3g} > "
+            f"{reach:.3g}") in res.diagnostic
 
 
 @pytest.mark.parametrize("m, sigma", [(1, 0.8), (2, 0.55), (3, 0.95)])

@@ -248,6 +248,36 @@ def test_construct_refuses_far_targets_by_the_bound(deep, monkeypatch):
         in str(exc.value)
 
 
+def _same_construction(r1, r2):
+    t1, t2 = r1.theta2, r2.theta2
+    return ((r1.m, r1.sigma, r1.a, r1.epsilon, r1.U, r1.N, r1.gamma_value,
+             r1.final_sum, r1.final_error)
+            == (r2.m, r2.sigma, r2.a, r2.epsilon, r2.U, r2.N, r2.gamma_value,
+                r2.final_sum, r2.final_error)
+            and np.array_equal(r1.primes, r2.primes)
+            and np.array_equal(t1.thetas, t2.thetas)
+            and (t1.target, t1.achieved, t1.residual)
+            == (t2.target, t2.achieved, t2.residual))
+
+
+def test_repeat_construction_reads_gamma_from_the_cache(deep, monkeypatch):
+    # gamma and the tail bounds are formed once per (m, sigma, cut), and
+    # every table reaching the cut shares them: a repeat on either table
+    # forms neither and is its cold call to the bit
+    args = (1, 0.9, 0.35 + 0.1j, 0.2)
+    cold = []
+    for table in (PT, deep):
+        torus._FIXED_CACHE.clear()
+        cold.append(construct_theta(*args, table))
+
+    def formed(*args):
+        raise AssertionError("fixed cost formed again")
+    monkeypatch.setattr(torus, "gamma_m_sigma", formed)
+    monkeypatch.setattr(torus, "_window_bounds", formed)
+    for table, want in zip((PT, deep), cold):
+        assert _same_construction(construct_theta(*args, table), want)
+
+
 def test_construct_validation():
     with pytest.raises(ValidationError):
         construct_theta(1, 1.1, 0.2 + 0j, 0.1, PT)
