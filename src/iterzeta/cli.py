@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import (BranchObstruction, ComputationError, ValidationError)
+from .errors import (BranchObstruction, ComputationError, TableCoverage,
+                     ValidationError)
 from .eta import check_guard, eta_tilde_weighted, eta_vertical, y_m
 from .hunt import HuntConfig, hunt_value
 from .dirichlet import mean_square_error
@@ -223,6 +224,14 @@ def cmd_eval(cfg: dict) -> int:
     table = _load_table(cfg, required=True)
     abs_tol = _as_float(cfg, "abs_tol", 1e-8)
     ts = _t_grid(cfg)
+    # the grid ascends: its ends decide whether every row can be computed
+    if ts.size and not ts[0] > 0.0:
+        raise ValidationError(f"field t: t={ts[0]:g} is not positive; "
+                              "eta_m needs t > 0")
+    if ts.size and ts[-1] > table.coverage:
+        raise TableCoverage(
+            f"field t: t={ts[-1]:g} beyond table coverage "
+            f"{table.coverage:g} ({table.source_label})")
     start = time.monotonic()
     rows, skipped = [], 0
     for t in ts:

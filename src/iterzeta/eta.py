@@ -14,8 +14,11 @@ integrates against the weight in closed form, so past A
            * sum_{i<m} X^i / (i! (log n)^(m-i)),
 
 with K = TAIL_TERMS and tail_bound bounding the prime powers past K.
-The recursive route threads the same series through its levels: level
-j takes the constant sum n^-(A+it) / (k (log n)^j) at A.
+The recursive route nests instead: it fits log zeta on [sigma, A] once
+by Chebyshev pieces, and level j is the exact antiderivative of level
+j - 1 from x to A plus the same series' constant sum
+n^-(A+it) / (k (log n)^j) at A.  Its error is the fit's deviation times
+X^m / m!, plus the terms the weighted form carries.
 
 Vertical form, defined by recursion in t with base log zeta:
 
@@ -314,120 +317,39 @@ def _eta_tilde_rows(m: int, sigma: float, ts: np.ndarray,
     return out
 
 
-class _PiecewiseCheb:
-    """Piecewise Chebyshev representation on a shared edge ladder, with
-    exact integration (the pieces are polynomials)."""
-
-    def __init__(self, edges: np.ndarray, coeffs: list):
-        self.edges = edges
-        self.coeffs = coeffs
-
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        idx = np.clip(np.searchsorted(self.edges, xs, side="right") - 1,
-                      0, len(self.coeffs) - 1)
-        out = np.empty(xs.size, dtype=complex)
-        for i in np.unique(idx):
-            sel = idx == i
-            a, b = self.edges[i], self.edges[i + 1]
-            u = (2.0 * xs[sel] - (a + b)) / (b - a)
-            out[sel] = _cheb.chebval(u, self.coeffs[i])
-        return out
-
-    def plus(self, const: complex) -> "_PiecewiseCheb":
-        """The representation plus a constant."""
-        return _PiecewiseCheb(self.edges,
-                              [np.concatenate([[c[0] + const], c[1:]])
-                               for c in self.coeffs])
-
-    def interval_integrals(self) -> np.ndarray:
-        vals = np.empty(len(self.coeffs), dtype=complex)
-        for i, c in enumerate(self.coeffs):
-            a, b = self.edges[i], self.edges[i + 1]
-            anti = _cheb.chebint(c)
-            vals[i] = 0.5 * (b - a) * (_cheb.chebval(1.0, anti)
-                                       - _cheb.chebval(-1.0, anti))
-        return vals
-
-    def integral_from(self, x: float, i: int, suffix: np.ndarray) -> complex:
-        """int_x^edges[-1] of the representation; i is x's interval,
-        suffix[i] the exact sum over intervals right of i."""
-        a, b = self.edges[i], self.edges[i + 1]
-        u = (2.0 * x - (a + b)) / (b - a)
-        anti = _cheb.chebint(self.coeffs[i])
-        part = 0.5 * (b - a) * (_cheb.chebval(1.0, anti)
-                                - _cheb.chebval(u, anti))
-        return part + suffix[i]
-
-
 _CHEB_DEG = 8
 _CHEB_NODES = np.cos(np.pi * (np.arange(_CHEB_DEG + 1) + 0.5)
                      / (_CHEB_DEG + 1))[::-1]
 _CHECK_NODES = np.array([-0.83, 0.11, 0.77])
 
 
-def _first_level_samples(f_vec, edges: np.ndarray):
-    """F(x) = int_x^edges[-1] f at the Chebyshev and check nodes of every
-    interval: one GL16 partial panel per sample plus exact suffix sums.
-    All f evaluations happen in two batched calls."""
-    x16, w16 = gl_nodes(16)
-    x32, w32 = gl_nodes(32)
-    lo, hi = edges[:-1], edges[1:]
-    n_int = lo.size
-
-    full_nodes = (0.5 * (lo + hi)[:, None]
-                  + 0.5 * (hi - lo)[:, None] * x32).ravel()
-    fv = f_vec(full_nodes).reshape(n_int, x32.size)
-    full = 0.5 * (hi - lo) * (fv @ w32)
-    suffix = np.concatenate([np.cumsum(full[::-1])[::-1][1:], [0.0 + 0.0j]])
-
-    def sample(node_frac: np.ndarray):
-        xs = lo[:, None] + 0.5 * (node_frac[None, :] + 1.0) * (hi - lo)[:, None]
-        pl = xs.ravel()[:, None] * (1.0 - (x16[None, :] + 1.0) / 2.0) \
-            + hi.repeat(node_frac.size)[:, None] * (x16[None, :] + 1.0) / 2.0
-        vals = f_vec(pl.ravel()).reshape(-1, x16.size)
-        halfw = 0.5 * (hi.repeat(node_frac.size) - xs.ravel())
-        partial = halfw * (vals @ w16)
-        return xs, partial.reshape(n_int, node_frac.size) \
-            + suffix[:, None]
-
-    return sample, suffix, full
+def _cheb_fit(f_vec, lo: np.ndarray, hi: np.ndarray):
+    """Degree-_CHEB_DEG Chebyshev fits of f on the intervals [lo, hi],
+    one row of coefficients in u = (2x - lo - hi) / (hi - lo) per
+    interval, and each fit's largest deviation from f at the check
+    nodes.  f is called once, on the fit and check nodes of all of
+    them."""
+    nodes = np.concatenate([_CHEB_NODES, _CHECK_NODES])
+    xs = lo[:, None] + 0.5 * (hi - lo)[:, None] * (nodes + 1.0)
+    vals = f_vec(xs.ravel()).reshape(xs.shape)
+    fit = _CHEB_NODES.size
+    coeffs = _cheb.chebfit(_CHEB_NODES, vals[:, :fit].T, _CHEB_DEG).T
+    dev = np.abs(_cheb.chebval(_CHECK_NODES, coeffs.T) - vals[:, fit:])
+    return coeffs, dev.max(axis=1)
 
 
-def _rep_from_samples(edges: np.ndarray, samples: np.ndarray) -> _PiecewiseCheb:
-    coeffs = [_cheb.chebfit(_CHEB_NODES, samples[i], _CHEB_DEG)
-              for i in range(edges.size - 1)]
-    return _PiecewiseCheb(edges, coeffs)
-
-
-def _integrate_level(rep: _PiecewiseCheb):
-    """Next-level samples from an existing representation, all exact."""
-    full = rep.interval_integrals()
-    suffix = np.concatenate([np.cumsum(full[::-1])[::-1][1:], [0.0 + 0.0j]])
-    lo, hi = rep.edges[:-1], rep.edges[1:]
-
-    def sample(node_frac: np.ndarray):
-        xs = lo[:, None] + 0.5 * (node_frac[None, :] + 1.0) * (hi - lo)[:, None]
-        out = np.empty_like(xs, dtype=complex)
-        for i in range(lo.size):
-            for j in range(node_frac.size):
-                out[i, j] = rep.integral_from(xs[i, j], i, suffix)
-        return xs, out
-
-    return sample, suffix, full
-
-
-def _build_level_rep(edges, sampler, tol, what):
-    """Fit Chebyshev pieces and verify at off-grid points; bisect
-    intervals that miss tol.  sampler(node_frac) -> (xs, values) closes
-    over the current edges, so it is rebuilt by the caller on refine."""
-    _, smp = sampler(_CHEB_NODES)
-    rep = _rep_from_samples(edges, smp)
-    xc, direct = sampler(_CHECK_NODES)
-    dev = np.abs(rep(xc.ravel()) - direct.ravel())
-    bad_int = np.unique(np.nonzero(dev.reshape(len(edges) - 1, -1)
-                                   .max(axis=1) > tol)[0])
-    return rep, float(dev.max()), bad_int
+def _integral_to_cut(lo: np.ndarray, hi: np.ndarray, coeffs: np.ndarray,
+                     at_cut: complex) -> np.ndarray:
+    """Coefficients of F(x) = int_x^A p + at_cut on each interval, one
+    degree up, for p the piecewise polynomial with coefficients coeffs
+    on the ascending, abutting intervals [lo, hi], A = hi[-1]: exact up
+    to rounding."""
+    # int_x^hi p = -anti(u), anti = (hi - lo)/2 int_1^u p
+    anti = 0.5 * (hi - lo)[:, None] * _cheb.chebint(coeffs, lbnd=1.0, axis=1)
+    whole = -_cheb.chebval(-1.0, anti.T)
+    out = -anti.astype(complex)
+    out[:, 0] += at_cut + np.append(np.cumsum(whole[::-1])[::-1][1:], 0.0)
+    return out
 
 
 def eta_tilde_recursive(m: int, sigma: float, t: float,
@@ -435,13 +357,18 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
                         abs_tol: float = 1e-8) -> EtaValue:
     """Horizontal iterated integral by literal nesting.
 
-    Level one is sampled by panel quadrature of log zeta; each further
-    level integrates a piecewise-polynomial fit of the previous one.
-    Every level j runs to the cut A and adds its value there in closed
-    form, G_j(A) = sum n^-(A+it) / (k (log n)^j), so the levels are the
-    nested integrals to infinity.  The weighted form's tail combines the
-    same terms with the weight, so the two routes agree up to quadrature
-    error and serve as mutual checks.
+    log zeta on [sigma, A], A = sigma + CUTOFF_OFFSET, is fitted by
+    degree-8 Chebyshev pieces on the ray's branch ladder (at t = 0, of
+    log W on a uniform one, the pole's Log(a - 1) taken out in closed
+    form); a piece whose fit misses tol at a check node is bisected.
+    Level j is then the exact antiderivative of level j - 1 from x to
+    the cut, plus its value there in closed form,
+    G_j(A) = sum n^-(A+it) / (k (log n)^j), so the levels are the nested
+    integrals to infinity, and eta~_m is level m at x = sigma.  The fit's
+    deviation from log zeta reaches the value times at most the weight's
+    mass 6^m / m!; the weighted form's tail combines the same terms with
+    the weight, so the two routes agree up to fit and quadrature error
+    and serve as mutual checks.
     """
     _validate_order_sigma(m, sigma)
     _validate_abs_tol(abs_tol)
@@ -468,45 +395,40 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
         nev += branch.nodes_used
         edges = sigma + branch.offsets()
         f_vec = branch.log_zeta
-    # at_cut[j] = G_j(A), level j's value at the cut
-    logs, terms, _ = _cut_series(sigma, t)
-    at_cut = [complex(np.sum(terms[0] / logs ** j)) for j in range(m + 1)]
 
-    tol_i = max(abs_tol * 1e-2, 1e-11)
-    dev_max = 0.0
+    tol = max(abs_tol * 1e-2, 1e-11)
+    lo, hi = edges[:-1], edges[1:]
+    pieces, dev_max = [], 0.0
     for _ in range(14):
-        sampler, suffix, _ = _first_level_samples(f_vec, edges)
-        nev += (edges.size - 1) * (32 + 16 * (_CHEB_NODES.size
-                                              + _CHECK_NODES.size))
-        rep, dev, bad = _build_level_rep(edges, sampler, tol_i, "level 1")
-        dev_max = dev
-        if bad.size == 0:
+        coeffs, dev = _cheb_fit(f_vec, lo, hi)
+        nev += lo.size * (_CHEB_NODES.size + _CHECK_NODES.size)
+        good = dev <= tol
+        pieces.append((lo[good], hi[good], coeffs[good]))
+        dev_max = max(dev_max, float(dev[good].max(initial=0.0)))
+        if good.all():
             break
-        mids = 0.5 * (edges[bad] + edges[bad + 1])
-        edges = np.unique(np.concatenate([edges, mids]))
+        lo, hi = lo[~good], hi[~good]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     else:
         raise QuadratureNonconvergence(
-            f"nested level-1 fit stalled at deviation {dev_max:.2e}")
+            f"nested fit stalled at deviation {dev.max():.2e}")
+    lo, hi, coeffs = (np.concatenate(part) for part in zip(*pieces))
+    order = np.argsort(lo)
+    lo, hi, coeffs = lo[order], hi[order], coeffs[order]
 
-    rep = rep.plus(at_cut[1])
-
-    # higher levels are exact integrals of the previous representation
-    for level in range(2, m):
-        sampler, suffix, _ = _integrate_level(rep)
-        rep, dev, bad = _build_level_rep(rep.edges, sampler, tol_i * 10,
-                                         "higher level")
-        rep = rep.plus(at_cut[level])
-        dev_max = max(dev_max, dev)
-
-    full = rep.interval_integrals()
-    value = complex(np.sum(full)) + at_cut[m]
+    logs, terms, _ = _cut_series(sigma, t)
+    for j in range(1, m + 1):
+        coeffs = _integral_to_cut(lo, hi, coeffs,
+                                  complex(np.sum(terms[0] / logs ** j)))
+    value = complex(_cheb.chebval(-1.0, coeffs[0]))
     if t == 0.0:
         value -= _pole_log(m, sigma, a_cut)
 
     # the constants' truncation and rounding reach the value through the
     # weighted tail's combination, so they carry its error
     span = CUTOFF_OFFSET
-    err = dev_max * span ** (m - 1) / factorial(m - 1) \
+    err = dev_max * span ** m / factorial(m) \
         + 1e-10 * span + float(_tail(m, sigma, t)[1][0]) \
         + float(_zeta_term(m, span, sigma, t))
     return EtaValue(m, ComplexPoint(sigma, t), value, err, nev)

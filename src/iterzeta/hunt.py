@@ -80,7 +80,7 @@ class TorusTarget:
             raise ValidationError("need matching nonempty primes and angles")
         if ps[0] < 2 or np.any(np.diff(ps) <= 0):
             raise ValidationError("primes must be distinct, ascending, >= 2")
-        if np.any((th < 0.0) | (th >= 1.0)):
+        if not np.all((th >= 0.0) & (th < 1.0)):
             raise ValidationError("angles must lie in [0, 1)")
         if not (0.0 < self.delta < 0.5):
             raise ValidationError("delta must lie in (0, 1/2)")
@@ -100,7 +100,7 @@ class HuntConfig:
             raise ValidationError("need 0 < t_min < t_max")
         if self.eval_budget < 1:
             raise ValidationError("eval_budget must be positive")
-        if self.min_separation < 0.0:
+        if not self.min_separation >= 0.0:
             raise ValidationError("min_separation must be nonnegative")
 
 
@@ -120,8 +120,10 @@ def kronecker_search(target: TorusTarget, t_min: float, t_max: float,
                      step: float) -> list:
     """Ascending grid heights whose orbit lands within delta of the
     target in every coordinate (circular metric).  May be empty."""
-    if not (0.0 < t_min < t_max):
-        raise ValidationError("need 0 < t_min < t_max")
+    if not (0.0 < t_min < t_max < math.inf):
+        raise ValidationError("need 0 < t_min < t_max, all finite")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValidationError("step must be finite and positive")
     bound = target.delta / math.log(float(target.primes[-1]))
     if step > bound * (1.0 + 1e-12):
         raise ValidationError(
@@ -148,18 +150,22 @@ def equidistribution_measure(box, T: float, primes) -> tuple:
     ps = np.asarray(primes, dtype=np.float64)
     if ps.size == 0 or ps.size > 4:
         raise ValidationError("between one and four primes")
-    if np.any(ps < 2):
-        raise ValidationError("primes must be >= 2")
+    if not np.all((ps >= 2) & np.isfinite(ps)):
+        raise ValidationError("primes must be finite and >= 2")
     arcs = np.asarray(box, dtype=np.float64)
     if arcs.ndim != 2 or arcs.shape != (ps.size, 2):
         raise ValidationError("box must give one (lo, hi) arc per prime")
-    if np.any(arcs[:, 0] < 0.0) or np.any(arcs[:, 1] > 1.0) \
-            or np.any(arcs[:, 0] >= arcs[:, 1]):
+    if not np.all((0.0 <= arcs[:, 0]) & (arcs[:, 0] < arcs[:, 1])
+                  & (arcs[:, 1] <= 1.0)):
         raise ValidationError("arcs must satisfy 0 <= lo < hi <= 1")
+    if not np.isfinite(T):
+        raise ValidationError("T must be finite")
     if T < 1e3:
         raise ValidationError("T below 1e3 says nothing about the limit")
     freqs = np.log(ps) / (2.0 * np.pi)
     n_pts = int(round(T / _EQUI_STEP))
+    if n_pts > _GRID_CAP:
+        raise BudgetExceeded(f"{n_pts} grid points exceed the search cap")
     count = 0
     for lo in range(0, n_pts, _EQUI_CHUNK):
         hi = min(lo + _EQUI_CHUNK, n_pts)
@@ -190,6 +196,8 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
     if not np.isfinite(epsilon) or epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
     a = complex(a)
+    if not np.isfinite(a):
+        raise ValidationError("target a must be finite")
     if config is None:
         config = HuntConfig()
     if not isinstance(config, HuntConfig):

@@ -1,5 +1,6 @@
 import csv
 
+from iterzeta import cli
 from iterzeta.cli import main
 from iterzeta.torus import load_theta
 
@@ -96,12 +97,18 @@ def test_validation_exit_code(tmp_path):
     assert not (tmp_path / "ms.csv").exists()
 
 
-def test_eval_refuses_bad_grids(tmp_path):
-    # a grid that is not finite, or too long to allocate, is refused
+def test_eval_refuses_bad_grids(tmp_path, monkeypatch):
+    # a grid that is not finite, too long to allocate, or reaches a
+    # height at or below 0 or past the table's coverage, is refused
     # before any row is computed, and nothing is written
     table = _table_arg(tmp_path)
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was computed")
+    monkeypatch.setattr(cli, "eta_vertical", no_rows)
     for grid in (["t=20..30", "step=nan"], ["t=20..nan", "step=0.5"],
-                 ["t=20..30", "step=1e-300"], ["t=inf"]):
+                 ["t=20..30", "step=1e-300"], ["t=inf"], ["t=-1..2"],
+                 ["t=0"], ["t=249..251", "step=1"]):
         out = tmp_path / "bad.csv"
         code = main(["eval", "m=1", "sigma=0.8", *grid, f"table={table}",
                      f"out={out}"])

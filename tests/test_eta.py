@@ -190,11 +190,47 @@ def test_recursive_m1_delegates():
     (2, 1.5, 0.0, 1e-6),
     (2, 0.8, 14.0, 1e-5),
     (3, 2.0, 5.0, 1e-5),
+    (2, 0.5, TAB.gammas[0] + 1.5e-3, 1e-5),  # a zero 1.5e-3 off the ray
+    (3, 0.8, 1000.0, 1e-5),
+    (2, 1.0, 0.0, 1e-6),                     # through the pole
 ])
 def test_routes_agree(m, sigma, t, tol):
     w = eta_tilde_weighted(m, sigma, t, table=TAB)
     r = eta_tilde_recursive(m, sigma, t, table=TAB)
     assert abs(w.value - r.value) < tol
+    assert abs(w.value - r.value) <= r.est_error + w.est_error
+
+
+def test_integral_to_cut_is_exact():
+    # a different degree-8 polynomial on each of five uneven pieces: the
+    # integral to the cut agrees with the power-basis antiderivatives
+    rng = np.random.default_rng(3)
+    edges = np.array([0.5, 0.7, 1.3, 2.0, 4.1, 6.5])
+    lo, hi = edges[:-1], edges[1:]
+    polys = [np.polynomial.Polynomial(rng.normal(size=9), domain=[a, a + 1],
+                                      window=[0, 1]) for a in lo]
+    coeffs = np.array([p.convert(kind=np.polynomial.Chebyshev,
+                                 domain=[a, b]).coef
+                       for p, a, b in zip(polys, lo, hi)])
+    at_cut = 0.3 - 0.2j
+    got = eta._integral_to_cut(lo, hi, coeffs, at_cut)
+    assert got.shape == (5, 10)
+    anti = [p.integ() for p in polys]
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        right = at_cut + sum(q(e) - q(d) for q, d, e in
+                             zip(anti[i + 1:], lo[i + 1:], hi[i + 1:]))
+        xs = np.linspace(a, b, 7)
+        want = anti[i](b) - anti[i](xs) + right
+        u = (2.0 * xs - a - b) / (b - a)
+        scale = 1.0 + np.abs(want).max()
+        assert np.abs(np.polynomial.chebyshev.chebval(u, got[i]) - want).max() \
+            < 50 * np.finfo(float).eps * scale
+
+
+def test_recursive_evaluation_count():
+    # one fit of log zeta on the ray's ladder; the levels above it are
+    # exact integrals and evaluate nothing
+    assert eta_tilde_recursive(3, 0.8, 110.0, TAB).nevals <= 1000
 
 
 # --------------------------------------------------------- c_m and limits

@@ -13,6 +13,7 @@ from iterzeta.hunt import (HuntConfig, TorusTarget, equidistribution_measure,
 from iterzeta.zeros import ZeroTable, bundled_table
 
 TAB = bundled_table()
+_TGT = TorusTarget(np.array([2, 3]), np.array([0.0, 0.0]), 0.1)
 
 
 def test_single_prime_orbit_period():
@@ -52,6 +53,8 @@ def test_step_and_budget_guards():
         kronecker_search(tgt, 10.0, 100.0, 0.2)
     with pytest.raises(BudgetExceeded):
         kronecker_search(tgt, 10.0, 1e8, 1e-5)
+    with pytest.raises(BudgetExceeded):
+        equidistribution_measure([(0.0, 0.5)], 1e300, [2])
 
 
 def test_target_validation():
@@ -81,6 +84,30 @@ def test_equidistribution_validation():
         equidistribution_measure([(0.0, 0.5)] * 5, 1e4, [2, 3, 5, 7, 11])
     with pytest.raises(ValidationError):
         equidistribution_measure([(0.7, 0.2)], 1e4, [2])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hunt_value(1, 0.8, complex(math.nan, 0.0), 0.1, table=TAB),
+    lambda: hunt_value(1, 0.8, complex(0.0, math.inf), 0.1, table=TAB),
+    lambda: hunt_value(1, math.nan, 0.5 + 0j, 0.1, table=TAB),
+    lambda: HuntConfig(min_separation=math.nan),
+    lambda: TorusTarget(np.array([2, 3]), np.array([0.0, math.nan]), 0.1),
+    lambda: kronecker_search(_TGT, 10.0, 100.0, 0.0),
+    lambda: kronecker_search(_TGT, 10.0, 100.0, -0.01),
+    lambda: kronecker_search(_TGT, 10.0, 100.0, math.nan),
+    lambda: kronecker_search(_TGT, 10.0, math.inf, 0.01),
+    lambda: equidistribution_measure([(0.0, 0.5)], math.nan, [2]),
+    lambda: equidistribution_measure([(0.0, 0.5)], math.inf, [2]),
+    lambda: equidistribution_measure([(0.0, math.nan)], 1e4, [2]),
+    lambda: equidistribution_measure([(0.0, 0.5)], 1e4, [math.nan]),
+], ids=["a-nan", "a-inf", "sigma-nan", "separation-nan", "angle-nan",
+        "step-zero", "step-negative", "step-nan", "t-max-inf", "T-nan",
+        "T-inf", "arc-nan", "prime-nan"])
+def test_inputs_not_finite_and_valid_are_refused(call):
+    # refused with a ValidationError, never an IndexError, a division by
+    # zero, an overflow or an empty result
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_hunt_self_referential_target():
