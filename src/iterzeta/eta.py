@@ -380,10 +380,6 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
     check_guard(table, sigma, t)
     a_cut = sigma + CUTOFF_OFFSET
 
-    if m == 1:
-        # identical integrand and panels as the weighted form
-        return eta_tilde_weighted(1, sigma, t, table, abs_tol=abs_tol)
-
     nev = 0
     if t == 0.0:
         edges = np.linspace(sigma, a_cut, 25)

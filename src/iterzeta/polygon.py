@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (DominanceViolation, RootFindFailure, TargetOutsideDisk,
                      TooFewRadii, ValidationError)
@@ -38,6 +37,10 @@ FLAT_RTOL = 1e-9           # degenerate polygon: longest side = sum of rest
 # root-find through the arcsin series, cut at relative size SERIES_RTOL
 SERIES_RATIO = 0.1
 SERIES_RTOL = 1e-17
+# the bracketed solve stops when its bracket is within xtol plus this
+# much of the root, four ulps; it refuses after ROOT_MAXITER steps
+ROOT_RTOL = 8.9e-16
+ROOT_MAXITER = 200
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,46 @@ def _arcsin_sum(t: np.ndarray):
     return value, slope
 
 
+def _bracketed_root(g, lo: float, hi: float, xtol: float) -> float:
+    """A root of g in [lo, hi], where g changes sign, by the Illinois
+    variant of regula falsi: each step takes the secant through the
+    bracket's ends, and an end that two steps in a row leave in place
+    has its value halved, so that both ends close in.  Returns an end
+    where g is exactly 0, or the last step once the bracket is within
+    xtol + ROOT_RTOL |x|.  The bracket's width is the only stopping
+    rule: a small secant step is no sign of a root where the slope of g
+    is steep.  Raises ValueError when g has one sign at both ends or the
+    bracket is still open after ROOT_MAXITER steps."""
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo == 0.0:
+        return lo
+    if g_hi == 0.0:
+        return hi
+    if (g_lo > 0.0) == (g_hi > 0.0):
+        raise ValueError("g has one sign at both ends of the bracket")
+    moved = 0       # the end the last step moved: -1 lo, +1 hi
+    for _ in range(ROOT_MAXITER):
+        x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        g_x = g(x)
+        if g_x == 0.0:
+            return x
+        if (g_x > 0.0) == (g_hi > 0.0):
+            hi, g_hi = x, g_x
+            if moved == 1:
+                g_lo *= 0.5
+            moved = 1
+        else:
+            lo, g_lo = x, g_x
+            if moved == -1:
+                g_hi *= 0.5
+            moved = -1
+        if hi - lo <= xtol + ROOT_RTOL * abs(x):
+            return x
+    raise ValueError(f"bracket still open after {ROOT_MAXITER} steps")
+
+
 def _angle_sum_root(sides: np.ndarray, i_max: int):
     """Circumradius parameter u = 1/(2R) for the cyclic polygon with the
     given side lengths.  Returns (u, reflected).
@@ -131,8 +174,8 @@ def _angle_sum_root(sides: np.ndarray, i_max: int):
     and v solves sum arcsin = pi (the longest side's arc reflected,
     2 pi - its angle, when the other sides' angles at v = 1 sum to less
     than pi).  The angle sum over the sides other than the longest is
-    _arcsin_sum, so the bracketed solve and its Newton polish cost a few
-    scalar steps each, not a pass over every side.
+    _arcsin_sum, so each step of _bracketed_root and of the Newton polish
+    after it costs a few scalar operations, not a pass over every side.
     """
     l_max = float(sides[i_max])
     others = np.delete(sides, i_max) / l_max
@@ -154,7 +197,7 @@ def _angle_sum_root(sides: np.ndarray, i_max: int):
                 "reflected-case bracket failed; sides nearly degenerate")
 
     try:
-        v = brentq(g, lo, hi, xtol=1e-15 * l_max, rtol=8.9e-16, maxiter=200)
+        v = _bracketed_root(g, lo, hi, xtol=1e-15 * l_max)
     except ValueError as exc:
         raise RootFindFailure(
             f"no circumradius bracket for sides in [{sides.min():.3g}, "

@@ -32,16 +32,21 @@ zeta_error reports the per-point error: the remainder bound plus a
 rounding estimate for the direct sum, which dominates at large |t|
 because the phase t log n carries a relative rounding error of order
 machine epsilon.
+
+The Bernoulli numbers are exact rationals, so each coefficient
+B_2k/(2k)! is the float nearest its value.  The log moments of the
+rounding estimate are closed forms in exp and expm1, with a fixed
+power series where the closed form would cancel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import bernoulli, hyp1f1
 
 from .errors import PoleAtOne, UnsupportedRange, ValidationError
 
@@ -63,9 +68,17 @@ _GRID_FILL = 16
 # the rounding estimate's multiple of machine epsilon per term
 _ROUNDING_ULPS = 2.0
 
-# B_2k/(2k)! for k = 1..9; the last one only feeds the remainder bound.
-_EM_COEF = bernoulli(18)[2::2] / np.array(
-    [math.factorial(2 * k) for k in range(1, 10)], dtype=np.float64)
+# B_2k/(2k)! for k = 1..9, each rounded once from the exact rational;
+# the last one only feeds the remainder bound.
+_BERNOULLI_2K = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
+                 Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730),
+                 Fraction(7, 6), Fraction(-3617, 510), Fraction(43867, 798))
+_EM_COEF = np.array([float(b / math.factorial(2 * k))
+                     for k, b in enumerate(_BERNOULLI_2K, start=1)])
+# 1/(j! (j+3)) for j < 18: int_0^1 u^2 e^(zu) du = sum_j z^j/(j! (j+3)),
+# whose omitted terms stay below 5e-17 of the sum for |z| < 1
+_MOMENT2_SERIES = np.array([1.0 / (math.factorial(j) * (j + 3))
+                            for j in range(18)])
 
 
 @dataclass(frozen=True)
@@ -267,10 +280,25 @@ def zeta_batch(s: np.ndarray, params: EvalParams = DEFAULT_PARAMS) -> np.ndarray
 
 
 def _log_moment(a: np.ndarray, k: int, log_n: np.ndarray) -> np.ndarray:
-    """int_1^N x^-a log^k x dx = L^(k+1) 1F1(k+1; k+2; (1-a) L) / (k+1),
-    L = log N; the confluent form stays accurate through a = 1."""
-    return log_n ** (k + 1) * hyp1f1(k + 1, k + 2, (1.0 - a) * log_n) \
-        / (k + 1)
+    """int_1^N x^-a log^k x dx = L^(k+1) int_0^1 u^k e^(zu) du for k in
+    {0, 2}, with L = log N and z = (1-a) L; accurate through a = 1.
+
+    k = 0: expm1(z)/z, 1 at z = 0.  k = 2: (e^z (z^2 - 2z + 2) - 2)/z^3,
+    which cancels as z nears 0, so points with |z| < 1 take the power
+    series by Horner's rule instead.
+    """
+    z = (1.0 - a) * log_n
+    if k == 0:
+        return log_n * np.divide(np.expm1(z), z, out=np.ones_like(z),
+                                 where=z != 0.0)
+    near = np.abs(z) < 1.0
+    far = np.where(near, 1.0, z)
+    # products, not powers: a float power calls libm's pow, which costs
+    # tens of times more
+    out = (np.exp(far) * ((far - 2.0) * far + 2.0) - 2.0) / (far * far * far)
+    if near.any():
+        out[near] = np.polyval(_MOMENT2_SERIES[::-1], z[near])
+    return log_n * log_n * log_n * out
 
 
 def zeta_error(s, params: EvalParams = DEFAULT_PARAMS) -> np.ndarray:

@@ -1,5 +1,10 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import iterzeta
 from iterzeta import cli
 from iterzeta.cli import main
 from iterzeta.torus import load_theta
@@ -188,3 +193,38 @@ def test_config_file_with_overrides(tmp_path):
     assert code == 0
     rows = list(csv.DictReader(open(out)))
     assert rows[0]["sigma"] == "3"
+
+
+# None in sys.modules makes every later import of scipy or a submodule
+# raise ImportError
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import iterzeta.cli
+from iterzeta import (RadiiSet, bundled_table, eta_tilde_weighted,
+                      eta_vertical, polygon_angles)
+tab = bundled_table()
+assert eta_tilde_weighted(2, 0.8, 30.5, tab).est_error < 1e-6
+assert eta_vertical(2, 0.8, 30.5, tab).est_error < 1e-6
+assert polygon_angles(RadiiSet([3.0, 4.0, 5.0]), 1 + 1j).residual < 1e-10
+"""
+
+_IMPORT_ALONE = """
+import sys
+import iterzeta
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
+"""
+
+
+def test_library_runs_without_scipy():
+    # the library needs NumPy and the standard library alone; SciPy is a
+    # test, benchmark and demo dependency
+    src = str(Path(iterzeta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for script in (_WITHOUT_SCIPY, _IMPORT_ALONE):
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

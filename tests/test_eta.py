@@ -180,13 +180,14 @@ def test_weighted_evaluation_count():
 
 # --------------------------------------------------------------- recursive
 
-def test_recursive_m1_delegates():
-    w = eta_tilde_weighted(1, 0.8, 14.0, table=TAB)
-    r = eta_tilde_recursive(1, 0.8, 14.0, table=TAB)
-    assert r.value == w.value
-
-
 @pytest.mark.parametrize("m,sigma,t,tol", [
+    # m = 1 nests one level of the fit, independent of the weighted panels
+    (1, 0.8, 14.0, 1e-11),
+    (1, 0.8, 110.0, 1e-11),
+    (1, 1.5, 0.0, 1e-11),
+    (1, 0.5, TAB.gammas[0] + 1.5e-3, 1e-11),
+    (1, 0.6, 1000.0, 1e-11),
+    (1, 0.95, 230.0, 1e-11),
     (2, 1.5, 0.0, 1e-6),
     (2, 0.8, 14.0, 1e-5),
     (3, 2.0, 5.0, 1e-5),

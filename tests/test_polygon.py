@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iterzeta import polygon
 from iterzeta.errors import (DominanceViolation, RootFindFailure,
                              TargetOutsideDisk, TooFewRadii, ValidationError)
 from iterzeta.polygon import (SERIES_RATIO, AngleAssignment, RadiiSet,
@@ -62,6 +63,59 @@ def test_random_sweep():
                    - z) == pytest.approx(a.residual, abs=1e-15)
         worst = max(worst, a.residual)
     assert worst < 1e-10
+
+
+@pytest.mark.parametrize("g,root", [
+    (lambda v: v ** 10 - 0.5, 0.5 ** 0.1),          # lo moves first
+    (lambda v: 0.5 - (1.0 - v) ** 10, 1.0 - 0.5 ** 0.1),   # hi moves first
+])
+def test_bracketed_root_closes_from_either_side(g, root):
+    # plain regula falsi keeps one end of these brackets and crawls to
+    # the root from the other; halving the kept end's value closes in
+    # from both, whichever end the steps first move
+    calls = []
+
+    def g_counted(v):
+        calls.append(v)
+        return g(v)
+    v = polygon._bracketed_root(g_counted, 0.0, 1.0, 1e-15)
+    assert abs(v - root) <= 2e-15
+    assert len(calls) <= 32
+
+
+def test_bracketed_root_on_random_polygons(monkeypatch):
+    # 3 to 5000 sides spread over three decades, so that both the exact
+    # and the series part of the angle sum take part, and targets from
+    # 0.05 to 0.95 of the radius sum; g is counted inside the bracketed
+    # solve alone, not in the Newton polish after it
+    solve = polygon._bracketed_root
+    counts = []
+
+    def counted(g, *args, **kwargs):
+        calls = [0]
+
+        def g_counted(v):
+            calls[0] += 1
+            return g(v)
+        try:
+            return solve(g_counted, *args, **kwargs)
+        finally:
+            counts.append(calls[0])
+    monkeypatch.setattr(polygon, "_bracketed_root", counted)
+    rng = np.random.default_rng(20261018)
+    worst = 0.0
+    for _ in range(200):
+        n = int(np.exp(rng.uniform(np.log(3.0), np.log(5001.0))))
+        while True:
+            r = np.exp(rng.uniform(np.log(1e-3), 0.0, n))
+            z = rng.uniform(0.05, 0.95) * r.sum() \
+                * np.exp(2j * np.pi * rng.uniform())
+            if r.max() <= r.sum() - r.max() + abs(z):
+                break
+        worst = max(worst, polygon_angles(RadiiSet(r), complex(z)).residual)
+    assert worst < 1e-10
+    assert len(counts) == 200
+    assert np.mean(counts) <= 20
 
 
 def test_annulus_preconditions():

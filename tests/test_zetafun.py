@@ -1,10 +1,13 @@
+from math import factorial
+
 import numpy as np
 import mpmath as mp
 import pytest
 
 from iterzeta import ComplexPoint, EvalParams, PoleAtOne, UnsupportedRange
 from iterzeta import zeta, zeta_batch
-from iterzeta.zetafun import _em_remainder, _lengths_and_bounds, zeta_error
+from iterzeta.zetafun import (_EM_COEF, _em_remainder, _lengths_and_bounds,
+                              _log_moment, zeta_error)
 
 mp.mp.dps = 30
 
@@ -38,6 +41,39 @@ def test_against_mpmath(sigma, t):
 def test_tall_point_against_mpmath():
     want = complex(mp.zeta(mp.mpc(0.5, 9000.0)))
     assert abs(zeta(0.5 + 9000.0j) - want) < 1e-9
+
+
+def test_bernoulli_coefficients_are_exact():
+    # each B_2k/(2k)! is the float nearest its 50-digit value
+    with mp.workdps(50):
+        for k in range(1, 10):
+            want = mp.bernoulli(2 * k) / mp.factorial(2 * k)
+            assert abs(_EM_COEF[k - 1] - want) \
+                <= np.spacing(abs(float(want))), k
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_log_moment_against_mpmath(k):
+    # int_1^N x^-a log^k x dx in the confluent form, at the float inputs;
+    # a = 1 exactly is z = 0, |z| = 1 +- 1e-9 straddles the switch from
+    # the closed form to the series, and smaller |z| is where the closed
+    # form would cancel
+    rng = np.random.default_rng(11)
+    a = rng.uniform(0.0, 40.0, 200)
+    log_n = rng.uniform(np.log(50.0), np.log(600_000.0), 200)
+    edge_log_n = np.log(np.array([50.0, 4000.0, 600_000.0]))[:, None]
+    z = np.array([1.0 - 1e-9, 1.0 + 1e-9, 0.3, 1e-3, 1e-7])
+    edges = 1.0 - np.concatenate([z, -z]) / edge_log_n
+    a = np.concatenate([a, [1.0, 1.0, 0.0], edges.ravel()])
+    log_n = np.concatenate([log_n, np.log([50.0, 600_000.0, 600_000.0]),
+                            np.broadcast_to(edge_log_n, edges.shape).ravel()])
+    got = _log_moment(a, k, log_n)
+    with mp.workdps(40):
+        for ai, li, gi in zip(a, log_n, got):
+            li = mp.mpf(li)
+            want = li ** (k + 1) / (k + 1) \
+                * mp.hyp1f1(k + 1, k + 2, (1 - mp.mpf(ai)) * li)
+            assert abs(gi - want) <= 1e-13 * abs(want), (ai, li)
 
 
 def test_conjugate_symmetry():
