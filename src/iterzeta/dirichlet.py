@@ -15,10 +15,12 @@ mean_square_error measures (1/T) int_14^T |eta_tilde - D_X|^2 dt on a
 grid, the desk-scale stand-in for the asymptotic mean-value statement.
 
 Every prime-polylog sum in the package (D_X; torus's S, its reference
-value and harmonic bounds) is _polylog_sum.  It uses the order of the
-primes: its points have modulus |z_p| = p^-c, which falls with p, so
-each series term runs on a prefix of the primes, with lengths from the
-table's logs, and no point is sorted.  polylog_batch, for points of any
+value and harmonic bounds) is _polylog_sum, or, for the window of a
+construction, its term loop _polylog_prefix on the polygon's blocks.
+It uses the order of the primes: its points have modulus |z_p| = p^-c,
+which falls with p, so each series term runs on a prefix of the primes,
+with lengths from the table's logs, and no point is sorted.  It runs in
+blocks of about POLYLOG_CHUNK points, whose buffers stay in cache.  polylog_batch, for points of any
 modulus, sorts them by length into the same term loop.  mangoldt_sum and
 li_vs_mangoldt_gap stay apart from both as the decomposition check's
 reference.  mangoldt_grid evaluates the von Mangoldt sum on a whole grid
@@ -44,7 +46,12 @@ from .rays import check_guard
 from .zeros import ZeroTable
 
 POLYLOG_RADIUS = 0.95
-POLYLOG_CHUNK = 500_000        # points per chunk of _polylog_sum
+# points per block of _polylog_sum, whose few buffers of a block then
+# stay in L2; a block holds at least POLYLOG_MIN_PRIMES primes, however
+# many rows share them (on 2,500-10,000 rows, larger floors, which make
+# blocks past L2, measured no faster)
+POLYLOG_CHUNK = 2 ** 15
+POLYLOG_MIN_PRIMES = 4
 _SERIES_EPS = 1e-16
 _TAIL_EPS = 1e-15
 
@@ -89,11 +96,15 @@ def polylog_batch(order: int, zs: np.ndarray) -> np.ndarray:
     return out.reshape(zs.shape)
 
 
-def _polylog_prefix(order: int, z: np.ndarray, live) -> np.ndarray:
+def _polylog_prefix(order: int, z: np.ndarray, live,
+                    acc: np.ndarray | None = None) -> np.ndarray:
     """sum_n z^n / n^order, term n on the first live[n] entries of axis 0
-    of z (live non-increasing, from n = 2 up to len(live) - 1)."""
+    of z (live non-increasing, from n = 2 up to len(live) - 1), added
+    into acc: by default a copy of z, the n = 1 term, and zeros for the
+    harmonics n >= 2 alone."""
     power, spare = z.copy(), np.empty_like(z)
-    acc = z.copy()
+    if acc is None:
+        acc = z.copy()
     power_re, spare_re, acc_re = (_reals(a) for a in (power, spare, acc))
     for n in range(2, len(live)):
         k = live[n]
@@ -156,15 +167,16 @@ def _polylog_sum(order: int, logs: np.ndarray, power: int, c: float,
     z_block(lo, hi) builds the points of the primes logs[lo:hi],
     prime-major: shape (hi - lo,), or (hi - lo, k) for k <= rows rows.
     The moduli fall along the primes, so each series term runs on a
-    prefix of them, with lengths from the logs alone.  Chunks hold
-    POLYLOG_CHUNK // rows primes, so memory stays bounded for any number
-    of primes or rows.  Each row is summed over its primes on its own,
+    prefix of them, with lengths from the logs alone.  Blocks hold
+    POLYLOG_CHUNK // rows primes, but no fewer than POLYLOG_MIN_PRIMES,
+    so a block's buffers stay in cache for any number of primes, and a
+    grid of thousands of rows still takes a few primes a step.  Each row is summed over its primes on its own,
     so its value does not depend on the other rows.
     """
     if logs.size == 0:
         return 0.0 + 0.0j
     live = _live_counts(logs, c)
-    step = max(1, POLYLOG_CHUNK // rows)
+    step = max(POLYLOG_MIN_PRIMES, POLYLOG_CHUNK // rows)
     total = 0.0 + 0.0j
     for lo in range(0, logs.size, step):
         hi = min(lo + step, logs.size)
@@ -172,10 +184,14 @@ def _polylog_sum(order: int, logs: np.ndarray, power: int, c: float,
         li = _polylog_prefix(order, z, np.clip(live - lo, 0, hi - lo))
         # li / (log p)^power in place, as the reciprocal's product that
         # numpy's complex-by-real division would make
-        _reals(li)[...] *= (1.0 / logs[lo:hi] ** power)[:, None]
+        recip = 1.0 / logs[lo:hi] ** power
         if z.ndim == 1:
+            # a complex times a real, part by part: the same bits as on
+            # the parts, without a loop over each point's two
+            li *= recip
             total = total + np.sum(li)
         else:
+            _reals(li)[...] *= recip[:, None]
             # rows made contiguous: a pairwise sum per row, whatever the
             # number of rows
             total = total + np.sum(li.T.copy(), axis=-1)

@@ -11,17 +11,22 @@ are the sides of a convex polygon inscribed in some circle.  The
 circumradius comes from a scalar root-find on the central-angle sum (the
 reflected variant when the longest side subtends more than half the
 circle).  Sides short against the longest enter that sum through a few
-power sums of the arcsin series, formed once, so the solve costs a
-fixed handful of passes over the sides, however many steps it takes.
-Each side then points along the mean of its two vertex angles plus
-pi/2, and one added angle turns the closing side onto z, so the angles
-come from real arithmetic alone.  Closure is exact by telescoping, so
-the residual is driven by the root-find alone; it is measured, not
-assumed, by re-summing the radii at the returned angles.
+power sums of the arcsin series, built up once over blocks of the
+sides, so each step of the solve costs a few scalar operations, however
+many sides there are.  Each side then points along the mean of its two
+vertex angles plus pi/2, and one added angle turns the closing side
+onto z, so the angles come from real arithmetic alone.  They are laid
+out block by block, the vertex angles one cumsum carried across the
+blocks, so they are the same bits for any block size.  Closure is exact
+by telescoping, so the residual is driven by the root-find alone; it is
+measured, not assumed, by re-summing the radii at the returned angles,
+block by block, each block's unit vectors exp(-2 pi i theta) offered to
+the caller while in cache.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -32,7 +37,9 @@ from .errors import (DominanceViolation, RootFindFailure, TargetOutsideDisk,
                      TooFewRadii, ValidationError)
 
 ALIGNED_RTOL = 1e-12       # |z| at the boundary of the disk
-FLAT_RTOL = 1e-9           # degenerate polygon: longest side = sum of rest
+# degenerate polygon: the other sides sum to within FLAT_RTOL times the
+# longest side of it
+FLAT_RTOL = 1e-9
 # sides at most SERIES_RATIO times the longest enter the angle sum of the
 # root-find through the arcsin series, cut at relative size SERIES_RTOL
 SERIES_RATIO = 0.1
@@ -41,6 +48,13 @@ SERIES_RTOL = 1e-17
 # much of the root, four ulps; it refuses after ROOT_MAXITER steps
 ROOT_RTOL = 8.9e-16
 ROOT_MAXITER = 200
+# sides per block of the passes over the sides, whose few buffers of a
+# block's length then stay in L2.  The root-find's power sums run over
+# blocks of SERIES_BLOCK sides, a partition of their own: their rounding,
+# and so u, follows it, while the angles laid out over blocks of BLOCK
+# sides are the same bits for any BLOCK
+BLOCK = 2 ** 15
+SERIES_BLOCK = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -83,32 +97,45 @@ def check_dominance(radii: RadiiSet) -> bool:
     return bool(r.max() <= r.sum() - r.max())
 
 
-def _arcsin_sum(t: np.ndarray):
+def _arcsin_sum(pieces, l_max: float):
     """The functions v -> sum_i arcsin(t_i v) and its derivative in v,
-    for v in (0, 1] and 0 < t_i <= 1.
+    for v in (0, 1] and the ratios t_i = s_i / l_max <= 1 of the sides
+    s_i of pieces, a sequence of 1-D arrays, each descending.
 
-    Ratios t_i > SERIES_RATIO are summed exactly at every v.  The others
-    enter through the arcsin series sum_k c_k v^(2k+1) T_k with the power
-    sums T_k = sum t_i^(2k+1), formed once and cut where the next term is
-    below SERIES_RTOL of the first; then one evaluation costs a few
+    Ratios t_i > SERIES_RATIO, a prefix of each piece, are summed exactly
+    at every v.  The others enter through the arcsin series
+    sum_k c_k v^(2k+1) T_k with the power sums T_k = sum t_i^(2k+1),
+    cut where the next term is below SERIES_RTOL of the first and formed
+    once, over blocks of SERIES_BLOCK sides; then one evaluation costs a few
     scalar operations plus the exact part, whatever the number of sides.
     """
-    small = t <= SERIES_RATIO
-    exact = t[~small]
-    ts = t[small]
-    coefs = []
-    if ts.size:
-        rho2 = float(ts.max()) ** 2
-        t2 = ts * ts
-        power = ts.copy()
+    heads = [bisect.bisect_left(p, -SERIES_RATIO,
+                                key=lambda s: -(s / l_max))
+             for p in pieces]
+    exact = np.concatenate([p[:h] / l_max for p, h in zip(pieces, heads)])
+    # the largest series ratio is the first of a piece's tail
+    rho = max((p[h] / l_max for p, h in zip(pieces, heads) if h < p.size),
+              default=0.0)
+    rho2 = float(rho) ** 2
+    weights = []
+    if rho > 0.0:
         c, k = 1.0, 0
         while True:
-            coefs.append(c * float(np.sum(power)))
+            weights.append(c)
             c *= (2 * k + 1) ** 2 / ((2 * k + 2) * (2 * k + 3))
             k += 1
             if c * rho2 ** k <= SERIES_RTOL:
                 break
-            power *= t2
+    sums = [0.0] * len(weights)
+    for p, h in zip(pieces, heads):
+        for lo in range(h, p.size, SERIES_BLOCK):
+            power = p[lo:lo + SERIES_BLOCK] / l_max
+            t2 = power * power
+            for k in range(len(weights)):
+                if k:
+                    power *= t2
+                sums[k] += float(np.sum(power))
+    coefs = [c * s for c, s in zip(weights, sums)]
 
     def value(v: float) -> float:
         series = 0.0
@@ -166,20 +193,19 @@ def _bracketed_root(g, lo: float, hi: float, xtol: float) -> float:
     raise ValueError(f"bracket still open after {ROOT_MAXITER} steps")
 
 
-def _angle_sum_root(sides: np.ndarray, i_max: int):
-    """Circumradius parameter u = 1/(2R) for the cyclic polygon with the
-    given side lengths.  Returns (u, reflected).
+def _angle_sum_root(l_max: float, others):
+    """Circumradius parameter u = 1/(2R) for the cyclic polygon whose
+    longest side is l_max and whose other sides are those of others, a
+    sequence of descending 1-D arrays.  Returns (u, reflected).
 
     With v = l_max u, the central angle of side s is 2 arcsin(s v/l_max),
     and v solves sum arcsin = pi (the longest side's arc reflected,
     2 pi - its angle, when the other sides' angles at v = 1 sum to less
-    than pi).  The angle sum over the sides other than the longest is
-    _arcsin_sum, so each step of _bracketed_root and of the Newton polish
-    after it costs a few scalar operations, not a pass over every side.
+    than pi).  The angle sum over the other sides is _arcsin_sum, so each
+    step of _bracketed_root and of the Newton polish after it costs a few
+    scalar operations, not a pass over every side.
     """
-    l_max = float(sides[i_max])
-    others = np.delete(sides, i_max) / l_max
-    angle_sum, angle_slope = _arcsin_sum(others)
+    angle_sum, angle_slope = _arcsin_sum(others, l_max)
 
     s1 = angle_sum(1.0)
     reflected = s1 < np.pi / 2.0
@@ -199,9 +225,10 @@ def _angle_sum_root(sides: np.ndarray, i_max: int):
     try:
         v = _bracketed_root(g, lo, hi, xtol=1e-15 * l_max)
     except ValueError as exc:
+        shortest = min(p[-1] for p in others if p.size)
         raise RootFindFailure(
-            f"no circumradius bracket for sides in [{sides.min():.3g}, "
-            f"{sides.max():.3g}]: {exc}") from None
+            f"no circumradius bracket for sides in [{shortest:.3g}, "
+            f"{l_max:.3g}]: {exc}") from None
 
     # a couple of Newton steps; the closure gap is R * (angle residual)
     sign = -1.0 if reflected else 1.0
@@ -217,10 +244,10 @@ def _angle_sum_root(sides: np.ndarray, i_max: int):
     return v / l_max, reflected
 
 
-def _frac_angle(vec: np.ndarray) -> np.ndarray:
-    """theta with exp(-2 pi i theta) = vec/|vec|, in [0,1)."""
-    th = np.mod(-np.angle(vec) / (2.0 * np.pi), 1.0)
-    return np.where(th >= 1.0, 0.0, th)
+def _frac_angle(z: complex) -> float:
+    """theta with exp(-2 pi i theta) = z/|z|, in [0,1)."""
+    th = np.mod(-np.angle(np.array([complex(z)])) / (2.0 * np.pi), 1.0)
+    return float(np.where(th >= 1.0, 0.0, th)[0])
 
 
 def _unit(thetas: np.ndarray) -> np.ndarray:
@@ -229,103 +256,108 @@ def _unit(thetas: np.ndarray) -> np.ndarray:
     return np.exp(w, out=w)
 
 
-def _aligned(r: np.ndarray, z: complex, th: float):
-    """Every radius along one angle: the target on the disk's boundary,
-    or a flat polygon whose longest side is the closing side."""
-    thetas = np.full(r.size, th)
-    achieved = complex(np.sum(r) * z / abs(z))
-    return (AngleAssignment(thetas, complex(z), achieved,
-                            abs(achieved - z)), _unit(thetas))
-
-
 def polygon_angles(radii: RadiiSet, z: complex) -> AngleAssignment:
     """Angles theta with sum r_n exp(-2 pi i theta_n) = z, residual below
     1e-10 for well-conditioned inputs (see module docstring)."""
-    return _polygon(radii, z)[0]
+    return _polygon(radii, z)
 
 
-def _polygon(radii: RadiiSet, z: complex):
-    """polygon_angles' assignment, and the unit vectors
-    w = exp(-2 pi i theta) at its angles, from which its achieved sum
-    np.sum(r * w) is formed; a caller may reuse w in place."""
+def _polygon(radii: RadiiSet, z: complex, each=None) -> AngleAssignment:
+    """polygon_angles' assignment, formed in blocks of BLOCK radii.  The
+    angles are laid out block by block over the radii longest first.
+    Then, block by block over the radii in their own order, the unit
+    vectors w = exp(-2 pi i theta) are formed and their part of the
+    achieved sum sum r w added, and each(lo, hi, w), if given, is called
+    on the block lo:hi while w is in cache; it may reuse w in place."""
     r = radii.radii
     n = r.size
     total = float(r.sum())
+    r_max = float(r.max())
     az = abs(z)
     if az > total * (1.0 + ALIGNED_RTOL):
         raise TargetOutsideDisk(f"|z|={az:.6g} beyond radius sum {total:.6g}")
     # reachable targets form an annulus: the closing side of length |z|
     # must keep the largest radius dominated
-    if r.max() > (total - r.max()) + az + ALIGNED_RTOL * total:
+    if r_max > (total - r_max) + az + ALIGNED_RTOL * total:
         raise DominanceViolation(
             f"|z|={az:.6g} inside the unreachable hole of radius "
-            f"{2.0 * r.max() - total:.6g}")
+            f"{2.0 * r_max - total:.6g}")
 
+    # radii longest first; the radii of construct_theta fall with p, and
+    # a stable sort would leave them as they are
+    order = (None if np.all(r[1:] <= r[:-1])
+             else np.argsort(-r, kind="stable"))
+    rs = r if order is None else r[order]
+    # the closing side of length |z| comes first and wins a tie
+    closing_longest = az >= rs[0]
+    l_max = az if closing_longest else float(rs[0])
+    u = None
     if total - az <= ALIGNED_RTOL * total:
         # boundary of the disk: every side aligned with z
-        return _aligned(r, z, _frac_angle(np.array([complex(z)]))[0])
-
-    # sides longest first; the radii of construct_theta fall with p, and
-    # a stable sort would leave them as they are
-    order = (slice(None) if np.all(r[1:] <= r[:-1])
-             else np.argsort(-r, kind="stable"))
-    if az > 0.0:
-        sides = np.concatenate([[az], r[order]])
-        radius_slots = slice(1, None)
-    else:
-        sides = r[order].astype(float)
-        radius_slots = slice(None)
-
-    i_max = int(np.argmax(sides))
-    l_max = sides[i_max]
-    rest = sides.sum() - l_max
-    if rest - l_max <= FLAT_RTOL * sides.sum():
-        # degenerate: the polygon collapses onto a line
-        if az > 0.0 and i_max == 0:
-            return _aligned(r, z, _frac_angle(np.array([complex(z)]))[0])
-        direction = complex(z) if az > 0.0 else 1.0 + 0.0j
-        th_fwd = _frac_angle(np.array([direction]))[0]
-        th_bwd = _frac_angle(np.array([-direction]))[0]
-        th_sorted = np.full(sides.size, th_bwd)
-        th_sorted[i_max] = th_fwd
-        thetas = np.empty(n)
-        thetas[order] = th_sorted[radius_slots]
-    else:
-        u, reflected = _angle_sum_root(sides, i_max)
-        # every step below works in the buffer of the one before, and
-        # each buffer is freed when done, so a window of a million radii
-        # keeps at most two arrays of its length alive before the exp
-        phis = sides
-        del sides
-        np.multiply(phis, u, out=phis)
-        np.clip(phis, 0.0, 1.0, out=phis)
-        np.arcsin(phis, out=phis)
-        phis *= 2.0
-        if reflected:
-            phis[i_max] = 2.0 * np.pi - phis[i_max]
-
-        # the side from vertex angle psi_k to psi_k + phi_k points along
-        # mid_k + pi/2, with mid_k = psi_k + phi_k / 2 their mean.  Turning
-        # every side by arg z - mid_0 - 3 pi/2 lays the closing side, slot
-        # 0, along -z; theta is minus a side's direction over 2 pi, mod 1
-        mid = np.cumsum(phis)
-        phis *= 0.5
-        mid -= phis
-        del phis
-        offset = (mid[0] + np.pi - np.angle(z)) if az > 0.0 \
-            else -0.5 * np.pi
-        turns = mid[radius_slots]
-        np.subtract(offset, turns, out=turns)
-        turns /= 2.0 * np.pi
-        turns -= np.floor(turns)
-        turns[turns >= 1.0] = 0.0
-        if isinstance(order, slice):
-            thetas = turns
+        thetas = np.full(n, _frac_angle(z))
+    elif (total + az - l_max) - l_max <= FLAT_RTOL * l_max:
+        # degenerate: the polygon collapses onto a line, the longest side
+        # against all the others
+        if closing_longest:
+            thetas = np.full(n, _frac_angle(z))
         else:
-            thetas = np.empty(n)
-            thetas[order] = turns
-        del mid, turns
-    w = _unit(thetas)
-    achieved = complex(np.sum(r * w))
-    return (AngleAssignment(thetas, complex(z), achieved,
-                            abs(achieved - complex(z))), w)
+            direction = complex(z) if az > 0.0 else 1.0 + 0.0j
+            thetas = np.full(n, _frac_angle(-direction))
+            thetas[0 if order is None else order[0]] = _frac_angle(direction)
+    else:
+        if closing_longest:
+            others = (rs,)
+        else:
+            others = (np.array([az]), rs[1:]) if az > 0.0 else (rs[1:],)
+        u, reflected = _angle_sum_root(l_max, others)
+        thetas = np.empty(n)
+        # the side from vertex angle psi_k to psi_k + phi_k points along
+        # mid_k + pi/2, with mid_k = psi_k + phi_k / 2 their mean.
+        # Turning every side by arg z - mid_0 - 3 pi/2 lays the closing
+        # side, the first, along -z; theta is minus a side's direction over
+        # 2 pi, mod 1.  psi runs on as one cumsum over the blocks
+        psi, offset = 0.0, -0.5 * np.pi
+        if az > 0.0:
+            phi = _central_angles(np.array([az]), u, reflected
+                                  and closing_longest)
+            psi = phi[0]
+            offset = (phi[0] - 0.5 * phi[0]) + np.pi - np.angle(z)
+
+        for lo in range(0, n, BLOCK):
+            hi = min(lo + BLOCK, n)
+            phis = _central_angles(rs[lo:hi], u, reflected and lo == 0
+                                   and not closing_longest)
+            mid = phis.copy()
+            mid[0] += psi
+            np.cumsum(mid, out=mid)
+            psi = mid[-1]
+            phis *= 0.5
+            mid -= phis
+            np.subtract(offset, mid, out=mid)
+            mid /= 2.0 * np.pi
+            mid -= np.floor(mid)
+            mid[mid >= 1.0] = 0.0
+            thetas[slice(lo, hi) if order is None else order[lo:hi]] = mid
+
+    achieved = 0.0 + 0.0j
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        w = _unit(thetas[lo:hi])
+        achieved += complex(np.sum(r[lo:hi] * w))
+        if each is not None:
+            each(lo, hi, w)
+    return AngleAssignment(thetas, complex(z), achieved,
+                           abs(achieved - complex(z)))
+
+
+def _central_angles(sides: np.ndarray, u: float,
+                    reflect_first: bool) -> np.ndarray:
+    """The central angles 2 arcsin(s u) of the sides, the first
+    reflected to 2 pi minus its angle when reflect_first."""
+    phis = sides * u
+    np.clip(phis, 0.0, 1.0, out=phis)
+    np.arcsin(phis, out=phis)
+    phis *= 2.0
+    if reflect_first:
+        phis[0] = 2.0 * np.pi - phis[0]
+    return phis

@@ -15,12 +15,17 @@ gamma_{m,sigma}.  Higher harmonics in the window and the perturbed tail
 are controlled by explicit bounds, each budgeted at epsilon/4.
 
 Every sum here runs over the primes in ascending order, where the modulus
-p^-sigma of each term falls, through dirichlet's _polylog_sum.  The
-window's radii p^-sigma / (log p)^m come from the prime table's logs.
-The polygon's unit vectors exp(-2 pi i theta_p), one complex exp per
-window prime, serve both its achieved sum and the window's points in
-final_sum.  A target beyond an upper Riemann sum of the radii over
-(U, limit] is refused before any radius is formed.
+p^-sigma of each term falls, in cache-sized blocks: through dirichlet's
+_polylog_sum, or, in the window, through the polygon's blocks.  The
+window's radii r_p = p^-sigma / (log p)^m come from the prime table's
+logs.  The polygon's unit vectors w_p = exp(-2 pi i theta_p), one
+complex exp per window prime, are used block by block while in cache:
+r_p w_p is a term of both the polygon's achieved sum and the window's
+k = 1 part of final_sum, and z_p = r_p (log p)^m w_p, with no second
+exp, feeds the k >= 2 harmonics.  s_sum sorts an assignment's primes
+only when they do not already ascend.  A target beyond an upper Riemann
+sum of the radii over (U, limit] is refused before any radius is
+formed.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .dirichlet import _polylog_sum, _reals, polylog
+from .dirichlet import _live_counts, _polylog_prefix, _polylog_sum, polylog
 from .errors import (LimitExceeded, ValidationError, WindowExhausted)
 from .eta import _validate_order_sigma
 from .lru import LRUDict
@@ -113,9 +118,14 @@ def s_sum(assignment: Mapping[int, float], sigma: float, m: int) -> complex:
         return 0.0 + 0.0j
     ps = np.fromiter(assignment.keys(), dtype=np.int64, count=len(assignment))
     ths = np.fromiter(assignment.values(), dtype=np.float64, count=len(ps))
-    order = np.argsort(ps, kind="stable")
-    ps, ths = ps[order], ths[order]
-    if ps[0] < 2 or np.any(np.diff(ps) == 0):
+    distinct = True
+    if np.any(ps[1:] <= ps[:-1]):
+        # keys out of order or repeated; construct_theta's and
+        # load_theta's ascend
+        order = np.argsort(ps, kind="stable")
+        ps, ths = ps[order], ths[order]
+        distinct = not np.any(ps[1:] == ps[:-1])
+    if ps[0] < 2 or not distinct:
         raise ValidationError("assignment keys must be distinct primes >= 2")
     if np.any(~np.isfinite(ths)):
         raise ValidationError("assignment angles must be finite")
@@ -265,8 +275,10 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
     GAMMA_CUT), paid once per (m, sigma, cut) and then read from a capped
     cache, the cost is O(window): radii are formed only as far as
     the smallest window that reaches the target, and the polygon over
-    them is solved in a fixed handful of passes, whose unit vectors
-    exp(-2 pi i theta) also give the window's part of final_sum.  A
+    them is laid out in cache-sized blocks.  Each block's unit vectors
+    w = exp(-2 pi i theta) give, while in cache, both its terms r w of
+    the achieved sum, which are the window's k = 1 terms of final_sum,
+    and its k >= 2 harmonics.  A
     target past an upper bound on the whole window's radius sum, taken
     over REFUSAL_CUTS segments, is refused before any radius is formed;
     only a target between that bound and the exact sum sums every
@@ -324,11 +336,27 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
         raise WindowExhausted("window cannot satisfy dominance")
     count += int(dominant[0])
 
-    window, w = _polygon(RadiiSet(win_r[:count], labels=win_p[:count]),
-                         z_star)
-    # each buffer of the window's length is dropped once spent, which
-    # keeps the peak resident size down
-    del win_r, rcum
+    # the running sums are spent: dropped, to keep the peak resident size
+    # down
+    del rcum
+    win_logs = win_logs[:count]
+    live = _live_counts(win_logs, sigma)
+    harmonics = 0.0 + 0.0j
+
+    def add_harmonics(lo, hi, w):
+        """The window's k >= 2 harmonics on the block lo:hi; its k = 1
+        terms r w are the polygon's achieved sum."""
+        nonlocal harmonics
+        log_m = win_logs[lo:hi] ** m
+        # z_p = p^-sigma w_p in the buffer of w, p^-sigma = r_p (log p)^m
+        w *= win_r[lo:hi] * log_m
+        li = _polylog_prefix(m + 1, w, np.clip(live - lo, 0, hi - lo),
+                             np.zeros_like(w))
+        li *= 1.0 / log_m
+        harmonics += complex(np.sum(li))
+
+    window = _polygon(RadiiSet(win_r[:count], labels=win_p[:count]),
+                      z_star, add_harmonics)
 
     n_bound = int(win_p[count - 1])
     all_p = primes.primes[:i_u + count]
@@ -338,14 +366,9 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
     theta2 = AngleAssignment(thetas, window.target, window.achieved,
                              window.residual)
     del window
-
-    # the window's points z_p = p^-sigma w_p, made in the buffer of w
-    _reals(w)[...] *= np.exp(-sigma * win_logs[:count])[:, None]
     final_sum = complex(
         _s_sum_arrays(primes.logs[:i_u], thetas[:i_u], sigma, m)
-        + _polylog_sum(m + 1, win_logs[:count], m, sigma,
-                       lambda lo, hi: w[lo:hi]))
-    del w
+        + theta2.achieved + harmonics)
     final_error = abs(final_sum - a)
     return ThetaPipelineResult(m=m, sigma=sigma, a=a, epsilon=epsilon,
                                U=u_bound, N=n_bound, gamma_value=gamma,

@@ -98,6 +98,23 @@ def test_prime_polylog_sum_matches_the_sorted_path(m, sigma):
     assert abs(got - want) <= 1e-15 * abs(want)
 
 
+def test_polylog_blocks_hold_a_floor_of_primes():
+    # past POLYLOG_CHUNK rows a block would hold no prime at all; it holds
+    # POLYLOG_MIN_PRIMES, and the sum is the one-row sum to rounding
+    logs, z = _window_points(0.8, 0, len(PT), 7)
+    blocks = []
+
+    def z_block(lo, hi):
+        blocks.append(hi - lo)
+        return z[lo:hi]
+    want = _polylog_sum(2, logs, 1, 0.8, lambda lo, hi: z[lo:hi])
+    got = _polylog_sum(2, logs, 1, 0.8, z_block,
+                       rows=2 * dirichlet.POLYLOG_CHUNK)
+    assert set(blocks[:-1]) == {dirichlet.POLYLOG_MIN_PRIMES}
+    assert sum(blocks) == len(PT)
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
 def test_sweep_rows_match_per_height_sums():
     # rows of the block x offset grid against dirichlet_li_sum, which
     # forms p^(-sigma-it) in one exp, at the first, a middle and the

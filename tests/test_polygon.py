@@ -145,18 +145,29 @@ def test_degenerate_flat_sides():
     assert b.residual < 1e-9
 
 
-def test_unit_vectors_are_those_of_the_angles():
+def test_unit_vectors_are_those_of_the_angles(monkeypatch):
     # on every path (the disk's boundary, a flat polygon, a cyclic one
-    # with and without sorting) the unit vectors handed back are
-    # exp(-2 pi i theta) at the returned angles, which are polygon_angles'
-    for r, z in (([1.0, 1.0, 1.0], 3.0 + 0j), ([2.0, 1.0, 1.0], 0j),
-                 ([3.0, 4.0, 5.0], 0j), ([1.2, 0.9, 0.4, 0.3], 0.5 - 1j)):
-        r = np.array(r)
-        a, w = _polygon(RadiiSet(r), z)
-        assert np.array_equal(w, np.exp(-2j * np.pi * a.thetas))
-        b = polygon_angles(RadiiSet(r), z)
-        assert np.array_equal(a.thetas, b.thetas)
-        assert (a.achieved, a.residual) == (b.achieved, b.residual)
+    # with and without sorting) the unit vectors handed to each block are
+    # exp(-2 pi i theta) at the block's returned angles, the blocks cover
+    # the radii in order, and the angles are polygon_angles'; in one
+    # block and in blocks of two radii
+    for block in (polygon.BLOCK, 2):
+        monkeypatch.setattr(polygon, "BLOCK", block)
+        for r, z in (([1.0, 1.0, 1.0], 3.0 + 0j), ([2.0, 1.0, 1.0], 0j),
+                     ([3.0, 4.0, 5.0], 0j), ([1.2, 0.9, 0.4, 0.3], 0.5 - 1j)):
+            r = np.array(r)
+            blocks = []
+            a = _polygon(RadiiSet(r), z, lambda lo, hi, w:
+                         blocks.append((lo, hi, w.copy())))
+            assert [(lo, hi) for lo, hi, _ in blocks] == [
+                (lo, min(lo + block, r.size))
+                for lo in range(0, r.size, block)]
+            for lo, hi, w in blocks:
+                assert np.array_equal(
+                    w, np.exp(-2j * np.pi * a.thetas[lo:hi]))
+            b = polygon_angles(RadiiSet(r), z)
+            assert np.array_equal(a.thetas, b.thetas)
+            assert (a.achieved, a.residual) == (b.achieved, b.residual)
 
 
 def test_input_validation():
@@ -174,7 +185,7 @@ def test_arcsin_sum_series_matches_exact():
     rng = np.random.default_rng(5)
     t = np.concatenate([rng.uniform(1e-6, SERIES_RATIO, 5000),
                         rng.uniform(SERIES_RATIO, 1.0, 7), [1.0]])
-    value, slope = _arcsin_sum(t)
+    value, slope = _arcsin_sum((np.sort(t)[::-1],), 1.0)
     for v in (1e-9, 1e-4, 0.02, 0.5, 0.999, 1.0):
         exact = np.sum(np.arcsin(t * v))
         assert abs(value(v) - exact) <= 1e-14 * exact
@@ -203,8 +214,8 @@ def test_reflected_bracket_failure_raises():
     # dominance and flatness checks come first), the root-find still
     # refuses
     with pytest.raises(RootFindFailure):
-        _angle_sum_root(np.array([1.0, 0.3, 0.3]), 0)
+        _angle_sum_root(1.0, (np.array([0.3, 0.3]),))
     many = np.full(100_001, 1e-5)
     many[0] = 1.0 + 1e-9
     with pytest.raises(RootFindFailure):
-        _angle_sum_root(many, 0)
+        _angle_sum_root(many[0], (many[1:],))

@@ -1,10 +1,13 @@
+from collections.abc import Mapping
+
 import numpy as np
 import mpmath as mp
 import pytest
 
-from iterzeta import torus
+from iterzeta import polygon, torus
 from iterzeta.errors import (LimitExceeded, UnsupportedRange, ValidationError,
                              WindowExhausted)
+from iterzeta.polygon import RadiiSet, polygon_angles
 from iterzeta.primes import sieve_primes
 from iterzeta.torus import (GAMMA_CUT, RADII_CHUNK, _radius_bound,
                             _window_bounds, _window_radii, construct_theta,
@@ -84,6 +87,46 @@ def test_s_sum_additive():
     parts = s_sum(dict(items[:20]), 0.7, 2) + s_sum(dict(items[20:]), 0.7, 2)
     assert abs(whole - parts) < 1e-14
     assert s_sum({}, 0.7, 2) == 0.0
+
+
+class _Pairs(Mapping):
+    """A prime -> angle mapping over two arrays, which, unlike a dict,
+    may repeat a key."""
+
+    def __init__(self, ps, ths):
+        self._p, self._t = list(ps), list(ths)
+
+    def __len__(self):
+        return len(self._p)
+
+    def __iter__(self):
+        return iter(self._p)
+
+    def __getitem__(self, p):
+        return self._t[self._p.index(p)]
+
+    def values(self):
+        return iter(self._t)
+
+
+def test_s_sum_takes_keys_in_any_order():
+    # ascending keys are summed as they come, others sorted first: the
+    # same value either way, and the same refusals of a repeated or
+    # non-prime key and of a non-finite angle
+    ps = PT.first(3000)
+    ths = np.random.default_rng(3).uniform(0.0, 1.0, ps.size)
+    shuffle = np.random.default_rng(4).permutation(ps.size)
+    want = s_sum(_Pairs(ps, ths), 0.75, 2)
+    assert s_sum(_Pairs(ps[shuffle], ths[shuffle]), 0.75, 2) == want
+    assert abs(want - torus._s_sum_arrays(PT.logs[:3000], ths, 0.75, 2)) \
+        == 0.0
+    for keys in (ps, ps[shuffle]):
+        bad = (_Pairs(np.append(keys, keys[7]), np.append(ths, 0.5)),
+               _Pairs(np.append(1, keys), np.append(0.5, ths)),
+               _Pairs(keys, np.where(keys == 7919, np.nan, ths)))
+        for asn in bad:
+            with pytest.raises(ValidationError):
+                s_sum(asn, 0.75, 2)
 
 
 def test_second_moment_explicit():
@@ -207,6 +250,29 @@ def test_construct_matches_full_window(deep, m, sigma, eps):
         assert res.N == int(win_p[count - 1])
         assert res.theta2.residual < 1e-10
         assert res.final_error < eps
+
+
+def test_construct_does_not_depend_on_the_block_size(deep, monkeypatch):
+    # a window of 1e5 primes laid out in blocks of 1, 1000 and 4097
+    # radii: the same angles to the bit, those polygon_angles gives on
+    # the same radii; final_sum, the achieved sum plus the k >= 2
+    # harmonics, within 1e-13 of an independent re-sum
+    m, sigma, eps = 1, 0.8, 0.05
+    gamma, _, i_u, _, win_r, rcum = _full_window(m, sigma, eps, deep)
+    n = 100_000
+    a = gamma + float(rcum[n - 1] - 0.5 * win_r[n - 1]) * np.exp(0.7j)
+    want = construct_theta(m, sigma, a, eps, deep)
+    assert want.primes.size - i_u == n
+    alone = polygon_angles(RadiiSet(first_harmonic_radii(
+        m, sigma, want.primes[i_u:])), a - want.gamma_value)
+    assert np.array_equal(alone.thetas, want.theta2.thetas[i_u:])
+    assert abs(want.final_sum - s_sum(want.assignment(), sigma, m)) <= 1e-13
+    for block in (1, 1000, 4097):
+        monkeypatch.setattr(polygon, "BLOCK", block)
+        res = construct_theta(m, sigma, a, eps, deep)
+        assert np.array_equal(res.theta2.thetas, want.theta2.thetas)
+        assert abs(res.final_sum - want.final_sum) <= 1e-13
+        assert res.theta2.residual < 1e-10
 
 
 def test_construct_target_past_the_window():
