@@ -51,9 +51,9 @@ RADII_CHUNK = 4096
 # refuses a target past the window; the bound exceeds the sum by 2-13%
 # on sieves of 1e6 to 4e7 (m = 1..3, sigma in [0.55, 0.95])
 REFUSAL_CUTS = 64
-# gamma and the window starts' tail bounds of construct_theta by (m,
-# sigma, cut): they read only the primes up to the cut, which every prime
-# table reaching it holds alike
+# gamma, and the window starts' tail bounds and reference sums below
+# them, of construct_theta by (m, sigma, cut): they read only the primes
+# up to the cut, which every prime table reaching it holds alike
 _FIXED_CACHE_CAP = 32
 _FIXED_CACHE = LRUDict(_FIXED_CACHE_CAP)
 
@@ -271,8 +271,9 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
 
     Reference pattern outside the window, polygon angles inside; U is the
     smallest power of ten whose two tail bounds both fit in epsilon/4.
-    Past the fixed cost of gamma and the tail bounds (primes up to
-    GAMMA_CUT), paid once per (m, sigma, cut) and then read from a capped
+    Past the fixed cost of gamma, the tail bounds and the reference
+    pattern's sums below each window start (primes up to GAMMA_CUT), paid
+    once per (m, sigma, cut) and then read from a capped
     cache, the cost is O(window): radii are formed only as far as
     the smallest window that reaches the target, and the polygon over
     them is laid out in cache-sized blocks.  Each block's unit vectors
@@ -298,10 +299,12 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
         raise LimitExceeded("prime table too small; need limit >= 1000")
 
     cands = [c for c in U_CANDIDATES if c < cut]
-    gamma, e1, e2 = _FIXED_CACHE.get_or_set(
+    gamma, e1, e2, below = _FIXED_CACHE.get_or_set(
         (m, sigma, cut),
         lambda: (gamma_m_sigma(m, sigma, cut, primes),
-                 *_window_bounds(m, sigma, primes, cands, cut)))
+                 *_window_bounds(m, sigma, primes, cands, cut),
+                 [_s_sum_arrays(primes.logs[:i], _theta0(i), sigma, m)
+                  for i in primes.count_upto(cands)]))
     z_star = a - gamma
 
     budget = epsilon / 4.0
@@ -366,9 +369,8 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
     theta2 = AngleAssignment(thetas, window.target, window.achieved,
                              window.residual)
     del window
-    final_sum = complex(
-        _s_sum_arrays(primes.logs[:i_u], thetas[:i_u], sigma, m)
-        + theta2.achieved + harmonics)
+    final_sum = complex(below[cands.index(u_bound)] + theta2.achieved
+                        + harmonics)
     final_error = abs(final_sum - a)
     return ThetaPipelineResult(m=m, sigma=sigma, a=a, epsilon=epsilon,
                                U=u_bound, N=n_bound, gamma_value=gamma,
