@@ -20,8 +20,9 @@ construction, its term loop _polylog_prefix on the polygon's blocks.
 It uses the order of the primes: its points have modulus |z_p| = p^-c,
 which falls with p, so each series term runs on a prefix of the primes,
 with lengths from the table's logs, and no point is sorted.  It runs in
-blocks of about POLYLOG_CHUNK points, whose buffers stay in cache.  polylog_batch, for points of any
-modulus, sorts them by length into the same term loop.  mangoldt_sum and
+blocks of about POLYLOG_CHUNK points, whose buffers stay in cache.
+polylog_batch, for points of any modulus, sorts them by length into the
+same term loop.  mangoldt_sum and
 li_vs_mangoldt_gap stay apart from both as the decomposition check's
 reference.  mangoldt_grid evaluates the von Mangoldt sum on a whole grid
 of heights, over eta's one list of prime powers; mangoldt_sum is its
@@ -170,8 +171,9 @@ def _polylog_sum(order: int, logs: np.ndarray, power: int, c: float,
     prefix of them, with lengths from the logs alone.  Blocks hold
     POLYLOG_CHUNK // rows primes, but no fewer than POLYLOG_MIN_PRIMES,
     so a block's buffers stay in cache for any number of primes, and a
-    grid of thousands of rows still takes a few primes a step.  Each row is summed over its primes on its own,
-    so its value does not depend on the other rows.
+    grid of thousands of rows still takes a few primes a step.  Each row
+    is summed over its primes on its own, so its value does not depend
+    on the other rows.
     """
     if logs.size == 0:
         return 0.0 + 0.0j
@@ -186,8 +188,8 @@ def _polylog_sum(order: int, logs: np.ndarray, power: int, c: float,
         # numpy's complex-by-real division would make
         recip = 1.0 / logs[lo:hi] ** power
         if z.ndim == 1:
-            # a complex times a real, part by part: the same bits as on
-            # the parts, without a loop over each point's two
+            # numpy's complex-by-real product has the bits of the parts'
+            # products, without the two-wide inner loop of _reals(li)
             li *= recip
             total = total + np.sum(li)
         else:

@@ -106,8 +106,9 @@ def _arcsin_sum(pieces, l_max: float):
     at every v.  The others enter through the arcsin series
     sum_k c_k v^(2k+1) T_k with the power sums T_k = sum t_i^(2k+1),
     cut where the next term is below SERIES_RTOL of the first and formed
-    once, over blocks of SERIES_BLOCK sides; then one evaluation costs a few
-    scalar operations plus the exact part, whatever the number of sides.
+    once, over blocks of SERIES_BLOCK sides; then one evaluation costs a
+    few scalar operations plus the exact part, whatever the number of
+    sides.
     """
     heads = [bisect.bisect_left(p, -SERIES_RATIO,
                                 key=lambda s: -(s / l_max))

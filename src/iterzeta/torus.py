@@ -272,20 +272,19 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
     Reference pattern outside the window, polygon angles inside; U is the
     smallest power of ten whose two tail bounds both fit in epsilon/4.
     Past the fixed cost of gamma, the tail bounds and the reference
-    pattern's sums below each window start (primes up to GAMMA_CUT), paid
-    once per (m, sigma, cut) and then read from a capped
-    cache, the cost is O(window): radii are formed only as far as
-    the smallest window that reaches the target, and the polygon over
-    them is laid out in cache-sized blocks.  Each block's unit vectors
+    pattern's sums below each window start (primes up to GAMMA_CUT),
+    paid once per (m, sigma, cut) and then read from a capped cache, the
+    cost is O(window): radii are formed only as far as the smallest
+    window that reaches the target, and the polygon over them is laid
+    out in cache-sized blocks.  Each block's unit vectors
     w = exp(-2 pi i theta) give, while in cache, both its terms r w of
     the achieved sum, which are the window's k = 1 terms of final_sum,
-    and its k >= 2 harmonics.  A
-    target past an upper bound on the whole window's radius sum, taken
-    over REFUSAL_CUTS segments, is refused before any radius is formed;
-    only a target between that bound and the exact sum sums every
-    radius.  Raises WindowExhausted when the prime table cannot support
-    either the choice of U or the radius sum needed to reach the
-    target."""
+    and its k >= 2 harmonics.  A target past an upper bound on the whole
+    window's radius sum, taken over REFUSAL_CUTS segments, is refused
+    before any radius is formed; only a target between that bound and
+    the exact sum sums every radius.  Raises WindowExhausted when the
+    prime table cannot support either the choice of U or the radius sum
+    needed to reach the target."""
     _validate_torus(m, sigma)
     if not np.isfinite(epsilon) or epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
