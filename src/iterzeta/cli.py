@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import (BranchObstruction, ComputationError, TableCoverage,
                      ValidationError)
-from .eta import check_guard, eta_tilde_weighted, eta_vertical, y_m
+from .eta import eta_tilde_weighted, eta_vertical, y_m
 from .hunt import HuntConfig, hunt_value
 from .dirichlet import mean_square_error
 from .polygon import RadiiSet, polygon_angles
@@ -236,9 +236,9 @@ def cmd_eval(cfg: dict) -> int:
     rows, skipped = [], 0
     for t in ts:
         try:
-            check_guard(table, sigma, t)
-            z = zeta(ComplexPoint(sigma, t))
+            # refuses a height in the guard band before any zeta call
             lz = log_zeta_horizontal(sigma, t, table=table)
+            z = zeta(ComplexPoint(sigma, t))
             et = eta_tilde_weighted(m, sigma, t, table, abs_tol=abs_tol)
             ev = eta_vertical(m, sigma, t, table, abs_tol=abs_tol)
             ym = y_m(m, sigma, t, table)

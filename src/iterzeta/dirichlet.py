@@ -38,12 +38,12 @@ from math import ceil, exp, floor, log, sqrt
 
 import numpy as np
 
-from .errors import (BranchObstruction, ConvergenceDomain, CutoffExceeded,
-                     TableCoverage, TooFewSamples, ValidationError)
+from .errors import (ConvergenceDomain, CutoffExceeded, TableCoverage,
+                     TooFewSamples, ValidationError)
 from .eta import _eta_tilde_rows, _prime_powers
 from .lru import LRUDict
 from .primes import PrimeTable, sieve_primes
-from .rays import check_guard
+from .rays import _guarded
 from .zeros import ZeroTable
 
 POLYLOG_RADIUS = 0.95
@@ -334,13 +334,7 @@ def _eta_tilde_grid(m: int, sigma: float, T: float, grid_step: float,
     def column():
         ts = np.arange(14.0, T + 1e-9, grid_step)
         vals = np.full(ts.size, np.nan + 0j, dtype=complex)
-        kept = []
-        for i, t in enumerate(ts):
-            try:
-                check_guard(table, sigma, float(t))
-            except BranchObstruction:
-                continue
-            kept.append(i)
+        kept = np.flatnonzero(np.isnan(_guarded(table, sigma, ts)))
         for i, ev in zip(kept, _eta_tilde_rows(m, sigma, ts[kept], table,
                                                abs_tol=abs_tol)):
             if isinstance(ev, Exception):

@@ -53,13 +53,14 @@ from math import e as _E, factorial, log
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .errors import (BranchObstruction, QuadratureNonconvergence,
-                     TableCoverage, UnsupportedRange, ValidationError)
+from .errors import (QuadratureNonconvergence, TableCoverage,
+                     UnsupportedRange, ValidationError)
 from .lru import LRUDict
 from .primes import sieve_primes
 from .quadrature import (gl_nodes, integrate_rows, integrate_vec,
                          poly_log_integral, poly_log_integrals)
-from .rays import CUTOFF_OFFSET, LineBranch, RayBranch, _w, check_guard
+from .rays import (CUTOFF_OFFSET, LineBranch, RayBranch, _guard_refusal,
+                   _guarded, _w, check_guard)
 from .rays import GUARD  # noqa: F401  (re-exported: callers import it here)
 from .zetafun import DEFAULT_PARAMS, ComplexPoint, zeta_error
 from .zeros import EMPTY_TABLE, ZeroTable, zeros_in_box
@@ -277,16 +278,11 @@ def _eta_tilde_rows(m: int, sigma: float, ts: np.ndarray,
         return [ev for lo in range(0, ts.size, ROWS_PER_PASS)
                 for ev in _eta_tilde_rows(m, sigma, ts[lo:lo + ROWS_PER_PASS],
                                           table, abs_tol=abs_tol)]
-    out = [None] * ts.size
-    live = []
-    for i, t in enumerate(ts):
-        try:
-            check_guard(table, sigma, t)
-        except BranchObstruction as exc:
-            out[i] = exc
-        else:
-            live.append(i)
-    if not live:
+    ordinates = _guarded(table, sigma, ts)
+    out = [None if np.isnan(g) else _guard_refusal(t, g)
+           for t, g in zip(ts, ordinates)]
+    live = np.flatnonzero(np.isnan(ordinates))
+    if not live.size:
         return out
     branch = RayBranch(sigma, ts[live])
     for j in np.nonzero(branch.obstructed)[0]:
@@ -425,7 +421,7 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
     # weighted tail's combination, so they carry its error
     span = CUTOFF_OFFSET
     err = dev_max * span ** m / factorial(m) \
-        + 1e-10 * span + float(_tail(m, sigma, t)[1][0]) \
+        + float(_tail(m, sigma, t)[1][0]) \
         + float(_zeta_term(m, span, sigma, t))
     return EtaValue(m, ComplexPoint(sigma, t), value, err, nev)
 

@@ -21,7 +21,9 @@ blocks, so they are the same bits for any block size.  Closure is exact
 by telescoping, so the residual is driven by the root-find alone; it is
 measured, not assumed, by re-summing the radii at the returned angles,
 block by block, each block's unit vectors exp(-2 pi i theta) offered to
-the caller while in cache.
+the caller while in cache.  The solve writes the angles into an array
+the caller holds; polygon_angles alone checks a RadiiSet and builds an
+AngleAssignment.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -60,7 +61,6 @@ SERIES_BLOCK = 2 ** 15
 @dataclass(frozen=True)
 class RadiiSet:
     radii: np.ndarray
-    labels: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         r = np.asarray(self.radii, dtype=np.float64)
@@ -69,11 +69,6 @@ class RadiiSet:
         if np.any(~np.isfinite(r)) or np.any(r <= 0.0):
             raise ValidationError("radii must be positive and finite")
         object.__setattr__(self, "radii", r)
-        if self.labels is not None:
-            lab = np.asarray(self.labels)
-            if lab.size != r.size:
-                raise ValidationError("labels must match radii in length")
-            object.__setattr__(self, "labels", lab)
 
 
 @dataclass(frozen=True)
@@ -260,17 +255,20 @@ def _unit(thetas: np.ndarray) -> np.ndarray:
 def polygon_angles(radii: RadiiSet, z: complex) -> AngleAssignment:
     """Angles theta with sum r_n exp(-2 pi i theta_n) = z, residual below
     1e-10 for well-conditioned inputs (see module docstring)."""
-    return _polygon(radii, z)
+    thetas = np.empty(radii.radii.size)
+    achieved = _polygon(radii.radii, z, thetas)
+    return AngleAssignment(thetas, complex(z), achieved,
+                           abs(achieved - complex(z)))
 
 
-def _polygon(radii: RadiiSet, z: complex, each=None) -> AngleAssignment:
-    """polygon_angles' assignment, formed in blocks of BLOCK radii.  The
-    angles are laid out block by block over the radii longest first.
-    Then, block by block over the radii in their own order, the unit
-    vectors w = exp(-2 pi i theta) are formed and their part of the
-    achieved sum sum r w added, and each(lo, hi, w), if given, is called
-    on the block lo:hi while w is in cache; it may reuse w in place."""
-    r = radii.radii
+def _polygon(r: np.ndarray, z: complex, thetas: np.ndarray,
+             each=None) -> complex:
+    """polygon_angles' angles for the radii r (at least three, positive,
+    finite) written into thetas, laid out in blocks of BLOCK radii over
+    the radii longest first; returns the achieved sum sum r w, added up
+    block by block over the radii in their own order, w = exp(-2 pi i
+    theta).  each(lo, hi, w), if given, is called on each block lo:hi
+    while w is in cache; it may reuse w in place."""
     n = r.size
     total = float(r.sum())
     r_max = float(r.max())
@@ -292,18 +290,17 @@ def _polygon(radii: RadiiSet, z: complex, each=None) -> AngleAssignment:
     # the closing side of length |z| comes first and wins a tie
     closing_longest = az >= rs[0]
     l_max = az if closing_longest else float(rs[0])
-    u = None
     if total - az <= ALIGNED_RTOL * total:
         # boundary of the disk: every side aligned with z
-        thetas = np.full(n, _frac_angle(z))
+        thetas[:] = _frac_angle(z)
     elif (total + az - l_max) - l_max <= FLAT_RTOL * l_max:
         # degenerate: the polygon collapses onto a line, the longest side
         # against all the others
         if closing_longest:
-            thetas = np.full(n, _frac_angle(z))
+            thetas[:] = _frac_angle(z)
         else:
             direction = complex(z) if az > 0.0 else 1.0 + 0.0j
-            thetas = np.full(n, _frac_angle(-direction))
+            thetas[:] = _frac_angle(-direction)
             thetas[0 if order is None else order[0]] = _frac_angle(direction)
     else:
         if closing_longest:
@@ -311,7 +308,6 @@ def _polygon(radii: RadiiSet, z: complex, each=None) -> AngleAssignment:
         else:
             others = (np.array([az]), rs[1:]) if az > 0.0 else (rs[1:],)
         u, reflected = _angle_sum_root(l_max, others)
-        thetas = np.empty(n)
         # the side from vertex angle psi_k to psi_k + phi_k points along
         # mid_k + pi/2, with mid_k = psi_k + phi_k / 2 their mean.
         # Turning every side by arg z - mid_0 - 3 pi/2 lays the closing
@@ -347,8 +343,7 @@ def _polygon(radii: RadiiSet, z: complex, each=None) -> AngleAssignment:
         achieved += complex(np.sum(r[lo:hi] * w))
         if each is not None:
             each(lo, hi, w)
-    return AngleAssignment(thetas, complex(z), achieved,
-                           abs(achieved - complex(z)))
+    return achieved
 
 
 def _central_angles(sides: np.ndarray, u: float,

@@ -85,16 +85,33 @@ def _w(s) -> np.ndarray:
     return w
 
 
+def _guarded(table: ZeroTable, sigma: float, ts) -> np.ndarray:
+    """Per height of ts, an ordinate within GUARD of |t| of a zero at or
+    right of sigma, where the branch walk degenerates, else NaN.  One
+    search over the ascending ordinates finds each |t|'s neighbours; the
+    rounded |gamma - |t|| grows with the distance, so they decide."""
+    ts = np.abs(np.asarray(ts, dtype=float))
+    gammas = table.gammas[table.betas >= sigma]
+    if not gammas.size:
+        return np.full(ts.shape, np.nan)
+    right = np.minimum(np.searchsorted(gammas, ts), gammas.size - 1)
+    left = np.maximum(right - 1, 0)
+    d_left, d_right = np.abs(gammas[left] - ts), np.abs(gammas[right] - ts)
+    nearest = gammas[np.where(d_left <= d_right, left, right)]
+    return np.where(np.minimum(d_left, d_right) <= GUARD, nearest, np.nan)
+
+
+def _guard_refusal(t: float, ordinate: float) -> BranchObstruction:
+    return BranchObstruction(f"height t={t:g} within {GUARD:g} of zero "
+                             f"ordinate {ordinate:.6f}")
+
+
 def check_guard(table: ZeroTable, sigma: float, t: float) -> None:
     """Reject heights within GUARD of an ordinate whose zero lies at or
     right of the ray start; the branch walk degenerates there."""
-    if len(table) == 0:
-        return
-    near = (np.abs(table.gammas - abs(t)) <= GUARD) & (table.betas >= sigma)
-    if np.any(near):
-        raise BranchObstruction(
-            f"height t={t:g} within {GUARD:g} of zero ordinate "
-            f"{table.gammas[near][0]:.6f}")
+    ordinate = float(_guarded(table, sigma, t))
+    if not np.isnan(ordinate):
+        raise _guard_refusal(t, ordinate)
 
 
 def _initial_offsets() -> np.ndarray:

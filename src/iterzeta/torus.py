@@ -16,16 +16,20 @@ are controlled by explicit bounds, each budgeted at epsilon/4.
 
 Every sum here runs over the primes in ascending order, where the modulus
 p^-sigma of each term falls, in cache-sized blocks: through dirichlet's
-_polylog_sum, or, in the window, through the polygon's blocks.  The
-window's radii r_p = p^-sigma / (log p)^m come from the prime table's
-logs.  The polygon's unit vectors w_p = exp(-2 pi i theta_p), one
-complex exp per window prime, are used block by block while in cache:
-r_p w_p is a term of both the polygon's achieved sum and the window's
-k = 1 part of final_sum, and z_p = r_p (log p)^m w_p, with no second
-exp, feeds the k >= 2 harmonics.  s_sum sorts an assignment's primes
-only when they do not already ascend.  A target beyond an upper Riemann
-sum of the radii over (U, limit] is refused before any radius is
-formed.
+_polylog_sum, or, in the window, through the polygon's blocks.  Below
+the cut, one walk over the primes, segment by segment between the window
+starts, gives gamma, both tail bounds and the reference sums below each
+start, cached for gamma_m_sigma and construct_theta alike.  The polygon
+writes the window's angles into the one theta array, behind the
+reference pattern.  The window's radii r_p = p^-sigma / (log p)^m come
+from the prime table's logs.  The polygon's unit vectors
+w_p = exp(-2 pi i theta_p), one complex exp per window prime, are used
+block by block while in cache: r_p w_p is a term of both the polygon's
+achieved sum and the window's k = 1 part of final_sum, and
+z_p = r_p (log p)^m w_p, with no second exp, feeds the k >= 2
+harmonics.  s_sum sorts an assignment's primes only when they do not
+already ascend.  A target beyond an upper Riemann sum of the radii over
+(U, limit] is refused before any radius is formed.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .dirichlet import _live_counts, _polylog_prefix, _polylog_sum, polylog
 from .errors import (LimitExceeded, ValidationError, WindowExhausted)
 from .eta import _validate_order_sigma
 from .lru import LRUDict
-from .polygon import AngleAssignment, RadiiSet, _polygon
+from .polygon import AngleAssignment, _polygon
 from .primes import PrimeTable, sieve_primes
 
 GAMMA_CUT = 1_000_000
@@ -51,9 +55,8 @@ RADII_CHUNK = 4096
 # refuses a target past the window; the bound exceeds the sum by 2-13%
 # on sieves of 1e6 to 4e7 (m = 1..3, sigma in [0.55, 0.95])
 REFUSAL_CUTS = 64
-# gamma, and the window starts' tail bounds and reference sums below
-# them, of construct_theta by (m, sigma, cut): they read only the primes
-# up to the cut, which every prime table reaching it holds alike
+# _below_cut's walk by (m, sigma, cut): it reads only the primes up to
+# the cut, which every prime table reaching it holds alike
 _FIXED_CACHE_CAP = 32
 _FIXED_CACHE = LRUDict(_FIXED_CACHE_CAP)
 
@@ -85,21 +88,17 @@ def gamma_m_sigma(m: int, sigma: float, tail_cut: float,
     """Reference value S_{m,sigma}(theta^(0)) over primes up to tail_cut.
 
     The terms alternate in sign with the prime index, so the truncation
-    error obeys the Leibniz bound gamma_tail_estimate."""
+    error obeys the Leibniz bound gamma_tail_estimate.  Read from
+    _below_cut, whose cache construct_theta shares."""
     _validate_torus(m, sigma)
-    if tail_cut < 1_000:
+    if not tail_cut >= 1_000:
         raise ValidationError("tail_cut below 1000 gives a useless estimate")
     if primes is None:
         primes = sieve_primes(int(tail_cut))
     if primes.limit < tail_cut:
         raise LimitExceeded(
             f"prime table reaches {primes.limit}, below tail_cut {tail_cut}")
-    logs = primes.logs[:primes.count_upto(tail_cut)]
-
-    def z_block(lo, hi):
-        signs = np.where(np.arange(lo, hi) % 2 == 0, 1.0, -1.0)
-        return signs * np.exp(-sigma * logs[lo:hi])
-    return complex(_polylog_sum(m + 1, logs, m, sigma, z_block))
+    return _below_cut(m, sigma, primes, tail_cut)[0]
 
 
 def gamma_tail_estimate(m: int, sigma: float, tail_cut: float) -> float:
@@ -164,43 +163,52 @@ def _radii(m: int, sigma: float, logs: np.ndarray) -> np.ndarray:
     return np.exp(-sigma * logs) / logs ** m
 
 
-def _window_bounds(m: int, sigma: float, primes: PrimeTable, cands,
-                   cut: float):
-    """The two tail bounds for every window start U in cands (ascending,
-    below cut), as arrays (harmonic, first):
-
-    * harmonic: all k >= 2 harmonics of the primes in (U, cut], summed
-      exactly, plus an integral bound past the cut;
+def _below_cut(m: int, sigma: float, primes: PrimeTable, cut: float):
+    """(gamma, cands, harmonic, first, below) by one walk over the primes
+    up to floor(cut), cached by (m, sigma, floor(cut)): gamma, the
+    reference sum over them; the window starts cands, those of
+    U_CANDIDATES below the cut; and per start U
+    * harmonic: the k >= 2 harmonics over (U, cut], summed exactly, plus
+      an integral bound past the cut;
     * first: |alternating k=1 tail over (U, cut]| plus the Leibniz bound
-      for everything past the cut.
+      past the cut;
+    * below: the reference sum over the primes up to U.
+    Each segment between the starts takes one _polylog_sum of two rows,
+    Li_{m+1}(+-p^-sigma) alternating with the prime index and
+    Li_{m+1}(p^-sigma); gamma and below are prefix sums of the segments,
+    harmonic and first suffix sums."""
+    cut = math.floor(cut)
+    cands = tuple(c for c in U_CANDIDATES if c < cut)
 
-    Each prime is summed once, in the segment between consecutive
-    candidates; a candidate's sums are the suffix sums of the segments
-    from it on.
-    """
-    ends = primes.count_upto(np.append(cands, cut))
-    harmonic = np.empty(len(cands))
-    first = np.empty(len(cands))
-    for i, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
-        logs = primes.logs[lo:hi]
-        zs = np.exp(-sigma * logs)
-        # sum_{k>=2} z^k / k^(m+1) = Li_{m+1}(z) - z at z = p^-sigma
-        harmonic[i] = (_polylog_sum(m + 1, logs, m, sigma,
-                                    lambda a, b: zs[a:b]).real
-                       - np.sum(zs / logs ** m))
-        signs = np.where(np.arange(lo, hi) % 2 == 0, 1.0, -1.0)
-        first[i] = np.sum(signs * zs / logs ** m)
-    logc = math.log(cut)
-    if sigma > 0.5:
-        integral = cut ** (1.0 - 2.0 * sigma) / ((2.0 * sigma - 1.0)
-                                                 * logc ** (m + 1))
-    else:
-        integral = 1.0 / (m * logc ** m)
-    beyond = integral / (2 ** (m + 1) * (1.0 - cut ** (-sigma)))
-    harmonic = np.cumsum(harmonic[::-1])[::-1] + beyond
-    first = np.abs(np.cumsum(first[::-1])[::-1]) \
-        + cut ** (-sigma) / logc ** m
-    return harmonic, first
+    def walk():
+        ends = primes.count_upto([*cands, cut])
+        segments = np.empty((ends.size, 3), dtype=complex)
+        lo = 0
+        for i, hi in enumerate(ends):
+            logs = primes.logs[lo:hi]
+            zs = np.exp(-sigma * logs)
+            signs = np.where(np.arange(lo, hi) % 2 == 0, 1.0, -1.0)
+            ref, li = _polylog_sum(m + 1, logs, m, sigma, lambda a, b:
+                                   np.stack((signs[a:b] * zs[a:b], zs[a:b]),
+                                            axis=1), rows=2)
+            k1 = zs / logs ** m
+            # sum_{k>=2} z^k / k^(m+1) = Li_{m+1}(z) - z at z = p^-sigma
+            segments[i] = ref, li.real - np.sum(k1), np.sum(signs * k1)
+            lo = hi
+        prefix = np.cumsum(segments[:, 0])
+        logc = math.log(cut)
+        if sigma > 0.5:
+            integral = cut ** (1.0 - 2.0 * sigma) / ((2.0 * sigma - 1.0)
+                                                     * logc ** (m + 1))
+        else:
+            integral = 1.0 / (m * logc ** m)
+        beyond = integral / (2 ** (m + 1) * (1.0 - cut ** (-sigma)))
+        suffix = np.cumsum(segments[:0:-1, 1:].real, axis=0)[::-1]
+        harmonic = suffix[:, 0] + beyond
+        first = np.abs(suffix[:, 1]) + cut ** (-sigma) / logc ** m
+        return complex(prefix[-1]), cands, harmonic, first, prefix[:-1]
+
+    return _FIXED_CACHE.get_or_set((m, sigma, cut), walk)
 
 
 def _radius_bound(m: int, sigma: float, primes: PrimeTable,
@@ -271,12 +279,14 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
 
     Reference pattern outside the window, polygon angles inside; U is the
     smallest power of ten whose two tail bounds both fit in epsilon/4.
-    Past the fixed cost of gamma, the tail bounds and the reference
-    pattern's sums below each window start (primes up to GAMMA_CUT),
-    paid once per (m, sigma, cut) and then read from a capped cache, the
-    cost is O(window): radii are formed only as far as the smallest
-    window that reaches the target, and the polygon over them is laid
-    out in cache-sized blocks.  Each block's unit vectors
+    Past the fixed cost of _below_cut's one walk over the primes up to
+    GAMMA_CUT (gamma, the tail bounds and the reference pattern's sums
+    below each window start), paid once per (m, sigma, cut) and then read
+    from a capped cache that gamma_m_sigma shares, the cost is
+    O(window): radii are formed only as far as the smallest window that
+    reaches the target, and the polygon over them is laid out in
+    cache-sized blocks, in place in the one theta array behind the
+    reference pattern.  Each block's unit vectors
     w = exp(-2 pi i theta) give, while in cache, both its terms r w of
     the achieved sum, which are the window's k = 1 terms of final_sum,
     and its k >= 2 harmonics.  A target past an upper bound on the whole
@@ -293,17 +303,11 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
         raise ValidationError("target must be finite")
     if primes is None:
         primes = sieve_primes(GAMMA_CUT)
-    cut = float(min(GAMMA_CUT, primes.limit))
+    cut = min(GAMMA_CUT, primes.limit)
     if cut < 1_000:
         raise LimitExceeded("prime table too small; need limit >= 1000")
 
-    cands = [c for c in U_CANDIDATES if c < cut]
-    gamma, e1, e2, below = _FIXED_CACHE.get_or_set(
-        (m, sigma, cut),
-        lambda: (gamma_m_sigma(m, sigma, cut, primes),
-                 *_window_bounds(m, sigma, primes, cands, cut),
-                 [_s_sum_arrays(primes.logs[:i], _theta0(i), sigma, m)
-                  for i in primes.count_upto(cands)]))
+    gamma, cands, e1, e2, below = _below_cut(m, sigma, primes, cut)
     z_star = a - gamma
 
     budget = epsilon / 4.0
@@ -323,7 +327,7 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
             f"window radii over ({u_bound}, {primes.limit}] reach at most "
             f"{reach:.6g} of the required {need:.6g}; extend the prime "
             f"table")
-    win_p, win_logs = primes.primes[i_u:], primes.logs[i_u:]
+    win_logs = primes.logs[i_u:]
     win_r, rcum = _window_radii(m, sigma, win_logs, need)
     count = int(np.searchsorted(rcum, need)) + 1
     count = max(count, 3)
@@ -357,24 +361,16 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
         li *= 1.0 / log_m
         harmonics += complex(np.sum(li))
 
-    window = _polygon(RadiiSet(win_r[:count], labels=win_p[:count]),
-                      z_star, add_harmonics)
-
-    n_bound = int(win_p[count - 1])
-    all_p = primes.primes[:i_u + count]
-    thetas = np.empty(all_p.size)
-    thetas[:i_u] = _theta0(i_u)
-    thetas[i_u:] = window.thetas
-    theta2 = AngleAssignment(thetas, window.target, window.achieved,
-                             window.residual)
-    del window
-    final_sum = complex(below[cands.index(u_bound)] + theta2.achieved
-                        + harmonics)
+    thetas = _theta0(i_u + count)
+    achieved = _polygon(win_r[:count], z_star, thetas[i_u:], add_harmonics)
+    theta2 = AngleAssignment(thetas, z_star, achieved, abs(achieved - z_star))
+    final_sum = complex(below[cands.index(u_bound)] + achieved + harmonics)
     final_error = abs(final_sum - a)
-    return ThetaPipelineResult(m=m, sigma=sigma, a=a, epsilon=epsilon,
-                               U=u_bound, N=n_bound, gamma_value=gamma,
-                               primes=all_p.copy(), theta2=theta2,
-                               final_sum=final_sum, final_error=final_error)
+    return ThetaPipelineResult(
+        m=m, sigma=sigma, a=a, epsilon=epsilon, U=u_bound,
+        N=int(primes.primes[i_u + count - 1]), gamma_value=gamma,
+        primes=primes.primes[:i_u + count].copy(), theta2=theta2,
+        final_sum=final_sum, final_error=final_error)
 
 
 def save_theta(result: ThetaPipelineResult, path) -> None:

@@ -202,6 +202,13 @@ def test_routes_agree(m, sigma, t, tol):
     assert abs(w.value - r.value) <= r.est_error + w.est_error
 
 
+def test_recursive_error_holds_no_fixed_term():
+    # the recursive route's est_error is its fit, tail and zeta terms:
+    # no fixed 1e-10 per unit of the ray, which no step derives
+    for m, sigma, t in ((2, 1.5, 0.0), (2, 0.8, 14.0)):
+        assert eta_tilde_recursive(m, sigma, t, table=TAB).est_error < 2e-10
+
+
 def test_integral_to_cut_is_exact():
     # a different degree-8 polynomial on each of five uneven pieces: the
     # integral to the cut agrees with the power-basis antiderivatives

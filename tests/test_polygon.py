@@ -148,8 +148,9 @@ def test_degenerate_flat_sides():
 def test_unit_vectors_are_those_of_the_angles(monkeypatch):
     # on every path (the disk's boundary, a flat polygon, a cyclic one
     # with and without sorting) the unit vectors handed to each block are
-    # exp(-2 pi i theta) at the block's returned angles, the blocks cover
-    # the radii in order, and the angles are polygon_angles'; in one
+    # exp(-2 pi i theta) at the block's angles, the blocks cover the
+    # radii in order, the angles land in the caller's slice and nowhere
+    # else, and they and the achieved sum are polygon_angles'; in one
     # block and in blocks of two radii
     for block in (polygon.BLOCK, 2):
         monkeypatch.setattr(polygon, "BLOCK", block)
@@ -157,24 +158,25 @@ def test_unit_vectors_are_those_of_the_angles(monkeypatch):
                      ([3.0, 4.0, 5.0], 0j), ([1.2, 0.9, 0.4, 0.3], 0.5 - 1j)):
             r = np.array(r)
             blocks = []
-            a = _polygon(RadiiSet(r), z, lambda lo, hi, w:
-                         blocks.append((lo, hi, w.copy())))
+            held = np.full(r.size + 4, -1.0)
+            thetas = held[2:-2]
+            achieved = _polygon(r, z, thetas, lambda lo, hi, w:
+                                blocks.append((lo, hi, w.copy())))
             assert [(lo, hi) for lo, hi, _ in blocks] == [
                 (lo, min(lo + block, r.size))
                 for lo in range(0, r.size, block)]
             for lo, hi, w in blocks:
                 assert np.array_equal(
-                    w, np.exp(-2j * np.pi * a.thetas[lo:hi]))
+                    w, np.exp(-2j * np.pi * thetas[lo:hi]))
+            assert np.all(held[:2] == -1.0) and np.all(held[-2:] == -1.0)
             b = polygon_angles(RadiiSet(r), z)
-            assert np.array_equal(a.thetas, b.thetas)
-            assert (a.achieved, a.residual) == (b.achieved, b.residual)
+            assert np.array_equal(thetas, b.thetas)
+            assert (achieved, abs(achieved - z)) == (b.achieved, b.residual)
 
 
 def test_input_validation():
     with pytest.raises(ValidationError):
         RadiiSet(np.array([1.0, -1.0, 1.0]))
-    with pytest.raises(ValidationError):
-        RadiiSet(np.array([1.0, 2.0, 3.0]), labels=np.array([2, 3]))
     with pytest.raises(ValidationError):
         AngleAssignment(np.array([0.5, 1.2]), 0j, 0j, 0.0)
 

@@ -3,10 +3,10 @@ import mpmath as mp
 import pytest
 
 from iterzeta.errors import BranchObstruction, UnsupportedRange
-from iterzeta.rays import (CUTOFF_OFFSET, LineBranch, RayBranch,
-                           log_zeta_horizontal, log_zeta_real_axis,
-                           vertical_log_zeta)
-from iterzeta.zeros import bundled_table
+from iterzeta.rays import (CUTOFF_OFFSET, GUARD, LineBranch, RayBranch,
+                           _guarded, check_guard, log_zeta_horizontal,
+                           log_zeta_real_axis, vertical_log_zeta)
+from iterzeta.zeros import EMPTY_TABLE, ZeroTable, bundled_table
 
 mp.mp.dps = 25
 
@@ -93,6 +93,39 @@ def test_guard_near_ordinate():
     # zero lies left of sigma: the ray is clean, no guard
     v = log_zeta_horizontal(0.8, g1 + 5e-4, table=tab)
     assert np.isfinite(v.real) and np.isfinite(v.imag)
+
+
+def test_guard_over_many_heights():
+    # zeros left of (beta 0.5), at (0.6) and right of (0.7) the ray start
+    # sigma = 0.6, two of them 1.5 GUARD apart: at each ordinate, its
+    # guard's edges and one ulp either side of them, and at -t, the one
+    # search over all heights flags exactly the heights that the test
+    # |gamma - |t|| <= GUARD over every zero flags, and check_guard
+    # raises there, naming an ordinate within GUARD
+    sigma = 0.6
+    tab = ZeroTable(np.array([0.5, 0.6, 0.7, 0.6]),
+                    np.array([10.0, 20.0, 30.0, 30.0015]),
+                    np.ones(4, dtype=np.int64))
+    ts = []
+    for g in tab.gammas:
+        for edge in (g - GUARD, g, g + GUARD):
+            ts += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 99.0)]
+    ts = np.array(ts + [25.0, 30.00075])
+    ts = np.concatenate([ts, -ts])
+    want = np.array([np.any((np.abs(tab.gammas - abs(t)) <= GUARD)
+                            & (tab.betas >= sigma)) for t in ts])
+    got = _guarded(tab, sigma, ts)
+    assert np.array_equal(~np.isnan(got), want)
+    assert want.sum() > 0 and not want[abs(abs(ts) - 10.0) < 0.5].any()
+    assert want[ts == 20.0].all() and want[ts == 30.0].all()
+    for t, ordinate in zip(ts, got):
+        if np.isnan(ordinate):
+            check_guard(tab, sigma, t)
+        else:
+            assert abs(ordinate - abs(t)) <= GUARD
+            with pytest.raises(BranchObstruction, match=f"{ordinate:.6f}"):
+                check_guard(tab, sigma, t)
+    assert np.isnan(_guarded(EMPTY_TABLE, sigma, ts)).all()
 
 
 def test_real_axis_route():

@@ -9,11 +9,11 @@ from iterzeta.errors import (LimitExceeded, UnsupportedRange, ValidationError,
                              WindowExhausted)
 from iterzeta.polygon import RadiiSet, polygon_angles
 from iterzeta.primes import sieve_primes
-from iterzeta.torus import (GAMMA_CUT, RADII_CHUNK, _radius_bound,
-                            _window_bounds, _window_radii, construct_theta,
-                            first_harmonic_radii, gamma_m_sigma,
-                            gamma_tail_estimate, load_theta, s_sum,
-                            save_theta, second_moment_s)
+from iterzeta.torus import (GAMMA_CUT, RADII_CHUNK, _below_cut,
+                            _radius_bound, _theta0, _window_radii,
+                            construct_theta, first_harmonic_radii,
+                            gamma_m_sigma, gamma_tail_estimate, load_theta,
+                            s_sum, save_theta, second_moment_s)
 
 mp.mp.dps = 30
 
@@ -42,7 +42,9 @@ def test_gamma_truncation_obeys_tail_estimate():
 
 def test_prime_searches_take_integer_keys():
     # a float cut selects the primes up to its floor, through an integer
-    # key: 1e6 is 1_000_000 bitwise, and 1000.5 stops at 1000
+    # key: 1e6 is 1_000_000 bitwise, and 1000.5 stops at 1000, with the
+    # same window starts (1000 is not one: a start lies below the cut)
+    # and the same walk below the cut, to the bit, each formed afresh
     assert PT.count_upto(1e6) == PT.count_upto(1_000_000) == len(PT)
     assert PT.count_upto(1000.5) == np.count_nonzero(PT.primes <= 1000)
     assert list(PT.count_upto([1.5, 2.0, 996.9, 997.0])) == [0, 1, 167, 168]
@@ -51,10 +53,13 @@ def test_prime_searches_take_integer_keys():
             == gamma_m_sigma(m, sigma, 1_000_000, PT)
         assert gamma_m_sigma(m, sigma, 1000.5, PT) \
             == gamma_m_sigma(m, sigma, 1000, PT)
-        wide = _window_bounds(m, sigma, PT, [10, 100.5], 1e4)
-        narrow = _window_bounds(m, sigma, PT, [10, 100], 10_000)
-        assert np.array_equal(wide[0], narrow[0])
-        assert np.array_equal(wide[1], narrow[1])
+        torus._FIXED_CACHE.clear()
+        wide = _below_cut(m, sigma, PT, 1000.5)
+        torus._FIXED_CACHE.clear()
+        narrow = _below_cut(m, sigma, PT, 1000)
+        assert wide[:2] == narrow[:2] and wide[1] == (10, 100)
+        for got, want in zip(wide[2:], narrow[2:]):
+            assert np.array_equal(got, want)
     with pytest.raises(ValidationError):
         PT.count_upto(float("nan"))
 
@@ -143,7 +148,8 @@ def test_window_harmonic_error_explicit():
     # cut; and the alternating k = 1 tail plus its Leibniz bound
     for m, sigma, cut in ((1, 0.8, 1e4), (3, 0.6, 3e4)):
         cands = [c for c in (10, 100, 1_000, 10_000) if c < cut]
-        harmonic, first = _window_bounds(m, sigma, PT, cands, cut)
+        _, starts, harmonic, first, _ = _below_cut(m, sigma, PT, cut)
+        assert starts == tuple(cands)
         logc = np.log(cut)
         beyond = (cut ** (1 - 2 * sigma) / ((2 * sigma - 1) * logc ** (m + 1))
                   / (2 ** (m + 1) * (1 - cut ** -sigma)))
@@ -207,9 +213,7 @@ def _full_window(m, sigma, eps, primes):
     """gamma, U, the window primes, their radii and one cumsum over the
     whole window, the way construct_theta once formed them."""
     cut = float(min(GAMMA_CUT, primes.limit))
-    gamma = gamma_m_sigma(m, sigma, cut, primes)
-    cands = [c for c in (10, 100, 1_000, 10_000, 100_000) if c < cut]
-    e1, e2 = _window_bounds(m, sigma, primes, cands, cut)
+    gamma, cands, e1, e2, _ = _below_cut(m, sigma, primes, cut)
     u_bound = next(c for c, h, f in zip(cands, e1, e2)
                    if h <= eps / 4 and f <= eps / 4)
     i_u = int(np.searchsorted(primes.primes, u_bound, side="right"))
@@ -327,21 +331,49 @@ def _same_construction(r1, r2):
 
 
 def test_repeat_construction_reads_gamma_from_the_cache(deep, monkeypatch):
-    # gamma and the tail bounds are formed once per (m, sigma, cut), and
-    # every table reaching the cut shares them: a repeat on either table
-    # forms neither and is its cold call to the bit
+    # the walk below the cut is made once per (m, sigma, cut), and every
+    # table reaching the cut shares it: a repeat on either table sums no
+    # prime below the cut and is its cold call to the bit
     args = (1, 0.9, 0.35 + 0.1j, 0.2)
     cold = []
     for table in (PT, deep):
         torus._FIXED_CACHE.clear()
         cold.append(construct_theta(*args, table))
 
-    def formed(*args):
+    def formed(*args, **kwargs):
         raise AssertionError("fixed cost formed again")
-    monkeypatch.setattr(torus, "gamma_m_sigma", formed)
-    monkeypatch.setattr(torus, "_window_bounds", formed)
+    monkeypatch.setattr(torus, "_polylog_sum", formed)
     for table, want in zip((PT, deep), cold):
         assert _same_construction(construct_theta(*args, table), want)
+
+
+def test_gamma_is_the_construction_s(monkeypatch):
+    # gamma_m_sigma and construct_theta read one walk below the cut: the
+    # same gamma to the bit, and a construction after gamma_m_sigma on
+    # the same (m, sigma, cut) sums no prime below the cut
+    args = (1, 0.9, 0.35 + 0.1j, 0.2)
+    torus._FIXED_CACHE.clear()
+    gamma = gamma_m_sigma(1, 0.9, 1e6, PT)
+
+    def formed(*args, **kwargs):
+        raise AssertionError("fixed cost formed again")
+    monkeypatch.setattr(torus, "_polylog_sum", formed)
+    res = construct_theta(*args, PT)
+    assert res.gamma_value == gamma
+    assert res.final_error < 0.2
+
+
+def test_below_cut_sums_match_s_sum():
+    # gamma and the reference sum below each window start, summed by the
+    # walk's segments with signs, against s_sum of the reference pattern
+    # theta^(0) on the same primes, summed at its angles
+    for m, sigma, cut in ((1, 0.8, 1e6), (3, 0.6, 3e4)):
+        torus._FIXED_CACHE.clear()
+        gamma, cands, _, _, below = _below_cut(m, sigma, PT, cut)
+        for upto, got in zip((*cands, cut), (*below, gamma)):
+            n = PT.count_upto(upto)
+            ref = dict(zip(PT.primes[:n].tolist(), _theta0(n).tolist()))
+            assert abs(got - s_sum(ref, sigma, m)) < 1e-14
 
 
 def test_construct_validation():
