@@ -330,6 +330,10 @@ def _same_construction(r1, r2):
             == (t2.target, t2.achieved, t2.residual))
 
 
+def _formed(*args, **kwargs):
+    raise AssertionError("fixed cost formed again")
+
+
 def test_repeat_construction_reads_gamma_from_the_cache(deep, monkeypatch):
     # the walk below the cut is made once per (m, sigma, cut), and every
     # table reaching the cut shares it: a repeat on either table sums no
@@ -339,10 +343,7 @@ def test_repeat_construction_reads_gamma_from_the_cache(deep, monkeypatch):
     for table in (PT, deep):
         torus._FIXED_CACHE.clear()
         cold.append(construct_theta(*args, table))
-
-    def formed(*args, **kwargs):
-        raise AssertionError("fixed cost formed again")
-    monkeypatch.setattr(torus, "_polylog_sum", formed)
+    monkeypatch.setattr(torus, "_polylog_sum", _formed)
     for table, want in zip((PT, deep), cold):
         assert _same_construction(construct_theta(*args, table), want)
 
@@ -354,10 +355,7 @@ def test_gamma_is_the_construction_s(monkeypatch):
     args = (1, 0.9, 0.35 + 0.1j, 0.2)
     torus._FIXED_CACHE.clear()
     gamma = gamma_m_sigma(1, 0.9, 1e6, PT)
-
-    def formed(*args, **kwargs):
-        raise AssertionError("fixed cost formed again")
-    monkeypatch.setattr(torus, "_polylog_sum", formed)
+    monkeypatch.setattr(torus, "_polylog_sum", _formed)
     res = construct_theta(*args, PT)
     assert res.gamma_value == gamma
     assert res.final_error < 0.2
