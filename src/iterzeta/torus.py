@@ -15,21 +15,15 @@ gamma_{m,sigma}.  Higher harmonics in the window and the perturbed tail
 are controlled by explicit bounds, each budgeted at epsilon/4.
 
 Every sum here runs over the primes in ascending order, where the modulus
-p^-sigma of each term falls, in cache-sized blocks: through dirichlet's
-_polylog_sum, or, in the window, through the polygon's blocks.  Below
-the cut, one walk over the primes, segment by segment between the window
-starts, gives gamma, both tail bounds and the reference sums below each
-start, cached for gamma_m_sigma and construct_theta alike.  The polygon
-writes the window's angles into the one theta array, behind the
-reference pattern.  The window's radii r_p = p^-sigma / (log p)^m come
-from the prime table's logs.  The polygon's unit vectors
-w_p = exp(-2 pi i theta_p), one complex exp per window prime, are used
-block by block while in cache: r_p w_p is a term of both the polygon's
-achieved sum and the window's k = 1 part of final_sum, and
-z_p = r_p (log p)^m w_p, with no second exp, feeds the k >= 2
-harmonics.  s_sum sorts an assignment's primes only when they do not
-already ascend.  A target beyond an upper Riemann sum of the radii over
-(U, limit] is refused before any radius is formed.
+p^-sigma of each term falls, in cache-sized blocks.  Below the cut, one
+walk over the primes, segment by segment between the window starts,
+gives gamma, both tail bounds and the reference sums below each start,
+cached for gamma_m_sigma and construct_theta alike.  In the window, the
+polygon writes its angles into the one theta array behind the reference
+pattern, and each block's unit vectors w_p = exp(-2 pi i theta_p), while
+in cache, give both the k = 1 terms r_p w_p of final_sum, with radii
+r_p = p^-sigma / (log p)^m, and, as z_p = r_p (log p)^m w_p with no
+second exp, its k >= 2 harmonics.
 """
 
 from __future__ import annotations
@@ -176,26 +170,38 @@ def _below_cut(m: int, sigma: float, primes: PrimeTable, cut: float):
     Each segment between the starts takes one _polylog_sum of two rows,
     Li_{m+1}(+-p^-sigma) alternating with the prime index and
     Li_{m+1}(p^-sigma); gamma and below are prefix sums of the segments,
-    harmonic and first suffix sums."""
+    harmonic and first suffix sums.  A construction's cut is at most
+    GAMMA_CUT, so past it harmonic and first are None, and the walk sums
+    the first row alone."""
     cut = math.floor(cut)
     cands = tuple(c for c in U_CANDIDATES if c < cut)
+    bounds = cut <= GAMMA_CUT
 
     def walk():
         ends = primes.count_upto([*cands, cut])
-        segments = np.empty((ends.size, 3), dtype=complex)
-        lo = 0
-        for i, hi in enumerate(ends):
+        segments = np.zeros((ends.size, 3), dtype=complex)
+        for i, (lo, hi) in enumerate(zip((0, *ends[:-1]), ends)):
+            if hi == lo:  # no prime in the segment, as in (1000, 1008]
+                continue
             logs = primes.logs[lo:hi]
             zs = np.exp(-sigma * logs)
-            signs = np.where(np.arange(lo, hi) % 2 == 0, 1.0, -1.0)
+            # the reference points: minus at the odd prime indices
+            refs = zs.copy()
+            refs[1 - lo % 2::2] *= -1.0
+            if not bounds:
+                segments[i, 0] = _polylog_sum(m + 1, logs, m, sigma,
+                                              lambda a, b: refs[a:b])
+                continue
             ref, li = _polylog_sum(m + 1, logs, m, sigma, lambda a, b:
-                                   np.stack((signs[a:b] * zs[a:b], zs[a:b]),
-                                            axis=1), rows=2)
-            k1 = zs / logs ** m
+                                   np.stack((refs[a:b], zs[a:b]), axis=1),
+                                   rows=2)
+            log_m = logs ** m
             # sum_{k>=2} z^k / k^(m+1) = Li_{m+1}(z) - z at z = p^-sigma
-            segments[i] = ref, li.real - np.sum(k1), np.sum(signs * k1)
-            lo = hi
+            segments[i] = (ref, li.real - np.sum(zs / log_m),
+                           np.sum(refs / log_m))
         prefix = np.cumsum(segments[:, 0])
+        if not bounds:
+            return complex(prefix[-1]), cands, None, None, prefix[:-1]
         logc = math.log(cut)
         if sigma > 0.5:
             integral = cut ** (1.0 - 2.0 * sigma) / ((2.0 * sigma - 1.0)
@@ -282,19 +288,16 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
     Past the fixed cost of _below_cut's one walk over the primes up to
     GAMMA_CUT (gamma, the tail bounds and the reference pattern's sums
     below each window start), paid once per (m, sigma, cut) and then read
-    from a capped cache that gamma_m_sigma shares, the cost is
-    O(window): radii are formed only as far as the smallest window that
-    reaches the target, and the polygon over them is laid out in
-    cache-sized blocks, in place in the one theta array behind the
-    reference pattern.  Each block's unit vectors
-    w = exp(-2 pi i theta) give, while in cache, both its terms r w of
-    the achieved sum, which are the window's k = 1 terms of final_sum,
-    and its k >= 2 harmonics.  A target past an upper bound on the whole
-    window's radius sum, taken over REFUSAL_CUTS segments, is refused
-    before any radius is formed; only a target between that bound and
-    the exact sum sums every radius.  Raises WindowExhausted when the
-    prime table cannot support either the choice of U or the radius sum
-    needed to reach the target."""
+    from a capped cache that gamma_m_sigma shares, the cost is O(window):
+    radii are formed only as far as the smallest window that reaches the
+    target, and the polygon over them is laid out in cache-sized blocks,
+    in place in the one theta array behind the reference pattern, its unit
+    vectors reused for the window's k >= 2 harmonics.  A target past an
+    upper bound on the whole window's radius sum, taken over REFUSAL_CUTS
+    segments, is refused before any radius is formed; only a target
+    between that bound and the exact sum sums every radius.  Raises
+    WindowExhausted when the prime table cannot support either the choice
+    of U or the radius sum needed to reach the target."""
     _validate_torus(m, sigma)
     if not np.isfinite(epsilon) or epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
@@ -329,8 +332,7 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
             f"table")
     win_logs = primes.logs[i_u:]
     win_r, rcum = _window_radii(m, sigma, win_logs, need)
-    count = int(np.searchsorted(rcum, need)) + 1
-    count = max(count, 3)
+    count = max(int(np.searchsorted(rcum, need)) + 1, 3)
     if count > win_r.size:
         raise WindowExhausted(
             f"window radii over ({u_bound}, {primes.limit}] reach only "
@@ -342,8 +344,7 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
         raise WindowExhausted("window cannot satisfy dominance")
     count += int(dominant[0])
 
-    # the running sums are spent: dropped, to keep the peak resident size
-    # down
+    # the running sums are spent: dropped, to lower the peak resident size
     del rcum
     win_logs = win_logs[:count]
     live = _live_counts(win_logs, sigma)

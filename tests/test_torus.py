@@ -374,6 +374,46 @@ def test_below_cut_sums_match_s_sum():
             assert abs(got - s_sum(ref, sigma, m)) < 1e-14
 
 
+@pytest.mark.parametrize("cut, start", [(1005, 1_000), (10_005, 10_000),
+                                        (100_001, 100_000)])
+def test_cut_just_past_a_start(cut, start):
+    # (start, cut] holds no prime, so the walk's last segment is empty:
+    # gamma is the reference sum below that start, to the bit, and the
+    # s_sum of theta^(0) up to the cut
+    torus._FIXED_CACHE.clear()
+    gamma = gamma_m_sigma(1, 0.8, cut)
+    _, cands, harmonic, first, below = _below_cut(1, 0.8, PT, cut)
+    assert cands[-1] == start and gamma == below[-1]
+    assert np.all(np.isfinite(harmonic)) and np.all(np.isfinite(first))
+    n = PT.count_upto(cut)
+    ref = dict(zip(PT.primes[:n].tolist(), _theta0(n).tolist()))
+    assert abs(gamma - s_sum(ref, 0.8, 1)) < 1e-14
+
+
+def test_gamma_past_the_construction_cut():
+    # no construction reads the tail bounds past GAMMA_CUT, so the walk
+    # sums the reference row alone there; (1e6, 1000002] holds no prime,
+    # so gamma is the two-row walk's gamma at 1e6 up to rounding
+    torus._FIXED_CACHE.clear()
+    table = sieve_primes(1_000_002)
+    gamma, _, harmonic, first, _ = _below_cut(1, 0.8, table, 1_000_002)
+    assert harmonic is None and first is None
+    assert abs(gamma - gamma_m_sigma(1, 0.8, GAMMA_CUT, table)) < 1e-15
+
+
+def test_construct_on_a_table_ending_just_past_a_start():
+    # the cut is the table's limit 1005, past the start 1000 with no
+    # prime in between
+    torus._FIXED_CACHE.clear()
+    a, eps = 0.3 + 0.1j, 0.5
+    res = construct_theta(1, 0.8, a, eps, sieve_primes(1005))
+    ref = dict(zip(PT.primes[:PT.count_upto(1005)].tolist(),
+                   _theta0(PT.count_upto(1005)).tolist()))
+    assert abs(res.gamma_value - s_sum(ref, 0.8, 1)) < 1e-14
+    assert res.final_error < eps
+    assert abs(s_sum(res.assignment(), 0.8, 1) - a) < eps
+
+
 def test_construct_validation():
     with pytest.raises(ValidationError):
         construct_theta(1, 1.1, 0.2 + 0j, 0.1, PT)
