@@ -17,6 +17,7 @@ from .errors import (
     TargetOutsideDisk,
     TableCoverage,
     BranchObstruction,
+    GuardBand,
     QuadratureNonconvergence,
     RootFindFailure,
     WindowExhausted,

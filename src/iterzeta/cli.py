@@ -236,7 +236,7 @@ def cmd_eval(cfg: dict) -> int:
     rows, skipped = [], 0
     for t in ts:
         try:
-            # refuses a height in the guard band before any zeta call
+            # the ray refuses a guard-band height before any zeta call
             lz = log_zeta_horizontal(sigma, t, table=table)
             z = zeta(ComplexPoint(sigma, t))
             et = eta_tilde_weighted(m, sigma, t, table, abs_tol=abs_tol)

@@ -38,12 +38,11 @@ from math import ceil, exp, floor, log, sqrt
 
 import numpy as np
 
-from .errors import (ConvergenceDomain, CutoffExceeded, TableCoverage,
-                     TooFewSamples, ValidationError)
+from .errors import (ConvergenceDomain, CutoffExceeded, GuardBand,
+                     TableCoverage, TooFewSamples, ValidationError)
 from .eta import _eta_tilde_rows, _prime_powers
 from .lru import LRUDict
 from .primes import PrimeTable, sieve_primes
-from .rays import _guarded
 from .zeros import ZeroTable
 
 POLYLOG_RADIUS = 0.95
@@ -329,14 +328,15 @@ _ETA_GRID_CACHE = LRUDict(_ETA_GRID_CACHE_CAP)
 
 def _eta_tilde_grid(m: int, sigma: float, T: float, grid_step: float,
                     table: ZeroTable, abs_tol: float):
-    """eta_tilde on the uniform grid, NaN at guard-skipped points.
-    Cached so sweeps over X reuse the expensive column."""
+    """eta_tilde on the uniform grid, NaN where the ray refuses a height
+    as GuardBand; a stall raises.  Cached so sweeps over X reuse it."""
     def column():
         ts = np.arange(14.0, T + 1e-9, grid_step)
         vals = np.full(ts.size, np.nan + 0j, dtype=complex)
-        kept = np.flatnonzero(np.isnan(_guarded(table, sigma, ts)))
-        for i, ev in zip(kept, _eta_tilde_rows(m, sigma, ts[kept], table,
+        for i, ev in enumerate(_eta_tilde_rows(m, sigma, ts, table,
                                                abs_tol=abs_tol)):
+            if isinstance(ev, GuardBand):
+                continue
             if isinstance(ev, Exception):
                 raise ev
             vals[i] = ev.value

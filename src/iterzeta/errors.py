@@ -7,6 +7,7 @@ Two broad families matter for callers (and for the CLI exit codes):
 * ``ComputationError`` subclasses: the request was legal but a numeric
   procedure could not finish within its budget (refinement depth, sieve
   limit, search grid, ...).  Partial diagnostics go into the message.
+  ``GuardBand``, a ``BranchObstruction``, refuses a zero's guard band.
 """
 
 
@@ -71,7 +72,11 @@ class ComputationError(IterzetaError):
 
 
 class BranchObstruction(ComputationError):
-    """Branch tracking blocked by a zero within guard distance of the ray."""
+    """Branch tracking blocked by a zero on or next to the ray."""
+
+
+class GuardBand(BranchObstruction):
+    """Height within GUARD of a tabulated zero at or right of the ray."""
 
 
 class QuadratureNonconvergence(ComputationError):

@@ -59,8 +59,7 @@ from .lru import LRUDict
 from .primes import sieve_primes
 from .quadrature import (gl_nodes, integrate_rows, integrate_vec,
                          poly_log_integral, poly_log_integrals)
-from .rays import (CUTOFF_OFFSET, LineBranch, RayBranch, _guard_refusal,
-                   _guarded, _w, check_guard)
+from .rays import CUTOFF_OFFSET, LineBranch, RayBranch, _w, check_guard
 from .rays import GUARD  # noqa: F401  (re-exported: callers import it here)
 from .zetafun import DEFAULT_PARAMS, ComplexPoint, zeta_error
 from .zeros import EMPTY_TABLE, ZeroTable, zeros_in_box
@@ -267,10 +266,10 @@ def _eta_tilde_rows(m: int, sigma: float, ts: np.ndarray,
     call sequence of its own; the closed-form tail adds the rest.
     Each height gets its own panels, and its value differs from its
     one-height value only by the rounding of the zeta calls it shared.
-    Returns per height its EtaValue, or the BranchObstruction or
-    QuadratureNonconvergence that height raises; a height's refusal
-    leaves the others as they would be without it.  At most
-    ROWS_PER_PASS heights share a pass.
+    Returns per height its EtaValue, or the BranchObstruction (a
+    GuardBand in the guard band) or QuadratureNonconvergence that height
+    raises; a height's refusal leaves the others as they would be
+    without it.  At most ROWS_PER_PASS heights share a pass.
     """
     _validate_order_sigma(m, sigma)
     _validate_abs_tol(abs_tol)
@@ -278,18 +277,10 @@ def _eta_tilde_rows(m: int, sigma: float, ts: np.ndarray,
         return [ev for lo in range(0, ts.size, ROWS_PER_PASS)
                 for ev in _eta_tilde_rows(m, sigma, ts[lo:lo + ROWS_PER_PASS],
                                           table, abs_tol=abs_tol)]
-    ordinates = _guarded(table, sigma, ts)
-    out = [None if np.isnan(g) else _guard_refusal(t, g)
-           for t, g in zip(ts, ordinates)]
-    live = np.flatnonzero(np.isnan(ordinates))
-    if not live.size:
-        return out
-    branch = RayBranch(sigma, ts[live])
-    for j in np.nonzero(branch.obstructed)[0]:
-        out[live[j]] = branch.refusal(j)
+    branch = RayBranch(sigma, ts, table)
+    out = [branch.refusal(j) if hit else None
+           for j, hit in enumerate(branch.obstructed)]
     rows = np.nonzero(~branch.obstructed)[0]
-    if not rows.size:
-        return out
     a_cut = sigma + CUTOFF_OFFSET
     fm = factorial(m - 1)
 
@@ -305,11 +296,10 @@ def _eta_tilde_rows(m: int, sigma: float, ts: np.ndarray,
     nev = nev + branch.row_nodes[rows]
     for j, r in enumerate(rows):
         if refused[j] is not None:
-            out[live[r]] = refused[j]
+            out[r] = refused[j]
         else:
-            out[live[r]] = EtaValue(m, ComplexPoint(sigma, float(ts_ok[j])),
-                                    complex(value[j]), float(err[j]),
-                                    int(nev[j]))
+            out[r] = EtaValue(m, ComplexPoint(sigma, float(ts_ok[j])),
+                              complex(value[j]), float(err[j]), int(nev[j]))
     return out
 
 
@@ -373,17 +363,17 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
         return EtaValue(m, ComplexPoint(sigma, t),
                         np.conjugate(below.value), below.est_error,
                         below.nevals)
-    check_guard(table, sigma, t)
     a_cut = sigma + CUTOFF_OFFSET
 
     nev = 0
     if t == 0.0:
+        check_guard(table, sigma, t)
         edges = np.linspace(sigma, a_cut, 25)
 
         def f_vec(xs):
             return np.log(_w(xs).real).astype(complex)
     else:
-        branch = RayBranch(sigma, t)
+        branch = RayBranch(sigma, t, table)
         nev += branch.nodes_used
         edges = sigma + branch.offsets()
         f_vec = branch.log_zeta

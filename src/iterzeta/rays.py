@@ -26,9 +26,10 @@ that rounding exact.
   where log W is principal: from sigma = 1/2 on, the anchor has
   Re s >= 6.5 and |Im log zeta| < 0.012.  Past the anchor eta
   integrates log zeta's Dirichlet series in closed form, so no ray runs
-  further.  The heights' ladders refine together, one _w call per
-  round, and a ladder that stalls on a zero obstructs only its own
-  height.
+  further.  A height within GUARD of the ordinate of a table zero at or
+  right of sigma gets no ladder: it refuses as GuardBand.  The others'
+  ladders refine together, one _w call per round, and a ladder that
+  stalls on a zero obstructs only its own height.
 * `LineBranch` runs it over u on a segment of the line sigma + iu.
   There log W is continuous in u except at ordinates of zeros with
   beta >= sigma, where the horizontal convention jumps, so the ladder is
@@ -44,8 +45,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BranchObstruction, UnsupportedRange
-from .zeros import ZeroTable
+from .errors import BranchObstruction, GuardBand, UnsupportedRange
+from .zeros import EMPTY_TABLE, ZeroTable
 from .zetafun import POLE_RADIUS, zeta_batch
 
 # length of every ray, and the offset X past which eta integrates log
@@ -101,14 +102,14 @@ def _guarded(table: ZeroTable, sigma: float, ts) -> np.ndarray:
     return np.where(np.minimum(d_left, d_right) <= GUARD, nearest, np.nan)
 
 
-def _guard_refusal(t: float, ordinate: float) -> BranchObstruction:
-    return BranchObstruction(f"height t={t:g} within {GUARD:g} of zero "
-                             f"ordinate {ordinate:.6f}")
+def _guard_refusal(t: float, ordinate: float) -> GuardBand:
+    return GuardBand(f"height t={t:g} within {GUARD:g} of zero "
+                     f"ordinate {ordinate:.6f}")
 
 
 def check_guard(table: ZeroTable, sigma: float, t: float) -> None:
-    """Reject heights within GUARD of an ordinate whose zero lies at or
-    right of the ray start; the branch walk degenerates there."""
+    """GuardBand if t lies within GUARD of an ordinate whose zero is at or
+    right of sigma; for t = 0, as RayBranch guards every t > 0."""
     ordinate = float(_guarded(table, sigma, t))
     if not np.isnan(ordinate):
         raise _guard_refusal(t, ordinate)
@@ -180,8 +181,9 @@ class RayBranch:
 
     One _refine call resolves the ladders of all rows; the gap between
     two rows is never linked, so each row's ladder is the one it gets
-    alone.  A row whose ladder stalls, or meets a zero or non-finite W,
-    is marked in `obstructed` and its queries raise BranchObstruction;
+    alone.  A row in the guard band of table (_guarded) gets no ladder;
+    it and a row whose ladder stalls, or meets a zero or non-finite W,
+    are marked in `obstructed`, their queries raise `refusal(row)`, and
     the other rows are unaffected.  log_zeta returns continued values:
     the zeta evaluation at each query is exact; the node ladder only
     supplies the winding integer.  offsets is the starting ladder in
@@ -189,7 +191,8 @@ class RayBranch:
     _initial_offsets().
     """
 
-    def __init__(self, sigma: float, t, offsets=None):
+    def __init__(self, sigma: float, t, table: ZeroTable = EMPTY_TABLE,
+                 offsets=None):
         self.sigma = float(sigma)
         self.heights = np.atleast_1d(np.asarray(t, dtype=float))
         if self.heights.ndim != 1 or not np.all(self.heights > 0.0):
@@ -197,15 +200,18 @@ class RayBranch:
                                    "has its own closed-form branch")
         base = _initial_offsets() if offsets is None else offsets
         rows = self.heights.size
-        linked = np.ones((rows, base.size), dtype=bool)
+        self._ordinates = _guarded(table, self.sigma, self.heights)
+        live = np.flatnonzero(np.isnan(self._ordinates))
+        linked = np.ones((live.size, base.size), dtype=bool)
         linked[:, -1] = False
         s, w, linked, stalled = _refine(
             ((self.sigma + base)[None, :]
-             + 1j * self.heights[:, None]).ravel(), linked.ravel()[:-1])
-        # rows end at the unlinked gaps that did not stall
+             + 1j * self.heights[live, None]).ravel(), linked.ravel()[:-1])
+        # live rows end at the unlinked gaps that did not stall
         row = np.concatenate([[0], np.cumsum(~linked & ~stalled)])
-        self.obstructed = np.bincount(row[:-1][stalled],
-                                      minlength=rows) > 0
+        row = live[row[:s.size]]      # no node when no row is live
+        self.obstructed = ~np.isnan(self._ordinates) | (np.bincount(
+            row[:-1][stalled], minlength=rows) > 0)
         self.row_nodes = np.bincount(row, minlength=rows)
         self.nodes_used = int(s.size)
 
@@ -228,7 +234,9 @@ class RayBranch:
         self._last = np.searchsorted(row, np.arange(rows), side="right") - 1
 
     def refusal(self, row: int) -> BranchObstruction:
-        """What a query at an obstructed row raises."""
+        """What a query at an obstructed row raises: GuardBand or stall."""
+        if not np.isnan(self._ordinates[row]):
+            return _guard_refusal(self.heights[row], self._ordinates[row])
         return BranchObstruction(
             f"branch walk stalled at sigma={self.sigma:g}, "
             f"t={self.heights[row]:g}: zero too close to the ray")
@@ -270,9 +278,6 @@ class RayBranch:
         im_interp = self._im[j] + frac * (self._im[j + 1] - self._im[j])
         k = np.round((im_interp - lq.imag) / (2.0 * np.pi))
         return lq + 2j * np.pi * k - np.log(s - 1.0)
-
-    def log_zeta_at(self, alpha: float) -> complex:
-        return complex(self.log_zeta(np.array([alpha]))[0])
 
 
 class LineBranch:
@@ -360,7 +365,7 @@ class LineBranch:
         turns = {j: int(np.round(-self._im[j] / (2.0 * np.pi)))
                  for j in nodes[x[nodes] == 0.0]}
         if walked.size:
-            ray = RayBranch(self.sigma, x[walked], _walk_offsets())
+            ray = RayBranch(self.sigma, x[walked], offsets=_walk_offsets())
             self.nodes_used += ray.nodes_used
             ray._require(np.arange(walked.size))
             first = np.searchsorted(ray._row, np.arange(walked.size))
@@ -406,31 +411,28 @@ def vertical_log_zeta(sigma: float, heights) -> np.ndarray:
     use a LineBranch, whose ladder carries the winding between heights.
     """
     heights = np.asarray(heights, dtype=float).ravel()
-    if heights.size == 0:
-        return np.zeros(0, dtype=complex)
     return RayBranch(sigma, heights).log_zeta(np.full(heights.size, sigma),
                                               np.arange(heights.size))
 
 
-def log_zeta_horizontal(sigma: float, t: float, table=None) -> complex:
+def log_zeta_horizontal(sigma: float, t: float,
+                        table: ZeroTable = EMPTY_TABLE) -> complex:
     """Branch-tracked log zeta(sigma + it): continuous variation from
     alpha = +infinity leftward along the horizontal line.
 
-    If a zero table is given, heights within the guard distance of an
-    ordinate whose zero sits at or right of sigma are rejected up front
-    (the walk would degenerate there anyway).  t = 0 gives the limit
-    from the upper half plane: real log of zeta(s)(s-1) minus
+    Heights within the guard distance of an ordinate of table whose zero
+    sits at or right of sigma are refused with GuardBand before any zeta
+    call (the walk would degenerate there anyway).  t = 0 gives the
+    limit from the upper half plane: real log of zeta(s)(s-1) minus
     log|sigma-1|, minus i pi left of the pole.
     """
-    if table is not None:
-        check_guard(table, sigma, t)
     if t == 0.0:
+        check_guard(table, sigma, t)
         if abs(sigma - 1.0) < 1e-12:
             raise BranchObstruction("the ray at t = 0 meets the pole")
         return complex(log_zeta_real_axis(np.array([sigma]))[0])
-    if t < 0.0:
-        return np.conjugate(log_zeta_horizontal(sigma, -t, table))
-    return RayBranch(sigma, t).log_zeta_at(sigma)
+    value = complex(RayBranch(sigma, abs(t), table).log_zeta([sigma])[0])
+    return value.conjugate() if t < 0.0 else value
 
 
 def log_zeta_real_axis(alphas) -> np.ndarray:

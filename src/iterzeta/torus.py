@@ -87,9 +87,7 @@ def gamma_m_sigma(m: int, sigma: float, tail_cut: float,
     _validate_torus(m, sigma)
     if not tail_cut >= 1_000:
         raise ValidationError("tail_cut below 1000 gives a useless estimate")
-    if primes is None:
-        primes = sieve_primes(int(tail_cut))
-    if primes.limit < tail_cut:
+    if primes is not None and primes.limit < tail_cut:
         raise LimitExceeded(
             f"prime table reaches {primes.limit}, below tail_cut {tail_cut}")
     return _below_cut(m, sigma, primes, tail_cut)[0]
@@ -157,11 +155,12 @@ def _radii(m: int, sigma: float, logs: np.ndarray) -> np.ndarray:
     return np.exp(-sigma * logs) / logs ** m
 
 
-def _below_cut(m: int, sigma: float, primes: PrimeTable, cut: float):
+def _below_cut(m: int, sigma: float, primes: Optional[PrimeTable], cut: float):
     """(gamma, cands, harmonic, first, below) by one walk over the primes
-    up to floor(cut), cached by (m, sigma, floor(cut)): gamma, the
-    reference sum over them; the window starts cands, those of
-    U_CANDIDATES below the cut; and per start U
+    up to floor(cut) (sieved on a cache miss if primes is None), cached
+    by (m, sigma, floor(cut)): gamma, the reference sum over them; the
+    window starts cands, those of U_CANDIDATES below the cut; and per
+    start U
     * harmonic: the k >= 2 harmonics over (U, cut], summed exactly, plus
       an integral bound past the cut;
     * first: |alternating k=1 tail over (U, cut]| plus the Leibniz bound
@@ -178,12 +177,13 @@ def _below_cut(m: int, sigma: float, primes: PrimeTable, cut: float):
     bounds = cut <= GAMMA_CUT
 
     def walk():
-        ends = primes.count_upto([*cands, cut])
+        table = sieve_primes(cut) if primes is None else primes
+        ends = table.count_upto([*cands, cut])
         segments = np.zeros((ends.size, 3), dtype=complex)
         for i, (lo, hi) in enumerate(zip((0, *ends[:-1]), ends)):
             if hi == lo:  # no prime in the segment, as in (1000, 1008]
                 continue
-            logs = primes.logs[lo:hi]
+            logs = table.logs[lo:hi]
             zs = np.exp(-sigma * logs)
             # the reference points: minus at the odd prime indices
             refs = zs.copy()

@@ -7,9 +7,9 @@ from iterzeta.dirichlet import (_eta_tilde_grid, _li_grid, _polylog_sum,
                                 dirichlet_li_sum, li_vs_mangoldt_gap,
                                 mangoldt_sum, mean_square_error, polylog,
                                 polylog_batch)
-from iterzeta.errors import (ConvergenceDomain, CutoffExceeded,
-                             TableCoverage, UnsupportedRange,
-                             ValidationError)
+from iterzeta.errors import (BranchObstruction, ConvergenceDomain,
+                             CutoffExceeded, GuardBand, TableCoverage,
+                             UnsupportedRange, ValidationError)
 from iterzeta.primes import sieve_primes
 from iterzeta.zeros import ZeroTable, bundled_table
 
@@ -280,6 +280,20 @@ def test_eta_grid_cache_keys_on_table_contents(monkeypatch):
     monkeypatch.setattr(dirichlet, "_ETA_GRID_CACHE",
                         dirichlet.LRUDict(dirichlet._ETA_GRID_CACHE_CAP))
     assert mean_square_error(1, 0.5, 100, 30.0, 0.25, extra) == second
+
+
+def test_eta_grid_raises_a_stall():
+    # a table holding only a zero left of the line misses the first zero
+    # on it, and the grid lands on that zero's ordinate: the ray there
+    # stalls, and the grid raises the stall instead of skipping the
+    # height as it skips the guard band
+    g1 = bundled_table().gammas[0]
+    step = g1 - 14.0
+    assert np.arange(14.0, 20.0 + 1e-9, step)[1] == g1
+    lone = ZeroTable(np.array([0.3]), np.array([100.0]), np.array([1]))
+    with pytest.raises(BranchObstruction) as caught:
+        mean_square_error(1, 0.5, 100, 20.0, step, lone)
+    assert not isinstance(caught.value, GuardBand)
 
 
 def test_mean_square_validation():

@@ -7,14 +7,15 @@ import mpmath as mp
 import pytest
 
 from iterzeta import eta
-from iterzeta.errors import (BranchObstruction, QuadratureNonconvergence,
-                             TableCoverage, ValidationError)
+from iterzeta.errors import (BranchObstruction, GuardBand,
+                             QuadratureNonconvergence, TableCoverage,
+                             ValidationError)
 from iterzeta.eta import (_eta_tilde_rows, c_m, check_bridge, check_guard,
                           eta_tilde_recursive, eta_tilde_weighted,
                           eta_vertical, growth_check, tail_bound, y_m,
                           y_m_terms)
 from iterzeta.quadrature import integrate_vec
-from iterzeta.rays import CUTOFF_OFFSET
+from iterzeta.rays import CUTOFF_OFFSET, log_zeta_horizontal
 from iterzeta.zetafun import zeta_batch
 from iterzeta.zeros import EMPTY_TABLE, ZeroTable, bundled_table
 
@@ -463,9 +464,16 @@ def test_vertical_preconditions():
 
 def test_guard_band():
     g1 = TAB.gammas[0]
-    with pytest.raises(BranchObstruction):
+    with pytest.raises(GuardBand):
         check_guard(TAB, 0.4, g1 + 5e-4)
     check_guard(TAB, 0.8, g1 + 5e-4)  # zero left of sigma: clean
+    # every horizontal route refuses the band with a GuardBand, at +-t
+    for t in (g1 + 5e-4, -g1 - 5e-4):
+        for route in (eta_tilde_weighted, eta_tilde_recursive):
+            with pytest.raises(GuardBand, match=f"{g1:.6f}"):
+                route(1, 0.5, t, TAB)
+        with pytest.raises(GuardBand, match=f"{g1:.6f}"):
+            log_zeta_horizontal(0.5, t, TAB)
 
 
 def test_abs_tol_must_be_positive():

@@ -2,7 +2,8 @@ import numpy as np
 import mpmath as mp
 import pytest
 
-from iterzeta.errors import BranchObstruction, UnsupportedRange
+from iterzeta import rays
+from iterzeta.errors import BranchObstruction, GuardBand, UnsupportedRange
 from iterzeta.rays import (CUTOFF_OFFSET, GUARD, LineBranch, RayBranch,
                            _guarded, check_guard, log_zeta_horizontal,
                            log_zeta_real_axis, vertical_log_zeta)
@@ -93,6 +94,34 @@ def test_guard_near_ordinate():
     # zero lies left of sigma: the ray is clean, no guard
     v = log_zeta_horizontal(0.8, g1 + 5e-4, table=tab)
     assert np.isfinite(v.real) and np.isfinite(v.imag)
+
+
+def test_ray_refuses_the_guard_band_before_any_zeta_call(monkeypatch):
+    # a guard-band row gets no ladder: the ray spends exactly the zeta
+    # points of the ray without it, and the row refuses with a GuardBand
+    # naming the ordinate, while the other row reads as it does alone
+    points, zeta_batch = [], rays.zeta_batch
+
+    def counted(s, *args):
+        points.append(np.size(s))
+        return zeta_batch(s, *args)
+    monkeypatch.setattr(rays, "zeta_batch", counted)
+    g2 = TAB.gammas[1]
+    both = RayBranch(0.5, [g2 + 5e-4, 30.0], TAB)
+    spent = sum(points)
+    points.clear()
+    alone = RayBranch(0.5, [30.0])
+    assert spent == sum(points) > 0
+    assert both.obstructed.tolist() == [True, False]
+    refusal = both.refusal(0)
+    assert isinstance(refusal, GuardBand) and f"{g2:.6f}" in str(refusal)
+    with pytest.raises(GuardBand):
+        both.log_zeta(np.array([0.5]), 0)
+    assert np.array_equal(both.offsets(1), alone.offsets())
+    # with no table to guard it, a ray through a zero stalls, and keeps
+    # the plain BranchObstruction
+    stalled = RayBranch(0.5, [TAB.gammas[0]])
+    assert type(stalled.refusal(0)) is BranchObstruction
 
 
 def test_guard_over_many_heights():

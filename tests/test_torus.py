@@ -361,6 +361,16 @@ def test_gamma_is_the_construction_s(monkeypatch):
     assert res.final_error < 0.2
 
 
+def test_gamma_without_a_table_sieves_on_a_miss_only(monkeypatch):
+    # with no prime table, the sieve to the cut is made inside the cached
+    # walk: a repeat call reads the cache, sieves nothing, and returns the
+    # first call's gamma to the bit
+    torus._FIXED_CACHE.clear()
+    gamma = gamma_m_sigma(1, 0.8, 1e6)
+    monkeypatch.setattr(torus, "sieve_primes", _formed)
+    assert gamma_m_sigma(1, 0.8, 1e6) == gamma
+
+
 def test_below_cut_sums_match_s_sum():
     # gamma and the reference sum below each window start, summed by the
     # walk's segments with signs, against s_sum of the reference pattern
