@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import (BranchObstruction, ComputationError, TableCoverage,
-                     ValidationError)
-from .eta import eta_tilde_weighted, eta_vertical, y_m
+from .errors import BranchObstruction, ComputationError, ValidationError
+from .eta import ABS_TOL, eta_tilde_weighted, eta_vertical, y_m
 from .hunt import HuntConfig, hunt_value
 from .dirichlet import mean_square_error
 from .polygon import RadiiSet, polygon_angles
@@ -81,38 +80,22 @@ def parse_overrides(tokens) -> dict:
     return cfg
 
 
-def _need(cfg: dict, key: str):
-    if key not in cfg:
-        raise ValidationError(f"field {key}: required but missing")
-    return cfg[key]
-
-
-def _as_int(cfg: dict, key: str, default=None) -> int:
+def _field(cfg: dict, key: str, kind=str, default=None):
+    """Setting key of cfg as kind: int, float (an integer is taken too),
+    complex (a number, or a literal such as 1+2i) or str.  Absent, it is
+    default, and refused when there is none."""
     if key not in cfg:
         if default is None:
             raise ValidationError(f"field {key}: required but missing")
         return default
     val = cfg[key]
-    if isinstance(val, int):
-        return val
-    raise ValidationError(f"field {key}: expected an integer, got {val!r}")
-
-
-def _as_float(cfg: dict, key: str, default=None) -> float:
-    if key not in cfg:
-        if default is None:
-            raise ValidationError(f"field {key}: required but missing")
-        return default
-    val = cfg[key]
-    if isinstance(val, (int, float)):
-        return float(val)
-    raise ValidationError(f"field {key}: expected a number, got {val!r}")
-
-
-def _as_complex(cfg: dict, key: str) -> complex:
-    val = _need(cfg, key)
-    if isinstance(val, (int, float)):
-        return complex(val)
+    if kind is str:
+        return str(val)
+    if isinstance(val, int) or (kind is not int and isinstance(val, float)):
+        return kind(val)
+    if kind is not complex:
+        expected = "an integer" if kind is int else "a number"
+        raise ValidationError(f"field {key}: expected {expected}, got {val!r}")
     text = str(val).strip().replace(" ", "")
     try:
         z = complex(text.replace("i", "j"))
@@ -124,21 +107,13 @@ def _as_complex(cfg: dict, key: str) -> complex:
     return z
 
 
-def _as_str(cfg: dict, key: str, default=None) -> str:
-    if key not in cfg:
-        if default is None:
-            raise ValidationError(f"field {key}: required but missing")
-        return default
-    return str(cfg[key])
-
-
 # most rows one eval grid may hold; a row costs milliseconds
 MAX_GRID_ROWS = 100_000
 
 
 def _t_grid(cfg: dict) -> np.ndarray:
-    spec = str(_need(cfg, "t"))
-    step = _as_float(cfg, "step", 0.5)
+    spec = _field(cfg, "t")
+    step = _field(cfg, "step", float, 0.5)
     if not (np.isfinite(step) and step > 0.0):
         raise ValidationError("field step: must be finite and positive")
     if ".." in spec:
@@ -218,20 +193,18 @@ _EVAL_HEADER = ("m", "sigma", "t", "re_zeta", "im_zeta", "re_log_zeta",
 
 
 def cmd_eval(cfg: dict) -> int:
-    m = _as_int(cfg, "m")
-    sigma = _as_float(cfg, "sigma")
-    out = _as_str(cfg, "out")
+    m = _field(cfg, "m", int)
+    sigma = _field(cfg, "sigma", float)
+    out = _field(cfg, "out")
     table = _load_table(cfg, required=True)
-    abs_tol = _as_float(cfg, "abs_tol", 1e-8)
+    abs_tol = _field(cfg, "abs_tol", float, ABS_TOL)
     ts = _t_grid(cfg)
     # the grid ascends: its ends decide whether every row can be computed
     if ts.size and not ts[0] > 0.0:
         raise ValidationError(f"field t: t={ts[0]:g} is not positive; "
                               "eta_m needs t > 0")
-    if ts.size and ts[-1] > table.coverage:
-        raise TableCoverage(
-            f"field t: t={ts[-1]:g} beyond table coverage "
-            f"{table.coverage:g} ({table.source_label})")
+    if ts.size:
+        table.require_coverage(ts[-1])
     start = time.monotonic()
     rows, skipped = [], 0
     for t in ts:
@@ -261,13 +234,13 @@ _MS_HEADER = ("m", "sigma", "X", "T", "mse", "bound_ratio",
 
 
 def cmd_meansquare(cfg: dict) -> int:
-    m = _as_int(cfg, "m")
-    sigma = _as_float(cfg, "sigma")
-    T = _as_float(cfg, "T")
-    grid_step = _as_float(cfg, "step", 0.25)
-    out = _as_str(cfg, "out")
+    m = _field(cfg, "m", int)
+    sigma = _field(cfg, "sigma", float)
+    T = _field(cfg, "T", float)
+    grid_step = _field(cfg, "step", float, 0.25)
+    out = _field(cfg, "out")
     table = _load_table(cfg, required=False)
-    xs_raw = str(_need(cfg, "X"))
+    xs_raw = _field(cfg, "X")
     try:
         xs = [int(tok) for tok in xs_raw.replace(",", " ").split()]
     except ValueError:
@@ -298,17 +271,16 @@ _HUNT_HEADER = ("m", "sigma", "re_a", "im_a", "epsilon", "t_witness",
 
 
 def cmd_hunt(cfg: dict) -> int:
-    m = _as_int(cfg, "m")
-    sigma = _as_float(cfg, "sigma")
-    a = _as_complex(cfg, "a")
-    epsilon = _as_float(cfg, "epsilon")
-    out = _as_str(cfg, "out")
+    m = _field(cfg, "m", int)
+    sigma = _field(cfg, "sigma", float)
+    a = _field(cfg, "a", complex)
+    epsilon = _field(cfg, "epsilon", float)
+    out = _field(cfg, "out")
     table = _load_table(cfg, required=False)
-    config = HuntConfig(
-        t_min=_as_float(cfg, "t_min", 10.0),
-        t_max=_as_float(cfg, "t_max", 240.0),
-        eval_budget=_as_int(cfg, "eval_budget", 48),
-        min_separation=_as_float(cfg, "min_separation", 0.5))
+    # the keys given; HuntConfig holds the defaults of the rest
+    config = HuntConfig(**{key: _field(cfg, key, kind) for key, kind in (
+        ("t_min", float), ("t_max", float), ("eval_budget", int),
+        ("min_separation", float)) if key in cfg})
     start = time.monotonic()
     res = hunt_value(m, sigma, a, epsilon, config, table)
     status = "success" if res.success else "failure"
@@ -334,15 +306,15 @@ def cmd_hunt(cfg: dict) -> int:
 
 def cmd_polygon(cfg: dict) -> int:
     """Radii mode: the angle table closing the given radii onto z."""
-    out = _as_str(cfg, "out")
+    out = _field(cfg, "out")
     start = time.monotonic()
-    raw = str(cfg["radii"])
+    raw = _field(cfg, "radii")
     try:
         radii = np.array([float(tok) for tok in raw.replace(",", " ").split()])
     except ValueError:
         raise ValidationError(
             f"field radii: expected numbers, got {raw!r}") from None
-    z = _as_complex(cfg, "z") if "z" in cfg else 0.0 + 0.0j
+    z = _field(cfg, "z", complex, 0.0 + 0.0j)
     assign = polygon_angles(RadiiSet(radii), z)
     rows = [(format(i + 1, "d"), _fmt(r), _fmt(th))
             for i, (r, th) in enumerate(zip(radii, assign.thetas))]
@@ -356,14 +328,15 @@ def cmd_polygon(cfg: dict) -> int:
 
 def cmd_construct(cfg: dict) -> int:
     """Construct mode of polygon: prime angles realizing a to epsilon."""
-    out = _as_str(cfg, "out")
+    out = _field(cfg, "out")
     start = time.monotonic()
-    m = _as_int(cfg, "m")
-    sigma = _as_float(cfg, "sigma")
-    a = _as_complex(cfg, "a")
-    epsilon = _as_float(cfg, "epsilon")
-    limit = _as_int(cfg, "sieve_limit", 1_000_000)
-    primes = sieve_primes(limit)
+    m = _field(cfg, "m", int)
+    sigma = _field(cfg, "sigma", float)
+    a = _field(cfg, "a", complex)
+    epsilon = _field(cfg, "epsilon", float)
+    # without sieve_limit, construct_theta sieves to its own cut
+    primes = (sieve_primes(_field(cfg, "sieve_limit", int))
+              if "sieve_limit" in cfg else None)
     res = construct_theta(m, sigma, a, epsilon, primes)
     save_theta(res, out)
     RunManifest("polygon", cfg, wall_time=time.monotonic() - start,

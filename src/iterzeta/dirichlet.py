@@ -39,8 +39,8 @@ from math import ceil, exp, floor, log, sqrt
 import numpy as np
 
 from .errors import (ConvergenceDomain, CutoffExceeded, GuardBand,
-                     TableCoverage, TooFewSamples, ValidationError)
-from .eta import _eta_tilde_rows, _prime_powers
+                     TooFewSamples, ValidationError)
+from .eta import ABS_TOL, _eta_tilde_rows, _prime_powers
 from .lru import LRUDict
 from .primes import PrimeTable, sieve_primes
 from .zeros import ZeroTable
@@ -319,9 +319,8 @@ class MeanSquareReport:
             raise ValidationError("mean-square report out of range")
 
 
-# eta~ grid columns by (m, sigma, T, step, table contents, abs_tol); a
-# sweep over X reads one column.  The key holds the table's zeros, not
-# its label: two tables of one label may differ
+# eta~ grid columns by (m, sigma, T, step, table.key, abs_tol); a sweep
+# over X reads one column
 _ETA_GRID_CACHE_CAP = 8
 _ETA_GRID_CACHE = LRUDict(_ETA_GRID_CACHE_CAP)
 
@@ -343,14 +342,13 @@ def _eta_tilde_grid(m: int, sigma: float, T: float, grid_step: float,
         return ts, vals
 
     return _ETA_GRID_CACHE.get_or_set(
-        (m, sigma, T, grid_step, table.betas.tobytes(),
-         table.gammas.tobytes(), table.mults.tobytes(), abs_tol), column)
+        (m, sigma, T, grid_step, table.key, abs_tol), column)
 
 
 def mean_square_error(m: int, sigma: float, X: float, T: float,
                       grid_step: float, table: ZeroTable,
                       primes: PrimeTable | None = None, *,
-                      abs_tol: float = 1e-8) -> MeanSquareReport:
+                      abs_tol: float = ABS_TOL) -> MeanSquareReport:
     """Trapezoidal estimate of (1/T) int_14^T |eta_tilde - D_X|^2 dt.
 
     Guard-zone grid points are skipped and reported as a fraction;
@@ -364,9 +362,7 @@ def mean_square_error(m: int, sigma: float, X: float, T: float,
         raise ValidationError("sigma must be >= 1/2")
     if X < 3.0:
         raise ValidationError("cutoff X must be at least 3")
-    if T > table.coverage:
-        raise TableCoverage(
-            f"T={T:g} beyond table coverage {table.coverage:g}")
+    table.require_coverage(T)
     if primes is None:
         primes = sieve_primes(max(3, int(X)))
     logs = _prime_logs(X, primes)

@@ -53,8 +53,8 @@ from math import e as _E, factorial, log
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .errors import (QuadratureNonconvergence, TableCoverage,
-                     UnsupportedRange, ValidationError)
+from .errors import (QuadratureNonconvergence, UnsupportedRange,
+                     ValidationError)
 from .lru import LRUDict
 from .primes import sieve_primes
 from .quadrature import (gl_nodes, integrate_rows, integrate_vec,
@@ -65,6 +65,8 @@ from .zetafun import DEFAULT_PARAMS, ComplexPoint, zeta_error
 from .zeros import EMPTY_TABLE, ZeroTable, zeros_in_box
 
 SUPPORTED_M = (1, 2, 3)
+# the default quadrature tolerance of every eta and dirichlet integral
+ABS_TOL = 1e-8
 # heights in one pass of _eta_tilde_rows.  A pass holds the quadrature
 # nodes of all its heights at once, so this bounds its memory; from
 # about 16 heights on, a pass costs the same per height
@@ -226,7 +228,7 @@ def _pole_log(m: int, sigma: float, a_cut: float) -> complex:
 
 def eta_tilde_weighted(m: int, sigma: float, t: float,
                        table: ZeroTable = EMPTY_TABLE, *,
-                       abs_tol: float = 1e-8) -> EtaValue:
+                       abs_tol: float = ABS_TOL) -> EtaValue:
     """Horizontal iterated integral via the collapsed weighted form.
     At t > 0 this is the one-height call of _eta_tilde_rows."""
     _validate_order_sigma(m, sigma)
@@ -257,7 +259,7 @@ def eta_tilde_weighted(m: int, sigma: float, t: float,
 
 
 def _eta_tilde_rows(m: int, sigma: float, ts: np.ndarray,
-                    table: ZeroTable, *, abs_tol: float = 1e-8) -> list:
+                    table: ZeroTable, *, abs_tol: float = ABS_TOL) -> list:
     """eta~_m(sigma + it) at every height t > 0 of ts, in one pass.
 
     One RayBranch resolves the ladders of all heights and one
@@ -340,7 +342,7 @@ def _integral_to_cut(lo: np.ndarray, hi: np.ndarray, coeffs: np.ndarray,
 
 def eta_tilde_recursive(m: int, sigma: float, t: float,
                         table: ZeroTable = EMPTY_TABLE, *,
-                        abs_tol: float = 1e-8) -> EtaValue:
+                        abs_tol: float = ABS_TOL) -> EtaValue:
     """Horizontal iterated integral by literal nesting.
 
     log zeta on [sigma, A], A = sigma + CUTOFF_OFFSET, is fitted by
@@ -429,7 +431,7 @@ def _c_eta(m: int, sigma: float, abs_tol: float) -> EtaValue:
                                    abs_tol=abs_tol))
 
 
-def c_m(m: int, sigma: float, *, abs_tol: float = 1e-8) -> complex:
+def c_m(m: int, sigma: float, *, abs_tol: float = ABS_TOL) -> complex:
     """Integration constant of the vertical recursion:
     i^m / (m-1)! int_sigma^inf (a-sigma)^(m-1) log zeta(a) da, with the
     real-axis branch taken as the limit from the upper half plane."""
@@ -522,8 +524,7 @@ class _Line:
 
 def _line(m: int, sigma: float, abs_tol: float, table: ZeroTable) -> _Line:
     return _LINE_CACHE.get_or_set(
-        (m, sigma, abs_tol, table.betas.tobytes(), table.gammas.tobytes(),
-         table.mults.tobytes()),
+        (m, sigma, abs_tol, table.key),
         lambda: _Line(m, sigma, abs_tol, table))
 
 
@@ -552,7 +553,7 @@ def _shift(F, E, delta: float, S, R):
 
 
 def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable, *,
-                 abs_tol: float = 1e-8) -> EtaValue:
+                 abs_tol: float = ABS_TOL) -> EtaValue:
     """Vertical iterated integral, stepped up the line:
 
         eta_m = 1/(m-1)! int_0^t (t-u)^(m-1) log zeta(sigma+iu) du
@@ -598,10 +599,7 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable, *,
     if not t > 0.0:
         raise ValidationError("eta_vertical needs t > 0; at t = 0 the "
                               "value is c_m(sigma) by definition")
-    if t > table.coverage:
-        raise TableCoverage(
-            f"height t={t:g} beyond table coverage {table.coverage:g} "
-            f"({table.source_label}); zeros there would be invisible")
+    table.require_coverage(t)
     h = SINGULARITY_PAD
     gam = table.gammas[table.gammas < t]
     if gam.size and np.min(np.diff(gam), initial=np.inf) <= 2.0 * h:
@@ -685,7 +683,7 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable, *,
 
 
 def check_bridge(m: int, sigma: float, t: float, table: ZeroTable, *,
-                 abs_tol: float = 1e-8) -> float:
+                 abs_tol: float = ABS_TOL) -> float:
     """|eta_vertical - (i^m eta_tilde_weighted + y_m)|; should sit inside
     the combined est_error budget."""
     ev = eta_vertical(m, sigma, t, table, abs_tol=abs_tol)
@@ -694,7 +692,7 @@ def check_bridge(m: int, sigma: float, t: float, table: ZeroTable, *,
 
 
 def growth_check(m: int, sigma: float, t_samples, table: ZeroTable, *,
-                 abs_tol: float = 1e-8) -> list[tuple[float, float]]:
+                 abs_tol: float = ABS_TOL) -> list[tuple[float, float]]:
     """Normalized residuals |eta_m - Y_m| / log t over the samples; the
     sequence should stay bounded (reported, not asserted to a constant)."""
     out = []

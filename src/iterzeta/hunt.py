@@ -46,10 +46,10 @@ from typing import Optional
 import numpy as np
 
 from .dirichlet import mangoldt_grid
-from .errors import (BranchObstruction, BudgetExceeded, TableCoverage,
-                     UnsupportedRange, ValidationError)
+from .errors import (BranchObstruction, BudgetExceeded, UnsupportedRange,
+                     ValidationError)
 from .eta import TAIL_TERMS, _eta_tilde_rows
-from .torus import _validate_torus
+from .torus import _validate_target
 from .zeros import ZeroTable, bundled_table
 from .zetafun import T_MAX
 
@@ -193,12 +193,7 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
     largest |eta~ - D_X| that pass measured (all of them if it measured
     none); the diagnostic names g and the nearest skipped |D_X - a|.  A
     failure means "not found in the window", never "unreachable"."""
-    _validate_torus(m, sigma)
-    if not np.isfinite(epsilon) or epsilon <= 0.0:
-        raise ValidationError("epsilon must be positive")
-    a = complex(a)
-    if not np.isfinite(a):
-        raise ValidationError("target a must be finite")
+    a = _validate_target(m, sigma, a, epsilon)
     if config is None:
         config = HuntConfig()
     if not isinstance(config, HuntConfig):
@@ -210,10 +205,7 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
         raise UnsupportedRange(
             f"search reaches t={config.t_max:g} beyond zeta's limit "
             f"{T_MAX:g}")
-    if config.t_max > table.coverage:
-        raise TableCoverage(
-            f"search reaches t={config.t_max} but the zero table only "
-            f"covers {table.coverage:.3f}")
+    table.require_coverage(config.t_max)
 
     count = int(math.floor((config.t_max - config.t_min) / GRID_STEP
                            + 1e-9)) + 1

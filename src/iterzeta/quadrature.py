@@ -47,7 +47,12 @@ def gl_nodes(n: int):
 
 def gl_panel(f, a: float, b: float, n: int = 16) -> complex:
     """Fixed-order Gauss-Legendre panel.  Even n keeps nodes off the
-    midpoint, which pad integrals rely on."""
+    midpoint.
+
+    Nothing in src/ calls it: eta._pad_rule takes gl_nodes(16) and
+    gl_nodes(24) itself.  It stays only because perfbench/tracing.py's
+    ENTRY_POINTS looks it up by name; the ROADMAP's observability item
+    (5) deletes it together with that tracer change."""
     x, w = gl_nodes(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return half * np.sum(w * np.asarray(f(mid + half * x)))

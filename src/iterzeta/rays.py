@@ -78,11 +78,13 @@ MIN_GAP = 1e-12
 def _w(s) -> np.ndarray:
     """W = zeta(s)(s - 1) at every point of s.  W is entire with
     W(1) = 1; within zeta's pole guard POLE_RADIUS of s = 1 that is W to
-    rounding, so zeta is never asked for the pole."""
+    rounding, so zeta is never asked for the pole, nor called when no
+    point lies off it (a ray whose every row is guarded)."""
     s = np.asarray(s, dtype=complex)
     w = np.ones_like(s)
     off = np.abs(s - 1.0) >= POLE_RADIUS
-    w[off] = zeta_batch(s[off]) * (s[off] - 1.0)
+    if off.any():
+        w[off] = zeta_batch(s[off]) * (s[off] - 1.0)
     return w
 
 
@@ -407,8 +409,11 @@ def vertical_log_zeta(sigma: float, heights) -> np.ndarray:
     """Continued log zeta(sigma + i u) for an array of heights u > 0,
     from one RayBranch with a ladder per height.
 
-    A handful of scattered heights needs no more; integrals up the line
-    use a LineBranch, whose ladder carries the winding between heights.
+    Nothing in src/ calls it: integrals up the line use a LineBranch,
+    whose ladder carries the winding between heights.  It stays only
+    because perfbench/tracing.py's ENTRY_POINTS looks it up by name;
+    the ROADMAP's observability item (5) deletes it together with that
+    tracer change.
     """
     heights = np.asarray(heights, dtype=float).ravel()
     return RayBranch(sigma, heights).log_zeta(np.full(heights.size, sigma),

@@ -63,6 +63,19 @@ def _validate_torus(m: int, sigma: float) -> None:
             f"sigma={sigma} outside [1/2, 1) for the torus construction")
 
 
+def _validate_target(m: int, sigma: float, a: complex,
+                     epsilon: float) -> complex:
+    """The torus checks, a positive epsilon and a finite target a, for
+    construct_theta and hunt_value alike; returns complex(a)."""
+    _validate_torus(m, sigma)
+    if not np.isfinite(epsilon) or epsilon <= 0.0:
+        raise ValidationError("epsilon must be positive")
+    a = complex(a)
+    if not np.isfinite(a):
+        raise ValidationError("target a must be finite")
+    return a
+
+
 def _theta0(count: int) -> np.ndarray:
     th = np.zeros(count)
     th[1::2] = 0.5
@@ -298,12 +311,7 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
     between that bound and the exact sum sums every radius.  Raises
     WindowExhausted when the prime table cannot support either the choice
     of U or the radius sum needed to reach the target."""
-    _validate_torus(m, sigma)
-    if not np.isfinite(epsilon) or epsilon <= 0.0:
-        raise ValidationError("epsilon must be positive")
-    a = complex(a)
-    if not (np.isfinite(a.real) and np.isfinite(a.imag)):
-        raise ValidationError("target must be finite")
+    a = _validate_target(m, sigma, a, epsilon)
     if primes is None:
         primes = sieve_primes(GAMMA_CUT)
     cut = min(GAMMA_CUT, primes.limit)

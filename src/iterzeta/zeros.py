@@ -16,11 +16,12 @@ Zeros come in conjugate pairs; the table stores the upper half plane only.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MonotonicityError, ParseError, UnsupportedRange
+from .errors import (MonotonicityError, ParseError, TableCoverage,
+                     UnsupportedRange)
 
 BUNDLED_TABLE_NAME = "zeros_t250.txt"
 
@@ -58,6 +59,21 @@ class ZeroTable:
     def coverage(self) -> float:
         """Largest ordinate in the table; 0.0 when empty."""
         return float(self.gammas[-1]) if len(self) else 0.0
+
+    def require_coverage(self, t: float) -> None:
+        """TableCoverage if height t lies past the table's coverage, where
+        zeros the table does not list would be invisible."""
+        if t > self.coverage:
+            raise TableCoverage(
+                f"height t={t:g} beyond table coverage {self.coverage:g} "
+                f"({self.source_label}); zeros there would be invisible")
+
+    @property
+    def key(self) -> tuple:
+        """The table's zeros as bytes, for cache keys: two tables of one
+        label may differ."""
+        return (self.betas.tobytes(), self.gammas.tobytes(),
+                self.mults.tobytes())
 
     @property
     def max_beta(self) -> float:

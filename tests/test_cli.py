@@ -4,10 +4,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import iterzeta
 from iterzeta import cli
 from iterzeta.cli import main
+from iterzeta.dirichlet import mean_square_error
+from iterzeta.errors import TableCoverage
+from iterzeta.eta import eta_vertical
+from iterzeta.hunt import HuntConfig, hunt_value
 from iterzeta.torus import load_theta
+from iterzeta.zeros import load_zero_table
 
 ZEROS = "src/iterzeta/data/zeros_t250.txt"
 
@@ -143,10 +150,66 @@ def test_hunt_honest_failure_exit(tmp_path, capsys):
     assert rows[0]["status"] == "failure"
 
 
-def test_hunt_malformed_complex(tmp_path):
-    code = main(["hunt", "m=1", "sigma=0.8", "a=1+2x3i", "epsilon=0.1",
-                 f"out={tmp_path / 'h.csv'}"])
-    assert code == 2
+def test_hunt_malformed_complex(tmp_path, capsys):
+    # a target that is not a complex literal, or not a finite one, is
+    # refused with exit 2 and nothing written
+    out = tmp_path / "h.csv"
+    for a, message in (
+            ("1+2x3i", "field a: malformed complex literal '1+2x3i'"),
+            ("1+1e400i", "field a: must be finite"),
+            ("inf", "target a must be finite")):
+        code = main(["hunt", "m=1", "sigma=0.8", f"a={a}", "epsilon=0.1",
+                     f"out={out}"])
+        assert code == 2
+        assert message in capsys.readouterr().err, a
+        assert not out.exists()
+
+
+def test_field_messages(tmp_path, capsys):
+    # an integer, a number and a required setting each refuse with their
+    # own message, exit 2, and nothing written; test_hunt_malformed_complex
+    # covers the complex ones
+    out = tmp_path / "x.csv"
+    row = ["eval", "t=20", f"table={_table_arg(tmp_path)}"]
+    runs = [
+        ([*row, "m=1.5", "sigma=0.8", f"out={out}"],
+         "field m: expected an integer, got 1.5"),
+        ([*row, "m=1", "sigma=x", f"out={out}"],
+         "field sigma: expected a number, got 'x'"),
+        ([*row, "m=1", "sigma=0.8"], "field out: required but missing"),
+    ]
+    for args, message in runs:
+        assert main(args) == 2, args
+        assert message in capsys.readouterr().err, args
+        assert not out.exists()
+
+
+def test_coverage_refusal_is_one_message(tmp_path, capsys):
+    # past the table's coverage the vertical route, the mean square, the
+    # hunt and an eval grid all refuse with ZeroTable.require_coverage's
+    # TableCoverage, which names the height, the coverage and the table
+    path = _table_arg(tmp_path)
+    tab = load_zero_table(path)
+
+    def message(t):
+        with pytest.raises(TableCoverage) as want:
+            tab.require_coverage(t)
+        assert f"t={t:g} beyond table coverage 249.574 ({path})" \
+            in str(want.value)
+        return str(want.value)
+    for call, t in (
+            (lambda: eta_vertical(1, 0.8, 400.0, tab), 400.0),
+            (lambda: mean_square_error(1, 0.8, 10, 400.0, 0.25, tab), 400.0),
+            (lambda: hunt_value(1, 0.8, 0.5, 0.1, HuntConfig(t_max=300.0),
+                                tab), 300.0)):
+        with pytest.raises(TableCoverage) as got:
+            call()
+        assert str(got.value) == message(t)
+    out = tmp_path / "x.csv"
+    assert main(["eval", "m=1", "sigma=0.8", "t=249..251", "step=1",
+                 f"table={path}", f"out={out}"]) == 2
+    assert capsys.readouterr().err == f"error: {message(251.0)}\n"
+    assert not out.exists()
 
 
 def test_io_failure_exit(tmp_path):
@@ -182,6 +245,23 @@ def test_polygon_construct_serializes(tmp_path):
     res = load_theta(out)
     assert res.final_error < 0.2
     assert (tmp_path / "theta.txt.manifest").exists()
+
+
+def test_unset_keys_take_the_library_defaults(tmp_path):
+    # a hunt without its window keys runs HuntConfig's defaults, and a
+    # construction without sieve_limit sieves to construct_theta's cut:
+    # each writes the file of the run that spells the values out
+    runs = [
+        (["hunt", "m=1", "sigma=0.8", "a=-0.892+0.601i", "epsilon=0.1"],
+         ["t_min=10", "t_max=240", "eval_budget=48", "min_separation=0.5"]),
+        (["polygon", "m=1", "sigma=0.8", "a=0.5+0.5i", "epsilon=0.05"],
+         ["sieve_limit=1000000"]),
+    ]
+    for k, (args, spelt) in enumerate(runs):
+        bare, full = tmp_path / f"bare{k}.txt", tmp_path / f"full{k}.txt"
+        assert main([*args, f"out={bare}"]) == 0
+        assert main([*args, *spelt, f"out={full}"]) == 0
+        assert bare.read_bytes() == full.read_bytes()
 
 
 def test_config_file_with_overrides(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from iterzeta import rays
 from iterzeta.errors import BranchObstruction, GuardBand, UnsupportedRange
+from iterzeta.eta import _eta_tilde_rows
 from iterzeta.rays import (CUTOFF_OFFSET, GUARD, LineBranch, RayBranch,
                            _guarded, check_guard, log_zeta_horizontal,
                            log_zeta_real_axis, vertical_log_zeta)
@@ -97,9 +98,10 @@ def test_guard_near_ordinate():
 
 
 def test_ray_refuses_the_guard_band_before_any_zeta_call(monkeypatch):
-    # a guard-band row gets no ladder: the ray spends exactly the zeta
-    # points of the ray without it, and the row refuses with a GuardBand
-    # naming the ordinate, while the other row reads as it does alone
+    # a guard-band row gets no ladder: the ray makes exactly the zeta
+    # calls of the ray without it, a ray or an eta~ pass whose every row
+    # is guarded makes none, and the row refuses with a GuardBand naming
+    # the ordinate, while the other row reads as it does alone
     points, zeta_batch = [], rays.zeta_batch
 
     def counted(s, *args):
@@ -108,10 +110,14 @@ def test_ray_refuses_the_guard_band_before_any_zeta_call(monkeypatch):
     monkeypatch.setattr(rays, "zeta_batch", counted)
     g2 = TAB.gammas[1]
     both = RayBranch(0.5, [g2 + 5e-4, 30.0], TAB)
-    spent = sum(points)
+    calls = list(points)
     points.clear()
     alone = RayBranch(0.5, [30.0])
-    assert spent == sum(points) > 0
+    assert calls == points and sum(points) > 0
+    points.clear()
+    assert RayBranch(0.5, [g2 + 5e-4], TAB).obstructed.tolist() == [True]
+    out, = _eta_tilde_rows(1, 0.5, np.array([g2 + 5e-4]), TAB)
+    assert isinstance(out, GuardBand) and points == []
     assert both.obstructed.tolist() == [True, False]
     refusal = both.refusal(0)
     assert isinstance(refusal, GuardBand) and f"{g2:.6f}" in str(refusal)

@@ -1,3 +1,4 @@
+import math
 from collections.abc import Mapping
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from iterzeta import polygon, torus
 from iterzeta.errors import (LimitExceeded, UnsupportedRange, ValidationError,
                              WindowExhausted)
+from iterzeta.hunt import hunt_value
 from iterzeta.polygon import RadiiSet, polygon_angles
 from iterzeta.primes import sieve_primes
 from iterzeta.torus import (GAMMA_CUT, RADII_CHUNK, _below_cut,
@@ -448,3 +450,18 @@ def test_load_rejects_malformed(tmp_path):
     p.write_text("m = 1\n2 0.5 extra\n")
     with pytest.raises(ValidationError):
         load_theta(p)
+
+
+def test_construction_and_hunt_share_the_target_checks():
+    # one torus helper refuses a non-positive epsilon and a target that
+    # is not finite, with one message each, before any prime or zero
+    # table is read
+    for call in (construct_theta, hunt_value):
+        for eps in (0.0, -1.0, math.nan):
+            with pytest.raises(ValidationError,
+                               match="^epsilon must be positive$"):
+                call(1, 0.8, 0.5, eps)
+        for a in (complex(math.inf, 0.0), complex(0.0, math.nan)):
+            with pytest.raises(ValidationError,
+                               match="^target a must be finite$"):
+                call(1, 0.8, a, 0.1)
