@@ -82,8 +82,9 @@ def parse_overrides(tokens) -> dict:
 
 def _field(cfg: dict, key: str, kind=str, default=None):
     """Setting key of cfg as kind: int, float (an integer is taken too),
-    complex (a number, or a literal such as 1+2i) or str.  Absent, it is
-    default, and refused when there is none."""
+    complex (a number, or a literal such as 1+2i, whose trailing i is the
+    imaginary unit) or str.  A number that is not finite is refused.
+    Absent, it is default, and refused when there is none."""
     if key not in cfg:
         if default is None:
             raise ValidationError(f"field {key}: required but missing")
@@ -92,17 +93,23 @@ def _field(cfg: dict, key: str, kind=str, default=None):
     if kind is str:
         return str(val)
     if isinstance(val, int) or (kind is not int and isinstance(val, float)):
-        return kind(val)
-    if kind is not complex:
+        try:
+            z = kind(val)
+        except OverflowError:   # an integer past the float range
+            z = np.inf
+    elif kind is not complex:
         expected = "an integer" if kind is int else "a number"
         raise ValidationError(f"field {key}: expected {expected}, got {val!r}")
-    text = str(val).strip().replace(" ", "")
-    try:
-        z = complex(text.replace("i", "j"))
-    except ValueError:
-        raise ValidationError(
-            f"field {key}: malformed complex literal {val!r}") from None
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+    else:
+        text = str(val).strip().replace(" ", "")
+        if text.endswith("i"):
+            text = text[:-1] + "j"
+        try:
+            z = complex(text)
+        except ValueError:
+            raise ValidationError(
+                f"field {key}: malformed complex literal {val!r}") from None
+    if not np.isfinite(z):
         raise ValidationError(f"field {key}: must be finite")
     return z
 

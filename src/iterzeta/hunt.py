@@ -57,10 +57,12 @@ from .zetafun import T_MAX
 # in t, so a step of 0.02 puts about 55 heights on each of its periods
 GRID_STEP = 0.02
 FIRST_PASS = 4
-# the cut rule's factor and floor on the first pass's gap g: at 40 random
-# points with sigma in [0.55, 0.95] and t in [10, 240], |eta~_m - D_300|
-# had median 0.001 and maximum 0.032, so the floor alone keeps every
-# candidate within epsilon + 0.4 of a
+# the cut rule's factor and floor on the first pass's gap g: for m = 1 at
+# 40 heights in [10, 240], |eta~_1 - D_300| had median 0.030 and maximum
+# 0.063 at sigma = 0.6, median 0.0072 and maximum 0.014 at sigma = 0.8,
+# and median 0.043 and maximum 0.18 at sigma = 1/2.  The floor alone,
+# 4 x 0.1 = 0.4, exceeds each of them, so it keeps every candidate within
+# epsilon + 0.4 of a
 GAP_FACTOR = 4.0
 GAP_FLOOR = 0.1
 _GRID_CAP = 1_000_000_000

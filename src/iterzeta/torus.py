@@ -34,7 +34,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .dirichlet import _live_counts, _polylog_prefix, _polylog_sum, polylog
+from .dirichlet import (POLYLOG_CHUNK, _live_counts, _polylog_prefix,
+                        _polylog_sum, polylog)
 from .errors import (LimitExceeded, ValidationError, WindowExhausted)
 from .eta import _validate_order_sigma
 from .lru import LRUDict
@@ -107,7 +108,10 @@ def gamma_m_sigma(m: int, sigma: float, tail_cut: float,
 
 
 def gamma_tail_estimate(m: int, sigma: float, tail_cut: float) -> float:
-    """First omitted term of the alternating reference sum."""
+    """|Li_{m+1}(tail_cut^-sigma)| / (log tail_cut)^m, the first omitted
+    term of the full reference sum gamma, all harmonics, whose Leibniz
+    bound it is.  It is not _below_cut's first-harmonic Leibniz term
+    cut^-sigma / (log cut)^m.  Nothing in the package calls it."""
     _validate_torus(m, sigma)
     if tail_cut < 1_000:
         raise ValidationError("tail_cut below 1000 gives a useless estimate")
@@ -159,8 +163,15 @@ def second_moment_s(m: int, sigma: float, M: int, N: int,
 
 def first_harmonic_radii(m: int, sigma: float,
                          ps: np.ndarray) -> np.ndarray:
-    """|k=1 coefficient| p^-sigma / (log p)^m for each prime."""
-    return _radii(m, sigma, np.log(np.asarray(ps, dtype=np.float64)))
+    """|k=1 coefficient| p^-sigma / (log p)^m for each prime of the 1-D
+    array ps, formed in blocks of POLYLOG_CHUNK primes, whose logs stay
+    in cache, into one output array."""
+    ps = np.asarray(ps)
+    radii = np.empty(ps.size)
+    for lo in range(0, ps.size, POLYLOG_CHUNK):
+        logs = np.log(ps[lo:lo + POLYLOG_CHUNK].astype(np.float64))
+        radii[lo:lo + POLYLOG_CHUNK] = _radii(m, sigma, logs)
+    return radii
 
 
 def _radii(m: int, sigma: float, logs: np.ndarray) -> np.ndarray:

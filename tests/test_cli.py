@@ -157,7 +157,7 @@ def test_hunt_malformed_complex(tmp_path, capsys):
     for a, message in (
             ("1+2x3i", "field a: malformed complex literal '1+2x3i'"),
             ("1+1e400i", "field a: must be finite"),
-            ("inf", "target a must be finite")):
+            ("inf", "field a: must be finite")):
         code = main(["hunt", "m=1", "sigma=0.8", f"a={a}", "epsilon=0.1",
                      f"out={out}"])
         assert code == 2
@@ -181,6 +181,23 @@ def test_field_messages(tmp_path, capsys):
     for args, message in runs:
         assert main(args) == 2, args
         assert message in capsys.readouterr().err, args
+        assert not out.exists()
+
+
+def test_reader_refuses_non_finite_numbers(tmp_path, capsys):
+    # a literal's trailing i alone is the imaginary unit, so the i of inf
+    # and nan spells no unit; every setting that reads as a number that
+    # is not finite is refused by the reader itself, exit 2, and nothing
+    # is written
+    out = tmp_path / "h.csv"
+    hunt = {"m": "1", "sigma": "0.8", "a": "1+1i", "epsilon": "0.1"}
+    for key, val in (("a", "infi"), ("a", "1+infi"), ("a", "inf"),
+                     ("a", "nan"), ("a", "1+nani"), ("sigma", "inf"),
+                     ("epsilon", "nan")):
+        args = [f"{k}={val if k == key else v}" for k, v in hunt.items()]
+        assert main(["hunt", *args, f"out={out}"]) == 2, (key, val)
+        assert f"field {key}: must be finite" in capsys.readouterr().err, \
+            (key, val)
         assert not out.exists()
 
 
