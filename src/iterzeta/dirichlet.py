@@ -252,16 +252,21 @@ def mangoldt_grid(m: int, sigma: float, t0: float, step: float, count: int,
 
     Lambda(n) = log p for prime powers n = p^k, zero otherwise; the
     log n = k log p denominator folds into 1/(k (log n)^m).  Each height
-    splits as t_b + t_r (_grid_split), so the grid is one complex
-    (blocks x prime powers) . (prime powers x offsets) matrix product of
-    n^-(sigma + i t_b) / (k (log n)^m) and n^(-i t_r)."""
+    splits as t_b + t_r (_grid_split), so the grid is one (blocks x prime
+    powers) . (prime powers x offsets) product of n^-(sigma + i t_b) /
+    (k (log n)^m) and n^(-i t_r), real on the (Re, Im) parts: a complex
+    product's cost swung a hundredfold with BLAS threading."""
     if count < 1:
         raise ValidationError("need at least one height")
     logs, inv_k = _prime_powers(int(X))
     blocks, offsets = _grid_split(t0, step, count)
     coef = inv_k * np.exp(-sigma * logs) / logs ** m
-    grid = (coef * np.exp(-1j * np.multiply.outer(blocks, logs))) \
-        @ np.exp(-1j * np.multiply.outer(logs, offsets))
+    left = coef * np.exp(-1j * np.multiply.outer(blocks, logs))
+    # rows Re L then Im L, against the (Re, Im) columns of each offset
+    parts = np.concatenate([left.real, left.imag]) \
+        @ np.exp(-1j * np.multiply.outer(logs, offsets)).view(np.float64)
+    re, im = parts[:blocks.size], parts[blocks.size:]
+    grid = (re[:, 0::2] - im[:, 1::2]) + 1j * (re[:, 1::2] + im[:, 0::2])
     return grid.ravel()[:count]
 
 

@@ -46,7 +46,7 @@ Y_m correction exactly as stated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import e as _E, factorial, log
 
@@ -57,9 +57,9 @@ from .errors import (QuadratureNonconvergence, UnsupportedRange,
                      ValidationError)
 from .lru import LRUDict
 from .primes import sieve_primes
-from .quadrature import (gl_nodes, integrate_rows, integrate_vec,
-                         poly_log_integral, poly_log_integrals)
-from .rays import CUTOFF_OFFSET, LineBranch, RayBranch, _w, check_guard
+from .quadrature import (gl_nodes, integrate_rows, poly_log_integral,
+                         poly_log_integrals)
+from .rays import CUTOFF_OFFSET, LineBranch, RayBranch
 from .rays import GUARD  # noqa: F401  (re-exported: callers import it here)
 from .zetafun import DEFAULT_PARAMS, ComplexPoint, zeta_error
 from .zeros import EMPTY_TABLE, ZeroTable, zeros_in_box
@@ -229,51 +229,50 @@ def _pole_log(m: int, sigma: float, a_cut: float) -> complex:
 def eta_tilde_weighted(m: int, sigma: float, t: float,
                        table: ZeroTable = EMPTY_TABLE, *,
                        abs_tol: float = ABS_TOL) -> EtaValue:
-    """Horizontal iterated integral via the collapsed weighted form.
-    At t > 0 this is the one-height call of _eta_tilde_rows."""
+    """Horizontal iterated integral via the collapsed weighted form: the
+    one-height call of _eta_tilde_rows, conjugated below the real axis."""
     _validate_order_sigma(m, sigma)
     _validate_abs_tol(abs_tol)
     if t < 0.0:
         below = eta_tilde_weighted(m, sigma, -t, table, abs_tol=abs_tol)
-        return EtaValue(m, ComplexPoint(sigma, t),
-                        np.conjugate(below.value), below.est_error,
-                        below.nevals)
-    if t > 0.0:
-        out, = _eta_tilde_rows(m, sigma, np.array([t]), table,
-                               abs_tol=abs_tol)
-        if isinstance(out, Exception):
-            raise out
-        return out
-    check_guard(table, sigma, t)
-    a_cut = sigma + CUTOFF_OFFSET
-    fm = factorial(m - 1)
-
-    def f(alphas):
-        return (alphas - sigma) ** (m - 1) * np.log(_w(alphas).real) / fm
-    smooth, qerr, nev = integrate_vec(f, sigma, a_cut, abs_tol,
-                                      initial_splits=2)
-    (tail,), (tail_err,) = _tail(m, sigma, t)
-    value = smooth - _pole_log(m, sigma, a_cut) + tail
-    err = qerr + tail_err + float(_zeta_term(m, CUTOFF_OFFSET, sigma, t))
-    return EtaValue(m, ComplexPoint(sigma, t), complex(value), err, nev)
+        return replace(below, point=ComplexPoint(sigma, t),
+                       value=np.conjugate(below.value))
+    out, = _eta_tilde_rows(m, sigma, np.array([t]), table, abs_tol=abs_tol)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
-def _eta_tilde_rows(m: int, sigma: float, ts: np.ndarray,
+def _ray_integrand(branch: RayBranch, alphas, rows) -> np.ndarray:
+    """log zeta on the rows of branch at t > 0, log W at t = 0, whose pole
+    part _pole_log integrates exactly (at t > 0 poly_log_integral would
+    lose about eps |c|^m with c = t)."""
+    s = alphas + 1j * branch.heights[rows]
+    return branch.log_w(alphas, rows) - np.log(
+        s - 1.0, out=np.zeros_like(s), where=s.imag > 0.0)
+
+
+def _eta_tilde_rows(m, sigma: float, ts: np.ndarray,
                     table: ZeroTable, *, abs_tol: float = ABS_TOL) -> list:
-    """eta~_m(sigma + it) at every height t > 0 of ts, in one pass.
+    """eta~_m(sigma + it) at every height t >= 0 of ts, in one pass.
 
     One RayBranch resolves the ladders of all heights and one
     integrate_rows call integrates them on [sigma, sigma + CUTOFF_OFFSET],
     so a height costs its share of a few batched zeta calls instead of a
-    call sequence of its own; the closed-form tail adds the rest.
+    call sequence of its own; the closed-form tail adds the rest, and at
+    t = 0 (c_m's row) the pole's part (_ray_integrand).
     Each height gets its own panels, and its value differs from its
     one-height value only by the rounding of the zeta calls it shared.
     Returns per height its EtaValue, or the BranchObstruction (a
     GuardBand in the guard band) or QuadratureNonconvergence that height
     raises; a height's refusal leaves the others as they would be
-    without it.  At most ROWS_PER_PASS heights share a pass.
+    without it.  At most ROWS_PER_PASS heights share a pass.  m may be a
+    tuple of orders: a height then gets one EtaValue per order, each
+    order's integrand on the same panels.
     """
-    _validate_order_sigma(m, sigma)
+    orders = m if isinstance(m, tuple) else (m,)
+    for j in orders:
+        _validate_order_sigma(j, sigma)
     _validate_abs_tol(abs_tol)
     if ts.size > ROWS_PER_PASS:
         return [ev for lo in range(0, ts.size, ROWS_PER_PASS)
@@ -284,24 +283,34 @@ def _eta_tilde_rows(m: int, sigma: float, ts: np.ndarray,
            for j, hit in enumerate(branch.obstructed)]
     rows = np.nonzero(~branch.obstructed)[0]
     a_cut = sigma + CUTOFF_OFFSET
-    fm = factorial(m - 1)
 
     def f(alphas, row):
-        return (alphas - sigma) ** (m - 1) \
-            * branch.log_zeta(alphas, rows[row]) / fm
+        lz = _ray_integrand(branch, alphas, rows[row])
+        out = [(alphas - sigma) ** (j - 1) * lz / factorial(j - 1)
+               for j in orders]
+        return np.stack(out) if orders is m else out[0]
     value, qerr, nev, refused = integrate_rows(
         f, np.full(rows.size, sigma), a_cut, abs_tol, initial_splits=2)
+    shape = (rows.size, len(orders))
+    value, qerr = value.reshape(shape), qerr.reshape(shape)
     ts_ok = branch.heights[rows]
-    tail, tail_err = _tail(m, sigma, ts_ok)
-    value = value + tail
-    err = qerr + tail_err + _zeta_term(m, CUTOFF_OFFSET, sigma, ts_ok)
     nev = nev + branch.row_nodes[rows]
-    for j, r in enumerate(rows):
-        if refused[j] is not None:
-            out[r] = refused[j]
-        else:
-            out[r] = EtaValue(m, ComplexPoint(sigma, float(ts_ok[j])),
-                              complex(value[j]), float(err[j]), int(nev[j]))
+    flat = ts_ok == 0.0
+    for k, j in enumerate(orders):
+        if flat.any():
+            value[flat, k] -= _pole_log(j, sigma, a_cut)
+        tail, tail_err = _tail(j, sigma, ts_ok)
+        value[:, k] += tail
+        qerr[:, k] = qerr[:, k] + tail_err \
+            + _zeta_term(j, CUTOFF_OFFSET, sigma, ts_ok)
+    for i, r in enumerate(rows):
+        if refused[i] is not None:
+            out[r] = refused[i]
+            continue
+        evs = tuple(EtaValue(j, ComplexPoint(sigma, float(ts_ok[i])),
+                             complex(value[i, k]), float(qerr[i, k]),
+                             int(nev[i])) for k, j in enumerate(orders))
+        out[r] = evs if orders is m else evs[0]
     return out
 
 
@@ -346,9 +355,9 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
     """Horizontal iterated integral by literal nesting.
 
     log zeta on [sigma, A], A = sigma + CUTOFF_OFFSET, is fitted by
-    degree-8 Chebyshev pieces on the ray's branch ladder (at t = 0, of
-    log W on a uniform one, the pole's Log(a - 1) taken out in closed
-    form); a piece whose fit misses tol at a check node is bisected.
+    degree-8 Chebyshev pieces on the ray's branch ladder (_ray_integrand:
+    log W at t = 0); a piece whose fit misses tol at a check node is
+    bisected.
     Level j is then the exact antiderivative of level j - 1 from x to
     the cut, plus its value there in closed form,
     G_j(A) = sum n^-(A+it) / (k (log n)^j), so the levels are the nested
@@ -362,29 +371,18 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
     _validate_abs_tol(abs_tol)
     if t < 0.0:
         below = eta_tilde_recursive(m, sigma, -t, table, abs_tol=abs_tol)
-        return EtaValue(m, ComplexPoint(sigma, t),
-                        np.conjugate(below.value), below.est_error,
-                        below.nevals)
+        return replace(below, point=ComplexPoint(sigma, t),
+                       value=np.conjugate(below.value))
     a_cut = sigma + CUTOFF_OFFSET
-
-    nev = 0
-    if t == 0.0:
-        check_guard(table, sigma, t)
-        edges = np.linspace(sigma, a_cut, 25)
-
-        def f_vec(xs):
-            return np.log(_w(xs).real).astype(complex)
-    else:
-        branch = RayBranch(sigma, t, table)
-        nev += branch.nodes_used
-        edges = sigma + branch.offsets()
-        f_vec = branch.log_zeta
-
+    branch = RayBranch(sigma, t, table)
+    nev = branch.nodes_used
+    edges = sigma + branch.offsets()
     tol = max(abs_tol * 1e-2, 1e-11)
     lo, hi = edges[:-1], edges[1:]
     pieces, dev_max = [], 0.0
     for _ in range(14):
-        coeffs, dev = _cheb_fit(f_vec, lo, hi)
+        coeffs, dev = _cheb_fit(lambda xs: _ray_integrand(branch, xs, 0),
+                                lo, hi)
         nev += lo.size * (_CHEB_NODES.size + _CHECK_NODES.size)
         good = dev <= tol
         pieces.append((lo[good], hi[good], coeffs[good]))
@@ -418,17 +416,20 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
     return EtaValue(m, ComplexPoint(sigma, t), value, err, nev)
 
 
-# c_m's eta~ at t = 0 by (m, sigma, abs_tol); an eval grid or a bridge
-# check needs m of them per sigma
+# eta~_j(sigma + 0i), j in SUPPORTED_M, by (sigma, abs_tol): one t = 0
+# row on shared panels, so a line's m constants cost one pass
 _C_CACHE_CAP = 64
 _C_CACHE = LRUDict(_C_CACHE_CAP)
 
 
 def _c_eta(m: int, sigma: float, abs_tol: float) -> EtaValue:
-    return _C_CACHE.get_or_set(
-        (m, sigma, abs_tol),
-        lambda: eta_tilde_weighted(m, sigma, 0.0, EMPTY_TABLE,
-                                   abs_tol=abs_tol))
+    def make():
+        evs, = _eta_tilde_rows(SUPPORTED_M, sigma, np.zeros(1), EMPTY_TABLE,
+                               abs_tol=abs_tol)
+        if isinstance(evs, Exception):
+            raise evs
+        return evs
+    return _C_CACHE.get_or_set((sigma, abs_tol), make)[m - 1]
 
 
 def c_m(m: int, sigma: float, *, abs_tol: float = ABS_TOL) -> complex:
@@ -672,7 +673,7 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable, *,
     for j in range(1, m + 1):
         # like knot values, a constant kept from an earlier call costs
         # this one nothing
-        if (j, sigma, abs_tol) not in _C_CACHE:
+        if (sigma, abs_tol) not in _C_CACHE:
             nev += _c_eta(j, sigma, abs_tol).nevals
         cj = _c_eta(j, sigma, abs_tol)
         value += 1j ** j * cj.value * t ** (m - j) / factorial(m - j)

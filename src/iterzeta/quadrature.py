@@ -7,8 +7,8 @@ Two pieces live here:
   evaluates the pending panels of all rows in a single call, so
   integrands backed by batched zeta evaluation stay cheap; each row's
   panels are the ones it gets alone.  A row may hold several integrands
-  on the same nodes (eta_vertical's m weights of one step).
-  `integrate_vec` is its one-row call.
+  on the same nodes (eta_vertical's m weights of one step).  The only
+  routine the library calls here; gl_panel and integrate_vec are tracer-only.
 
 * `poly_log_integral`: exact moments of the local zero model,
 
@@ -49,10 +49,8 @@ def gl_panel(f, a: float, b: float, n: int = 16) -> complex:
     """Fixed-order Gauss-Legendre panel.  Even n keeps nodes off the
     midpoint.
 
-    Nothing in src/ calls it: eta._pad_rule takes gl_nodes(16) and
-    gl_nodes(24) itself.  It stays only because perfbench/tracing.py's
-    ENTRY_POINTS looks it up by name; the ROADMAP's observability item
-    (5) deletes it together with that tracer change."""
+    Tracer-only: no caller in src/; kept only for perfbench/tracing.py's
+    ENTRY_POINTS, and deleted with those lines by a benchmark change."""
     x, w = gl_nodes(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return half * np.sum(w * np.asarray(f(mid + half * x)))
@@ -190,6 +188,9 @@ def integrate_vec(f, a: float, b: float, abs_tol: float = 1e-9,
     Returns (value, est_error, nevals).  Raises QuadratureNonconvergence
     when panels bottom out at max_depth and the accumulated error
     estimate still exceeds budget.
+
+    Tracer-only: no caller in src/; kept only for perfbench/tracing.py's
+    ENTRY_POINTS, and deleted with those lines by a benchmark change.
     """
     value, est_error, nevals, refused = integrate_rows(
         lambda nodes, _: f(nodes), a, b, abs_tol, max_depth,

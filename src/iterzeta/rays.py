@@ -11,8 +11,8 @@ The pole at s = 1 is removed first: the branch is tracked for
 W(s) = zeta(s) (s - 1), entire and zero-free on the paths of interest
 except at the zeta zeros themselves, and the principal Log(s - 1) is
 subtracted afterwards (it is continuous along any ray of height t > 0,
-and on the real axis the limit from above gives log|a-1| + i pi for
-a < 1).
+and on the real axis, t = 0, it is the limit from above,
+log|a - 1| + i pi for a < 1).
 
 One ladder routine, `_refine`, resolves the branch on both routes.  It
 halves the gaps of a node ladder until the per-gap principal phase and
@@ -22,30 +22,32 @@ the ladder's continuous imaginary part, and the refinement bounds make
 that rounding exact.
 
 * `RayBranch` runs the ladder over alpha at each of many heights
-  t > 0, leftwards from the anchor at Re(s) = sigma + CUTOFF_OFFSET,
+  t >= 0, leftwards from the anchor at Re(s) = sigma + CUTOFF_OFFSET,
   where log W is principal: from sigma = 1/2 on, the anchor has
   Re s >= 6.5 and |Im log zeta| < 0.012.  Past the anchor eta
   integrates log zeta's Dirichlet series in closed form, so no ray runs
-  further.  A height within GUARD of the ordinate of a table zero at or
-  right of sigma gets no ladder: it refuses as GuardBand.  The others'
-  ladders refine together, one _w call per round, and a ladder that
-  stalls on a zero obstructs only its own height.
+  further.  The ray at t = 0 is the real axis, where W > 0; it is a row
+  like any other, refused only where a query meets the pole.  A height
+  within GUARD of the ordinate of a table zero at or right of sigma
+  gets no ladder: it refuses as GuardBand.  The others' ladders refine
+  together, one _w call per round, and a ladder that stalls on a zero
+  obstructs only its own height.
 * `LineBranch` runs it over u on a segment of the line sigma + iu.
   There log W is continuous in u except at ordinates of zeros with
   beta >= sigma, where the horizontal convention jumps, so the ladder is
   not linked across them, and nodes seeded towards each such cut spare
   the ladder a round per halving.  Each linked stretch takes its level
-  (the 2 pi integer) from a horizontal walk, or from the real axis where
-  W > 0, and a second walk checks it: the branch always comes from zeta
-  itself.  All walks of a segment share one RayBranch, on a sparse
-  starting ladder of their own.
+  (the 2 pi integer) from a horizontal walk, and a second walk checks
+  it: the branch always comes from zeta itself.  All walks of a segment
+  share one RayBranch, on a sparse starting ladder of their own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BranchObstruction, GuardBand, UnsupportedRange
+from .errors import (BranchObstruction, GuardBand, UnsupportedRange,
+                     ValidationError)
 from .zeros import EMPTY_TABLE, ZeroTable
 from .zetafun import POLE_RADIUS, zeta_batch
 
@@ -102,19 +104,6 @@ def _guarded(table: ZeroTable, sigma: float, ts) -> np.ndarray:
     d_left, d_right = np.abs(gammas[left] - ts), np.abs(gammas[right] - ts)
     nearest = gammas[np.where(d_left <= d_right, left, right)]
     return np.where(np.minimum(d_left, d_right) <= GUARD, nearest, np.nan)
-
-
-def _guard_refusal(t: float, ordinate: float) -> GuardBand:
-    return GuardBand(f"height t={t:g} within {GUARD:g} of zero "
-                     f"ordinate {ordinate:.6f}")
-
-
-def check_guard(table: ZeroTable, sigma: float, t: float) -> None:
-    """GuardBand if t lies within GUARD of an ordinate whose zero is at or
-    right of sigma; for t = 0, as RayBranch guards every t > 0."""
-    ordinate = float(_guarded(table, sigma, t))
-    if not np.isnan(ordinate):
-        raise _guard_refusal(t, ordinate)
 
 
 def _initial_offsets() -> np.ndarray:
@@ -179,16 +168,19 @@ def _refine(s: np.ndarray, linked: np.ndarray):
 
 class RayBranch:
     """Resolved branch of log zeta on [sigma, sigma + CUTOFF_OFFSET] at
-    each height of t, a float or a 1-D array of heights t > 0 (the rows).
+    each height of t, a float or a 1-D array of heights t >= 0, all
+    finite (the rows).
 
     One _refine call resolves the ladders of all rows; the gap between
     two rows is never linked, so each row's ladder is the one it gets
     alone.  A row in the guard band of table (_guarded) gets no ladder;
     it and a row whose ladder stalls, or meets a zero or non-finite W,
     are marked in `obstructed`, their queries raise `refusal(row)`, and
-    the other rows are unaffected.  log_zeta returns continued values:
-    the zeta evaluation at each query is exact; the node ladder only
-    supplies the winding integer.  offsets is the starting ladder in
+    the other rows are unaffected.  log_w returns the continued log W,
+    W = zeta(s)(s - 1), and log_zeta = log_w - Log(s - 1): the zeta
+    evaluation at each query is exact; the node ladder only supplies the
+    winding integer.  A row at t = 0 is the real axis, W > 0, where
+    log_zeta is the limit from above.  offsets is the starting ladder in
     alpha - sigma, from 0 to CUTOFF_OFFSET; by default
     _initial_offsets().
     """
@@ -197,9 +189,11 @@ class RayBranch:
                  offsets=None):
         self.sigma = float(sigma)
         self.heights = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.heights.ndim != 1 or not np.all(self.heights > 0.0):
-            raise UnsupportedRange("walks need height t > 0; the real axis "
-                                   "has its own closed-form branch")
+        if not (np.isfinite(self.sigma) and np.all(np.isfinite(self.heights))):
+            raise ValidationError("point coordinates must be finite")
+        if self.heights.ndim != 1 or not np.all(self.heights >= 0.0):
+            raise UnsupportedRange("rays need heights t >= 0; below the "
+                                   "real axis log zeta is the conjugate")
         base = _initial_offsets() if offsets is None else offsets
         rows = self.heights.size
         self._ordinates = _guarded(table, self.sigma, self.heights)
@@ -238,7 +232,9 @@ class RayBranch:
     def refusal(self, row: int) -> BranchObstruction:
         """What a query at an obstructed row raises: GuardBand or stall."""
         if not np.isnan(self._ordinates[row]):
-            return _guard_refusal(self.heights[row], self._ordinates[row])
+            return GuardBand(f"height t={self.heights[row]:g} within "
+                             f"{GUARD:g} of zero ordinate "
+                             f"{self._ordinates[row]:.6f}")
         return BranchObstruction(
             f"branch walk stalled at sigma={self.sigma:g}, "
             f"t={self.heights[row]:g}: zero too close to the ray")
@@ -256,9 +252,10 @@ class RayBranch:
         self._require(row)
         return self._x[self._row == row]
 
-    def log_zeta(self, alphas, rows=0) -> np.ndarray:
-        """Continued log zeta(alpha + it) at each alpha, t the height of
-        its row (rows: one row index per alpha, or one for all)."""
+    def log_w(self, alphas, rows=0) -> np.ndarray:
+        """Continued log(zeta(s)(s - 1)) at s = alpha + it for each alpha,
+        t the height of its row (rows: one row index per alpha, or one
+        for all)."""
         alphas = np.asarray(alphas, dtype=float)
         rows = np.broadcast_to(rows, alphas.shape)
         x = alphas - self.sigma
@@ -279,7 +276,16 @@ class RayBranch:
         frac = np.clip((xq - x0) / (x1 - x0), 0.0, 1.0)
         im_interp = self._im[j] + frac * (self._im[j + 1] - self._im[j])
         k = np.round((im_interp - lq.imag) / (2.0 * np.pi))
-        return lq + 2j * np.pi * k - np.log(s - 1.0)
+        return lq + 2j * np.pi * k
+
+    def log_zeta(self, alphas, rows=0) -> np.ndarray:
+        """Continued log zeta(alpha + it) = log_w - Log(s - 1), on the
+        real axis the limit from above; the pole s = 1 is refused."""
+        lw = self.log_w(alphas, rows)
+        s = np.asarray(alphas, dtype=float) + 1j * self.heights[rows]
+        if np.any(s == 1.0):
+            raise BranchObstruction("the ray at t = 0 meets the pole")
+        return lw - np.log(s - 1.0)
 
 
 class LineBranch:
@@ -289,12 +295,11 @@ class LineBranch:
     One ladder over u carries the continuous Im log W.  It is not linked
     across `cuts`, ordinates in (bottom, top) of zeros at or right of the
     line where the horizontal convention jumps, nor across a gap that
-    stalls on a zero of W on the line; these split it into stretches.  A
-    stretch at u = 0 takes its level, the 2 pi integer, from the real
-    axis, where W > 0; every other stretch from a horizontal walk near
-    its foot.  A second walk near its top must agree, so a zero the cuts
-    miss raises BranchObstruction instead of shifting the branch.  The
-    walks of all stretches share one RayBranch.
+    stalls on a zero of W on the line; these split it into stretches.
+    Each stretch takes its level, the 2 pi integer, from a horizontal
+    walk near its foot.  A second walk near its top must agree, so a
+    zero the cuts miss raises BranchObstruction instead of shifting the
+    branch.  The walks of all stretches share one RayBranch.
     """
 
     def __init__(self, sigma: float, top: float, cuts=(), bottom: float = 0.0):
@@ -330,9 +335,6 @@ class LineBranch:
             raise BranchObstruction(f"ladder hit a zero of zeta on the line "
                                     f"sigma={self.sigma:g}")
         x = s.imag
-        if x[0] == 0.0 and not w[0].real > 0.0:
-            raise BranchObstruction("zeta(s)(s-1) should be positive on "
-                                    "the real axis; evaluation failed")
         self._x, self._linked = x, linked
         self._im = np.angle(w[0]) + np.concatenate(
             [[0.0], np.cumsum(np.angle(w[1:] / w[:-1]))])
@@ -350,30 +352,25 @@ class LineBranch:
             np.concatenate([[0], breaks + 1]), np.append(breaks, x.size - 1))
 
     def _stretch_levels(self, starts, ends) -> np.ndarray:
-        """Level of each stretch of nodes a..b from walks (or the real
-        axis) near both its ends, which must agree."""
+        """Level of each stretch of nodes a..b from walks near both its
+        ends, which must agree."""
         x = self._x
         feet, heads = [], []
         for a, b in zip(starts, ends):
             clear = min(WALK_CLEARANCE, 0.25 * (x[b] - x[a]))
             seg = x[a:b + 1]
-            feet.append(a if x[a] == 0.0 else
-                        a + int(np.argmin(np.abs(seg - x[a] - clear))))
+            feet.append(a + int(np.argmin(np.abs(seg - x[a] - clear))))
             heads.append(a + int(np.argmin(np.abs(seg - x[b] + clear))))
-        # 2 pi turns between the branch at node j and the ladder there:
-        # from the real axis at u = 0, else from one walk per node
-        nodes = np.array(feet + heads)
-        walked = np.unique(nodes[x[nodes] > 0.0])
-        turns = {j: int(np.round(-self._im[j] / (2.0 * np.pi)))
-                 for j in nodes[x[nodes] == 0.0]}
-        if walked.size:
-            ray = RayBranch(self.sigma, x[walked], offsets=_walk_offsets())
-            self.nodes_used += ray.nodes_used
-            ray._require(np.arange(walked.size))
-            first = np.searchsorted(ray._row, np.arange(walked.size))
-            turns.update({int(j): int(np.round((ray._im[f] - self._im[j])
-                                               / (2.0 * np.pi)))
-                          for j, f in zip(walked, first)})
+        # 2 pi turns between the branch at node j and the ladder there,
+        # from one walk per node
+        walked = np.unique(feet + heads)
+        ray = RayBranch(self.sigma, x[walked], offsets=_walk_offsets())
+        self.nodes_used += ray.nodes_used
+        ray._require(np.arange(walked.size))
+        first = np.searchsorted(ray._row, np.arange(walked.size))
+        turns = {int(j): int(np.round((ray._im[f] - self._im[j])
+                                      / (2.0 * np.pi)))
+                 for j, f in zip(walked, first)}
         for ja, jb in zip(feet, heads):
             if turns[ja] != turns[jb]:
                 raise BranchObstruction(
@@ -406,14 +403,11 @@ class LineBranch:
 
 
 def vertical_log_zeta(sigma: float, heights) -> np.ndarray:
-    """Continued log zeta(sigma + i u) for an array of heights u > 0,
+    """Continued log zeta(sigma + i u) for an array of heights u >= 0,
     from one RayBranch with a ladder per height.
 
-    Nothing in src/ calls it: integrals up the line use a LineBranch,
-    whose ladder carries the winding between heights.  It stays only
-    because perfbench/tracing.py's ENTRY_POINTS looks it up by name;
-    the ROADMAP's observability item (5) deletes it together with that
-    tracer change.
+    Tracer-only: no caller in src/; kept only for perfbench/tracing.py's
+    ENTRY_POINTS, and deleted with those lines by a benchmark change.
     """
     heights = np.asarray(heights, dtype=float).ravel()
     return RayBranch(sigma, heights).log_zeta(np.full(heights.size, sigma),
@@ -429,13 +423,8 @@ def log_zeta_horizontal(sigma: float, t: float,
     sits at or right of sigma are refused with GuardBand before any zeta
     call (the walk would degenerate there anyway).  t = 0 gives the
     limit from the upper half plane: real log of zeta(s)(s-1) minus
-    log|sigma-1|, minus i pi left of the pole.
+    log|sigma-1|, minus i pi left of the pole (BranchObstruction at it).
     """
-    if t == 0.0:
-        check_guard(table, sigma, t)
-        if abs(sigma - 1.0) < 1e-12:
-            raise BranchObstruction("the ray at t = 0 meets the pole")
-        return complex(log_zeta_real_axis(np.array([sigma]))[0])
     value = complex(RayBranch(sigma, abs(t), table).log_zeta([sigma])[0])
     return value.conjugate() if t < 0.0 else value
 
@@ -446,6 +435,9 @@ def log_zeta_real_axis(alphas) -> np.ndarray:
     W(alpha) = zeta(alpha)(alpha - 1) is real and positive for alpha > 0,
     so log W is real; the subtracted pole log picks up -i pi left of 1
     (limit from the upper half plane).
+
+    Tracer-only: no caller in src/; kept only for perfbench/tracing.py's
+    ENTRY_POINTS, and deleted with those lines by a benchmark change.
     """
     alphas = np.asarray(alphas, dtype=float)
     if np.any(alphas <= 0.0):

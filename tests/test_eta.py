@@ -6,15 +6,15 @@ import numpy as np
 import mpmath as mp
 import pytest
 
-from iterzeta import eta
+from iterzeta import eta, rays
 from iterzeta.errors import (BranchObstruction, GuardBand,
                              QuadratureNonconvergence, TableCoverage,
                              ValidationError)
-from iterzeta.eta import (_eta_tilde_rows, c_m, check_bridge, check_guard,
+from iterzeta.eta import (_eta_tilde_rows, c_m, check_bridge,
                           eta_tilde_recursive, eta_tilde_weighted,
                           eta_vertical, growth_check, tail_bound, y_m,
                           y_m_terms)
-from iterzeta.quadrature import integrate_vec
+from iterzeta.quadrature import integrate_rows
 from iterzeta.rays import CUTOFF_OFFSET, log_zeta_horizontal
 from iterzeta.zetafun import zeta_batch
 from iterzeta.zeros import EMPTY_TABLE, ZeroTable, bundled_table
@@ -83,10 +83,11 @@ def test_weighted_ray_grazing_a_zero_refuses():
 
 
 def test_rows_match_one_height(monkeypatch):
-    # one pass over 20 heights, and three passes of at most 7: each row
-    # is its one-height value up to the rounding of the zeta calls it
-    # shared; a one-height pass is eta_tilde_weighted itself
-    ts = np.linspace(10.0, 240.0, 20) + 0.123
+    # one pass over 21 heights, the real axis among them, and three
+    # passes of at most 7: each row is its one-height value up to the
+    # rounding of the zeta calls it shared; a one-height pass is
+    # eta_tilde_weighted itself
+    ts = np.append(0.0, np.linspace(10.0, 240.0, 20) + 0.123)
     rows = _eta_tilde_rows(2, 0.7, ts, TAB)
     monkeypatch.setattr(eta, "ROWS_PER_PASS", 7)
     split = _eta_tilde_rows(2, 0.7, ts, TAB)
@@ -147,9 +148,10 @@ def test_tail_against_quadrature(m, sigma):
         def f(a):
             return (a - sigma) ** (m - 1) / factorial(m - 1) \
                 * np.log(zeta_batch(a + 1j * t))
-        quad, qerr, _ = integrate_vec(
-            f, a0, a1, 1e-13, initial_splits=8,
+        (quad,), (qerr,), _, (refused,) = integrate_rows(
+            lambda a, _: f(a), a0, a1, 1e-13, initial_splits=8,
             noise=log_err * (a1 - sigma) ** (m - 1) / factorial(m - 1))
+        assert refused is None
         zeta_err = log_err * ((a1 - sigma) ** m - (a0 - sigma) ** m) \
             / factorial(m)
         assert abs(tail - quad) <= err + qerr + _bound_past(m, sigma, a1) \
@@ -256,9 +258,78 @@ def test_c_right_of_pole():
     assert abs(c_m(2, 2.0) - (-0.6560847785)) < 1e-8
 
 
+# c_m for m = 1..3 before t = 0 became a row of the ray, when it came
+# from a quadrature of its own on the real axis
+C_BEFORE = [
+    (0.5, ((1.5707963267948974+2.5677894531529084j),
+           (-2.7748956248826797+0.39269908169872636j),
+           (-0.06544984694979661-2.988182420413875j))),
+    (0.51, ((1.5393804002589988+2.563867725066067j),
+            (-2.749237113568928+0.377148198063459j),
+            (-0.06160087235037537-2.9605617894021417j))),
+    (0.8, ((0.6283185307179586+2.307656028213726j),
+           (-2.035430347336214+0.06283185307179551j),
+           (-0.00418879020478613-2.2685553317215943j))),
+    (1.0, (1.7975699586287386j, (-1.614510005158067+0j),
+           -1.9051505604450294j)),
+    (1.000001, (1.797555143117893j, (-1.6145082075957655+0j),
+                -1.9051489459359017j)),
+    (1.5, (0.8825033447107792j, (-1.001430501632077-3.552713678800501e-15j),
+           (7.105427357601002e-15-1.2685003504598777j))),
+    (2.0, (0.5365269459211771j, (-0.6560847785313865+0j),
+           (7.105427357601002e-15-0.86125390139082j))),
+    (20.0, ((-3.552713678800501e-15+1.376122591520731e-06j),
+            (-1.9851860187821434e-06+3.907985046680551e-14j),
+            (9.450218385609332e-13-2.8638915022104056e-06j))),
+]
+
+
+@pytest.mark.parametrize("sigma,before", C_BEFORE)
+def test_c_is_unchanged_by_the_ray(sigma, before):
+    # c_m's eta~ at t = 0 is a row of the ray's pass, integrating log W
+    # there; each constant is its earlier value to rounding
+    for m, want in zip((1, 2, 3), before):
+        assert abs(c_m(m, sigma) - want) <= 1e-13
+
+
+def test_constants_of_a_line_share_one_pass(monkeypatch):
+    # the first constant asked for at a sigma makes every order's in one
+    # t = 0 row: one ladder and the panels' rounds, no more zeta calls
+    # for the other orders, and each is its order's eta~ at t = 0
+    monkeypatch.setattr(eta, "_C_CACHE", eta.LRUDict(eta._C_CACHE_CAP))
+    calls, zeta_batch = [], rays.zeta_batch
+
+    def counted(s, *args):
+        calls.append(np.size(s))
+        return zeta_batch(s, *args)
+    monkeypatch.setattr(rays, "zeta_batch", counted)
+    sigma = 0.77
+    c3 = c_m(3, sigma)
+    assert len(calls) == 3
+    c1, c2 = c_m(1, sigma), c_m(2, sigma)
+    assert len(calls) == 3
+    for m, c in ((1, c1), (2, c2), (3, c3)):
+        ev = eta_tilde_weighted(m, sigma, 0.0)
+        assert abs(c - 1j ** m * ev.value) <= 1e-15
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_heights_are_refused_first(monkeypatch, t):
+    # every horizontal route refuses a height that is not finite before
+    # any zeta call, with the point's own message
+    calls = []
+    monkeypatch.setattr(rays, "zeta_batch", lambda *a: calls.append(a))
+    for route in (eta_tilde_weighted, eta_tilde_recursive):
+        with pytest.raises(ValidationError, match="finite"):
+            route(1, 0.8, t)
+    with pytest.raises(ValidationError, match="finite"):
+        log_zeta_horizontal(0.8, t)
+    assert calls == []
+
+
 def test_c_cache_keeps_its_cap(monkeypatch):
-    # past its cap the cache drops its least recently used constant, and
-    # a dropped constant is made again to the same value
+    # past its cap the cache drops the constants of its least recently
+    # used sigma, and a dropped constant is made again to the same value
     monkeypatch.setattr(eta, "_C_CACHE", eta.LRUDict(eta._C_CACHE_CAP))
     sigmas = 2.0 + 0.01 * np.arange(eta._C_CACHE_CAP + 1)
     first = c_m(1, sigmas[0])
@@ -267,10 +338,10 @@ def test_c_cache_keeps_its_cap(monkeypatch):
     for sigma in sigmas[2:]:
         c_m(1, sigma)
     assert len(eta._C_CACHE) == eta._C_CACHE_CAP
-    assert (1, sigmas[1], 1e-8) not in eta._C_CACHE
+    assert (sigmas[1], 1e-8) not in eta._C_CACHE
     assert c_m(1, sigmas[0]) == first
     again = c_m(1, sigmas[1])
-    assert (1, sigmas[1], 1e-8) in eta._C_CACHE
+    assert (sigmas[1], 1e-8) in eta._C_CACHE
     assert again == eta.eta_tilde_weighted(1, sigmas[1], 0.0).value * 1j
     assert len(eta._C_CACHE) == eta._C_CACHE_CAP
 
@@ -463,17 +534,19 @@ def test_vertical_preconditions():
 
 
 def test_guard_band():
+    # every horizontal route refuses the band with a GuardBand, at +-t,
+    # for a zero at or right of sigma; a zero left of sigma leaves the
+    # ray clean
     g1 = TAB.gammas[0]
-    with pytest.raises(GuardBand):
-        check_guard(TAB, 0.4, g1 + 5e-4)
-    check_guard(TAB, 0.8, g1 + 5e-4)  # zero left of sigma: clean
-    # every horizontal route refuses the band with a GuardBand, at +-t
     for t in (g1 + 5e-4, -g1 - 5e-4):
         for route in (eta_tilde_weighted, eta_tilde_recursive):
             with pytest.raises(GuardBand, match=f"{g1:.6f}"):
                 route(1, 0.5, t, TAB)
-        with pytest.raises(GuardBand, match=f"{g1:.6f}"):
-            log_zeta_horizontal(0.5, t, TAB)
+            assert np.isfinite(route(1, 0.8, t, TAB).value)
+        for sigma in (0.4, 0.5):
+            with pytest.raises(GuardBand, match=f"{g1:.6f}"):
+                log_zeta_horizontal(sigma, t, TAB)
+        assert np.isfinite(log_zeta_horizontal(0.8, t, TAB))
 
 
 def test_abs_tol_must_be_positive():

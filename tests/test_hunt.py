@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from iterzeta import hunt
-from iterzeta.dirichlet import mangoldt_grid, mangoldt_sum
+from iterzeta.dirichlet import _grid_split, mangoldt_grid, mangoldt_sum
 from iterzeta.errors import (BranchObstruction, BudgetExceeded, TableCoverage,
                              UnsupportedRange, ValidationError)
-from iterzeta.eta import eta_tilde_weighted
+from iterzeta.eta import _prime_powers, eta_tilde_weighted
 from iterzeta.hunt import (HuntConfig, TorusTarget, equidistribution_measure,
                            hunt_value, kronecker_search)
 from iterzeta.zeros import ZeroTable, bundled_table
@@ -301,3 +301,20 @@ def test_hunt_grid_matches_mangoldt_sum(m, sigma):
     for j in (0, count // 2, count - 1):
         t = cfg.t_min + hunt.GRID_STEP * j
         assert abs(grid[j] - mangoldt_sum(m, sigma, t, 300)) < 1e-13
+
+
+@pytest.mark.parametrize("count", [1, 7, 11501])
+def test_grid_is_the_complex_product(count):
+    # the grid is formed as one real product on the (Re, Im) parts; it
+    # stays the complex (blocks x prime powers) . (prime powers x
+    # offsets) product to 1e-13 relative
+    logs, inv_k = _prime_powers(300)
+    for m in (1, 2, 3):
+        for sigma in (0.5, 0.8, 2.0):
+            blocks, offsets = _grid_split(10.0, 0.02, count)
+            coef = inv_k * np.exp(-sigma * logs) / logs ** m
+            want = ((coef * np.exp(-1j * np.multiply.outer(blocks, logs)))
+                    @ np.exp(-1j * np.multiply.outer(logs, offsets))
+                    ).ravel()[:count]
+            got = mangoldt_grid(m, sigma, 10.0, 0.02, count, 300)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))

@@ -6,7 +6,7 @@ from iterzeta import rays
 from iterzeta.errors import BranchObstruction, GuardBand, UnsupportedRange
 from iterzeta.eta import _eta_tilde_rows
 from iterzeta.rays import (CUTOFF_OFFSET, GUARD, LineBranch, RayBranch,
-                           _guarded, check_guard, log_zeta_horizontal,
+                           _guarded, _initial_offsets, log_zeta_horizontal,
                            log_zeta_real_axis, vertical_log_zeta)
 from iterzeta.zeros import EMPTY_TABLE, ZeroTable, bundled_table
 
@@ -135,8 +135,9 @@ def test_guard_over_many_heights():
     # sigma = 0.6, two of them 1.5 GUARD apart: at each ordinate, its
     # guard's edges and one ulp either side of them, and at -t, the one
     # search over all heights flags exactly the heights that the test
-    # |gamma - |t|| <= GUARD over every zero flags, and check_guard
-    # raises there, naming an ordinate within GUARD
+    # |gamma - |t|| <= GUARD over every zero flags.  The ray refuses
+    # those rows, and log_zeta_horizontal raises GuardBand there at +-t,
+    # naming an ordinate within GUARD; every other height reads a value
     sigma = 0.6
     tab = ZeroTable(np.array([0.5, 0.6, 0.7, 0.6]),
                     np.array([10.0, 20.0, 30.0, 30.0015]),
@@ -153,13 +154,17 @@ def test_guard_over_many_heights():
     assert np.array_equal(~np.isnan(got), want)
     assert want.sum() > 0 and not want[abs(abs(ts) - 10.0) < 0.5].any()
     assert want[ts == 20.0].all() and want[ts == 30.0].all()
-    for t, ordinate in zip(ts, got):
+    ray = RayBranch(sigma, np.abs(ts), tab)
+    assert np.array_equal(ray.obstructed, want)
+    for row, (t, ordinate) in enumerate(zip(ts, got)):
         if np.isnan(ordinate):
-            check_guard(tab, sigma, t)
+            v = log_zeta_horizontal(sigma, t, tab)
+            assert np.isfinite(v.real) and np.isfinite(v.imag)
         else:
             assert abs(ordinate - abs(t)) <= GUARD
-            with pytest.raises(BranchObstruction, match=f"{ordinate:.6f}"):
-                check_guard(tab, sigma, t)
+            assert isinstance(ray.refusal(row), GuardBand)
+            with pytest.raises(GuardBand, match=f"{ordinate:.6f}"):
+                log_zeta_horizontal(sigma, t, tab)
     assert np.isnan(_guarded(EMPTY_TABLE, sigma, ts)).all()
 
 
@@ -170,11 +175,31 @@ def test_real_axis_route():
     assert abs(v2.real - np.log(np.pi ** 2 / 6)) < 1e-12
     # between 0 and the pole zeta < 0; the limit from above approaches the
     # negative axis from below (zeta' < 0 there), so the branch carries -pi
-    v_half = log_zeta_real_axis(np.array([0.5]))[0]
+    v_half = log_zeta_horizontal(0.5, 0.0)
     assert abs(v_half.imag + np.pi) < 1e-14
     assert abs(np.exp(v_half) - complex(mp.zeta(0.5))) < 1e-12
-    with pytest.raises(BranchObstruction):
+    # the ray at t = 0 is resolved through the pole, where W(1) = 1, but a
+    # query of log zeta at s = 1 itself is refused
+    with pytest.raises(BranchObstruction, match="pole"):
         log_zeta_horizontal(1.0, 0.0)
+    ray = RayBranch(0.5, 0.0)
+    assert ray.log_w(np.array([1.0]))[0] == 0.0
+    with pytest.raises(BranchObstruction, match="pole"):
+        ray.log_zeta(np.array([0.7, 1.0]))
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.75, 0.99, 2.0])
+def test_ray_at_t0_is_the_real_axis(sigma):
+    # t = 0 is a row like any other: W > 0 on the real axis, so its
+    # starting ladder passes in one round, and its log zeta is the
+    # closed-form real-axis value, the limit from the upper half plane
+    ray = RayBranch(sigma, 0.0)
+    assert ray.nodes_used == _initial_offsets().size
+    alphas = sigma + np.linspace(0.0, CUTOFF_OFFSET, 241)
+    alphas = alphas[alphas != 1.0]
+    got = ray.log_zeta(alphas)
+    want = log_zeta_real_axis(alphas)
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def _line_heights(sigma):
@@ -231,11 +256,14 @@ def test_line_branch_from_a_bottom():
 
 
 def test_vertical_log_zeta_is_the_walk():
-    us = np.array([2.0, 14.0, 21.1, 96.5])
+    # u = 0 is the ray on the real axis; below it there is no ray
+    us = np.array([0.0, 2.0, 14.0, 21.1, 96.5])
     want = np.array([log_zeta_horizontal(0.4, u) for u in us])
     assert np.max(np.abs(vertical_log_zeta(0.4, us) - want)) < 1e-13
+    assert abs(vertical_log_zeta(0.4, us)[0]
+               - log_zeta_real_axis(0.4)) <= 1e-15
     with pytest.raises(UnsupportedRange):
-        vertical_log_zeta(0.8, np.array([0.0, 3.0]))
+        vertical_log_zeta(0.8, np.array([-1.0, 3.0]))
 
 
 def test_line_branch_checks_its_cuts():
