@@ -23,14 +23,13 @@ import numpy as np
 
 from . import __version__
 from .errors import BranchObstruction, ComputationError, ValidationError
-from .eta import ABS_TOL, eta_tilde_weighted, eta_vertical, y_m
+from .eta import ABS_TOL, _eta_tilde_rows, eta_vertical, y_m
 from .hunt import HuntConfig, hunt_value
 from .dirichlet import mean_square_error
 from .polygon import RadiiSet, polygon_angles
 from .primes import sieve_primes
-from .rays import log_zeta_horizontal
 from .torus import construct_theta, save_theta
-from .zetafun import ComplexPoint, zeta
+from .zetafun import zeta_batch
 from .zeros import ZeroTable, bundled_table, load_zero_table
 
 EXIT_OK = 0
@@ -213,22 +212,23 @@ def cmd_eval(cfg: dict) -> int:
     if ts.size:
         table.require_coverage(ts[-1])
     start = time.monotonic()
+    # log zeta (order 0) and eta~_m from one pass over the grid's rays
+    horizontal = _eta_tilde_rows((0, m), sigma, ts, table, abs_tol=abs_tol)
     rows, skipped = [], 0
-    for t in ts:
+    for t, z, row in zip(ts, zeta_batch(sigma + 1j * ts), horizontal):
         try:
-            # the ray refuses a guard-band height before any zeta call
-            lz = log_zeta_horizontal(sigma, t, table=table)
-            z = zeta(ComplexPoint(sigma, t))
-            et = eta_tilde_weighted(m, sigma, t, table, abs_tol=abs_tol)
+            if isinstance(row, Exception):
+                raise row
             ev = eta_vertical(m, sigma, t, table, abs_tol=abs_tol)
-            ym = y_m(m, sigma, t, table)
         except BranchObstruction:
             skipped += 1
             continue
+        (lz, et), ym = row, y_m(m, sigma, t, table)
         resid = abs(ev.value - ((1j ** m) * et.value + ym))
-        vals = (float(m), sigma, t, z.real, z.imag, lz.real, lz.imag,
-                et.value.real, et.value.imag, ev.value.real, ev.value.imag,
-                ym.real, ym.imag, resid, et.est_error + ev.est_error)
+        vals = (float(m), sigma, t, z.real, z.imag, lz.value.real,
+                lz.value.imag, et.value.real, et.value.imag, ev.value.real,
+                ev.value.imag, ym.real, ym.imag, resid,
+                et.est_error + ev.est_error)
         rows.append(tuple(_fmt(v) for v in vals))
     _write_csv(out, _EVAL_HEADER, rows)
     RunManifest("eval", cfg, table.source_label, table.coverage,

@@ -27,8 +27,8 @@ li_vs_mangoldt_gap stay apart from both as the decomposition check's
 reference.  mangoldt_grid evaluates the von Mangoldt sum on a whole grid
 of heights, over eta's one list of prime powers; mangoldt_sum is its
 one-height call, and the hunt ranks its candidate heights by it.  The
-mean-square sweep forms p^(-it) on its grid by the same block x offset
-split.
+mean-square sweep's _li_grid forms p^(-it) on its grid by the same
+block x offset split; dirichlet_li_sum is its one-height call.
 """
 
 from __future__ import annotations
@@ -208,13 +208,13 @@ def _prime_logs(X: float, primes: PrimeTable) -> np.ndarray:
 
 def dirichlet_li_sum(m: int, sigma: float, t: float, X: float,
                      primes: PrimeTable) -> complex:
-    """sum_{p <= X} Li_{m+1}(p^(-sigma-it)) / (log p)^m, exact finite sum."""
+    """sum_{p <= X} Li_{m+1}(p^(-sigma-it)) / (log p)^m, exact finite
+    sum: the one-height call of _li_grid (0 with no prime up to X)."""
     logs = _prime_logs(X, primes)
     if sigma < 0.5:
         raise ValidationError("sigma must be >= 1/2")
-    s = sigma + 1j * t
-    return complex(_polylog_sum(m + 1, logs, m, sigma,
-                                lambda lo, hi: np.exp(-s * logs[lo:hi])))
+    d = _li_grid(m, sigma, logs, t, 1.0, 1, np.zeros(1, dtype=np.intp))
+    return complex(np.sum(d))
 
 
 def _grid_split(t0: float, step: float, count: int):

@@ -6,7 +6,8 @@ Horizontal form (weight collapsed by parts):
                               log zeta(a + it) da
 
 The integral splits at A = sigma + X, X = rays.CUTOFF_OFFSET = 6.
-Quadrature on the resolved ray covers [sigma, A].  From Re s >= 6.5 on,
+Quadrature on the resolved ray covers [sigma, A]; below NEAR_POLE it
+integrates log W, and the pole's Log(s - 1) is exact.  From Re s >= 6.5 on,
 log zeta = sum_{n = p^k} n^-s / k converges absolutely, and each term
 integrates against the weight in closed form, so past A
 
@@ -65,6 +66,8 @@ from .zetafun import DEFAULT_PARAMS, ComplexPoint, zeta_error
 from .zeros import EMPTY_TABLE, ZeroTable, zeros_in_box
 
 SUPPORTED_M = (1, 2, 3)
+# below this height a ray integrates log W, the pole's part exactly
+NEAR_POLE = 1.0
 # the default quadrature tolerance of every eta and dirichlet integral
 ABS_TOL = 1e-8
 # heights in one pass of _eta_tilde_rows.  A pass holds the quadrature
@@ -133,8 +136,8 @@ def _log_zeta_error(sigma: float, t):
     Every point meets tol in its remainder; the rounding part of
     zeta_error is largest at the leftmost, tallest point sigma + it, and
     passes tol only at large t.  At t = 0 and within the unit disc
-    around the pole it is tol: the t = 0 route integrates
-    log(zeta(a)(a-1)) and never meets the pole, and log zeta's error is
+    around the pole it is tol: a ray below NEAR_POLE integrates
+    log(zeta(s)(s-1)) and never meets the pole, and log zeta's error is
     zeta's over |zeta| >= 0.7/|s-1|, so the tail term's growth like
     1/|s-1| cancels.
     """
@@ -214,15 +217,16 @@ def _tail(m: int, sigma: float, t):
     return weighted.sum(axis=-1), err
 
 
-def _pole_log(m: int, sigma: float, a_cut: float) -> complex:
-    """1/(m-1)! int_sigma^A (a-sigma)^(m-1) Log(a - 1 + i0) da, exact.
+def _pole_log(m: int, sigma: float, a_cut: float, t: float) -> complex:
+    """1/(m-1)! int_sigma^A (a-sigma)^(m-1) Log(a - 1 + it) da, exact.
 
-    This is the non-smooth part of log zeta(a + i0+) = log W(a)
-    - Log(a - 1 + i0).  With u = 1 - a, Log(a - 1 + i0) = Log(iu) + i pi/2
-    on both sides of the pole, and Log(iu) is the local model at c = 0.
+    The part of log zeta = log W - Log(s - 1) not smooth near the pole.
+    With u = 1 - a, Log(a - 1 + it) = Log(t + iu) + i pi/2 (at t = 0 the
+    limit from above, on both sides of the pole): the local model at
+    c = t, which loses about eps t^m, under eps below NEAR_POLE.
     """
     return poly_log_integral(m, 1.0 - sigma, 1.0 - a_cut, 1.0 - sigma,
-                             0.0, 0.0) \
+                             0.0, t) \
         + 0.5j * np.pi * (a_cut - sigma) ** m / factorial(m)
 
 
@@ -244,12 +248,12 @@ def eta_tilde_weighted(m: int, sigma: float, t: float,
 
 
 def _ray_integrand(branch: RayBranch, alphas, rows) -> np.ndarray:
-    """log zeta on the rows of branch at t > 0, log W at t = 0, whose pole
-    part _pole_log integrates exactly (at t > 0 poly_log_integral would
-    lose about eps |c|^m with c = t)."""
+    """log zeta on the rows of branch at t >= NEAR_POLE, log W below,
+    whose pole part _pole_log integrates exactly (higher up
+    poly_log_integral would lose about eps t^m)."""
     s = alphas + 1j * branch.heights[rows]
     return branch.log_w(alphas, rows) - np.log(
-        s - 1.0, out=np.zeros_like(s), where=s.imag > 0.0)
+        s - 1.0, out=np.zeros_like(s), where=s.imag >= NEAR_POLE)
 
 
 def _eta_tilde_rows(m, sigma: float, ts: np.ndarray,
@@ -259,8 +263,8 @@ def _eta_tilde_rows(m, sigma: float, ts: np.ndarray,
     One RayBranch resolves the ladders of all heights and one
     integrate_rows call integrates them on [sigma, sigma + CUTOFF_OFFSET],
     so a height costs its share of a few batched zeta calls instead of a
-    call sequence of its own; the closed-form tail adds the rest, and at
-    t = 0 (c_m's row) the pole's part (_ray_integrand).
+    call sequence of its own; the closed-form tail adds the rest, and
+    below NEAR_POLE (c_m's t = 0 too) the pole's part (_ray_integrand).
     Each height gets its own panels, and its value differs from its
     one-height value only by the rounding of the zeta calls it shared.
     Returns per height its EtaValue, or the BranchObstruction (a
@@ -268,11 +272,12 @@ def _eta_tilde_rows(m, sigma: float, ts: np.ndarray,
     raises; a height's refusal leaves the others as they would be
     without it.  At most ROWS_PER_PASS heights share a pass.  m may be a
     tuple of orders: a height then gets one EtaValue per order, each
-    order's integrand on the same panels.
+    order's integrand on the same panels; order 0, taken only there, is
+    log zeta at the ray's start: no quadrature, est_error _log_zeta_error.
     """
     orders = m if isinstance(m, tuple) else (m,)
     for j in orders:
-        _validate_order_sigma(j, sigma)
+        _validate_order_sigma(j if j or orders is not m else 1, sigma)
     _validate_abs_tol(abs_tol)
     if ts.size > ROWS_PER_PASS:
         return [ev for lo in range(0, ts.size, ROWS_PER_PASS)
@@ -286,8 +291,8 @@ def _eta_tilde_rows(m, sigma: float, ts: np.ndarray,
 
     def f(alphas, row):
         lz = _ray_integrand(branch, alphas, rows[row])
-        out = [(alphas - sigma) ** (j - 1) * lz / factorial(j - 1)
-               for j in orders]
+        out = [(alphas - sigma) ** (j - 1) * lz / factorial(j - 1) if j
+               else np.zeros_like(lz) for j in orders]
         return np.stack(out) if orders is m else out[0]
     value, qerr, nev, refused = integrate_rows(
         f, np.full(rows.size, sigma), a_cut, abs_tol, initial_splits=2)
@@ -295,10 +300,14 @@ def _eta_tilde_rows(m, sigma: float, ts: np.ndarray,
     value, qerr = value.reshape(shape), qerr.reshape(shape)
     ts_ok = branch.heights[rows]
     nev = nev + branch.row_nodes[rows]
-    flat = ts_ok == 0.0
+    near = np.flatnonzero(ts_ok < NEAR_POLE)
     for k, j in enumerate(orders):
-        if flat.any():
-            value[flat, k] -= _pole_log(j, sigma, a_cut)
+        if j == 0:
+            value[:, k] = branch.log_zeta(np.full(rows.size, sigma), rows)
+            qerr[:, k] = _log_zeta_error(sigma, ts_ok)
+            continue
+        for i in near:
+            value[i, k] -= _pole_log(j, sigma, a_cut, float(ts_ok[i]))
         tail, tail_err = _tail(j, sigma, ts_ok)
         value[:, k] += tail
         qerr[:, k] = qerr[:, k] + tail_err \
@@ -356,8 +365,8 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
 
     log zeta on [sigma, A], A = sigma + CUTOFF_OFFSET, is fitted by
     degree-8 Chebyshev pieces on the ray's branch ladder (_ray_integrand:
-    log W at t = 0); a piece whose fit misses tol at a check node is
-    bisected.
+    log W below NEAR_POLE); a piece whose fit misses tol at a check node
+    is bisected.
     Level j is then the exact antiderivative of level j - 1 from x to
     the cut, plus its value there in closed form,
     G_j(A) = sum n^-(A+it) / (k (log n)^j), so the levels are the nested
@@ -404,8 +413,8 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
         coeffs = _integral_to_cut(lo, hi, coeffs,
                                   complex(np.sum(terms[0] / logs ** j)))
     value = complex(_cheb.chebval(-1.0, coeffs[0]))
-    if t == 0.0:
-        value -= _pole_log(m, sigma, a_cut)
+    if t < NEAR_POLE:
+        value -= _pole_log(m, sigma, a_cut, t)
 
     # the constants' truncation and rounding reach the value through the
     # weighted tail's combination, so they carry its error

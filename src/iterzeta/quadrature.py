@@ -255,11 +255,11 @@ def poly_log_integral(m: int, t: float, u0: float, u1: float,
 
     For c != 0 the by-parts terms w^(j+1) Log(v - w), w = ic, cancel
     when |c| >> |v|, and the result loses about eps |c|^m in absolute
-    terms.  Its callers keep c small: c = 0 for the real-axis pole,
-    |c| <= eta.NEAR_LINE for a zero's model, and c = sigma - 1 in
-    eta_vertical (off mpmath by 3e-13 at sigma = 20, m = 3, far inside
-    abs_tol).  log zeta's pole at a height t (c = t) is not: at t = 9990,
-    m = 3 it is off by 4e-4.
+    terms.  Its callers keep c small: c = t < eta.NEAR_POLE for the pole
+    of a ray at height t, |c| <= eta.NEAR_LINE for a zero's model, and
+    c = sigma - 1 in eta_vertical (off mpmath by 3e-13 at sigma = 20,
+    m = 3, far inside abs_tol).  Higher rays do not split off the pole:
+    at c = t = 9990, m = 3 it is off by 4e-4.
     """
     return poly_log_integrals(m, t, u0, u1, gamma, c)[-1]
 

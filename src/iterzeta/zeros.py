@@ -75,10 +75,6 @@ class ZeroTable:
         return (self.betas.tobytes(), self.gammas.tobytes(),
                 self.mults.tobytes())
 
-    @property
-    def max_beta(self) -> float:
-        return float(self.betas.max()) if len(self) else 0.0
-
 
 EMPTY_TABLE = ZeroTable(np.array([]), np.array([]), np.array([], dtype=np.int64),
                         source_label="empty")

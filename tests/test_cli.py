@@ -7,14 +7,16 @@ from pathlib import Path
 import pytest
 
 import iterzeta
-from iterzeta import cli
+from iterzeta import cli, eta, rays
 from iterzeta.cli import main
 from iterzeta.dirichlet import mean_square_error
 from iterzeta.errors import TableCoverage
 from iterzeta.eta import eta_vertical
 from iterzeta.hunt import HuntConfig, hunt_value
+from iterzeta.rays import log_zeta_horizontal
 from iterzeta.torus import load_theta
-from iterzeta.zeros import load_zero_table
+from iterzeta.zeros import bundled_table, load_zero_table
+from iterzeta.zetafun import zeta
 
 ZEROS = "src/iterzeta/data/zeros_t250.txt"
 
@@ -42,6 +44,47 @@ def test_eval_bridge_grid(tmp_path):
     text = manifest.read_text()
     assert "rows = 21" not in text.split("#")[0]  # counts live in comments
     assert "# rows = 21" in text
+
+
+def test_eval_is_one_pass_per_grid(tmp_path, monkeypatch):
+    # a grid's log zeta and eta~ come from one pass over its rays and its
+    # zeta from one batch, with no per-row horizontal call; the zeta and
+    # log zeta columns are bitwise the one-height values.  Height 146.0
+    # lies 9.8e-4 from the ordinate 146.000982 and is skipped
+    calls = {"rows": 0, "zeta": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a per-row horizontal call")
+    monkeypatch.setattr(cli, "_eta_tilde_rows",
+                        counted("rows", cli._eta_tilde_rows))
+    monkeypatch.setattr(cli, "zeta_batch", counted("zeta", cli.zeta_batch))
+    monkeypatch.setattr(rays, "log_zeta_horizontal", refused)
+    monkeypatch.setattr(eta, "eta_tilde_weighted", refused)
+    for name in ("log_zeta_horizontal", "zeta", "eta_tilde_weighted"):
+        assert not hasattr(cli, name)
+    out = tmp_path / "eval.csv"
+    assert main(["eval", "m=2", "sigma=0.5", "t=144..148", "step=0.5",
+                 f"table={_table_arg(tmp_path)}", f"out={out}"]) == 0
+    assert calls == {"rows": 1, "zeta": 1}
+    monkeypatch.undo()
+    rows = list(csv.DictReader(open(out)))
+    assert [float(r["t"]) for r in rows] == [144.0, 144.5, 145.0, 145.5,
+                                             146.5, 147.0, 147.5, 148.0]
+    tab = bundled_table()
+    for r in rows:
+        t = float(r["t"])
+        z = zeta(complex(0.5, t))
+        lz = log_zeta_horizontal(0.5, t, tab)
+        assert [r[k] for k in ("re_zeta", "im_zeta", "re_log_zeta",
+                               "im_log_zeta")] \
+            == [format(v, ".17g") for v in (z.real, z.imag, lz.real, lz.imag)]
+        assert float(r["residual"]) <= float(r["est_error"])
 
 
 def test_eval_rerun_is_byte_identical(tmp_path):

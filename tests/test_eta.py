@@ -9,11 +9,12 @@ import pytest
 from iterzeta import eta, rays
 from iterzeta.errors import (BranchObstruction, GuardBand,
                              QuadratureNonconvergence, TableCoverage,
-                             ValidationError)
+                             UnsupportedRange, ValidationError)
 from iterzeta.eta import (_eta_tilde_rows, c_m, check_bridge,
                           eta_tilde_recursive, eta_tilde_weighted,
                           eta_vertical, growth_check, tail_bound, y_m,
                           y_m_terms)
+from iterzeta.hunt import hunt_value
 from iterzeta.quadrature import integrate_rows
 from iterzeta.rays import CUTOFF_OFFSET, log_zeta_horizontal
 from iterzeta.zetafun import zeta_batch
@@ -118,6 +119,38 @@ def test_rows_refusal_is_local(extra, table):
         eta_tilde_weighted(1, 0.5, extra, table)
 
 
+def test_order_zero_is_log_zeta():
+    # order 0 of a tuple is log zeta at the ray's start, bit for bit, with
+    # _log_zeta_error as its est_error; the other orders are bitwise what
+    # they are without it, and a refused height is refused in both
+    ts = np.array([0.5, 20.5, TAB.gammas[1] + 5e-4, 35.0, 110.25])
+    with0 = _eta_tilde_rows((0, 1, 2), 0.5, ts, TAB)
+    without = _eta_tilde_rows((1, 2), 0.5, ts, TAB)
+    for t, got, want in zip(ts, with0, without):
+        if isinstance(want, Exception):
+            assert type(got) is type(want) is GuardBand
+            continue
+        lz = got[0]
+        assert lz.m == 0 and lz.point.t == t
+        assert lz.value == log_zeta_horizontal(0.5, t, TAB)
+        assert lz.est_error == eta._log_zeta_error(0.5, t)
+        for a, b in zip(got[1:], want):
+            assert (a.m, a.value, a.est_error, a.nevals) \
+                == (b.m, b.value, b.est_error, b.nevals)
+
+
+def test_order_zero_only_in_a_tuple():
+    # an integer m = 0 is refused wherever it was: both eta~ routes, a
+    # pass of one order and the hunt (test_mean_square_validation holds
+    # the mean square)
+    for call in (lambda: eta_tilde_weighted(0, 0.8, 20.0, TAB),
+                 lambda: eta_tilde_recursive(0, 0.8, 20.0, TAB),
+                 lambda: _eta_tilde_rows(0, 0.8, np.array([20.0]), TAB),
+                 lambda: hunt_value(0, 0.8, 0.1 + 0.1j, 0.1, table=TAB)):
+        with pytest.raises(UnsupportedRange):
+            call()
+
+
 def test_tail_bound_shrinks():
     bounds = [tail_bound(2, 0.5, a) for a in (10.5, 20.5, 40.5)]
     assert all(b > 0 for b in bounds)
@@ -203,6 +236,21 @@ def test_routes_agree(m, sigma, t, tol):
     r = eta_tilde_recursive(m, sigma, t, table=TAB)
     assert abs(w.value - r.value) < tol
     assert abs(w.value - r.value) <= r.est_error + w.est_error
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.8, 1.0, 2.0])
+def test_near_pole_rows(sigma):
+    # below NEAR_POLE a ray integrates log W and takes the pole's part in
+    # closed form: no row costs more than the real axis's, and the two
+    # routes agree within their est_errors
+    for m in (1, 2, 3):
+        w0 = eta_tilde_weighted(m, sigma, 0.0, TAB)
+        r0 = eta_tilde_recursive(m, sigma, 0.0, TAB)
+        for t in (1e-3, 0.1, 0.5, 0.999):
+            w = eta_tilde_weighted(m, sigma, t, TAB)
+            r = eta_tilde_recursive(m, sigma, t, TAB)
+            assert w.nevals <= w0.nevals and r.nevals <= r0.nevals, (m, t)
+            assert abs(w.value - r.value) <= w.est_error + r.est_error
 
 
 def test_recursive_error_holds_no_fixed_term():

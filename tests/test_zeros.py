@@ -42,7 +42,6 @@ def test_load_three_column(tmp_path):
     tab = load_zero_table(p)
     assert tab.betas[0] == 0.6
     assert tab.mults[0] == 2
-    assert tab.max_beta == 0.6
 
 
 def test_parse_errors(tmp_path):
