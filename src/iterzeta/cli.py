@@ -256,9 +256,11 @@ def cmd_meansquare(cfg: dict) -> int:
     if not xs:
         raise ValidationError("field X: needs at least one cutoff")
     start = time.monotonic()
+    # one table for every row: the rows take the same primes and logs
+    primes = sieve_primes(max(3, *xs))
     rows = []
     for x in xs:
-        rep = mean_square_error(m, sigma, x, T, grid_step, table)
+        rep = mean_square_error(m, sigma, x, T, grid_step, table, primes)
         rows.append(tuple(_fmt(v) for v in
                           (float(rep.m), rep.sigma, float(rep.X), rep.T,
                            rep.mse, rep.bound_ratio, rep.skipped_fraction)))

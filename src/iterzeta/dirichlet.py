@@ -13,6 +13,12 @@ plus the tail of prime powers exceeding X; li_vs_mangoldt_gap computes
 that tail so the decomposition is checkable to rounding error.
 mean_square_error measures (1/T) int_14^T |eta_tilde - D_X|^2 dt on a
 grid, the desk-scale stand-in for the asymptotic mean-value statement.
+Its grid's cache entry, keyed by (m, sigma, T, step, table.key, abs_tol),
+holds the eta_tilde column and the running D_X totals after each full
+block of _polylog_sum's primes, at most POLYLOG_KEPT = 2^16 numbers
+(1 MiB) a grid: a sweep over X pays only for the primes past the last
+total it covers, and, since it adds the same blocks in the same order,
+its D_X and report are bitwise the cold ones.
 
 Every prime-polylog sum in the package (D_X; torus's S, its reference
 value and harmonic bounds) is _polylog_sum, or, for the window of a
@@ -28,7 +34,8 @@ reference.  mangoldt_grid evaluates the von Mangoldt sum on a whole grid
 of heights, over eta's one list of prime powers; mangoldt_sum is its
 one-height call, and the hunt ranks its candidate heights by it.  The
 mean-square sweep's _li_grid forms p^(-it) on its grid by the same
-block x offset split; dirichlet_li_sum is its one-height call.
+block x offset split; dirichlet_li_sum is its one-height call, and
+keeps no totals.
 """
 
 from __future__ import annotations
@@ -52,6 +59,9 @@ POLYLOG_RADIUS = 0.95
 # blocks past L2, measured no faster)
 POLYLOG_CHUNK = 2 ** 15
 POLYLOG_MIN_PRIMES = 4
+# numbers of running totals that _polylog_sum keeps for one caller: 1 MiB
+# of complex totals per sweep grid, however fine the grid
+POLYLOG_KEPT = 2 ** 16
 _SERIES_EPS = 1e-16
 _TAIL_EPS = 1e-15
 
@@ -159,7 +169,7 @@ def _live_counts(logs: np.ndarray, c: float) -> np.ndarray:
 
 
 def _polylog_sum(order: int, logs: np.ndarray, power: int, c: float,
-                 z_block, rows: int = 1):
+                 z_block, rows: int = 1, kept: dict | None = None):
     """sum_p Li_order(z_p) / (log p)^power over the primes with these
     ascending logs, one sum per row, for points of modulus
     |z_p| = exp(-c log p).
@@ -173,13 +183,29 @@ def _polylog_sum(order: int, logs: np.ndarray, power: int, c: float,
     grid of thousands of rows still takes a few primes a step.  Each row
     is summed over its primes on its own, so its value does not depend
     on the other rows.
+
+    kept, for a caller that sums over longer and shorter prefixes of the
+    same primes with the same z_block, maps the block size to the running
+    totals after each full block, counted from the first prime: the sum
+    starts from the last total its primes cover, and keeps the totals of
+    the full blocks it passes, at most POLYLOG_KEPT numbers in all.  It
+    adds the same blocks in the same order, so its value is bitwise the
+    one without kept; a block the primes cover only in part is neither
+    read nor kept.
     """
     if logs.size == 0:
         return 0.0 + 0.0j
     live = _live_counts(logs, c)
     step = max(POLYLOG_MIN_PRIMES, POLYLOG_CHUNK // rows)
-    total = 0.0 + 0.0j
-    for lo in range(0, logs.size, step):
+    total, start, totals = 0.0 + 0.0j, 0, None
+    if kept is not None:
+        if step not in kept:    # made under a patched POLYLOG_CHUNK
+            kept.clear()
+        totals = kept.setdefault(step, [])
+        done = min(len(totals), logs.size // step)
+        if done:
+            total, start = totals[done - 1], done * step
+    for lo in range(start, logs.size, step):
         hi = min(lo + step, logs.size)
         z = z_block(lo, hi)
         li = _polylog_prefix(order, z, np.clip(live - lo, 0, hi - lo))
@@ -196,6 +222,11 @@ def _polylog_sum(order: int, logs: np.ndarray, power: int, c: float,
             # rows made contiguous: a pairwise sum per row, whatever the
             # number of rows
             total = total + np.sum(li.T.copy(), axis=-1)
+        # a full block past the kept ones (the loop starts at the end of
+        # the last one) while there is room: total is never written to
+        if (totals is not None and hi - lo == step
+                and (len(totals) + 1) * np.size(total) <= POLYLOG_KEPT):
+            totals.append(total)
     return total
 
 
@@ -213,8 +244,7 @@ def dirichlet_li_sum(m: int, sigma: float, t: float, X: float,
     logs = _prime_logs(X, primes)
     if sigma < 0.5:
         raise ValidationError("sigma must be >= 1/2")
-    d = _li_grid(m, sigma, logs, t, 1.0, 1, np.zeros(1, dtype=np.intp))
-    return complex(np.sum(d))
+    return complex(_li_grid(m, sigma, logs, t, 1.0, 1, 0))
 
 
 def _grid_split(t0: float, step: float, count: int):
@@ -227,22 +257,26 @@ def _grid_split(t0: float, step: float, count: int):
 
 
 def _li_grid(m: int, sigma: float, logs: np.ndarray, t0: float,
-             step: float, count: int, cols: np.ndarray) -> np.ndarray:
+             step: float, count: int, cols: np.ndarray,
+             kept: dict | None = None) -> np.ndarray:
     """sum_p Li_{m+1}(p^(-sigma-it)) / (log p)^m over the primes with
     these logs, at the heights t = t0 + step j, j in cols, of a grid of
     count heights.
 
     p^(-it) is p^(-i t_b) p^(-i t_r) on mangoldt_grid's block x offset
     split of the whole grid, so a height's value depends on (t0, step,
-    count, j) alone, not on which other heights are asked for."""
+    count, j) alone, not on which other heights are asked for.  Every
+    height is summed, and cols chosen at the end, so the totals kept (see
+    _polylog_sum) serve any cols."""
     blocks, offsets = _grid_split(t0, step, count)
-    jb, jr = np.divmod(cols, offsets.size)
 
     def z_block(lo, hi):
-        lg = logs[lo:hi, None]
-        return (np.exp(-(sigma + 1j * blocks) * lg).take(jb, axis=1)
-                * np.exp(-1j * offsets * lg).take(jr, axis=1))
-    return _polylog_sum(m + 1, logs, m, sigma, z_block, rows=count)
+        lg = logs[lo:hi, None, None]
+        z = (np.exp(-(sigma + 1j * blocks[:, None]) * lg)
+             * np.exp(-1j * offsets * lg))
+        return z.reshape(hi - lo, -1)[:, :count]
+    d = _polylog_sum(m + 1, logs, m, sigma, z_block, rows=count, kept=kept)
+    return np.broadcast_to(d, count)[cols]     # 0 with no prime
 
 
 def mangoldt_grid(m: int, sigma: float, t0: float, step: float, count: int,
@@ -324,16 +358,17 @@ class MeanSquareReport:
             raise ValidationError("mean-square report out of range")
 
 
-# eta~ grid columns by (m, sigma, T, step, table.key, abs_tol); a sweep
-# over X reads one column
+# eta~ grid columns, each with the D_X totals its sweeps keep, by (m, sigma,
+# T, step, table.key, abs_tol)
 _ETA_GRID_CACHE_CAP = 8
 _ETA_GRID_CACHE = LRUDict(_ETA_GRID_CACHE_CAP)
 
 
 def _eta_tilde_grid(m: int, sigma: float, T: float, grid_step: float,
                     table: ZeroTable, abs_tol: float):
-    """eta_tilde on the uniform grid, NaN where the ray refuses a height
-    as GuardBand; a stall raises.  Cached so sweeps over X reuse it."""
+    """(ts, eta_tilde on the uniform grid ts, kept D_X totals): eta_tilde
+    NaN where the ray refuses a height as GuardBand; a stall raises.
+    Cached so sweeps over X reuse it."""
     def column():
         ts = np.arange(14.0, T + 1e-9, grid_step)
         vals = np.full(ts.size, np.nan + 0j, dtype=complex)
@@ -344,7 +379,7 @@ def _eta_tilde_grid(m: int, sigma: float, T: float, grid_step: float,
             if isinstance(ev, Exception):
                 raise ev
             vals[i] = ev.value
-        return ts, vals
+        return ts, vals, {}
 
     return _ETA_GRID_CACHE.get_or_set(
         (m, sigma, T, grid_step, table.key, abs_tol), column)
@@ -358,7 +393,17 @@ def mean_square_error(m: int, sigma: float, X: float, T: float,
 
     Guard-zone grid points are skipped and reported as a fraction;
     bound_ratio divides the result by the reference shape
-    X^(1-2 sigma) / (log X)^(2m)."""
+    X^(1-2 sigma) / (log X)^(2m).
+
+    The grid's entry in _ETA_GRID_CACHE, keyed by (m, sigma, T,
+    grid_step, table.key, abs_tol), keeps with its eta_tilde column D_X
+    at every height of the grid after each full block of _polylog_sum's
+    primes, counted from 2, up to POLYLOG_KEPT = 2^16 numbers (1 MiB) a
+    grid.  A call starts from the last total its primes cover, whatever
+    the order of the X, and sums on in the same blocks; a block it covers
+    in part is neither read nor kept, so D_X and the report are bitwise
+    the cold ones.  The totals depend on the primes alone, not on the
+    table that holds them: a table is all the primes up to its limit."""
     if grid_step > 0.25 or grid_step <= 0.0:
         raise ValidationError("grid_step must be in (0, 0.25]")
     if T < 14.0:
@@ -372,7 +417,8 @@ def mean_square_error(m: int, sigma: float, X: float, T: float,
         primes = sieve_primes(max(3, int(X)))
     logs = _prime_logs(X, primes)
 
-    ts, eta_vals = _eta_tilde_grid(m, sigma, T, grid_step, table, abs_tol)
+    ts, eta_vals, kept = _eta_tilde_grid(m, sigma, T, grid_step, table,
+                                         abs_tol)
     keep = ~np.isnan(eta_vals)
     skipped = 1.0 - keep.sum() / ts.size
     if skipped > 0.20:
@@ -381,7 +427,7 @@ def mean_square_error(m: int, sigma: float, X: float, T: float,
 
     # D_X at every kept height in one (prime x height) pass
     d = _li_grid(m, sigma, logs, float(ts[0]), grid_step, ts.size,
-                 np.flatnonzero(keep))
+                 np.flatnonzero(keep), kept)
     diff2 = np.abs(eta_vals[keep] - d) ** 2
     mse = float(np.trapezoid(diff2, ts[keep]) / T)
     shape = X ** (1.0 - 2.0 * sigma) / np.log(X) ** (2 * m)

@@ -137,8 +137,9 @@ def s_sum(assignment: Mapping[int, float], sigma: float, m: int) -> complex:
         raise ValidationError("assignment keys must be distinct primes >= 2")
     if np.any(~np.isfinite(ths)):
         raise ValidationError("assignment angles must be finite")
-    return complex(_s_sum_arrays(np.log(ps.astype(np.float64)), ths, sigma,
-                                 m))
+    # the int64 keys straight into log: numpy casts them a buffer at a
+    # time, exactly below 2^53, so a million-prime sum makes no float copy
+    return complex(_s_sum_arrays(np.log(ps), ths, sigma, m))
 
 
 def second_moment_s(m: int, sigma: float, M: int, N: int,
@@ -155,7 +156,8 @@ def second_moment_s(m: int, sigma: float, M: int, N: int,
         raise ValidationError(f"need 0 <= M <= N, got M={M}, N={N}")
     if M == N:
         return 0.0
-    logs = np.log(primes.first(N)[M:N].astype(np.float64))
+    primes.first(N)             # LimitExceeded past the table
+    logs = primes.logs[M:N]
     return float(_polylog_sum(2 * m + 2, logs, 2 * m, 2.0 * sigma,
                               lambda lo, hi: np.exp(
                                   -2.0 * sigma * logs[lo:hi])).real)
@@ -169,7 +171,7 @@ def first_harmonic_radii(m: int, sigma: float,
     ps = np.asarray(ps)
     radii = np.empty(ps.size)
     for lo in range(0, ps.size, POLYLOG_CHUNK):
-        logs = np.log(ps[lo:lo + POLYLOG_CHUNK].astype(np.float64))
+        logs = np.log(ps[lo:lo + POLYLOG_CHUNK])
         radii[lo:lo + POLYLOG_CHUNK] = _radii(m, sigma, logs)
     return radii
 

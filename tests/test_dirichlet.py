@@ -231,7 +231,7 @@ def test_mean_square_matches_per_height_sums(monkeypatch):
     # at the default chunk and at one that splits the primes in blocks
     tab = bundled_table()
     m, sigma, X, T, step = 2, 0.7, 500.0, 20.0, 0.25
-    ts, vals = _eta_tilde_grid(m, sigma, T, step, tab, 1e-8)
+    ts, vals, _ = _eta_tilde_grid(m, sigma, T, step, tab, 1e-8)
     keep = ~np.isnan(vals)
     d = np.array([dirichlet_li_sum(m, sigma, float(t), X, PT)
                   for t in ts[keep]])
@@ -240,6 +240,84 @@ def test_mean_square_matches_per_height_sums(monkeypatch):
         monkeypatch.setattr(dirichlet, "POLYLOG_CHUNK", chunk)
         got = mean_square_error(m, sigma, X, T, step, tab, primes=PT).mse
         assert abs(got - want) <= 1e-12 * want
+
+
+SWEEP_XS = (3, 4.2, 2999, 6e4, 9.9e4, 1e5)
+
+
+def _report_bits(rep):
+    return [np.float64(v).tobytes() for v in
+            (rep.mse, rep.bound_ratio, rep.skipped_fraction)]
+
+
+@pytest.mark.parametrize("m, sigma, T", [(1, 0.8, 30.0), (2, 0.65, 30.0),
+                                         (1, 0.5, 150.0)])
+def test_kept_totals_give_the_cold_bits(monkeypatch, m, sigma, T):
+    # a sweep that starts from the grid's kept D_X totals reads the cold
+    # call's bits, the X filled in ascending, descending or shuffled
+    # order; on the sigma = 1/2 grid the ray refuses 146.0, and 545
+    # heights take 60 primes a block, so X = 1e5 passes the cap too
+    monkeypatch.setattr(dirichlet, "_ETA_GRID_CACHE",
+                        dirichlet.LRUDict(dirichlet._ETA_GRID_CACHE_CAP))
+    tab = bundled_table()
+    ts, vals, kept = _eta_tilde_grid(m, sigma, T, 0.25, tab, 1e-8)
+    assert np.isnan(vals).any() == (sigma == 0.5)
+    cold, rows = {}, {}
+    for X in SWEEP_XS:
+        kept.clear()
+        cold[X] = mean_square_error(m, sigma, X, T, 0.25, tab, primes=PT)
+        rows[X] = _li_grid(m, sigma, PT.logs[:PT.count_upto(X)], 14.0,
+                           0.25, ts.size, np.arange(ts.size))
+    every_third = np.arange(0, ts.size, 3)
+    order = np.random.default_rng(11).permutation(len(SWEEP_XS))
+    for xs in (SWEEP_XS, SWEEP_XS[::-1], [SWEEP_XS[i] for i in order]):
+        kept.clear()
+        for X in xs:
+            rep = mean_square_error(m, sigma, X, T, 0.25, tab, primes=PT)
+            assert rep == cold[X] and _report_bits(rep) == _report_bits(
+                cold[X]), (xs, X)
+            logs = PT.logs[:PT.count_upto(X)]
+            got = _li_grid(m, sigma, logs, 14.0, 0.25, ts.size,
+                           every_third, kept)
+            assert got.tobytes() == rows[X][every_third].tobytes(), (xs, X)
+        assert kept
+
+
+def test_kept_totals_stay_within_the_cap():
+    # 10,601 heights take 4 primes a block, so 430 primes make 107 full
+    # blocks: the kept totals stop at POLYLOG_KEPT numbers, and a longer
+    # sum goes on from the last of them to the cold bits
+    ts = np.arange(14.0, 120.0 + 1e-9, 0.01)
+    every = np.arange(ts.size)
+    kept = {}
+    for X in (3000, 5000):
+        logs = PT.logs[:PT.count_upto(X)]
+        got = _li_grid(2, 0.7, logs, 14.0, 0.01, ts.size, every, kept)
+        want = _li_grid(2, 0.7, logs, 14.0, 0.01, ts.size, every)
+        assert got.tobytes() == want.tobytes()
+        (totals,) = kept.values()
+        assert len(totals) == dirichlet.POLYLOG_KEPT // ts.size
+        assert sum(t.size for t in totals) <= dirichlet.POLYLOG_KEPT
+
+
+def test_kept_totals_follow_the_block_size(monkeypatch):
+    # totals kept under one block size are not read under another
+    logs = PT.logs[:PT.count_upto(3000)]
+    cols = np.arange(65)
+    kept = {}
+    _li_grid(1, 0.8, logs, 14.0, 0.25, 65, cols, kept)
+    monkeypatch.setattr(dirichlet, "POLYLOG_CHUNK", 2_000)
+    got = _li_grid(1, 0.8, logs, 14.0, 0.25, 65, cols, kept)
+    want = _li_grid(1, 0.8, logs, 14.0, 0.25, 65, cols)
+    assert got.tobytes() == want.tobytes()
+    assert list(kept) == [2_000 // 65]
+
+
+def test_one_height_sum_keeps_nothing(monkeypatch):
+    monkeypatch.setattr(dirichlet, "_ETA_GRID_CACHE",
+                        dirichlet.LRUDict(dirichlet._ETA_GRID_CACHE_CAP))
+    dirichlet_li_sum(2, 0.65, 20.0, 1e5, PT)
+    assert len(dirichlet._ETA_GRID_CACHE) == 0
 
 
 def test_eta_grid_cache_keeps_its_cap(monkeypatch):
