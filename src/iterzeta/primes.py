@@ -17,7 +17,9 @@ SEGMENT = 2 ** 20
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Every prime up to limit, ascending, with its natural log."""
+    """Every prime up to limit, ascending, with its natural log.  The
+    arrays sieve_primes makes are read-only: caches keyed on a cut share
+    their prefixes, and a construction's primes are a view of them."""
 
     limit: int
     primes: np.ndarray
@@ -53,9 +55,9 @@ def sieve_primes(limit: int) -> PrimeTable:
     crossed off by the odd base primes up to sqrt(limit), which come from
     a small flag sieve.  Each segment's primes and their logs go straight
     into two arrays sized by Dusart's bound on pi(limit), and the table
-    keeps their prefixes, so pages past the count are never touched.  The
-    peak memory is the table plus one segment: its 1 MB of flags and the
-    indices of its primes."""
+    keeps their prefixes, so pages past the count are never touched, and
+    marks them read-only.  The peak memory is the table plus one segment:
+    its 1 MB of flags and the indices of its primes."""
     limit = int(limit)
     if limit < 3 or limit > SIEVE_MAX:
         raise LimitExceeded(
@@ -100,4 +102,7 @@ def sieve_primes(limit: int) -> PrimeTable:
         primes[count:end] += lo
         np.log(primes[count:end], out=logs[count:end])
         count = end
-    return PrimeTable(limit, primes[:count], logs[:count])
+    primes, logs = primes[:count], logs[:count]
+    for arr in (primes, logs):
+        arr.flags.writeable = False
+    return PrimeTable(limit, primes, logs)

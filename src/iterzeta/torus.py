@@ -19,11 +19,15 @@ p^-sigma of each term falls, in cache-sized blocks.  Below the cut, one
 walk over the primes, segment by segment between the window starts,
 gives gamma, both tail bounds and the reference sums below each start,
 cached for gamma_m_sigma and construct_theta alike.  In the window, the
-polygon writes its angles into the one theta array behind the reference
-pattern, and each block's unit vectors w_p = exp(-2 pi i theta_p), while
-in cache, give both the k = 1 terms r_p w_p of final_sum, with radii
-r_p = p^-sigma / (log p)^m, and, as z_p = r_p (log p)^m w_p with no
-second exp, its k >= 2 harmonics.
+radii r_p = p^-sigma / (log p)^m are formed in place a chunk at a time,
+only one chunk's running sums held to find how many primes the target
+needs; besides the angles, they are the one window-length array a
+construction holds, and its primes are a read-only view of the table's.
+The polygon writes its angles into the one theta array behind the
+reference pattern, and each block's unit vectors
+w_p = exp(-2 pi i theta_p), while in cache, give both the k = 1 terms
+r_p w_p of final_sum and, as z_p = r_p (log p)^m w_p with no second exp,
+its k >= 2 harmonics.
 """
 
 from __future__ import annotations
@@ -166,19 +170,28 @@ def second_moment_s(m: int, sigma: float, M: int, N: int,
 def first_harmonic_radii(m: int, sigma: float,
                          ps: np.ndarray) -> np.ndarray:
     """|k=1 coefficient| p^-sigma / (log p)^m for each prime of the 1-D
-    array ps, formed in blocks of POLYLOG_CHUNK primes, whose logs stay
-    in cache, into one output array."""
+    array ps, formed in place in one output array, a block of
+    POLYLOG_CHUNK primes at a time, whose logs stay in cache in one
+    buffer that every block reuses."""
     ps = np.asarray(ps)
     radii = np.empty(ps.size)
+    logs = np.empty(min(ps.size, POLYLOG_CHUNK))
     for lo in range(0, ps.size, POLYLOG_CHUNK):
-        logs = np.log(ps[lo:lo + POLYLOG_CHUNK])
-        radii[lo:lo + POLYLOG_CHUNK] = _radii(m, sigma, logs)
+        block = radii[lo:lo + POLYLOG_CHUNK]
+        _radii(m, sigma, np.log(ps[lo:lo + block.size],
+                                out=logs[:block.size]), block)
     return radii
 
 
-def _radii(m: int, sigma: float, logs: np.ndarray) -> np.ndarray:
-    """First-harmonic radii p^-sigma / (log p)^m from the primes' logs."""
-    return np.exp(-sigma * logs) / logs ** m
+def _radii(m: int, sigma: float, logs: np.ndarray,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
+    """First-harmonic radii p^-sigma / (log p)^m from the primes' logs,
+    formed in place in out (a new array if None), which must not be
+    logs; only m > 1 takes a temporary, for (log p)^m."""
+    out = np.multiply(logs, -sigma, out=out)
+    np.exp(out, out=out)
+    out /= logs if m == 1 else logs ** m
+    return out
 
 
 def _below_cut(m: int, sigma: float, primes: Optional[PrimeTable], cut: float):
@@ -260,29 +273,44 @@ def _radius_bound(m: int, sigma: float, primes: PrimeTable,
 
 def _window_radii(m: int, sigma: float, win_logs: np.ndarray, need: float):
     """First-harmonic radii of the window primes, whose logs are win_logs,
-    and their running sums, only as far as a construction needs: chunks
-    of RADII_CHUNK primes, and from 16,384 primes on of a quarter of the
-    primes done, until the sum reaches need and the first radius is at
-    most the rest, or the window ends.  So past the first chunks at most
-    a quarter more radii are formed than needed.  Each chunk's sums start
-    from the sum before it, so they are those of one cumsum over the
-    window, to the bit.  Returns (radii, sums), equal-length prefixes."""
-    # the buffers' pages past the prefix are never touched
-    radii, sums = np.empty(win_logs.size), np.empty(win_logs.size)
-    done, size = 0, RADII_CHUNK
+    formed in place only as far as a construction needs, and the window's
+    count: the fewest primes, at least 3, whose radii sum to need, and
+    from there on the fewest whose first radius, the largest, is at most
+    the sum of the rest.  Radii come in chunks of RADII_CHUNK primes, and
+    from 16,384 primes on of a quarter of the primes done, until both are
+    met or the window ends, so past the first chunks at most a quarter
+    more radii are formed than needed.  Only the current chunk's running
+    sums are held: each chunk's sums start from the sum carried from the
+    chunk before, so they are those of one cumsum over the window, to the
+    bit.
+
+    Returns (radii, count, total), total the sum of the radii formed;
+    count is None when the whole window's radii fall short of need or of
+    three primes.  Raises WindowExhausted when they reach need but no
+    prefix of the window meets dominance."""
+    # the buffer's pages past the prefix are never touched
+    radii = np.empty(win_logs.size)
+    done, size, total, count = 0, RADII_CHUNK, 0.0, None
     while done < win_logs.size:
         hi = min(done + size, win_logs.size)
-        radii[done:hi] = _radii(m, sigma, win_logs[done:hi])
-        sums[done:hi] = radii[done:hi]
-        if done:
-            sums[done] += sums[done - 1]
-        np.cumsum(sums[done:hi], out=sums[done:hi])
+        sums = _radii(m, sigma, win_logs[done:hi], radii[done:hi]).copy()
+        sums[0] += total
+        np.cumsum(sums, out=sums)
+        total = float(sums[-1])
+        if count is None and total >= need:
+            count = max(done + int(np.searchsorted(sums, need)) + 1, 3)
+        if count is not None:
+            # dominance, from the count's last prime on (maybe in a later
+            # chunk)
+            lo = max(count - 1 - done, 0)
+            dominant = np.flatnonzero(radii[0] <= sums[lo:] - radii[0])
+            if dominant.size:
+                return radii[:hi], done + lo + int(dominant[0]) + 1, total
         done = hi
         size = max(RADII_CHUNK, done // 4)
-        if done >= 3 and sums[done - 1] >= need \
-                and radii[0] <= sums[done - 1] - radii[0]:
-            break
-    return radii[:done], sums[:done]
+    if count is not None and count <= win_logs.size:
+        raise WindowExhausted("window cannot satisfy dominance")
+    return radii, None, total
 
 
 @dataclass(frozen=True)
@@ -316,9 +344,12 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
     below each window start), paid once per (m, sigma, cut) and then read
     from a capped cache that gamma_m_sigma shares, the cost is O(window):
     radii are formed only as far as the smallest window that reaches the
-    target, and the polygon over them is laid out in cache-sized blocks,
-    in place in the one theta array behind the reference pattern, its unit
-    vectors reused for the window's k >= 2 harmonics.  A target past an
+    target, with one chunk of their running sums held at a time, and the
+    polygon over them is laid out in cache-sized blocks, in place in the
+    one theta array behind the reference pattern, its unit vectors reused
+    for the window's k >= 2 harmonics.  The radii and the angles are the
+    only window-length arrays it holds; the result's primes are a
+    read-only view of the table's primes up to N.  A target past an
     upper bound on the whole window's radius sum, taken over REFUSAL_CUTS
     segments, is refused before any radius is formed; only a target
     between that bound and the exact sum sums every radius.  Raises
@@ -352,21 +383,12 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
             f"{reach:.6g} of the required {need:.6g}; extend the prime "
             f"table")
     win_logs = primes.logs[i_u:]
-    win_r, rcum = _window_radii(m, sigma, win_logs, need)
-    count = max(int(np.searchsorted(rcum, need)) + 1, 3)
-    if count > win_r.size:
+    win_r, count, total = _window_radii(m, sigma, win_logs, need)
+    if count is None:
         raise WindowExhausted(
             f"window radii over ({u_bound}, {primes.limit}] reach only "
-            f"{rcum[-1] if rcum.size else 0.0:.6g} of the required "
-            f"{need:.6g}; extend the prime table")
-    # dominance: the first radius, the largest, at most the rest
-    dominant = np.flatnonzero(win_r[0] <= rcum[count - 1:] - win_r[0])
-    if not dominant.size:
-        raise WindowExhausted("window cannot satisfy dominance")
-    count += int(dominant[0])
-
-    # the running sums are spent: dropped, to lower the peak resident size
-    del rcum
+            f"{total:.6g} of the required {need:.6g}; extend the prime "
+            f"table")
     win_logs = win_logs[:count]
     live = _live_counts(win_logs, sigma)
     harmonics = 0.0 + 0.0j
@@ -391,7 +413,7 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
     return ThetaPipelineResult(
         m=m, sigma=sigma, a=a, epsilon=epsilon, U=u_bound,
         N=int(primes.primes[i_u + count - 1]), gamma_value=gamma,
-        primes=primes.primes[:i_u + count].copy(), theta2=theta2,
+        primes=primes.primes[:i_u + count], theta2=theta2,
         final_sum=final_sum, final_error=final_error)
 
 

@@ -211,6 +211,21 @@ def test_construct_window_exhaustion():
         construct_theta(1, 0.8, 1 + 1j, 1e-9, PT)
 
 
+def test_construction_views_the_read_only_table():
+    # _FIXED_CACHE relies on the primes up to a cut being the same in
+    # every table, so a table cannot be written, and a construction's
+    # primes are a view of it, not a copy
+    with pytest.raises(ValueError, match="read-only"):
+        PT.primes[0] = 3
+    with pytest.raises(ValueError, match="read-only"):
+        PT.logs[0] = 0.0
+    res = construct_theta(1, 0.8, 0.5 + 0.5j, 0.05, PT)
+    assert not res.primes.flags.writeable
+    assert np.shares_memory(res.primes, PT.primes)
+    with pytest.raises(ValueError, match="read-only"):
+        res.primes[-1] = 2
+
+
 def _full_window(m, sigma, eps, primes):
     """gamma, U, the window primes, their radii and one cumsum over the
     whole window, the way construct_theta once formed them."""
@@ -231,9 +246,10 @@ def deep():
 
 @pytest.mark.parametrize("m, sigma, eps", [(1, 0.8, 0.05), (2, 0.65, 0.02)])
 def test_construct_matches_full_window(deep, m, sigma, eps):
-    # radii go only as far as the window needs; count, U, N and primes
-    # must be those of one cumsum over the whole window, for windows
-    # from a handful of primes (dominance decides) to most of the table
+    # radii go only as far as the window needs, holding one chunk of
+    # running sums; count, U, N and primes must be those of one cumsum
+    # over the whole window and a dominance scan, for windows from a
+    # handful of primes (dominance decides) to most of the table
     gamma, u_bound, i_u, win_p, win_r, rcum = _full_window(m, sigma, eps,
                                                            deep)
     sizes = (1, 2, 50, RADII_CHUNK - 1, RADII_CHUNK, RADII_CHUNK + 1,
@@ -245,17 +261,49 @@ def test_construct_matches_full_window(deep, m, sigma, eps):
         count = max(int(np.searchsorted(rcum, abs(a - gamma))) + 1, 3)
         while win_r[0] > rcum[count - 1] - win_r[0]:
             count += 1
-        radii, sums = _window_radii(m, sigma, deep.logs[i_u:],
-                                    abs(a - gamma))
-        assert count <= sums.size
+        radii, got, total = _window_radii(m, sigma, deep.logs[i_u:],
+                                          abs(a - gamma))
+        assert got == count <= radii.size
         assert np.array_equal(radii, win_r[:radii.size])
-        assert np.array_equal(sums, rcum[:sums.size])
+        assert total == rcum[radii.size - 1]
         res = construct_theta(m, sigma, a, eps, deep)
         assert res.U == u_bound
         assert np.array_equal(res.primes, deep.primes[:i_u + count])
         assert res.N == int(win_p[count - 1])
         assert res.theta2.residual < 1e-10
         assert res.final_error < eps
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, RADII_CHUNK])
+def test_window_count_across_chunks(monkeypatch, chunk):
+    # the count found chunk by chunk, holding one chunk of running sums,
+    # is that of one cumsum over the whole window and a dominance scan,
+    # with the need crossing and dominance in different chunks too; so
+    # are the refusals: a window short of the need or of three primes
+    # (None and the window's sum) and one with no dominant prefix
+    monkeypatch.setattr(torus, "RADII_CHUNK", chunk)
+    m, sigma = 3, 0.95
+    # from 2 on, no prefix of 40 primes is dominant; from 11 on, 3 are
+    for logs in (PT.logs[:40], PT.logs[4:40]):
+        for size in range(logs.size + 1):
+            win = logs[:size]
+            rcum = np.cumsum(torus._radii(m, sigma, win))
+            total = rcum[-1] if size else 0.0
+            for need in (1e-3, *rcum[::7], 0.5 * total, total,
+                         1.01 * total):
+                count = max(int(np.searchsorted(rcum, need)) + 1, 3)
+                if count > size:
+                    assert _window_radii(m, sigma, win, need)[1:] \
+                        == (None, total)
+                    continue
+                dominant = np.flatnonzero(rcum[0] <= rcum[count - 1:]
+                                          - rcum[0])
+                if not dominant.size:
+                    with pytest.raises(WindowExhausted, match="dominance"):
+                        _window_radii(m, sigma, win, need)
+                    continue
+                radii, got, _ = _window_radii(m, sigma, win, need)
+                assert got == count + int(dominant[0]) <= radii.size
 
 
 def test_construct_does_not_depend_on_the_block_size(deep, monkeypatch):
