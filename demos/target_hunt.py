@@ -27,6 +27,7 @@ def report(res):
     print(f"  t_witness   = {res.t_witness}")
     print(f"  torus_error = {res.torus_error}")
     print(f"  final_error = {res.final_error}")
+    print(f"  est_error   = {res.est_error}")
     print(f"  evaluations = {res.budget_used}")
     if res.diagnostic:
         print(f"  diagnostic  = {res.diagnostic}")

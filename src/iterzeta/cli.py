@@ -276,7 +276,8 @@ def cmd_meansquare(cfg: dict) -> int:
 
 
 _HUNT_HEADER = ("m", "sigma", "re_a", "im_a", "epsilon", "t_witness",
-                "torus_error", "final_error", "budget_used", "status")
+                "torus_error", "final_error", "est_error", "budget_used",
+                "status")
 
 
 def cmd_hunt(cfg: dict) -> int:
@@ -296,7 +297,7 @@ def cmd_hunt(cfg: dict) -> int:
     row = (format(m, "d"), _fmt(sigma), _fmt(a.real), _fmt(a.imag),
            _fmt(epsilon),
            _fmt(res.t_witness) if res.t_witness is not None else "nan",
-           _fmt(res.torus_error), _fmt(res.final_error),
+           _fmt(res.torus_error), _fmt(res.final_error), _fmt(res.est_error),
            format(res.budget_used, "d"), status)
     _write_csv(out, _HUNT_HEADER, [row])
     RunManifest("hunt", cfg, table.source_label, table.coverage,
@@ -307,6 +308,7 @@ def cmd_hunt(cfg: dict) -> int:
     print(f"  eta_value   = {res.eta_value}")
     print(f"  target_a    = {res.target_a}")
     print(f"  final_error = {res.final_error}")
+    print(f"  est_error   = {res.est_error}")
     print(f"  torus_error = {res.torus_error}")
     print(f"  budget_used = {res.budget_used}")
     print(f"  diagnostic  = {res.diagnostic}")

@@ -15,12 +15,14 @@ them at least min_separation apart up to the evaluation budget, and
 evaluates them.
 
 Candidates are evaluated in two passes of eta._eta_tilde_rows, the first
-FIRST_PASS of them and then, only if none of those is within epsilon,
-the rest that the first pass leaves in reach; each pass is one branch
-ladder resolution and one adaptive quadrature over all its heights, each
-height with its own panels.  A candidate on a guarded ordinate, or whose
-ray stalls on a zero, counts as obstructed; the closest of the others is
-the result.
+FIRST_PASS of them and then, only if none of those is a witness, the
+rest that the first pass leaves in reach; each pass is one branch ladder
+resolution and one adaptive quadrature over all its heights, each height
+with its own panels.  A candidate on a guarded ordinate, or whose ray
+stalls on a zero, counts as obstructed.  Of the others, the result is
+the one with the least |eta~ - a| + est_error, and it is a witness when
+that sum, a bound on the distance of the true value from a, is below
+epsilon.
 
 The cut rule: let g be the largest |eta~ - D_X| over the first-pass
 candidates that gave a value.  The second pass evaluates only the
@@ -114,6 +116,7 @@ class HuntResult:
     eta_value: Optional[complex]
     target_a: complex
     final_error: float
+    est_error: float
     budget_used: int
     success: bool
     diagnostic: str
@@ -187,8 +190,11 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
     """Search for t with eta~_m(sigma + it) within epsilon of a.
 
     Never raises on a fruitless search; the result carries success=False
-    and a diagnostic instead.  torus_error is |D_X(t) - a| at the
-    returned height.
+    and a diagnostic instead.  The result is the candidate with the
+    least |eta~ - a| + est_error, eta~'s own error estimate, and a
+    witness only when that sum is below epsilon: final_error is
+    |eta~ - a| there, est_error eta~'s estimate, and torus_error
+    |D_X(t) - a|.
 
     After a first pass of FIRST_PASS candidates, the rest are evaluated
     only where |D_X - a| <= epsilon + GAP_FACTOR max(g, GAP_FLOOR), g the
@@ -243,14 +249,15 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
             used += 1
             gaps.append(abs(ev.value - grid[i]))
             err = abs(ev.value - a)
-            if best is None or err < best[0]:
-                best = (err, float(ts[i]), complex(ev.value), float(dist[i]))
+            if best is None or err + ev.est_error < best[0] + best[1]:
+                best = (err, ev.est_error, float(ts[i]), complex(ev.value),
+                        float(dist[i]))
         return gaps
 
     gaps = evaluate(chosen[:FIRST_PASS])
     rest = chosen[FIRST_PASS:]
     cut_note = ""
-    if best is not None and best[0] < epsilon:
+    if best is not None and best[0] + best[1] < epsilon:
         rest = []
     elif gaps:
         gap = max(gaps)
@@ -269,10 +276,10 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
             f"{used} evaluated, {obstructed} obstructed{cut_note}")
     if best is None:
         return HuntResult(None, float(dist[chosen[0]]), None, a, math.inf,
-                          used, False,
+                          math.inf, used, False,
                           f"all {obstructed} candidates sat on guarded "
                           "ordinates; " + note)
-    err, t_wit, val, torus_err = best
-    ok = err < epsilon
-    return HuntResult(t_wit, torus_err, val, a, err, used, ok,
+    err, est, t_wit, val, torus_err = best
+    ok = err + est < epsilon
+    return HuntResult(t_wit, torus_err, val, a, err, est, used, ok,
                       note if ok else "closest candidate misses: " + note)

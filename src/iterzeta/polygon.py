@@ -24,6 +24,13 @@ block by block, each block's unit vectors exp(-2 pi i theta) offered to
 the caller while in cache.  The solve writes the angles into an array
 the caller holds; polygon_angles alone checks a RadiiSet and builds an
 AngleAssignment.
+
+Every pass over the blocks but the carried cumsum runs on
+blocks.map_blocks, on every CPU the process may use: the power sums,
+the central angles before the cumsum, each angle's tail after it, and
+the re-sum with the caller's work on each block.  Blocks' sums are
+added in block order, so the angles, the achieved sum and the caller's
+sums are the same bits whatever the number of CPUs.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import map_blocks
 from .errors import (DominanceViolation, RootFindFailure, TargetOutsideDisk,
                      TooFewRadii, ValidationError)
 
@@ -101,9 +109,9 @@ def _arcsin_sum(pieces, l_max: float):
     at every v.  The others enter through the arcsin series
     sum_k c_k v^(2k+1) T_k with the power sums T_k = sum t_i^(2k+1),
     cut where the next term is below SERIES_RTOL of the first and formed
-    once, over blocks of SERIES_BLOCK sides; then one evaluation costs a
-    few scalar operations plus the exact part, whatever the number of
-    sides.
+    once, over blocks of SERIES_BLOCK sides on map_blocks, the blocks'
+    sums added in block order; then one evaluation costs a few scalar
+    operations plus the exact part, whatever the number of sides.
     """
     heads = [bisect.bisect_left(p, -SERIES_RATIO,
                                 key=lambda s: -(s / l_max))
@@ -122,15 +130,24 @@ def _arcsin_sum(pieces, l_max: float):
             k += 1
             if c * rho2 ** k <= SERIES_RTOL:
                 break
+
+    def power_sums(block):
+        p, lo = block
+        power = p[lo:lo + SERIES_BLOCK] / l_max
+        t2 = power * power
+        sums = []
+        for k in range(len(weights)):
+            if k:
+                power *= t2
+            sums.append(float(np.sum(power)))
+        return sums
+
     sums = [0.0] * len(weights)
-    for p, h in zip(pieces, heads):
-        for lo in range(h, p.size, SERIES_BLOCK):
-            power = p[lo:lo + SERIES_BLOCK] / l_max
-            t2 = power * power
-            for k in range(len(weights)):
-                if k:
-                    power *= t2
-                sums[k] += float(np.sum(power))
+    for block in map_blocks(power_sums, [
+            (p, lo) for p, h in zip(pieces, heads)
+            for lo in range(h, p.size, SERIES_BLOCK)]):
+        for k, s in enumerate(block):
+            sums[k] += s
     coefs = [c * s for c, s in zip(weights, sums)]
 
     def value(v: float) -> float:
@@ -256,19 +273,21 @@ def polygon_angles(radii: RadiiSet, z: complex) -> AngleAssignment:
     """Angles theta with sum r_n exp(-2 pi i theta_n) = z, residual below
     1e-10 for well-conditioned inputs (see module docstring)."""
     thetas = np.empty(radii.radii.size)
-    achieved = _polygon(radii.radii, z, thetas)
+    achieved, _ = _polygon(radii.radii, z, thetas)
     return AngleAssignment(thetas, complex(z), achieved,
                            abs(achieved - complex(z)))
 
 
 def _polygon(r: np.ndarray, z: complex, thetas: np.ndarray,
-             each=None) -> complex:
+             each=None) -> tuple:
     """polygon_angles' angles for the radii r (at least three, positive,
     finite) written into thetas, laid out in blocks of BLOCK radii over
-    the radii longest first; returns the achieved sum sum r w, added up
-    block by block over the radii in their own order, w = exp(-2 pi i
-    theta).  each(lo, hi, w), if given, is called on each block lo:hi
-    while w is in cache; it may reuse w in place."""
+    the radii longest first.  Returns (achieved, added): the achieved
+    sum sum r w, w = exp(-2 pi i theta), and the sum of each(lo, hi, w),
+    if given, else 0, both added up block by block over the radii in
+    their own order.  each is called on each block lo:hi while w is in
+    cache, on map_blocks, so blocks may run at once; it may reuse w in
+    place, and its returns are added in block order."""
     n = r.size
     total = float(r.sum())
     r_max = float(r.max())
@@ -320,37 +339,60 @@ def _polygon(r: np.ndarray, z: complex, thetas: np.ndarray,
             psi = phi[0]
             offset = (phi[0] - 0.5 * phi[0]) + np.pi - np.angle(z)
 
-        for lo in range(0, n, BLOCK):
-            hi = min(lo + BLOCK, n)
-            phis = _central_angles(rs[lo:hi], u, reflected and lo == 0
-                                   and not closing_longest)
-            mid = phis.copy()
-            mid[0] += psi
-            np.cumsum(mid, out=mid)
-            psi = mid[-1]
-            phis *= 0.5
-            mid -= phis
-            np.subtract(offset, mid, out=mid)
-            mid /= 2.0 * np.pi
-            mid -= np.floor(mid)
-            mid[mid >= 1.0] = 0.0
-            thetas[slice(lo, hi) if order is None else order[lo:hi]] = mid
+        # the central angles, staged where the angles go (the sorted
+        # radii's own slots when r is unsorted), then the carried cumsum,
+        # one block at a time in order, leaving mid - phi / 2 there, then
+        # each angle's tail
+        stage = thetas if order is None else np.empty(n)
 
-    achieved = 0.0 + 0.0j
-    for lo in range(0, n, BLOCK):
+        def central(lo):
+            hi = min(lo + BLOCK, n)
+            _central_angles(rs[lo:hi], u, reflected and lo == 0
+                            and not closing_longest, out=stage[lo:hi])
+
+        map_blocks(central, range(0, n, BLOCK))
+        mid = np.empty(min(n, BLOCK))
+        for lo in range(0, n, BLOCK):
+            phis = stage[lo:lo + BLOCK]
+            block = mid[:phis.size]
+            np.copyto(block, phis)
+            block[0] += psi
+            np.cumsum(block, out=block)
+            psi = block[-1]
+            phis *= 0.5
+            np.subtract(block, phis, out=phis)
+
+        def tail(lo):
+            hi = min(lo + BLOCK, n)
+            angles = stage[lo:hi]
+            np.subtract(offset, angles, out=angles)
+            angles /= 2.0 * np.pi
+            angles -= np.floor(angles)
+            angles[angles >= 1.0] = 0.0
+            if order is not None:
+                thetas[order[lo:hi]] = angles
+
+        map_blocks(tail, range(0, n, BLOCK))
+
+    def close(lo):
         hi = min(lo + BLOCK, n)
         w = _unit(thetas[lo:hi])
-        achieved += complex(np.sum(r[lo:hi] * w))
-        if each is not None:
-            each(lo, hi, w)
-    return achieved
+        return (complex(np.sum(r[lo:hi] * w)),
+                0 if each is None else each(lo, hi, w))
+
+    achieved = added = 0.0 + 0.0j
+    for block_sum, block_added in map_blocks(close, range(0, n, BLOCK)):
+        achieved += block_sum
+        added += block_added
+    return achieved, added
 
 
-def _central_angles(sides: np.ndarray, u: float,
-                    reflect_first: bool) -> np.ndarray:
+def _central_angles(sides: np.ndarray, u: float, reflect_first: bool,
+                    out=None) -> np.ndarray:
     """The central angles 2 arcsin(s u) of the sides, the first
-    reflected to 2 pi minus its angle when reflect_first."""
-    phis = sides * u
+    reflected to 2 pi minus its angle when reflect_first, formed in out
+    (a new array if None)."""
+    phis = np.multiply(sides, u, out=out)
     np.clip(phis, 0.0, 1.0, out=phis)
     np.arcsin(phis, out=phis)
     phis *= 2.0

@@ -28,6 +28,13 @@ reference pattern, and each block's unit vectors
 w_p = exp(-2 pi i theta_p), while in cache, give both the k = 1 terms
 r_p w_p of final_sum and, as z_p = r_p (log p)^m w_p with no second exp,
 its k >= 2 harmonics.
+
+A construction's passes over its blocks run on blocks.map_blocks, on
+every CPU the process may use: the radii within each chunk (their
+running sums stay sequential), and the polygon's passes, each block's
+harmonics with its unit vectors.  Every sum over blocks is added in
+block order, so the outputs are the same bits whatever the number of
+CPUs.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from .blocks import map_blocks
 from .dirichlet import (POLYLOG_CHUNK, _live_counts, _polylog_prefix,
                         _polylog_sum, polylog)
 from .errors import (LimitExceeded, ValidationError, WindowExhausted)
@@ -50,6 +58,12 @@ GAMMA_CUT = 1_000_000
 U_CANDIDATES = (10, 100, 1_000, 10_000, 100_000)
 # window primes in the first chunk of construct_theta's radii
 RADII_CHUNK = 4096
+# points per slice of the k >= 2 series on a block of the closing pass,
+# whose three buffers of a slice's length then stay small on each thread
+# of the pool: series over whole blocks of 2^15 took the largest window's
+# max RSS growth from 2.4-2.5 to 3.1-3.2 times its angles' bytes at four
+# threads, slices of 8192 to 2.7-2.8
+HARMONIC_SLICE = 8192
 # log-spaced cuts of the window in the bound on its radius sum that
 # refuses a target past the window; the bound exceeds the sum by 2-13%
 # on sieves of 1e6 to 4e7 (m = 1..3, sigma in [0.55, 0.95])
@@ -176,21 +190,35 @@ def first_harmonic_radii(m: int, sigma: float,
     ps = np.asarray(ps)
     radii = np.empty(ps.size)
     logs = np.empty(min(ps.size, POLYLOG_CHUNK))
+    powers = np.empty(logs.size if m > 1 else 0)
     for lo in range(0, ps.size, POLYLOG_CHUNK):
         block = radii[lo:lo + POLYLOG_CHUNK]
         _radii(m, sigma, np.log(ps[lo:lo + block.size],
-                                out=logs[:block.size]), block)
+                                out=logs[:block.size]), block,
+               powers[:block.size])
     return radii
 
 
+def _log_powers(logs: np.ndarray, m: int,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(log p)^m: logs itself at m = 1, else formed in out (a new array
+    if None), by np.square at m = 2, the bits and the speed of logs ** 2
+    (np.power's general loop takes twice as long there)."""
+    if m == 1:
+        return logs
+    return np.square(logs, out=out) if m == 2 else np.power(logs, m, out=out)
+
+
 def _radii(m: int, sigma: float, logs: np.ndarray,
-           out: Optional[np.ndarray] = None) -> np.ndarray:
+           out: Optional[np.ndarray] = None,
+           powers: Optional[np.ndarray] = None) -> np.ndarray:
     """First-harmonic radii p^-sigma / (log p)^m from the primes' logs,
     formed in place in out (a new array if None), which must not be
-    logs; only m > 1 takes a temporary, for (log p)^m."""
+    logs.  At m > 1, (log p)^m goes into powers, a buffer of logs' size
+    that is neither (a temporary if None)."""
     out = np.multiply(logs, -sigma, out=out)
     np.exp(out, out=out)
-    out /= logs if m == 1 else logs ** m
+    out /= _log_powers(logs, m, powers)
     return out
 
 
@@ -279,10 +307,11 @@ def _window_radii(m: int, sigma: float, win_logs: np.ndarray, need: float):
     the sum of the rest.  Radii come in chunks of RADII_CHUNK primes, and
     from 16,384 primes on of a quarter of the primes done, until both are
     met or the window ends, so past the first chunks at most a quarter
-    more radii are formed than needed.  Only the current chunk's running
-    sums are held: each chunk's sums start from the sum carried from the
-    chunk before, so they are those of one cumsum over the window, to the
-    bit.
+    more radii are formed than needed.  A chunk's radii are formed in
+    blocks of POLYLOG_CHUNK primes on map_blocks, its running sums after
+    them in one pass.  Only the current chunk's running sums are held:
+    each chunk's sums start from the sum carried from the chunk before,
+    so they are those of one cumsum over the window, to the bit.
 
     Returns (radii, count, total), total the sum of the radii formed;
     count is None when the whole window's radii fall short of need or of
@@ -293,7 +322,16 @@ def _window_radii(m: int, sigma: float, win_logs: np.ndarray, need: float):
     done, size, total, count = 0, RADII_CHUNK, 0.0, None
     while done < win_logs.size:
         hi = min(done + size, win_logs.size)
-        sums = _radii(m, sigma, win_logs[done:hi], radii[done:hi]).copy()
+        sums = np.empty(hi - done)
+
+        def form(lo):
+            # (log p)^m, at m > 1, in the slots of the running sums
+            top = min(lo + POLYLOG_CHUNK, hi)
+            part = sums[lo - done:top - done]
+            _radii(m, sigma, win_logs[lo:top], radii[lo:top], part)
+            np.copyto(part, radii[lo:top])
+
+        map_blocks(form, range(done, hi, POLYLOG_CHUNK))
         sums[0] += total
         np.cumsum(sums, out=sums)
         total = float(sums[-1])
@@ -347,12 +385,15 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
     target, with one chunk of their running sums held at a time, and the
     polygon over them is laid out in cache-sized blocks, in place in the
     one theta array behind the reference pattern, its unit vectors reused
-    for the window's k >= 2 harmonics.  The radii and the angles are the
-    only window-length arrays it holds; the result's primes are a
-    read-only view of the table's primes up to N.  A target past an
-    upper bound on the whole window's radius sum, taken over REFUSAL_CUTS
-    segments, is refused before any radius is formed; only a target
-    between that bound and the exact sum sums every radius.  Raises
+    for the window's k >= 2 harmonics.  The blocks of the radii and of
+    the polygon run on every CPU the process may use (blocks.map_blocks),
+    and every output is the same bits on any number of them.  The radii
+    and the angles are the only window-length arrays it holds; the
+    result's primes are a read-only view of the table's primes up to N.
+    A target past an upper bound on the whole window's radius sum, taken
+    over REFUSAL_CUTS segments, is refused before any radius is formed;
+    only a target between that bound and the exact sum sums every
+    radius.  Raises
     WindowExhausted when the prime table cannot support either the choice
     of U or the radius sum needed to reach the target."""
     a = _validate_target(m, sigma, a, epsilon)
@@ -391,22 +432,32 @@ def construct_theta(m: int, sigma: float, a: complex, epsilon: float,
             f"table")
     win_logs = win_logs[:count]
     live = _live_counts(win_logs, sigma)
-    harmonics = 0.0 + 0.0j
 
-    def add_harmonics(lo, hi, w):
-        """The window's k >= 2 harmonics on the block lo:hi; its k = 1
-        terms r w are the polygon's achieved sum."""
-        nonlocal harmonics
-        log_m = win_logs[lo:hi] ** m
+    def block_harmonics(lo, hi, w):
+        """The window's k >= 2 harmonics on the block lo:hi, summed; its
+        k = 1 terms r w are the polygon's achieved sum.  The series runs
+        on slices of HARMONIC_SLICE points, each point's terms those of
+        one call over the block, and leaves the harmonics in the buffer
+        of w."""
+        log_m = _log_powers(win_logs[lo:hi], m)
         # z_p = p^-sigma w_p in the buffer of w, p^-sigma = r_p (log p)^m
-        w *= win_r[lo:hi] * log_m
-        li = _polylog_prefix(m + 1, w, np.clip(live - lo, 0, hi - lo),
-                             np.zeros_like(w))
-        li *= 1.0 / log_m
-        harmonics += complex(np.sum(li))
+        scale = np.multiply(win_r[lo:hi], log_m)
+        w *= scale
+        acc = np.empty(min(HARMONIC_SLICE, w.size), dtype=complex)
+        for at in range(0, w.size, HARMONIC_SLICE):
+            z = w[at:at + HARMONIC_SLICE]
+            li = acc[:z.size]
+            li[:] = 0.0
+            _polylog_prefix(m + 1, z, np.clip(live - lo - at, 0, z.size), li)
+            z[:] = li
+        w *= np.divide(1.0, log_m, out=scale)
+        return complex(np.sum(w))
 
-    thetas = _theta0(i_u + count)
-    achieved = _polygon(win_r[:count], z_star, thetas[i_u:], add_harmonics)
+    # the reference pattern below U; the polygon writes every window angle
+    thetas = np.empty(i_u + count)
+    thetas[:i_u] = _theta0(i_u)
+    achieved, harmonics = _polygon(win_r[:count], z_star, thetas[i_u:],
+                                   block_harmonics)
     theta2 = AngleAssignment(thetas, z_star, achieved, abs(achieved - z_star))
     final_sum = complex(below[cands.index(u_bound)] + achieved + harmonics)
     final_error = abs(final_sum - a)

@@ -191,6 +191,7 @@ def test_hunt_honest_failure_exit(tmp_path, capsys):
     assert "status      = failure" in text
     rows = list(csv.DictReader(open(out)))
     assert rows[0]["status"] == "failure"
+    assert float(rows[0]["est_error"]) >= 0.0
 
 
 def test_hunt_malformed_complex(tmp_path, capsys):

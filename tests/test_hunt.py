@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -121,6 +122,28 @@ def test_hunt_self_referential_target():
     again = eta_tilde_weighted(1, 0.8, res.t_witness, table=TAB)
     assert abs(again.value - a) < 0.3
     assert abs(again.value - res.eta_value) < again.est_error
+
+
+def test_hunt_witness_counts_its_est_error(monkeypatch):
+    # a witness at |eta~ - a| = f < epsilon stands with every est_error
+    # (epsilon - f) / 2; with est_error epsilon no candidate is a
+    # witness, though the closest is still within epsilon of a
+    eps = 0.05
+    a = eta_tilde_weighted(1, 0.8, 50.0, table=TAB).value + 0.02
+    plain = hunt_value(1, 0.8, a, eps, table=TAB)
+    assert plain.success and plain.est_error < 1e-6
+    real = hunt._eta_tilde_rows
+    for est, found in ((0.5 * (eps - plain.final_error), True), (eps, False)):
+        def rows(m, sigma, ts, table):
+            return [ev if isinstance(ev, Exception)
+                    else dataclasses.replace(ev, est_error=est)
+                    for ev in real(m, sigma, ts, table)]
+        monkeypatch.setattr(hunt, "_eta_tilde_rows", rows)
+        res = hunt_value(1, 0.8, a, eps, table=TAB)
+        assert (res.success, res.est_error) == (found, est)
+        assert res.final_error <= plain.final_error < eps
+        if found:
+            assert res.t_witness == plain.t_witness
 
 
 def test_hunt_unreachable_target_is_honest():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iterzeta import polygon
+from iterzeta import blocks, polygon
 from iterzeta.errors import (DominanceViolation, RootFindFailure,
                              TargetOutsideDisk, TooFewRadii, ValidationError)
 from iterzeta.polygon import (SERIES_RATIO, AngleAssignment, RadiiSet,
@@ -149,29 +149,67 @@ def test_unit_vectors_are_those_of_the_angles(monkeypatch):
     # on every path (the disk's boundary, a flat polygon, a cyclic one
     # with and without sorting) the unit vectors handed to each block are
     # exp(-2 pi i theta) at the block's angles, the blocks cover the
-    # radii in order, the angles land in the caller's slice and nowhere
-    # else, and they and the achieved sum are polygon_angles'; in one
-    # block and in blocks of two radii
+    # radii, each once, and what they return is added in block order,
+    # the angles land in the caller's slice and nowhere else, and they
+    # and the achieved sum are polygon_angles'; in one block and in
+    # blocks of two radii, on the pool
+    monkeypatch.setattr(blocks, "_cpus", lambda: 4)
     for block in (polygon.BLOCK, 2):
         monkeypatch.setattr(polygon, "BLOCK", block)
         for r, z in (([1.0, 1.0, 1.0], 3.0 + 0j), ([2.0, 1.0, 1.0], 0j),
                      ([3.0, 4.0, 5.0], 0j), ([1.2, 0.9, 0.4, 0.3], 0.5 - 1j)):
             r = np.array(r)
-            blocks = []
+            seen = []
             held = np.full(r.size + 4, -1.0)
             thetas = held[2:-2]
-            achieved = _polygon(r, z, thetas, lambda lo, hi, w:
-                                blocks.append((lo, hi, w.copy())))
-            assert [(lo, hi) for lo, hi, _ in blocks] == [
+
+            def each(lo, hi, w):
+                seen.append((lo, hi, w.copy()))
+                return complex(np.sum(w)) * (lo + 1)
+
+            achieved, added = _polygon(r, z, thetas, each)
+            seen.sort(key=lambda s: s[0])
+            assert [(lo, hi) for lo, hi, _ in seen] == [
                 (lo, min(lo + block, r.size))
                 for lo in range(0, r.size, block)]
-            for lo, hi, w in blocks:
+            in_order = 0.0 + 0.0j
+            for lo, hi, w in seen:
                 assert np.array_equal(
                     w, np.exp(-2j * np.pi * thetas[lo:hi]))
+                in_order += complex(np.sum(w)) * (lo + 1)
+            assert added == in_order
             assert np.all(held[:2] == -1.0) and np.all(held[-2:] == -1.0)
             b = polygon_angles(RadiiSet(r), z)
             assert np.array_equal(thetas, b.thetas)
             assert (achieved, abs(achieved - z)) == (b.achieved, b.residual)
+
+
+def _window(n):
+    # radii p^-0.8 / log p of n primes past 100, and a target well
+    # inside their reach
+    ps = sieve_primes(100_000).primes[25:25 + n].astype(float)
+    r = ps ** -0.8 / np.log(ps)
+    return r, complex(0.6 * r.sum() * np.exp(0.9j))
+
+
+@pytest.mark.parametrize("n, block", [(10, 2 ** 15), (10, 5), (5000, 64)])
+def test_angles_do_not_depend_on_the_cpu_count(monkeypatch, n, block):
+    # one block, two and many (the power sums' blocks too), on the sorted
+    # path and the unsorted one: the same angles and achieved sum, to the
+    # bit, inline and on the pool
+    r, z = _window(n)
+    shuffled = np.random.default_rng(3).permutation(r)
+    monkeypatch.setattr(polygon, "BLOCK", block)
+    monkeypatch.setattr(polygon, "SERIES_BLOCK", block)
+    got = {}
+    for cpus in (1, 4):
+        monkeypatch.setattr(blocks, "_cpus", lambda: cpus)
+        got[cpus] = [polygon_angles(RadiiSet(radii), z)
+                     for radii in (r, shuffled)]
+    for one, pool in zip(got[1], got[4]):
+        assert np.array_equal(one.thetas, pool.thetas)
+        assert (one.achieved, one.residual) == (pool.achieved, pool.residual)
+        assert one.residual < 1e-10
 
 
 def test_input_validation():

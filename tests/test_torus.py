@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections.abc import Mapping
 
@@ -5,7 +6,7 @@ import numpy as np
 import mpmath as mp
 import pytest
 
-from iterzeta import polygon, torus
+from iterzeta import blocks, polygon, torus
 from iterzeta.errors import (LimitExceeded, UnsupportedRange, ValidationError,
                              WindowExhausted)
 from iterzeta.hunt import hunt_value
@@ -327,6 +328,59 @@ def test_construct_does_not_depend_on_the_block_size(deep, monkeypatch):
         assert np.array_equal(res.theta2.thetas, want.theta2.thetas)
         assert abs(res.final_sum - want.final_sum) <= 1e-13
         assert res.theta2.residual < 1e-10
+
+
+def _outputs(res):
+    return (res.U, res.N, res.gamma_value, res.primes.tobytes(),
+            res.theta2.thetas.tobytes(), res.theta2.achieved,
+            res.theta2.residual, res.final_sum, res.final_error)
+
+
+@pytest.mark.parametrize("m, sigma, eps", [(1, 0.8, 0.05), (2, 0.65, 0.02)])
+def test_construct_does_not_depend_on_the_cpu_count(deep, monkeypatch, m,
+                                                    sigma, eps):
+    # windows of one block, two and many, in blocks of 4097 radii for the
+    # layout, the power sums and the radii: every output the same bits
+    # inline and on the pool, and with the harmonics' series in slices of
+    # 1000 points
+    gamma, _, _, _, win_r, rcum = _full_window(m, sigma, eps, deep)
+    for name in ("BLOCK", "SERIES_BLOCK"):
+        monkeypatch.setattr(polygon, name, 4097)
+    monkeypatch.setattr(torus, "POLYLOG_CHUNK", 4097)
+    for k, n in enumerate((1_000, 6_000, 100_000)):
+        a = gamma + float(rcum[n - 1] - 0.5 * win_r[n - 1]) \
+            * np.exp(2j * np.pi * (0.2 + 0.31 * k))
+        got = []
+        for cpus, piece in ((1, torus.HARMONIC_SLICE), (4, 1000)):
+            monkeypatch.setattr(blocks, "_cpus", lambda: cpus)
+            monkeypatch.setattr(torus, "HARMONIC_SLICE", piece)
+            got.append(_outputs(construct_theta(m, sigma, a, eps, deep)))
+        assert got[0] == got[1]
+
+
+def test_a_failing_block_raises_and_the_next_construction_works(
+        monkeypatch):
+    # the third call of a block's harmonic series raises: construct_theta
+    # raises it, inline and on the pool, and the next call gives the
+    # outputs of one that never failed
+    monkeypatch.setattr(polygon, "BLOCK", 100)
+    a, eps = 0.5 + 0.4j, 0.05
+    want = _outputs(construct_theta(1, 0.8, a, eps, PT))
+    prefix = torus._polylog_prefix
+    for cpus in (1, 4):
+        monkeypatch.setattr(blocks, "_cpus", lambda: cpus)
+        calls = itertools.count()
+
+        def failing(*args):
+            if next(calls) == 2:
+                raise ArithmeticError("a block failed")
+            return prefix(*args)
+
+        monkeypatch.setattr(torus, "_polylog_prefix", failing)
+        with pytest.raises(ArithmeticError, match="a block failed"):
+            construct_theta(1, 0.8, a, eps, PT)
+        monkeypatch.setattr(torus, "_polylog_prefix", prefix)
+        assert _outputs(construct_theta(1, 0.8, a, eps, PT)) == want
 
 
 def test_construct_target_past_the_window():
