@@ -58,8 +58,8 @@ from .errors import (QuadratureNonconvergence, UnsupportedRange,
                      ValidationError)
 from .lru import LRUDict
 from .primes import sieve_primes
-from .quadrature import (gl_nodes, integrate_rows, poly_log_integral,
-                         poly_log_integrals)
+from .quadrature import (gl_nodes, integrate_rows, opening_nodes,
+                         poly_log_integral, poly_log_integrals)
 from .rays import CUTOFF_OFFSET, LineBranch, RayBranch
 from .rays import GUARD  # noqa: F401  (re-exported: callers import it here)
 from .zetafun import DEFAULT_PARAMS, ComplexPoint, zeta_error
@@ -74,6 +74,9 @@ ABS_TOL = 1e-8
 # nodes of all its heights at once, so this bounds its memory; from
 # about 16 heights on, a pass costs the same per height
 ROWS_PER_PASS = 128
+# coarse panels of a ray's quadrature; its branch ladder starts on their
+# nodes and their halves', so the first two rounds call no zeta
+RAY_SPLITS = 2
 # eta_vertical steps up a line between knots KNOT_STEP apart (and the
 # ordinates of zeros right of the line, and pad edges); the local model
 # of a zero within NEAR_LINE of the line is integrated in closed form
@@ -261,12 +264,16 @@ def _eta_tilde_rows(m, sigma: float, ts: np.ndarray,
     """eta~_m(sigma + it) at every height t >= 0 of ts, in one pass.
 
     One RayBranch resolves the ladders of all heights and one
-    integrate_rows call integrates them on [sigma, sigma + CUTOFF_OFFSET],
-    so a height costs its share of a few batched zeta calls instead of a
-    call sequence of its own; the closed-form tail adds the rest, and
-    below NEAR_POLE (c_m's t = 0 too) the pole's part (_ray_integrand).
-    Each height gets its own panels, and its value differs from its
-    one-height value only by the rounding of the zeta calls it shared.
+    integrate_rows call integrates them on [sigma, sigma + CUTOFF_OFFSET];
+    the closed-form tail adds the rest, and below NEAR_POLE (c_m's t = 0
+    too) the pole's part (_ray_integrand).  The ladders start on the
+    nodes of the quadrature's first two rounds (opening_nodes), and the
+    branch serves those rounds from the W it keeps, so a pass whose
+    ladders need no refinement and whose panels stop there makes one
+    zeta call.  Each height gets its own ladder and panels, and zeta
+    gives a point the same bits in any batch, so each height's EtaValue
+    is bitwise its one-height value; its nevals counts the points its W
+    was evaluated at, the ladder's nodes and the panel nodes off them.
     Returns per height its EtaValue, or the BranchObstruction (a
     GuardBand in the guard band) or QuadratureNonconvergence that height
     raises; a height's refusal leaves the others as they would be
@@ -283,23 +290,24 @@ def _eta_tilde_rows(m, sigma: float, ts: np.ndarray,
         return [ev for lo in range(0, ts.size, ROWS_PER_PASS)
                 for ev in _eta_tilde_rows(m, sigma, ts[lo:lo + ROWS_PER_PASS],
                                           table, abs_tol=abs_tol)]
-    branch = RayBranch(sigma, ts, table)
+    a_cut = sigma + CUTOFF_OFFSET
+    branch = RayBranch(sigma, ts, table,
+                       opening_nodes(sigma, a_cut, RAY_SPLITS))
     out = [branch.refusal(j) if hit else None
            for j, hit in enumerate(branch.obstructed)]
     rows = np.nonzero(~branch.obstructed)[0]
-    a_cut = sigma + CUTOFF_OFFSET
 
     def f(alphas, row):
         lz = _ray_integrand(branch, alphas, rows[row])
         out = [(alphas - sigma) ** (j - 1) * lz / factorial(j - 1) if j
                else np.zeros_like(lz) for j in orders]
         return np.stack(out) if orders is m else out[0]
-    value, qerr, nev, refused = integrate_rows(
-        f, np.full(rows.size, sigma), a_cut, abs_tol, initial_splits=2)
+    value, qerr, _, refused = integrate_rows(
+        f, np.full(rows.size, sigma), a_cut, abs_tol,
+        initial_splits=RAY_SPLITS)
     shape = (rows.size, len(orders))
     value, qerr = value.reshape(shape), qerr.reshape(shape)
     ts_ok = branch.heights[rows]
-    nev = nev + branch.row_nodes[rows]
     near = np.flatnonzero(ts_ok < NEAR_POLE)
     for k, j in enumerate(orders):
         if j == 0:
@@ -312,6 +320,7 @@ def _eta_tilde_rows(m, sigma: float, ts: np.ndarray,
         value[:, k] += tail
         qerr[:, k] = qerr[:, k] + tail_err \
             + _zeta_term(j, CUTOFF_OFFSET, sigma, ts_ok)
+    nev = branch.row_evals[rows]
     for i, r in enumerate(rows):
         if refused[i] is not None:
             out[r] = refused[i]
@@ -385,7 +394,7 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
     a_cut = sigma + CUTOFF_OFFSET
     branch = RayBranch(sigma, t, table)
     nev = branch.nodes_used
-    edges = sigma + branch.offsets()
+    edges = branch.abscissae()
     tol = max(abs_tol * 1e-2, 1e-11)
     lo, hi = edges[:-1], edges[1:]
     pieces, dev_max = [], 0.0

@@ -7,8 +7,12 @@ Two pieces live here:
   evaluates the pending panels of all rows in a single call, so
   integrands backed by batched zeta evaluation stay cheap; each row's
   panels are the ones it gets alone.  A row may hold several integrands
-  on the same nodes (eta_vertical's m weights of one step).  The only
-  routine the library calls here; gl_panel and integrate_vec are tracer-only.
+  on the same nodes (eta_vertical's m weights of one step).
+  `opening_nodes` names the abscissae of its first two rounds, where
+  most rows stop, from the same panel and node helpers, so an integrand
+  can hold its values there beforehand (eta's ray ladders do).  These
+  two are what the library calls here; gl_panel and integrate_vec are
+  tracer-only.
 
 * `poly_log_integral`: exact moments of the local zero model,
 
@@ -96,9 +100,7 @@ def integrate_rows(f, a, b, abs_tol, max_depth: int = 48,
     rate = np.zeros(rows)
     rate[live] = abs_tol[live] / (b - a)[live] + noise[live]
 
-    edges = np.linspace(a[live], b[live], initial_splits + 1, axis=-1)
-    lo = edges[:, :-1].ravel()
-    hi = edges[:, 1:].ravel()
+    lo, hi = _coarse_panels(a[live], b[live], initial_splits)
     row = np.repeat(live, initial_splits)
     coarse = _panel_sums(f, lo, hi, row)
     nevals[live] += initial_splits * PANEL_ORDER
@@ -120,10 +122,8 @@ def integrate_rows(f, a, b, abs_tol, max_depth: int = 48,
             break
         n = row.size
         width = hi - lo
-        mid = 0.5 * (lo + hi)
         # both halves of every active panel, left halves first, one f call
-        lo = np.concatenate([lo, mid])
-        hi = np.concatenate([mid, hi])
+        lo, hi = _halves(lo, hi)
         row = np.concatenate([row, row])
         halves = _panel_sums(f, lo, hi, row)
         nevals += PANEL_ORDER * np.bincount(row, minlength=rows)
@@ -161,6 +161,38 @@ def integrate_rows(f, a, b, abs_tol, max_depth: int = 48,
         nevals, refused
 
 
+def _coarse_panels(a, b, initial_splits: int):
+    """(lo, hi) of the initial_splits equal panels of each row [a, b],
+    row by row."""
+    edges = np.linspace(a, b, initial_splits + 1, axis=-1)
+    return edges[:, :-1].ravel(), edges[:, 1:].ravel()
+
+
+def _halves(lo, hi):
+    """(lo, hi) of both halves of each panel, left halves first."""
+    mid = 0.5 * (lo + hi)
+    return np.concatenate([lo, mid]), np.concatenate([mid, hi])
+
+
+def _nodes(lo, hi) -> np.ndarray:
+    """The Gauss-Legendre nodes of each panel [lo, hi], one row each."""
+    x, _ = gl_nodes(PANEL_ORDER)
+    return (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * x
+
+
+def opening_nodes(a: float, b: float, initial_splits: int) -> np.ndarray:
+    """The abscissae at which integrate_rows(..., initial_splits=
+    initial_splits) evaluates a row [a, b] in its first two rounds, the
+    nodes of its coarse panels and of their halves, ascending.  Most
+    rows stop there, so an integrand that holds its values at these
+    nodes already (rays.RayBranch's ladder) serves them without a call.
+    """
+    lo, hi = _coarse_panels(np.array([a], dtype=float),
+                            np.array([b], dtype=float), initial_splits)
+    return np.unique(np.concatenate([_nodes(lo, hi),
+                                     _nodes(*_halves(lo, hi))], axis=None))
+
+
 def _panel_sums(f, lo, hi, row) -> np.ndarray:
     """Gauss-Legendre estimate of each panel [lo, hi] of its row's
     integrand, all panels in one f call: shape (panels,), or (k, panels)
@@ -169,13 +201,11 @@ def _panel_sums(f, lo, hi, row) -> np.ndarray:
     the call (a matrix-vector product's would)."""
     if not row.size:
         return np.zeros(0, dtype=complex)
-    x, w = gl_nodes(PANEL_ORDER)
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * x
-    vals = np.asarray(f(nodes.ravel(), np.repeat(row, PANEL_ORDER)))
+    _, w = gl_nodes(PANEL_ORDER)
+    vals = np.asarray(f(_nodes(lo, hi).ravel(), np.repeat(row, PANEL_ORDER)))
     lead = vals.shape[:-1]
-    return half * (vals.reshape(lead + (row.size, PANEL_ORDER))
-                   * w).sum(axis=-1)
+    return 0.5 * (hi - lo) * (vals.reshape(lead + (row.size, PANEL_ORDER))
+                              * w).sum(axis=-1)
 
 
 def integrate_vec(f, a: float, b: float, abs_tol: float = 1e-9,

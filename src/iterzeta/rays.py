@@ -16,10 +16,13 @@ log|a - 1| + i pi for a < 1).
 
 One ladder routine, `_refine`, resolves the branch on both routes.  It
 halves the gaps of a node ladder until the per-gap principal phase and
-log-magnitude increments of W are small.  Queries between nodes use the
-exact zeta value; only the 2 pi winding integer comes from interpolating
-the ladder's continuous imaginary part, and the refinement bounds make
-that rounding exact.
+log-magnitude increments of W are small.  A query takes the exact value
+of W at its point: a ray's query at one of its nodes reads the W the
+ladder holds there (zeta gives a point the same bits in any batch, so
+it is the value a call would give), and any other query calls zeta.
+Only the 2 pi winding integer comes from interpolating the ladder's
+continuous imaginary part, and the refinement bounds make that rounding
+exact.
 
 * `RayBranch` runs the ladder over alpha at each of many heights
   t >= 0, leftwards from the anchor at Re(s) = sigma + CUTOFF_OFFSET,
@@ -31,7 +34,8 @@ that rounding exact.
   within GUARD of the ordinate of a table zero at or right of sigma
   gets no ladder: it refuses as GuardBand.  The others' ladders refine
   together, one _w call per round, and a ladder that stalls on a zero
-  obstructs only its own height.
+  obstructs only its own height.  eta starts the ladders on the nodes
+  of its quadrature's first two rounds, which they then serve.
 * `LineBranch` runs it over u on a segment of the line sigma + iu.
   There log W is continuous in u except at ordinates of zeros with
   beta >= sigma, where the horizontal convention jumps, so the ladder is
@@ -180,13 +184,20 @@ class RayBranch:
     W = zeta(s)(s - 1), and log_zeta = log_w - Log(s - 1): the zeta
     evaluation at each query is exact; the node ladder only supplies the
     winding integer.  A row at t = 0 is the real axis, W > 0, where
-    log_zeta is the limit from above.  offsets is the starting ladder in
-    alpha - sigma, from 0 to CUTOFF_OFFSET; by default
-    _initial_offsets().
+    log_zeta is the limit from above.
+
+    abscissae is the starting ladder of every row, in [sigma,
+    sigma + CUTOFF_OFFSET], to which the ray's start sigma and its anchor
+    sigma + CUTOFF_OFFSET are added; by default sigma + _initial_offsets().
+    The branch keeps W at its nodes, and a query at a node's abscissa on
+    its row reads that W instead of calling zeta: zeta_batch gives a
+    point the same bits in any batch, so the value is the one a call
+    would give.  row_evals counts per row the points W was evaluated at:
+    its ladder's nodes, then every query off them.
     """
 
     def __init__(self, sigma: float, t, table: ZeroTable = EMPTY_TABLE,
-                 offsets=None):
+                 abscissae=None):
         self.sigma = float(sigma)
         self.heights = np.atleast_1d(np.asarray(t, dtype=float))
         if not (np.isfinite(self.sigma) and np.all(np.isfinite(self.heights))):
@@ -194,21 +205,27 @@ class RayBranch:
         if self.heights.ndim != 1 or not np.all(self.heights >= 0.0):
             raise UnsupportedRange("rays need heights t >= 0; below the "
                                    "real axis log zeta is the conjugate")
-        base = _initial_offsets() if offsets is None else offsets
+        end = self.sigma + CUTOFF_OFFSET
+        base = (self.sigma + _initial_offsets() if abscissae is None
+                else np.asarray(abscissae, dtype=float))
+        if not np.all((base >= self.sigma) & (base <= end)):
+            raise UnsupportedRange("a ray's starting ladder lies in "
+                                   f"[{self.sigma:g}, {end:g}]")
+        base = np.unique(np.concatenate([[self.sigma], base, [end]]))
         rows = self.heights.size
         self._ordinates = _guarded(table, self.sigma, self.heights)
         live = np.flatnonzero(np.isnan(self._ordinates))
         linked = np.ones((live.size, base.size), dtype=bool)
         linked[:, -1] = False
         s, w, linked, stalled = _refine(
-            ((self.sigma + base)[None, :]
-             + 1j * self.heights[live, None]).ravel(), linked.ravel()[:-1])
+            (base[None, :] + 1j * self.heights[live, None]).ravel(),
+            linked.ravel()[:-1])
         # live rows end at the unlinked gaps that did not stall
         row = np.concatenate([[0], np.cumsum(~linked & ~stalled)])
         row = live[row[:s.size]]      # no node when no row is live
         self.obstructed = ~np.isnan(self._ordinates) | (np.bincount(
             row[:-1][stalled], minlength=rows) > 0)
-        self.row_nodes = np.bincount(row, minlength=rows)
+        self.row_evals = np.bincount(row, minlength=rows)
         self.nodes_used = int(s.size)
 
         keep = ~self.obstructed[row]
@@ -221,12 +238,13 @@ class RayBranch:
         after = np.append(np.cumsum(dphi[::-1])[::-1], 0.0)
         last = np.nonzero(np.append(~same, True))[0]
         anchor = last[np.searchsorted(last, np.arange(s.size))]
-        self._x = s.real - self.sigma
+        self._a = s.real
+        self._w = w
         self._row = row
         self._im = np.angle(w[anchor]) - (after - after[anchor])
         # complex numbers sort by real part, then imaginary part: key
-        # row + i x orders the nodes by row, then offset, with no rounding
-        self._key = row + 1j * self._x
+        # row + i alpha orders the nodes by row, then abscissa
+        self._key = row + 1j * self._a
         self._last = np.searchsorted(row, np.arange(rows), side="right") - 1
 
     def refusal(self, row: int) -> BranchObstruction:
@@ -246,11 +264,11 @@ class RayBranch:
         if np.any(hit):
             raise self.refusal(rows[hit][0])
 
-    def offsets(self, row: int = 0) -> np.ndarray:
-        """Resolved node offsets alpha - sigma of a row, ascending
-        from 0."""
+    def abscissae(self, row: int = 0) -> np.ndarray:
+        """Resolved node abscissae of a row, ascending from sigma to
+        sigma + CUTOFF_OFFSET."""
         self._require(row)
-        return self._x[self._row == row]
+        return self._a[self._row == row]
 
     def log_w(self, alphas, rows=0) -> np.ndarray:
         """Continued log(zeta(s)(s - 1)) at s = alpha + it for each alpha,
@@ -264,16 +282,25 @@ class RayBranch:
                 f"query outside the resolved ray [{self.sigma:g}, "
                 f"{self.sigma + CUTOFF_OFFSET:g}]")
         self._require(rows)
-        s = alphas + 1j * self.heights[rows]
-        lq = np.log(_w(s))
+        # a query at a node reads its W; the others call zeta
+        key = rows + 1j * alphas
+        at = np.minimum(np.searchsorted(self._key, key), self._key.size - 1)
+        hit = self._key[at] == key
+        w = np.where(hit, self._w[at], 0.0)
+        miss = ~hit
+        if miss.any():
+            w[miss] = _w(alphas[miss] + 1j * self.heights[rows[miss]])
+            self.row_evals += np.bincount(rows[miss],
+                                          minlength=self.heights.size)
+        lq = np.log(w)
         # interpolate each query on its own row's ladder; past the row's
         # last node, read that node
-        xq = np.clip(x, 0.0, CUTOFF_OFFSET)
-        j = np.minimum(np.searchsorted(self._key, rows + 1j * xq,
+        aq = np.clip(alphas, self.sigma, self.sigma + CUTOFF_OFFSET)
+        j = np.minimum(np.searchsorted(self._key, rows + 1j * aq,
                                        side="right") - 1,
                        self._last[rows] - 1)
-        x0, x1 = self._x[j], self._x[j + 1]
-        frac = np.clip((xq - x0) / (x1 - x0), 0.0, 1.0)
+        a0, a1 = self._a[j], self._a[j + 1]
+        frac = np.clip((aq - a0) / (a1 - a0), 0.0, 1.0)
         im_interp = self._im[j] + frac * (self._im[j + 1] - self._im[j])
         k = np.round((im_interp - lq.imag) / (2.0 * np.pi))
         return lq + 2j * np.pi * k
@@ -364,7 +391,8 @@ class LineBranch:
         # 2 pi turns between the branch at node j and the ladder there,
         # from one walk per node
         walked = np.unique(feet + heads)
-        ray = RayBranch(self.sigma, x[walked], offsets=_walk_offsets())
+        ray = RayBranch(self.sigma, x[walked],
+                        abscissae=self.sigma + _walk_offsets())
         self.nodes_used += ray.nodes_used
         ray._require(np.arange(walked.size))
         first = np.searchsorted(ray._row, np.arange(walked.size))

@@ -14,19 +14,25 @@ with the classical remainder bound
 T_{K+1} being the first omitted correction term.  Every point gets its
 own N: the bound is solved for the smallest N that meets the tolerance,
 and that N is rounded up to a geometric ladder above em_terms so that
-points of similar height share one direct-sum matrix.  A point's value
-therefore does not depend on the other points of its batch, beyond the
-rounding of the direct-sum path its rung takes.
+points of similar height share one direct sum.
 
-The direct sum runs per ladder rung.  n^-s = n^-Re s * n^-i Im s, so
-points on a grid of abscissae x heights need only the real matrix
-exp(-Re s (x) log n) and the phases exp(-i log n (x) Im s), contracted
-by one real matrix product on (Re, Im) pairs.  A horizontal ray is a
-grid of one height; a vertical walk's node ladder, repeated at many
-heights, is a grid too.  Points of one abscissa, a vertical line, take
-a row sum per height instead: it costs what the product does, and a
-point's value is then bitwise the same in any batch, which eta's line
-cache relies on.  Scattered points take the complex exp matrix.
+The direct sum runs per ladder rung, in chunks of at most
+_CHUNK_ELEMENTS point-terms.  n^-s = n^-Re s (cos(Im s log n)
+- i sin(Im s log n)): a chunk forms n^-Re s once per distinct abscissa
+and the phases once per distinct height, and each point sums its own
+row of their products (on a vertical line, whose points share n^-Re s,
+each height does).  A product is the same two factors and a row sum
+runs along one point's terms whatever else shares the batch, so a
+point's value is bitwise the same in any batch.  eta's line cache, the
+rows of an eta~ pass and a ray ladder that serves its quadrature's
+nodes (rays.RayBranch) rely on that.  A chunk's temporaries peak at 2
+float64 per point-term on a ray or a vertical line, 3 on a grid of
+several abscissae and heights, and 4 on scattered points: 32 bytes, or
+128 MB at _CHUNK_ELEMENTS, what one complex exp(-s log n) matrix and
+its argument take.  Scattered points cost about what that matrix does:
+200 points with Im s up to 2000 took 5.8-8.1 ms a batch (medians of 40
+calls in three processes) against 6.2-7.9 ms with the complex exp, on
+a shared 2-core Xeon.
 
 zeta_error reports the per-point error: the remainder bound plus a
 rounding estimate for the direct sum, which dominates at large |t|
@@ -59,12 +65,6 @@ POLE_RADIUS = 1.0e-14
 LADDER_STEP = 2.0 ** 0.25
 # elements of one (points x terms) direct-sum matrix
 _CHUNK_ELEMENTS = 4_000_000
-# points on a grid of abscissae x heights with at most this many grid
-# nodes per point take the real-matrix product; others the complex exp.
-# Measured on one core: the product costs as much as the complex exp at
-# about 32 nodes per point for N = 8000 and above 96 for N <= 142; at 16
-# it costs at most about half.  Rays and walk ladders fill 1 to 2.
-_GRID_FILL = 16
 # the rounding estimate's multiple of machine epsilon per term
 _ROUNDING_ULPS = 2.0
 
@@ -208,55 +208,57 @@ def _chunks(size: int, n_terms: int):
     return (slice(i, i + block) for i in range(0, size, block))
 
 
-def _grid(s: np.ndarray):
-    """Place points on a grid of abscissae x heights: (abscissae, index
-    per point, heights, index per point), or None when that grid would
-    hold more than _GRID_FILL times as many nodes as there are points."""
-    if np.all(s.imag == s.imag[0]):   # one height: skip the sorting
-        return s.real, np.arange(s.size), s.imag[:1], np.zeros(s.size, int)
-    heights, k = np.unique(s.imag, return_inverse=True)
-    sigmas, j = np.unique(s.real, return_inverse=True)
-    if sigmas.size * heights.size > _GRID_FILL * s.size:
-        return None
-    return sigmas, j, heights, k
+def _distinct(x: np.ndarray):
+    """(values, index per element) of the distinct values of x."""
+    if np.all(x == x[0]):
+        return x[:1], np.zeros(x.size, dtype=np.intp)
+    return np.unique(x, return_inverse=True)
 
 
 def _direct_sum(s: np.ndarray, n_terms: int) -> np.ndarray:
-    """sum_{n<N} n^-s for points sharing one N."""
+    """sum_{n<N} n^-s for points sharing one N.
+
+    n^-s = n^-sigma (cos(t log n) - i sin(t log n)).  A chunk forms
+    n^-sigma once per distinct abscissa and the phases once per distinct
+    height, multiplies them out per point (per height on a vertical
+    line, whose points share n^-sigma) and sums each row.  Every product
+    is the same two factors whatever else shares the batch, and a row
+    sum runs along one point's terms alone, so a point's value is
+    bitwise the same in any batch.
+    """
     logn = np.log(np.arange(1, n_terms, dtype=np.float64))
     out = np.empty(s.size, dtype=np.complex128)
     for chunk in _chunks(s.size, n_terms):
         part = s[chunk]
-        grid = _grid(part)
-        if grid is None:
-            out[chunk] = np.exp(-np.multiply.outer(part, logn)).sum(axis=-1)
-            continue
-        # n^-s = n^-sigma * n^-it: the real matrix n^-sigma (abscissae x
-        # terms) times the (Re, Im) columns of n^-it (terms x heights)
-        sigmas, j, heights, k = grid
-        mag = np.exp(np.multiply.outer(-sigmas, logn))
-        if sigmas.size == 1:
-            # one abscissa (a vertical line): a row sum per height, which
-            # rounds alike whatever other heights share the call, where
-            # BLAS does not; real cos and sin cost what the product does
-            arg = np.multiply.outer(heights, logn)
-            re, im = np.cos(arg), np.sin(arg)
-            re *= mag[0]
-            im *= mag[0]
-            out[chunk] = (re.sum(axis=-1) - 1j * im.sum(axis=-1))[k]
-            continue
-        phase = np.exp(-1j * np.multiply.outer(logn, heights))
-        sums = (mag @ phase.view(np.float64)).view(np.complex128)
-        out[chunk] = sums[j, k]
+        heights, k = _distinct(part.imag)
+        # on one height (a ray) every point is a row of its own
+        sigmas, j = ((part.real, None) if heights.size == 1
+                     else _distinct(part.real))
+        mag = np.multiply.outer(-sigmas, logn)
+        np.exp(mag, out=mag)
+        arg = np.multiply.outer(heights, logn)
+        cos, sin = np.cos(arg), np.sin(arg, out=arg)
+        if sigmas.size > 1 and heights.size > 1:
+            # one at a time, each old table freed as its copy is made
+            mag = mag[j]
+            cos = cos[k]
+            sin = sin[k]
+        # each product in place in a factor of the product's shape where
+        # there is one; mag is overwritten only by the second
+        rows = max(mag.shape[0], cos.shape[0])
+        im = np.multiply(sin, mag, out=sin if sin.shape[0] == rows else None)
+        re = np.multiply(cos, mag, out=cos if cos.shape[0] == rows else mag)
+        sums = re.sum(axis=-1) - 1j * im.sum(axis=-1)
+        out[chunk] = sums[k] if sigmas.size == 1 < heights.size else sums
     return out
 
 
 def zeta_batch(s: np.ndarray, params: EvalParams = DEFAULT_PARAMS) -> np.ndarray:
     """Vectorised zeta over an array of complex points.
 
-    Each point gets its own direct-sum length, so a value does not
-    depend on the rest of the batch beyond rounding; points sharing a
-    length share one direct-sum matrix.
+    Each point gets its own direct-sum length and sums its own row of
+    terms, so a value is bitwise the same in any batch; points sharing a
+    length share one direct sum.
 
     Raises
     ------

@@ -6,7 +6,7 @@ import numpy as np
 import mpmath as mp
 import pytest
 
-from iterzeta import eta, rays
+from iterzeta import eta, quadrature, rays
 from iterzeta.errors import (BranchObstruction, GuardBand,
                              QuadratureNonconvergence, TableCoverage,
                              UnsupportedRange, ValidationError)
@@ -85,9 +85,10 @@ def test_weighted_ray_grazing_a_zero_refuses():
 
 def test_rows_match_one_height(monkeypatch):
     # one pass over 21 heights, the real axis among them, and three
-    # passes of at most 7: each row is its one-height value up to the
-    # rounding of the zeta calls it shared; a one-height pass is
-    # eta_tilde_weighted itself
+    # passes of at most 7: zeta gives a point the same bits in any batch
+    # and each row has a ladder and panels of its own, so each row is
+    # its one-height value, est_error and nevals to the bit; a one-height
+    # pass is eta_tilde_weighted itself
     ts = np.append(0.0, np.linspace(10.0, 240.0, 20) + 0.123)
     rows = _eta_tilde_rows(2, 0.7, ts, TAB)
     monkeypatch.setattr(eta, "ROWS_PER_PASS", 7)
@@ -95,11 +96,46 @@ def test_rows_match_one_height(monkeypatch):
     for t, ev, ev7 in zip(ts, rows, split):
         one = eta_tilde_weighted(2, 0.7, t, table=TAB)
         assert ev.point.t == t == ev7.point.t
-        assert abs(ev.value - one.value) < min(ev.est_error, one.est_error)
-        assert abs(ev7.value - one.value) < min(ev7.est_error,
-                                                one.est_error)
+        assert (ev.value, ev.est_error, ev.nevals) \
+            == (one.value, one.est_error, one.nevals)
+        assert (ev7.value, ev7.est_error, ev7.nevals) \
+            == (one.value, one.est_error, one.nevals)
     one_row, = _eta_tilde_rows(2, 0.7, ts[:1], TAB)
     assert one_row == eta_tilde_weighted(2, 0.7, ts[0], table=TAB)
+
+
+def test_a_pass_that_stops_at_round_two_makes_one_zeta_call(monkeypatch):
+    # the ladder starts on the nodes of the panels' first two rounds and
+    # serves them: a ray whose ladder passes at once and whose panels
+    # stop at round two makes one zeta call, and its nevals counts each
+    # evaluated point once, its ladder's nodes
+    calls, branches = [], []
+    zeta_batch, ray_branch = rays.zeta_batch, eta.RayBranch
+
+    def counted(s, *args):
+        calls.append(np.size(s))
+        return zeta_batch(s, *args)
+
+    def kept(*args):
+        branches.append(ray_branch(*args))
+        return branches[-1]
+    monkeypatch.setattr(rays, "zeta_batch", counted)
+    monkeypatch.setattr(eta, "RayBranch", kept)
+    depth = []
+
+    def rounds(f, *args, **kwargs):
+        def seen(nodes, row):
+            depth.append(nodes.size)
+            return f(nodes, row)
+        return integrate_rows(seen, *args, **kwargs)
+    monkeypatch.setattr(eta, "integrate_rows", rounds)
+    ev = eta_tilde_weighted(1, 1.5, 30.0, TAB)
+    # the coarse panels and their halves, and no third round
+    assert depth == [k * eta.RAY_SPLITS * quadrature.PANEL_ORDER
+                     for k in (1, 2)]
+    assert calls == [branches[0].nodes_used]
+    assert ev.nevals == branches[0].nodes_used == 2 + 3 * eta.RAY_SPLITS \
+        * quadrature.PANEL_ORDER
 
 
 @pytest.mark.parametrize("extra,table", [
@@ -342,8 +378,9 @@ def test_c_is_unchanged_by_the_ray(sigma, before):
 
 def test_constants_of_a_line_share_one_pass(monkeypatch):
     # the first constant asked for at a sigma makes every order's in one
-    # t = 0 row: one ladder and the panels' rounds, no more zeta calls
-    # for the other orders, and each is its order's eta~ at t = 0
+    # t = 0 row: one zeta call for the ladder, which serves the panels'
+    # first two rounds, where they stop; no more zeta calls for the
+    # other orders, and each is its order's eta~ at t = 0
     monkeypatch.setattr(eta, "_C_CACHE", eta.LRUDict(eta._C_CACHE_CAP))
     calls, zeta_batch = [], rays.zeta_batch
 
@@ -353,9 +390,9 @@ def test_constants_of_a_line_share_one_pass(monkeypatch):
     monkeypatch.setattr(rays, "zeta_batch", counted)
     sigma = 0.77
     c3 = c_m(3, sigma)
-    assert len(calls) == 3
+    assert len(calls) == 1
     c1, c2 = c_m(1, sigma), c_m(2, sigma)
-    assert len(calls) == 3
+    assert len(calls) == 1
     for m, c in ((1, c1), (2, c2), (3, c3)):
         ev = eta_tilde_weighted(m, sigma, 0.0)
         assert abs(c - 1j ** m * ev.value) <= 1e-15

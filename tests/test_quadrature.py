@@ -5,7 +5,8 @@ import pytest
 from iterzeta.errors import QuadratureNonconvergence
 from iterzeta.quadrature import (MAX_ROW_PANELS, PANEL_ORDER, gl_panel,
                                  integrate_rows, integrate_vec,
-                                 log_kernel_moments, poly_log_integral)
+                                 log_kernel_moments, opening_nodes,
+                                 poly_log_integral)
 
 mp.mp.dps = 30
 
@@ -43,6 +44,26 @@ def test_integrate_vec_spike():
         alone = integrate_vec(lambda x: 1.0 / (1e-4 + (x - c) ** 2),
                               lo, hi, abs_tol=tol)
         assert (v, e, n) == alone
+
+
+@pytest.mark.parametrize("splits", [1, 2, 3])
+def test_opening_nodes_are_the_first_two_rounds(splits):
+    # the abscissae f sees in integrate_rows' first two rounds are
+    # opening_nodes' to the bit, for rows alone and sharing a call
+    a, b = np.array([0.8, -0.3, 2.0]), np.array([6.8, 0.7, 2.0 + 1e-3])
+    seen = []
+
+    def f(nodes, row):
+        seen.append((nodes, row))
+        return np.cos(nodes * (row + 1))
+    integrate_rows(f, a, b, 1e-15, max_depth=1, initial_splits=splits)
+    assert [x.size for x, _ in seen] == [a.size * splits * PANEL_ORDER,
+                                         2 * a.size * splits * PANEL_ORDER]
+    for r in range(a.size):
+        got = np.unique(np.concatenate([x[row == r] for x, row in seen]))
+        want = opening_nodes(a[r], b[r], splits)
+        assert np.array_equal(got, want)
+        assert want.size == 3 * splits * PANEL_ORDER
 
 
 def test_integrate_vec_nonconvergence():

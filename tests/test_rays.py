@@ -81,10 +81,41 @@ def test_branch_query_range():
     near = TAB.gammas[0] + 1e-7
     alone = RayBranch(0.4, near)
     many = RayBranch(0.4, np.append(np.linspace(10.0, 240.0, 199), near))
-    x = alone.offsets()
-    q = 0.4 + np.concatenate([x, 0.5 * (x[1:] + x[:-1])])
-    assert np.array_equal(many.offsets(199), x)
+    x = alone.abscissae()
+    q = np.concatenate([x, 0.5 * (x[1:] + x[:-1])])
+    assert np.array_equal(many.abscissae(199), x)
     assert np.array_equal(many.log_zeta(q, 199), alone.log_zeta(q))
+
+
+def test_a_query_at_a_node_reads_its_w(monkeypatch):
+    # a ladder started on given abscissae keeps W there: a query at a
+    # node calls no zeta and gives the bits a call gives, a query off
+    # the nodes calls zeta, and row_evals counts what was evaluated
+    nodes = 0.8 + np.array([0.1, 0.25, 1.7, 4.0])
+    ray = RayBranch(0.8, [30.0, 71.5], abscissae=nodes)
+    ladder = ray.abscissae(1)
+    assert ladder[0] == 0.8 and ladder[-1] == 0.8 + CUTOFF_OFFSET
+    assert np.all(np.isin(nodes, ladder))
+    assert ray.row_evals.tolist() == [ray.abscissae(0).size, ladder.size]
+    evals = ray.row_evals.copy()
+    points, zeta_batch = [], rays.zeta_batch
+
+    def counted(s, *args):
+        points.append(np.size(s))
+        return zeta_batch(s, *args)
+    monkeypatch.setattr(rays, "zeta_batch", counted)
+    at = ray.log_w(ladder, 1)
+    assert points == []
+    monkeypatch.setattr(rays, "zeta_batch", zeta_batch)
+    fresh = RayBranch(0.8, [71.5], abscissae=nodes + 1e-9)
+    assert np.array_equal(at, fresh.log_w(ladder, 0))
+    assert np.array_equal(ray.row_evals, evals)
+    monkeypatch.setattr(rays, "zeta_batch", counted)
+    ray.log_w(np.array([0.95, 1.7 + 0.8, 3.3]), [0, 0, 1])
+    assert points == [2]
+    assert np.array_equal(ray.row_evals, evals + [1, 1])
+    with pytest.raises(UnsupportedRange):
+        RayBranch(0.8, 30.0, abscissae=[0.7, 1.0])
 
 
 def test_guard_near_ordinate():
@@ -123,7 +154,7 @@ def test_ray_refuses_the_guard_band_before_any_zeta_call(monkeypatch):
     assert isinstance(refusal, GuardBand) and f"{g2:.6f}" in str(refusal)
     with pytest.raises(GuardBand):
         both.log_zeta(np.array([0.5]), 0)
-    assert np.array_equal(both.offsets(1), alone.offsets())
+    assert np.array_equal(both.abscissae(1), alone.abscissae())
     # with no table to guard it, a ray through a zero stalls, and keeps
     # the plain BranchObstruction
     stalled = RayBranch(0.5, [TAB.gammas[0]])
