@@ -30,11 +30,17 @@ blocks of about POLYLOG_CHUNK points, whose buffers stay in cache.
 polylog_batch, for points of any modulus, sorts them by length into the
 same term loop.  mangoldt_sum and
 li_vs_mangoldt_gap stay apart from both as the decomposition check's
-reference.  mangoldt_grid evaluates the von Mangoldt sum on a whole grid
-of heights, over eta's one list of prime powers; mangoldt_sum is its
-one-height call, and the hunt ranks its candidate heights by it.  The
-mean-square sweep's _li_grid forms p^(-it) on its grid by the same
-block x offset split; dirichlet_li_sum is its one-height call, and
+reference.  orbit_grid sums sum_n c_n n^(-it) on a grid of equispaced
+heights, split as block start + offset, as one real product of two
+phase matrices that depend on the grid and the logs alone; the process
+keeps those of the last _ORBIT_CACHE_CAP = 4 grids (_ORBIT_CACHE), 0.27
+MB at the hunt's window.  mangoldt_grid is orbit_grid with the von
+Mangoldt coefficients, over eta's one list of prime powers;
+mangoldt_sum is its one-height call, which keeps nothing, and the hunt
+ranks its candidate heights by it.  The mean-square sweep's _li_grid
+forms p^(-it) on its grid by the same split, but not from the kept
+phases: it takes exp(-(sigma + i t_b) log p) as one complex exp, whose
+bits the mean square keeps; dirichlet_li_sum is its one-height call, and
 keeps no totals.
 """
 
@@ -64,6 +70,9 @@ POLYLOG_MIN_PRIMES = 4
 POLYLOG_KEPT = 2 ** 16
 _SERIES_EPS = 1e-16
 _TAIL_EPS = 1e-15
+# orbit_grid's phase matrices, by (the logs' bytes, t0, step, count)
+_ORBIT_CACHE_CAP = 4
+_ORBIT_CACHE = LRUDict(_ORBIT_CACHE_CAP)
 
 
 def polylog(order: int, z: complex) -> complex:
@@ -279,29 +288,73 @@ def _li_grid(m: int, sigma: float, logs: np.ndarray, t0: float,
     return np.broadcast_to(d, count)[cols]     # 0 with no prime
 
 
+def _orbit_phases(logs: np.ndarray, t0: float, step: float, count: int):
+    """The phases of the grid t0 + step j, j < count, split as _grid_split
+    does, read-only: the (Re, Im) parts of e^(-i t_b log n) as the rows
+    of the block starts, then their imaginary parts, and e^(-i t_r log n)
+    as a real view, an (Re, Im) column pair per offset.  Kept in
+    _ORBIT_CACHE, but for a one-height grid."""
+    def make():
+        blocks, offsets = _grid_split(t0, step, count)
+        left = np.exp(-1j * np.multiply.outer(blocks, logs))
+        phases = (np.concatenate([left.real, left.imag]),
+                  np.exp(-1j * np.multiply.outer(logs, offsets))
+                  .view(np.float64))
+        for arr in phases:
+            arr.flags.writeable = False
+        return phases
+    if count == 1:
+        return make()
+    return _ORBIT_CACHE.get_or_set((logs.tobytes(), t0, step, count), make)
+
+
+def orbit_grid(coef: np.ndarray, logs: np.ndarray, t0: float, step: float,
+               count: int) -> np.ndarray:
+    """sum_n coef_n e^(-i t log n) over the terms with these logs, at the
+    count heights t = t0 + step j, j < count.
+
+    Each height splits as t_b + t_r (_grid_split), so the grid is one
+    (blocks x terms) . (terms x offsets) product of coef_n e^(-i t_b log n)
+    and e^(-i t_r log n), real on the (Re, Im) parts.  Its bits do not
+    depend on the BLAS thread count, nor, measured, its cost: at the
+    hunt's default window the product took 0.09-0.12 ms in four fresh
+    processes at default OpenBLAS threading and 0.15 ms at one thread,
+    on a shared 2-core Xeon.
+
+    The two phase matrices depend on the grid and the logs alone; the
+    process keeps those of the last _ORBIT_CACHE_CAP grids in
+    _ORBIT_CACHE, keyed by the logs' bytes, so a key never matches
+    another table of logs.  At the hunt's default window (79 prime
+    powers) they are 107 x 79 and 79 x 108 complex numbers, 0.27 MB; at
+    t_max = zeta's T_MAX, 1.8 MB.  A one-height grid keeps nothing.  A
+    height's value depends on (coef, logs, t0, step, count, j) alone, not
+    on which other heights are asked for, nor on the cache."""
+    left, right = _orbit_phases(np.asarray(logs, dtype=np.float64), t0,
+                                step, count)
+    # rows Re L then Im L of L = coef e^(-i t_b log n), against the
+    # (Re, Im) columns of each offset
+    parts = (coef * left) @ right
+    re, im = np.split(parts, 2)
+    grid = np.empty((re.shape[0], right.shape[1] // 2), dtype=np.complex128)
+    np.subtract(re[:, 0::2], im[:, 1::2], out=grid.real)
+    np.add(re[:, 1::2], im[:, 0::2], out=grid.imag)
+    return grid.ravel()[:count]
+
+
 def mangoldt_grid(m: int, sigma: float, t0: float, step: float, count: int,
                   X: float) -> np.ndarray:
     """sum_{2 <= n <= X} Lambda(n) / (n^(sigma+it) (log n)^(m+1)) at the
-    count heights t = t0 + step j, j < count.
+    count heights t = t0 + step j, j < count: orbit_grid with the
+    coefficients n^-sigma / (k (log n)^m) of the prime powers n = p^k
+    <= X.
 
     Lambda(n) = log p for prime powers n = p^k, zero otherwise; the
-    log n = k log p denominator folds into 1/(k (log n)^m).  Each height
-    splits as t_b + t_r (_grid_split), so the grid is one (blocks x prime
-    powers) . (prime powers x offsets) product of n^-(sigma + i t_b) /
-    (k (log n)^m) and n^(-i t_r), real on the (Re, Im) parts: a complex
-    product's cost swung a hundredfold with BLAS threading."""
+    log n = k log p denominator folds into 1/(k (log n)^m)."""
     if count < 1:
         raise ValidationError("need at least one height")
     logs, inv_k = _prime_powers(int(X))
-    blocks, offsets = _grid_split(t0, step, count)
     coef = inv_k * np.exp(-sigma * logs) / logs ** m
-    left = coef * np.exp(-1j * np.multiply.outer(blocks, logs))
-    # rows Re L then Im L, against the (Re, Im) columns of each offset
-    parts = np.concatenate([left.real, left.imag]) \
-        @ np.exp(-1j * np.multiply.outer(logs, offsets)).view(np.float64)
-    re, im = parts[:blocks.size], parts[blocks.size:]
-    grid = (re[:, 0::2] - im[:, 1::2]) + 1j * (re[:, 1::2] + im[:, 0::2])
-    return grid.ravel()[:count]
+    return orbit_grid(coef, logs, t0, step, count)
 
 
 def mangoldt_sum(m: int, sigma: float, t: float, X: float) -> complex:

@@ -9,10 +9,12 @@ remainder past X.  The torus sum S at theta_p = t log p / 2 pi is D_X's
 Li form, off from it by li_vs_mangoldt_gap (at X = 300, m = 1, up to
 0.018 at sigma = 1/2, 0.0026 at 0.8).  So the hunt reads D_X, with X =
 eta.TAIL_TERMS (the prime powers the closed-form tail reads), on the
-grid t_min + GRID_STEP j <= t_max in one dirichlet.mangoldt_grid call,
-takes the local minima of |D_X - a| in order of that distance, keeps
-them at least min_separation apart up to the evaluation budget, and
-evaluates them.
+grid t_min + GRID_STEP j <= t_max in one dirichlet.mangoldt_grid call
+(the process keeps the grid's phase matrices, so a repeated window pays
+only for their product).  It takes the local minima of |D_X - a| in
+order of that distance, keeps them at least min_separation apart up to
+the evaluation budget (each checked against its nearest kept
+neighbours, in Python floats), and evaluates them.
 
 Candidates are evaluated in two passes of eta._eta_tilde_rows, the first
 FIRST_PASS of them and then, only if none of those is a witness, the
@@ -41,6 +43,7 @@ the heights whose orbit enters a box, and how often it visits one.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -184,6 +187,27 @@ def equidistribution_measure(box, T: float, primes) -> tuple:
     return count / n_pts, expected
 
 
+def _spaced(heights: list, separation: float, budget: int) -> list:
+    """Positions of the heights (floats, in order of preference) kept at
+    least separation from every height kept before them, at most budget
+    of them.
+
+    Float subtraction is monotone, so of the kept heights on either side
+    of t the nearest is also nearest in the computed |t - u|: checking
+    the two neighbours among the sorted kept heights makes the same
+    comparisons as checking them all."""
+    kept, picked = [], []           # picked: the kept heights, ascending
+    for pos, t in enumerate(heights):
+        at = bisect.bisect(picked, t)
+        if ((at == 0 or t - picked[at - 1] >= separation)
+                and (at == len(picked) or picked[at] - t >= separation)):
+            kept.append(pos)
+            if len(kept) >= budget:
+                break
+            picked.insert(at, t)
+    return kept
+
+
 def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
                config: Optional[HuntConfig] = None,
                table: Optional[ZeroTable] = None) -> HuntResult:
@@ -224,12 +248,9 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
     # local minima: the first height of a flat bottom, ends included
     padded = np.concatenate(([np.inf], dist, [np.inf]))
     minima = np.nonzero((dist < padded[:-2]) & (dist <= padded[2:]))[0]
-    chosen = []
-    for i in minima[np.argsort(dist[minima], kind="stable")]:
-        if all(abs(ts[i] - ts[j]) >= config.min_separation for j in chosen):
-            chosen.append(int(i))
-            if len(chosen) >= config.eval_budget:
-                break
+    order = minima[np.argsort(dist[minima], kind="stable")]
+    chosen = order[_spaced(ts[order].tolist(), config.min_separation,
+                           config.eval_budget)].tolist()
 
     best = None
     used = 0

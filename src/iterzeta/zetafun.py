@@ -18,10 +18,19 @@ points of similar height share one direct sum.
 
 The direct sum runs per ladder rung, in chunks of at most
 _CHUNK_ELEMENTS point-terms.  n^-s = n^-Re s (cos(Im s log n)
-- i sin(Im s log n)): a chunk forms n^-Re s once per distinct abscissa
-and the phases once per distinct height, and each point sums its own
-row of their products (on a vertical line, whose points share n^-Re s,
-each height does).  A product is the same two factors and a row sum
+- i sin(Im s log n)), and each point sums its own row of the two
+factors' products (on a vertical line, whose points share n^-Re s, each
+height does).  A factor whose rows recur across rungs is formed once a
+batch, cos and sin per distinct height and n^-Re s per distinct
+abscissa, each to the batch's longest length, and every rung reads the
+prefixes of its points' rows.  Such a table is made only where it holds
+fewer terms than the rungs would form, and at most _TABLE_ELEMENTS;
+otherwise a chunk forms the factor per distinct value among its points.
+So the 4 rays of an eta~ pass (368 points on 7 rungs) form their
+heights' phases once, as does a ray at t = 9980 across its 14 rungs,
+while on a vertical line, where a height has one rung, nothing is
+tabled.  A row is the same elementwise operations on the same numbers,
+from a table or not, a product is the same two factors, and a row sum
 runs along one point's terms whatever else shares the batch, so a
 point's value is bitwise the same in any batch.  eta's line cache, the
 rows of an eta~ pass and a ray ladder that serves its quadrature's
@@ -29,10 +38,12 @@ nodes (rays.RayBranch) rely on that.  A chunk's temporaries peak at 2
 float64 per point-term on a ray or a vertical line, 3 on a grid of
 several abscissae and heights, and 4 on scattered points: 32 bytes, or
 128 MB at _CHUNK_ELEMENTS, what one complex exp(-s log n) matrix and
-its argument take.  Scattered points cost about what that matrix does:
-200 points with Im s up to 2000 took 5.8-8.1 ms a batch (medians of 40
-calls in three processes) against 6.2-7.9 ms with the complex exp, on
-a shared 2-core Xeon.
+its argument take.  Each table adds at most _TABLE_ELEMENTS float64
+(8 MB); a vertical line's sums peak as the per-rung sums did.
+Scattered points cost about what that matrix does: 200 points with
+Im s up to 2000 took 5.8-8.1 ms a batch (medians of 40 calls in three
+processes) against 6.2-7.9 ms with the complex exp, on a shared 2-core
+Xeon.
 
 zeta_error reports the per-point error: the remainder bound plus a
 rounding estimate for the direct sum, which dominates at large |t|
@@ -65,6 +76,8 @@ POLE_RADIUS = 1.0e-14
 LADDER_STEP = 2.0 ** 0.25
 # elements of one (points x terms) direct-sum matrix
 _CHUNK_ELEMENTS = 4_000_000
+# elements of one factor table of a batch (cos and sin count apart)
+_TABLE_ELEMENTS = 1_000_000
 # the rounding estimate's multiple of machine epsilon per term
 _ROUNDING_ULPS = 2.0
 
@@ -178,14 +191,6 @@ def _lengths_and_bounds(s: np.ndarray, params: EvalParams):
     return lengths, c * lengths.astype(np.float64) ** -p
 
 
-def _groups(lengths: np.ndarray):
-    """(N, indices) per distinct direct-sum length."""
-    order = np.argsort(lengths, kind="stable")
-    values, starts = np.unique(lengths[order], return_index=True)
-    return [(int(n_terms), idx)
-            for n_terms, idx in zip(values, np.split(order, starts[1:]))]
-
-
 def _em_tail(s: np.ndarray, lengths: np.ndarray, k_terms: int) -> np.ndarray:
     """Everything but the direct sum, per point with its own N:
 
@@ -209,47 +214,126 @@ def _chunks(size: int, n_terms: int):
 
 
 def _distinct(x: np.ndarray):
-    """(values, index per element) of the distinct values of x."""
-    if np.all(x == x[0]):
+    """(values, index per element) of the distinct values of x,
+    ascending: np.unique's, from one stable sort."""
+    if (x == x[0]).all():
         return x[:1], np.zeros(x.size, dtype=np.intp)
-    return np.unique(x, return_inverse=True)
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    new = np.empty(x.size, dtype=bool)
+    new[0] = True
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    index = np.empty(x.size, dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return x[new], index
 
 
-def _direct_sum(s: np.ndarray, n_terms: int) -> np.ndarray:
-    """sum_{n<N} n^-s for points sharing one N.
+def _phases(heights: np.ndarray, logn: np.ndarray) -> list:
+    """[cos, sin] of t log n, a row per height."""
+    arg = np.multiply.outer(heights, logn)
+    return [np.cos(arg), np.sin(arg, out=arg)]
 
-    n^-s = n^-sigma (cos(t log n) - i sin(t log n)).  A chunk forms
-    n^-sigma once per distinct abscissa and the phases once per distinct
-    height, multiplies them out per point (per height on a vertical
-    line, whose points share n^-sigma) and sums each row.  Every product
-    is the same two factors whatever else shares the batch, and a row
-    sum runs along one point's terms alone, so a point's value is
-    bitwise the same in any batch.
-    """
-    logn = np.log(np.arange(1, n_terms, dtype=np.float64))
-    out = np.empty(s.size, dtype=np.complex128)
-    for chunk in _chunks(s.size, n_terms):
-        part = s[chunk]
-        heights, k = _distinct(part.imag)
+
+def _magnitudes(sigmas: np.ndarray, logn: np.ndarray) -> list:
+    """[n^-sigma], a row per abscissa."""
+    mag = np.multiply.outer(-sigmas, logn)
+    return [np.exp(mag, out=mag)]
+
+
+def _table(x: np.ndarray, which: np.ndarray, values: np.ndarray,
+           logn: np.ndarray, form, width: int):
+    """(form's rows over the distinct values of x for every term of logn,
+    the row of each point), or None where those width tables would pass
+    _TABLE_ELEMENTS or hold as many terms as the length groups form, or
+    more: each group forms a row per distinct value among its points
+    (which, the group of each point, indexes values) to its own length."""
+    rows, index = _distinct(x)
+    if width * rows.size * logn.size > _TABLE_ELEMENTS:
+        return None
+    present = np.zeros((values.size, rows.size), dtype=bool)
+    present[which, index] = True
+    if not rows.size * logn.size < present.sum(axis=1) @ (values - 1):
+        return None
+    return form(rows, logn), index
+
+
+def _rows(x: np.ndarray, pts: np.ndarray, logn: np.ndarray, table, form):
+    """A factor's rows for the points pts, with values x[pts], on the
+    terms of logn, and the row of each point: None where one row serves
+    them all or each point has its own.  From the batch's table where
+    there is one, as copies, since the products overwrite their factors;
+    else formed per distinct value."""
+    if table is None:
+        values, index = _distinct(x[pts])
+        return form(values, logn), (None if values.size == 1 else index)
+    tabs, index = table
+    index = index[pts]
+    if (index == index[0]).all():
+        index = index[:1]
+    return [tab[index, :logn.size] for tab in tabs], None
+
+
+def _chunk_sums(s: np.ndarray, pts: np.ndarray, logn: np.ndarray, trig,
+                mag) -> np.ndarray:
+    """sum_{n <= logn.size} n^-s at the points pts of s: n^-sigma times
+    the phases, multiplied out per point, or per height where the points
+    share n^-sigma (a vertical line), and summed per row."""
+    (cos, sin), k = _rows(s.imag, pts, logn, trig, _phases)
+    if cos.shape[0] == 1 and mag is None:
         # on one height (a ray) every point is a row of its own
-        sigmas, j = ((part.real, None) if heights.size == 1
-                     else _distinct(part.real))
-        mag = np.multiply.outer(-sigmas, logn)
-        np.exp(mag, out=mag)
-        arg = np.multiply.outer(heights, logn)
-        cos, sin = np.cos(arg), np.sin(arg, out=arg)
-        if sigmas.size > 1 and heights.size > 1:
-            # one at a time, each old table freed as its copy is made
+        (mag,), j = _magnitudes(s.real[pts], logn), None
+    else:
+        (mag,), j = _rows(s.real, pts, logn, mag, _magnitudes)
+    if mag.shape[0] > 1 and cos.shape[0] > 1:
+        # one at a time, each old table freed as its copy is made
+        if j is not None:
             mag = mag[j]
+        if k is not None:
             cos = cos[k]
             sin = sin[k]
-        # each product in place in a factor of the product's shape where
-        # there is one; mag is overwritten only by the second
-        rows = max(mag.shape[0], cos.shape[0])
-        im = np.multiply(sin, mag, out=sin if sin.shape[0] == rows else None)
-        re = np.multiply(cos, mag, out=cos if cos.shape[0] == rows else mag)
-        sums = re.sum(axis=-1) - 1j * im.sum(axis=-1)
-        out[chunk] = sums[k] if sigmas.size == 1 < heights.size else sums
+        j = k = None
+    # each product in place in a factor of the product's shape where
+    # there is one; mag is overwritten only by the second
+    rows = max(mag.shape[0], cos.shape[0])
+    im = np.multiply(sin, mag, out=sin if sin.shape[0] == rows else None)
+    re = np.multiply(cos, mag, out=cos if cos.shape[0] == rows else mag)
+    sums = re.sum(axis=-1) - 1j * im.sum(axis=-1)
+    index = k if j is None else j
+    return sums if index is None else sums[index]
+
+
+def _direct_sum(s: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """sum_{n<N} n^-s at every point of s, N its own length.
+
+    n^-s = n^-sigma (cos(t log n) - i sin(t log n)).  Where a factor's
+    rows recur across lengths, the batch forms them once, a row per
+    distinct height (cos and sin) or abscissa (n^-sigma) up to the
+    longest length, and each length reads the prefixes of its points'
+    rows; other factors are formed per length, per distinct value of a
+    chunk.  A row is the same elementwise operations on the same
+    numbers either way, every product is the same two factors whatever
+    else shares the batch, and a row sum runs along one point's terms
+    alone, so a point's value is bitwise the same in any batch.  On one
+    abscissa (a vertical line) a height has one length, and nothing is
+    tabled.
+    """
+    out = np.empty(s.size, dtype=np.complex128)
+    values = np.unique(lengths)
+    trig = mag = logn = None
+    if values.size > 1 and not (s.real == s.real[0]).all():
+        which = np.searchsorted(values, lengths)
+        logn = np.log(np.arange(1, values[-1], dtype=np.float64))
+        trig = _table(s.imag, which, values, logn, _phases, 2)
+        # on one height (a ray) an abscissa has one length
+        if not (s.imag == s.imag[0]).all():
+            mag = _table(s.real, which, values, logn, _magnitudes, 1)
+    for n_terms in values.tolist():
+        idx = np.flatnonzero(lengths == n_terms)
+        terms = (np.log(np.arange(1, n_terms, dtype=np.float64))
+                 if logn is None else logn[:n_terms - 1])
+        for chunk in _chunks(idx.size, n_terms):
+            pts = idx[chunk]
+            out[pts] = _chunk_sums(s, pts, terms, trig, mag)
     return out
 
 
@@ -258,7 +342,9 @@ def zeta_batch(s: np.ndarray, params: EvalParams = DEFAULT_PARAMS) -> np.ndarray
 
     Each point gets its own direct-sum length and sums its own row of
     terms, so a value is bitwise the same in any batch; points sharing a
-    length share one direct sum.
+    length share one direct sum, and the batch forms once the phases of
+    a height, or the powers n^-sigma of an abscissa, that recur across
+    lengths.
 
     Raises
     ------
@@ -275,9 +361,8 @@ def zeta_batch(s: np.ndarray, params: EvalParams = DEFAULT_PARAMS) -> np.ndarray
     lengths, bounds = _lengths_and_bounds(flat, params)
     if not float(np.max(bounds)) <= params.tol:
         raise ArithmeticError("an Euler-Maclaurin length misses tol")
-    out = _em_tail(flat, lengths, params.em_bernoulli)
-    for n_terms, idx in _groups(lengths):
-        out[idx] += _direct_sum(flat[idx], n_terms)
+    out = _direct_sum(flat, lengths)
+    out += _em_tail(flat, lengths, params.em_bernoulli)
     return out.reshape(shape)
 
 

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from iterzeta import hunt
-from iterzeta.dirichlet import _grid_split, mangoldt_grid, mangoldt_sum
+from iterzeta import dirichlet, hunt
+from iterzeta.dirichlet import (_grid_split, mangoldt_grid, mangoldt_sum,
+                                orbit_grid)
 from iterzeta.errors import (BranchObstruction, BudgetExceeded, TableCoverage,
                              UnsupportedRange, ValidationError)
 from iterzeta.eta import _prime_powers, eta_tilde_weighted
 from iterzeta.hunt import (HuntConfig, TorusTarget, equidistribution_measure,
                            hunt_value, kronecker_search)
+from iterzeta.lru import LRUDict
 from iterzeta.zeros import ZeroTable, bundled_table
 
 TAB = bundled_table()
@@ -341,3 +343,120 @@ def test_grid_is_the_complex_product(count):
                     ).ravel()[:count]
             got = mangoldt_grid(m, sigma, 10.0, 0.02, count, 300)
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+# ------------------------------------------------------- kept orbit phases
+
+def _fresh_grid(m, sigma, t0, step, count, X):
+    """mangoldt_grid's product on phases formed afresh, as it was formed
+    before they were kept."""
+    logs, inv_k = _prime_powers(X)
+    blocks, offsets = _grid_split(t0, step, count)
+    coef = inv_k * np.exp(-sigma * logs) / logs ** m
+    left = coef * np.exp(-1j * np.multiply.outer(blocks, logs))
+    parts = np.concatenate([left.real, left.imag]) \
+        @ np.exp(-1j * np.multiply.outer(logs, offsets)).view(np.float64)
+    re, im = parts[:blocks.size], parts[blocks.size:]
+    grid = (re[:, 0::2] - im[:, 1::2]) + 1j * (re[:, 1::2] + im[:, 0::2])
+    return grid.ravel()[:count]
+
+
+@pytest.fixture
+def orbit_cache(monkeypatch):
+    cache = LRUDict(dirichlet._ORBIT_CACHE_CAP)
+    monkeypatch.setattr(dirichlet, "_ORBIT_CACHE", cache)
+    return cache
+
+
+def test_hunt_is_the_same_cold_warm_and_evicted(orbit_cache):
+    a = eta_tilde_weighted(2, 0.7, 70.0, table=TAB).value + 0.05
+    cold = hunt_value(2, 0.7, a, 0.1, table=TAB)
+    assert len(orbit_cache) == 1
+    warm = hunt_value(2, 0.7, a, 0.1, table=TAB)
+    key = next(iter(orbit_cache))
+    for t0 in (11.0, 12.0, 13.0, 14.0):
+        mangoldt_grid(2, 0.7, t0, hunt.GRID_STEP, 2000, hunt.TAIL_TERMS)
+    assert key not in orbit_cache
+    evicted = hunt_value(2, 0.7, a, 0.1, table=TAB)
+    assert cold == warm == evicted
+
+
+@pytest.mark.parametrize("t0, step, count, X", [
+    (10.0, 0.02, 11501, 300), (33.3, 0.02, 777, 300), (5.0, 0.1, 7, 100)])
+def test_grid_is_bitwise_the_product_of_fresh_phases(orbit_cache, t0, step,
+                                                     count, X):
+    for m, sigma in ((1, 0.8), (2, 0.55), (3, 2.0)):
+        want = _fresh_grid(m, sigma, t0, step, count, X)
+        for _ in range(2):      # cold, then from the kept phases
+            got = mangoldt_grid(m, sigma, t0, step, count, X)
+            assert np.array_equal(got, want)
+    assert len(orbit_cache) == 1
+
+
+def test_grids_on_other_logs_keep_their_own_phases(orbit_cache):
+    # the same heights over the prime powers up to 300 and up to 100, and
+    # a table of the same size whose last log differs by one ulp: each
+    # grid is its own fresh product, whichever was kept first
+    logs, inv_k = _prime_powers(300)
+    nudged = logs.copy()
+    nudged[-1] = np.nextafter(nudged[-1], np.inf)
+    coef = inv_k * np.exp(-0.8 * logs) / logs
+    first = orbit_grid(coef, logs, 10.0, 0.02, 500)
+    other = orbit_grid(coef, nudged, 10.0, 0.02, 500)
+    assert len(orbit_cache) == 2
+    assert np.array_equal(first, _fresh_grid(1, 0.8, 10.0, 0.02, 500, 300))
+    assert not np.array_equal(first, other)
+    assert np.array_equal(mangoldt_grid(1, 0.8, 10.0, 0.02, 500, 100),
+                          _fresh_grid(1, 0.8, 10.0, 0.02, 500, 100))
+    assert len(orbit_cache) == 3
+
+
+def test_one_height_sum_leaves_the_cache_as_it_was(orbit_cache):
+    for t0 in (10.0, 20.0):
+        mangoldt_grid(1, 0.8, t0, 0.02, 100, 300)
+    before = [(key, id(value)) for key, value in orbit_cache.items()]
+    mangoldt_sum(1, 0.8, 10.0, 300)
+    mangoldt_sum(2, 0.6, 55.5, 300)
+    assert [(key, id(value)) for key, value in orbit_cache.items()] == before
+
+
+def test_orbit_cache_keeps_its_cap(orbit_cache):
+    for j in range(3 * dirichlet._ORBIT_CACHE_CAP):
+        mangoldt_grid(1, 0.8, 10.0 + j, 0.02, 50, 300)
+        assert len(orbit_cache) <= dirichlet._ORBIT_CACHE_CAP
+    assert len(orbit_cache) == dirichlet._ORBIT_CACHE_CAP
+
+
+# ------------------------------------------------------ candidate spacing
+
+def _numpy_scalar_spacing(ts, order, separation, budget):
+    """The spacing loop on numpy scalars that hunt_value ran before
+    _spaced, kept as the reference."""
+    chosen = []
+    for i in order:
+        if all(abs(ts[i] - ts[j]) >= separation for j in chosen):
+            chosen.append(int(i))
+            if len(chosen) >= budget:
+                break
+    return chosen
+
+
+def test_spacing_is_the_numpy_scalar_loop():
+    rng = np.random.default_rng(38)
+    for case in range(300):
+        count = int(rng.integers(1, 400))
+        ts = 10.0 + hunt.GRID_STEP * np.arange(count)
+        order = rng.permutation(count)[:int(rng.integers(1, count + 1))]
+        # separations some grid steps, whose differences then land on
+        # the separation or one rounding away from it, and zero
+        separation = float(rng.choice(
+            [0.0, hunt.GRID_STEP, 0.5, 25 * hunt.GRID_STEP,
+             0.06, float(rng.uniform(0.0, 3.0))]))
+        budget = int(rng.integers(1, 60))
+        want = _numpy_scalar_spacing(ts, order, separation, budget)
+        got = order[hunt._spaced(ts[order].tolist(), separation,
+                                 budget)].tolist()
+        assert got == want, case
+    # heights exactly the separation apart are kept; closer ones are not
+    assert hunt._spaced([1.0, 1.5, 2.0, 1.25, 0.5], 0.5, 10) == [0, 1, 2, 4]
+    assert hunt._spaced([1.0, 1.0, 1.0], 0.0, 2) == [0, 1]

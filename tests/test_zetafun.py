@@ -1,3 +1,4 @@
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -5,9 +6,9 @@ import mpmath as mp
 import pytest
 
 from iterzeta import ComplexPoint, EvalParams, PoleAtOne, UnsupportedRange
-from iterzeta import zeta, zeta_batch
-from iterzeta.zetafun import (_EM_COEF, _em_remainder, _lengths_and_bounds,
-                              _log_moment, zeta_error)
+from iterzeta import zeta, zeta_batch, zetafun
+from iterzeta.zetafun import (_EM_COEF, _em_remainder, _em_tail,
+                              _lengths_and_bounds, _log_moment, zeta_error)
 
 mp.mp.dps = 30
 
@@ -210,3 +211,118 @@ def test_term_cap_and_nonfinite_refusals():
         zeta(0.5 + 1e4j, EvalParams(tol=1e-300))
     with pytest.raises(UnsupportedRange):
         zeta(complex(np.nan, 1.0))
+
+
+# ------------------------------------------------- factor tables of a batch
+
+def _table_batches():
+    """The batches the factor tables are built for, and a line they are
+    not: the rays of a 4-height eta~ pass (92 abscissae each), one such
+    ray at t = 9980, a 2 x 21 grid of a vertical walk, and a line of 600
+    heights."""
+    ladder = 0.8 + np.linspace(0.0, 6.0, 92)
+    heights = np.array([12.5, 71.25, 150.0, 236.0])
+    return {
+        "rays": (ladder[None, :] + 1j * heights[:, None]).ravel(),
+        "tall ray": ladder + 9980.0j,
+        "walk": (np.linspace(0.8, 1.8, 21)[None, :]
+                 + 1j * np.array([21.3, 21.8])[:, None]).ravel(),
+        "line": 0.8 + 1j * np.linspace(10.0, 9990.0, 600),
+    }
+
+
+@pytest.fixture(scope="module")
+def one_point_values():
+    return {name: np.array([zeta_batch(pts[i:i + 1])[0]
+                            for i in range(pts.size)])
+            for name, pts in _table_batches().items()}
+
+
+@pytest.mark.parametrize("table_cap, chunk_cap", [
+    (None, None), (0, None), (None, 1000), (0, 1000), (3000, 20_000)],
+    ids=["defaults", "per-length", "chunked", "per-length-chunked",
+         "partly-tabled"])
+def test_factor_tables_give_the_one_point_bits(monkeypatch, one_point_values,
+                                               table_cap, chunk_cap):
+    # tables or none, whole lengths or chunks of a few points (1000
+    # elements: one point a chunk at t = 9980): every value is bitwise
+    # the value its point has alone
+    if table_cap is not None:
+        monkeypatch.setattr(zetafun, "_TABLE_ELEMENTS", table_cap)
+    if chunk_cap is not None:
+        monkeypatch.setattr(zetafun, "_CHUNK_ELEMENTS", chunk_cap)
+    tabled = []
+    real_table = zetafun._table
+
+    def spy(x, *args):
+        out = real_table(x, *args)
+        tabled.append(out is not None)
+        return out
+    monkeypatch.setattr(zetafun, "_table", spy)
+    for name, pts in _table_batches().items():
+        tabled.clear()
+        got = zeta_batch(pts)
+        assert np.array_equal(got, one_point_values[name]), name
+        assert np.array_equal(zeta_batch(pts[::-1])[::-1], got), name
+        if name == "line":
+            # on one abscissa nothing recurs across lengths: no table
+            assert tabled == [], name
+        elif name != "walk" and table_cap is None:
+            # the phases of a ray's height recur across its lengths (the
+            # walk's 42 points share one length)
+            assert tabled[0], name
+
+
+def _per_length_sum(s, n_terms):
+    """sum_{n<N} n^-s for points sharing one N, as the direct sum ran
+    before factor tables, kept as the memory reference: each chunk
+    forms n^-sigma per distinct abscissa and the phases per distinct
+    height anew."""
+    logn = np.log(np.arange(1, n_terms, dtype=np.float64))
+    out = np.empty(s.size, dtype=np.complex128)
+    block = max(1, zetafun._CHUNK_ELEMENTS // n_terms)
+    for chunk in (slice(i, i + block) for i in range(0, s.size, block)):
+        part = s[chunk]
+        heights, k = np.unique(part.imag, return_inverse=True)
+        sigmas, j = ((part.real, None) if heights.size == 1
+                     else np.unique(part.real, return_inverse=True))
+        mag = np.multiply.outer(-sigmas, logn)
+        np.exp(mag, out=mag)
+        arg = np.multiply.outer(heights, logn)
+        cos, sin = np.cos(arg), np.sin(arg, out=arg)
+        if sigmas.size > 1 and heights.size > 1:
+            mag = mag[j]
+            cos = cos[k]
+            sin = sin[k]
+        rows = max(mag.shape[0], cos.shape[0])
+        im = np.multiply(sin, mag, out=sin if sin.shape[0] == rows else None)
+        re = np.multiply(cos, mag, out=cos if cos.shape[0] == rows else mag)
+        sums = re.sum(axis=-1) - 1j * im.sum(axis=-1)
+        out[chunk] = sums[k] if sigmas.size == 1 < heights.size else sums
+    return out
+
+
+def _per_length_zeta(s):
+    """zeta_batch as it ran before factor tables: the Euler-Maclaurin
+    tail first, then each length's points as a copy, summed apart."""
+    lengths, _ = _lengths_and_bounds(s, EvalParams())
+    out = _em_tail(s, lengths, EvalParams().em_bernoulli)
+    for n_terms in np.unique(lengths):
+        idx = np.flatnonzero(lengths == n_terms)
+        out[idx] += _per_length_sum(s[idx], n_terms)
+    return out
+
+
+def test_line_batch_memory_is_the_per_length_peak():
+    # a vertical line builds no table: zeta_batch peaks, under
+    # tracemalloc, no higher than the per-length sums it replaced, and
+    # has their bits
+    s = _table_batches()["line"]
+    peaks, values = [], []
+    for call in (_per_length_zeta, zeta_batch) * 2:
+        tracemalloc.start()
+        values.append(call(s))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert np.array_equal(values[0], values[1])
+    assert peaks[3] <= peaks[2], peaks
