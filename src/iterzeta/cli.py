@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BranchObstruction, ComputationError, ValidationError
-from .eta import ABS_TOL, _eta_tilde_rows, eta_vertical, y_m
+from .eta import ABS_TOL, _eta_tilde_rows, _eta_vertical_rows, y_m
 from .hunt import HuntConfig, hunt_value
 from .dirichlet import mean_square_error
 from .polygon import RadiiSet, polygon_angles
@@ -212,14 +212,17 @@ def cmd_eval(cfg: dict) -> int:
     if ts.size:
         table.require_coverage(ts[-1])
     start = time.monotonic()
-    # log zeta (order 0) and eta~_m from one pass over the grid's rays
+    # log zeta (order 0) and eta~_m from one pass over the grid's rays,
+    # eta_m from one pass up its line
     horizontal = _eta_tilde_rows((0, m), sigma, ts, table, abs_tol=abs_tol)
+    vertical = _eta_vertical_rows(m, sigma, ts, table, abs_tol=abs_tol)
     rows, skipped = [], 0
-    for t, z, row in zip(ts, zeta_batch(sigma + 1j * ts), horizontal):
+    for t, z, row, ev in zip(ts, zeta_batch(sigma + 1j * ts), horizontal,
+                             vertical):
         try:
-            if isinstance(row, Exception):
-                raise row
-            ev = eta_vertical(m, sigma, t, table, abs_tol=abs_tol)
+            for res in (row, ev):
+                if isinstance(res, Exception):
+                    raise res
         except BranchObstruction:
             skipped += 1
             continue

@@ -25,15 +25,18 @@ Vertical form, defined by recursion in t with base log zeta:
 
     eta_m(sigma + it) = int_0^t eta_(m-1)(sigma + it') dt' + c_m(sigma)
 
-eta_vertical steps it up the line: between canonical knots (multiples
-of KNOT_STEP, ordinates of zeros right of the line, pad edges) every
-level advances by the exact Taylor shift of iterated integrals, and one
-partial step reaches t.  The knot values of a line are kept in a capped
-cache keyed on (m, sigma, abs_tol, the table's zeros), so a row on a
-line already stepped past its knot integrates only its last step, and
-its value and est_error are bitwise those of a cold run.  A sweep up a
-line costs one pass over it plus, per row, a partial step and the walks
-that anchor the branch there.
+_eta_vertical_rows steps it up the line, and eta_vertical is its
+one-height call: between canonical knots (multiples of KNOT_STEP,
+ordinates of zeros right of the line, pad edges) every level advances
+by the exact Taylor shift of iterated integrals, and one partial step
+reaches t.  The knot values of a line are kept in a capped cache keyed
+on (m, sigma, abs_tol, the table's zeros).  A grid's heights go in
+ascending slices, and a slice builds one line branch and makes one
+quadrature call, over the knot steps not yet kept plus a partial step
+per row, so a grid steps its line once.  Each row's value and
+est_error are bitwise those of its cold one-height call.  A one-height
+call on a kept line still pays the walks that anchor the branch at its
+partial step.
 
 The two are linked by eta_m = i^m eta_tilde_m + Y_m where Y_m collects
 contributions of zeros right of the line below height t; check_bridge
@@ -70,14 +73,15 @@ SUPPORTED_M = (1, 2, 3)
 NEAR_POLE = 1.0
 # the default quadrature tolerance of every eta and dirichlet integral
 ABS_TOL = 1e-8
-# heights in one pass of _eta_tilde_rows.  A pass holds the quadrature
-# nodes of all its heights at once, so this bounds its memory; from
-# about 16 heights on, a pass costs the same per height
+# heights in one pass of _eta_tilde_rows or slice of _eta_vertical_rows.
+# A pass holds the quadrature nodes of all its heights at once, so this
+# bounds its memory; from about 16 heights on, a pass costs the same per
+# height
 ROWS_PER_PASS = 128
 # coarse panels of a ray's quadrature; its branch ladder starts on their
 # nodes and their halves', so the first two rounds call no zeta
 RAY_SPLITS = 2
-# eta_vertical steps up a line between knots KNOT_STEP apart (and the
+# _eta_vertical_rows steps up a line between knots KNOT_STEP apart (and the
 # ordinates of zeros right of the line, and pad edges); the local model
 # of a zero within NEAR_LINE of the line is integrated in closed form
 # over the steps within KNOT_STEP of its ordinate
@@ -461,8 +465,7 @@ def c_m(m: int, sigma: float, *, abs_tol: float = ABS_TOL) -> complex:
 
 def y_m_terms(m: int, sigma: float, t: float,
               table: ZeroTable) -> list[ZeroSumTerm]:
-    if m not in SUPPORTED_M:
-        raise UnsupportedRange(f"order m={m} unsupported")
+    _validate_order_sigma(m, sigma)
     betas, gammas, mults = zeros_in_box(table, sigma, t)
     terms = []
     for k in range(m):
@@ -480,15 +483,16 @@ def y_m(m: int, sigma: float, t: float, table: ZeroTable) -> complex:
                0.0 + 0.0j)
 
 
-# lines whose knot values eta_vertical keeps, by (m, sigma, abs_tol,
-# table zeros); a line holds m complex values and m bounds per knot
+# lines whose knot values _eta_vertical_rows keeps, by (m, sigma,
+# abs_tol, table zeros); a line holds m complex values and m bounds per
+# knot
 _LINE_CACHE_CAP = 64
 _LINE_CACHE = LRUDict(_LINE_CACHE_CAP)
 
 
 class _Line:
     """The canonical knots of the line sigma + iu for a zero table, and
-    the values eta_vertical has reached at them.
+    the values _eta_vertical_rows has reached at them.
 
     The knots are the multiples of KNOT_STEP, the ordinates of the
     zeros right of the line, where the branch may jump, and the edges of
@@ -499,7 +503,8 @@ class _Line:
     j = 1..m, and E[j-1] its error bound; they are kept from knot 0 up
     as far as rows have stepped.  The zeros within NEAR_LINE of the
     line, by ordinate, have their local models taken out of the
-    integrand.
+    integrand.  Rows above `crowded` refuse: past it two ordinates lie
+    within twice SINGULARITY_PAD of each other.
     """
 
     def __init__(self, m: int, sigma: float, abs_tol: float,
@@ -514,6 +519,8 @@ class _Line:
         self.knots = np.unique(np.concatenate(
             [units[~inside], table.gammas[~on & (table.betas > sigma)],
              self.pad_lo, pad_g + h]))
+        close = np.flatnonzero(np.diff(table.gammas) <= 2.0 * h)
+        self.crowded = table.gammas[close[0] + 1] if close.size else np.inf
         # panels meet rate per unit height in every level: at most
         # abs_tol in all at the top of the table's coverage
         self.rate = abs_tol * factorial(m) / table.coverage ** m
@@ -522,10 +529,9 @@ class _Line:
         near = near[np.argsort(table.gammas[near], kind="stable")]
         self.near = (table.gammas[near], sigma - table.betas[near],
                      table.mults[near].astype(float))
-        # knot index -> (F, E); the keys are always 0..n-1, as rows store
-        # the knots they step past in order, and a knot's value is the
-        # same whichever row stores it
-        self.kept = {0: (np.zeros(m, dtype=complex), np.zeros(m))}
+        # rows store the knots they step past in order, and a knot's
+        # value is the same whichever row stores it
+        self.kept = [(np.zeros(m, dtype=complex), np.zeros(m))]
 
     def models(self, lo: np.ndarray, hi: np.ndarray):
         """(g, c, k) of the zeros near the line with ordinates within
@@ -571,9 +577,10 @@ def _shift(F, E, delta: float, S, R):
     return taylor @ F + S, taylor @ E + R
 
 
-def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable, *,
-                 abs_tol: float = ABS_TOL) -> EtaValue:
-    """Vertical iterated integral, stepped up the line:
+def _eta_vertical_rows(m: int, sigma: float, ts, table: ZeroTable, *,
+                       abs_tol: float = ABS_TOL) -> list:
+    """Vertical iterated integral at every height t > 0 of ts, stepped
+    up the line:
 
         eta_m = 1/(m-1)! int_0^t (t-u)^(m-1) log zeta(sigma+iu) du
                 + sum_j c_j(sigma) t^(m-j)/(m-j)!
@@ -590,7 +597,7 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable, *,
 
     and one partial step from the last knot below t reaches t.  The m
     weights of a step share their log W values: each step is one
-    m-valued row of one integrate_rows call.  A zero rho within
+    m-valued row of an integrate_rows call.  A zero rho within
     NEAR_LINE of the line makes log W singular near its ordinate; every
     step within KNOT_STEP of it integrates log W - k Log(s - rho), which
     is smooth there, and adds the model k Log(s - rho) in closed form.
@@ -598,46 +605,89 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable, *,
     takes a fixed rule instead of panels.  Errors go up with the values,
     times the same d^i / i!.
 
-    Knot values are kept per line (_LINE_CACHE, by m, sigma, abs_tol and
-    the table's zeros), so a row below the line's highest kept knot
-    integrates only its partial step, and a taller row the steps above
-    it too.  A step's panels, tolerance and zeta values depend on the
-    step alone, so a row's value and est_error are bitwise those of a
-    cold run, whatever rows came before it.
+    The heights go in ascending slices of at most ROWS_PER_PASS.  A
+    slice makes one integrate_rows call, over the knot steps above the
+    line's highest kept knot (_LINE_CACHE, by m, sigma, abs_tol and the
+    table's zeros) up to its top row, plus each row's partial step, and
+    one _pad_rule call for the pads; each row then shifts from its own
+    knot.  A step's panels, tolerance and zeta values depend on the step
+    alone, so each row's value and est_error are bitwise those of its
+    one-height call on a cold cache, whatever rows share its slice or
+    came before it.
 
     The branch of log zeta on the line comes from one rays.LineBranch
-    over the heights the row steps through: a ladder up the line carries
-    the winding between the ordinates of zeros at or right of it, and
-    horizontal walks anchor and check each stretch, so the table decides
-    where the branch may jump but zeta decides by how much.  nevals
-    counts the zeta evaluations this call made: ladder and walk nodes,
-    panels, and the constants c_j it had to compute.
+    per slice, from its lowest step up to its top row: a ladder up the
+    line carries the winding between the ordinates of zeros at or right
+    of it, and horizontal walks anchor and check each stretch, so the
+    table decides where the branch may jump but zeta decides by how
+    much.  nevals counts the zeta evaluations made for a row: its
+    partial step, and for the lowest row of a slice that gets a value,
+    what the slice shares too: ladder and walk nodes, knot steps, and
+    the constants c_j it had to compute.  A one-row call's row thus
+    counts all of its call's evaluations.
+
+    Returns per height its EtaValue or the refusal that height raises:
+    the UnsupportedRange of a row above the line's `crowded` height, the
+    BranchObstruction of a branch stretch its steps meet, or a step's
+    QuadratureNonconvergence.  A knot step's refusal refuses every row
+    above it; the others are as they would be alone.  A bad order,
+    sigma or abs_tol, a height t <= 0 and a height past the table's
+    coverage raise for the whole call before any row is computed.
     """
     _validate_order_sigma(m, sigma)
     _validate_abs_tol(abs_tol)
-    if not t > 0.0:
+    ts = np.asarray(ts, dtype=float)
+    if not np.all(ts > 0.0):
         raise ValidationError("eta_vertical needs t > 0; at t = 0 the "
                               "value is c_m(sigma) by definition")
-    table.require_coverage(t)
-    h = SINGULARITY_PAD
-    gam = table.gammas[table.gammas < t]
-    if gam.size and np.min(np.diff(gam), initial=np.inf) <= 2.0 * h:
-        raise UnsupportedRange(f"table ordinates closer than twice the "
-                               f"singularity pad {h:g}")
+    if not ts.size:
+        return []
+    table.require_coverage(ts.max())
     line = _line(m, sigma, abs_tol, table)
-    # the steps from the highest kept knot below t, the last one to t
-    top = int(np.searchsorted(line.knots, t)) - 1
-    start = min(top, len(line.kept) - 1)
-    lo = line.knots[start:top + 1]
-    hi = np.append(line.knots[start + 1:top + 1], t)
+    order = np.argsort(ts, kind="stable")
+    out = [None] * ts.size
+    for lo in range(0, ts.size, ROWS_PER_PASS):
+        rows = order[lo:lo + ROWS_PER_PASS]
+        for r, ev in zip(rows, _vertical_slice(m, sigma, ts[rows], line,
+                                               table, abs_tol)):
+            out[r] = ev
+    return out
+
+
+def _vertical_slice(m: int, sigma: float, ts: np.ndarray, line: _Line,
+                    table: ZeroTable, abs_tol: float) -> list:
+    """The rows of _eta_vertical_rows at the ascending heights ts."""
+    live = int(np.searchsorted(ts, line.crowded, side="right"))
+    out = [None] * live + [UnsupportedRange(
+        f"table ordinates closer than twice the singularity pad "
+        f"{SINGULARITY_PAD:g}") for _ in ts[live:]]
+    ts = ts[:live]
+    if not live:
+        return out
+    # the knot steps from the highest kept knot up to the top row's
+    # knot, then per row the partial step from the last knot below it
+    kept = len(line.kept) - 1
+    top = np.searchsorted(line.knots, ts) - 1
+    n_knot = max(int(top[-1]) - kept, 0)
+    lo = np.concatenate([line.knots[kept:kept + n_knot], line.knots[top]])
+    hi = np.concatenate([line.knots[kept + 1:kept + n_knot + 1], ts])
     pad = np.isin(lo, line.pad_lo)
-    log_err = float(_log_zeta_error(sigma, t))
 
     # the branch may jump where a zero lies at or right of the line; it
     # starts at a knot, but not next to a zero inside a pad
-    bottom = line.knots[start - 1] if pad[0] and start else lo[0]
-    branch = LineBranch(sigma, t, table.gammas[table.betas >= sigma],
+    first = min(int(top[0]), kept)
+    bottom = line.knots[first - 1 if first and line.knots[first]
+                        in line.pad_lo else first]
+    branch = LineBranch(sigma, ts[-1], table.gammas[table.betas >= sigma],
                         bottom=bottom)
+    refusals = branch.refusals(lo, hi)
+    # a step is integrated unless the branch refuses it or a knot step
+    # below it that it needs
+    refused = np.array([r is not None for r in refusals])
+    stop = int(np.argmax(np.append(refused[:n_knot], True)))
+    need = ~refused
+    need[stop:n_knot] = False
+    need[n_knot:] &= top - kept <= stop
     G, C, K, count = line.models(lo, hi)
 
     def f(us, row):
@@ -652,53 +702,77 @@ def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable, *,
         return np.stack(out)
     S = np.zeros((lo.size, m), dtype=complex)
     R = np.zeros((lo.size, m))
-    nev = branch.nodes_used
-    steps = np.nonzero(~pad)[0]
+    nev = np.zeros(lo.size, dtype=int)
+    log_err = _log_zeta_error(sigma, ts)
+    steps = np.flatnonzero(need & ~pad)
     if steps.size:
         # log W's rounding is zeta's over |zeta|, and next to a zero rho
         # of the table |zeta| >= |s - rho| / 2 (|zeta'(rho)| >= 0.79
         # below t = 250): a step that near a modelled zero declares more
-        noise = np.append(line.noise[start + 1:top + 1], log_err)[steps]
+        noise = np.append(line.noise[kept + 1:kept + n_knot + 1],
+                          log_err)[steps]
         a, b = lo[steps], hi[steps]
         gap = np.maximum(np.maximum(a[:, None] - G[steps], G[steps]
                                     - b[:, None]), 0.0)
         near = np.where(K[steps] > 0.0, np.hypot(C[steps], gap), np.inf)
         noise = noise * np.maximum(1.0, 2.0 / near.min(axis=1,
                                                       initial=np.inf))
-        S[steps], R[steps], nevs, refused = integrate_rows(
+        S[steps], R[steps], nev[steps], stalled = integrate_rows(
             lambda us, row: f(us, steps[row]), a, b,
             line.rate * (b - a), noise=noise)
-        for exc in refused:
-            if exc is not None:
-                raise exc
-        nev += int(nevs.sum())
-    pads = np.nonzero(pad)[0]
+        for i, exc in zip(steps, stalled):
+            refusals[i] = exc
+    pads = np.flatnonzero(need & pad)
     if pads.size:
         S[pads], R[pads] = _pad_rule(f, lo[pads], hi[pads], pads)
-        nev += 40 * pads.size
-
-    F, E = line.kept[start]
-    for i in range(lo.size):
+        nev[pads] = 40
+    for i in np.flatnonzero(need):
         for z in range(count[i]):
             S[i] += K[i, z] * poly_log_integrals(m, hi[i], lo[i], hi[i],
                                                  G[i, z], C[i, z])
-        F, E = _shift(F, E, hi[i] - lo[i], S[i], R[i])
-        if i < lo.size - 1:
-            line.kept[start + i + 1] = F, E
 
-    value = F[m - 1] - poly_log_integral(m, t, 0.0, t, 0.0, sigma - 1.0)
-    cs_err = 0.0
-    for j in range(1, m + 1):
-        # like knot values, a constant kept from an earlier call costs
-        # this one nothing
-        if (sigma, abs_tol) not in _C_CACHE:
-            nev += _c_eta(j, sigma, abs_tol).nevals
-        cj = _c_eta(j, sigma, abs_tol)
-        value += 1j ** j * cj.value * t ** (m - j) / factorial(m - j)
-        cs_err += cj.est_error * t ** (m - j) / factorial(m - j)
+    # the knot values in order, up to the first refused knot step
+    for i in range(n_knot):
+        if refusals[i] is not None:
+            break
+        line.kept.append(_shift(*line.kept[-1], hi[i] - lo[i], S[i], R[i]))
+    reached = len(line.kept) - 1
+    shared = branch.nodes_used + int(nev[:n_knot].sum())
+    cs = None
+    for i, t in enumerate(ts.tolist()):
+        k = n_knot + i
+        exc = refusals[reached - kept] if top[i] > reached else refusals[k]
+        if exc is not None:
+            out[i] = exc
+            continue
+        if cs is None:
+            # like knot values, constants kept from an earlier call cost
+            # this one nothing
+            if (sigma, abs_tol) not in _C_CACHE:
+                shared += _c_eta(1, sigma, abs_tol).nevals
+            cs = [_c_eta(j, sigma, abs_tol) for j in range(1, m + 1)]
+        F, E = _shift(*line.kept[top[i]], t - lo[k], S[k], R[k])
+        value = F[m - 1] - poly_log_integral(m, t, 0.0, t, 0.0, sigma - 1.0)
+        cs_err = 0.0
+        for j, cj in enumerate(cs, 1):
+            value += 1j ** j * cj.value * t ** (m - j) / factorial(m - j)
+            cs_err += cj.est_error * t ** (m - j) / factorial(m - j)
+        err = E[m - 1] + cs_err + float(log_err[i]) * t ** m / factorial(m)
+        out[i] = EtaValue(m, ComplexPoint(sigma, t), complex(value),
+                          float(err), int(nev[k]) + shared)
+        shared = 0
+    return out
 
-    err = E[m - 1] + cs_err + log_err * t ** m / factorial(m)
-    return EtaValue(m, ComplexPoint(sigma, t), complex(value), float(err), nev)
+
+def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable, *,
+                 abs_tol: float = ABS_TOL) -> EtaValue:
+    """Vertical iterated integral eta_m(sigma + it), t > 0: the
+    one-height call of _eta_vertical_rows, raising the refusal the
+    height gets."""
+    out, = _eta_vertical_rows(m, sigma, [t], table, abs_tol=abs_tol)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def check_bridge(m: int, sigma: float, t: float, table: ZeroTable, *,
@@ -713,13 +787,16 @@ def check_bridge(m: int, sigma: float, t: float, table: ZeroTable, *,
 def growth_check(m: int, sigma: float, t_samples, table: ZeroTable, *,
                  abs_tol: float = ABS_TOL) -> list[tuple[float, float]]:
     """Normalized residuals |eta_m - Y_m| / log t over the samples; the
-    sequence should stay bounded (reported, not asserted to a constant)."""
+    sequence should stay bounded (reported, not asserted to a constant).
+    A sample t <= e is refused before any row is computed."""
+    ts = [float(t) for t in t_samples]
+    if not all(t > _E for t in ts):
+        raise ValidationError("growth samples need t > e for the "
+                              "log t normalization")
     out = []
-    for t in t_samples:
-        if not t > _E:
-            raise ValidationError("growth samples need t > e for the "
-                                  "log t normalization")
-        ev = eta_vertical(m, sigma, float(t), table, abs_tol=abs_tol)
-        out.append((float(t),
-                    abs(ev.value - y_m(m, sigma, float(t), table)) / log(t)))
+    for t, ev in zip(ts, _eta_vertical_rows(m, sigma, ts, table,
+                                            abs_tol=abs_tol)):
+        if isinstance(ev, Exception):
+            raise ev
+        out.append((t, abs(ev.value - y_m(m, sigma, t, table)) / log(t)))
     return out

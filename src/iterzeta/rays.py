@@ -42,8 +42,9 @@ exact.
   not linked across them, and nodes seeded towards each such cut spare
   the ladder a round per halving.  Each linked stretch takes its level
   (the 2 pi integer) from a horizontal walk, and a second walk checks
-  it: the branch always comes from zeta itself.  All walks of a segment
-  share one RayBranch, on a sparse starting ladder of their own.
+  it: the branch always comes from zeta itself.  A stretch whose walks
+  stall or disagree refuses only the heights in it.  All walks of a
+  segment share one RayBranch, on a sparse starting ladder of their own.
 """
 
 from __future__ import annotations
@@ -325,8 +326,11 @@ class LineBranch:
     stalls on a zero of W on the line; these split it into stretches.
     Each stretch takes its level, the 2 pi integer, from a horizontal
     walk near its foot.  A second walk near its top must agree, so a
-    zero the cuts miss raises BranchObstruction instead of shifting the
-    branch.  The walks of all stretches share one RayBranch.
+    zero the cuts miss refuses its stretch instead of shifting the
+    branch: a query there raises the stretch's BranchObstruction, as it
+    does in a stretch whose walk stalls, and `refusals` names the first
+    one each range of heights meets.  The other stretches are unaffected.
+    The walks of all stretches share one RayBranch.
     """
 
     def __init__(self, sigma: float, top: float, cuts=(), bottom: float = 0.0):
@@ -358,9 +362,9 @@ class LineBranch:
         s, w, linked, stalled = _refine(
             self.sigma + 1j * np.concatenate(parts),
             np.concatenate(links)[:-1])
-        if not np.all(np.isfinite(w) & (w != 0.0)):
-            raise BranchObstruction(f"ladder hit a zero of zeta on the line "
-                                    f"sigma={self.sigma:g}")
+        # a node at a zero of W unlinks both its gaps: it is a stretch
+        # alone, whose walk starts there, stalls and refuses it
+        w = np.where(np.isfinite(w) & (w != 0.0), w, 1.0)
         x = s.imag
         self._x, self._linked = x, linked
         self._im = np.angle(w[0]) + np.concatenate(
@@ -375,12 +379,15 @@ class LineBranch:
                                               + x[breaks[~given] + 1])
         self._steps = self._cut_at[breaks]
         self.nodes_used = int(x.size)
-        self._levels = 2.0 * np.pi * self._stretch_levels(
+        levels, self._refusals = self._stretch_levels(
             np.concatenate([[0], breaks + 1]), np.append(breaks, x.size - 1))
+        self._levels = 2.0 * np.pi * levels
+        self._obstructed = np.array([r is not None for r in self._refusals])
 
-    def _stretch_levels(self, starts, ends) -> np.ndarray:
+    def _stretch_levels(self, starts, ends):
         """Level of each stretch of nodes a..b from walks near both its
-        ends, which must agree."""
+        ends, and its refusal: None, or the BranchObstruction of a walk
+        that stalls or of two walks that disagree."""
         x = self._x
         feet, heads = [], []
         for a, b in zip(starts, ends):
@@ -389,24 +396,45 @@ class LineBranch:
             feet.append(a + int(np.argmin(np.abs(seg - x[a] - clear))))
             heads.append(a + int(np.argmin(np.abs(seg - x[b] + clear))))
         # 2 pi turns between the branch at node j and the ladder there,
-        # from one walk per node
+        # from one walk per node; a stalled walk refuses its stretches
         walked = np.unique(feet + heads)
         ray = RayBranch(self.sigma, x[walked],
                         abscissae=self.sigma + _walk_offsets())
         self.nodes_used += ray.nodes_used
-        ray._require(np.arange(walked.size))
         first = np.searchsorted(ray._row, np.arange(walked.size))
-        turns = {int(j): int(np.round((ray._im[f] - self._im[j])
-                                      / (2.0 * np.pi)))
-                 for j, f in zip(walked, first)}
+        turns = {int(j): ray.refusal(k) if ray.obstructed[k] else
+                 int(np.round((ray._im[f] - self._im[j]) / (2.0 * np.pi)))
+                 for k, (j, f) in enumerate(zip(walked, first))}
+        levels, refusals = [], []
         for ja, jb in zip(feet, heads):
-            if turns[ja] != turns[jb]:
-                raise BranchObstruction(
+            foot, head = turns[ja], turns[jb]
+            stalled = [r for r in (foot, head) if isinstance(r, Exception)]
+            if stalled:
+                refusals.append(stalled[0])
+            elif foot != head:
+                refusals.append(BranchObstruction(
                     f"branch continued up the line sigma={self.sigma:g} from "
                     f"u={x[ja]:g} disagrees with the walk at u={x[jb]:g} by "
-                    f"{turns[jb] - turns[ja]} turns: a zero at or right of "
-                    f"the line between them is not among the cuts")
-        return np.array([turns[ja] for ja in feet], dtype=float)
+                    f"{head - foot} turns: a zero at or right of the line "
+                    f"between them is not among the cuts"))
+            else:
+                refusals.append(None)
+            levels.append(0 if stalled else foot)
+        return np.array(levels, dtype=float), refusals
+
+    def refusals(self, lo, hi) -> list:
+        """Per segment of heights strictly between lo[i] and hi[i], the
+        BranchObstruction of the lowest refused stretch it meets, or
+        None."""
+        hit = np.flatnonzero(self._obstructed)
+        if not hit.size:
+            return [None] * np.size(lo)
+        first = np.searchsorted(self._steps, lo, side="right")
+        last = np.searchsorted(self._steps, hi, side="left")
+        # the lowest refused stretch at or above each segment's first
+        k = hit[np.minimum(np.searchsorted(hit, first), hit.size - 1)]
+        return [self._refusals[j] if ok else None
+                for j, ok in zip(k, (k >= first) & (k <= last))]
 
     def log_w(self, us) -> np.ndarray:
         """Continued log(zeta(s)(s - 1)) at s = sigma + iu."""
@@ -425,7 +453,11 @@ class LineBranch:
             g = gap[cross]
             im[cross] = np.where(us[cross] < self._cut_at[g],
                                  self._im[g], self._im[g + 1])
-        im += self._levels[np.searchsorted(self._steps, us, side="right")]
+        stretch = np.searchsorted(self._steps, us, side="right")
+        refused = self._obstructed[stretch]
+        if np.any(refused):
+            raise self._refusals[stretch[refused][0]]
+        im += self._levels[stretch]
         k = np.round((im - lq.imag) / (2.0 * np.pi))
         return lq + 2j * np.pi * k
 

@@ -155,12 +155,13 @@ def test_validation_exit_code(tmp_path):
 def test_eval_refuses_bad_grids(tmp_path, monkeypatch):
     # a grid that is not finite, too long to allocate, or reaches a
     # height at or below 0 or past the table's coverage, is refused
-    # before any row is computed, and nothing is written
+    # before any row of either pass is computed, and nothing is written
     table = _table_arg(tmp_path)
 
     def no_rows(*args, **kwargs):
         raise AssertionError("a row was computed")
-    monkeypatch.setattr(cli, "eta_vertical", no_rows)
+    monkeypatch.setattr(cli, "_eta_tilde_rows", no_rows)
+    monkeypatch.setattr(cli, "_eta_vertical_rows", no_rows)
     for grid in (["t=20..30", "step=nan"], ["t=20..nan", "step=0.5"],
                  ["t=20..30", "step=1e-300"], ["t=inf"], ["t=-1..2"],
                  ["t=0"], ["t=249..251", "step=1"]):

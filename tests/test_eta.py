@@ -10,7 +10,8 @@ from iterzeta import eta, quadrature, rays
 from iterzeta.errors import (BranchObstruction, GuardBand,
                              QuadratureNonconvergence, TableCoverage,
                              UnsupportedRange, ValidationError)
-from iterzeta.eta import (_eta_tilde_rows, c_m, check_bridge,
+from iterzeta.eta import (_eta_tilde_rows, _eta_vertical_rows, c_m,
+                          check_bridge,
                           eta_tilde_recursive, eta_tilde_weighted,
                           eta_vertical, growth_check, tail_bound, y_m,
                           y_m_terms)
@@ -494,6 +495,14 @@ def test_y_ignores_zeros_left_of_sigma():
     assert y_m(2, 0.8, 50.0, TAB) == 0.0
 
 
+def test_y_refuses_what_eta_refuses():
+    # the one order and sigma check: no value left of the critical line,
+    # at a sigma that is not finite, or at an unsupported order
+    for m, sigma in ((1, np.nan), (1, np.inf), (1, 0.2), (4, 0.8), (0, 0.8)):
+        with pytest.raises(ValidationError):
+            y_m(m, sigma, 20.0, TAB)
+
+
 # ------------------------------------------------------------------ bridge
 
 def test_bridge_spot_checks():
@@ -596,13 +605,111 @@ def test_line_cache_keys_on_table_contents():
         eta_vertical(1, 0.5, 20.5, short)
 
 
-def test_growth_check():
+def test_vertical_rows_are_their_cold_rows(monkeypatch):
+    # a pass over many heights steps its line once, yet every row is
+    # bitwise its one-height call on a cold cache: on sigma = 1/2 across
+    # cuts and pads (two rows inside the pad of a zero on the line), on
+    # the README grid, and for heights unsorted and repeated on a line
+    # some rows have already stepped up
+    monkeypatch.setattr(eta, "_LINE_CACHE", eta.LRUDict(1))
+    sweep = np.concatenate([20.25 + 2.0 * np.arange(21),
+                            TAB.gammas[1] + np.array([-5e-3, 5e-3])])
+    readme = 20.0 + 0.5 * np.arange(21)
+    grids = [(m, 0.5, sweep) for m in (1, 2, 3)] \
+        + [(2, 0.8, readme), (2, 0.8, readme[[7, 3, 20, 3, 0, 7, 12]])]
+    for m, sigma, ts in grids:
+        if sigma == 0.5:
+            eta._LINE_CACHE.clear()
+        got = _eta_vertical_rows(m, sigma, ts, TAB)
+        assert len(got) == ts.size
+        for t, ev in zip(ts, got):
+            eta._LINE_CACHE.clear()
+            cold = eta_vertical(m, sigma, float(t), TAB)
+            assert (ev.value, ev.est_error) == (cold.value, cold.est_error)
+            assert ev.point.t == t
+    assert _eta_vertical_rows(2, 0.8, [], TAB) == []
+
+
+def test_vertical_pass_steps_its_line_once(monkeypatch):
+    # a slice of at most ROWS_PER_PASS heights builds one line branch and
+    # makes one integrate_rows call; smaller slices give the same bits
+    c_m(1, 0.75)                        # the line's constants, kept
+    calls = {"LineBranch": 0, "integrate_rows": 0}
+
+    def counted(name):
+        real = getattr(eta, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(eta, name, call)
+    counted("LineBranch")
+    counted("integrate_rows")
+    ts = 1.0 + 0.25 * np.arange(100)
+    eta._LINE_CACHE.clear()
+    whole = _eta_vertical_rows(3, 0.75, ts, TAB)
+    assert calls == {"LineBranch": 1, "integrate_rows": 1}
+    monkeypatch.setattr(eta, "ROWS_PER_PASS", 16)
+    eta._LINE_CACHE.clear()
+    sliced = _eta_vertical_rows(3, 0.75, ts[::-1], TAB)[::-1]
+    assert calls == {"LineBranch": 8, "integrate_rows": 8}
+    assert [(a.value, a.est_error) for a in whole] \
+        == [(b.value, b.est_error) for b in sliced]
+
+
+def test_vertical_rows_refuse_as_their_cold_rows():
+    # on a table that misses the first zero, a pass refuses exactly the
+    # rows whose cold one-height calls refuse: the steps up to 14 keep
+    # off the missed zero; 14.5 steps onto it, and 16 and 20 above it
+    short = ZeroTable(betas=TAB.betas[1:], gammas=TAB.gammas[1:],
+                      mults=TAB.mults[1:], source_label="short")
+    ts = np.array([10.0, 12.0, 13.5, 14.0, 14.5, 16.0, 20.0])
+    got = _eta_vertical_rows(1, 0.5, ts, short)
+    for t, ev in zip(ts, got):
+        eta._LINE_CACHE.clear()
+        try:
+            cold = eta_vertical(1, 0.5, t, short)
+        except (BranchObstruction, QuadratureNonconvergence):
+            assert isinstance(ev, (BranchObstruction,
+                                   QuadratureNonconvergence)), t
+        else:
+            assert (ev.value, ev.est_error) == (cold.value, cold.est_error)
+    assert [isinstance(ev, Exception) for ev in got] == [False] * 4 \
+        + [True] * 3
+    # input errors refuse the whole call before any row
+    for bad in ([20.0, 0.0], [20.0, np.nan]):
+        with pytest.raises(ValidationError):
+            _eta_vertical_rows(1, 0.5, bad, TAB)
+    with pytest.raises(TableCoverage):
+        _eta_vertical_rows(1, 0.5, [20.0, 400.0], TAB)
+
+
+def test_vertical_rows_refuse_crowded_ordinates():
+    # ordinates within twice the singularity pad of each other refuse
+    # the rows above them, and only those
+    crowd = _table([(0.5, 30.0, 1), (0.5, 30.015, 1), (0.5, 60.0, 1)])
+    got = _eta_vertical_rows(1, 0.8, [20.0, 30.01, 40.0], crowd)
+    assert isinstance(got[0], eta.EtaValue)
+    assert isinstance(got[1], eta.EtaValue)
+    assert isinstance(got[2], UnsupportedRange)
+    with pytest.raises(UnsupportedRange):
+        eta_vertical(1, 0.8, 40.0, crowd)
+
+
+def test_growth_check(monkeypatch):
     out = growth_check(1, 2.0, [10.0, 20.0], TAB)
     assert len(out) == 2
     for t, ratio in out:
         assert ratio >= 0.0 and np.isfinite(ratio)
     with pytest.raises(ValidationError):
         growth_check(1, 2.0, [2.0], TAB)
+
+    # a bad sample anywhere refuses the call before any row is computed
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was computed")
+    monkeypatch.setattr(eta, "_eta_vertical_rows", no_rows)
+    with pytest.raises(ValidationError):
+        growth_check(1, 2.0, [10.0, 20.0, 2.0], TAB)
 
 
 # ------------------------------------------------------------- validation

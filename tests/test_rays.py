@@ -279,7 +279,7 @@ def test_line_branch_from_a_bottom():
     part = LineBranch(0.4, 30.0, cuts=g, bottom=20.0)
     assert np.array_equal(part.log_w(us), full)
     with pytest.raises(BranchObstruction):
-        LineBranch(0.4, 30.0, cuts=g[:-1], bottom=20.0)
+        LineBranch(0.4, 30.0, cuts=g[:-1], bottom=20.0).log_w(us)
     with pytest.raises(UnsupportedRange):
         part.log_w(np.array([19.0]))
     with pytest.raises(UnsupportedRange):
@@ -299,13 +299,20 @@ def test_vertical_log_zeta_is_the_walk():
 
 def test_line_branch_checks_its_cuts():
     g = TAB.gammas[TAB.gammas < 30.0]
-    # a zero right of the line that the cuts miss: the walk at the top
-    # disagrees with the continuation from the real axis
+    # a zero right of the line that the cuts miss: the walk at the top of
+    # its stretch disagrees with the continuation from the real axis, and
+    # the stretch refuses; the stretches above the missed zero do not
+    every = np.linspace(0.5, 29.9, 60)
     with pytest.raises(BranchObstruction):
-        LineBranch(0.4, 30.0)
+        LineBranch(0.4, 30.0).log_w(every)
+    missed = LineBranch(0.4, 30.0, cuts=g[1:])
     with pytest.raises(BranchObstruction):
-        LineBranch(0.4, 30.0, cuts=g[1:])
+        missed.log_w(every)
+    first, above_cut = missed.refusals([0.5, g[1] + 0.1], [g[1] - 0.1, 29.9])
+    assert isinstance(first, BranchObstruction) and above_cut is None
     line = LineBranch(0.4, 30.0, cuts=g)
+    above = every[every > g[1]]
+    assert np.array_equal(missed.log_w(above), line.log_w(above))
     us = np.concatenate([[0.5, 29.9], g - 5e-5, g + 5e-5, g - 0.3])
     want = np.array([log_zeta_horizontal(0.4, u) for u in us])
     assert np.max(np.abs(_line_log_zeta(line, us) - want)) < 1e-12
