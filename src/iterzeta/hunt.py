@@ -241,15 +241,21 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
 
     count = int(math.floor((config.t_max - config.t_min) / GRID_STEP
                            + 1e-9)) + 1
-    ts = config.t_min + GRID_STEP * np.arange(count)
     grid = mangoldt_grid(m, sigma, config.t_min, GRID_STEP, count,
                          TAIL_TERMS)
     dist = np.abs(grid - a)
     # local minima: the first height of a flat bottom, ends included
-    padded = np.concatenate(([np.inf], dist, [np.inf]))
-    minima = np.nonzero((dist < padded[:-2]) & (dist <= padded[2:]))[0]
+    # (beyond either end the distance is taken as infinite)
+    low = np.empty(count, dtype=bool)
+    low[0] = dist[0] < np.inf
+    np.less(dist[1:], dist[:-1], out=low[1:])
+    low[:-1] &= dist[:-1] <= dist[1:]
+    low[-1] &= dist[-1] <= np.inf
+    minima = low.nonzero()[0]
     order = minima[np.argsort(dist[minima], kind="stable")]
-    chosen = order[_spaced(ts[order].tolist(), config.min_separation,
+    # grid height j is t_min + GRID_STEP j, formed where it is read
+    chosen = order[_spaced((config.t_min + GRID_STEP * order).tolist(),
+                           config.min_separation,
                            config.eval_budget)].tolist()
 
     best = None
@@ -261,7 +267,9 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
         returns |eta~ - D_X| at the heights that gave a value."""
         nonlocal best, used, obstructed
         gaps = []
-        for i, ev in zip(batch, _eta_tilde_rows(m, sigma, ts[batch], table)):
+        ts = config.t_min + GRID_STEP * np.array(batch)
+        for i, t, ev in zip(batch, ts.tolist(),
+                            _eta_tilde_rows(m, sigma, ts, table)):
             if isinstance(ev, BranchObstruction):
                 obstructed += 1
                 continue
@@ -271,7 +279,7 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
             gaps.append(abs(ev.value - grid[i]))
             err = abs(ev.value - a)
             if best is None or err + ev.est_error < best[0] + best[1]:
-                best = (err, ev.est_error, float(ts[i]), complex(ev.value),
+                best = (err, ev.est_error, t, complex(ev.value),
                         float(dist[i]))
         return gaps
 

@@ -3,16 +3,19 @@
 Two pieces live here:
 
 * `integrate_rows`: adaptive Gauss-Legendre bisection for many
-  integrals of a vectorized integrand at once.  Every refinement round
-  evaluates the pending panels of all rows in a single call, so
-  integrands backed by batched zeta evaluation stay cheap; each row's
-  panels are the ones it gets alone.  A row may hold several integrands
-  on the same nodes (eta_vertical's m weights of one step).
-  `opening_nodes` names the abscissae of its first two rounds, where
-  most rows stop, from the same panel and node helpers, so an integrand
-  can hold its values there beforehand (eta's ray ladders do).  These
-  two are what the library calls here; gl_panel and integrate_vec are
-  tracer-only.
+  integrals of a vectorized integrand at once.  The nodes of the first
+  two rounds, the coarse panels and their halves, are known before any
+  value, so the integrand sees them in one call, and every later round
+  evaluates the pending panels of all rows in one call, so integrands
+  backed by batched zeta evaluation stay cheap; each row's panels are
+  the ones it gets alone.  A row may hold several integrands on the
+  same nodes (eta_vertical's m weights of one step).  A one-row call
+  that stops after the opening costs its integrand call plus about
+  0.05 ms on a shared 2-core Xeon.  `opening_nodes` names the abscissae
+  of the first two rounds, where most rows stop, from the same panel
+  and node helpers, so an integrand can hold its values there
+  beforehand (eta's ray ladders do).  These two are what the library
+  calls here; gl_panel and integrate_vec are tracer-only.
 
 * `poly_log_integral`: exact moments of the local zero model,
 
@@ -68,110 +71,133 @@ def integrate_rows(f, a, b, abs_tol, max_depth: int = 48,
 
     f(nodes, row) maps a float array of nodes, and the row of each node,
     to a complex array of values, of shape (nodes,), or (k, nodes) for k
-    integrands per row that share their nodes; every refinement round
-    evaluates the pending panels of all rows in a single f call.  Each
-    panel carries its row and is accepted when, in every component, its
-    bisected estimate agrees with the whole-panel estimate to its share
-    of its row's abs_tol, plus its row's noise times its width: noise
-    bounds the absolute error of f's values, below which the two
-    estimates differ by rounding, not by resolution, and bisecting only
-    chases that rounding.  A panel is judged by its own row alone, and
-    each row sums its panels in an order of its own, so given the same
-    values of f a row gets the panels and the value it gets integrated
-    alone.
+    integrands per row that share their nodes.  The first two rounds,
+    the coarse panels and their halves, are known before any value, so
+    f sees their nodes in one call; every later round evaluates the
+    pending panels of all rows in a single f call.  Each panel carries
+    its row and is accepted when, in every component, its bisected
+    estimate agrees with the whole-panel estimate to its share of its
+    row's abs_tol, plus its row's noise times its width: noise bounds
+    the absolute error of f's values, below which the two estimates
+    differ by rounding, not by resolution, and bisecting only chases
+    that rounding.  A panel is judged by its own row alone, and each row
+    sums its panels in an order of its own, so given the same values of
+    f a row gets the panels and the value it gets integrated alone.
 
     Returns per-row arrays (value, est_error, nevals), value and
     est_error of shape (rows,) or (rows, k), and a list holding per row
     None, or the QuadratureNonconvergence of a row whose panels bottomed
     out at max_depth with its error estimate still above budget, or
     whose next round would have evaluated more than MAX_ROW_PANELS
-    panels.
+    panels.  max_depth is at least 1, and the halves of a row's coarse
+    panels at most MAX_ROW_PANELS.
     """
-    a, b, abs_tol, noise = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(a, dtype=float)), b, abs_tol, noise)
+    if max_depth < 1 or 2 * initial_splits > MAX_ROW_PANELS:
+        raise ValueError("integrate_rows needs max_depth >= 1 and at most "
+                         "MAX_ROW_PANELS halves of the coarse panels")
+    spec = np.empty((4, np.broadcast(a, b, abs_tol, noise).size))
+    spec[0], spec[1], spec[2], spec[3] = a, b, abs_tol, noise
+    a, b, abs_tol, noise = spec[0], spec[1], spec[2], spec[3]
     rows = a.size
-    if not np.all(b >= a):
+    if not (b >= a).all():
         raise ValueError("integration needs a <= b")
-    nevals = np.zeros(rows, dtype=np.int64)
-    allowed = abs_tol + noise * (b - a)
+    span = b - a
+    allowed = abs_tol + noise * span
     # an empty interval [a, a] has no panels and integrates to 0
-    live = np.nonzero(b > a)[0]
+    open_ = b > a
+    live = open_.nonzero()[0]
     # a panel's budget per unit width: its share of abs_tol plus noise
     rate = np.zeros(rows)
-    rate[live] = abs_tol[live] / (b - a)[live] + noise[live]
+    rate[live] = abs_tol[live] / span[live]
+    rate += noise
+    nevals = np.zeros(rows, dtype=np.int64)
+    nevals[live] = 3 * initial_splits * PANEL_ORDER
 
+    # the coarse panels and both halves of each, left halves first: the
+    # nodes of the first two rounds are known before any value
     lo, hi = _coarse_panels(a[live], b[live], initial_splits)
     row = np.repeat(live, initial_splits)
-    coarse = _panel_sums(f, lo, hi, row)
-    nevals[live] += initial_splits * PANEL_ORDER
-    # components lead, rows last: a scalar f keeps one-dimensional arrays
-    value = np.zeros(coarse.shape[:-1] + (rows,), dtype=complex)
-    est_error = np.zeros(value.shape)
+    n = row.size
+    mid = 0.5 * (lo + hi)
+    sums = _panel_sums(f, np.concatenate([lo, lo, mid]),
+                       np.concatenate([hi, mid, hi]),
+                       np.concatenate([row, row, row]))
+    coarse, halves = sums[..., :n], sums[..., n:]
 
     # depth at which a row outgrew MAX_ROW_PANELS, -1 for none
     overflow = np.full(rows, -1)
-    # every active panel has been bisected depth times
+    accepted = []
+    # the n panels lo, hi of rows row have been bisected depth times;
+    # halves holds the estimates on their halves, left halves first
     for depth in range(max_depth):
-        over = 2 * np.bincount(row, minlength=rows) > MAX_ROW_PANELS
+        fine = halves[..., :n] + halves[..., n:]
+        err = np.abs(fine - coarse)
+        done = err <= rate[row] * (hi - lo)
+        if done.ndim > 1:
+            done = done.all(axis=0)
+        if done.all() or depth + 1 >= max_depth:
+            accepted.append((row, fine, err))
+            break
+        accepted.append((row[done], fine[..., done], err[..., done]))
+        keep = ~done
+        keep = np.concatenate([keep, keep])
+        lo, hi = (np.concatenate(pair)[keep] for pair in ((lo, mid),
+                                                          (mid, hi)))
+        row, coarse = np.concatenate([row, row])[keep], halves[..., keep]
+        count = np.bincount(row, minlength=rows)
+        over = 2 * count > MAX_ROW_PANELS
         if over.any():
-            overflow[over] = depth
+            overflow[over] = depth + 1
+            count[over] = 0
             keep = ~over[row]
             lo, hi, row, coarse = lo[keep], hi[keep], row[keep], \
                 coarse[..., keep]
-        if not row.size:
-            break
+            if not row.size:
+                break
         n = row.size
-        width = hi - lo
         # both halves of every active panel, left halves first, one f call
-        lo, hi = _halves(lo, hi)
-        row = np.concatenate([row, row])
-        halves = _panel_sums(f, lo, hi, row)
-        nevals += PANEL_ORDER * np.bincount(row, minlength=rows)
-        fine = halves[..., :n] + halves[..., n:]
-        err = np.abs(fine - coarse)
-        done = err <= rate[row[:n]] * width
-        if done.ndim > 1:
-            done = done.all(axis=0)
-        done |= depth + 1 >= max_depth
-        # unbuffered, in panel order: a row's panels keep their order
-        # whatever other rows share the call, so each row sums as alone
-        at = row[:n][done]
-        for c in np.ndindex(fine.shape[:-1]):
-            np.add.at(value[c], at, fine[c][done])
-            np.add.at(est_error[c], at, err[c][done])
-        keep = np.tile(~done, 2)
-        lo, hi, row, coarse = lo[keep], hi[keep], row[keep], \
-            halves[..., keep]
+        mid = 0.5 * (lo + hi)
+        halves = _panel_sums(f, np.concatenate([lo, mid]),
+                             np.concatenate([mid, hi]),
+                             np.concatenate([row, row]))
+        nevals += 2 * PANEL_ORDER * count
 
-    refused = []
-    worst = est_error.max(axis=tuple(range(est_error.ndim - 1)))
-    for d, e, ok, lo_r, hi_r in zip(overflow, worst, allowed, a, b):
-        if d >= 0:
-            refused.append(QuadratureNonconvergence(
-                f"round {d} would evaluate more than {MAX_ROW_PANELS} "
-                f"panels on [{lo_r:g}, {hi_r:g}]; the integrand is not "
-                f"resolved"))
-        elif not e <= 50.0 * ok:
-            refused.append(QuadratureNonconvergence(
-                f"estimated error {e:.3e} exceeds budget {ok:.3e} "
-                f"on [{lo_r:g}, {hi_r:g}]"))
+    # each row adds its panels one by one, in round and panel order
+    # (bincount's order): the order is a row's own whatever other rows
+    # share the call, so each row sums as alone
+    at, fine, err = accepted[0] if len(accepted) == 1 else (
+        np.concatenate(part, axis=-1) for part in zip(*accepted))
+    value = np.empty(fine.shape[:-1] + (rows,), dtype=complex)
+    est_error = np.empty(value.shape)
+    for c in np.ndindex(fine.shape[:-1]):
+        value[c].real = np.bincount(at, fine[c].real, rows)
+        value[c].imag = np.bincount(at, fine[c].imag, rows)
+        est_error[c] = np.bincount(at, err[c], rows)
+
+    refused = [None] * rows
+    worst = est_error.max(axis=0) if est_error.ndim > 1 else est_error
+    for r in ((overflow >= 0) | ~(worst <= 50.0 * allowed)).nonzero()[0]:
+        if overflow[r] >= 0:
+            refused[r] = QuadratureNonconvergence(
+                f"round {overflow[r]} would evaluate more than "
+                f"{MAX_ROW_PANELS} panels on [{a[r]:g}, {b[r]:g}]; the "
+                f"integrand is not resolved")
         else:
-            refused.append(None)
-    return np.moveaxis(value, -1, 0), np.moveaxis(est_error, -1, 0), \
-        nevals, refused
+            refused[r] = QuadratureNonconvergence(
+                f"estimated error {worst[r]:.3e} exceeds budget "
+                f"{allowed[r]:.3e} on [{a[r]:g}, {b[r]:g}]")
+    return value.T, est_error.T, nevals, refused
 
 
 def _coarse_panels(a, b, initial_splits: int):
     """(lo, hi) of the initial_splits equal panels of each row [a, b],
-    row by row."""
-    edges = np.linspace(a, b, initial_splits + 1, axis=-1)
+    row by row: edge i is a + i (b - a) / initial_splits, the last b,
+    as np.linspace places them."""
+    edges = np.multiply.outer((b - a) / initial_splits,
+                              np.arange(initial_splits + 1.0))
+    edges += a[:, None]
+    edges[:, -1] = b
     return edges[:, :-1].ravel(), edges[:, 1:].ravel()
-
-
-def _halves(lo, hi):
-    """(lo, hi) of both halves of each panel, left halves first."""
-    mid = 0.5 * (lo + hi)
-    return np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
 
 def _nodes(lo, hi) -> np.ndarray:
@@ -189,8 +215,9 @@ def opening_nodes(a: float, b: float, initial_splits: int) -> np.ndarray:
     """
     lo, hi = _coarse_panels(np.array([a], dtype=float),
                             np.array([b], dtype=float), initial_splits)
-    return np.unique(np.concatenate([_nodes(lo, hi),
-                                     _nodes(*_halves(lo, hi))], axis=None))
+    mid = 0.5 * (lo + hi)
+    return np.sort(_nodes(np.concatenate([lo, lo, mid]),
+                          np.concatenate([hi, mid, hi])), axis=None)
 
 
 def _panel_sums(f, lo, hi, row) -> np.ndarray:

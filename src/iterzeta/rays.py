@@ -16,13 +16,18 @@ log|a - 1| + i pi for a < 1).
 
 One ladder routine, `_refine`, resolves the branch on both routes.  It
 halves the gaps of a node ladder until the per-gap principal phase and
-log-magnitude increments of W are small.  A query takes the exact value
-of W at its point: a ray's query at one of its nodes reads the W the
-ladder holds there (zeta gives a point the same bits in any batch, so
-it is the value a call would give), and any other query calls zeta.
-Only the 2 pi winding integer comes from interpolating the ladder's
-continuous imaginary part, and the refinement bounds make that rounding
-exact.
+log-magnitude increments of W are small, and its last round's phases
+are the ladder's turns.  A query takes the exact value of W at its
+point.  A ray forms the continued log W once at each of its nodes, so a
+query at a node is a gather, with no zeta call and no interpolation:
+zeta gives a point the same bits in any batch, and at a node the
+winding is the integer the interpolation gives there, so the value is
+the one any other query computes.  Any other query calls zeta, and only
+the 2 pi winding integer comes from interpolating the ladder's
+continuous imaginary part; the refinement bounds make that rounding
+exact.  A one-height ray on eta's 92 starting nodes costs its one zeta
+call plus about 0.08 ms of set-up on a shared 2-core Xeon, and a query
+at its nodes about 0.01 ms.
 
 * `RayBranch` runs the ladder over alpha at each of many heights
   t >= 0, leftwards from the anchor at Re(s) = sigma + CUTOFF_OFFSET,
@@ -43,11 +48,16 @@ exact.
   the ladder a round per halving.  Each linked stretch takes its level
   (the 2 pi integer) from a horizontal walk, and a second walk checks
   it: the branch always comes from zeta itself.  A stretch whose walks
-  stall or disagree refuses only the heights in it.  All walks of a
-  segment share one RayBranch, on a sparse starting ladder of their own.
+  stall or disagree refuses only the heights in it.  Where the ladder
+  itself stalls, on a zero of W on the line that the cuts miss and no
+  pad of the caller's models, no segment of heights may cross the
+  stall: it is refused before it is integrated.  All walks of a segment
+  share one RayBranch, on a sparse starting ladder of their own.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -89,9 +99,10 @@ def _w(s) -> np.ndarray:
     point lies off it (a ray whose every row is guarded)."""
     s = np.asarray(s, dtype=complex)
     w = np.ones_like(s)
-    off = np.abs(s - 1.0) >= POLE_RADIUS
+    d = s - 1.0
+    off = np.abs(d) >= POLE_RADIUS
     if off.any():
-        w[off] = zeta_batch(s[off]) * (s[off] - 1.0)
+        w[off] = zeta_batch(s[off]) * d[off]
     return w
 
 
@@ -144,31 +155,49 @@ def _refine(s: np.ndarray, linked: np.ndarray):
     marked stalled.  Unlinked gaps are never bisected, so ladders laid
     end to end, with unlinked gaps between them, refine as they would
     alone.
-    Returns (s, w, linked, stalled), the last two per gap.
+    Returns (s, w, linked, stalled, phase), the last three per gap;
+    phase is the principal phase of W's ratio across the gap, taking W
+    as 1 at a node where it is zero or not finite.
     """
     w = _w(s)
     stalled = np.zeros(linked.size, dtype=bool)
     for rnd in range(MAX_ROUNDS):
         fine = np.isfinite(w) & (w != 0.0)
-        broken = linked & ~(fine[1:] & fine[:-1])
-        ratio = np.where(fine[1:], w[1:], 1.0) / np.where(fine[:-1], w[:-1],
-                                                           1.0)
-        bad = linked & ~broken & (
-            (np.abs(np.angle(ratio)) > PHASE_TOL)
-            | (np.abs(np.log(np.abs(ratio))) > MAG_TOL))
-        stuck = broken | (bad & ((np.abs(np.diff(s)) <= MIN_GAP)
-                                 | (rnd == MAX_ROUNDS - 1)))
-        linked = linked & ~stuck
-        stalled |= stuck
-        idx = np.nonzero(bad & ~stuck)[0]
+        ok = linked & fine[1:] & fine[:-1]
+        wf = w if fine.all() else np.where(fine, w, 1.0)
+        ratio = wf[1:] / wf[:-1]
+        phase = np.arctan2(ratio.imag, ratio.real)
+        bad = ok & ((np.abs(phase) > PHASE_TOL)
+                    | (np.abs(np.log(np.abs(ratio))) > MAG_TOL))
+        # a linked gap next to a zero or non-finite W stalls, and so does
+        # a bad one at MIN_GAP or in the last round
+        stuck = linked ^ ok
+        if bad.any():
+            stuck |= bad & (np.abs(s[1:] - s[:-1]) <= MIN_GAP) \
+                if rnd < MAX_ROUNDS - 1 else bad
+        if stuck.any():
+            linked = linked & ~stuck
+            stalled |= stuck
+        idx = (bad & ~stuck).nonzero()[0]
         if idx.size == 0:
             break
+        # each midpoint goes in after its gap's left node
+        mid = np.ones(s.size + idx.size, dtype=bool)
+        mid[idx + np.arange(1, idx.size + 1)] = False
         mids = 0.5 * (s[idx] + s[idx + 1])
-        s = np.insert(s, idx + 1, mids)
-        w = np.insert(w, idx + 1, _w(mids))
-        linked = np.insert(linked, idx + 1, True)
-        stalled = np.insert(stalled, idx + 1, False)
-    return s, w, linked, stalled
+        s, w = _spliced(s, mids, mid), _spliced(w, _w(mids), mid)
+        # a gap's new right half goes in where its midpoint does
+        linked = _spliced(linked, True, mid[:-1])
+        stalled = _spliced(stalled, False, mid[:-1])
+    return s, w, linked, stalled, phase
+
+
+def _spliced(old: np.ndarray, new, keep: np.ndarray) -> np.ndarray:
+    """old at the True places of keep, new at the others, in order."""
+    out = np.empty(keep.size, dtype=old.dtype)
+    out[keep] = old
+    out[~keep] = new
+    return out
 
 
 class RayBranch:
@@ -190,63 +219,74 @@ class RayBranch:
     abscissae is the starting ladder of every row, in [sigma,
     sigma + CUTOFF_OFFSET], to which the ray's start sigma and its anchor
     sigma + CUTOFF_OFFSET are added; by default sigma + _initial_offsets().
-    The branch keeps W at its nodes, and a query at a node's abscissa on
-    its row reads that W instead of calling zeta: zeta_batch gives a
-    point the same bits in any batch, so the value is the one a call
-    would give.  row_evals counts per row the points W was evaluated at:
-    its ladder's nodes, then every query off them.
+    The branch forms the continued log W once at each node, and a query
+    at a node's abscissa on its row reads it: no zeta call and no
+    interpolation.  zeta_batch gives a point the same bits in any batch,
+    and the winding integer at a node is the one the ladder's
+    interpolation gives there, so the value is the one an off-node query
+    would compute (_off_nodes).  row_evals counts per row the points W
+    was evaluated at: its ladder's nodes, then every query off them.
     """
 
     def __init__(self, sigma: float, t, table: ZeroTable = EMPTY_TABLE,
                  abscissae=None):
         self.sigma = float(sigma)
         self.heights = np.atleast_1d(np.asarray(t, dtype=float))
-        if not (np.isfinite(self.sigma) and np.all(np.isfinite(self.heights))):
+        if not (math.isfinite(self.sigma) and np.isfinite(self.heights).all()):
             raise ValidationError("point coordinates must be finite")
-        if self.heights.ndim != 1 or not np.all(self.heights >= 0.0):
+        if self.heights.ndim != 1 or not (self.heights >= 0.0).all():
             raise UnsupportedRange("rays need heights t >= 0; below the "
                                    "real axis log zeta is the conjugate")
         end = self.sigma + CUTOFF_OFFSET
         base = (self.sigma + _initial_offsets() if abscissae is None
                 else np.asarray(abscissae, dtype=float))
-        if not np.all((base >= self.sigma) & (base <= end)):
-            raise UnsupportedRange("a ray's starting ladder lies in "
-                                   f"[{self.sigma:g}, {end:g}]")
-        base = np.unique(np.concatenate([[self.sigma], base, [end]]))
+        base = np.concatenate([[self.sigma], base, [end]])
+        # a ladder that ascends from sigma to the anchor is in range
+        if not (base[1:] > base[:-1]).all():
+            if not ((base >= self.sigma) & (base <= end)).all():
+                raise UnsupportedRange("a ray's starting ladder lies in "
+                                       f"[{self.sigma:g}, {end:g}]")
+            base = np.unique(base)
         rows = self.heights.size
         self._ordinates = _guarded(table, self.sigma, self.heights)
-        live = np.flatnonzero(np.isnan(self._ordinates))
+        guarded = ~np.isnan(self._ordinates)
+        live = (~guarded).nonzero()[0]
         linked = np.ones((live.size, base.size), dtype=bool)
         linked[:, -1] = False
-        s, w, linked, stalled = _refine(
+        s, w, linked, stalled, phase = _refine(
             (base[None, :] + 1j * self.heights[live, None]).ravel(),
             linked.ravel()[:-1])
         # live rows end at the unlinked gaps that did not stall
-        row = np.concatenate([[0], np.cumsum(~linked & ~stalled)])
-        row = live[row[:s.size]]      # no node when no row is live
-        self.obstructed = ~np.isnan(self._ordinates) | (np.bincount(
-            row[:-1][stalled], minlength=rows) > 0)
+        row = np.zeros(s.size, dtype=np.intp)
+        np.cumsum(~(linked | stalled), out=row[1:])
+        row = live[row]
+        self.obstructed = guarded
+        self.obstructed[row[:-1][stalled]] = True
         self.row_evals = np.bincount(row, minlength=rows)
         self.nodes_used = int(s.size)
 
-        keep = ~self.obstructed[row]
-        s, w, row = s[keep], w[keep], row[keep]
-        same = row[1:] == row[:-1]
-        dphi = np.zeros(same.size)
-        dphi[same] = np.angle(w[1:][same] / w[:-1][same])
-        # turns from each node to its row's anchor, the row's last node,
-        # where log W is principal, |arg| < pi/2 + eps
-        after = np.append(np.cumsum(dphi[::-1])[::-1], 0.0)
-        last = np.nonzero(np.append(~same, True))[0]
-        anchor = last[np.searchsorted(last, np.arange(s.size))]
+        # every node of a row that is not obstructed has a finite,
+        # nonzero W, so _refine's phase is W's turn across each gap
+        dphi = np.where(row[1:] == row[:-1], phase, 0.0)
+        if self.obstructed.any():
+            keep = (~self.obstructed[row]).nonzero()[0]
+            dphi = dphi[keep[:-1]]
+            s, w, row = s[keep], w[keep], row[keep]
+        lq = np.log(w)
         self._a = s.real
-        self._w = w
         self._row = row
-        self._im = np.angle(w[anchor]) - (after - after[anchor])
+        # the last node of each row, its anchor, where log W is principal,
+        # |arg| < pi/2 + eps, and the turns from each node to its anchor
+        self._last = row.searchsorted(np.arange(rows), side="right") - 1
+        anchor = self._last[row]
+        after = np.zeros(s.size)
+        np.cumsum(dphi[::-1], out=after[-2::-1])
+        self._im = lq.imag[anchor] - (after - after[anchor])
+        k = np.rint((self._im - lq.imag) / (2.0 * np.pi))
+        self._log_w = lq + 2j * np.pi * k
         # complex numbers sort by real part, then imaginary part: key
         # row + i alpha orders the nodes by row, then abscissa
         self._key = row + 1j * self._a
-        self._last = np.searchsorted(row, np.arange(rows), side="right") - 1
 
     def refusal(self, row: int) -> BranchObstruction:
         """What a query at an obstructed row raises: GuardBand or stall."""
@@ -260,10 +300,9 @@ class RayBranch:
 
     def _require(self, rows) -> None:
         """Raise BranchObstruction if any of the rows is obstructed."""
-        rows = np.atleast_1d(rows)
         hit = self.obstructed[rows]
-        if np.any(hit):
-            raise self.refusal(rows[hit][0])
+        if hit.any():
+            raise self.refusal(np.atleast_1d(rows)[np.atleast_1d(hit)][0])
 
     def abscissae(self, row: int = 0) -> np.ndarray:
         """Resolved node abscissae of a row, ascending from sigma to
@@ -276,34 +315,41 @@ class RayBranch:
         t the height of its row (rows: one row index per alpha, or one
         for all)."""
         alphas = np.asarray(alphas, dtype=float)
-        rows = np.broadcast_to(rows, alphas.shape)
+        if not self._key.size:          # every row is obstructed
+            return self._off_nodes(alphas, np.broadcast_to(rows, alphas.shape))
+        # a query at a node reads its log W; the others go off the nodes
+        key = rows + 1j * alphas
+        at = np.minimum(self._key.searchsorted(key), self._key.size - 1)
+        hit = self._key[at] == key
+        lw = self._log_w[at]
+        if not hit.all():
+            miss = ~hit
+            lw[miss] = self._off_nodes(
+                alphas[miss], np.broadcast_to(rows, alphas.shape)[miss])
+        return lw
+
+    def _off_nodes(self, alphas, rows) -> np.ndarray:
+        """log_w at queries anywhere on the resolved rows: W from zeta,
+        and the 2 pi winding integer from each query's own row's ladder,
+        its continuous imaginary part interpolated there.  A query off
+        the ray or on an obstructed row raises."""
         x = alphas - self.sigma
-        if np.any(x < -1e-12) or np.any(x > CUTOFF_OFFSET + 1e-12):
+        if (x < -1e-12).any() or (x > CUTOFF_OFFSET + 1e-12).any():
             raise UnsupportedRange(
                 f"query outside the resolved ray [{self.sigma:g}, "
                 f"{self.sigma + CUTOFF_OFFSET:g}]")
         self._require(rows)
-        # a query at a node reads its W; the others call zeta
-        key = rows + 1j * alphas
-        at = np.minimum(np.searchsorted(self._key, key), self._key.size - 1)
-        hit = self._key[at] == key
-        w = np.where(hit, self._w[at], 0.0)
-        miss = ~hit
-        if miss.any():
-            w[miss] = _w(alphas[miss] + 1j * self.heights[rows[miss]])
-            self.row_evals += np.bincount(rows[miss],
-                                          minlength=self.heights.size)
+        w = _w(alphas + 1j * self.heights[rows])
+        self.row_evals += np.bincount(rows, minlength=self.heights.size)
         lq = np.log(w)
-        # interpolate each query on its own row's ladder; past the row's
-        # last node, read that node
+        # past the row's last node, read that node
         aq = np.clip(alphas, self.sigma, self.sigma + CUTOFF_OFFSET)
-        j = np.minimum(np.searchsorted(self._key, rows + 1j * aq,
-                                       side="right") - 1,
-                       self._last[rows] - 1)
+        j = np.minimum(self._key.searchsorted(rows + 1j * aq, side="right")
+                       - 1, self._last[rows] - 1)
         a0, a1 = self._a[j], self._a[j + 1]
         frac = np.clip((aq - a0) / (a1 - a0), 0.0, 1.0)
         im_interp = self._im[j] + frac * (self._im[j + 1] - self._im[j])
-        k = np.round((im_interp - lq.imag) / (2.0 * np.pi))
+        k = np.rint((im_interp - lq.imag) / (2.0 * np.pi))
         return lq + 2j * np.pi * k
 
     def log_zeta(self, alphas, rows=0) -> np.ndarray:
@@ -330,10 +376,17 @@ class LineBranch:
     branch: a query there raises the stretch's BranchObstruction, as it
     does in a stretch whose walk stalls, and `refusals` names the first
     one each range of heights meets.  The other stretches are unaffected.
-    The walks of all stretches share one RayBranch.
+    A range of heights across a gap where the ladder stalled, on a zero
+    of W on the line that the cuts miss, is refused too: integrating
+    across it would bisect towards the zero without end.  `pads`, a pair
+    of arrays (lo, hi), holds the intervals around zeros near the line
+    whose singularity the caller takes out of its integrand; a stall
+    inside one is that zero's, and splits the ladder without refusing
+    any range.  The walks of all stretches share one RayBranch.
     """
 
-    def __init__(self, sigma: float, top: float, cuts=(), bottom: float = 0.0):
+    def __init__(self, sigma: float, top: float, cuts=(), bottom: float = 0.0,
+                 pads=((), ())):
         self.sigma = float(sigma)
         self.bottom, self.top = float(bottom), float(top)
         if not 0.0 <= self.bottom < self.top:
@@ -359,16 +412,16 @@ class LineBranch:
                  seeds[(seeds > lo) & (seeds < hi)]])))
             links.append(np.append(np.ones(parts[-1].size - 1, dtype=bool),
                                    False))
-        s, w, linked, stalled = _refine(
+        s, w, linked, stalled, phase = _refine(
             self.sigma + 1j * np.concatenate(parts),
             np.concatenate(links)[:-1])
         # a node at a zero of W unlinks both its gaps: it is a stretch
-        # alone, whose walk starts there, stalls and refuses it
-        w = np.where(np.isfinite(w) & (w != 0.0), w, 1.0)
+        # alone, whose walk starts there, stalls and refuses it; _refine
+        # takes W as 1 there
+        w0 = w[0] if np.isfinite(w[0]) and w[0] != 0.0 else 1.0
         x = s.imag
         self._x, self._linked = x, linked
-        self._im = np.angle(w[0]) + np.concatenate(
-            [[0.0], np.cumsum(np.angle(w[1:] / w[:-1]))])
+        self._im = np.angle(w0) + np.concatenate([[0.0], np.cumsum(phase)])
         # the level may change across each unlinked gap: at its given cut,
         # or mid-gap where the ladder stalled on a zero
         breaks = np.nonzero(~linked)[0]
@@ -378,6 +431,13 @@ class LineBranch:
         self._cut_at[breaks[~given]] = 0.5 * (x[breaks[~given]]
                                               + x[breaks[~given] + 1])
         self._steps = self._cut_at[breaks]
+        # the steps where the ladder stalled on a zero of W on the line
+        # that no pad holds
+        stalls = np.flatnonzero(~given)
+        at = self._steps[stalls, None]
+        padded = ((at > np.asarray(pads[0], dtype=float))
+                  & (at < np.asarray(pads[1], dtype=float))).any(axis=1)
+        self._stalls = stalls[~padded]
         self.nodes_used = int(x.size)
         levels, self._refusals = self._stretch_levels(
             np.concatenate([[0], breaks + 1]), np.append(breaks, x.size - 1))
@@ -424,17 +484,28 @@ class LineBranch:
 
     def refusals(self, lo, hi) -> list:
         """Per segment of heights strictly between lo[i] and hi[i], the
-        BranchObstruction of the lowest refused stretch it meets, or
-        None."""
+        BranchObstruction of the first of these it meets going up, or
+        None: a refused stretch, or a stall of the ladder, a zero of W on
+        the line that the cuts miss, which no segment may cross."""
         hit = np.flatnonzero(self._obstructed)
-        if not hit.size:
+        if not (hit.size or self._stalls.size):
             return [None] * np.size(lo)
         first = np.searchsorted(self._steps, lo, side="right")
         last = np.searchsorted(self._steps, hi, side="left")
-        # the lowest refused stretch at or above each segment's first
-        k = hit[np.minimum(np.searchsorted(hit, first), hit.size - 1)]
-        return [self._refusals[j] if ok else None
-                for j, ok in zip(k, (k >= first) & (k <= last))]
+        # the lowest refused stretch the segment meets, and the lowest
+        # stall inside it: step i lies between stretches i and i + 1
+        k = _lowest(hit, first, last)
+        i = _lowest(self._stalls, first, last - 1)
+        out = []
+        for kk, ii in zip(k.tolist(), i.tolist()):
+            if ii >= 0 and not 0 <= kk <= ii:
+                out.append(BranchObstruction(
+                    f"the branch ladder up the line sigma={self.sigma:g} "
+                    f"stalls at u={self._steps[ii]:.6f} on a zero that the "
+                    f"table misses; no step crosses it"))
+            else:
+                out.append(self._refusals[kk] if kk >= 0 else None)
+        return out
 
     def log_w(self, us) -> np.ndarray:
         """Continued log(zeta(s)(s - 1)) at s = sigma + iu."""
@@ -460,6 +531,15 @@ class LineBranch:
         im += self._levels[stretch]
         k = np.round((im - lq.imag) / (2.0 * np.pi))
         return lq + 2j * np.pi * k
+
+
+def _lowest(marks: np.ndarray, first, last) -> np.ndarray:
+    """Per segment, the lowest of the ascending marks in [first, last],
+    or -1."""
+    if not marks.size:
+        return np.full(np.shape(first), -1)
+    low = marks[np.minimum(np.searchsorted(marks, first), marks.size - 1)]
+    return np.where((low >= first) & (low <= last), low, -1)
 
 
 def vertical_log_zeta(sigma: float, heights) -> np.ndarray:

@@ -131,9 +131,9 @@ def test_a_pass_that_stops_at_round_two_makes_one_zeta_call(monkeypatch):
         return integrate_rows(seen, *args, **kwargs)
     monkeypatch.setattr(eta, "integrate_rows", rounds)
     ev = eta_tilde_weighted(1, 1.5, 30.0, TAB)
-    # the coarse panels and their halves, and no third round
-    assert depth == [k * eta.RAY_SPLITS * quadrature.PANEL_ORDER
-                     for k in (1, 2)]
+    # the coarse panels and their halves in one integrand call, and no
+    # third round
+    assert depth == [3 * eta.RAY_SPLITS * quadrature.PANEL_ORDER]
     assert calls == [branches[0].nodes_used]
     assert ev.nevals == branches[0].nodes_used == 2 + 3 * eta.RAY_SPLITS \
         * quadrature.PANEL_ORDER
@@ -682,6 +682,50 @@ def test_vertical_rows_refuse_as_their_cold_rows():
             _eta_vertical_rows(1, 0.5, bad, TAB)
     with pytest.raises(TableCoverage):
         _eta_vertical_rows(1, 0.5, [20.0, 400.0], TAB)
+
+
+def test_a_step_across_a_missed_zero_refuses_at_once(monkeypatch):
+    # on a table that misses the first zero, the line's ladder stalls on
+    # it (u = 14.1347); the steps that would cross it refuse as a
+    # BranchObstruction that names the stall, before they are
+    # integrated: the cold row and the pass each ask zeta for a few
+    # hundred points, where bisecting the step asked 1.4M
+    short = ZeroTable(betas=TAB.betas[1:], gammas=TAB.gammas[1:],
+                      mults=TAB.mults[1:], source_label="short")
+    points, zeta_batch = [], rays.zeta_batch
+
+    def counted(s, *args):
+        points.append(np.size(s))
+        return zeta_batch(s, *args)
+    monkeypatch.setattr(rays, "zeta_batch", counted)
+    eta._LINE_CACHE.clear()
+    with pytest.raises(BranchObstruction, match="14.134725"):
+        eta_vertical(1, 0.5, 14.5, short)
+    assert sum(points) < 10_000
+    points.clear()
+    eta._LINE_CACHE.clear()
+    got = _eta_vertical_rows(1, 0.5, np.array([10.0, 14.5, 16.0]), short)
+    assert isinstance(got[0], eta.EtaValue)
+    assert all(isinstance(ev, BranchObstruction) for ev in got[1:])
+    assert sum(points) < 10_000
+
+
+def test_a_stall_inside_a_pad_refuses_no_step():
+    # just right of 1/2 the table's zeros are not cuts, and the line's
+    # ladder stalls on each of them, 1e-13 away; the pads model those
+    # zeros, so the steps across them are integrated, and the rows agree
+    # within their bounds with the rows on the critical line, where the
+    # zeros are cuts
+    sigma = 0.5 + 1e-13
+    bare = rays.LineBranch(sigma, 50.0)
+    assert bare.refusals([10.0], [50.0])[0] is not None
+    ts = np.array([10.0, 14.5, 20.0, 30.0, 50.0])
+    for m in (1, 3):
+        eta._LINE_CACHE.clear()
+        near = _eta_vertical_rows(m, sigma, ts, TAB)
+        on = _eta_vertical_rows(m, 0.5, ts, TAB)
+        for a, b in zip(near, on):
+            assert abs(a.value - b.value) <= a.est_error + b.est_error
 
 
 def test_vertical_rows_refuse_crowded_ordinates():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from iterzeta import dirichlet, hunt
+from iterzeta import dirichlet, hunt, rays
 from iterzeta.dirichlet import (_grid_split, mangoldt_grid, mangoldt_sum,
                                 orbit_grid)
 from iterzeta.errors import (BranchObstruction, BudgetExceeded, TableCoverage,
@@ -460,3 +460,31 @@ def test_spacing_is_the_numpy_scalar_loop():
     # heights exactly the separation apart are kept; closer ones are not
     assert hunt._spaced([1.0, 1.5, 2.0, 1.25, 0.5], 0.5, 10) == [0, 1, 2, 4]
     assert hunt._spaced([1.0, 1.0, 1.0], 0.0, 2) == [0, 1]
+
+
+# the benchmark's hunt pool: (m, sigma, t0) of the targets a = eta~ at t0
+HUNT_POOL = ((1, 0.6, 30.0), (2, 0.7, 70.0), (3, 0.8, 110.0),
+             (1, 0.9, 150.0), (2, 0.65, 190.0), (3, 0.85, 230.0))
+
+
+def test_hunt_work_is_pinned(monkeypatch):
+    # the zeta calls and points a hunt makes, and its evaluations, at
+    # the values the hunts made before their passes lost their fixed
+    # cost: the pool's targets at their t0, and one out of reach (|eta~|
+    # stays far below 7), each a first pass of 4 heights, one of which
+    # takes a third round of panels
+    targets = [(m, sigma, eta_tilde_weighted(m, sigma, t0, TAB).value)
+               for m, sigma, t0 in HUNT_POOL] + [(2, 0.8, 7.0 + 0.0j)]
+    calls, zeta_batch = [], rays.zeta_batch
+
+    def counted(s, *args):
+        calls.append(np.size(s))
+        return zeta_batch(s, *args)
+    monkeypatch.setattr(rays, "zeta_batch", counted)
+    work = []
+    for m, sigma, a in targets:
+        calls.clear()
+        res = hunt_value(m, sigma, a, 0.1, table=TAB)
+        work.append((len(calls), sum(calls), res.budget_used, res.success))
+    assert work == [(2, 488, 4, True)] + [(1, 368, 4, True)] * 5 \
+        + [(1, 368, 4, False)]

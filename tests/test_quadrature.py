@@ -2,6 +2,7 @@ import numpy as np
 import mpmath as mp
 import pytest
 
+from iterzeta import quadrature
 from iterzeta.errors import QuadratureNonconvergence
 from iterzeta.quadrature import (MAX_ROW_PANELS, PANEL_ORDER, gl_panel,
                                  integrate_rows, integrate_vec,
@@ -48,8 +49,9 @@ def test_integrate_vec_spike():
 
 @pytest.mark.parametrize("splits", [1, 2, 3])
 def test_opening_nodes_are_the_first_two_rounds(splits):
-    # the abscissae f sees in integrate_rows' first two rounds are
-    # opening_nodes' to the bit, for rows alone and sharing a call
+    # the abscissae f sees in integrate_rows' first two rounds, all in
+    # one call, are opening_nodes' to the bit, for rows alone and
+    # sharing a call
     a, b = np.array([0.8, -0.3, 2.0]), np.array([6.8, 0.7, 2.0 + 1e-3])
     seen = []
 
@@ -57,8 +59,7 @@ def test_opening_nodes_are_the_first_two_rounds(splits):
         seen.append((nodes, row))
         return np.cos(nodes * (row + 1))
     integrate_rows(f, a, b, 1e-15, max_depth=1, initial_splits=splits)
-    assert [x.size for x, _ in seen] == [a.size * splits * PANEL_ORDER,
-                                         2 * a.size * splits * PANEL_ORDER]
+    assert [x.size for x, _ in seen] == [3 * a.size * splits * PANEL_ORDER]
     for r in range(a.size):
         got = np.unique(np.concatenate([x[row == r] for x, row in seen]))
         want = opening_nodes(a[r], b[r], splits)
@@ -119,6 +120,105 @@ def test_rows_with_vector_values():
         assert (vals[r, 0], ests[r, 0], nevs[r]) == alone
         want = 1e-3 * (1.0 + r) * (np.cos(a) - np.cos(b))
         assert abs(vals[r, 1] - want) <= ests[r, 1] + 1e-15
+
+
+def _round_by_round(f, a, b, abs_tol, max_depth=48, initial_splits=1,
+                    noise=0.0):
+    """integrate_rows as it ran with one f call per round, kept as the
+    reference of its one-call opening: the coarse panels (np.linspace's
+    edges) in one call, their halves in the next, and each round's
+    accepted panels added to their rows as the round ends."""
+    a, b, abs_tol, noise = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(a, dtype=float)), b, abs_tol, noise)
+    rows = a.size
+    nevals = np.zeros(rows, dtype=np.int64)
+    allowed = abs_tol + noise * (b - a)
+    live = np.nonzero(b > a)[0]
+    rate = np.zeros(rows)
+    rate[live] = abs_tol[live] / (b - a)[live] + noise[live]
+    edges = np.linspace(a[live], b[live], initial_splits + 1, axis=-1)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    row = np.repeat(live, initial_splits)
+    coarse = quadrature._panel_sums(f, lo, hi, row)
+    nevals[live] += initial_splits * PANEL_ORDER
+    value = np.zeros(coarse.shape[:-1] + (rows,), dtype=complex)
+    est_error = np.zeros(value.shape)
+    overflow = np.full(rows, -1)
+    for depth in range(max_depth):
+        over = 2 * np.bincount(row, minlength=rows) > MAX_ROW_PANELS
+        if over.any():
+            overflow[over] = depth
+            keep = ~over[row]
+            lo, hi, row, coarse = lo[keep], hi[keep], row[keep], \
+                coarse[..., keep]
+        if not row.size:
+            break
+        n = row.size
+        width = hi - lo
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        row = np.concatenate([row, row])
+        halves = quadrature._panel_sums(f, lo, hi, row)
+        nevals += PANEL_ORDER * np.bincount(row, minlength=rows)
+        fine = halves[..., :n] + halves[..., n:]
+        err = np.abs(fine - coarse)
+        done = err <= rate[row[:n]] * width
+        if done.ndim > 1:
+            done = done.all(axis=0)
+        done |= depth + 1 >= max_depth
+        at = row[:n][done]
+        for c in np.ndindex(fine.shape[:-1]):
+            np.add.at(value[c], at, fine[c][done])
+            np.add.at(est_error[c], at, err[c][done])
+        keep = np.tile(~done, 2)
+        lo, hi, row, coarse = lo[keep], hi[keep], row[keep], \
+            halves[..., keep]
+    worst = est_error.max(axis=tuple(range(est_error.ndim - 1)))
+    refused = [d >= 0 or not e <= 50.0 * ok
+               for d, e, ok in zip(overflow, worst, allowed)]
+    return np.moveaxis(value, -1, 0), np.moveaxis(est_error, -1, 0), \
+        nevals, refused
+
+
+@pytest.mark.parametrize("splits", [1, 2, 3])
+def test_one_call_opening_is_the_round_by_round_driver(splits):
+    # the first two rounds in one f call give every row the value,
+    # est_error, nevals and refusal of the driver that called f once a
+    # round: spikes that bisect deep, an empty row, a noise floor, a
+    # row whose panels outrun MAX_ROW_PANELS and rows of two integrands
+    spikes = np.array([0.7, 0.05, 0.5, 0.93, 0.2, 0.4])
+    a = np.array([0.0, 0.0, 0.3, -0.5, 0.4, 0.0])
+    b = np.array([1.0, 1.0, 0.9, 2.0, 0.4, 1.0])
+    tols = np.array([1e-10, 1e-6, 1e-10, 1e-12, 1e-9, 1e-12])
+    noise = np.array([0.0, 0.0, 1e-8, 0.0, 0.0, 0.0])
+
+    def spiky(x, row):
+        return np.where(row == 5, _noise(x),
+                        1.0 / (1e-4 + (x - spikes[row]) ** 2)) + 0j
+
+    def pair(x, row):
+        return np.stack([np.cos(x * (row + 1)), 1j * np.exp(x) * row])
+    for f, args in ((spiky, (a, b, tols)), (spiky, (a[:5], b[:5], 1e-9)),
+                    (pair, ([0.0, 1.0, 2.0], [10.0, 4.0, 2.0], 1e-12))):
+        kwargs = {"initial_splits": splits}
+        if f is spiky and len(args[0]) == 6:
+            kwargs["noise"] = noise
+        want = _round_by_round(f, *args, **kwargs)
+        got = integrate_rows(f, *args, **kwargs)
+        for w, g in zip(want[:3], got[:3]):
+            assert w.shape == g.shape
+            assert np.array_equal(w, g)
+        assert want[3] == [r is not None for r in got[3]]
+    assert want[3] == [False] * 3 and True in \
+        _round_by_round(spiky, a, b, tols, initial_splits=splits)[3]
+    # a shallow max_depth ends on the same accepted panels
+    want = _round_by_round(spiky, a[:4], b[:4], tols[:4], max_depth=3,
+                           initial_splits=splits)
+    got = integrate_rows(spiky, a[:4], b[:4], tols[:4], max_depth=3,
+                         initial_splits=splits)
+    for w, g in zip(want[:3], got[:3]):
+        assert np.array_equal(w, g)
+    assert want[3] == [r is not None for r in got[3]]
 
 
 def test_integrate_vec_noise_floor():

@@ -5,6 +5,7 @@ import pytest
 from iterzeta import rays
 from iterzeta.errors import BranchObstruction, GuardBand, UnsupportedRange
 from iterzeta.eta import _eta_tilde_rows
+from iterzeta.quadrature import opening_nodes
 from iterzeta.rays import (CUTOFF_OFFSET, GUARD, LineBranch, RayBranch,
                            _guarded, _initial_offsets, log_zeta_horizontal,
                            log_zeta_real_axis, vertical_log_zeta)
@@ -116,6 +117,25 @@ def test_a_query_at_a_node_reads_its_w(monkeypatch):
     assert np.array_equal(ray.row_evals, evals + [1, 1])
     with pytest.raises(UnsupportedRange):
         RayBranch(0.8, 30.0, abscissae=[0.7, 1.0])
+
+
+@pytest.mark.parametrize("abscissae", [None, "opening"])
+def test_a_node_query_is_the_off_node_value(abscissae):
+    # the ladder forms log W once at each node, and a query there reads
+    # it: bitwise the value the off-node path takes from zeta and the
+    # ladder's interpolated winding, on every row of a branch with the
+    # real axis, a row below eta.NEAR_POLE and rows past table zeros
+    sigma = 0.6
+    start = (None if abscissae is None
+             else opening_nodes(sigma, sigma + CUTOFF_OFFSET, 2))
+    ray = RayBranch(sigma, [0.0, 0.4, 14.2, 30.0, 71.5], TAB, start)
+    assert not ray.obstructed.any()
+    nodes, rows = ray._a, ray._row
+    assert np.array_equal(np.unique(rows), np.arange(5))
+    at = ray.log_w(nodes, rows)
+    evals = ray.row_evals.copy()
+    assert np.array_equal(at, ray._off_nodes(nodes, rows))
+    assert np.array_equal(ray.row_evals, 2 * evals)
 
 
 def test_guard_near_ordinate():

@@ -7,6 +7,7 @@ import pytest
 
 from iterzeta import ComplexPoint, EvalParams, PoleAtOne, UnsupportedRange
 from iterzeta import zeta, zeta_batch, zetafun
+from iterzeta.quadrature import opening_nodes
 from iterzeta.zetafun import (_EM_COEF, _em_remainder, _em_tail,
                               _lengths_and_bounds, _log_moment, zeta_error)
 
@@ -68,7 +69,7 @@ def test_log_moment_against_mpmath(k):
     a = np.concatenate([a, [1.0, 1.0, 0.0], edges.ravel()])
     log_n = np.concatenate([log_n, np.log([50.0, 600_000.0, 600_000.0]),
                             np.broadcast_to(edge_log_n, edges.shape).ravel()])
-    got = _log_moment(a, k, log_n)
+    got = _log_moment((1.0 - a) * log_n, k, log_n)
     with mp.workdps(40):
         for ai, li, gi in zip(a, log_n, got):
             li = mp.mpf(li)
@@ -180,6 +181,23 @@ def test_line_values_are_bitwise_batch_free():
             assert np.array_equal(zeta_batch(batch)[size:][:pts.size],
                                   alone)
         assert np.array_equal(zeta_batch(pts[::-1])[::-1], alone)
+
+
+def test_pass_batches_are_their_one_point_values():
+    # the batches of an eta~ pass: one point, a ray's 92 ladder nodes
+    # (the quadrature's opening nodes, the start and the anchor) and the
+    # 368 of four such rays, on 8 rungs; every value is bitwise the
+    # value its point has alone
+    sigma = 0.7
+    ladder = np.concatenate([[sigma], opening_nodes(sigma, sigma + 6.0, 2),
+                             [sigma + 6.0]])
+    grid = (ladder[None, :]
+            + 1j * np.array([70.2, 95.3, 160.1, 231.7])[:, None]).ravel()
+    lengths, _ = _lengths_and_bounds(grid, EvalParams())
+    assert ladder.size == 92 and np.unique(lengths).size == 8
+    alone = np.array([zeta_batch(grid[i:i + 1])[0] for i in range(grid.size)])
+    for pts in (grid[:1], grid[:92], grid):
+        assert np.array_equal(zeta_batch(pts), alone[:pts.size])
 
 
 def _old_batch_length(s, params=EvalParams()):
