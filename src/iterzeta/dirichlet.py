@@ -47,13 +47,14 @@ keeps no totals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, exp, floor, log, sqrt
+from math import ceil, exp, floor, isfinite, log, sqrt
 
 import numpy as np
 
 from .errors import (ConvergenceDomain, CutoffExceeded, GuardBand,
                      TooFewSamples, ValidationError)
-from .eta import ABS_TOL, _eta_tilde_rows, _prime_powers
+from .eta import ABS_TOL, _eta_tilde_rows, _prime_powers, \
+    _validate_order_sigma
 from .lru import LRUDict
 from .primes import PrimeTable, sieve_primes
 from .zeros import ZeroTable
@@ -239,6 +240,13 @@ def _polylog_sum(order: int, logs: np.ndarray, power: int, c: float,
     return total
 
 
+def _require_finite(**values: float) -> None:
+    """ValidationError naming the first of the values that is not finite."""
+    for name, value in values.items():
+        if not isfinite(value):
+            raise ValidationError(f"{name} must be finite")
+
+
 def _prime_logs(X: float, primes: PrimeTable) -> np.ndarray:
     """log p for the primes p <= X of the table."""
     if X > primes.limit:
@@ -250,9 +258,9 @@ def dirichlet_li_sum(m: int, sigma: float, t: float, X: float,
                      primes: PrimeTable) -> complex:
     """sum_{p <= X} Li_{m+1}(p^(-sigma-it)) / (log p)^m, exact finite
     sum: the one-height call of _li_grid (0 with no prime up to X)."""
+    _validate_order_sigma(m, sigma)
+    _require_finite(t=t, X=X)
     logs = _prime_logs(X, primes)
-    if sigma < 0.5:
-        raise ValidationError("sigma must be >= 1/2")
     return complex(_li_grid(m, sigma, logs, t, 1.0, 1, 0))
 
 
@@ -350,6 +358,8 @@ def mangoldt_grid(m: int, sigma: float, t0: float, step: float, count: int,
 
     Lambda(n) = log p for prime powers n = p^k, zero otherwise; the
     log n = k log p denominator folds into 1/(k (log n)^m)."""
+    _validate_order_sigma(m, sigma)
+    _require_finite(t0=t0, step=step, X=X)
     if count < 1:
         raise ValidationError("need at least one height")
     logs, inv_k = _prime_powers(int(X))
@@ -371,12 +381,12 @@ def li_vs_mangoldt_gap(m: int, sigma: float, t: float, X: float,
     One pass per power over the primes still summing: each starts at the
     smallest k with p^k > X, and stops after the term whose geometric
     envelope r^k r / (1 - r), r = p^-sigma, falls below 1e-15."""
-    if X > primes.limit:
-        raise CutoffExceeded(f"X={X:g} beyond sieve limit {primes.limit}")
-    n = primes.count_upto(X)
-    ps, logs = primes.primes[:n], primes.logs[:n]
-    if n == 0:
+    _validate_order_sigma(m, sigma)
+    _require_finite(t=t, X=X)
+    logs = _prime_logs(X, primes)
+    if logs.size == 0:
         return 0.0 + 0.0j
+    ps = primes.primes[:logs.size]
     # the smallest k with p^k > X, from the logs and set exact in integers
     # (p^k <= X p <= 1e16 fits int64)
     x = int(floor(X))
@@ -457,12 +467,12 @@ def mean_square_error(m: int, sigma: float, X: float, T: float,
     in part is neither read nor kept, so D_X and the report are bitwise
     the cold ones.  The totals depend on the primes alone, not on the
     table that holds them: a table is all the primes up to its limit."""
+    _validate_order_sigma(m, sigma)
+    _require_finite(X=X, T=T, grid_step=grid_step)
     if grid_step > 0.25 or grid_step <= 0.0:
         raise ValidationError("grid_step must be in (0, 0.25]")
     if T < 14.0:
         raise ValidationError("mean square starts at t = 14; need T >= 14")
-    if sigma < 0.5:
-        raise ValidationError("sigma must be >= 1/2")
     if X < 3.0:
         raise ValidationError("cutoff X must be at least 3")
     table.require_coverage(T)

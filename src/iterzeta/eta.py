@@ -57,15 +57,15 @@ from math import e as _E, factorial, isfinite, log
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .errors import (QuadratureNonconvergence, UnsupportedRange,
-                     ValidationError)
+from .errors import (BranchObstruction, QuadratureNonconvergence,
+                     UnsupportedRange, ValidationError)
 from .lru import LRUDict
 from .primes import sieve_primes
 from .quadrature import (gl_nodes, integrate_rows, opening_nodes,
                          poly_log_integral, poly_log_integrals)
 from .rays import CUTOFF_OFFSET, LineBranch, RayBranch
 from .rays import GUARD  # noqa: F401  (re-exported: callers import it here)
-from .zetafun import DEFAULT_PARAMS, ComplexPoint, zeta_error
+from .zetafun import DEFAULT_PARAMS, ComplexPoint, zeta_path_error
 from .zeros import EMPTY_TABLE, ZeroTable, zeros_in_box
 
 SUPPORTED_M = (1, 2, 3)
@@ -81,6 +81,16 @@ ROWS_PER_PASS = 128
 # coarse panels of a ray's quadrature; its branch ladder starts on their
 # nodes and their halves', so the first two rounds call no zeta
 RAY_SPLITS = 2
+# a ray whose ladder resolves a gap narrower than this grazes a zero of
+# W that no table guards, and order 1, whose weight is 1 at the ray's
+# start, is refused there before its quadrature.  Measured at
+# sigma = 1/2 next to the zeros at t = 30.4249 and 146.001: of 22 m = 1
+# rays with gaps from 8.6e-9 down to 1e-12, 19 raised
+# QuadratureNonconvergence after 1.2-3.3 s of doubling panels; from
+# 1.7e-8 up every ray resolved, and every ray that an eta~ pass of the
+# library tests resolves has gaps of 2.2e-3 or more.  Orders 2 and 3,
+# weighted by (a - sigma)^(m-1), resolved at every gap down to 1e-12
+GRAZING_GAP = 1e-8
 # _eta_vertical_rows steps up a line between knots KNOT_STEP apart (and the
 # ordinates of zeros right of the line, and pad edges); the local model
 # of a zero within NEAR_LINE of the line is integrated in closed form
@@ -138,10 +148,11 @@ def _validate_abs_tol(abs_tol: float) -> None:
 
 def _log_zeta_error(sigma: float, t):
     """Error of log zeta at any point of a path with heights up to t and
-    Re s >= sigma, for each height of t (a float or an array).
+    Re s >= sigma, for each height of t (a float or an array): a ray
+    from sigma + it, or the line sigma + iu below t.
 
-    Every point meets tol in its remainder; the rounding part of
-    zeta_error is largest at the leftmost, tallest point sigma + it, and
+    It is zeta_path_error at the corner sigma + it: tol, which every
+    point's remainder meets, plus the rounding estimate there, which
     passes tol only at large t.  At t = 0 and within the unit disc
     around the pole it is tol: a ray below NEAR_POLE integrates
     log(zeta(s)(s-1)) and never meets the pole, and log zeta's error is
@@ -151,7 +162,7 @@ def _log_zeta_error(sigma: float, t):
     s = sigma + 1j * np.asarray(t, dtype=float)
     err = np.full(s.shape, DEFAULT_PARAMS.tol)
     far = (s.imag != 0.0) & (np.abs(s - 1.0) >= 1.0)
-    err[far] = np.maximum(err[far], zeta_error(s[far]))
+    err[far] = zeta_path_error(s[far])
     return err
 
 
@@ -295,12 +306,13 @@ def _eta_tilde_rows(m, sigma: float, ts: np.ndarray,
     one-height value; its nevals counts the points its W was evaluated
     at, the ladder's nodes and the panel nodes off them.
     Returns per height its EtaValue, or the BranchObstruction (a
-    GuardBand in the guard band) or QuadratureNonconvergence that height
-    raises; a height's refusal leaves the others as they would be
-    without it.  At most ROWS_PER_PASS heights share a pass.  m may be a
-    tuple of orders: a height then gets one EtaValue per order, each
-    order's integrand on the same panels; order 0, taken only there, is
-    log zeta at the ray's start: no quadrature, est_error _log_zeta_error.
+    GuardBand in the guard band; for order 1 also a ray that grazes a
+    zero, GRAZING_GAP) or QuadratureNonconvergence that height raises;
+    a height's refusal leaves the others as they would be without it.
+    At most ROWS_PER_PASS heights share a pass.  m may be a tuple of
+    orders: a height then gets one EtaValue per order, each order's
+    integrand on the same panels; order 0, taken only there, is log zeta
+    at the ray's start: no quadrature, est_error _log_zeta_error.
     """
     orders = m if isinstance(m, tuple) else (m,)
     for j in orders:
@@ -315,7 +327,12 @@ def _eta_tilde_rows(m, sigma: float, ts: np.ndarray,
                        opening_nodes(sigma, a_cut, RAY_SPLITS))
     out = [branch.refusal(j) if hit else None
            for j, hit in enumerate(branch.obstructed.tolist())]
-    rows = (~branch.obstructed).nonzero()[0]
+    if 1 in orders:
+        for j in np.flatnonzero(branch.finest_gaps() < GRAZING_GAP).tolist():
+            out[j] = BranchObstruction(
+                f"the ray at sigma={sigma:g}, t={ts[j]:g} grazes a zero: "
+                f"its ladder resolves a gap below {GRAZING_GAP:g}")
+    rows = np.flatnonzero([ev is None for ev in out])
 
     def f(alphas, row):
         lz = _ray_integrand(branch, alphas, rows[row])
@@ -517,10 +534,10 @@ class _Line:
     the pads (SINGULARITY_PAD around the ordinate of a zero that close
     to the line), with the multiples inside a pad dropped: they depend
     on sigma and the table only.  At knot i, kept[i] = (F, E): F[j-1] is
-    the j-fold integral from 0 of log W, W = zeta(s)(s - 1), for
-    j = 1..m, and E[j-1] its error bound; they are kept from knot 0 up
-    as far as rows have stepped.  The zeros within NEAR_LINE of the
-    line, by ordinate, have their local models taken out of the
+    level j = 1..m of the recursion on log W, W = zeta(s)(s - 1), from
+    c_j(sigma) at knot 0, and E[j-1] its error bound; they are kept from
+    knot 0 up as far as rows have stepped.  The zeros within NEAR_LINE
+    of the line, by ordinate, have their local models taken out of the
     integrand.  Rows above `crowded` refuse: past it two ordinates lie
     within twice SINGULARITY_PAD of each other.
     """
@@ -543,14 +560,20 @@ class _Line:
         # panels meet rate per unit height in every level: at most
         # abs_tol in all at the top of the table's coverage
         self.rate = abs_tol * factorial(m) / table.coverage ** m
-        self.noise = _log_zeta_error(sigma, self.knots)
         near = np.nonzero(np.abs(sigma - table.betas) <= NEAR_LINE)[0]
         near = near[np.argsort(table.gammas[near], kind="stable")]
         self.near = (table.gammas[near], sigma - table.betas[near],
                      table.mults[near].astype(float))
-        # rows store the knots they step past in order, and a knot's
-        # value is the same whichever row stores it
-        self.kept = [(np.zeros(m, dtype=complex), np.zeros(m))]
+        # rows store the knots they step past in order, from the constants
+        # c_j = i^j eta~_j(sigma), and a knot's value is the same whichever
+        # row stores it; the first row to get a value counts the
+        # constants' evaluations if this line makes them
+        self.unpaid = 0 if (sigma, abs_tol) in _C_CACHE \
+            else _c_eta(1, sigma, abs_tol).nevals
+        cs = [_c_eta(j, sigma, abs_tol) for j in range(1, m + 1)]
+        self.kept = [(np.array([1j ** j * c.value
+                                for j, c in enumerate(cs, 1)]),
+                      np.array([c.est_error for c in cs]))]
 
     def models(self, lo: np.ndarray, hi: np.ndarray):
         """(g, c, k) of the zeros near the line with ordinates within
@@ -599,17 +622,16 @@ def _shift(F, E, delta: float, S, R):
 def _eta_vertical_rows(m: int, sigma: float, ts, table: ZeroTable, *,
                        abs_tol: float = ABS_TOL) -> list:
     """Vertical iterated integral at every height t > 0 of ts, stepped
-    up the line:
+    up the line by its recursion from the constants c_j(sigma):
 
-        eta_m = 1/(m-1)! int_0^t (t-u)^(m-1) log zeta(sigma+iu) du
-                + sum_j c_j(sigma) t^(m-j)/(m-j)!
+        eta_j(sigma + iu) = int_0^u eta_(j-1)(sigma + iv) dv + c_j(sigma)
 
     The pole's -Log(s - 1) in log zeta = log W - Log(s - 1) is
     integrated over [0, t] in closed form, so the quadrature sees
     log W, W = zeta(s)(s - 1), smooth through u = 0 even at sigma = 1.
-    The iterated integrals F_j of log W go up the line from knot to knot
-    (_Line: multiples of KNOT_STEP, ordinates of zeros right of the line
-    and pad edges) by the exact Taylor shift
+    The levels F_j of log W start at c_j and go up the line from knot to
+    knot (_Line: multiples of KNOT_STEP, ordinates of zeros right of the
+    line and pad edges) by the exact Taylor shift
 
         F_j(u + d) = sum_{i<j} F_{j-i}(u) d^i / i!
                      + 1/(j-1)! int_u^{u+d} (u+d-v)^(j-1) log W(sigma+iv) dv,
@@ -622,7 +644,7 @@ def _eta_vertical_rows(m: int, sigma: float, ts, table: ZeroTable, *,
     is smooth there, and adds the model k Log(s - rho) in closed form.
     Within SINGULARITY_PAD of a zero that close to the line, a pad
     takes a fixed rule instead of panels.  Errors go up with the values,
-    times the same d^i / i!.
+    from the constants' est_errors, times the same d^i / i!.
 
     The heights go in ascending slices of at most ROWS_PER_PASS.  A
     slice makes one integrate_rows call, over the knot steps above the
@@ -642,8 +664,8 @@ def _eta_vertical_rows(m: int, sigma: float, ts, table: ZeroTable, *,
     much.  nevals counts the zeta evaluations made for a row: its
     partial step, and for the lowest row of a slice that gets a value,
     what the slice shares too: ladder and walk nodes, knot steps, and
-    the constants c_j it had to compute.  A one-row call's row thus
-    counts all of its call's evaluations.
+    the constants c_j its new line had to compute.  A one-row call's row
+    thus counts all of its call's evaluations.
 
     Returns per height its EtaValue or the refusal that height raises:
     the UnsupportedRange of a row above the line's `crowded` height, the
@@ -722,20 +744,21 @@ def _vertical_slice(m: int, sigma: float, ts: np.ndarray, line: _Line,
     S = np.zeros((lo.size, m), dtype=complex)
     R = np.zeros((lo.size, m))
     nev = np.zeros(lo.size, dtype=int)
-    log_err = _log_zeta_error(sigma, ts)
+    # zeta's error at the top of each step taken: on the step, and below
+    # a row's height
+    log_err = np.zeros(lo.size)
+    log_err[need] = _log_zeta_error(sigma, hi[need])
     steps = np.flatnonzero(need & ~pad)
     if steps.size:
         # log W's rounding is zeta's over |zeta|, and next to a zero rho
         # of the table |zeta| >= |s - rho| / 2 (|zeta'(rho)| >= 0.79
         # below t = 250): a step that near a modelled zero declares more
-        noise = np.append(line.noise[kept + 1:kept + n_knot + 1],
-                          log_err)[steps]
         a, b = lo[steps], hi[steps]
         gap = np.maximum(np.maximum(a[:, None] - G[steps], G[steps]
                                     - b[:, None]), 0.0)
         near = np.where(K[steps] > 0.0, np.hypot(C[steps], gap), np.inf)
-        noise = noise * np.maximum(1.0, 2.0 / near.min(axis=1,
-                                                      initial=np.inf))
+        noise = log_err[steps] * np.maximum(
+            1.0, 2.0 / near.min(axis=1, initial=np.inf))
         S[steps], R[steps], nev[steps], stalled = integrate_rows(
             lambda us, row: f(us, steps[row]), a, b,
             line.rate * (b - a), noise=noise)
@@ -757,29 +780,18 @@ def _vertical_slice(m: int, sigma: float, ts: np.ndarray, line: _Line,
         line.kept.append(_shift(*line.kept[-1], hi[i] - lo[i], S[i], R[i]))
     reached = len(line.kept) - 1
     shared = branch.nodes_used + int(nev[:n_knot].sum())
-    cs = None
     for i, t in enumerate(ts.tolist()):
         k = n_knot + i
         exc = refusals[reached - kept] if top[i] > reached else refusals[k]
         if exc is not None:
             out[i] = exc
             continue
-        if cs is None:
-            # like knot values, constants kept from an earlier call cost
-            # this one nothing
-            if (sigma, abs_tol) not in _C_CACHE:
-                shared += _c_eta(1, sigma, abs_tol).nevals
-            cs = [_c_eta(j, sigma, abs_tol) for j in range(1, m + 1)]
         F, E = _shift(*line.kept[top[i]], t - lo[k], S[k], R[k])
         value = F[m - 1] - poly_log_integral(m, t, 0.0, t, 0.0, sigma - 1.0)
-        cs_err = 0.0
-        for j, cj in enumerate(cs, 1):
-            value += 1j ** j * cj.value * t ** (m - j) / factorial(m - j)
-            cs_err += cj.est_error * t ** (m - j) / factorial(m - j)
-        err = E[m - 1] + cs_err + float(log_err[i]) * t ** m / factorial(m)
+        err = E[m - 1] + _zeta_term(m, t, float(log_err[k]))
         out[i] = EtaValue(m, ComplexPoint(sigma, t), complex(value),
-                          float(err), int(nev[k]) + shared)
-        shared = 0
+                          float(err), int(nev[k]) + shared + line.unpaid)
+        shared = line.unpaid = 0
     return out
 
 

@@ -298,6 +298,14 @@ class RayBranch:
             f"branch walk stalled at sigma={self.sigma:g}, "
             f"t={self.heights[row]:g}: zero too close to the ray")
 
+    def finest_gaps(self) -> np.ndarray:
+        """Per row, the narrowest gap of its resolved ladder; inf for an
+        obstructed row, which has none."""
+        gaps = np.full(self.heights.size, np.inf)
+        same = self._row[1:] == self._row[:-1]
+        np.minimum.at(gaps, self._row[1:][same], np.diff(self._a)[same])
+        return gaps
+
     def _require(self, rows) -> None:
         """Raise BranchObstruction if any of the rows is obstructed."""
         hit = self.obstructed[rows]

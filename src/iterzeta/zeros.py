@@ -8,8 +8,9 @@ documented trust model.
 File format, one zero per line:
     14.134725141734694            -> beta = 1/2, multiplicity 1
     0.75 10.0 2                   -> beta gamma multiplicity
-Lines may carry '#' comments.  Ordinates must be strictly increasing and
-positive; beta must lie in (0, 1); multiplicity is a positive integer.
+Lines may carry '#' comments.  Ordinates must be finite, positive and
+strictly increasing; beta must lie in (0, 1); multiplicity is a positive
+integer.
 Zeros come in conjugate pairs; the table stores the upper half plane only.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -40,10 +42,10 @@ class ZeroTable:
         if not (b.shape == g.shape == m.shape):
             raise ParseError("beta/gamma/mult arrays must have equal length")
         if b.size:
-            if np.any((b <= 0.0) | (b >= 1.0)):
+            if not np.all((b > 0.0) & (b < 1.0)):
                 raise ParseError("beta outside (0, 1)")
-            if np.any(g <= 0.0):
-                raise ParseError("ordinates must be positive")
+            if not np.all((g > 0.0) & (g < inf)):
+                raise ParseError("ordinates must be finite and positive")
             if np.any(np.diff(g) <= 0.0):
                 raise MonotonicityError("ordinates must be strictly increasing")
             if np.any(m < 1):
@@ -103,8 +105,9 @@ def load_zero_table(path: str) -> ZeroTable:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
             if not 0.0 < b < 1.0:
                 raise ParseError(f"{path}:{lineno}: beta outside (0, 1)")
-            if g <= 0.0:
-                raise ParseError(f"{path}:{lineno}: ordinate must be positive")
+            if not 0.0 < g < inf:
+                raise ParseError(f"{path}:{lineno}: ordinate must be finite "
+                                 "and positive")
             if k < 1:
                 raise ParseError(f"{path}:{lineno}: multiplicity must be >= 1")
             if gammas and g <= gammas[-1]:

@@ -62,7 +62,8 @@ Xeon.
 zeta_error reports the per-point error: the remainder bound plus a
 rounding estimate for the direct sum, which dominates at large |t|
 because the phase t log n carries a relative rounding error of order
-machine epsilon.
+machine epsilon.  zeta_path_error bounds the error on a path whose
+leftmost, tallest point is s: tol plus the rounding estimate at s.
 
 The Bernoulli numbers are exact rationals, so each coefficient
 B_2k/(2k)! is the float nearest its value.  The log moments of the
@@ -435,6 +436,27 @@ def _log_moment(z: np.ndarray, k: int, log_n: np.ndarray) -> np.ndarray:
     return log_n * log_n * log_n * out
 
 
+def _error_parts(s, params: EvalParams):
+    """(remainder bounds, rounding estimates) of zeta_batch at the points
+    s, flat: the two parts of zeta_error, from one _lengths_and_bounds
+    pass."""
+    flat = _checked_points(s)
+    if flat.size == 0:
+        return np.empty(0), np.empty(0)
+    lengths, bounds = _lengths_and_bounds(flat, params)
+    sigma, t = flat.real, np.abs(flat.imag)
+    nn = lengths.astype(np.float64)
+    log_n = np.log(nn)
+    # z = (1 - a) L at a = sigma and 2 sigma, a row each: the k = 0
+    # moments at both, the k = 2 one at 2 sigma
+    z = (1.0 - np.multiply.outer([1.0, 2.0], sigma)) * log_n
+    sums = 1.0 + _log_moment(z, 0, log_n)
+    sumsq = sums[1] + t ** 2 * _log_moment(z[1], 2, log_n)
+    tail = nn ** -sigma * (nn / np.abs(flat - 1.0) + 1.0) * (1.0 + t * log_n)
+    rounding = np.sqrt(sumsq) + np.sqrt(nn) * sums[0] + tail
+    return bounds, _ROUNDING_ULPS * 2.0 ** -52 * rounding
+
+
 def zeta_error(s, params: EvalParams = DEFAULT_PARAMS) -> np.ndarray:
     """Per-point absolute error estimate of zeta_batch.
 
@@ -451,23 +473,18 @@ def zeta_error(s, params: EvalParams = DEFAULT_PARAMS) -> np.ndarray:
     the integral), which lies at or above the sum.  The estimate grows
     with |t| and falls with Re s.
     """
-    shape = np.shape(s)
-    flat = _checked_points(s)
-    if flat.size == 0:
-        return np.empty(0).reshape(shape)
-    lengths, bounds = _lengths_and_bounds(flat, params)
-    sigma, t = flat.real, np.abs(flat.imag)
-    nn = lengths.astype(np.float64)
-    log_n = np.log(nn)
-    # z = (1 - a) L at a = sigma and 2 sigma, a row each: the k = 0
-    # moments at both, the k = 2 one at 2 sigma
-    z = (1.0 - np.multiply.outer([1.0, 2.0], sigma)) * log_n
-    sums = 1.0 + _log_moment(z, 0, log_n)
-    sumsq = sums[1] + t ** 2 * _log_moment(z[1], 2, log_n)
-    tail = nn ** -sigma * (nn / np.abs(flat - 1.0) + 1.0) * (1.0 + t * log_n)
-    rounding = np.sqrt(sumsq) + np.sqrt(nn) * sums[0] + tail
-    out = bounds + _ROUNDING_ULPS * 2.0 ** -52 * rounding
-    return out.reshape(shape)
+    bounds, rounding = _error_parts(s, params)
+    return (bounds + rounding).reshape(np.shape(s))
+
+
+def zeta_path_error(s, params: EvalParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Per point s, zeta_batch's error on a path of points at or right
+    of Re s and at or below |Im s|: params.tol, which every point's
+    remainder meets, plus zeta_error's rounding estimate at s, which is
+    largest at the leftmost, tallest point.  zeta_error at s alone is
+    no such bound: a point of the path on a shorter rung than s has a
+    remainder near tol where s's may be far below it."""
+    return (params.tol + _error_parts(s, params)[1]).reshape(np.shape(s))
 
 
 def zeta(s, params: EvalParams = DEFAULT_PARAMS) -> complex:

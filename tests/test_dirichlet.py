@@ -5,8 +5,8 @@ import pytest
 from iterzeta import dirichlet
 from iterzeta.dirichlet import (_eta_tilde_grid, _li_grid, _polylog_sum,
                                 dirichlet_li_sum, li_vs_mangoldt_gap,
-                                mangoldt_sum, mean_square_error, polylog,
-                                polylog_batch)
+                                mangoldt_grid, mangoldt_sum,
+                                mean_square_error, polylog, polylog_batch)
 from iterzeta.errors import (BranchObstruction, ConvergenceDomain,
                              CutoffExceeded, GuardBand, TableCoverage,
                              UnsupportedRange, ValidationError)
@@ -168,6 +168,36 @@ def test_li_sum_cutoff_is_a_prime_count():
         == dirichlet_li_sum(2, 0.7, 14.0, 1000, PT)
     assert dirichlet._prime_logs(1000.5, PT).size \
         == np.count_nonzero(PT.primes <= 1000)
+
+
+def test_entry_points_take_the_one_order_sigma_check():
+    # the D_X, gap and mean-square entry points refuse a sigma that is
+    # not finite or lies below 1/2, and a height, cutoff, range or step
+    # that is not finite, as ValidationError: a NaN sigma used to return
+    # NaN, 0.2 a value, and a NaN height NaN or a bare ValueError
+    calls = (lambda m, sigma, t, X: mangoldt_sum(m, sigma, t, X),
+             lambda m, sigma, t, X: li_vs_mangoldt_gap(m, sigma, t, X, PT),
+             lambda m, sigma, t, X: dirichlet_li_sum(m, sigma, t, X, PT))
+    for call in calls:
+        for sigma, t, X in ((np.nan, 10.0, 100.0), (0.2, 10.0, 100.0),
+                            (np.inf, 10.0, 100.0), (0.8, np.nan, 100.0),
+                            (0.8, np.inf, 100.0), (0.8, 10.0, np.nan),
+                            (0.8, 10.0, np.inf)):
+            with pytest.raises(ValidationError):
+                call(1, sigma, t, X)
+        with pytest.raises(UnsupportedRange):
+            call(4, 0.8, 10.0, 100.0)
+    with pytest.raises(ValidationError):
+        mangoldt_grid(1, 0.8, 14.0, np.nan, 10, 100.0)
+    tab = bundled_table()
+    for sigma, X, T, step in ((np.nan, 10, 50.0, 0.25),
+                              (0.8, np.nan, 50.0, 0.25),
+                              (0.8, np.inf, 50.0, 0.25),
+                              (0.8, 10, np.nan, 0.25),
+                              (0.8, 10, np.inf, 0.25),
+                              (0.8, 10, 50.0, np.nan)):
+        with pytest.raises(ValidationError):
+            mean_square_error(1, sigma, X, T, step, tab)
 
 
 def test_mangoldt_hand_sums():

@@ -18,7 +18,7 @@ from iterzeta.eta import (_eta_tilde_rows, _eta_vertical_rows, c_m,
 from iterzeta.hunt import hunt_value
 from iterzeta.quadrature import integrate_rows
 from iterzeta.rays import CUTOFF_OFFSET, log_zeta_horizontal
-from iterzeta.zetafun import zeta_batch
+from iterzeta.zetafun import zeta_batch, zeta_error
 from iterzeta.zeros import EMPTY_TABLE, ZeroTable, bundled_table
 
 mp.mp.dps = 25
@@ -68,20 +68,22 @@ def test_weighted_ray_grazing_a_zero_refuses():
     # with no table there is no guard, and the ray from 1/2 + 30.4249i
     # starts about 5e-13 from the zero 1/2 + 30.424876125859513i: too
     # close for the quadrature to resolve, not close enough for the
-    # ladder to stall.  Its panels used to double until a round asked
-    # zeta for 4.5M points; now the row is refused in bounded time and
-    # memory
+    # ladder to stall.  Its ladder resolves a gap of 5.2e-13, below
+    # GRAZING_GAP, so the row is refused before its quadrature, whose
+    # panels used to double to MAX_ROW_PANELS first
     tracemalloc.start()
     t0 = time.perf_counter()
     try:
-        with pytest.raises(QuadratureNonconvergence):
+        with pytest.raises(BranchObstruction, match="grazes a zero"):
             eta_tilde_weighted(1, 0.5, 30.42487612586)
         elapsed = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert elapsed < 20.0
+    assert elapsed < 0.5
     assert peak < 512 * 2 ** 20
+    # order 2's weight vanishes at the ray's start, and its ray resolves
+    assert eta_tilde_weighted(2, 0.5, 30.42487612586).est_error < 1e-10
 
 
 def test_rows_match_one_height(monkeypatch):
@@ -186,6 +188,29 @@ def test_order_zero_only_in_a_tuple():
                  lambda: hunt_value(0, 0.8, 0.1 + 0.1j, 0.1, table=TAB)):
         with pytest.raises(UnsupportedRange):
             call()
+
+
+def test_log_zeta_error_bounds_zeta_on_its_path():
+    # _log_zeta_error(sigma, t) stands for zeta's error on the ray from
+    # sigma + it and on the line sigma + iu below t.  Right past a rung
+    # change the corner's remainder falls far below tol while a point of
+    # the path, still on the shorter rung, keeps one near tol: zeta's own
+    # error at the corner, floored at tol, fell short by 1.9 times on the
+    # ray at sigma = 2, t = 7761.9 and by 1.88 on the line at sigma = 1/2
+    # below t = 223.6 (at u = 223.5521)
+    def worst(sigma, t, ray, line):
+        pts = np.concatenate([ray + 1j * t, sigma + 1j * line])
+        pts = pts[np.abs(pts - 1.0) >= 1.0]     # tol inside the unit disc
+        return zeta_error(pts).max() / eta._log_zeta_error(sigma, t)
+    assert worst(2.0, 7761.9, np.linspace(2.0, 2.1, 20_001),
+                 np.array([1.0])) <= 1.0
+    assert worst(0.5, 223.6, np.array([0.5]),
+                 np.linspace(223.0, 223.6, 60_001)) <= 1.0
+    for sigma in (0.5, 0.6, 0.8, 1.0, 2.0):
+        for t in np.linspace(10.0, 9990.0, 12):
+            assert worst(sigma, t, np.linspace(sigma, sigma + CUTOFF_OFFSET,
+                                               2_001),
+                         np.linspace(0.0, t, 2_001)) <= 1.0
 
 
 def test_tail_bound_shrinks():
@@ -726,6 +751,40 @@ def test_a_stall_inside_a_pad_refuses_no_step():
         on = _eta_vertical_rows(m, 0.5, ts, TAB)
         for a, b in zip(near, on):
             assert abs(a.value - b.value) <= a.est_error + b.est_error
+
+
+def test_a_new_line_starts_at_its_constants(monkeypatch):
+    # knot 0 of a new line holds c_j(sigma) and their est_errors, which
+    # the Taylor shift carries up; the constants' evaluations count
+    # towards the first row that gets a value, when the line made them
+    monkeypatch.setattr(eta, "_C_CACHE", eta.LRUDict(eta._C_CACHE_CAP))
+    eta._LINE_CACHE.clear()
+    first = eta_vertical(3, 0.8, 5.0, TAB)
+    F, E = eta._line(3, 0.8, eta.ABS_TOL, TAB).kept[0]
+    assert list(F) == [c_m(j, 0.8) for j in (1, 2, 3)]
+    assert list(E) == [eta._c_eta(j, 0.8, eta.ABS_TOL).est_error
+                       for j in (1, 2, 3)]
+    eta._LINE_CACHE.clear()
+    again = eta_vertical(3, 0.8, 5.0, TAB)      # the constants are kept
+    assert (again.value, again.est_error) == (first.value, first.est_error)
+    assert first.nevals - again.nevals \
+        == eta._c_eta(1, 0.8, eta.ABS_TOL).nevals
+
+
+def test_a_new_line_forms_zeta_error_at_its_steps(monkeypatch):
+    # a one-row call on a new line forms zeta's error at the tops of the
+    # steps it takes, 10 knot steps and a partial one to t = 21.9, not at
+    # every knot up to the table's coverage (127 points)
+    monkeypatch.setattr(eta, "_C_CACHE", eta.LRUDict(eta._C_CACHE_CAP))
+    points, path_error = [], eta.zeta_path_error
+
+    def counted(s, *args):
+        points.append(np.size(s))
+        return path_error(s, *args)
+    monkeypatch.setattr(eta, "zeta_path_error", counted)
+    eta._LINE_CACHE.clear()
+    eta_vertical(2, 0.8, 21.9, TAB)
+    assert sum(points) <= 12
 
 
 def test_vertical_rows_refuse_crowded_ordinates():

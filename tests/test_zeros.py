@@ -56,6 +56,21 @@ def test_parse_errors(tmp_path):
         load_zero_table(p)
 
 
+def test_non_finite_entries_are_refused(tmp_path):
+    # a NaN ordinate used to load with coverage NaN, which switched the
+    # coverage rule off, and an infinite one broke the line's knots
+    for b, g in ((0.5, np.nan), (np.nan, 14.0), (0.5, np.inf)):
+        with pytest.raises(ParseError):
+            ZeroTable(betas=np.array([b]), gammas=np.array([g]),
+                      mults=np.array([1]))
+    p = tmp_path / "z.txt"
+    for bad in ("nan", "inf", "nan 20.0 1", "0.5 nan 1", "0.5 inf 1"):
+        p.write_text(f"14.13\n{bad}\n")
+        with pytest.raises(ParseError) as err:
+            load_zero_table(p)
+        assert ":2" in str(err.value)
+
+
 def test_validation():
     with pytest.raises(ValidationError):
         ZeroTable(betas=np.array([1.5]), gammas=np.array([14.0]),
