@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BranchObstruction, ComputationError, ValidationError
-from .eta import ABS_TOL, _eta_tilde_rows, _eta_vertical_rows, y_m
+from .eta import _eta_tilde_rows, _eta_vertical_rows, y_m
 from .hunt import HuntConfig, hunt_value
 from .dirichlet import mean_square_error
 from .polygon import RadiiSet, polygon_angles
@@ -203,7 +203,6 @@ def cmd_eval(cfg: dict) -> int:
     sigma = _field(cfg, "sigma", float)
     out = _field(cfg, "out")
     table = _load_table(cfg, required=True)
-    abs_tol = _field(cfg, "abs_tol", float, ABS_TOL)
     ts = _t_grid(cfg)
     # the grid ascends: its ends decide whether every row can be computed
     if ts.size and not ts[0] > 0.0:
@@ -214,8 +213,8 @@ def cmd_eval(cfg: dict) -> int:
     start = time.monotonic()
     # log zeta (order 0) and eta~_m from one pass over the grid's rays,
     # eta_m from one pass up its line
-    horizontal = _eta_tilde_rows((0, m), sigma, ts, table, abs_tol=abs_tol)
-    vertical = _eta_vertical_rows(m, sigma, ts, table, abs_tol=abs_tol)
+    horizontal = _eta_tilde_rows((0, m), sigma, ts, table)
+    vertical = _eta_vertical_rows(m, sigma, ts, table)
     rows, skipped = [], 0
     for t, z, row, ev in zip(ts, zeta_batch(sigma + 1j * ts), horizontal,
                              vertical):
@@ -363,8 +362,7 @@ def cmd_construct(cfg: dict) -> int:
 # each command with the keys it reads; any other key is refused, so a
 # misspelt setting cannot run silently at its default
 _COMMANDS = {
-    "eval": (cmd_eval, {"m", "sigma", "t", "step", "abs_tol", "table",
-                        "out"}),
+    "eval": (cmd_eval, {"m", "sigma", "t", "step", "table", "out"}),
     "meansquare": (cmd_meansquare, {"m", "sigma", "T", "step", "X", "table",
                                     "out"}),
     "hunt": (cmd_hunt, {"m", "sigma", "a", "epsilon", "table", "t_min",

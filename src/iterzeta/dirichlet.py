@@ -13,12 +13,12 @@ plus the tail of prime powers exceeding X; li_vs_mangoldt_gap computes
 that tail so the decomposition is checkable to rounding error.
 mean_square_error measures (1/T) int_14^T |eta_tilde - D_X|^2 dt on a
 grid, the desk-scale stand-in for the asymptotic mean-value statement.
-Its grid's cache entry, keyed by (m, sigma, T, step, table.key, abs_tol),
-holds the eta_tilde column and the running D_X totals after each full
-block of _polylog_sum's primes, at most POLYLOG_KEPT = 2^16 numbers
-(1 MiB) a grid: a sweep over X pays only for the primes past the last
-total it covers, and, since it adds the same blocks in the same order,
-its D_X and report are bitwise the cold ones.
+Its grid's cache entry, keyed by (m, sigma, T, step, table.key), holds
+the eta_tilde column and the running D_X totals after each full block
+of _polylog_sum's primes, at most POLYLOG_KEPT = 2^16 numbers (1 MiB) a
+grid: a sweep over X pays only for the primes past the last total it
+covers, and, since it adds the same blocks in the same order, its D_X
+and report are bitwise the cold ones.
 
 Every prime-polylog sum in the package (D_X; torus's S, its reference
 value and harmonic bounds) is _polylog_sum, or, for the window of a
@@ -47,13 +47,13 @@ keeps no totals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, exp, floor, isfinite, log, sqrt
+from math import ceil, exp, floor, log, sqrt
 
 import numpy as np
 
 from .errors import (ConvergenceDomain, CutoffExceeded, GuardBand,
-                     TooFewSamples, ValidationError)
-from .eta import ABS_TOL, _eta_tilde_rows, _prime_powers, \
+                     TooFewSamples, ValidationError, require_finite)
+from .eta import _eta_tilde_rows, _prime_powers, \
     _validate_order_sigma
 from .lru import LRUDict
 from .primes import PrimeTable, sieve_primes
@@ -240,13 +240,6 @@ def _polylog_sum(order: int, logs: np.ndarray, power: int, c: float,
     return total
 
 
-def _require_finite(**values: float) -> None:
-    """ValidationError naming the first of the values that is not finite."""
-    for name, value in values.items():
-        if not isfinite(value):
-            raise ValidationError(f"{name} must be finite")
-
-
 def _prime_logs(X: float, primes: PrimeTable) -> np.ndarray:
     """log p for the primes p <= X of the table."""
     if X > primes.limit:
@@ -259,7 +252,7 @@ def dirichlet_li_sum(m: int, sigma: float, t: float, X: float,
     """sum_{p <= X} Li_{m+1}(p^(-sigma-it)) / (log p)^m, exact finite
     sum: the one-height call of _li_grid (0 with no prime up to X)."""
     _validate_order_sigma(m, sigma)
-    _require_finite(t=t, X=X)
+    require_finite(t=t, X=X)
     logs = _prime_logs(X, primes)
     return complex(_li_grid(m, sigma, logs, t, 1.0, 1, 0))
 
@@ -359,7 +352,7 @@ def mangoldt_grid(m: int, sigma: float, t0: float, step: float, count: int,
     Lambda(n) = log p for prime powers n = p^k, zero otherwise; the
     log n = k log p denominator folds into 1/(k (log n)^m)."""
     _validate_order_sigma(m, sigma)
-    _require_finite(t0=t0, step=step, X=X)
+    require_finite(t0=t0, step=step, X=X)
     if count < 1:
         raise ValidationError("need at least one height")
     logs, inv_k = _prime_powers(int(X))
@@ -382,7 +375,7 @@ def li_vs_mangoldt_gap(m: int, sigma: float, t: float, X: float,
     smallest k with p^k > X, and stops after the term whose geometric
     envelope r^k r / (1 - r), r = p^-sigma, falls below 1e-15."""
     _validate_order_sigma(m, sigma)
-    _require_finite(t=t, X=X)
+    require_finite(t=t, X=X)
     logs = _prime_logs(X, primes)
     if logs.size == 0:
         return 0.0 + 0.0j
@@ -422,21 +415,20 @@ class MeanSquareReport:
 
 
 # eta~ grid columns, each with the D_X totals its sweeps keep, by (m, sigma,
-# T, step, table.key, abs_tol)
+# T, step, table.key)
 _ETA_GRID_CACHE_CAP = 8
 _ETA_GRID_CACHE = LRUDict(_ETA_GRID_CACHE_CAP)
 
 
 def _eta_tilde_grid(m: int, sigma: float, T: float, grid_step: float,
-                    table: ZeroTable, abs_tol: float):
+                    table: ZeroTable):
     """(ts, eta_tilde on the uniform grid ts, kept D_X totals): eta_tilde
     NaN where the ray refuses a height as GuardBand; a stall raises.
     Cached so sweeps over X reuse it."""
     def column():
         ts = np.arange(14.0, T + 1e-9, grid_step)
         vals = np.full(ts.size, np.nan + 0j, dtype=complex)
-        for i, ev in enumerate(_eta_tilde_rows(m, sigma, ts, table,
-                                               abs_tol=abs_tol)):
+        for i, ev in enumerate(_eta_tilde_rows(m, sigma, ts, table)):
             if isinstance(ev, GuardBand):
                 continue
             if isinstance(ev, Exception):
@@ -444,14 +436,13 @@ def _eta_tilde_grid(m: int, sigma: float, T: float, grid_step: float,
             vals[i] = ev.value
         return ts, vals, {}
 
-    return _ETA_GRID_CACHE.get_or_set(
-        (m, sigma, T, grid_step, table.key, abs_tol), column)
+    return _ETA_GRID_CACHE.get_or_set((m, sigma, T, grid_step, table.key),
+                                      column)
 
 
 def mean_square_error(m: int, sigma: float, X: float, T: float,
                       grid_step: float, table: ZeroTable,
-                      primes: PrimeTable | None = None, *,
-                      abs_tol: float = ABS_TOL) -> MeanSquareReport:
+                      primes: PrimeTable | None = None) -> MeanSquareReport:
     """Trapezoidal estimate of (1/T) int_14^T |eta_tilde - D_X|^2 dt.
 
     Guard-zone grid points are skipped and reported as a fraction;
@@ -459,7 +450,7 @@ def mean_square_error(m: int, sigma: float, X: float, T: float,
     X^(1-2 sigma) / (log X)^(2m).
 
     The grid's entry in _ETA_GRID_CACHE, keyed by (m, sigma, T,
-    grid_step, table.key, abs_tol), keeps with its eta_tilde column D_X
+    grid_step, table.key), keeps with its eta_tilde column D_X
     at every height of the grid after each full block of _polylog_sum's
     primes, counted from 2, up to POLYLOG_KEPT = 2^16 numbers (1 MiB) a
     grid.  A call starts from the last total its primes cover, whatever
@@ -468,7 +459,7 @@ def mean_square_error(m: int, sigma: float, X: float, T: float,
     the cold ones.  The totals depend on the primes alone, not on the
     table that holds them: a table is all the primes up to its limit."""
     _validate_order_sigma(m, sigma)
-    _require_finite(X=X, T=T, grid_step=grid_step)
+    require_finite(X=X, T=T, grid_step=grid_step)
     if grid_step > 0.25 or grid_step <= 0.0:
         raise ValidationError("grid_step must be in (0, 0.25]")
     if T < 14.0:
@@ -480,8 +471,7 @@ def mean_square_error(m: int, sigma: float, X: float, T: float,
         primes = sieve_primes(max(3, int(X)))
     logs = _prime_logs(X, primes)
 
-    ts, eta_vals, kept = _eta_tilde_grid(m, sigma, T, grid_step, table,
-                                         abs_tol)
+    ts, eta_vals, kept = _eta_tilde_grid(m, sigma, T, grid_step, table)
     keep = ~np.isnan(eta_vals)
     skipped = 1.0 - keep.sum() / ts.size
     if skipped > 0.20:

@@ -8,7 +8,11 @@ Two broad families matter for callers (and for the CLI exit codes):
   procedure could not finish within its budget (refinement depth, sieve
   limit, search grid, ...).  Partial diagnostics go into the message.
   ``GuardBand``, a ``BranchObstruction``, refuses a zero's guard band.
+
+require_finite is the one check that an entry point's numbers are finite.
 """
+
+from cmath import isfinite
 
 
 class IterzetaError(Exception):
@@ -94,3 +98,11 @@ class WindowExhausted(ComputationError):
 
 class BudgetExceeded(ComputationError):
     """Search grid or evaluation budget above the configured cap."""
+
+
+def require_finite(**values: complex) -> None:
+    """ValidationError naming the first of the values, real or complex,
+    that is not finite."""
+    for name, value in values.items():
+        if not isfinite(value):
+            raise ValidationError(f"{name} must be finite")

@@ -30,10 +30,10 @@ one-height call: between canonical knots (multiples of KNOT_STEP,
 ordinates of zeros right of the line, pad edges) every level advances
 by the exact Taylor shift of iterated integrals, and one partial step
 reaches t.  The knot values of a line are kept in a capped cache keyed
-on (m, sigma, abs_tol, the table's zeros).  A grid's heights go in
-ascending slices, and a slice builds one line branch and makes one
-quadrature call, over the knot steps not yet kept plus a partial step
-per row, so a grid steps its line once.  Each row's value and
+on (m, sigma, the table's zeros).  A grid's heights go in ascending
+slices, and a slice builds one line branch and makes one quadrature
+call, over the knot steps not yet kept plus a partial step per row, so
+a grid steps its line once.  Each row's value and
 est_error are bitwise those of its cold one-height call.  A one-height
 call on a kept line still pays the walks that anchor the branch at its
 partial step.
@@ -58,7 +58,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .errors import (BranchObstruction, QuadratureNonconvergence,
-                     UnsupportedRange, ValidationError)
+                     UnsupportedRange, ValidationError, require_finite)
 from .lru import LRUDict
 from .primes import sieve_primes
 from .quadrature import (gl_nodes, integrate_rows, opening_nodes,
@@ -71,8 +71,15 @@ from .zeros import EMPTY_TABLE, ZeroTable, zeros_in_box
 SUPPORTED_M = (1, 2, 3)
 # below this height a ray integrates log W, the pole's part exactly
 NEAR_POLE = 1.0
-# the default quadrature tolerance of every eta and dirichlet integral
+# the quadrature tolerance of every eta~ and eta value, fixed: a ray's
+# panels meet it over [sigma, sigma + CUTOFF_OFFSET], a line's over the
+# table's coverage; est_error adds zeta's error and a ray's tail bound
 ABS_TOL = 1e-8
+# the largest deviation at which eta_tilde_recursive accepts a Chebyshev
+# piece, a hundredth of ABS_TOL: the weight's mass 6^m / m! <= 36 carries
+# it into the value, so the fit's share of est_error stays within
+# 0.36 ABS_TOL and the route checks the weighted one to its tolerance
+CHEB_TOL = 1e-10
 # heights in one pass of _eta_tilde_rows or slice of _eta_vertical_rows.
 # A pass holds the quadrature nodes of all its heights at once, so this
 # bounds its memory; from about 16 heights on, a pass costs the same per
@@ -141,11 +148,6 @@ def _validate_order_sigma(m: int, sigma: float) -> None:
         raise ValidationError("sigma must be finite and >= 1/2")
 
 
-def _validate_abs_tol(abs_tol: float) -> None:
-    if not abs_tol > 0.0:
-        raise ValidationError("abs_tol must be positive")
-
-
 def _log_zeta_error(sigma: float, t):
     """Error of log zeta at any point of a path with heights up to t and
     Re s >= sigma, for each height of t (a float or an array): a ray
@@ -178,6 +180,7 @@ def tail_bound(m: int, sigma: float, a_cut: float) -> float:
     A = a_cut, K = TAIL_TERMS.  sum_{n > K} n^-a <= K^(1-a) / (a-1)
     <= K^(1-a) / (A-1) for a >= A > 1, and K^-a integrates against the
     weight as every term does."""
+    require_finite(sigma=sigma, a_cut=a_cut)
     if not a_cut > 1.0:
         raise ValidationError("the Dirichlet series of log zeta needs "
                               "a cut A > 1")
@@ -260,17 +263,15 @@ def _pole_log(m: int, sigma: float, a_cut: float, t: float) -> complex:
 
 
 def eta_tilde_weighted(m: int, sigma: float, t: float,
-                       table: ZeroTable = EMPTY_TABLE, *,
-                       abs_tol: float = ABS_TOL) -> EtaValue:
+                       table: ZeroTable = EMPTY_TABLE) -> EtaValue:
     """Horizontal iterated integral via the collapsed weighted form: the
     one-height call of _eta_tilde_rows, conjugated below the real axis."""
     _validate_order_sigma(m, sigma)
-    _validate_abs_tol(abs_tol)
     if t < 0.0:
-        below = eta_tilde_weighted(m, sigma, -t, table, abs_tol=abs_tol)
+        below = eta_tilde_weighted(m, sigma, -t, table)
         return replace(below, point=ComplexPoint(sigma, t),
                        value=np.conjugate(below.value))
-    out, = _eta_tilde_rows(m, sigma, np.array([t]), table, abs_tol=abs_tol)
+    out, = _eta_tilde_rows(m, sigma, np.array([t]), table)
     if isinstance(out, Exception):
         raise out
     return out
@@ -289,7 +290,7 @@ def _ray_integrand(branch: RayBranch, alphas, rows) -> np.ndarray:
 
 
 def _eta_tilde_rows(m, sigma: float, ts: np.ndarray,
-                    table: ZeroTable, *, abs_tol: float = ABS_TOL) -> list:
+                    table: ZeroTable) -> list:
     """eta~_m(sigma + it) at every height t >= 0 of ts, in one pass.
 
     One RayBranch resolves the ladders of all heights and one
@@ -317,11 +318,10 @@ def _eta_tilde_rows(m, sigma: float, ts: np.ndarray,
     orders = m if isinstance(m, tuple) else (m,)
     for j in orders:
         _validate_order_sigma(j if j or orders is not m else 1, sigma)
-    _validate_abs_tol(abs_tol)
     if ts.size > ROWS_PER_PASS:
         return [ev for lo in range(0, ts.size, ROWS_PER_PASS)
                 for ev in _eta_tilde_rows(m, sigma, ts[lo:lo + ROWS_PER_PASS],
-                                          table, abs_tol=abs_tol)]
+                                          table)]
     a_cut = sigma + CUTOFF_OFFSET
     branch = RayBranch(sigma, ts, table,
                        opening_nodes(sigma, a_cut, RAY_SPLITS))
@@ -340,7 +340,7 @@ def _eta_tilde_rows(m, sigma: float, ts: np.ndarray,
                else np.zeros_like(lz) for j in orders]
         return np.stack(out) if orders is m else out[0]
     value, qerr, _, refused = integrate_rows(
-        f, np.full(rows.size, sigma), a_cut, abs_tol,
+        f, np.full(rows.size, sigma), a_cut, ABS_TOL,
         initial_splits=RAY_SPLITS)
     shape = (rows.size, len(orders))
     value, qerr = value.reshape(shape), qerr.reshape(shape)
@@ -407,14 +407,13 @@ def _integral_to_cut(lo: np.ndarray, hi: np.ndarray, coeffs: np.ndarray,
 
 
 def eta_tilde_recursive(m: int, sigma: float, t: float,
-                        table: ZeroTable = EMPTY_TABLE, *,
-                        abs_tol: float = ABS_TOL) -> EtaValue:
+                        table: ZeroTable = EMPTY_TABLE) -> EtaValue:
     """Horizontal iterated integral by literal nesting.
 
     log zeta on [sigma, A], A = sigma + CUTOFF_OFFSET, is fitted by
     degree-8 Chebyshev pieces on the ray's branch ladder (_ray_integrand:
-    log W below NEAR_POLE); a piece whose fit misses tol at a check node
-    is bisected.
+    log W below NEAR_POLE); a piece whose fit misses CHEB_TOL at a check
+    node is bisected.
     Level j is then the exact antiderivative of level j - 1 from x to
     the cut, plus its value there in closed form,
     G_j(A) = sum n^-(A+it) / (k (log n)^j), so the levels are the nested
@@ -425,23 +424,21 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
     and serve as mutual checks.
     """
     _validate_order_sigma(m, sigma)
-    _validate_abs_tol(abs_tol)
     if t < 0.0:
-        below = eta_tilde_recursive(m, sigma, -t, table, abs_tol=abs_tol)
+        below = eta_tilde_recursive(m, sigma, -t, table)
         return replace(below, point=ComplexPoint(sigma, t),
                        value=np.conjugate(below.value))
     a_cut = sigma + CUTOFF_OFFSET
     branch = RayBranch(sigma, t, table)
     nev = branch.nodes_used
     edges = branch.abscissae()
-    tol = max(abs_tol * 1e-2, 1e-11)
     lo, hi = edges[:-1], edges[1:]
     pieces, dev_max = [], 0.0
     for _ in range(14):
         coeffs, dev = _cheb_fit(lambda xs: _ray_integrand(branch, xs, 0),
                                 lo, hi)
         nev += lo.size * (_CHEB_NODES.size + _CHECK_NODES.size)
-        good = dev <= tol
+        good = dev <= CHEB_TOL
         pieces.append((lo[good], hi[good], coeffs[good]))
         dev_max = max(dev_max, float(dev[good].max(initial=0.0)))
         if good.all():
@@ -473,29 +470,27 @@ def eta_tilde_recursive(m: int, sigma: float, t: float,
     return EtaValue(m, ComplexPoint(sigma, t), value, err, nev)
 
 
-# eta~_j(sigma + 0i), j in SUPPORTED_M, by (sigma, abs_tol): one t = 0
+# eta~_j(sigma + 0i), j in SUPPORTED_M, by sigma: one t = 0
 # row on shared panels, so a line's m constants cost one pass
 _C_CACHE_CAP = 64
 _C_CACHE = LRUDict(_C_CACHE_CAP)
 
 
-def _c_eta(m: int, sigma: float, abs_tol: float) -> EtaValue:
+def _c_eta(m: int, sigma: float) -> EtaValue:
     def make():
-        evs, = _eta_tilde_rows(SUPPORTED_M, sigma, np.zeros(1), EMPTY_TABLE,
-                               abs_tol=abs_tol)
+        evs, = _eta_tilde_rows(SUPPORTED_M, sigma, np.zeros(1), EMPTY_TABLE)
         if isinstance(evs, Exception):
             raise evs
         return evs
-    return _C_CACHE.get_or_set((sigma, abs_tol), make)[m - 1]
+    return _C_CACHE.get_or_set(sigma, make)[m - 1]
 
 
-def c_m(m: int, sigma: float, *, abs_tol: float = ABS_TOL) -> complex:
+def c_m(m: int, sigma: float) -> complex:
     """Integration constant of the vertical recursion:
     i^m / (m-1)! int_sigma^inf (a-sigma)^(m-1) log zeta(a) da, with the
     real-axis branch taken as the limit from the upper half plane."""
     _validate_order_sigma(m, sigma)
-    _validate_abs_tol(abs_tol)
-    return 1j ** m * _c_eta(m, sigma, abs_tol).value
+    return 1j ** m * _c_eta(m, sigma).value
 
 
 def y_m_terms(m: int, sigma: float, t: float,
@@ -518,9 +513,8 @@ def y_m(m: int, sigma: float, t: float, table: ZeroTable) -> complex:
                0.0 + 0.0j)
 
 
-# lines whose knot values _eta_vertical_rows keeps, by (m, sigma,
-# abs_tol, table zeros); a line holds m complex values and m bounds per
-# knot
+# lines whose knot values _eta_vertical_rows keeps, by (m, sigma, table
+# zeros); a line holds m complex values and m bounds per knot
 _LINE_CACHE_CAP = 64
 _LINE_CACHE = LRUDict(_LINE_CACHE_CAP)
 
@@ -542,8 +536,7 @@ class _Line:
     within twice SINGULARITY_PAD of each other.
     """
 
-    def __init__(self, m: int, sigma: float, abs_tol: float,
-                 table: ZeroTable):
+    def __init__(self, m: int, sigma: float, table: ZeroTable):
         h = SINGULARITY_PAD
         on = np.abs(sigma - table.betas) <= h
         pad_g = table.gammas[on]
@@ -558,8 +551,8 @@ class _Line:
         close = np.flatnonzero(np.diff(table.gammas) <= 2.0 * h)
         self.crowded = table.gammas[close[0] + 1] if close.size else np.inf
         # panels meet rate per unit height in every level: at most
-        # abs_tol in all at the top of the table's coverage
-        self.rate = abs_tol * factorial(m) / table.coverage ** m
+        # ABS_TOL in all at the top of the table's coverage
+        self.rate = ABS_TOL * factorial(m) / table.coverage ** m
         near = np.nonzero(np.abs(sigma - table.betas) <= NEAR_LINE)[0]
         near = near[np.argsort(table.gammas[near], kind="stable")]
         self.near = (table.gammas[near], sigma - table.betas[near],
@@ -568,9 +561,8 @@ class _Line:
         # c_j = i^j eta~_j(sigma), and a knot's value is the same whichever
         # row stores it; the first row to get a value counts the
         # constants' evaluations if this line makes them
-        self.unpaid = 0 if (sigma, abs_tol) in _C_CACHE \
-            else _c_eta(1, sigma, abs_tol).nevals
-        cs = [_c_eta(j, sigma, abs_tol) for j in range(1, m + 1)]
+        self.unpaid = 0 if sigma in _C_CACHE else _c_eta(1, sigma).nevals
+        cs = [_c_eta(j, sigma) for j in range(1, m + 1)]
         self.kept = [(np.array([1j ** j * c.value
                                 for j, c in enumerate(cs, 1)]),
                       np.array([c.est_error for c in cs]))]
@@ -589,10 +581,9 @@ class _Line:
                 np.where(used, k[slot], 0.0), count)
 
 
-def _line(m: int, sigma: float, abs_tol: float, table: ZeroTable) -> _Line:
-    return _LINE_CACHE.get_or_set(
-        (m, sigma, abs_tol, table.key),
-        lambda: _Line(m, sigma, abs_tol, table))
+def _line(m: int, sigma: float, table: ZeroTable) -> _Line:
+    return _LINE_CACHE.get_or_set((m, sigma, table.key),
+                                  lambda: _Line(m, sigma, table))
 
 
 def _pad_rule(f, lo, hi, rows):
@@ -619,8 +610,7 @@ def _shift(F, E, delta: float, S, R):
     return taylor @ F + S, taylor @ E + R
 
 
-def _eta_vertical_rows(m: int, sigma: float, ts, table: ZeroTable, *,
-                       abs_tol: float = ABS_TOL) -> list:
+def _eta_vertical_rows(m: int, sigma: float, ts, table: ZeroTable) -> list:
     """Vertical iterated integral at every height t > 0 of ts, stepped
     up the line by its recursion from the constants c_j(sigma):
 
@@ -648,8 +638,8 @@ def _eta_vertical_rows(m: int, sigma: float, ts, table: ZeroTable, *,
 
     The heights go in ascending slices of at most ROWS_PER_PASS.  A
     slice makes one integrate_rows call, over the knot steps above the
-    line's highest kept knot (_LINE_CACHE, by m, sigma, abs_tol and the
-    table's zeros) up to its top row, plus each row's partial step, and
+    line's highest kept knot (_LINE_CACHE, by m, sigma and the table's
+    zeros) up to its top row, plus each row's partial step, and
     one _pad_rule call for the pads; each row then shifts from its own
     knot.  A step's panels, tolerance and zeta values depend on the step
     alone, so each row's value and est_error are bitwise those of its
@@ -671,12 +661,11 @@ def _eta_vertical_rows(m: int, sigma: float, ts, table: ZeroTable, *,
     the UnsupportedRange of a row above the line's `crowded` height, the
     BranchObstruction of a branch stretch its steps meet, or a step's
     QuadratureNonconvergence.  A knot step's refusal refuses every row
-    above it; the others are as they would be alone.  A bad order,
-    sigma or abs_tol, a height t <= 0 and a height past the table's
-    coverage raise for the whole call before any row is computed.
+    above it; the others are as they would be alone.  A bad order or
+    sigma, a height t <= 0 and a height past the table's coverage raise
+    for the whole call before any row is computed.
     """
     _validate_order_sigma(m, sigma)
-    _validate_abs_tol(abs_tol)
     ts = np.asarray(ts, dtype=float)
     if not np.all(ts > 0.0):
         raise ValidationError("eta_vertical needs t > 0; at t = 0 the "
@@ -684,19 +673,19 @@ def _eta_vertical_rows(m: int, sigma: float, ts, table: ZeroTable, *,
     if not ts.size:
         return []
     table.require_coverage(ts.max())
-    line = _line(m, sigma, abs_tol, table)
+    line = _line(m, sigma, table)
     order = np.argsort(ts, kind="stable")
     out = [None] * ts.size
     for lo in range(0, ts.size, ROWS_PER_PASS):
         rows = order[lo:lo + ROWS_PER_PASS]
         for r, ev in zip(rows, _vertical_slice(m, sigma, ts[rows], line,
-                                               table, abs_tol)):
+                                               table)):
             out[r] = ev
     return out
 
 
 def _vertical_slice(m: int, sigma: float, ts: np.ndarray, line: _Line,
-                    table: ZeroTable, abs_tol: float) -> list:
+                    table: ZeroTable) -> list:
     """The rows of _eta_vertical_rows at the ascending heights ts."""
     live = int(np.searchsorted(ts, line.crowded, side="right"))
     out = [None] * live + [UnsupportedRange(
@@ -795,28 +784,28 @@ def _vertical_slice(m: int, sigma: float, ts: np.ndarray, line: _Line,
     return out
 
 
-def eta_vertical(m: int, sigma: float, t: float, table: ZeroTable, *,
-                 abs_tol: float = ABS_TOL) -> EtaValue:
+def eta_vertical(m: int, sigma: float, t: float,
+                 table: ZeroTable) -> EtaValue:
     """Vertical iterated integral eta_m(sigma + it), t > 0: the
     one-height call of _eta_vertical_rows, raising the refusal the
     height gets."""
-    out, = _eta_vertical_rows(m, sigma, [t], table, abs_tol=abs_tol)
+    out, = _eta_vertical_rows(m, sigma, [t], table)
     if isinstance(out, Exception):
         raise out
     return out
 
 
-def check_bridge(m: int, sigma: float, t: float, table: ZeroTable, *,
-                 abs_tol: float = ABS_TOL) -> float:
+def check_bridge(m: int, sigma: float, t: float,
+                 table: ZeroTable) -> float:
     """|eta_vertical - (i^m eta_tilde_weighted + y_m)|; should sit inside
     the combined est_error budget."""
-    ev = eta_vertical(m, sigma, t, table, abs_tol=abs_tol)
-    et = eta_tilde_weighted(m, sigma, t, table, abs_tol=abs_tol)
+    ev = eta_vertical(m, sigma, t, table)
+    et = eta_tilde_weighted(m, sigma, t, table)
     return abs(ev.value - (1j ** m * et.value + y_m(m, sigma, t, table)))
 
 
-def growth_check(m: int, sigma: float, t_samples, table: ZeroTable, *,
-                 abs_tol: float = ABS_TOL) -> list[tuple[float, float]]:
+def growth_check(m: int, sigma: float, t_samples,
+                 table: ZeroTable) -> list[tuple[float, float]]:
     """Normalized residuals |eta_m - Y_m| / log t over the samples; the
     sequence should stay bounded (reported, not asserted to a constant).
     A sample t <= e is refused before any row is computed."""
@@ -825,8 +814,7 @@ def growth_check(m: int, sigma: float, t_samples, table: ZeroTable, *,
         raise ValidationError("growth samples need t > e for the "
                               "log t normalization")
     out = []
-    for t, ev in zip(ts, _eta_vertical_rows(m, sigma, ts, table,
-                                            abs_tol=abs_tol)):
+    for t, ev in zip(ts, _eta_vertical_rows(m, sigma, ts, table)):
         if isinstance(ev, Exception):
             raise ev
         out.append((t, abs(ev.value - y_m(m, sigma, t, table)) / log(t)))

@@ -43,7 +43,7 @@ import numpy as np
 
 from .blocks import map_blocks
 from .errors import (DominanceViolation, RootFindFailure, TargetOutsideDisk,
-                     TooFewRadii, ValidationError)
+                     TooFewRadii, ValidationError, require_finite)
 
 ALIGNED_RTOL = 1e-12       # |z| at the boundary of the disk
 # degenerate polygon: the other sides sum to within FLAT_RTOL times the
@@ -272,6 +272,7 @@ def _unit(thetas: np.ndarray) -> np.ndarray:
 def polygon_angles(radii: RadiiSet, z: complex) -> AngleAssignment:
     """Angles theta with sum r_n exp(-2 pi i theta_n) = z, residual below
     1e-10 for well-conditioned inputs (see module docstring)."""
+    require_finite(z=z)
     thetas = np.empty(radii.radii.size)
     achieved, _ = _polygon(radii.radii, z, thetas)
     return AngleAssignment(thetas, complex(z), achieved,

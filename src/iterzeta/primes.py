@@ -58,10 +58,12 @@ def sieve_primes(limit: int) -> PrimeTable:
     keeps their prefixes, so pages past the count are never touched, and
     marks them read-only.  The peak memory is the table plus one segment:
     its 1 MB of flags and the indices of its primes."""
-    limit = int(limit)
-    if limit < 3 or limit > SIEVE_MAX:
+    # compared before int(), which raises a bare ValueError or
+    # OverflowError on nan or inf
+    if not 3 <= limit <= SIEVE_MAX:
         raise LimitExceeded(
             f"sieve limit must be in [3, {SIEVE_MAX}], got {limit}")
+    limit = int(limit)
     root = math.isqrt(limit)
     small = np.ones(root + 1, dtype=bool)
     small[:2] = False

@@ -315,7 +315,7 @@ def poly_log_integral(m: int, t: float, u0: float, u1: float,
     terms.  Its callers keep c small: c = t < eta.NEAR_POLE for the pole
     of a ray at height t, |c| <= eta.NEAR_LINE for a zero's model, and
     c = sigma - 1 in eta_vertical (off mpmath by 3e-13 at sigma = 20,
-    m = 3, far inside abs_tol).  Higher rays do not split off the pole:
+    m = 3, far inside eta.ABS_TOL).  Higher rays do not split off the pole:
     at c = t = 9990, m = 3 it is off by 4e-4.
     """
     return poly_log_integrals(m, t, u0, u1, gamma, c)[-1]

@@ -48,7 +48,8 @@ import numpy as np
 from .blocks import map_blocks
 from .dirichlet import (POLYLOG_CHUNK, _live_counts, _polylog_prefix,
                         _polylog_sum, polylog)
-from .errors import (LimitExceeded, ValidationError, WindowExhausted)
+from .errors import (LimitExceeded, ValidationError, WindowExhausted,
+                     require_finite)
 from .eta import _validate_order_sigma
 from .lru import LRUDict
 from .polygon import AngleAssignment, _polygon
@@ -109,6 +110,14 @@ def _s_sum_arrays(logs: np.ndarray, thetas: np.ndarray, sigma: float,
         -sigma * logs[lo:hi] - 2j * np.pi * thetas[lo:hi]))
 
 
+def _validate_cut(m: int, sigma: float, tail_cut: float) -> None:
+    """The torus checks and a finite tail_cut >= 1000."""
+    _validate_torus(m, sigma)
+    require_finite(tail_cut=tail_cut)
+    if tail_cut < 1_000:
+        raise ValidationError("tail_cut below 1000 gives a useless estimate")
+
+
 def gamma_m_sigma(m: int, sigma: float, tail_cut: float,
                   primes: Optional[PrimeTable] = None) -> complex:
     """Reference value S_{m,sigma}(theta^(0)) over primes up to tail_cut.
@@ -116,9 +125,7 @@ def gamma_m_sigma(m: int, sigma: float, tail_cut: float,
     The terms alternate in sign with the prime index, so the truncation
     error obeys the Leibniz bound gamma_tail_estimate.  Read from
     _below_cut, whose cache construct_theta shares."""
-    _validate_torus(m, sigma)
-    if not tail_cut >= 1_000:
-        raise ValidationError("tail_cut below 1000 gives a useless estimate")
+    _validate_cut(m, sigma, tail_cut)
     if primes is not None and primes.limit < tail_cut:
         raise LimitExceeded(
             f"prime table reaches {primes.limit}, below tail_cut {tail_cut}")
@@ -129,10 +136,11 @@ def gamma_tail_estimate(m: int, sigma: float, tail_cut: float) -> float:
     """|Li_{m+1}(tail_cut^-sigma)| / (log tail_cut)^m, the first omitted
     term of the full reference sum gamma, all harmonics, whose Leibniz
     bound it is.  It is not _below_cut's first-harmonic Leibniz term
-    cut^-sigma / (log cut)^m.  Nothing in the package calls it."""
-    _validate_torus(m, sigma)
-    if tail_cut < 1_000:
-        raise ValidationError("tail_cut below 1000 gives a useless estimate")
+    cut^-sigma / (log cut)^m.
+
+    Tracer-only: no caller in src/; kept only for perfbench/tracing.py's
+    ENTRY_POINTS, and deleted with those lines by a benchmark change."""
+    _validate_cut(m, sigma, tail_cut)
     return abs(polylog(m + 1, tail_cut ** (-sigma))) \
         / math.log(tail_cut) ** m
 

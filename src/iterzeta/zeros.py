@@ -23,7 +23,7 @@ from math import inf
 import numpy as np
 
 from .errors import (MonotonicityError, ParseError, TableCoverage,
-                     UnsupportedRange)
+                     UnsupportedRange, require_finite)
 
 BUNDLED_TABLE_NAME = "zeros_t250.txt"
 
@@ -38,7 +38,12 @@ class ZeroTable:
     def __post_init__(self) -> None:
         b = np.asarray(self.betas, dtype=np.float64)
         g = np.asarray(self.gammas, dtype=np.float64)
-        m = np.asarray(self.mults, dtype=np.int64)
+        k = np.asarray(self.mults)
+        # a multiplicity is a count: a cast would drop a fraction silently
+        if k.dtype.kind not in "iu" and not np.all(
+                np.isfinite(k) & (k == np.floor(k))):
+            raise ParseError("multiplicities must be integers")
+        m = k.astype(np.int64)
         if not (b.shape == g.shape == m.shape):
             raise ParseError("beta/gamma/mult arrays must have equal length")
         if b.size:
@@ -136,6 +141,7 @@ def zeros_in_box(table: ZeroTable, sigma: float, t: float):
     Returns (betas, gammas, mults) as numpy arrays; all empty when the
     table holds nothing in the box.
     """
+    require_finite(sigma=sigma, t=t)
     if not t > 0.0:
         raise UnsupportedRange("zeros_in_box needs t > 0")
     sel = (table.betas > sigma) & (table.gammas < t)

@@ -109,11 +109,14 @@ def test_eval_empty_range(tmp_path):
 def test_eval_refuses_unknown_keys(tmp_path, capsys):
     # every command refuses a key it does not read before it computes or
     # writes anything, so a misspelt setting never runs at its default;
-    # each polygon mode refuses the other mode's keys
+    # each polygon mode refuses the other mode's keys.  eval has no
+    # accuracy setting: the quadrature tolerance is eta.ABS_TOL
     table = _table_arg(tmp_path)
     runs = [
         ("eval", ["m=1", "sigma=0.5", "t=20..21", f"table={table}"],
          "workers=2"),
+        ("eval", ["m=2", "sigma=0.8", "t=20..30", "step=0.5",
+                  f"table={table}"], "abs_tol=1e-10"),
         ("meansquare", ["m=1", "sigma=2", "X=10", "T=20", f"table={table}"],
          "stpe=0.1"),
         ("hunt", ["m=1", "sigma=0.8", "a=0.1+0.1i", "epsilon=0.1"],

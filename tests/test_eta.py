@@ -221,6 +221,21 @@ def test_tail_bound_shrinks():
     assert tail_bound(3, 0.5, 0.5 + CUTOFF_OFFSET) < 2e-14
 
 
+def test_tail_and_zero_sum_refuse_non_finite_inputs():
+    # tail_bound returned NaN at a NaN sigma, and 0 * inf = NaN at an
+    # infinite cut
+    for sigma, a_cut in ((np.nan, 7.0), (0.5, np.inf), (0.5, np.nan)):
+        with pytest.raises(ValidationError, match="finite"):
+            tail_bound(2, sigma, a_cut)
+    # with a zero right of the line, t = inf gave inf+nanj and NaN terms
+    tab = ZeroTable(betas=np.array([0.75]), gammas=np.array([10.0]),
+                    mults=np.array([1]))
+    for t in (np.inf, np.nan):
+        for f in (y_m, y_m_terms):
+            with pytest.raises(ValidationError, match="finite"):
+                f(2, 0.5, t, tab)
+
+
 def _bound_past(m, sigma, a_cut):
     """1/(m-1)! int_A^inf (a-sigma)^(m-1) 2 * 2^-a da, A = a_cut: the
     weight against |log zeta(a + it)| <= 2 * 2^-a for a >= 2."""
@@ -449,10 +464,10 @@ def test_c_cache_keeps_its_cap(monkeypatch):
     for sigma in sigmas[2:]:
         c_m(1, sigma)
     assert len(eta._C_CACHE) == eta._C_CACHE_CAP
-    assert (sigmas[1], 1e-8) not in eta._C_CACHE
+    assert sigmas[1] not in eta._C_CACHE
     assert c_m(1, sigmas[0]) == first
     again = c_m(1, sigmas[1])
-    assert (sigmas[1], 1e-8) in eta._C_CACHE
+    assert sigmas[1] in eta._C_CACHE
     assert again == eta.eta_tilde_weighted(1, sigmas[1], 0.0).value * 1j
     assert len(eta._C_CACHE) == eta._C_CACHE_CAP
 
@@ -537,7 +552,7 @@ def test_bridge_spot_checks():
 
 def test_bridge_m3_tall():
     # log zeta's rounding, times the weight (t-u)^2/2, passes the panels'
-    # share of abs_tol here; the quadrature must stop at that noise floor
+    # share of ABS_TOL here; the quadrature must stop at that noise floor
     m, sigma, t = 3, 0.8, 200.5
     ev = eta_vertical(m, sigma, t, TAB)
     et = eta_tilde_weighted(m, sigma, t, TAB)
@@ -760,15 +775,13 @@ def test_a_new_line_starts_at_its_constants(monkeypatch):
     monkeypatch.setattr(eta, "_C_CACHE", eta.LRUDict(eta._C_CACHE_CAP))
     eta._LINE_CACHE.clear()
     first = eta_vertical(3, 0.8, 5.0, TAB)
-    F, E = eta._line(3, 0.8, eta.ABS_TOL, TAB).kept[0]
+    F, E = eta._line(3, 0.8, TAB).kept[0]
     assert list(F) == [c_m(j, 0.8) for j in (1, 2, 3)]
-    assert list(E) == [eta._c_eta(j, 0.8, eta.ABS_TOL).est_error
-                       for j in (1, 2, 3)]
+    assert list(E) == [eta._c_eta(j, 0.8).est_error for j in (1, 2, 3)]
     eta._LINE_CACHE.clear()
     again = eta_vertical(3, 0.8, 5.0, TAB)      # the constants are kept
     assert (again.value, again.est_error) == (first.value, first.est_error)
-    assert first.nevals - again.nevals \
-        == eta._c_eta(1, 0.8, eta.ABS_TOL).nevals
+    assert first.nevals - again.nevals == eta._c_eta(1, 0.8).nevals
 
 
 def test_a_new_line_forms_zeta_error_at_its_steps(monkeypatch):
@@ -842,9 +855,3 @@ def test_guard_band():
             with pytest.raises(GuardBand, match=f"{g1:.6f}"):
                 log_zeta_horizontal(sigma, t, TAB)
         assert np.isfinite(log_zeta_horizontal(0.8, t, TAB))
-
-
-def test_abs_tol_must_be_positive():
-    for route in (eta_tilde_weighted, eta_tilde_recursive, eta_vertical):
-        with pytest.raises(ValidationError):
-            route(1, 0.8, 20.0, TAB, abs_tol=-1.0)

@@ -217,6 +217,10 @@ def test_input_validation():
         RadiiSet(np.array([1.0, -1.0, 1.0]))
     with pytest.raises(ValidationError):
         AngleAssignment(np.array([0.5, 1.2]), 0j, 0j, 0.0)
+    # a NaN target passed every comparison and gave residual NaN
+    for z in (np.nan, complex(0.0, np.inf), complex(np.nan, 1.0)):
+        with pytest.raises(ValidationError, match="finite"):
+            polygon_angles(RadiiSet([3.0, 4.0, 5.0]), z)
 
 
 def test_arcsin_sum_series_matches_exact():

@@ -97,3 +97,7 @@ def test_limit_bounds():
     with pytest.raises(LimitExceeded):
         sieve_primes(200_000_000)
     assert sieve_primes(3).primes.tolist() == [2, 3]
+    # the int() cast raised a bare ValueError at NaN, OverflowError at inf
+    for limit in (np.nan, np.inf, -np.inf):
+        with pytest.raises(LimitExceeded):
+            sieve_primes(limit)

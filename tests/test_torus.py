@@ -78,6 +78,13 @@ def test_gamma_validation():
         gamma_m_sigma(4, 0.8, 1e4, PT)
     with pytest.raises(ValidationError):
         gamma_m_sigma(1, float("nan"), 1e4, PT)
+    # gamma_m_sigma raised OverflowError at an infinite cut, and
+    # gamma_tail_estimate returned 0.0 there and ConvergenceDomain at NaN
+    for cut in (math.inf, math.nan):
+        for f in (gamma_m_sigma, gamma_tail_estimate):
+            with pytest.raises(ValidationError, match="tail_cut") as err:
+                f(1, 0.8, cut)
+            assert type(err.value) is ValidationError
 
 
 def test_s_sum_single_primes_by_hand():

@@ -78,6 +78,12 @@ def test_validation():
     empty = ZeroTable(betas=np.zeros(0), gammas=np.zeros(0),
                       mults=np.zeros(0, dtype=np.int64), source_label="e")
     assert empty.coverage == 0.0
+    # a multiplicity is a count: the int64 cast stored 1.7 as 1
+    for k in (1.7, 0.5, np.nan, np.inf):
+        with pytest.raises(ParseError, match="integers"):
+            ZeroTable(betas=[0.5], gammas=[14.1], mults=[k])
+    tab = ZeroTable(betas=[0.5], gammas=[14.1], mults=[2.0])
+    assert tab.mults.dtype == np.int64 and tab.mults.tolist() == [2]
 
 
 def test_zeros_in_box():
@@ -88,3 +94,8 @@ def test_zeros_in_box():
     assert g2.size == 0
     with pytest.raises(ValidationError):
         zeros_in_box(tab, 0.4, -1.0)
+    # a NaN sigma compared False against every beta and gave an empty box
+    for sigma, t in ((np.nan, 30.0), (0.4, np.nan), (0.4, np.inf),
+                     (-np.inf, 30.0)):
+        with pytest.raises(ValidationError, match="finite"):
+            zeros_in_box(tab, sigma, t)
