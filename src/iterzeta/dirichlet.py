@@ -52,7 +52,8 @@ from math import ceil, exp, floor, log, sqrt
 import numpy as np
 
 from .errors import (ConvergenceDomain, CutoffExceeded, GuardBand,
-                     TooFewSamples, ValidationError, require_finite)
+                     TooFewSamples, ValidationError, float_array,
+                     require_finite)
 from .eta import _eta_tilde_rows, _prime_powers, \
     _validate_order_sigma
 from .lru import LRUDict
@@ -96,7 +97,7 @@ def polylog_batch(order: int, zs: np.ndarray) -> np.ndarray:
     if order < 1 or order != int(order):
         raise ValidationError("polylog order must be a positive integer")
     order = int(order)
-    zs = np.asarray(zs, dtype=complex)
+    zs = float_array(zs, complex)
     flat = zs.ravel()
     r = np.abs(flat)
     if not np.all(r <= POLYLOG_RADIUS):

@@ -9,10 +9,15 @@ Two broad families matter for callers (and for the CLI exit codes):
   limit, search grid, ...).  Partial diagnostics go into the message.
   ``GuardBand``, a ``BranchObstruction``, refuses a zero's guard band.
 
-require_finite is the one check that an entry point's numbers are finite.
+require_finite is the one check that an entry point's numbers are finite,
+and float_array reads numbers for it: a number with no float form, an
+int past the float range, is not finite.
 """
 
 from cmath import isfinite
+from math import inf
+
+import numpy as np
 
 
 class IterzetaError(Exception):
@@ -100,9 +105,34 @@ class BudgetExceeded(ComputationError):
     """Search grid or evaluation budget above the configured cap."""
 
 
-def require_finite(**values: complex) -> None:
-    """ValidationError naming the first of the values, real or complex,
-    that is not finite."""
+def require_finite(**values) -> None:
+    """ValidationError naming the first of the values, real or complex
+    numbers or arrays of them, that is not finite."""
     for name, value in values.items():
-        if not isfinite(value):
+        try:
+            finite = np.isfinite(float_array(value, complex)).all() \
+                if isinstance(value, (np.ndarray, list, tuple)) \
+                else isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ValidationError(f"{name} must be finite")
+
+
+def float_array(values, dtype=float) -> np.ndarray:
+    """np.asarray(values, dtype) for a float or complex dtype, with a
+    number that has no float form read as an infinity of its sign, so
+    that a finite check refuses it as it refuses inf."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except OverflowError:
+        return np.vectorize(_float_form, otypes=[dtype])(
+            np.asarray(values, dtype=object))
+
+
+def _float_form(value):
+    try:
+        complex(value)
+    except OverflowError:
+        return inf if value > 0 else -inf
+    return value

@@ -29,14 +29,14 @@ _eta_vertical_rows steps it up the line, and eta_vertical is its
 one-height call: between canonical knots (multiples of KNOT_STEP,
 ordinates of zeros right of the line, pad edges) every level advances
 by the exact Taylor shift of iterated integrals, and one partial step
-reaches t.  The knot values of a line are kept in a capped cache keyed
-on (m, sigma, the table's zeros).  A grid's heights go in ascending
-slices, and a slice builds one line branch and makes one quadrature
-call, over the knot steps not yet kept plus a partial step per row, so
-a grid steps its line once.  Each row's value and
-est_error are bitwise those of its cold one-height call.  A one-height
-call on a kept line still pays the walks that anchor the branch at its
-partial step.
+reaches t.  The knot values of a line and its branch are kept in a
+capped cache keyed on (m, sigma, the table's zeros).  A grid's heights
+go in ascending slices, and a slice makes one quadrature call, over the
+knot steps not yet kept plus a partial step per row, so a grid steps
+its line once.  A slice builds a line branch only where the kept one
+does not cover its steps, so a one-height call on a kept line pays for
+its partial step alone.  Each row's value and est_error are bitwise
+those of its cold one-height call.
 
 The two are linked by eta_m = i^m eta_tilde_m + Y_m where Y_m collects
 contributions of zeros right of the line below height t; check_bridge
@@ -58,7 +58,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .errors import (BranchObstruction, QuadratureNonconvergence,
-                     UnsupportedRange, ValidationError, require_finite)
+                     UnsupportedRange, ValidationError, float_array,
+                     require_finite)
 from .lru import LRUDict
 from .primes import sieve_primes
 from .quadrature import (gl_nodes, integrate_rows, opening_nodes,
@@ -144,8 +145,9 @@ class ZeroSumTerm:
 def _validate_order_sigma(m: int, sigma: float) -> None:
     if m not in SUPPORTED_M:
         raise UnsupportedRange(f"order m={m} unsupported; use m in {SUPPORTED_M}")
-    if not np.isfinite(sigma) or sigma < 0.5:
-        raise ValidationError("sigma must be finite and >= 1/2")
+    require_finite(sigma=sigma)
+    if sigma < 0.5:
+        raise ValidationError("sigma must be >= 1/2")
 
 
 def _log_zeta_error(sigma: float, t):
@@ -534,20 +536,32 @@ class _Line:
     of the line, by ordinate, have their local models taken out of the
     integrand.  Rows above `crowded` refuse: past it two ordinates lie
     within twice SINGULARITY_PAD of each other.
+
+    `branch` is the rays.LineBranch of the last slice that built one,
+    over the `cuts` (the ordinates of zeros at or right of the line) and
+    the `pads`: from a knot at or below that slice's lowest step up to
+    the first knot above its top row, at most the table's `coverage`.
+    A later slice whose steps it covers reuses it; a slice that builds a
+    branch keeps it instead, so a line holds one branch, 62 KB at most
+    (sigma = 1/2 from 0 to the bundled table's coverage).
     """
 
     def __init__(self, m: int, sigma: float, table: ZeroTable):
         h = SINGULARITY_PAD
         on = np.abs(sigma - table.betas) <= h
         pad_g = table.gammas[on]
-        self.pad_lo = np.maximum(pad_g - h, 0.0)
-        self.pad_hi = pad_g + h
+        self.pads = (np.maximum(pad_g - h, 0.0), pad_g + h)
         units = np.arange(0.0, table.coverage + KNOT_STEP, KNOT_STEP)
         inside = np.any(np.abs(units[:, None] - pad_g) < h, axis=1) \
             & (units > 0.0)
         self.knots = np.unique(np.concatenate(
             [units[~inside], table.gammas[~on & (table.betas > sigma)],
-             self.pad_lo, self.pad_hi]))
+             *self.pads]))
+        self.opens_pad = np.isin(self.knots, self.pads[0])
+        # where the branch may jump, and how far it may reach
+        self.cuts = table.gammas[table.betas >= sigma]
+        self.coverage = table.coverage
+        self.branch = None
         close = np.flatnonzero(np.diff(table.gammas) <= 2.0 * h)
         self.crowded = table.gammas[close[0] + 1] if close.size else np.inf
         # panels meet rate per unit height in every level: at most
@@ -646,27 +660,36 @@ def _eta_vertical_rows(m: int, sigma: float, ts, table: ZeroTable) -> list:
     one-height call on a cold cache, whatever rows share its slice or
     came before it.
 
-    The branch of log zeta on the line comes from one rays.LineBranch
-    per slice, from its lowest step up to its top row: a ladder up the
-    line carries the winding between the ordinates of zeros at or right
-    of it, and horizontal walks anchor and check each stretch, so the
-    table decides where the branch may jump but zeta decides by how
-    much.  nevals counts the zeta evaluations made for a row: its
+    The branch of log zeta on the line is the rays.LineBranch the line
+    keeps (_Line.branch).  A slice whose steps it covers reuses it; any
+    other slice builds one from its lowest step up to the first knot
+    above its top row, at most the table's coverage, and keeps it.  A
+    ladder up the line carries the winding between the ordinates of
+    zeros at or right of it, and horizontal walks anchor and check each
+    stretch, so the table decides where the branch may jump but zeta
+    decides by how much.  log W is exact at every point, and the branch
+    supplies only its 2 pi winding integer, which does not depend on how
+    far the ladder reaches, so a kept branch gives a row the bits a new
+    one would.  nevals counts the zeta evaluations made for a row: its
     partial step, and for the lowest row of a slice that gets a value,
-    what the slice shares too: ladder and walk nodes, knot steps, and
-    the constants c_j its new line had to compute.  A one-row call's row
-    thus counts all of its call's evaluations.
+    what the slice shares too: knot steps, the ladder and walk nodes of
+    a branch the slice built, and the constants c_j its new line had to
+    compute.  A cold one-row call's row thus counts all of its call's
+    evaluations, and a row whose step a kept branch covers its partial
+    step alone.
 
     Returns per height its EtaValue or the refusal that height raises:
     the UnsupportedRange of a row above the line's `crowded` height, the
     BranchObstruction of a branch stretch its steps meet, or a step's
     QuadratureNonconvergence.  A knot step's refusal refuses every row
     above it; the others are as they would be alone.  A bad order or
-    sigma, a height t <= 0 and a height past the table's coverage raise
-    for the whole call before any row is computed.
+    sigma, a height that is not finite, a height t <= 0 and a height
+    past the table's coverage raise for the whole call, in that order,
+    before any row is computed.
     """
     _validate_order_sigma(m, sigma)
-    ts = np.asarray(ts, dtype=float)
+    ts = float_array(ts)
+    require_finite(t=ts)
     if not np.all(ts > 0.0):
         raise ValidationError("eta_vertical needs t > 0; at t = 0 the "
                               "value is c_m(sigma) by definition")
@@ -678,14 +701,13 @@ def _eta_vertical_rows(m: int, sigma: float, ts, table: ZeroTable) -> list:
     out = [None] * ts.size
     for lo in range(0, ts.size, ROWS_PER_PASS):
         rows = order[lo:lo + ROWS_PER_PASS]
-        for r, ev in zip(rows, _vertical_slice(m, sigma, ts[rows], line,
-                                               table)):
+        for r, ev in zip(rows, _vertical_slice(m, sigma, ts[rows], line)):
             out[r] = ev
     return out
 
 
-def _vertical_slice(m: int, sigma: float, ts: np.ndarray, line: _Line,
-                    table: ZeroTable) -> list:
+def _vertical_slice(m: int, sigma: float, ts: np.ndarray,
+                    line: _Line) -> list:
     """The rows of _eta_vertical_rows at the ascending heights ts."""
     live = int(np.searchsorted(ts, line.crowded, side="right"))
     out = [None] * live + [UnsupportedRange(
@@ -699,23 +721,31 @@ def _vertical_slice(m: int, sigma: float, ts: np.ndarray, line: _Line,
     kept = len(line.kept) - 1
     top = np.searchsorted(line.knots, ts) - 1
     n_knot = max(int(top[-1]) - kept, 0)
-    lo = np.concatenate([line.knots[kept:kept + n_knot], line.knots[top]])
+    knot = np.concatenate([np.arange(kept, kept + n_knot), top])
+    lo, pad = line.knots[knot], line.opens_pad[knot]
     hi = np.concatenate([line.knots[kept + 1:kept + n_knot + 1], ts])
-    pad = np.isin(lo, line.pad_lo)
 
     # the branch may jump where a zero lies at or right of the line; it
-    # starts at a knot, but not next to a zero inside a pad
+    # starts at a knot, but not next to a zero inside a pad, and ends at
+    # the first knot above the top row or at the table's coverage.  The
+    # line keeps it for the next slice whose steps it covers
     first = min(int(top[0]), kept)
-    bottom = line.knots[first - 1 if first and line.knots[first]
-                        in line.pad_lo else first]
-    branch = LineBranch(sigma, ts[-1], table.gammas[table.betas >= sigma],
-                        bottom=bottom, pads=(line.pad_lo, line.pad_hi))
+    bottom = line.knots[first - 1 if first and line.opens_pad[first]
+                        else first]
+    branch = line.branch
+    built = branch is None or branch.bottom > bottom or branch.top < ts[-1]
+    if built:
+        end = np.searchsorted(line.knots, ts[-1], side="right")
+        branch = line.branch = LineBranch(
+            sigma, min(line.knots[min(end, line.knots.size - 1)],
+                       line.coverage),
+            line.cuts, bottom=bottom, pads=line.pads)
     refusals = branch.refusals(lo, hi)
     # a step is integrated unless the branch refuses it or a knot step
     # below it that it needs
-    refused = np.array([r is not None for r in refusals])
-    stop = int(np.argmax(np.append(refused[:n_knot], True)))
-    need = ~refused
+    stop = next((i for i, r in enumerate(refusals[:n_knot]) if r is not None),
+                n_knot)
+    need = np.array([r is None for r in refusals])
     need[stop:n_knot] = False
     need[n_knot:] &= top - kept <= stop
     G, C, K, count = line.models(lo, hi)
@@ -768,7 +798,7 @@ def _vertical_slice(m: int, sigma: float, ts: np.ndarray, line: _Line,
             break
         line.kept.append(_shift(*line.kept[-1], hi[i] - lo[i], S[i], R[i]))
     reached = len(line.kept) - 1
-    shared = branch.nodes_used + int(nev[:n_knot].sum())
+    shared = (branch.nodes_used if built else 0) + int(nev[:n_knot].sum())
     for i, t in enumerate(ts.tolist()):
         k = n_knot + i
         exc = refusals[reached - kept] if top[i] > reached else refusals[k]
@@ -808,13 +838,15 @@ def growth_check(m: int, sigma: float, t_samples,
                  table: ZeroTable) -> list[tuple[float, float]]:
     """Normalized residuals |eta_m - Y_m| / log t over the samples; the
     sequence should stay bounded (reported, not asserted to a constant).
-    A sample t <= e is refused before any row is computed."""
-    ts = [float(t) for t in t_samples]
-    if not all(t > _E for t in ts):
+    A sample that is not finite, or t <= e, is refused before any row is
+    computed."""
+    ts = float_array(t_samples).ravel()
+    require_finite(t=ts)
+    if not np.all(ts > _E):
         raise ValidationError("growth samples need t > e for the "
                               "log t normalization")
     out = []
-    for t, ev in zip(ts, _eta_vertical_rows(m, sigma, ts, table)):
+    for t, ev in zip(ts.tolist(), _eta_vertical_rows(m, sigma, ts, table)):
         if isinstance(ev, Exception):
             raise ev
         out.append((t, abs(ev.value - y_m(m, sigma, t, table)) / log(t)))

@@ -43,7 +43,8 @@ import numpy as np
 
 from .blocks import map_blocks
 from .errors import (DominanceViolation, RootFindFailure, TargetOutsideDisk,
-                     TooFewRadii, ValidationError, require_finite)
+                     TooFewRadii, ValidationError, float_array,
+                     require_finite)
 
 ALIGNED_RTOL = 1e-12       # |z| at the boundary of the disk
 # degenerate polygon: the other sides sum to within FLAT_RTOL times the
@@ -71,7 +72,7 @@ class RadiiSet:
     radii: np.ndarray
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.radii, dtype=np.float64)
+        r = float_array(self.radii)
         if r.size < 3:
             raise TooFewRadii("need at least three radii")
         if np.any(~np.isfinite(r)) or np.any(r <= 0.0):

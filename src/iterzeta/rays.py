@@ -58,11 +58,12 @@ at its nodes about 0.01 ms.
 from __future__ import annotations
 
 import math
+from copy import copy
 
 import numpy as np
 
 from .errors import (BranchObstruction, GuardBand, UnsupportedRange,
-                     ValidationError)
+                     ValidationError, float_array)
 from .zeros import EMPTY_TABLE, ZeroTable
 from .zetafun import POLE_RADIUS, zeta_batch
 
@@ -230,8 +231,8 @@ class RayBranch:
 
     def __init__(self, sigma: float, t, table: ZeroTable = EMPTY_TABLE,
                  abscissae=None):
-        self.sigma = float(sigma)
-        self.heights = np.atleast_1d(np.asarray(t, dtype=float))
+        self.sigma = float(float_array(sigma))
+        self.heights = np.atleast_1d(float_array(t))
         if not (math.isfinite(self.sigma) and np.isfinite(self.heights).all()):
             raise ValidationError("point coordinates must be finite")
         if self.heights.ndim != 1 or not (self.heights >= 0.0).all():
@@ -494,7 +495,9 @@ class LineBranch:
         """Per segment of heights strictly between lo[i] and hi[i], the
         BranchObstruction of the first of these it meets going up, or
         None: a refused stretch, or a stall of the ladder, a zero of W on
-        the line that the cuts miss, which no segment may cross."""
+        the line that the cuts miss, which no segment may cross.  Each
+        is a new exception, so a branch kept for later calls hands out
+        none that a caller has raised."""
         hit = np.flatnonzero(self._obstructed)
         if not (hit.size or self._stalls.size):
             return [None] * np.size(lo)
@@ -512,32 +515,33 @@ class LineBranch:
                     f"stalls at u={self._steps[ii]:.6f} on a zero that the "
                     f"table misses; no step crosses it"))
             else:
-                out.append(self._refusals[kk] if kk >= 0 else None)
+                out.append(copy(self._refusals[kk]) if kk >= 0 else None)
         return out
 
     def log_w(self, us) -> np.ndarray:
         """Continued log(zeta(s)(s - 1)) at s = sigma + iu."""
         us = np.asarray(us, dtype=float)
-        if np.any(us < self.bottom - 1e-12) or np.any(us > self.top + 1e-12):
+        if us.min(initial=self.bottom) < self.bottom - 1e-12 \
+                or us.max(initial=self.top) > self.top + 1e-12:
             raise UnsupportedRange(f"query outside the resolved line segment "
                                    f"[{self.bottom:g}, {self.top:g}]")
         lq = np.log(_w(self.sigma + 1j * us))
         x = self._x
         im = np.interp(us, x, self._im)
-        gap = np.clip(np.searchsorted(x, us, side="right") - 1, 0,
-                      x.size - 2)
+        gap = np.minimum(np.maximum(
+            np.searchsorted(x, us, side="right") - 1, 0), x.size - 2)
         # next to a cut, the winding of the node on the query's side
         cross = ~self._linked[gap]
-        if np.any(cross):
+        if cross.any():
             g = gap[cross]
             im[cross] = np.where(us[cross] < self._cut_at[g],
                                  self._im[g], self._im[g + 1])
         stretch = np.searchsorted(self._steps, us, side="right")
         refused = self._obstructed[stretch]
-        if np.any(refused):
-            raise self._refusals[stretch[refused][0]]
+        if refused.any():
+            raise copy(self._refusals[stretch[refused][0]])
         im += self._levels[stretch]
-        k = np.round((im - lq.imag) / (2.0 * np.pi))
+        k = np.rint((im - lq.imag) / (2.0 * np.pi))
         return lq + 2j * np.pi * k
 
 

@@ -49,7 +49,7 @@ from .blocks import map_blocks
 from .dirichlet import (POLYLOG_CHUNK, _live_counts, _polylog_prefix,
                         _polylog_sum, polylog)
 from .errors import (LimitExceeded, ValidationError, WindowExhausted,
-                     require_finite)
+                     float_array, require_finite)
 from .eta import _validate_order_sigma
 from .lru import LRUDict
 from .polygon import AngleAssignment, _polygon
@@ -90,7 +90,7 @@ def _validate_target(m: int, sigma: float, a: complex,
     _validate_torus(m, sigma)
     if not np.isfinite(epsilon) or epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
-    a = complex(a)
+    a = complex(float_array(a, complex))
     if not np.isfinite(a):
         raise ValidationError("target a must be finite")
     return a
@@ -151,7 +151,11 @@ def s_sum(assignment: Mapping[int, float], sigma: float, m: int) -> complex:
     if len(assignment) == 0:
         return 0.0 + 0.0j
     ps = np.fromiter(assignment.keys(), dtype=np.int64, count=len(assignment))
-    ths = np.fromiter(assignment.values(), dtype=np.float64, count=len(ps))
+    try:
+        ths = np.fromiter(assignment.values(), dtype=np.float64,
+                          count=len(ps))
+    except OverflowError:       # an angle past the float range
+        ths = float_array(list(assignment.values()))
     distinct = True
     if np.any(ps[1:] <= ps[:-1]):
         # keys out of order or repeated; construct_theta's and

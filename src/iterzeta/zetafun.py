@@ -80,7 +80,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PoleAtOne, UnsupportedRange, ValidationError
+from .errors import (PoleAtOne, UnsupportedRange, ValidationError,
+                     float_array)
 
 SIGMA_MIN = 0.0
 T_MAX = 1.0e4
@@ -157,7 +158,7 @@ def _checked_points(s) -> np.ndarray:
     least and greatest real and imaginary parts decide (a NaN among them
     fails every test); only a point set whose box reaches the pole's
     disc is searched for it, and only a failing set is told apart."""
-    s = np.asarray(s, dtype=np.complex128).ravel()
+    s = float_array(s, np.complex128).ravel()
     x, y = s.real, s.imag
     x0, x1 = float(x.min(initial=np.inf)), float(x.max(initial=-np.inf))
     y0, y1 = float(y.min(initial=np.inf)), float(y.max(initial=-np.inf))

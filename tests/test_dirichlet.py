@@ -404,6 +404,19 @@ def test_eta_grid_raises_a_stall():
     assert not isinstance(caught.value, GuardBand)
 
 
+def test_huge_ints_are_refused_as_infinities(refused_as_infinity):
+    # a Python int past the float range has no float form: each entry
+    # point refuses it as it refuses an infinity of its sign, where it
+    # raised OverflowError
+    tab = bundled_table()
+    calls = (lambda X: mean_square_error(1, 0.8, X, 20.0, 0.25, tab),
+             lambda t: mangoldt_sum(1, 0.8, t, 100.0),
+             lambda t: dirichlet_li_sum(1, 0.8, t, 100.0, PT),
+             lambda z: polylog(2, z))
+    for call in calls:
+        refused_as_infinity(call)
+
+
 def test_mean_square_validation():
     tab = bundled_table()
     with pytest.raises(ValidationError):

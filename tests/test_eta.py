@@ -19,7 +19,8 @@ from iterzeta.hunt import hunt_value
 from iterzeta.quadrature import integrate_rows
 from iterzeta.rays import CUTOFF_OFFSET, log_zeta_horizontal
 from iterzeta.zetafun import zeta_batch, zeta_error
-from iterzeta.zeros import EMPTY_TABLE, ZeroTable, bundled_table
+from iterzeta.zeros import (EMPTY_TABLE, ZeroTable, bundled_table,
+                            zeros_in_box)
 
 mp.mp.dps = 25
 
@@ -453,6 +454,22 @@ def test_non_finite_heights_are_refused_first(monkeypatch, t):
     assert calls == []
 
 
+def test_huge_ints_are_refused_as_infinities(refused_as_infinity):
+    # a Python int past the float range has no float form: each entry
+    # point refuses it as it refuses an infinity of its sign, where it
+    # raised OverflowError, or TypeError for sigma
+    calls = (lambda t: eta_tilde_weighted(1, 0.8, t),
+             lambda t: eta_tilde_recursive(2, 0.8, t),
+             lambda t: y_m(2, 0.8, t, TAB),
+             lambda t: log_zeta_horizontal(0.8, t),
+             lambda t: zeros_in_box(TAB, 0.5, t),
+             lambda cut: tail_bound(2, 0.8, cut),
+             lambda sigma: c_m(1, sigma),
+             lambda sigma: eta_tilde_weighted(2, sigma, 1.0))
+    for call in calls:
+        refused_as_infinity(call)
+
+
 def test_c_cache_keeps_its_cap(monkeypatch):
     # past its cap the cache drops the constants of its least recently
     # used sigma, and a dropped constant is made again to the same value
@@ -671,8 +688,10 @@ def test_vertical_rows_are_their_cold_rows(monkeypatch):
 
 
 def test_vertical_pass_steps_its_line_once(monkeypatch):
-    # a slice of at most ROWS_PER_PASS heights builds one line branch and
-    # makes one integrate_rows call; smaller slices give the same bits
+    # a slice of at most ROWS_PER_PASS heights builds at most one line
+    # branch and makes one integrate_rows call; smaller slices give the
+    # same bits.  Of the seven 16-row slices the last, t = 25..25.75,
+    # lies inside the branch its predecessor built up to the knot 26
     c_m(1, 0.75)                        # the line's constants, kept
     calls = {"LineBranch": 0, "integrate_rows": 0}
 
@@ -692,9 +711,92 @@ def test_vertical_pass_steps_its_line_once(monkeypatch):
     monkeypatch.setattr(eta, "ROWS_PER_PASS", 16)
     eta._LINE_CACHE.clear()
     sliced = _eta_vertical_rows(3, 0.75, ts[::-1], TAB)[::-1]
-    assert calls == {"LineBranch": 8, "integrate_rows": 8}
+    assert calls == {"LineBranch": 7, "integrate_rows": 8}
     assert [(a.value, a.est_error) for a in whole] \
         == [(b.value, b.est_error) for b in sliced]
+
+
+def _counting_branches(monkeypatch):
+    """Count the LineBranch and RayBranch objects built from here on:
+    a line branch, and the walks that anchor its stretches."""
+    calls = {"LineBranch": 0, "RayBranch": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def make(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, make)
+    counted(eta, "LineBranch")
+    counted(rays, "RayBranch")
+    return calls
+
+
+def test_a_row_on_a_kept_line_keeps_its_branch(monkeypatch):
+    # the first row of a line builds its branch up to the first knot
+    # above it, t = 22; a later row whose steps lie inside that branch
+    # builds no branch and makes no walk, counts only its partial step,
+    # and is bitwise its cold call.  A row past the branch's top builds
+    # one again, from its last kept knot
+    c_m(2, 0.8)                             # the line's constants, kept
+    eta._LINE_CACHE.clear()
+    first = eta_vertical(2, 0.8, 21.0, TAB)
+    calls = _counting_branches(monkeypatch)
+    warm = [eta_vertical(2, 0.8, t, TAB) for t in (21.5, 20.25, 22.0)]
+    assert calls == {"LineBranch": 0, "RayBranch": 0}
+    kept = eta._line(2, 0.8, TAB).branch
+    assert (kept.bottom, kept.top) == (0.0, 22.0)
+    past = eta_vertical(2, 0.8, 22.5, TAB)
+    assert calls["LineBranch"] == 1 and calls["RayBranch"] == 1
+    branch = eta._line(2, 0.8, TAB).branch
+    assert (branch.bottom, branch.top) == (20.0, 24.0)
+    for ev in warm + [past]:
+        eta._LINE_CACHE.clear()
+        cold = eta_vertical(2, 0.8, ev.point.t, TAB)
+        assert (ev.value, ev.est_error) == (cold.value, cold.est_error)
+        assert ev.nevals < cold.nevals
+    # a kept branch's nodes count towards the row that built it only: a
+    # warm row counts what it counts in a grid above that grid's lowest
+    # row, its partial step
+    eta._LINE_CACHE.clear()
+    grid = _eta_vertical_rows(2, 0.8, [1.0, 21.5, 20.25, 22.0], TAB)
+    assert [ev.nevals for ev in warm] == [g.nevals for g in grid[1:]]
+    assert first.nevals - warm[0].nevals > kept.nodes_used
+
+
+def _row(ev):
+    return (type(ev),) if isinstance(ev, Exception) \
+        else (ev.value, ev.est_error)
+
+
+def test_warm_rows_are_their_cold_rows():
+    # one-row calls in any order on a line whose knots and branch are
+    # kept get what their cold calls get, refusals and their classes
+    # included: on the bundled table, on sigma = 1/2 across cuts and
+    # pads, and on a table that misses the first zero, whose rows from
+    # the missed ordinate 14.1347 up refuse
+    short = ZeroTable(betas=TAB.betas[1:], gammas=TAB.gammas[1:],
+                      mults=TAB.mults[1:], source_label="short")
+    ts = np.concatenate([10.3 + 1.4 * np.arange(12), [14.0, 14.1, 14.2],
+                         TAB.gammas[1] + np.array([-5e-3, 5e-3])])
+    order = np.random.default_rng(7).permutation(ts.size)
+    for m, sigma, table in ((1, 0.5, TAB), (2, 0.8, TAB), (1, 0.5, short),
+                            (3, 0.5, short)):
+        cold = {}
+        for t in ts.tolist():
+            eta._LINE_CACHE.clear()
+            cold[t] = _row(_eta_vertical_rows(m, sigma, [t], table)[0])
+        seqs = [np.sort(ts), np.sort(ts)[::-1], ts[order]]
+        # each order on a new line, then all three on one line
+        for seq in seqs + [np.concatenate(seqs)]:
+            eta._LINE_CACHE.clear()
+            for t in seq.tolist():
+                got = _row(_eta_vertical_rows(m, sigma, [t], table)[0])
+                assert got == cold[t], (m, sigma, table.source_label, t)
+        refused = [t for t in ts.tolist() if len(cold[t]) == 1]
+        assert refused == ([t for t in ts.tolist() if t > 14.1347]
+                           if table is short else [])
 
 
 def test_vertical_rows_refuse_as_their_cold_rows():
@@ -829,6 +931,23 @@ def test_growth_check(monkeypatch):
 
 
 # ------------------------------------------------------------- validation
+
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan, 10 ** 400],
+                         ids=["inf", "-inf", "nan", "int-1e400"])
+def test_vertical_routes_refuse_non_finite_heights_first(monkeypatch, t):
+    # a height that is not finite is refused as such, before the sign
+    # and coverage checks: inf used to meet TableCoverage and NaN the
+    # sign check, and 10**400 raised OverflowError
+    monkeypatch.setattr(eta, "_line", lambda *args: 1 / 0)
+    for call in (lambda: eta_vertical(1, 0.8, t, TAB),
+                 lambda: _eta_vertical_rows(1, 0.8, [-1.0, t, 400.0], TAB),
+                 lambda: check_bridge(1, 0.8, t, TAB),
+                 lambda: growth_check(1, 0.8, [1.0, t, 400.0], TAB)):
+        with pytest.raises(ValidationError, match="^t must be finite$") \
+                as err:
+            call()
+        assert type(err.value) is ValidationError
+
 
 def test_vertical_preconditions():
     with pytest.raises(ValidationError):

@@ -113,6 +113,16 @@ def test_inputs_not_finite_and_valid_are_refused(call):
         call()
 
 
+def test_huge_ints_are_refused_as_infinities(refused_as_infinity):
+    # a Python int past the float range has no float form: a hunt
+    # refuses a target of that size as it refuses an infinite one, where
+    # it raised OverflowError
+    def call(a):
+        return hunt_value(1, 0.8, a, 0.1, table=TAB)
+    assert refused_as_infinity(call) \
+        == [(ValidationError, "target a must be finite")] * 2
+
+
 def test_hunt_self_referential_target():
     a = eta_tilde_weighted(1, 0.8, 50.0, table=TAB).value
     res = hunt_value(1, 0.8, a, 0.3, table=TAB)

@@ -223,6 +223,16 @@ def test_input_validation():
             polygon_angles(RadiiSet([3.0, 4.0, 5.0]), z)
 
 
+def test_huge_ints_are_refused_as_infinities(refused_as_infinity):
+    # a Python int past the float range has no float form: a target or a
+    # radius is refused as an infinity of its sign, where it raised
+    # OverflowError
+    calls = (lambda z: polygon_angles(RadiiSet([3.0, 4.0, 5.0]), z),
+             lambda r: RadiiSet([3, 4, r]))
+    for call in calls:
+        refused_as_infinity(call)
+
+
 def test_arcsin_sum_series_matches_exact():
     # ratios on both sides of SERIES_RATIO; the series part must agree
     # with the exact sum to rounding over the whole bracket

@@ -87,6 +87,18 @@ def test_gamma_validation():
             assert type(err.value) is ValidationError
 
 
+def test_huge_ints_are_refused_as_infinities(refused_as_infinity):
+    # a Python int past the float range has no float form: each entry
+    # point refuses it as it refuses an infinity of its sign, where it
+    # raised OverflowError, or TypeError for sigma
+    calls = (lambda a: construct_theta(1, 0.8, a, 0.1, PT),
+             lambda angle: s_sum({2: 0.1, 3: angle}, 0.8, 1),
+             lambda cut: gamma_m_sigma(1, 0.8, cut, PT),
+             lambda sigma: second_moment_s(1, sigma, 2, 10, PT))
+    for call in calls:
+        refused_as_infinity(call)
+
+
 def test_s_sum_single_primes_by_hand():
     v2 = s_sum({2: 0.25}, 0.8, 1)
     want = complex(mp.polylog(2, 2.0 ** -0.8 * mp.e ** (-0.5j * mp.pi)))

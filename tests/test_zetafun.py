@@ -231,6 +231,14 @@ def test_term_cap_and_nonfinite_refusals():
         zeta(complex(np.nan, 1.0))
 
 
+def test_huge_ints_are_refused_as_infinities(refused_as_infinity):
+    # a Python int past the float range has no float form: zeta refuses
+    # it as it refuses an infinity, where it raised OverflowError
+    for call in (zeta, lambda s: zeta_batch([2.0, s])):
+        assert refused_as_infinity(call) \
+            == [(UnsupportedRange, "zeta needs finite points")] * 2
+
+
 # ------------------------------------------------- factor tables of a batch
 
 def _table_batches():
