@@ -61,7 +61,6 @@ from .torus import (
     second_moment_s,
 )
 from .hunt import (
-    HuntConfig,
     HuntResult,
     TorusTarget,
     equidistribution_measure,

@@ -9,6 +9,9 @@ Every output file gets a sibling manifest (<out>.manifest) whose
 uncommented lines are themselves a valid config file, so a run can be
 reproduced from its manifest alone.  Numeric CSV columns use 17
 significant digits and re-runs are byte-identical.
+
+eval needs a table covering its heights (eta_m and Y_m read every
+ordinate below them); meansquare and hunt, which read eta~ alone, do not.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import BranchObstruction, ComputationError, ValidationError
 from .eta import _eta_tilde_rows, _eta_vertical_rows, y_m
-from .hunt import HuntConfig, hunt_value
+from .hunt import hunt_value
 from .dirichlet import mean_square_error
 from .polygon import RadiiSet, polygon_angles
 from .primes import sieve_primes
@@ -289,12 +292,11 @@ def cmd_hunt(cfg: dict) -> int:
     epsilon = _field(cfg, "epsilon", float)
     out = _field(cfg, "out")
     table = _load_table(cfg, required=False)
-    # the keys given; HuntConfig holds the defaults of the rest
-    config = HuntConfig(**{key: _field(cfg, key, kind) for key, kind in (
-        ("t_min", float), ("t_max", float), ("eval_budget", int),
-        ("min_separation", float)) if key in cfg})
+    # the window keys given; hunt_value holds the defaults of the rest
+    window = {key: _field(cfg, key, float)
+              for key in ("t_min", "t_max") if key in cfg}
     start = time.monotonic()
-    res = hunt_value(m, sigma, a, epsilon, config, table)
+    res = hunt_value(m, sigma, a, epsilon, table=table, **window)
     status = "success" if res.success else "failure"
     row = (format(m, "d"), _fmt(sigma), _fmt(a.real), _fmt(a.imag),
            _fmt(epsilon),
@@ -366,7 +368,7 @@ _COMMANDS = {
     "meansquare": (cmd_meansquare, {"m", "sigma", "T", "step", "X", "table",
                                     "out"}),
     "hunt": (cmd_hunt, {"m", "sigma", "a", "epsilon", "table", "t_min",
-                        "t_max", "eval_budget", "min_separation", "out"}),
+                        "t_max", "out"}),
     "polygon": (cmd_polygon, {"radii", "z", "out"}),
 }
 # polygon without radii runs the construction, with keys of its own

@@ -52,13 +52,14 @@ from math import ceil, exp, floor, log, sqrt
 import numpy as np
 
 from .errors import (ConvergenceDomain, CutoffExceeded, GuardBand,
-                     TooFewSamples, ValidationError, float_array,
-                     require_finite)
+                     TooFewSamples, UnsupportedRange, ValidationError,
+                     float_array, require_finite)
 from .eta import _eta_tilde_rows, _prime_powers, \
     _validate_order_sigma
 from .lru import LRUDict
 from .primes import PrimeTable, sieve_primes
 from .zeros import ZeroTable
+from .zetafun import T_MAX
 
 POLYLOG_RADIUS = 0.95
 # points per block of _polylog_sum, whose few buffers of a block then
@@ -448,7 +449,8 @@ def mean_square_error(m: int, sigma: float, X: float, T: float,
 
     Guard-zone grid points are skipped and reported as a fraction;
     bound_ratio divides the result by the reference shape
-    X^(1-2 sigma) / (log X)^(2m).
+    X^(1-2 sigma) / (log X)^(2m).  T may pass the table's coverage:
+    eta~ reads a table only for the guard bands of its zeros.
 
     The grid's entry in _ETA_GRID_CACHE, keyed by (m, sigma, T,
     grid_step, table.key), keeps with its eta_tilde column D_X
@@ -463,11 +465,15 @@ def mean_square_error(m: int, sigma: float, X: float, T: float,
     require_finite(X=X, T=T, grid_step=grid_step)
     if grid_step > 0.25 or grid_step <= 0.0:
         raise ValidationError("grid_step must be in (0, 0.25]")
-    if T < 14.0:
-        raise ValidationError("mean square starts at t = 14; need T >= 14")
+    # the length of column()'s grid, as np.arange counts it
+    if ceil((T + 1e-9 - 14.0) / grid_step) < 2:
+        raise ValidationError("the grid 14 + grid_step j <= T needs two "
+                              "heights; need T >= 14 + grid_step")
     if X < 3.0:
         raise ValidationError("cutoff X must be at least 3")
-    table.require_coverage(T)
+    if T > T_MAX:
+        raise UnsupportedRange(
+            f"mean square reaches t={T:g} beyond zeta's limit {T_MAX:g}")
     if primes is None:
         primes = sieve_primes(max(3, int(X)))
     logs = _prime_logs(X, primes)

@@ -12,19 +12,19 @@ eta.TAIL_TERMS (the prime powers the closed-form tail reads), on the
 grid t_min + GRID_STEP j <= t_max in one dirichlet.mangoldt_grid call
 (the process keeps the grid's phase matrices, so a repeated window pays
 only for their product).  It takes the local minima of |D_X - a| in
-order of that distance, keeps them at least min_separation apart up to
-the evaluation budget (each checked against its nearest kept
-neighbours, in Python floats), and evaluates them.
+order of that distance, keeps them at least MIN_SEPARATION apart up to
+EVAL_BUDGET of them (each checked against its nearest kept neighbours,
+in Python floats), and evaluates them.
 
 Candidates are evaluated in two passes of eta._eta_tilde_rows, the first
 FIRST_PASS of them and then, only if none of those is a witness, the
 rest that the first pass leaves in reach; each pass is one branch ladder
 resolution and one adaptive quadrature over all its heights, each height
 with its own panels.  A candidate on a guarded ordinate, or whose ray
-stalls on a zero, counts as obstructed.  Of the others, the result is
-the one with the least |eta~ - a| + est_error, and it is a witness when
-that sum, a bound on the distance of the true value from a, is below
-epsilon.
+stalls on a zero, counts as obstructed (the diagnostic counts the two
+apart).  Of the others, the result is the one with the least |eta~ - a|
++ est_error, and it is a witness when that sum, a bound on the distance
+of the true value from a, is below epsilon.
 
 The cut rule: let g be the largest |eta~ - D_X| over the first-pass
 candidates that gave a value.  The second pass evaluates only the
@@ -51,8 +51,8 @@ from typing import Optional
 import numpy as np
 
 from .dirichlet import mangoldt_grid
-from .errors import (BranchObstruction, BudgetExceeded, UnsupportedRange,
-                     ValidationError)
+from .errors import (BranchObstruction, BudgetExceeded, GuardBand,
+                     UnsupportedRange, ValidationError)
 from .eta import TAIL_TERMS, _eta_tilde_rows
 from .torus import _validate_target
 from .zeros import ZeroTable, bundled_table
@@ -61,6 +61,9 @@ from .zetafun import T_MAX
 # D_X's fastest harmonic, n = 299, turns once per 2 pi / log 299 = 1.1
 # in t, so a step of 0.02 puts about 55 heights on each of its periods
 GRID_STEP = 0.02
+# most candidates a hunt evaluates, and the least distance between two
+EVAL_BUDGET = 48
+MIN_SEPARATION = 0.5
 FIRST_PASS = 4
 # the cut rule's factor and floor on the first pass's gap g: for m = 1 at
 # 40 heights in [10, 240], |eta~_1 - D_300| had median 0.030 and maximum
@@ -94,22 +97,6 @@ class TorusTarget:
             raise ValidationError("delta must lie in (0, 1/2)")
         object.__setattr__(self, "primes", ps)
         object.__setattr__(self, "thetas", th)
-
-
-@dataclass(frozen=True)
-class HuntConfig:
-    t_min: float = 10.0
-    t_max: float = 240.0
-    eval_budget: int = 48
-    min_separation: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.t_min < self.t_max):
-            raise ValidationError("need 0 < t_min < t_max")
-        if self.eval_budget < 1:
-            raise ValidationError("eval_budget must be positive")
-        if not self.min_separation >= 0.0:
-            raise ValidationError("min_separation must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -208,10 +195,11 @@ def _spaced(heights: list, separation: float, budget: int) -> list:
     return kept
 
 
-def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
-               config: Optional[HuntConfig] = None,
+def hunt_value(m: int, sigma: float, a: complex, epsilon: float, *,
+               t_min: float = 10.0, t_max: float = 240.0,
                table: Optional[ZeroTable] = None) -> HuntResult:
-    """Search for t with eta~_m(sigma + it) within epsilon of a.
+    """Search for t in [t_min, t_max] with eta~_m(sigma + it) within
+    epsilon of a; the window may pass the table's coverage.
 
     Never raises on a fruitless search; the result carries success=False
     and a diagnostic instead.  The result is the candidate with the
@@ -226,23 +214,16 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
     none); the diagnostic names g and the nearest skipped |D_X - a|.  A
     failure means "not found in the window", never "unreachable"."""
     a = _validate_target(m, sigma, a, epsilon)
-    if config is None:
-        config = HuntConfig()
-    if not isinstance(config, HuntConfig):
-        raise ValidationError(
-            f"config must be a HuntConfig, not {type(config).__name__}")
+    if not (0.0 < t_min < t_max):
+        raise ValidationError("need 0 < t_min < t_max")
     if table is None:
         table = bundled_table()
-    if config.t_max > T_MAX:
+    if t_max > T_MAX:
         raise UnsupportedRange(
-            f"search reaches t={config.t_max:g} beyond zeta's limit "
-            f"{T_MAX:g}")
-    table.require_coverage(config.t_max)
+            f"search reaches t={t_max:g} beyond zeta's limit {T_MAX:g}")
 
-    count = int(math.floor((config.t_max - config.t_min) / GRID_STEP
-                           + 1e-9)) + 1
-    grid = mangoldt_grid(m, sigma, config.t_min, GRID_STEP, count,
-                         TAIL_TERMS)
+    count = int(math.floor((t_max - t_min) / GRID_STEP + 1e-9)) + 1
+    grid = mangoldt_grid(m, sigma, t_min, GRID_STEP, count, TAIL_TERMS)
     dist = np.abs(grid - a)
     # local minima: the first height of a flat bottom, ends included
     # (beyond either end the distance is taken as infinite)
@@ -254,24 +235,24 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
     minima = low.nonzero()[0]
     order = minima[np.argsort(dist[minima], kind="stable")]
     # grid height j is t_min + GRID_STEP j, formed where it is read
-    chosen = order[_spaced((config.t_min + GRID_STEP * order).tolist(),
-                           config.min_separation,
-                           config.eval_budget)].tolist()
+    chosen = order[_spaced((t_min + GRID_STEP * order).tolist(),
+                           MIN_SEPARATION, EVAL_BUDGET)].tolist()
 
     best = None
     used = 0
-    obstructed = 0
+    obstructed = guarded = 0
 
     def evaluate(batch):
         """eta~ at the batch's heights; keeps the closest to a in best and
         returns |eta~ - D_X| at the heights that gave a value."""
-        nonlocal best, used, obstructed
+        nonlocal best, used, obstructed, guarded
         gaps = []
-        ts = config.t_min + GRID_STEP * np.array(batch)
+        ts = t_min + GRID_STEP * np.array(batch)
         for i, t, ev in zip(batch, ts.tolist(),
                             _eta_tilde_rows(m, sigma, ts, table)):
             if isinstance(ev, BranchObstruction):
                 obstructed += 1
+                guarded += isinstance(ev, GuardBand)
                 continue
             if isinstance(ev, Exception):
                 raise ev
@@ -301,13 +282,16 @@ def hunt_value(m: int, sigma: float, a: complex, epsilon: float,
     if rest:
         evaluate(rest)
 
+    # a guard band is the table's refusal; any other obstruction is a ray
+    # that stalled on, or grazed, a zero the table does not guard
+    kinds = (f" ({guarded} on guarded ordinates, {obstructed - guarded} "
+             "whose rays stalled)" if obstructed else "")
     note = (f"{minima.size} local minima of |D_X - a| on {count} heights, "
-            f"{used} evaluated, {obstructed} obstructed{cut_note}")
+            f"{used} evaluated, {obstructed} obstructed{kinds}{cut_note}")
     if best is None:
         return HuntResult(None, float(dist[chosen[0]]), None, a, math.inf,
                           math.inf, used, False,
-                          f"all {obstructed} candidates sat on guarded "
-                          "ordinates; " + note)
+                          f"all {obstructed} candidates obstructed; " + note)
     err, est, t_wit, val, torus_err = best
     ok = err + est < epsilon
     return HuntResult(t_wit, torus_err, val, a, err, est, used, ok,

@@ -38,6 +38,8 @@ from .errors import QuadratureNonconvergence
 
 # Gauss-Legendre nodes per integrate_rows panel
 PANEL_ORDER = 15
+# most rounds of bisection; the panels pending at the last are accepted
+MAX_DEPTH = 48
 # most panels one row may evaluate in one integrate_rows round; a row
 # whose pending panels double round after round is chasing noise or a
 # singularity it cannot resolve, and is refused before its next round
@@ -63,8 +65,7 @@ def gl_panel(f, a: float, b: float, n: int = 16) -> complex:
     return half * np.sum(w * np.asarray(f(mid + half * x)))
 
 
-def integrate_rows(f, a, b, abs_tol, max_depth: int = 48,
-                   initial_splits: int = 1, noise=0.0):
+def integrate_rows(f, a, b, abs_tol, initial_splits: int = 1, noise=0.0):
     """Adaptive Gauss-Legendre integration of many integrals, the rows,
     at once: row r integrates f over [a[r], b[r]] to abs_tol[r].  a, b,
     abs_tol and noise broadcast to one value per row.
@@ -87,14 +88,14 @@ def integrate_rows(f, a, b, abs_tol, max_depth: int = 48,
     Returns per-row arrays (value, est_error, nevals), value and
     est_error of shape (rows,) or (rows, k), and a list holding per row
     None, or the QuadratureNonconvergence of a row whose panels bottomed
-    out at max_depth with its error estimate still above budget, or
+    out at MAX_DEPTH with its error estimate still above budget, or
     whose next round would have evaluated more than MAX_ROW_PANELS
-    panels.  max_depth is at least 1, and the halves of a row's coarse
-    panels at most MAX_ROW_PANELS.
+    panels.  The halves of a row's coarse panels are at most
+    MAX_ROW_PANELS.
     """
-    if max_depth < 1 or 2 * initial_splits > MAX_ROW_PANELS:
-        raise ValueError("integrate_rows needs max_depth >= 1 and at most "
-                         "MAX_ROW_PANELS halves of the coarse panels")
+    if 2 * initial_splits > MAX_ROW_PANELS:
+        raise ValueError("integrate_rows needs at most MAX_ROW_PANELS "
+                         "halves of the coarse panels")
     spec = np.empty((4, np.broadcast(a, b, abs_tol, noise).size))
     spec[0], spec[1], spec[2], spec[3] = a, b, abs_tol, noise
     a, b, abs_tol, noise = spec[0], spec[1], spec[2], spec[3]
@@ -129,13 +130,13 @@ def integrate_rows(f, a, b, abs_tol, max_depth: int = 48,
     accepted = []
     # the n panels lo, hi of rows row have been bisected depth times;
     # halves holds the estimates on their halves, left halves first
-    for depth in range(max_depth):
+    for depth in range(MAX_DEPTH):
         fine = halves[..., :n] + halves[..., n:]
         err = np.abs(fine - coarse)
         done = err <= rate[row] * (hi - lo)
         if done.ndim > 1:
             done = done.all(axis=0)
-        if done.all() or depth + 1 >= max_depth:
+        if done.all() or depth + 1 >= MAX_DEPTH:
             accepted.append((row, fine, err))
             break
         accepted.append((row[done], fine[..., done], err[..., done]))
@@ -236,22 +237,20 @@ def _panel_sums(f, lo, hi, row) -> np.ndarray:
 
 
 def integrate_vec(f, a: float, b: float, abs_tol: float = 1e-9,
-                  max_depth: int = 48, initial_splits: int = 1,
-                  noise: float = 0.0):
+                  initial_splits: int = 1, noise: float = 0.0):
     """Adaptive Gauss-Legendre integration of one vectorized integrand:
     the one-row case of integrate_rows, with f mapping a float array of
     nodes to a complex array of values.
 
     Returns (value, est_error, nevals).  Raises QuadratureNonconvergence
-    when panels bottom out at max_depth and the accumulated error
+    when panels bottom out at MAX_DEPTH and the accumulated error
     estimate still exceeds budget.
 
     Tracer-only: no caller in src/; kept only for perfbench/tracing.py's
     ENTRY_POINTS, and deleted with those lines by a benchmark change.
     """
     value, est_error, nevals, refused = integrate_rows(
-        lambda nodes, _: f(nodes), a, b, abs_tol, max_depth,
-        initial_splits, noise)
+        lambda nodes, _: f(nodes), a, b, abs_tol, initial_splits, noise)
     if refused[0] is not None:
         raise refused[0]
     return complex(value[0]), float(est_error[0]), int(nevals[0])

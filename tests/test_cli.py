@@ -7,12 +7,10 @@ from pathlib import Path
 import pytest
 
 import iterzeta
-from iterzeta import cli, eta, rays
+from iterzeta import cli, eta, hunt, rays
 from iterzeta.cli import main
-from iterzeta.dirichlet import mean_square_error
 from iterzeta.errors import TableCoverage
 from iterzeta.eta import eta_vertical
-from iterzeta.hunt import HuntConfig, hunt_value
 from iterzeta.rays import log_zeta_horizontal
 from iterzeta.torus import load_theta
 from iterzeta.zeros import bundled_table, load_zero_table
@@ -123,6 +121,10 @@ def test_eval_refuses_unknown_keys(tmp_path, capsys):
          "bogus=1"),
         ("hunt", ["m=1", "sigma=0.8", "a=0.1+0.1i", "epsilon=0.1"],
          "delta=0.25"),
+        ("hunt", ["m=1", "sigma=0.8", "a=0.1+0.1i", "epsilon=0.1"],
+         "eval_budget=4"),
+        ("hunt", ["m=1", "sigma=0.8", "a=0.1+0.1i", "epsilon=0.1"],
+         "min_separation=0.5"),
         ("polygon", ["radii=3 4 5", "z=0+0i"], "bogus=1"),
         ("polygon", ["radii=3 4 5", "z=0+0i"], "epsilon=0.01"),
         ("polygon", ["m=1", "sigma=0.9", "a=0.35+0.1i", "epsilon=0.2",
@@ -152,6 +154,9 @@ def test_validation_exit_code(tmp_path):
     code = main(["meansquare", "m=4", "sigma=0.8", "X=10", "T=20",
                  f"out={tmp_path / 'ms.csv'}"])
     assert code == 2  # unsupported order
+    code = main(["meansquare", "m=1", "sigma=0.8", "X=100", "T=14.2",
+                 f"out={tmp_path / 'ms.csv'}"])
+    assert code == 2  # a grid of one height
     assert not (tmp_path / "ms.csv").exists()
 
 
@@ -186,10 +191,11 @@ def test_meansquare_rows(tmp_path):
     assert float(rows[1]["mse"]) < float(rows[0]["mse"])
 
 
-def test_hunt_honest_failure_exit(tmp_path, capsys):
+def test_hunt_honest_failure_exit(tmp_path, capsys, monkeypatch):
     out = tmp_path / "hunt.csv"
+    monkeypatch.setattr(hunt, "EVAL_BUDGET", 2)
     code = main(["hunt", "m=1", "sigma=0.8", "a=1000+0i", "epsilon=0.01",
-                 "t_max=40", "eval_budget=2", f"out={out}"])
+                 "t_max=40", f"out={out}"])
     assert code == 3
     text = capsys.readouterr().out
     assert "status      = failure" in text
@@ -250,9 +256,9 @@ def test_reader_refuses_non_finite_numbers(tmp_path, capsys):
 
 
 def test_coverage_refusal_is_one_message(tmp_path, capsys):
-    # past the table's coverage the vertical route, the mean square, the
-    # hunt and an eval grid all refuse with ZeroTable.require_coverage's
-    # TableCoverage, which names the height, the coverage and the table
+    # past the table's coverage the vertical route and an eval grid
+    # refuse with ZeroTable.require_coverage's TableCoverage, which names
+    # the height, the coverage and the table
     path = _table_arg(tmp_path)
     tab = load_zero_table(path)
 
@@ -262,14 +268,9 @@ def test_coverage_refusal_is_one_message(tmp_path, capsys):
         assert f"t={t:g} beyond table coverage 249.574 ({path})" \
             in str(want.value)
         return str(want.value)
-    for call, t in (
-            (lambda: eta_vertical(1, 0.8, 400.0, tab), 400.0),
-            (lambda: mean_square_error(1, 0.8, 10, 400.0, 0.25, tab), 400.0),
-            (lambda: hunt_value(1, 0.8, 0.5, 0.1, HuntConfig(t_max=300.0),
-                                tab), 300.0)):
-        with pytest.raises(TableCoverage) as got:
-            call()
-        assert str(got.value) == message(t)
+    with pytest.raises(TableCoverage) as got:
+        eta_vertical(1, 0.8, 400.0, tab)
+    assert str(got.value) == message(400.0)
     out = tmp_path / "x.csv"
     assert main(["eval", "m=1", "sigma=0.8", "t=249..251", "step=1",
                  f"table={path}", f"out={out}"]) == 2
@@ -313,12 +314,12 @@ def test_polygon_construct_serializes(tmp_path):
 
 
 def test_unset_keys_take_the_library_defaults(tmp_path):
-    # a hunt without its window keys runs HuntConfig's defaults, and a
+    # a hunt without its window keys runs hunt_value's defaults, and a
     # construction without sieve_limit sieves to construct_theta's cut:
     # each writes the file of the run that spells the values out
     runs = [
         (["hunt", "m=1", "sigma=0.8", "a=-0.892+0.601i", "epsilon=0.1"],
-         ["t_min=10", "t_max=240", "eval_budget=48", "min_separation=0.5"]),
+         ["t_min=10", "t_max=240"]),
         (["polygon", "m=1", "sigma=0.8", "a=0.5+0.5i", "epsilon=0.05"],
          ["sieve_limit=1000000"]),
     ]

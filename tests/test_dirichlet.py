@@ -8,10 +8,10 @@ from iterzeta.dirichlet import (_eta_tilde_grid, _li_grid, _polylog_sum,
                                 mangoldt_grid, mangoldt_sum,
                                 mean_square_error, polylog, polylog_batch)
 from iterzeta.errors import (BranchObstruction, ConvergenceDomain,
-                             CutoffExceeded, GuardBand, TableCoverage,
+                             CutoffExceeded, GuardBand, TooFewSamples,
                              UnsupportedRange, ValidationError)
 from iterzeta.primes import sieve_primes
-from iterzeta.zeros import ZeroTable, bundled_table
+from iterzeta.zeros import EMPTY_TABLE, ZeroTable, bundled_table
 
 mp.mp.dps = 30
 
@@ -425,8 +425,52 @@ def test_mean_square_validation():
         mean_square_error(1, 0.4, 10, 50.0, 0.25, tab)
     with pytest.raises(ValidationError):
         mean_square_error(1, 0.8, 10, 50.0, 0.5, tab)    # grid too coarse
-    with pytest.raises(TableCoverage):
-        mean_square_error(1, 0.8, 10, 400.0, 0.25, tab)
+    with pytest.raises(UnsupportedRange):                # past zeta's limit
+        mean_square_error(1, 0.8, 10, 2e4, 0.25, tab)
     for m in (0, 4):                                     # unsupported order
         with pytest.raises(UnsupportedRange):
             mean_square_error(m, 0.8, 10, 20.0, 0.25, tab)
+
+
+def test_mean_square_refuses_a_one_height_grid(monkeypatch):
+    # the grid 14 + 0.25 j <= T holds one height below T = 14.25, whose
+    # trapezoid is 0: refused before any row is computed
+    tab = bundled_table()
+    rows = dirichlet._eta_tilde_rows
+
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+    monkeypatch.setattr(dirichlet, "_eta_tilde_rows", no_rows)
+    for T in (14.0, 14.2, 14.25 - 1e-6):
+        with pytest.raises(ValidationError, match="two heights"):
+            mean_square_error(1, 0.8, 100, T, 0.25, tab)
+    monkeypatch.setattr(dirichlet, "_eta_tilde_rows", rows)
+    assert mean_square_error(1, 0.8, 100, 14.25, 0.25, tab).mse > 0.0
+
+
+def test_mean_square_past_the_table():
+    # no bundled zero lies at or right of sigma = 0.8, so past the
+    # table's coverage the mean square is the one on the empty table,
+    # bit for bit
+    tab = bundled_table()
+    assert tab.coverage < 400.0
+    rep = mean_square_error(1, 0.8, 100, 400.0, 0.25, tab)
+    assert rep == mean_square_error(1, 0.8, 100, 400.0, 0.25, EMPTY_TABLE)
+    assert rep.skipped_fraction == 0.0 and 0.0 < rep.mse < 1.0
+
+
+@pytest.mark.parametrize("guarded", [4, 5])
+def test_mean_square_counts_guard_bands(guarded):
+    # zeros at beta = 0.9, each 5e-4 above a height of the 21-height grid
+    # 14..19 on sigma = 0.8, put that many heights in guard bands: 5 of
+    # 21 is more than a fifth and refused, 4 is reported as skipped
+    heights = 14.0 + 0.25 * np.arange(0, 4 * guarded, 4)
+    table = ZeroTable(np.full(guarded, 0.9), heights + 5e-4,
+                      np.ones(guarded, dtype=int))
+    if guarded == 5:
+        with pytest.raises(TooFewSamples, match="24% of the grid"):
+            mean_square_error(1, 0.8, 100, 19.0, 0.25, table)
+        return
+    rep = mean_square_error(1, 0.8, 100, 19.0, 0.25, table)
+    assert rep.skipped_fraction == 1.0 - 17 / 21
+    assert 0.0 < rep.mse < 1.0

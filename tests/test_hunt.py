@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -7,13 +8,13 @@ import pytest
 from iterzeta import dirichlet, hunt, rays
 from iterzeta.dirichlet import (_grid_split, mangoldt_grid, mangoldt_sum,
                                 orbit_grid)
-from iterzeta.errors import (BranchObstruction, BudgetExceeded, TableCoverage,
+from iterzeta.errors import (BranchObstruction, BudgetExceeded,
                              UnsupportedRange, ValidationError)
 from iterzeta.eta import _prime_powers, eta_tilde_weighted
-from iterzeta.hunt import (HuntConfig, TorusTarget, equidistribution_measure,
-                           hunt_value, kronecker_search)
+from iterzeta.hunt import (TorusTarget, equidistribution_measure, hunt_value,
+                           kronecker_search)
 from iterzeta.lru import LRUDict
-from iterzeta.zeros import ZeroTable, bundled_table
+from iterzeta.zeros import EMPTY_TABLE, ZeroTable, bundled_table
 
 TAB = bundled_table()
 _TGT = TorusTarget(np.array([2, 3]), np.array([0.0, 0.0]), 0.1)
@@ -93,7 +94,7 @@ def test_equidistribution_validation():
     lambda: hunt_value(1, 0.8, complex(math.nan, 0.0), 0.1, table=TAB),
     lambda: hunt_value(1, 0.8, complex(0.0, math.inf), 0.1, table=TAB),
     lambda: hunt_value(1, math.nan, 0.5 + 0j, 0.1, table=TAB),
-    lambda: HuntConfig(min_separation=math.nan),
+    lambda: hunt_value(1, 0.8, 0.5 + 0j, 0.1, t_min=math.nan, table=TAB),
     lambda: TorusTarget(np.array([2, 3]), np.array([0.0, math.nan]), 0.1),
     lambda: kronecker_search(_TGT, 10.0, 100.0, 0.0),
     lambda: kronecker_search(_TGT, 10.0, 100.0, -0.01),
@@ -103,7 +104,7 @@ def test_equidistribution_validation():
     lambda: equidistribution_measure([(0.0, 0.5)], math.inf, [2]),
     lambda: equidistribution_measure([(0.0, math.nan)], 1e4, [2]),
     lambda: equidistribution_measure([(0.0, 0.5)], 1e4, [math.nan]),
-], ids=["a-nan", "a-inf", "sigma-nan", "separation-nan", "angle-nan",
+], ids=["a-nan", "a-inf", "sigma-nan", "t-min-nan", "angle-nan",
         "step-zero", "step-negative", "step-nan", "t-max-inf", "T-nan",
         "T-inf", "arc-nan", "prime-nan"])
 def test_inputs_not_finite_and_valid_are_refused(call):
@@ -158,18 +159,36 @@ def test_hunt_witness_counts_its_est_error(monkeypatch):
             assert res.t_witness == plain.t_witness
 
 
-def test_hunt_unreachable_target_is_honest():
-    res = hunt_value(1, 0.8, 100.0 + 0j,  0.01,
-                     config=HuntConfig(t_max=60.0, eval_budget=4), table=TAB)
+def test_hunt_unreachable_target_is_honest(monkeypatch):
+    monkeypatch.setattr(hunt, "EVAL_BUDGET", 4)
+    res = hunt_value(1, 0.8, 100.0 + 0j,  0.01, t_max=60.0, table=TAB)
     assert not res.success
     assert res.final_error > 1.0
     assert res.diagnostic
 
 
-def test_hunt_coverage_precondition():
-    with pytest.raises(TableCoverage):
-        hunt_value(1, 0.8, 0.5 + 0j, 0.1,
-                   config=HuntConfig(t_max=300.0), table=TAB)
+# (m, sigma, t0, t_min, t_max) of self-referential targets a =
+# eta~_m(sigma + i t0) in windows past the bundled table's coverage
+FAR_TARGETS = ((1, 0.8, 300.3, 250.0, 400.0),
+               (2, 0.7, 1500.7, 1400.0, 1600.0),
+               (3, 0.8, 9000.1, 8900.0, 9100.0),
+               (2, 0.6, 1234.5, 10.0, 2000.0))
+
+
+@pytest.mark.parametrize("m, sigma, t0, t_min, t_max", FAR_TARGETS)
+def test_hunt_past_the_table(m, sigma, t0, t_min, t_max):
+    # no bundled zero lies at or right of sigma > 1/2, so past the
+    # table's coverage the hunt is the hunt on the empty table, bit for
+    # bit, and its witness re-evaluates within epsilon
+    assert t_max > TAB.coverage
+    a = eta_tilde_weighted(m, sigma, t0, table=TAB).value
+    res = hunt_value(m, sigma, a, 0.1, t_min=t_min, t_max=t_max, table=TAB)
+    assert res.success, res.diagnostic
+    assert t_min <= res.t_witness <= t_max
+    assert res == hunt_value(m, sigma, a, 0.1, t_min=t_min, t_max=t_max,
+                             table=EMPTY_TABLE)
+    assert abs(eta_tilde_weighted(m, sigma, res.t_witness,
+                                  table=TAB).value - a) < 0.1
 
 
 def test_hunt_refuses_heights_past_zeta_limit(monkeypatch):
@@ -181,34 +200,52 @@ def test_hunt_refuses_heights_past_zeta_limit(monkeypatch):
         raise AssertionError("grid formed")
     monkeypatch.setattr(hunt, "mangoldt_grid", no_grid)
     with pytest.raises(UnsupportedRange):
-        hunt_value(1, 0.8, 0.5 + 0j, 0.1,
-                   config=HuntConfig(t_min=9990.0, t_max=1.2e4), table=tall)
+        hunt_value(1, 0.8, 0.5 + 0j, 0.1, t_min=9990.0, t_max=1.2e4,
+                   table=tall)
 
 
-def test_hunt_validation():
+@pytest.mark.parametrize("m", [1, 2])
+def test_hunt_counts_guarded_and_stalled_candidates_apart(m):
+    # the one candidate of a window on the first zero's ordinate: the
+    # bundled table guards it, and a table without that zero leaves its
+    # ray to stall on it
+    g1 = TAB.gammas[0]
+    lone = ZeroTable(TAB.betas[1:], TAB.gammas[1:], TAB.mults[1:])
+    for table, guarded, stalled in ((TAB, 1, 0), (lone, 0, 1)):
+        res = hunt_value(m, 0.5, 0.3, 0.1, t_min=g1, t_max=g1 + 0.01,
+                         table=table)
+        assert not res.success and res.budget_used == 0
+        assert res.diagnostic.startswith("all 1 candidates obstructed; ")
+        assert (f"1 obstructed ({guarded} on guarded ordinates, "
+                f"{stalled} whose rays stalled)") in res.diagnostic
+
+
+def test_hunt_validation(monkeypatch):
+    # refused before any grid forms
+    def no_grid(*args):
+        raise AssertionError("grid formed")
+    monkeypatch.setattr(hunt, "mangoldt_grid", no_grid)
     with pytest.raises(ValidationError):
         hunt_value(1, 1.2, 0.5 + 0j, 0.1, table=TAB)
-    with pytest.raises(ValidationError):
-        HuntConfig(t_min=50.0, t_max=20.0)
-    with pytest.raises(ValidationError):
-        HuntConfig(t_min=0.0)
-    with pytest.raises(ValidationError):
-        HuntConfig(eval_budget=0)
-    with pytest.raises(ValidationError):
-        HuntConfig(min_separation=-0.1)
-    cfg = HuntConfig()
-    assert (cfg.t_min, cfg.t_max, cfg.eval_budget, cfg.min_separation) \
-        == (10.0, 240.0, 48, 0.5)
+    for t_min, t_max in ((50.0, 20.0), (0.0, 240.0), (-5.0, 240.0),
+                         (30.0, 30.0)):
+        with pytest.raises(ValidationError, match="0 < t_min < t_max"):
+            hunt_value(1, 0.8, 0.5 + 0j, 0.1, t_min=t_min, t_max=t_max,
+                       table=TAB)
+    assert (hunt.EVAL_BUDGET, hunt.MIN_SEPARATION) == (48, 0.5)
+    defaults = inspect.signature(hunt_value).parameters
+    assert (defaults["t_min"].default, defaults["t_max"].default) \
+        == (10.0, 240.0)
 
 
-def test_hunt_refuses_a_config_of_another_type(monkeypatch):
-    # the table passed where the config goes, positionally: refused
-    # before any grid forms
+def test_hunt_refuses_a_positional_window(monkeypatch):
+    # the window is keyword-only: a config, a table or a height passed
+    # where the old config went fails loudly before any grid forms
     def no_grid(*args):
         raise AssertionError("grid formed")
     monkeypatch.setattr(hunt, "mangoldt_grid", no_grid)
     for config in (TAB, {"t_min": 10.0}, 240.0):
-        with pytest.raises(ValidationError, match="HuntConfig"):
+        with pytest.raises(TypeError, match="positional"):
             hunt_value(1, 0.8, 0.3, 0.1, config)
 
 
@@ -231,12 +268,11 @@ def test_hunt_finds_self_referential_targets_first(m, sigma, t0):
 
 def test_hunt_refuses_targets_out_of_reach():
     rng = np.random.default_rng(10)
-    cfg = HuntConfig()
     for m in (1, 2, 3, 1, 3):
         sigma = float(rng.uniform(0.6, 0.95))
         a = complex(rng.uniform(6.0, 8.0)
                     * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-        res = hunt_value(m, sigma, a, 0.1, config=cfg, table=TAB)
+        res = hunt_value(m, sigma, a, 0.1, table=TAB)
         assert not res.success
         # the first pass measures eta~ near D_X; no later candidate of D_X
         # comes near enough to a to be evaluated
@@ -291,12 +327,11 @@ def test_hunt_gap_cut_keeps_the_full_second_pass_results(monkeypatch):
 def test_hunt_without_a_measured_gap_runs_the_whole_second_pass(monkeypatch):
     # every first-pass candidate obstructed: no g, so no cut
     a = 7.0 + 0.0j
-    full = hunt_value(1, 0.8, a, 0.1, table=TAB,
-                      config=HuntConfig(eval_budget=12))
+    monkeypatch.setattr(hunt, "EVAL_BUDGET", 12)
+    full = hunt_value(1, 0.8, a, 0.1, table=TAB)
     assert full.budget_used == hunt.FIRST_PASS
     passes = _spy_rows(monkeypatch, obstruct_first=True)
-    res = hunt_value(1, 0.8, a, 0.1, table=TAB,
-                     config=HuntConfig(eval_budget=12))
+    res = hunt_value(1, 0.8, a, 0.1, table=TAB)
     assert [ts.size for ts, _ in passes] == [hunt.FIRST_PASS, 8]
     assert res.budget_used == 8
     assert not res.success
@@ -328,13 +363,13 @@ def test_hunt_refusal_names_the_gap_and_the_nearest_skipped(monkeypatch):
 @pytest.mark.parametrize("m, sigma", [(1, 0.8), (2, 0.55), (3, 0.95)])
 def test_hunt_grid_matches_mangoldt_sum(m, sigma):
     # the hunt's grid over the default window, against one-height sums
-    cfg = HuntConfig()
-    count = int(round((cfg.t_max - cfg.t_min) / hunt.GRID_STEP)) + 1
-    grid = mangoldt_grid(m, sigma, cfg.t_min, hunt.GRID_STEP, count,
+    t_min, t_max = 10.0, 240.0
+    count = int(round((t_max - t_min) / hunt.GRID_STEP)) + 1
+    grid = mangoldt_grid(m, sigma, t_min, hunt.GRID_STEP, count,
                          hunt.TAIL_TERMS)
     assert hunt.TAIL_TERMS == 300 and count == 11501
     for j in (0, count // 2, count - 1):
-        t = cfg.t_min + hunt.GRID_STEP * j
+        t = t_min + hunt.GRID_STEP * j
         assert abs(grid[j] - mangoldt_sum(m, sigma, t, 300)) < 1e-13
 
 

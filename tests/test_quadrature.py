@@ -48,7 +48,7 @@ def test_integrate_vec_spike():
 
 
 @pytest.mark.parametrize("splits", [1, 2, 3])
-def test_opening_nodes_are_the_first_two_rounds(splits):
+def test_opening_nodes_are_the_first_two_rounds(splits, monkeypatch):
     # the abscissae f sees in integrate_rows' first two rounds, all in
     # one call, are opening_nodes' to the bit, for rows alone and
     # sharing a call
@@ -58,7 +58,8 @@ def test_opening_nodes_are_the_first_two_rounds(splits):
     def f(nodes, row):
         seen.append((nodes, row))
         return np.cos(nodes * (row + 1))
-    integrate_rows(f, a, b, 1e-15, max_depth=1, initial_splits=splits)
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 1)
+    integrate_rows(f, a, b, 1e-15, initial_splits=splits)
     assert [x.size for x, _ in seen] == [3 * a.size * splits * PANEL_ORDER]
     for r in range(a.size):
         got = np.unique(np.concatenate([x[row == r] for x, row in seen]))
@@ -67,15 +68,16 @@ def test_opening_nodes_are_the_first_two_rounds(splits):
         assert want.size == 3 * splits * PANEL_ORDER
 
 
-def test_integrate_vec_nonconvergence():
+def test_integrate_vec_nonconvergence(monkeypatch):
     # a jump cannot be resolved to an impossible tolerance in few levels
     f = lambda x: np.where(x > np.pi / 10, 1.0, 0.0)
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 6)
     with pytest.raises(QuadratureNonconvergence):
-        integrate_vec(f, 0.0, 1.0, abs_tol=1e-14, max_depth=6)
+        integrate_vec(f, 0.0, 1.0, abs_tol=1e-14)
     # as a row next to a smooth one, only the jump's row is refused
     _, _, _, refused = integrate_rows(
         lambda x, row: np.where(row == 0, f(x), np.cos(x)), [0.0, 0.0], 1.0,
-        1e-14, max_depth=6)
+        1e-14)
     assert isinstance(refused[0], QuadratureNonconvergence)
     assert refused[1] is None
 
@@ -181,7 +183,7 @@ def _round_by_round(f, a, b, abs_tol, max_depth=48, initial_splits=1,
 
 
 @pytest.mark.parametrize("splits", [1, 2, 3])
-def test_one_call_opening_is_the_round_by_round_driver(splits):
+def test_one_call_opening_is_the_round_by_round_driver(splits, monkeypatch):
     # the first two rounds in one f call give every row the value,
     # est_error, nevals and refusal of the driver that called f once a
     # round: spikes that bisect deep, an empty row, a noise floor, a
@@ -211,10 +213,11 @@ def test_one_call_opening_is_the_round_by_round_driver(splits):
         assert want[3] == [r is not None for r in got[3]]
     assert want[3] == [False] * 3 and True in \
         _round_by_round(spiky, a, b, tols, initial_splits=splits)[3]
-    # a shallow max_depth ends on the same accepted panels
+    # a shallow MAX_DEPTH ends on the same accepted panels
     want = _round_by_round(spiky, a[:4], b[:4], tols[:4], max_depth=3,
                            initial_splits=splits)
-    got = integrate_rows(spiky, a[:4], b[:4], tols[:4], max_depth=3,
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
+    got = integrate_rows(spiky, a[:4], b[:4], tols[:4],
                          initial_splits=splits)
     for w, g in zip(want[:3], got[:3]):
         assert np.array_equal(w, g)
